@@ -207,20 +207,7 @@ func (l *List) ForEachPair(pos []vec.V, fn func(i, j int, d vec.V, r2 float64)) 
 func (l *List) ForEachPairInSlab(s int, pos []vec.V, fn func(i, j int, d vec.V, r2 float64, tgt int)) {
 	rc2 := l.Cutoff * l.Cutoff
 	if l.direct {
-		nb := directSlabs(l.n)
-		c := (l.n + nb - 1) / nb
-		lo, hi := s*c, (s+1)*c
-		if hi > l.n {
-			hi = l.n
-		}
-		for i := lo; i < hi; i++ {
-			for j := i + 1; j < l.n; j++ {
-				d := l.Box.MinImage(pos[i].Sub(pos[j]))
-				if r2 := d.Norm2(); r2 <= rc2 {
-					fn(i, j, d, r2, j/c)
-				}
-			}
-		}
+		l.forEachPairInBlock(s, pos, rc2, fn)
 		return
 	}
 	nx, ny, nz := l.nc[0], l.nc[1], l.nc[2]
@@ -285,6 +272,45 @@ func (l *List) ForEachPairInSlab(s int, pos []vec.V, fn func(i, j int, d vec.V, 
 							fn(int(i), int(j), vec.V{dx, dy, dz}, r2, tgtUp)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// forEachPairInBlock is the direct-mode branch of ForEachPairInSlab: atom
+// block s against itself and every later block, on scalar locals with the
+// per-component minimum image of vec.MinImage1 (see there for why, and for
+// why no pair inside the cutoff can differ from Box.MinImage by a bit).
+func (l *List) forEachPairInBlock(s int, pos []vec.V, rc2 float64, fn func(i, j int, d vec.V, r2 float64, tgt int)) {
+	n := l.n
+	nb := directSlabs(n)
+	c := (n + nb - 1) / nb
+	lo, hi := s*c, (s+1)*c
+	if hi > n {
+		hi = n
+	}
+	lx, ly, lz := l.Box.L[0], l.Box.L[1], l.Box.L[2]
+	ix, iy, iz := 1/lx, 1/ly, 1/lz
+	for i := lo; i < hi; i++ {
+		xi, yi, zi := pos[i][0], pos[i][1], pos[i][2]
+		// Walk atom j block by block so the owning slab is a loop variable,
+		// not a division per pair.
+		for tgt := s; tgt < nb; tgt++ {
+			jlo, jhi := tgt*c, (tgt+1)*c
+			if jlo <= i {
+				jlo = i + 1
+			}
+			if jhi > n {
+				jhi = n
+			}
+			for j := jlo; j < jhi; j++ {
+				pj := &pos[j]
+				dx := vec.MinImage1(xi-pj[0], lx, ix)
+				dy := vec.MinImage1(yi-pj[1], ly, iy)
+				dz := vec.MinImage1(zi-pj[2], lz, iz)
+				if r2 := dx*dx + dy*dy + dz*dz; r2 <= rc2 {
+					fn(i, j, vec.V{dx, dy, dz}, r2, tgt)
 				}
 			}
 		}

@@ -302,6 +302,36 @@ func TestObsCountersTravel(t *testing.T) {
 	if got := rec2.CounterValue(obs.CounterMeshSolves); got != 123 {
 		t.Errorf("unknown counter restore disturbed mesh_solves: %d", got)
 	}
+	// The other direction: a checkpoint from a build that predates a
+	// counter (here pairs_evaluated) carries no entry for it, and restores
+	// with that counter at zero and every other one intact.
+	var names []string
+	var vals []int64
+	for i, name := range c.ObsNames {
+		if name != obs.CounterPairsEvaluated.String() && name != "from_the_future" {
+			names, vals = append(names, name), append(vals, c.ObsVals[i])
+		}
+	}
+	if len(names) != int(obs.NumCounters)-1 {
+		t.Fatalf("checkpoint carried %d known counters besides pairs_evaluated, want %d", len(names), obs.NumCounters-1)
+	}
+	old := &Checkpoint{ConfigHash: c.ConfigHash, Snap: c.Snap, ObsNames: names, ObsVals: vals}
+	data, err := old.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(data)
+	if err != nil {
+		t.Fatalf("checkpoint without pairs_evaluated does not decode: %v", err)
+	}
+	rec3 := obs.NewWithClock(func() int64 { return 0 })
+	back.RestoreObs(rec3)
+	if got := rec3.CounterValue(obs.CounterPairsEvaluated); got != 0 {
+		t.Errorf("pairs_evaluated = %d after restoring a checkpoint that predates it, want 0", got)
+	}
+	if got := rec3.CounterValue(obs.CounterMeshSolves); got != 123 {
+		t.Errorf("restored mesh_solves = %d from the older checkpoint, want 123", got)
+	}
 }
 
 func TestLoadLatestEmptyDir(t *testing.T) {

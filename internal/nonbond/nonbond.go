@@ -18,16 +18,23 @@
 // the owning slab in a second pass, in fixed source-slab order. Energies,
 // virial-style sums and pair counts reduce over per-slab padded partials
 // in ascending slab order. No atomics, no per-worker force arrays.
+//
+// # Pair kernel
+//
+// Every path — VerletList.Compute, ComputeWithList, ComputeSlabRange —
+// evaluates a pair through the one kernel in kernel.go: the Coulomb energy
+// and force factor come from a segmented cubic table in r² (internal/r2tab,
+// the datapath of the hardware pipelines), Lennard-Jones from its closed
+// form. The analytic erfc/exp kernel (pairEval) generates the table, takes
+// the pairs below its range, and is the oracle the tests compare against.
 package nonbond
 
 import (
-	"math"
 	"sync"
 
 	"tme4a/internal/celllist"
 	"tme4a/internal/par"
 	"tme4a/internal/topol"
-	"tme4a/internal/units"
 	"tme4a/internal/vec"
 )
 
@@ -136,44 +143,46 @@ func Compute(box vec.Box, pos []vec.V, q []float64, lj *LJ, alpha, rc float64, e
 func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, lj *LJ, alpha float64, excl *topol.Exclusions, f []vec.V) Result {
 	ns := cl.Slabs()
 	n := len(pos)
+	k := kernelFor(alpha, cl.Cutoff)
 	dense := cl.Direct() && f != nil
 	sc := scratchPool.Get().(*pairScratch)
 	sc.reset(ns)
 	if dense {
 		sc.resetDense(ns, n)
 	}
+	// Slabs are claimed one at a time (par.For): direct-mode blocks are
+	// triangular, so equal contiguous ranges would leave the first worker
+	// most of the pairs. Which worker runs a slab touches no result.
 	if par.WorkersGrain(ns, 1) == 1 {
 		if dense {
 			for s := 0; s < ns; s++ {
-				computeSlabDense(cl, pos, q, lj, alpha, excl, f, sc, s)
+				computeSlabDense(cl, k, pos, q, lj, excl, f, sc, s)
 			}
-			applyDense(f, sc, 0, ns, ns, n)
+			for m := 0; m < ns; m++ {
+				applyDense(f, sc, m, ns, n)
+			}
 		} else {
 			for s := 0; s < ns; s++ {
-				computeSlab(cl, pos, q, lj, alpha, excl, f, sc, s, ns)
+				computeSlab(cl, k, pos, q, lj, excl, f, sc, s, ns)
 			}
-			if f != nil {
-				applyDeferred(f, sc, 0, ns, ns)
+			for m := 0; f != nil && m < ns; m++ {
+				applyDeferred(f, sc, m, ns)
 			}
 		}
 	} else if dense {
-		par.ForRangeGrain(ns, 1, func(lo, hi int) {
-			for s := lo; s < hi; s++ {
-				computeSlabDense(cl, pos, q, lj, alpha, excl, f, sc, s)
-			}
+		par.For(ns, func(s int) {
+			computeSlabDense(cl, k, pos, q, lj, excl, f, sc, s)
 		})
-		par.ForRangeGrain(ns, 1, func(lo, hi int) {
-			applyDense(f, sc, lo, hi, ns, n)
+		par.For(ns, func(m int) {
+			applyDense(f, sc, m, ns, n)
 		})
 	} else {
-		par.ForRangeGrain(ns, 1, func(lo, hi int) {
-			for s := lo; s < hi; s++ {
-				computeSlab(cl, pos, q, lj, alpha, excl, f, sc, s, ns)
-			}
+		par.For(ns, func(s int) {
+			computeSlab(cl, k, pos, q, lj, excl, f, sc, s, ns)
 		})
 		if f != nil {
-			par.ForRangeGrain(ns, 1, func(lo, hi int) {
-				applyDeferred(f, sc, lo, hi, ns)
+			par.For(ns, func(m int) {
+				applyDeferred(f, sc, m, ns)
 			})
 		}
 	}
@@ -189,7 +198,7 @@ func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, l
 
 // computeSlab traverses slab s, writing forces only into atoms slab s owns
 // and deferring cross-slab reaction forces.
-func computeSlab(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha float64, excl *topol.Exclusions, f []vec.V, sc *pairScratch, s, ns int) {
+func computeSlab(cl *celllist.List, k *kernel, pos []vec.V, q []float64, lj *LJ, excl *topol.Exclusions, f []vec.V, sc *pairScratch, s, ns int) {
 	p := &sc.part[s]
 	base := s * ns
 	cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) {
@@ -197,7 +206,7 @@ func computeSlab(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha floa
 			return
 		}
 		p.pairs++
-		eC, eLJ, fr := pairEval(q[i]*q[j], lj, i, j, alpha, r2)
+		eC, eLJ, fr := k.pair(q[i]*q[j], lj, i, j, r2)
 		p.eCoul += eC
 		p.eLJ += eLJ
 		if f != nil && fr != 0 {
@@ -215,7 +224,7 @@ func computeSlab(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha floa
 // computeSlabDense is the direct-mode variant of computeSlab: cross-block
 // reaction forces accumulate into the slab's dense private buffer instead
 // of per-pair deferred entries.
-func computeSlabDense(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha float64, excl *topol.Exclusions, f []vec.V, sc *pairScratch, s int) {
+func computeSlabDense(cl *celllist.List, k *kernel, pos []vec.V, q []float64, lj *LJ, excl *topol.Exclusions, f []vec.V, sc *pairScratch, s int) {
 	p := &sc.part[s]
 	fs := sc.dense[s]
 	cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) {
@@ -223,7 +232,7 @@ func computeSlabDense(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha
 			return
 		}
 		p.pairs++
-		eC, eLJ, fr := pairEval(q[i]*q[j], lj, i, j, alpha, r2)
+		eC, eLJ, fr := k.pair(q[i]*q[j], lj, i, j, r2)
 		p.eCoul += eC
 		p.eLJ += eLJ
 		if fr != 0 {
@@ -239,66 +248,33 @@ func computeSlabDense(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha
 }
 
 // applyDense folds the dense reaction buffers into the atoms of target
-// slabs [mlo, mhi), scanning source slabs in ascending order. Direct-mode
-// blocks follow atom order with i < j, so only sources below the target
-// ever contribute.
-func applyDense(f []vec.V, sc *pairScratch, mlo, mhi, ns, n int) {
+// slab m, scanning source slabs in ascending order. Direct-mode blocks
+// follow atom order with i < j, so only sources below the target ever
+// contribute.
+func applyDense(f []vec.V, sc *pairScratch, m, ns, n int) {
 	c := (n + ns - 1) / ns
-	for m := mlo; m < mhi; m++ {
-		lo, hi := m*c, (m+1)*c
-		if hi > n {
-			hi = n
-		}
-		for src := 0; src < m; src++ {
-			fs := sc.dense[src]
-			for j := lo; j < hi; j++ {
-				f[j] = f[j].Add(fs[j])
-			}
+	lo, hi := m*c, (m+1)*c
+	if hi > n {
+		hi = n
+	}
+	for src := 0; src < m; src++ {
+		fs := sc.dense[src]
+		for j := lo; j < hi; j++ {
+			f[j] = f[j].Add(fs[j])
 		}
 	}
 }
 
-// applyDeferred applies the deferred reaction forces owed to target slabs
-// [mlo, mhi), scanning source slabs in ascending order so each atom's
-// accumulation order is fixed.
-func applyDeferred(f []vec.V, sc *pairScratch, mlo, mhi, ns int) {
-	for m := mlo; m < mhi; m++ {
-		for src := 0; src < ns; src++ {
-			if src == m {
-				continue
-			}
-			for _, e := range sc.def[src*ns+m] {
-				f[e.j] = f[e.j].Sub(e.f)
-			}
+// applyDeferred applies the deferred reaction forces owed to target slab m,
+// scanning source slabs in ascending order so each atom's accumulation
+// order is fixed.
+func applyDeferred(f []vec.V, sc *pairScratch, m, ns int) {
+	for src := 0; src < ns; src++ {
+		if src == m {
+			continue
+		}
+		for _, e := range sc.def[src*ns+m] {
+			f[e.j] = f[e.j].Sub(e.f)
 		}
 	}
 }
-
-// pairEval evaluates the erfc-screened Coulomb + Lennard-Jones kernel for
-// one pair at squared distance r2, returning the two energy terms and the
-// radial force factor fr such that F_i = fr·d (and F_j = −fr·d).
-func pairEval(qq float64, lj *LJ, i, j int, alpha, r2 float64) (eC, eLJ, fr float64) {
-	r := math.Sqrt(r2)
-	inv2 := 1 / r2
-	if qq != 0 {
-		if alpha > 0 {
-			eC = qq * math.Erfc(alpha*r) / r * units.Coulomb
-			fr += (eC + qq*units.Coulomb*alpha*twoOverSqrtPi*math.Exp(-alpha*alpha*r2)) * inv2
-		} else {
-			eC = qq / r * units.Coulomb
-			fr += eC * inv2
-		}
-	}
-	if lj != nil && lj.Eps[i] != 0 && lj.Eps[j] != 0 {
-		eps := math.Sqrt(lj.Eps[i] * lj.Eps[j])
-		sig := 0.5 * (lj.Sigma[i] + lj.Sigma[j])
-		sr2 := sig * sig * inv2
-		sr6 := sr2 * sr2 * sr2
-		sr12 := sr6 * sr6
-		eLJ = 4 * eps * (sr12 - sr6)
-		fr += 24 * eps * (2*sr12 - sr6) * inv2
-	}
-	return eC, eLJ, fr
-}
-
-const twoOverSqrtPi = 2 / 1.7724538509055160273

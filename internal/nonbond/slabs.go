@@ -65,6 +65,7 @@ func (sc *SlabScratch) reset(n int) {
 func ComputeSlabRange(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha float64, excl *topol.Exclusions, f []vec.V, part []SlabPartial, sc *SlabScratch, s0, s1 int) []Deferred {
 	n := s1 - s0
 	sc.reset(n)
+	kn := kernelFor(alpha, cl.Cutoff)
 	for s := s0; s < s1; s++ {
 		k := s - s0
 		p := &part[k]
@@ -75,7 +76,7 @@ func ComputeSlabRange(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha
 				return
 			}
 			p.Pairs++
-			eC, eLJ, fr := pairEval(q[i]*q[j], lj, i, j, alpha, r2)
+			eC, eLJ, fr := kn.pair(q[i]*q[j], lj, i, j, r2)
 			p.ECoul += eC
 			p.ELJ += eLJ
 			if fr != 0 {

@@ -37,6 +37,9 @@ type VerletList struct {
 	npairs int
 	ref    []vec.V // positions at build time
 	n      int
+	// k is the pair kernel of the last Compute, kept so a steady run looks
+	// nothing up; it is replaced when alpha or Cutoff change.
+	k *kernel
 
 	// o, when non-nil, times Rebuild as the neighbor stage and counts
 	// rebuilds and buffered pairs.
@@ -102,10 +105,8 @@ func (v *VerletList) Rebuild(pos []vec.V, excl *topol.Exclusions) {
 			v.fillSlab(s, pos, excl)
 		}
 	} else {
-		par.ForRangeGrain(ns, 1, func(lo, hi int) {
-			for s := lo; s < hi; s++ {
-				v.fillSlab(s, pos, excl)
-			}
+		par.For(ns, func(s int) {
+			v.fillSlab(s, pos, excl)
 		})
 	}
 
@@ -200,23 +201,23 @@ func (v *VerletList) RefPositions() []vec.V {
 //tme:noalloc
 func (v *VerletList) Compute(pos []vec.V, q []float64, lj *LJ, alpha float64, f []vec.V) Result {
 	ns := v.ns
-	rc2 := v.Cutoff * v.Cutoff
+	if !v.k.is(alpha, v.Cutoff) {
+		v.k = kernelFor(alpha, v.Cutoff)
+	}
 	if par.WorkersGrain(ns, 1) == 1 {
 		for s := 0; s < ns; s++ {
-			v.computeSlab(s, pos, q, lj, alpha, f, rc2)
+			v.computeSlab(s, pos, q, lj, f)
 		}
-		if f != nil {
-			v.applyDeferred(f, 0, ns)
+		for m := 0; f != nil && m < ns; m++ {
+			v.applyDeferred(f, m)
 		}
 	} else {
-		par.ForRangeGrain(ns, 1, func(lo, hi int) {
-			for s := lo; s < hi; s++ {
-				v.computeSlab(s, pos, q, lj, alpha, f, rc2)
-			}
+		par.For(ns, func(s int) {
+			v.computeSlab(s, pos, q, lj, f)
 		})
 		if f != nil {
-			par.ForRangeGrain(ns, 1, func(lo, hi int) {
-				v.applyDeferred(f, lo, hi)
+			par.For(ns, func(m int) {
+				v.applyDeferred(f, m)
 			})
 		}
 	}
@@ -233,25 +234,41 @@ func (v *VerletList) Compute(pos []vec.V, q []float64, lj *LJ, alpha float64, f 
 // force entries, cross-slab pairs update the owned side and record the
 // reaction force for the target slab's deferred pass.
 //
+// The loops keep the displacement, the accumulators and the force in scalar
+// locals (see vec.MinImage1): a vec.V temporary lives on the stack, which
+// costs more than the kernel itself once the transcendentals are gone.
+//
 //tme:noalloc
-func (v *VerletList) computeSlab(s int, pos []vec.V, q []float64, lj *LJ, alpha float64, f []vec.V, rc2 float64) {
-	p := &v.part[s]
-	*p = slabPartial{}
+func (v *VerletList) computeSlab(s int, pos []vec.V, q []float64, lj *LJ, f []vec.V) {
+	k := v.k
+	rc2 := v.Cutoff * v.Cutoff
+	lx, ly, lz := v.Box.L[0], v.Box.L[1], v.Box.L[2]
+	ix, iy, iz := 1/lx, 1/ly, 1/lz
+	var eCoul, eLJsum float64
+	var pairs int
 	for _, pr := range v.same[s] {
 		i, j := int(pr.i), int(pr.j)
-		d := v.Box.MinImage(pos[i].Sub(pos[j]))
-		r2 := d.Norm2()
+		pi, pj := &pos[i], &pos[j]
+		dx := vec.MinImage1(pi[0]-pj[0], lx, ix)
+		dy := vec.MinImage1(pi[1]-pj[1], ly, iy)
+		dz := vec.MinImage1(pi[2]-pj[2], lz, iz)
+		r2 := dx*dx + dy*dy + dz*dz
 		if r2 > rc2 {
 			continue
 		}
-		p.pairs++
-		eC, eLJ, fr := pairEval(q[i]*q[j], lj, i, j, alpha, r2)
-		p.eCoul += eC
-		p.eLJ += eLJ
+		pairs++
+		eC, eLJ, fr := k.pair(q[i]*q[j], lj, i, j, r2)
+		eCoul += eC
+		eLJsum += eLJ
 		if f != nil && fr != 0 {
-			fv := d.Scale(fr)
-			f[i] = f[i].Add(fv)
-			f[j] = f[j].Sub(fv)
+			fx, fy, fz := fr*dx, fr*dy, fr*dz
+			fi, fj := &f[i], &f[j]
+			fi[0] += fx
+			fi[1] += fy
+			fi[2] += fz
+			fj[0] -= fx
+			fj[1] -= fy
+			fj[2] -= fz
 		}
 	}
 	base := s * v.ns
@@ -261,44 +278,53 @@ func (v *VerletList) computeSlab(s int, pos []vec.V, q []float64, lj *LJ, alpha 
 		}
 		b := base + tgt
 		prs := v.cross[b]
-		dst := v.dfrc[b]
-		for k, pr := range prs {
-			var fv vec.V
+		dst := v.dfrc[b][:len(prs)]
+		for n, pr := range prs {
+			var fx, fy, fz float64
 			i, j := int(pr.i), int(pr.j)
-			d := v.Box.MinImage(pos[i].Sub(pos[j]))
-			r2 := d.Norm2()
+			pi, pj := &pos[i], &pos[j]
+			dx := vec.MinImage1(pi[0]-pj[0], lx, ix)
+			dy := vec.MinImage1(pi[1]-pj[1], ly, iy)
+			dz := vec.MinImage1(pi[2]-pj[2], lz, iz)
+			r2 := dx*dx + dy*dy + dz*dz
 			if r2 <= rc2 {
-				p.pairs++
-				eC, eLJ, fr := pairEval(q[i]*q[j], lj, i, j, alpha, r2)
-				p.eCoul += eC
-				p.eLJ += eLJ
+				pairs++
+				eC, eLJ, fr := k.pair(q[i]*q[j], lj, i, j, r2)
+				eCoul += eC
+				eLJsum += eLJ
 				if f != nil && fr != 0 {
-					fv = d.Scale(fr)
-					f[i] = f[i].Add(fv)
+					fx, fy, fz = fr*dx, fr*dy, fr*dz
+					fi := &f[i]
+					fi[0] += fx
+					fi[1] += fy
+					fi[2] += fz
 				}
 			}
-			dst[k] = fv
+			d := &dst[n]
+			d[0], d[1], d[2] = fx, fy, fz
 		}
 	}
+	v.part[s] = slabPartial{eCoul: eCoul, eLJ: eLJsum, pairs: pairs}
 }
 
-// applyDeferred applies the reaction forces owed to target slabs
-// [mlo, mhi) in ascending source-slab order.
+// applyDeferred applies the reaction forces owed to target slab m in
+// ascending source-slab order.
 //
 //tme:noalloc
-func (v *VerletList) applyDeferred(f []vec.V, mlo, mhi int) {
+func (v *VerletList) applyDeferred(f []vec.V, m int) {
 	ns := v.ns
-	for m := mlo; m < mhi; m++ {
-		for src := 0; src < ns; src++ {
-			if src == m {
-				continue
-			}
-			b := src*ns + m
-			prs := v.cross[b]
-			fr := v.dfrc[b]
-			for k := range prs {
-				f[prs[k].j] = f[prs[k].j].Sub(fr[k])
-			}
+	for src := 0; src < ns; src++ {
+		if src == m {
+			continue
+		}
+		b := src*ns + m
+		prs := v.cross[b]
+		fr := v.dfrc[b][:len(prs)]
+		for n, pr := range prs {
+			fj, d := &f[pr.j], &fr[n]
+			fj[0] -= d[0]
+			fj[1] -= d[1]
+			fj[2] -= d[2]
 		}
 	}
 }

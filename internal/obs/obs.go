@@ -128,6 +128,7 @@ const (
 	CounterCkptWrites                    // checkpoints written durably
 	CounterCkptBytes                     // checkpoint bytes written durably
 	CounterCkptFailures                  // checkpoint writes that failed (fault or I/O error)
+	CounterPairsEvaluated                // pairs inside the cutoff evaluated by the short-range kernel, summed over evaluations
 	NumCounters                          // number of preregistered counters
 )
 
@@ -144,6 +145,7 @@ var counterJSONNames = [NumCounters]string{
 	"ckpt_writes",
 	"ckpt_bytes",
 	"ckpt_failures",
+	"pairs_evaluated",
 }
 
 // CounterFromJSONName maps a counter identifier (Counter.String) back to

@@ -121,9 +121,17 @@ func (rep Report) Render(w io.Writer, width int) {
 		if rep.Steps == 0 {
 			mean = st.TotalNs
 		}
-		fmt.Fprintf(w, "%-*s |%-*s| %5.1f%% %12s/step  (%d spans)\n",
+		fmt.Fprintf(w, "%-*s |%-*s| %5.1f%% %12s/step  (%d spans)",
 			labelW, chartLabel(st.Stage), width, strings.Repeat("#", bar),
 			100*st.Share, fmtNs(mean), st.Count)
+		// The pair kernel's unit cost: the whole short-range stage (list
+		// rebuilds included) over the pairs it evaluated inside the cutoff.
+		if st.Stage == StageShortRange.JSONName() {
+			if pairs := rep.counter(CounterPairsEvaluated); pairs > 0 {
+				fmt.Fprintf(w, "  %.1f ns/evaluated pair", float64(st.TotalNs)/float64(pairs))
+			}
+		}
+		fmt.Fprintln(w)
 	}
 	if len(rep.Counters) > 0 {
 		fmt.Fprintf(w, "# counters\n")
@@ -131,6 +139,16 @@ func (rep Report) Render(w io.Writer, width int) {
 			fmt.Fprintf(w, "%-*s %d\n", labelW+2, c.Counter, c.Value)
 		}
 	}
+}
+
+// counter returns the reported value of c, zero when it was never bumped.
+func (rep Report) counter(c Counter) int64 {
+	for _, cs := range rep.Counters {
+		if cs.Counter == c.String() {
+			return cs.Value
+		}
+	}
+	return 0
 }
 
 func chartLabel(jsonName string) string {

@@ -28,6 +28,7 @@ func goldenRecorder() *Recorder {
 		step.Stop()
 		r.Add(CounterMeshSolves, 1)
 		r.Add(CounterPoolGets, 2)
+		r.Add(CounterPairsEvaluated, 10_000)
 	}
 	return r
 }
@@ -41,11 +42,12 @@ func TestReportRenderGolden(t *testing.T) {
 		"# golden: per-stage machine time, 648 atoms, 2 steps, GOMAXPROCS=1",
 		"charge assign |####                                    |  10.0%     100.0 us/step  (2 spans)",
 		"top SPME      |############                            |  30.0%     300.0 us/step  (2 spans)",
-		"short-range   |################                        |  40.0%     400.0 us/step  (2 spans)",
+		"short-range   |################                        |  40.0%     400.0 us/step  (2 spans)  40.0 ns/evaluated pair",
 		"step total    |########################################| 100.0%      1.00 ms/step  (2 spans)",
 		"# counters",
 		"mesh_solves     2",
 		"pool_gets       4",
+		"pairs_evaluated 20000",
 		"",
 	}, "\n")
 	if got := buf.String(); got != want {

@@ -5,8 +5,8 @@
 // is one or the trip count is small, so there is no goroutine overhead on
 // single-core hosts.
 //
-// Determinism: the helpers only decide *which worker* executes a chunk,
-// never the chunk boundaries themselves. Callers that need results bitwise
+// Determinism: the helpers only decide *which worker* executes a chunk or
+// index, never the chunk boundaries themselves. Callers that need results bitwise
 // independent of GOMAXPROCS must therefore fix their own reduction
 // granularity (see pmesh.Interpolate for the pattern); plain ForRange/
 // ForRangeGrain bodies that write disjoint outputs are deterministic as is.
@@ -15,6 +15,7 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // minChunk is the smallest per-worker slice of iterations worth spawning a
@@ -22,14 +23,51 @@ import (
 // cost.
 const minChunk = 64
 
-// For runs body(i) for every i in [0, n) using up to GOMAXPROCS workers.
-// body must be safe to call concurrently for distinct i.
+// For runs body(i) for every i in [0, n) on up to min(GOMAXPROCS, n)
+// workers that claim indices one at a time, in ascending order, from a
+// shared atomic counter. It is the form for loops whose iterations are
+// individually expensive and unequal — the triangular atom blocks and
+// z-slabs of the pair engine — where ForRange's equal contiguous ranges
+// would leave one worker most of the work; cheap uniform iterations belong
+// in ForRange, which touches no shared counter. body must be safe to call
+// concurrently for distinct i. Each index runs exactly once and For returns
+// after the last one, so a body that writes only state owned by its index
+// produces results independent of the worker count and of the claim order.
 func For(n int, body func(i int)) {
-	ForRange(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	workers := WorkersGrain(n, 1)
+	if workers == 1 {
+		for i := 0; i < n; i++ {
 			body(i)
 		}
-	})
+		return
+	}
+	c := &claim{n: n, body: body}
+	c.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go c.worker()
+	}
+	c.run() // the caller's goroutine is the first worker
+	c.wg.Wait()
+}
+
+// claim is the shared state of one For call.
+type claim struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
+	n    int
+	body func(i int)
+}
+
+// run claims and runs indices until none are left.
+func (c *claim) run() {
+	for i := int(c.next.Add(1)) - 1; i < c.n; i = int(c.next.Add(1)) - 1 {
+		c.body(i)
+	}
+}
+
+func (c *claim) worker() {
+	defer c.wg.Done()
+	c.run()
 }
 
 // ForRange splits [0, n) into contiguous chunks and runs body(lo, hi) for

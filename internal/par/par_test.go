@@ -90,3 +90,26 @@ func TestForSeesAllIndices(t *testing.T) {
 		t.Errorf("sum %d, want %d", sum, want)
 	}
 }
+
+// TestForRunsEachIndexOnce: whatever the worker count, every index is
+// claimed by exactly one worker and For returns only after all of them ran.
+// The per-index slots are written without synchronisation, so under -race a
+// double claim or an early return is a reported race, not just a bad count.
+func TestForRunsEachIndexOnce(t *testing.T) {
+	for _, procs := range []int{1, 2, 7, 16} {
+		old := runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, procs - 1, procs, procs + 1, 24, 1000} {
+			if n < 0 {
+				continue
+			}
+			seen := make([]int, n)
+			For(n, func(i int) { seen[i]++ })
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("GOMAXPROCS=%d n=%d: index %d ran %d times", procs, n, i, c)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(old)
+	}
+}

@@ -466,6 +466,13 @@ func (w *worker) shortRange() {
 	s0, s1 := sh.slabLo[w.rank], sh.slabLo[w.rank+1]
 	def := nonbond.ComputeSlabRange(w.cl, w.pos, sh.q, sh.lj, sh.alpha, sh.excl,
 		w.shortF, w.res.part, w.sc, s0, s1)
+	if w.o.Enabled() {
+		var pairs int
+		for _, p := range w.res.part[:s1-s0] {
+			pairs += p.Pairs
+		}
+		w.o.Add(obs.CounterPairsEvaluated, int64(pairs))
+	}
 	if sh.r == 1 {
 		nonbond.ApplyDeferred(w.shortF, def)
 	} else {

@@ -49,14 +49,20 @@ func (e *Exclusions) AddGroup(idx []int) {
 	}
 }
 
-// Excluded reports whether the pair (i, j) is excluded.
+// Excluded reports whether the pair (i, j) is excluded. The pair loops call
+// it once per candidate pair; adjacency lists are a handful of entries (two
+// for a water atom), so a scan of the sorted list with an early exit beats
+// a binary search and needs no closure.
 func (e *Exclusions) Excluded(i, j int) bool {
 	if e == nil {
 		return false
 	}
-	l := e.adj[i]
-	k := sort.Search(len(l), func(k int) bool { return l[k] >= int32(j) })
-	return k < len(l) && l[k] == int32(j)
+	for _, n := range e.adj[i] {
+		if n >= int32(j) {
+			return n == int32(j)
+		}
+	}
+	return false
 }
 
 // Pairs returns all excluded pairs with I < J. The caller must not modify

@@ -76,6 +76,17 @@ func (b Box) MinImage(d V) V {
 	return d
 }
 
+// MinImage1 is Box.MinImage for one component, for hot loops that keep the
+// displacement in scalar locals (Go's SSA backend registerises float64
+// variables but not the elements of a V): d − l·⌊d/l + ½⌋ with the
+// reciprocal invL = 1/l hoisted by the caller. It returns the same bits as
+// MinImage whenever the image is not within rounding of ±l/2 — in
+// particular for every component of a pair inside a cutoff below l/2; at
+// the half-box tie the two may pick opposite images.
+func MinImage1(d, l, invL float64) float64 {
+	return d - l*math.Floor(d*invL+0.5)
+}
+
 // Wrap maps position r into the primary cell [0, L).
 func (b Box) Wrap(r V) V {
 	for k := 0; k < 3; k++ {

@@ -86,3 +86,27 @@ func TestVolumeAndFrac(t *testing.T) {
 		t.Errorf("Frac = %v", got)
 	}
 }
+
+// TestMinImage1MatchesMinImage: the scalar per-component form used by the
+// pair loops returns the same bits as Box.MinImage for unwrapped
+// displacements — several box lengths out, in a box with three different
+// edges — whose image stays clear of the half-box tie, which covers every
+// pair inside any usable cutoff.
+func TestMinImage1MatchesMinImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	box := NewBox(2.4849, 3.1, 4.75)
+	inv := V{1 / box.L[0], 1 / box.L[1], 1 / box.L[2]}
+	for n := 0; n < 100000; n++ {
+		var d V
+		for k := 0; k < 3; k++ {
+			image := (2*rng.Float64() - 1) * 0.45 * box.L[k]
+			d[k] = image + float64(rng.Intn(9)-4)*box.L[k]
+		}
+		want := box.MinImage(d)
+		for k := 0; k < 3; k++ {
+			if got := MinImage1(d[k], box.L[k], inv[k]); got != want[k] {
+				t.Fatalf("component %d of %v: MinImage1 %.17g, MinImage %.17g", k, d, got, want[k])
+			}
+		}
+	}
+}

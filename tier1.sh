@@ -23,6 +23,9 @@
 # the gate, and the deterministic JSON report lands in tmevet.json for CI
 # to archive. A 10s fuzz smoke of the suppression-directive parser guards
 # the one piece of comment grammar that can silence every other check.
+# The frozen benchmark module (bench/, its own go.mod, invisible to ./...)
+# compiles against internal/...: its unit, schema and smoke tests run last so
+# an API change that would break the benchmark fails here, not in the driver.
 # Run from the repo root:  ./tier1.sh
 set -eux
 
@@ -46,3 +49,4 @@ go test -run '^$' -fuzz '^FuzzIgnoreDirective$' -fuzztime 10s ./internal/lint/
 go test -run '^$' -fuzz '^FuzzPlanRequest$' -fuzztime 10s ./internal/tune/
 go run ./cmd/mdrun -tune -errbudget 1e-3 -side 5 -steps 20 -report 10
 go test -run '^$' -bench . -benchtime 1x . ./internal/nonbond/ > /dev/null
+(cd bench && go test ./...)
