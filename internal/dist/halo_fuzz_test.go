@@ -57,11 +57,11 @@ func FuzzHaloPartition(f *testing.F) {
 		ph := half/2 + 1
 		conz, fonz := mul, 2*mul
 		for a := 0; a < r; a++ {
-			taps := buildProlongTaps(j, cn, a*conz, conz, ph, a*fonz, fonz)
+			taps := buildProlongTaps(j, cn, a*conz, conz, ph, a*fonz, fonz, pl)
 			// Every owned fine plane must receive at least one tap: the
 			// serial scatter writes every fine plane (half ≥ 1).
 			for fp, tl := range taps {
-				if len(tl) == 0 {
+				if len(tl.coef) == 0 {
 					t.Errorf("prolong taps: rank %d fine plane %d has no contributions (cn=%d order=%d)", a, fp, cn, order)
 				}
 			}

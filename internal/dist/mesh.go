@@ -15,8 +15,8 @@
 // "exchange H" means: every rank packs its sleeves (Halo.Pack), delivers
 // them (channels in internal/rank, direct copies in the sequential
 // Solver), unpacks received sleeves (Halo.Unpack) and fills its own planes
-// (Halo.FillOwn). The x/y passes run the exported per-axis line kernels of
-// internal/grid on the rank's own planes — every line lies within one
+// (Halo.FillOwn). The x/y passes run the exported per-axis passes of
+// internal/grid on the rank's own planes — every row lies within one
 // plane, so the values are bitwise those of the serial full-grid pass.
 
 package dist
@@ -119,8 +119,11 @@ type Mesh struct {
 	cxyA, cxyB, cext []*grid.G
 	iext             *grid.G
 
-	// ptaps[k] are the rank's prolongation tap lists for level k.
-	ptaps [][][]ptap
+	// Tap → plane-offset tables of the z passes (see ops.go): ptaps[k] are
+	// the rank's prolongation tap lists for level k, rasc[k] and cdesc[k]
+	// the ascending and descending slot offsets of rext[k] and cext[k].
+	ptaps       [][]planeTaps
+	rasc, cdesc [][]int
 }
 
 // NewMesh allocates rank r's grid state under plan p.
@@ -145,7 +148,9 @@ func (p *Plan) NewMesh(r int) *Mesh {
 	m.cxyA = make([]*grid.G, L)
 	m.cxyB = make([]*grid.G, L)
 	m.cext = make([]*grid.G, L)
-	m.ptaps = make([][][]ptap, L)
+	m.ptaps = make([][]planeTaps, L)
+	m.rasc = make([][]int, L)
+	m.cdesc = make([][]int, L)
 	for k := 0; k < L; k++ {
 		fd, cd := d.Dims(k), d.Dims(k+1)
 		fonz, conz := d.Onz(k), d.Onz(k+1)
@@ -161,7 +166,9 @@ func (p *Plan) NewMesh(r int) *Mesh {
 		czlo, _ := d.ZRange(k+1, r)
 		fzlo, _ := d.ZRange(k, r)
 		ph := p.Prolong[k].Lo
-		m.ptaps[k] = buildProlongTaps(p.J, cd[2], czlo, conz, ph, fzlo, fonz)
+		m.ptaps[k] = buildProlongTaps(p.J, cd[2], czlo, conz, ph, fzlo, fonz, fd[0]*fd[1])
+		m.rasc[k] = planeOffsets(p.Restrict[k].ExtNz, cd[0]*cd[1], false)
+		m.cdesc[k] = planeOffsets(p.Conv[k].ExtNz, fd[0]*fd[1], true)
 	}
 	m.iext = grid.New(d.N[0], d.N[1], p.Interp.ExtNz)
 	return m
@@ -196,7 +203,7 @@ func (m *Mesh) RestrictExt(k int) *grid.G { return m.rext[k] }
 // buffer.
 //
 //tme:noalloc
-func (m *Mesh) RestrictZ(k int) { restrictZ(m.Q[k+1], m.rext[k], m.P.J) }
+func (m *Mesh) RestrictZ(k int) { restrictZ(m.Q[k+1], m.rext[k], m.P.J, m.rasc[k]) }
 
 // ProlongXY runs the x and y prolongation passes on the rank's level-(k+1)
 // potential block, returning the field whose z sleeves are exchanged under
@@ -237,7 +244,9 @@ func (m *Mesh) ConvExt(k int) *grid.G { return m.cext[k] }
 // core.Solver.levelConvAccum does (level k is core's 1-based level k+1).
 //
 //tme:noalloc
-func (m *Mesh) ConvZAccum(k, v int) { convZAccum(m.Phi[k], m.cext[k], m.P.KernZ[k][v]) }
+func (m *Mesh) ConvZAccum(k, v int) {
+	convZAccum(m.Phi[k], m.cext[k], m.P.KernZ[k][v], m.cdesc[k])
+}
 
 // InterpExt returns the extended finest-potential buffer the Interp
 // exchange fills.

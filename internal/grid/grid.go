@@ -6,10 +6,14 @@
 // Data is stored in a flat slice, x-fastest: index = ix + Nx·(iy + Ny·iz),
 // matching the layout of internal/fft.Plan3.
 //
-// The grid-to-grid operators are parallelized over independent 1D lines
-// with par.ForRangeGrain. Every line's arithmetic is identical to the
-// serial loop (same taps, same summation order), so results are bitwise
-// independent of GOMAXPROCS.
+// Every grid-to-grid operator is a tap sum — an output point is
+// Σ_e coef[e]·src[…], folded from +0 in a fixed order — and all of them run
+// on one row kernel (tapRow) that walks contiguous x-rows with a tile of
+// independent accumulators: the x pass of a convolution over a padded row,
+// y and z passes as taps over whole source rows and planes. The passes are
+// split over output rows with par.ForRangeGrain; an output's arithmetic
+// does not depend on the split or on its place in a tile, so results are
+// bitwise independent of GOMAXPROCS.
 package grid
 
 import (
@@ -151,84 +155,341 @@ func (p *Pool) Put(g *G) {
 	p.mu.Unlock()
 }
 
-// axisLoop describes iteration over all 1D lines along one axis: n is the
-// line length, stride the flat-index step along the axis, and bases the flat
-// index of the first element of every line. The bases slices are immutable
-// once built and cached per (shape, axis), since every convolution,
-// restriction and prolongation of a fixed-size MD run re-walks the same
-// lines each step.
-func axisLoop(n3 [3]int, axis int) (n, stride int, bases []int) {
-	type key struct {
-		n    [3]int
-		axis int
+// scratch is one worker's reusable buffers. f holds the padded source row
+// of an x convolution (the direct convolution adds its running output row,
+// the prolongation its coefficient lists); idx holds tap-offset tables. Both
+// grow once to the largest row the process touches and are recycled through
+// scratchPool, so steady-state passes allocate nothing. A pass uses each
+// buffer for one purpose at a time.
+type scratch struct {
+	f   []float64
+	idx []int
+}
+
+var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
+
+//tme:noalloc
+func (s *scratch) floats(n int) []float64 {
+	if cap(s.f) < n {
+		s.f = make([]float64, n) //tmevet:ignore noalloc -- grow-once: reused via scratchPool in steady state
 	}
+	return s.f[:n]
+}
+
+//tme:noalloc
+func (s *scratch) ints(n int) []int {
+	if cap(s.idx) < n {
+		s.idx = make([]int, n) //tmevet:ignore noalloc -- grow-once: reused via scratchPool in steady state
+	}
+	return s.idx[:n]
+}
+
+// tapMode says how tapRow combines a folded tap sum with dst.
+type tapMode int
+
+const (
+	tapSet   tapMode = iota // dst[i] = Σ, folded from +0
+	tapAdd                  // dst[i] += Σ, folded from +0 first
+	tapChain                // dst[i] = (…((dst[i] + c₀x₀) + c₁x₁)…): continues a fold
+)
+
+// TapRow is the row kernel every grid-to-grid operator runs on: for each i
+// in [0, len(dst)) it folds s = Σ_e coef[e]·src[off[e]+i] from +0 in
+// ascending e and stores dst[i] = s (accum false) or dst[i] += s (accum
+// true). A caller describes an operator by nothing but its tap list — the
+// coefficient and source-row offset of every tap — so slab-decomposed
+// pipelines (internal/dist) run their z passes over extended buffers with
+// the same arithmetic, hence the same bits, as the full-grid passes here.
+// dst must not overlap the source rows.
+//
+//tme:noalloc
+func TapRow(dst, src, coef []float64, off []int, accum bool) {
+	mode := tapSet
+	if accum {
+		mode = tapAdd
+	}
+	tapRow(dst, src, coef, off, mode)
+}
+
+// tapRow computes eight outputs at a time in eight independent
+// accumulators, so the adds of one tap overlap instead of queueing on one
+// register (a single accumulator is one floating-point add latency per
+// tap). Every output still sees exactly the serial sequence — start value,
+// then s += coef[e]·x in ascending e, each product rounded before its add —
+// so the result does not depend on where a row is cut into tiles or on
+// whether a point falls in a tile or in the scalar tail.
+//
+//tme:noalloc
+func tapRow(dst, src, coef []float64, off []int, mode tapMode) {
+	off = off[:len(coef)]
+	n := len(dst)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		d := dst[i : i+8 : i+8]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		if mode == tapChain {
+			s0, s1, s2, s3, s4, s5, s6, s7 = d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+		}
+		for e, c := range coef {
+			o := off[e] + i
+			r := src[o : o+8 : o+8]
+			s0 += c * r[0]
+			s1 += c * r[1]
+			s2 += c * r[2]
+			s3 += c * r[3]
+			s4 += c * r[4]
+			s5 += c * r[5]
+			s6 += c * r[6]
+			s7 += c * r[7]
+		}
+		if mode == tapAdd {
+			s0, s1, s2, s3, s4, s5, s6, s7 = d[0]+s0, d[1]+s1, d[2]+s2, d[3]+s3, d[4]+s4, d[5]+s5, d[6]+s6, d[7]+s7
+		}
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+	for ; i < n; i++ {
+		var s float64
+		if mode == tapChain {
+			s = dst[i]
+		}
+		s = fold(s, src[i:], coef, off)
+		if mode == tapAdd {
+			s += dst[i]
+		}
+		dst[i] = s
+	}
+}
+
+// fold is the one-output tile of tapRow: s + Σ_e coef[e]·src[off[e]],
+// added in ascending e.
+//
+//tme:noalloc
+func fold(s float64, src, coef []float64, off []int) float64 {
+	for e, c := range coef {
+		s += c * src[off[e]]
+	}
+	return s
+}
+
+// padRow fills pad with row extended periodically by g cells on each side,
+// pad[k] = row[wrap(k−g, len(row))], by copies only; g may exceed the row
+// length (a 17-tap kernel on an 8-point ring).
+//
+//tme:noalloc
+func padRow(pad, row []float64, g int) {
+	n := len(row)
+	copy(pad[g:], row)
+	for k := g - 1; k >= 0; k-- {
+		pad[k] = pad[k+n]
+	}
+	for k := g + n; k < len(pad); k++ {
+		pad[k] = pad[k-n]
+	}
+}
+
+// xOffsets returns the tap offsets of a convolution along a padded row:
+// output i, tap e reads pad[i+2g−e], the source cell wrap(i+g−e).
+//
+//tme:noalloc
+func (s *scratch) xOffsets(g int) []int {
+	off := s.ints(2*g + 1)
+	for e := range off {
+		off[e] = 2*g - e
+	}
+	return off
+}
+
+// The operators of an axis pass.
+const (
+	opConv = iota
+	opRestrict
+	opProlong
+)
+
+// taps is a 1D periodic operator in gather form: output index k along the
+// axis is Σ_e coef[e]·src[off[e]] over its tap list, folded from +0 in list
+// order. The lists reproduce the order in which the straightforward serial
+// loops add the same products — ascending kernel index for convolution and
+// restriction; for prolongation, whose natural form is a scatter, ascending
+// source index and within one source ascending J index — which is what
+// keeps every grid value bit-identical to those loops. off is premultiplied
+// by the source stride of the axis.
+type taps struct {
+	coef []float64
+	off  []int
+	// Window form (start == nil): every output shares coef and reads the
+	// len(coef)-wide window of off beginning at base+step·k. List form:
+	// output k owns entries [start[k], start[k+1]) of coef and off.
+	base, step int
+	start      []int
+}
+
+//tme:noalloc
+func (t *taps) at(k int) ([]float64, []int) {
+	if t.start == nil {
+		w := t.off[t.base+t.step*k:]
+		return t.coef, w[:len(t.coef)]
+	}
+	lo, hi := t.start[k], t.start[k+1]
+	return t.coef[lo:hi], t.off[lo:hi]
+}
+
+// build fills t, in s's buffers, for operator op with coefficients c (a
+// kernel or the two-scale J, indexed c[m+half]) on a source ring of n cells
+// spaced stride apart.
+//
+//tme:noalloc
+func (t *taps) build(s *scratch, op int, c []float64, n, stride int) {
+	half := len(c) / 2
+	switch op {
+	case opConv:
+		// dst[k] = Σ_e c[e]·src[wrap(k+half−e)]: the window at n−1−k of
+		// the descending ring table.
+		t.coef, t.base, t.step = c, n-1, -1
+		t.off = s.ints(n + 2*half)
+		for j := range t.off {
+			t.off[j] = stride * wrap(half+n-1-j, n)
+		}
+	case opRestrict:
+		// dst[k] = Σ_e c[e]·src[wrap(2k+e−half)]: the window at 2k of the
+		// ascending ring table.
+		t.coef, t.base, t.step = c, 0, 2
+		t.off = s.ints(n + 2*half)
+		for j := range t.off {
+			t.off[j] = stride * wrap(j-half, n)
+		}
+	case opProlong:
+		// dst[wrap(2i+m)] += c[m+half]·src[i], i ascending then m
+		// ascending, is the scatter; bucket its (i, m) pairs by destination
+		// in that order (a counting sort) to get each output's list.
+		fn, nj := 2*n, len(c)
+		buf := s.ints(n*nj + fn + 2)
+		t.off, t.start = buf[:n*nj], buf[n*nj:]
+		t.coef = s.floats(n * nj)
+		for k := range t.start {
+			t.start[k] = 0
+		}
+		for i := 0; i < n; i++ {
+			for m := 0; m < nj; m++ {
+				t.start[wrap(2*i+m-half, fn)+2]++
+			}
+		}
+		for k := 2; k < len(t.start); k++ {
+			t.start[k] += t.start[k-1]
+		}
+		// start[k+1] is now the fill cursor of list k; once every pair is
+		// placed it has advanced to the head of list k+1.
+		for i := 0; i < n; i++ {
+			for m := 0; m < nj; m++ {
+				k := wrap(2*i+m-half, fn)
+				e := t.start[k+1]
+				t.start[k+1]++
+				t.coef[e], t.off[e] = c[m], stride*i
+			}
+		}
+		t.start = t.start[:fn+1]
+	}
+}
+
+// minChunkTaps is the least work, in point-taps, worth a goroutine: below
+// it a pass over a small grid runs on fewer workers, or inline.
+const minChunkTaps = 8192
+
+// rowGrain returns the number of rows per parallel chunk for rows of the
+// given cost.
+func rowGrain(tapsPerRow int) int {
+	if g := minChunkTaps / (tapsPerRow + 1); g > 1 {
+		return g
+	}
+	return 1
+}
+
+// axisPass applies operator op with coefficients c along one axis of src
+// into dst, split over dst's x-rows. Rows are independent and every output
+// folds its own taps in a fixed order, so any split gives the same bits.
+//
+//tme:noalloc
+func axisPass(dst, src *G, axis, op int, c []float64, accum bool) {
+	rows := dst.N[1] * dst.N[2]
+	perRow := dst.N[0] * len(c)
+	if op == opProlong {
+		perRow /= 2 // a fine point has every other J as a tap
+	}
+	grain := rowGrain(perRow)
+	// Serial fast path with a direct call: no closure, so a GOMAXPROCS=1
+	// steady state allocates nothing.
+	if par.WorkersGrain(rows, grain) == 1 {
+		axisRows(dst, src, axis, op, c, accum, 0, rows)
+		return
+	}
+	par.ForRangeGrain(rows, grain, func(lo, hi int) {
+		axisRows(dst, src, axis, op, c, accum, lo, hi)
+	})
+}
+
+// axisRows is the per-worker body of axisPass over dst rows [lo, hi).
+//
+//tme:noalloc
+func axisRows(dst, src *G, axis, op int, c []float64, accum bool, lo, hi int) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	nx, ny := dst.N[0], dst.N[1]
+	if axis == 0 && op == opConv {
+		// Neighbouring outputs read neighbouring cells: one tap row per
+		// grid row, over the row padded with its periodic ghost cells.
+		g := len(c) / 2
+		pad, off := s.floats(nx+2*g), s.xOffsets(g)
+		for r := lo; r < hi; r++ {
+			padRow(pad, src.Data[r*nx:(r+1)*nx], g)
+			TapRow(dst.Data[r*nx:(r+1)*nx], pad, c, off, accum)
+		}
+		return
+	}
+	var t taps
 	switch axis {
 	case 0:
-		n, stride = n3[0], 1
+		// Two-scale x pass: neighbouring outputs read cells two apart
+		// (restriction) or alternate between tap lists (prolongation), so
+		// each output folds its own list.
+		snx := src.N[0]
+		t.build(s, op, c, snx, 1)
+		for r := lo; r < hi; r++ {
+			srow := src.Data[r*snx : (r+1)*snx]
+			drow := dst.Data[r*nx : (r+1)*nx]
+			for k := range drow {
+				coef, off := t.at(k)
+				v := fold(0, srow, coef, off)
+				if accum {
+					v += drow[k]
+				}
+				drow[k] = v
+			}
+		}
 	case 1:
-		n, stride = n3[1], n3[0]
+		// Output row (y, z) is a tap sum of whole source rows of plane z.
+		sny := src.N[1]
+		t.build(s, op, c, sny, nx)
+		for r := lo; r < hi; r++ {
+			coef, off := t.at(r % ny)
+			TapRow(dst.Data[r*nx:(r+1)*nx], src.Data[nx*sny*(r/ny):], coef, off, accum)
+		}
 	case 2:
-		n, stride = n3[2], n3[0]*n3[1]
+		// Output plane z is a tap sum of whole source planes; the rows of
+		// [lo, hi) inside one plane are contiguous and run as one long row.
+		t.build(s, op, c, src.N[2], nx*ny)
+		for r := lo; r < hi; {
+			z := r / ny
+			end := (z + 1) * ny
+			if end > hi {
+				end = hi
+			}
+			coef, off := t.at(z)
+			TapRow(dst.Data[r*nx:end*nx], src.Data[(r-z*ny)*nx:], coef, off, accum)
+			r = end
+		}
 	default:
 		panic("grid: invalid axis")
 	}
-	if v, ok := axisCache.Load(key{n3, axis}); ok {
-		return n, stride, v.([]int)
-	}
-	nx, ny, nz := n3[0], n3[1], n3[2]
-	switch axis {
-	case 0:
-		bases = make([]int, 0, ny*nz)
-		for z := 0; z < nz; z++ {
-			for y := 0; y < ny; y++ {
-				bases = append(bases, nx*(y+ny*z))
-			}
-		}
-	case 1:
-		bases = make([]int, 0, nx*nz)
-		for z := 0; z < nz; z++ {
-			for x := 0; x < nx; x++ {
-				bases = append(bases, x+nx*ny*z)
-			}
-		}
-	case 2:
-		bases = make([]int, 0, nx*ny)
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				bases = append(bases, x+nx*y)
-			}
-		}
-	}
-	axisCache.Store(key{n3, axis}, bases)
-	return n, stride, bases
-}
-
-var axisCache sync.Map
-
-// linePool recycles per-worker padded-line scratch buffers. The *[]float64
-// indirection keeps Get/Put allocation-free in steady state.
-var linePool = sync.Pool{New: func() interface{} { return new([]float64) }}
-
-//tme:noalloc
-func getLine(n int) *[]float64 {
-	p := linePool.Get().(*[]float64)
-	if cap(*p) < n {
-		*p = make([]float64, n) //tmevet:ignore noalloc -- grow-once: reused via linePool in steady state
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-// lineGrain returns the per-chunk line count that keeps each parallel chunk
-// at a few thousand flops, so short lines on small grids do not drown in
-// goroutine overhead.
-func lineGrain(flopsPerLine int) int {
-	const targetFlops = 8192
-	g := targetFlops / (flopsPerLine + 1)
-	if g < 1 {
-		g = 1
-	}
-	return g
 }
 
 // ConvAxis computes the periodic, range-limited 1D convolution of src with
@@ -247,49 +508,7 @@ func convAxis(dst, src *G, axis int, kernel []float64, accum bool) {
 	if len(kernel)%2 == 0 {
 		panic("grid: ConvAxis kernel length must be odd")
 	}
-	n, stride, bases := axisLoop(src.N, axis)
-	grain := lineGrain(n * len(kernel))
-	// Serial fast path with a direct call: no closure, so a GOMAXPROCS=1
-	// steady state allocates nothing.
-	if par.WorkersGrain(len(bases), grain) == 1 {
-		convLines(dst, src, kernel, n, stride, bases, 0, len(bases), accum)
-		return
-	}
-	par.ForRangeGrain(len(bases), grain, func(lo, hi int) {
-		convLines(dst, src, kernel, n, stride, bases, lo, hi, accum)
-	})
-}
-
-// convLines is the per-worker kernel of convAxis over lines [lo, hi).
-//
-//tme:noalloc
-func convLines(dst, src *G, kernel []float64, n, stride int, bases []int, lo, hi int, accum bool) {
-	gc := len(kernel) / 2
-	// Per-worker scratch: the line padded with gc wrapped ghost cells on
-	// each side, so the tap loop needs no modulo.
-	lp := getLine(n + 2*gc)
-	pad := *lp
-	for li := lo; li < hi; li++ {
-		base := bases[li]
-		for k := range pad {
-			pad[k] = src.Data[base+wrap(k-gc, n)*stride]
-		}
-		for i := 0; i < n; i++ {
-			var s float64
-			// pad[i-m+gc] == src line at wrap(i-m, n); ascending kernel
-			// index keeps the serial summation order.
-			row := pad[i : i+2*gc+1]
-			for t := 0; t < 2*gc+1; t++ {
-				s += kernel[t] * row[2*gc-t]
-			}
-			if accum {
-				dst.Data[base+i*stride] += s
-			} else {
-				dst.Data[base+i*stride] = s
-			}
-		}
-	}
-	linePool.Put(lp)
+	axisPass(dst, src, axis, opConv, kernel, accum)
 }
 
 // ConvSeparable computes the separable 3D convolution kz∗(ky∗(kx∗src)) and
@@ -334,29 +553,17 @@ func ConvSeparableAccum(dst, src *G, kx, ky, kz []float64, t1, t2 *G) {
 // grid point versus the TME's 3·(2gc+1)·M.
 func ConvDirect3D(src *G, kernel []float64, gc int) *G {
 	dst := New(src.N[0], src.N[1], src.N[2])
-	ConvDirect3DAccum(dst, src, kernel, gc, WrapTable(src.N[0], gc))
+	ConvDirect3DAccum(dst, src, kernel, gc)
 	return dst
-}
-
-// WrapTable returns the periodic x-index lookup table of the direct 3D
-// convolution: table[i] = wrap(i−gc, n) for i ∈ [0, n+2gc). Steady-state
-// callers build it once per grid size at construction and hand it to
-// ConvDirect3DAccum so the hot path allocates nothing.
-func WrapTable(n, gc int) []int {
-	t := make([]int, n+2*gc)
-	for i := range t {
-		t[i] = wrap(i-gc, n)
-	}
-	return t
 }
 
 // ConvDirect3DAccum accumulates the periodic, range-limited direct 3D
 // convolution into dst: dst[n] += Σ_{|m_j| ≤ gc} kernel(m)·src[n−m].
-// dst and src must have equal shapes and must not alias; wx must be
-// WrapTable(nx, gc). This is the allocation-free form msm.Solver uses.
+// dst and src must have equal shapes and must not alias. This is the
+// allocation-free form msm.Solver uses.
 //
 //tme:noalloc
-func ConvDirect3DAccum(dst, src *G, kernel []float64, gc int, wx []int) {
+func ConvDirect3DAccum(dst, src *G, kernel []float64, gc int) {
 	k := 2*gc + 1
 	if len(kernel) != k*k*k {
 		panic("grid: ConvDirect3DAccum kernel size mismatch")
@@ -365,49 +572,51 @@ func ConvDirect3DAccum(dst, src *G, kernel []float64, gc int, wx []int) {
 	if dst.N != src.N {
 		panic("grid: ConvDirect3DAccum shape mismatch")
 	}
-	if len(wx) != nx+2*gc {
-		panic("grid: ConvDirect3DAccum wrap-table length mismatch")
-	}
-	// Each output x-line (iy, iz) is independent: gather-only, so any
-	// partition over lines is bitwise deterministic.
-	grain := lineGrain(nx * k * k * k)
+	// Each output x-row (iy, iz) is independent: gather-only, so any
+	// partition over rows is bitwise deterministic.
+	grain := rowGrain(nx * k * k * k)
 	// Serial fast path with a direct call: no closure, so a GOMAXPROCS=1
 	// steady state allocates nothing.
 	if par.WorkersGrain(ny*nz, grain) == 1 {
-		convDirectLines(dst, src, kernel, gc, wx, 0, ny*nz)
+		convDirectRows(dst, src, kernel, gc, 0, ny*nz)
 		return
 	}
 	par.ForRangeGrain(ny*nz, grain, func(lo, hi int) {
-		convDirectLines(dst, src, kernel, gc, wx, lo, hi)
+		convDirectRows(dst, src, kernel, gc, lo, hi)
 	})
 }
 
-// convDirectLines accumulates the direct convolution for the output
-// x-lines [lo, hi). The inner loop reads srow[wx[ix-mx+gc]] — the lookup
-// table replaces the per-tap modulo.
+// convDirectRows accumulates the direct convolution for the output x-rows
+// [lo, hi). An output row folds its (2gc+1)³ taps in ascending (mz, my, mx)
+// as (2gc+1)² chained x-tap rows — one per source row, padded as in the
+// separable x pass — into a running row that starts at +0, then adds that
+// row to dst.
 //
 //tme:noalloc
-func convDirectLines(dst, src *G, kernel []float64, gc int, wx []int, lo, hi int) {
+func convDirectRows(dst, src *G, kernel []float64, gc, lo, hi int) {
 	k := 2*gc + 1
 	nx, ny, nz := src.N[0], src.N[1], src.N[2]
-	for line := lo; line < hi; line++ {
-		iy := line % ny
-		iz := line / ny
-		out := dst.Data[nx*(iy+ny*iz) : nx*(iy+ny*iz)+nx]
-		for ix := 0; ix < nx; ix++ {
-			var s float64
-			for mz := -gc; mz <= gc; mz++ {
-				jz := wrap(iz-mz, nz)
-				for my := -gc; my <= gc; my++ {
-					jy := wrap(iy-my, ny)
-					krow := k * ((my + gc) + k*(mz+gc))
-					srow := src.Data[nx*(jy+ny*jz) : nx*(jy+ny*jz)+nx]
-					for mx := -gc; mx <= gc; mx++ {
-						s += kernel[(mx+gc)+krow] * srow[wx[ix-mx+gc]]
-					}
-				}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	buf, off := s.floats(2*nx+2*gc), s.xOffsets(gc)
+	acc, pad := buf[:nx], buf[nx:]
+	for r := lo; r < hi; r++ {
+		iy, iz := r%ny, r/ny
+		for ix := range acc {
+			acc[ix] = 0
+		}
+		for mz := -gc; mz <= gc; mz++ {
+			jz := wrap(iz-mz, nz)
+			for my := -gc; my <= gc; my++ {
+				jy := wrap(iy-my, ny)
+				padRow(pad, src.Data[nx*(jy+ny*jz):nx*(jy+ny*jz)+nx], gc)
+				krow := k * ((my + gc) + k*(mz+gc))
+				tapRow(acc, pad, kernel[krow:krow+k], off, tapChain)
 			}
-			out[ix] += s
+		}
+		out := dst.Data[r*nx : (r+1)*nx]
+		for ix, v := range acc {
+			out[ix] += v
 		}
 	}
 }
@@ -421,7 +630,7 @@ func Restrict(src *G, J []float64) *G {
 		dn := cur.N
 		dn[axis] /= 2
 		dst := New(dn[0], dn[1], dn[2])
-		restrictAxisInto(dst, cur, axis, J)
+		RestrictAxisInto(dst, cur, axis, J)
 		cur = dst
 	}
 	return cur
@@ -432,34 +641,23 @@ func Restrict(src *G, J []float64) *G {
 func RestrictInto(dst, src *G, J []float64, pool *Pool) {
 	n := src.N
 	t1 := pool.Get([3]int{n[0] / 2, n[1], n[2]})
-	restrictAxisInto(t1, src, 0, J)
+	RestrictAxisInto(t1, src, 0, J)
 	t2 := pool.Get([3]int{n[0] / 2, n[1] / 2, n[2]})
-	restrictAxisInto(t2, t1, 1, J)
+	RestrictAxisInto(t2, t1, 1, J)
 	pool.Put(t1)
-	restrictAxisInto(dst, t2, 2, J)
+	RestrictAxisInto(dst, t2, 2, J)
 	pool.Put(t2)
 }
 
 // RestrictAxisInto applies the two-scale restriction along a single axis:
 // dst[n] = Σ_m J[m]·src[2n+m] on that axis (dst shape = src shape with the
-// axis halved). Exposed for slab-decomposed pipelines (internal/dist) that
-// run the x/y passes locally on their owned z-planes; the per-line
-// arithmetic is identical to RestrictInto's, so plane-subset results are
-// bitwise equal to the corresponding planes of a full-grid restriction.
+// axis halved). Slab-decomposed pipelines (internal/dist) run the x/y
+// passes through it on their owned z-planes; every output folds its own
+// taps, so plane-subset results are bitwise equal to the corresponding
+// planes of a full-grid restriction.
+//
+//tme:noalloc
 func RestrictAxisInto(dst, src *G, axis int, J []float64) {
-	restrictAxisInto(dst, src, axis, J)
-}
-
-// ProlongAxisInto applies the two-scale prolongation along a single axis:
-// dst[k] = Σ_n J[k−2n]·src[n] on that axis (dst shape = src shape with the
-// axis doubled). Exposed for the same slab-decomposed x/y passes as
-// RestrictAxisInto.
-func ProlongAxisInto(dst, src *G, axis int, J []float64) {
-	prolongAxisInto(dst, src, axis, J)
-}
-
-func restrictAxisInto(dst, src *G, axis int, J []float64) {
-	half := len(J) / 2
 	n := src.N[axis]
 	if n%2 != 0 {
 		panic("grid: Restrict needs even dimensions")
@@ -469,41 +667,7 @@ func restrictAxisInto(dst, src *G, axis int, J []float64) {
 	if dst.N != want {
 		panic("grid: Restrict destination shape mismatch")
 	}
-	_, sStride, sBases := axisLoop(src.N, axis)
-	_, dStride, dBases := axisLoop(dst.N, axis)
-	grain := lineGrain(n / 2 * (2*half + 1))
-	if par.WorkersGrain(len(sBases), grain) == 1 {
-		restrictLines(dst, src, J, n, sStride, dStride, sBases, dBases, 0, len(sBases))
-		return
-	}
-	par.ForRangeGrain(len(sBases), grain, func(lo, hi int) {
-		restrictLines(dst, src, J, n, sStride, dStride, sBases, dBases, lo, hi)
-	})
-}
-
-// restrictLines is the per-worker kernel of restrictAxisInto.
-func restrictLines(dst, src *G, J []float64, n, sStride, dStride int, sBases, dBases []int, lo, hi int) {
-	half := len(J) / 2
-	nj := 2*half + 1
-	// Padded source line: pad[k] = src line at wrap(k-half, n).
-	lp := getLine(n + 2*half)
-	pad := *lp
-	for li := lo; li < hi; li++ {
-		sb, db := sBases[li], dBases[li]
-		for k := range pad {
-			pad[k] = src.Data[sb+wrap(k-half, n)*sStride]
-		}
-		for i := 0; i < n/2; i++ {
-			var s float64
-			// pad[2i+m+half]; m ascending matches the serial order.
-			row := pad[2*i : 2*i+nj]
-			for m := 0; m < nj; m++ {
-				s += J[m] * row[m]
-			}
-			dst.Data[db+i*dStride] = s
-		}
-	}
-	linePool.Put(lp)
+	axisPass(dst, src, axis, opRestrict, J, false)
 }
 
 // Prolong applies the two-scale prolongation along all three axes:
@@ -515,7 +679,7 @@ func Prolong(src *G, J []float64) *G {
 		dn := cur.N
 		dn[axis] *= 2
 		dst := New(dn[0], dn[1], dn[2])
-		prolongAxisInto(dst, cur, axis, J)
+		ProlongAxisInto(dst, cur, axis, J)
 		cur = dst
 	}
 	return cur
@@ -526,54 +690,25 @@ func Prolong(src *G, J []float64) *G {
 func ProlongInto(dst, src *G, J []float64, pool *Pool) {
 	n := src.N
 	t1 := pool.Get([3]int{n[0] * 2, n[1], n[2]})
-	prolongAxisInto(t1, src, 0, J)
+	ProlongAxisInto(t1, src, 0, J)
 	t2 := pool.Get([3]int{n[0] * 2, n[1] * 2, n[2]})
-	prolongAxisInto(t2, t1, 1, J)
+	ProlongAxisInto(t2, t1, 1, J)
 	pool.Put(t1)
-	prolongAxisInto(dst, t2, 2, J)
+	ProlongAxisInto(dst, t2, 2, J)
 	pool.Put(t2)
 }
 
-func prolongAxisInto(dst, src *G, axis int, J []float64) {
-	half := len(J) / 2
-	n := src.N[axis]
+// ProlongAxisInto applies the two-scale prolongation along a single axis:
+// dst[k] = Σ_n J[k−2n]·src[n] on that axis (dst shape = src shape with the
+// axis doubled), overwriting dst. Used for the same slab-decomposed x/y
+// passes as RestrictAxisInto.
+//
+//tme:noalloc
+func ProlongAxisInto(dst, src *G, axis int, J []float64) {
 	want := src.N
-	want[axis] = n * 2
+	want[axis] *= 2
 	if dst.N != want {
 		panic("grid: Prolong destination shape mismatch")
 	}
-	_, sStride, sBases := axisLoop(src.N, axis)
-	_, dStride, dBases := axisLoop(dst.N, axis)
-	grain := lineGrain(n * (2*half + 1))
-	if par.WorkersGrain(len(sBases), grain) == 1 {
-		prolongLines(dst, src, J, n, sStride, dStride, sBases, dBases, 0, len(sBases))
-		return
-	}
-	par.ForRangeGrain(len(sBases), grain, func(lo, hi int) {
-		prolongLines(dst, src, J, n, sStride, dStride, sBases, dBases, lo, hi)
-	})
-}
-
-// prolongLines is the per-worker kernel of prolongAxisInto.
-func prolongLines(dst, src *G, J []float64, n, sStride, dStride int, sBases, dBases []int, lo, hi int) {
-	half := len(J) / 2
-	for li := lo; li < hi; li++ {
-		sb, db := sBases[li], dBases[li]
-		// Each source line scatters only into its own destination line,
-		// so lines stay independent; clear it first because dst may be
-		// recycled scratch.
-		for k := 0; k < 2*n; k++ {
-			dst.Data[db+k*dStride] = 0
-		}
-		for i := 0; i < n; i++ {
-			v := src.Data[sb+i*sStride]
-			if v == 0 {
-				continue
-			}
-			for m := -half; m <= half; m++ {
-				k := wrap(2*i+m, 2*n)
-				dst.Data[db+k*dStride] += J[m+half] * v
-			}
-		}
-	}
+	axisPass(dst, src, axis, opProlong, J, false)
 }

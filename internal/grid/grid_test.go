@@ -202,6 +202,42 @@ func BenchmarkConvSeparable32(b *testing.B) {
 	}
 }
 
+// BenchmarkConvSeparableAccum32 times one TME level convolution in the
+// allocation-free form core.Solver calls: M = 3 Gaussians of g_c = 8 summed
+// into one 32³ grid, 3·3·17 taps per point.
+func BenchmarkConvSeparableAccum32(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	src := randGrid(rng, 32, 32, 32)
+	k := randKernel(rng, 8)
+	dst, t1, t2 := New(32, 32, 32), New(32, 32, 32), New(32, 32, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for v := 0; v < 3; v++ {
+			ConvSeparableAccum(dst, src, k, k, k, t1, t2)
+		}
+	}
+}
+
+// BenchmarkConvDirect3DAccum16 times the MSM level convolution of a 16³
+// grid at g_c = 8 (17³ taps per point) in the form msm.Solver calls.
+func BenchmarkConvDirect3DAccum16(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	src := randGrid(rng, 16, 16, 16)
+	gc := 8
+	n := 2*gc + 1
+	k3 := make([]float64, n*n*n)
+	for i := range k3 {
+		k3[i] = rng.Float64()
+	}
+	dst := New(16, 16, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ConvDirect3DAccum(dst, src, k3, gc)
+	}
+}
+
 func BenchmarkConvDirect3D32(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	src := randGrid(rng, 32, 32, 32)

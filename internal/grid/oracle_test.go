@@ -1,0 +1,349 @@
+package grid
+
+// Bitwise oracles. The loops below are the line-at-a-time kernels this
+// package ran before the row-tap restructuring, kept verbatim (one strided
+// line gathered at a time, one accumulator per output, the prolongation as
+// a scatter) with only their scratch and index tables made local. Every
+// pinned trajectory hash, golden table and cached reference force in the
+// repository was produced by this arithmetic, so the production operators
+// must reproduce it bit for bit — signed zeros included — on every shape,
+// kernel width and worker count.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"tme4a/internal/bspline"
+)
+
+// oracleLines lists the 1D lines along one axis: n is the line length,
+// stride the flat-index step along the axis, bases the flat index of the
+// first element of every line.
+func oracleLines(n3 [3]int, axis int) (n, stride int, bases []int) {
+	nx, ny, nz := n3[0], n3[1], n3[2]
+	switch axis {
+	case 0:
+		n, stride = nx, 1
+		for z := 0; z < nz; z++ {
+			for y := 0; y < ny; y++ {
+				bases = append(bases, nx*(y+ny*z))
+			}
+		}
+	case 1:
+		n, stride = ny, nx
+		for z := 0; z < nz; z++ {
+			for x := 0; x < nx; x++ {
+				bases = append(bases, x+nx*ny*z)
+			}
+		}
+	case 2:
+		n, stride = nz, nx*ny
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x++ {
+				bases = append(bases, x+nx*y)
+			}
+		}
+	}
+	return n, stride, bases
+}
+
+func oracleConvAxis(dst, src *G, axis int, kernel []float64, accum bool) {
+	n, stride, bases := oracleLines(src.N, axis)
+	convLines(dst, src, kernel, n, stride, bases, 0, len(bases), accum)
+}
+
+func convLines(dst, src *G, kernel []float64, n, stride int, bases []int, lo, hi int, accum bool) {
+	gc := len(kernel) / 2
+	// The line padded with gc wrapped ghost cells on each side, so the tap
+	// loop needs no modulo.
+	pad := make([]float64, n+2*gc)
+	for li := lo; li < hi; li++ {
+		base := bases[li]
+		for k := range pad {
+			pad[k] = src.Data[base+wrap(k-gc, n)*stride]
+		}
+		for i := 0; i < n; i++ {
+			var s float64
+			// pad[i-m+gc] == src line at wrap(i-m, n); ascending kernel
+			// index keeps the serial summation order.
+			row := pad[i : i+2*gc+1]
+			for t := 0; t < 2*gc+1; t++ {
+				s += kernel[t] * row[2*gc-t]
+			}
+			if accum {
+				dst.Data[base+i*stride] += s
+			} else {
+				dst.Data[base+i*stride] = s
+			}
+		}
+	}
+}
+
+func oracleConvDirectAccum(dst, src *G, kernel []float64, gc int) {
+	wx := make([]int, src.N[0]+2*gc)
+	for i := range wx {
+		wx[i] = wrap(i-gc, src.N[0])
+	}
+	convDirectLines(dst, src, kernel, gc, wx, 0, src.N[1]*src.N[2])
+}
+
+func convDirectLines(dst, src *G, kernel []float64, gc int, wx []int, lo, hi int) {
+	k := 2*gc + 1
+	nx, ny, nz := src.N[0], src.N[1], src.N[2]
+	for line := lo; line < hi; line++ {
+		iy := line % ny
+		iz := line / ny
+		out := dst.Data[nx*(iy+ny*iz) : nx*(iy+ny*iz)+nx]
+		for ix := 0; ix < nx; ix++ {
+			var s float64
+			for mz := -gc; mz <= gc; mz++ {
+				jz := wrap(iz-mz, nz)
+				for my := -gc; my <= gc; my++ {
+					jy := wrap(iy-my, ny)
+					krow := k * ((my + gc) + k*(mz+gc))
+					srow := src.Data[nx*(jy+ny*jz) : nx*(jy+ny*jz)+nx]
+					for mx := -gc; mx <= gc; mx++ {
+						s += kernel[(mx+gc)+krow] * srow[wx[ix-mx+gc]]
+					}
+				}
+			}
+			out[ix] += s
+		}
+	}
+}
+
+func oracleRestrictAxis(dst, src *G, axis int, J []float64) {
+	n, sStride, sBases := oracleLines(src.N, axis)
+	_, dStride, dBases := oracleLines(dst.N, axis)
+	restrictLines(dst, src, J, n, sStride, dStride, sBases, dBases, 0, len(sBases))
+}
+
+func restrictLines(dst, src *G, J []float64, n, sStride, dStride int, sBases, dBases []int, lo, hi int) {
+	half := len(J) / 2
+	nj := 2*half + 1
+	// Padded source line: pad[k] = src line at wrap(k-half, n).
+	pad := make([]float64, n+2*half)
+	for li := lo; li < hi; li++ {
+		sb, db := sBases[li], dBases[li]
+		for k := range pad {
+			pad[k] = src.Data[sb+wrap(k-half, n)*sStride]
+		}
+		for i := 0; i < n/2; i++ {
+			var s float64
+			// pad[2i+m+half]; m ascending matches the serial order.
+			row := pad[2*i : 2*i+nj]
+			for m := 0; m < nj; m++ {
+				s += J[m] * row[m]
+			}
+			dst.Data[db+i*dStride] = s
+		}
+	}
+}
+
+func oracleProlongAxis(dst, src *G, axis int, J []float64) {
+	n, sStride, sBases := oracleLines(src.N, axis)
+	_, dStride, dBases := oracleLines(dst.N, axis)
+	prolongLines(dst, src, J, n, sStride, dStride, sBases, dBases, 0, len(sBases))
+}
+
+func prolongLines(dst, src *G, J []float64, n, sStride, dStride int, sBases, dBases []int, lo, hi int) {
+	half := len(J) / 2
+	for li := lo; li < hi; li++ {
+		sb, db := sBases[li], dBases[li]
+		// Each source line scatters only into its own destination line,
+		// so lines stay independent; clear it first because dst may be
+		// recycled scratch.
+		for k := 0; k < 2*n; k++ {
+			dst.Data[db+k*dStride] = 0
+		}
+		for i := 0; i < n; i++ {
+			v := src.Data[sb+i*sStride]
+			if v == 0 {
+				continue
+			}
+			for m := -half; m <= half; m++ {
+				k := wrap(2*i+m, 2*n)
+				dst.Data[db+k*dStride] += J[m+half] * v
+			}
+		}
+	}
+}
+
+var (
+	oracleShapes = [][3]int{{32, 32, 32}, {16, 16, 16}, {8, 8, 8}, {16, 12, 10}, {18, 7, 9}}
+	oracleProcs  = []int{1, 2, 7}
+)
+
+// namedGrid is one oracle source.
+type namedGrid struct {
+	name string
+	g    *G
+}
+
+// oracleSources returns the sources every operator is checked on: random
+// values, all zeros, and random values with zeros of both signs mixed in.
+func oracleSources(rng *rand.Rand, n [3]int) []namedGrid {
+	signed := randGrid(rng, n[0], n[1], n[2])
+	for i := range signed.Data {
+		switch rng.Intn(4) {
+		case 0:
+			signed.Data[i] = math.Copysign(0, -1)
+		case 1:
+			signed.Data[i] = 0
+		}
+	}
+	return []namedGrid{
+		{"random", randGrid(rng, n[0], n[1], n[2])},
+		{"zero", New(n[0], n[1], n[2])},
+		{"signedZeros", signed},
+	}
+}
+
+// dirty returns a grid of the given shape filled with a recognisable
+// non-zero pattern: the "previous contents" of an accumulate destination
+// and the garbage an overwriting operator must not let through.
+func dirty(n [3]int) *G {
+	g := New(n[0], n[1], n[2])
+	for i := range g.Data {
+		g.Data[i] = 1e3 + float64(i%17)
+	}
+	return g
+}
+
+func TestConvAxisMatchesLineOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	for _, n := range oracleShapes {
+		for _, gc := range []int{2, 8, 12} { // 17 and 25 taps outrun the 16-, 8- and 7-point rings
+			kernel := randKernel(rng, gc)
+			for _, ng := range oracleSources(rng, n) {
+				sname, src := ng.name, ng.g
+				for axis := 0; axis < 3; axis++ {
+					for _, accum := range []bool{false, true} {
+						want := dirty(n)
+						oracleConvAxis(want, src, axis, kernel, accum)
+						for _, procs := range oracleProcs {
+							got := dirty(n)
+							withGOMAXPROCS(procs, func() { convAxis(got, src, axis, kernel, accum) })
+							assertBitwise(t, fmt.Sprintf("%v gc=%d %s axis=%d accum=%v procs=%d", n, gc, sname, axis, accum, procs), want, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestConvDirectMatchesLineOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(102))
+	for _, c := range []struct {
+		n  [3]int
+		gc []int
+	}{
+		{[3]int{16, 16, 16}, []int{2, 8}},
+		{[3]int{8, 8, 8}, []int{2, 8, 12}},
+		{[3]int{16, 12, 10}, []int{2, 8}},
+		{[3]int{18, 7, 9}, []int{2, 8}},
+		{[3]int{32, 32, 32}, []int{2}},
+	} {
+		for _, gc := range c.gc {
+			k := 2*gc + 1
+			kernel := make([]float64, k*k*k)
+			for i := range kernel {
+				kernel[i] = rng.NormFloat64()
+			}
+			for _, ng := range oracleSources(rng, c.n) {
+				sname, src := ng.name, ng.g
+				if gc > 2 && sname == "zero" {
+					continue // the wide kernels are the slow cases; one zero source per shape is enough
+				}
+				want := dirty(c.n)
+				oracleConvDirectAccum(want, src, kernel, gc)
+				for _, procs := range oracleProcs {
+					got := dirty(c.n)
+					withGOMAXPROCS(procs, func() { ConvDirect3DAccum(got, src, kernel, gc) })
+					assertBitwise(t, fmt.Sprintf("%v gc=%d %s procs=%d", c.n, gc, sname, procs), want, got)
+				}
+			}
+		}
+	}
+}
+
+func TestRestrictProlongMatchLineOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	for _, n := range oracleShapes {
+		for _, order := range []int{2, 6, 16} { // 17 two-scale taps outrun the small rings
+			J := bspline.TwoScale(order)
+			for _, ng := range oracleSources(rng, n) {
+				sname, src := ng.name, ng.g
+				for axis := 0; axis < 3; axis++ {
+					up := n
+					up[axis] *= 2
+					want := dirty(up)
+					oracleProlongAxis(want, src, axis, J)
+					for _, procs := range oracleProcs {
+						got := dirty(up)
+						withGOMAXPROCS(procs, func() { ProlongAxisInto(got, src, axis, J) })
+						assertBitwise(t, fmt.Sprintf("prolong %v p=%d %s axis=%d procs=%d", n, order, sname, axis, procs), want, got)
+					}
+					if n[axis]%2 != 0 {
+						continue
+					}
+					down := n
+					down[axis] /= 2
+					want = dirty(down)
+					oracleRestrictAxis(want, src, axis, J)
+					for _, procs := range oracleProcs {
+						got := dirty(down)
+						withGOMAXPROCS(procs, func() { RestrictAxisInto(got, src, axis, J) })
+						assertBitwise(t, fmt.Sprintf("restrict %v p=%d %s axis=%d procs=%d", n, order, sname, axis, procs), want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTapRowTilesAndTail drives the row kernel directly over every length
+// around the tile width, so each tail of 0–7 points and each mode is
+// compared with the plain fold.
+func TestTapRowTilesAndTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(104))
+	coef := randKernel(rng, 3)
+	off := make([]int, len(coef))
+	for e := range off {
+		off[e] = rng.Intn(9)
+	}
+	src := make([]float64, 64)
+	for i := range src {
+		src[i] = rng.NormFloat64()
+	}
+	for n := 0; n <= 25; n++ {
+		for _, mode := range []tapMode{tapSet, tapAdd, tapChain} {
+			want := make([]float64, n)
+			got := make([]float64, n)
+			for i := range want {
+				prev := rng.NormFloat64()
+				got[i] = prev
+				var s float64
+				if mode == tapChain {
+					s = prev
+				}
+				for e, c := range coef {
+					s += c * src[off[e]+i]
+				}
+				if mode == tapAdd {
+					s = prev + s
+				}
+				want[i] = s
+			}
+			tapRow(got, src, coef, off, mode)
+			for i := range want {
+				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("n=%d mode=%d i=%d: got %.17g want %.17g", n, mode, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ package grid
 // GOMAXPROCS.
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -19,13 +20,14 @@ func withGOMAXPROCS(p int, fn func()) {
 	fn()
 }
 
+// assertBitwise compares bit patterns, so signed zeros are told apart.
 func assertBitwise(t *testing.T, name string, a, b *G) {
 	t.Helper()
 	if a.N != b.N {
 		t.Fatalf("%s: shape mismatch %v vs %v", name, a.N, b.N)
 	}
 	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
 			t.Fatalf("%s: differs at %d: %.17g vs %.17g", name, i, a.Data[i], b.Data[i])
 		}
 	}

@@ -92,11 +92,9 @@ type Solver struct {
 	top    *spme.Solver
 
 	// kernL[l-1] is kernel with the level-l prefactor Coulomb/2^{l-1}
-	// folded in, and wraps[l-1] the level-l x-axis wrap table, so the
-	// per-level direct convolutions run without scaling passes or
-	// allocations.
+	// folded in, so the per-level direct convolutions run without scaling
+	// passes.
 	kernL [][]float64
-	wraps [][]int
 
 	pool *grid.Pool // recycled level grids (zero steady-state allocs)
 
@@ -138,7 +136,6 @@ func New(prm Params, box vec.Box) *Solver {
 	}
 	s.kernel = levelKernel3D(prm, s.Mesher.H())
 	s.kernL = make([][]float64, prm.Levels)
-	s.wraps = make([][]int, prm.Levels)
 	for l := 1; l <= prm.Levels; l++ {
 		scale := units.Coulomb / math.Pow(2, float64(l-1))
 		kl := make([]float64, len(s.kernel))
@@ -146,7 +143,6 @@ func New(prm Params, box vec.Box) *Solver {
 			kl[i] = k * scale
 		}
 		s.kernL[l-1] = kl
-		s.wraps[l-1] = grid.WrapTable(prm.N[0]>>(l-1), prm.Gc)
 	}
 	s.pool = grid.NewPool()
 	s.charges = make([]*grid.G, prm.Levels+2)
@@ -296,7 +292,7 @@ func (s *Solver) meshPotentialFromCharges(qg *grid.G) *grid.G {
 		spUp.Stop()
 		s.pool.Put(phi)
 		spConv := s.o.Start(obs.StageConv)
-		grid.ConvDirect3DAccum(up, charges[l], s.kernL[l-1], s.Prm.Gc, s.wraps[l-1])
+		grid.ConvDirect3DAccum(up, charges[l], s.kernL[l-1], s.Prm.Gc)
 		spConv.Stop()
 		if l > 1 {
 			s.pool.Put(charges[l])

@@ -109,47 +109,95 @@ func (m *Mesher) AssignTo(g *grid.G, pos []vec.V, q []float64) {
 //
 //tme:noalloc
 func (m *Mesher) assignSlab(g *grid.G, pos []vec.V, q []float64, zlo, zhi int) {
-	p := m.P
-	nx, ny, nz := m.N[0], m.N[1], m.N[2]
-	full := zlo == 0 && zhi == nz
-	var wx, wy, wz, d [MaxOrder]float64
+	plane := m.N[0] * m.N[1]
+	data := g.Data[plane*zlo : plane*zhi]
 	for i, r := range pos {
-		qi := q[i]
-		if qi == 0 {
+		m.spread(data, zlo, zhi, r, q[i])
+	}
+}
+
+// wrapRun fills idx with stride·wrap(base+k, n) for k = 0, 1, …: one
+// modulo for the run instead of one per point.
+//
+//tme:noalloc
+func wrapRun(idx []int, base, n, stride int) {
+	j := wrap(base, n)
+	for k := range idx {
+		idx[k] = stride * j
+		if j++; j == n {
+			j = 0
+		}
+	}
+}
+
+// supportPlanes sets oz[c] to the offset, counted in planes from zlo, of
+// the c-th z-plane of the support of an atom at grid coordinate uz, or to
+// −1 where that plane lies outside [zlo, zhi), and reports whether any
+// plane lies inside. It is the one hit test: what SupportHits tells a
+// sender is what spread does at the receiver.
+//
+//tme:noalloc
+func (m *Mesher) supportPlanes(oz []int, uz float64, zlo, zhi int) bool {
+	wrapRun(oz, bspline.Base(m.P, uz), m.N[2], 1)
+	hit := false
+	for c, iz := range oz {
+		if iz >= zlo && iz < zhi {
+			oz[c] = iz - zlo
+			hit = true
+		} else {
+			oz[c] = -1
+		}
+	}
+	return hit
+}
+
+// spread is the one charge-assignment body: it adds charge qi at r to the
+// mesh planes [zlo, zhi), which data holds with plane zlo first (a slab of
+// the full grid or a rank's plane block alike). An atom whose p-plane
+// support misses the block is rejected before any weight is evaluated.
+// Each mesh point receives qi·wz[c]·wy[b]·wx[a], the support walked in
+// c, b, a order; the wrapped indices are found once per atom per axis, and
+// a support that does not wrap in x — all but p−1 of every nx base
+// positions — is a contiguous run of its row.
+//
+//tme:noalloc
+func (m *Mesher) spread(data []float64, zlo, zhi int, r vec.V, qi float64) {
+	if qi == 0 {
+		return
+	}
+	p := m.P
+	nx, ny := m.N[0], m.N[1]
+	uz := r[2] * m.invH[2]
+	var ox, oy, oz [MaxOrder]int
+	if !m.supportPlanes(oz[:p], uz, zlo, zhi) {
+		return
+	}
+	var wx, wy, wz, d [MaxOrder]float64
+	ux := r[0] * m.invH[0]
+	uy := r[1] * m.invH[1]
+	wrapRun(ox[:p], bspline.Weights(p, ux, wx[:p], d[:p]), nx, 1)
+	wrapRun(oy[:p], bspline.Weights(p, uy, wy[:p], d[:p]), ny, nx)
+	bspline.Weights(p, uz, wz[:p], d[:p])
+	bx := ox[0]
+	contiguous := bx+p <= nx
+	for c := 0; c < p; c++ {
+		if oz[c] < 0 {
 			continue
 		}
-		uz := r[2] * m.invH[2]
-		mz := bspline.Base(p, uz)
-		if !full {
-			hit := false
-			for c := 0; c < p; c++ {
-				if iz := wrap(mz+c, nz); iz >= zlo && iz < zhi {
-					hit = true
-					break
+		qz := qi * wz[c]
+		plane := data[nx*ny*oz[c] : nx*ny*(oz[c]+1)]
+		for b := 0; b < p; b++ {
+			qyz := qz * wy[b]
+			row := plane[oy[b] : oy[b]+nx]
+			if contiguous {
+				seg := row[bx : bx+p]
+				for a, w := range wx[:len(seg)] {
+					seg[a] += qyz * w
 				}
-			}
-			if !hit {
 				continue
 			}
-		}
-		ux := r[0] * m.invH[0]
-		uy := r[1] * m.invH[1]
-		mx := bspline.Weights(p, ux, wx[:p], d[:p])
-		my := bspline.Weights(p, uy, wy[:p], d[:p])
-		bspline.Weights(p, uz, wz[:p], d[:p])
-		for c := 0; c < p; c++ {
-			iz := wrap(mz+c, nz)
-			if iz < zlo || iz >= zhi {
-				continue
-			}
-			qz := qi * wz[c]
-			for b := 0; b < p; b++ {
-				iy := wrap(my+b, ny)
-				qyz := qz * wy[b]
-				row := g.Data[nx*(iy+ny*iz) : nx*(iy+ny*iz)+nx]
-				for a := 0; a < p; a++ {
-					row[wrap(mx+a, nx)] += qyz * wx[a]
-				}
+			for a, w := range wx[:p] {
+				row[ox[a]] += qyz * w
 			}
 		}
 	}
@@ -213,49 +261,78 @@ func (m *Mesher) interpolateChunks(phi *grid.G, pos []vec.V, q []float64, f []ve
 //
 //tme:noalloc
 func (m *Mesher) interpolateRange(phi *grid.G, pos []vec.V, q []float64, f []vec.V, lo, hi int) float64 {
-	p := m.P
-	var wx, wy, wz, dx, dy, dz [MaxOrder]float64
-	nx, ny, nz := m.N[0], m.N[1], m.N[2]
 	var energy float64
 	for i := lo; i < hi; i++ {
-		r := pos[i]
-		qi := q[i]
-		if qi == 0 {
+		if q[i] == 0 {
 			continue
 		}
-		ux := r[0] * m.invH[0]
-		uy := r[1] * m.invH[1]
-		uz := r[2] * m.invH[2]
-		mx := bspline.Weights(p, ux, wx[:p], dx[:p])
-		my := bspline.Weights(p, uy, wy[:p], dy[:p])
-		mz := bspline.Weights(p, uz, wz[:p], dz[:p])
-		var pot, gx, gy, gz float64
-		for c := 0; c < p; c++ {
-			iz := wrap(mz+c, nz)
-			for b := 0; b < p; b++ {
-				iy := wrap(my+b, ny)
-				row := phi.Data[nx*(iy+ny*iz) : nx*(iy+ny*iz)+nx]
-				wyz := wy[b] * wz[c]
-				dyz := dy[b] * wz[c]
-				wdz := wy[b] * dz[c]
-				for a := 0; a < p; a++ {
-					v := row[wrap(mx+a, nx)]
-					pot += v * wx[a] * wyz
-					gx += v * dx[a] * wyz
-					gy += v * wx[a] * dyz
-					gz += v * wx[a] * wdz
-				}
-			}
-		}
-		energy += 0.5 * qi * pot
-		if f != nil {
-			// ∇φ picks up 1/h per axis from d/dr = (1/h) d/du.
-			f[i][0] -= qi * gx * m.invH[0]
-			f[i][1] -= qi * gy * m.invH[1]
-			f[i][2] -= qi * gz * m.invH[2]
-		}
+		energy += m.gather(phi.Data, 0, m.N[2], pos[i], q[i], f, i)
 	}
 	return energy
+}
+
+// gather is the one back-interpolation body: it interpolates the potential
+// and its gradient at r from data, which holds the enz mesh planes starting
+// at global plane zlo — the whole periodic grid (zlo = 0, enz = N[2]), or a
+// rank's block with its upper halo planes appended, where the support must
+// lie inside the window. It returns the atom's energy term ½·qi·φ and, when
+// f is non-nil, subtracts qi·∇φ from f[i]. The four sums fold the support in
+// c, b, a order; the wrapped indices are found once per atom per axis, and a
+// support that does not wrap in x is read as a contiguous run of its row.
+//
+//tme:noalloc
+func (m *Mesher) gather(data []float64, zlo, enz int, r vec.V, qi float64, f []vec.V, i int) float64 {
+	p := m.P
+	nx, ny, nz := m.N[0], m.N[1], m.N[2]
+	var wx, wy, wz, dx, dy, dz, vals [MaxOrder]float64
+	var ox, oy, oz [MaxOrder]int
+	wrapRun(ox[:p], bspline.Weights(p, r[0]*m.invH[0], wx[:p], dx[:p]), nx, 1)
+	wrapRun(oy[:p], bspline.Weights(p, r[1]*m.invH[1], wy[:p], dy[:p]), ny, nx)
+	lz := wrap(bspline.Weights(p, r[2]*m.invH[2], wz[:p], dz[:p]), nz) - zlo
+	for c := range oz[:p] {
+		// Only the full ring wraps; a block window holds its halo planes
+		// past its own, so a plane outside it is a caller error.
+		if lz >= enz {
+			lz -= nz
+		}
+		if lz < 0 {
+			panic("pmesh: atom support outside the interpolation window")
+		}
+		oz[c] = nx * ny * lz
+		lz++
+	}
+	bx := ox[0]
+	contiguous := bx+p <= nx
+	var pot, gx, gy, gz float64
+	for c := 0; c < p; c++ {
+		for b := 0; b < p; b++ {
+			row := data[oz[c]+oy[b] : oz[c]+oy[b]+nx]
+			seg := vals[:p]
+			if contiguous {
+				seg = row[bx : bx+p]
+			} else {
+				for a := range seg {
+					seg[a] = row[ox[a]]
+				}
+			}
+			wyz := wy[b] * wz[c]
+			dyz := dy[b] * wz[c]
+			wdz := wy[b] * dz[c]
+			for a, v := range seg {
+				pot += v * wx[a] * wyz
+				gx += v * dx[a] * wyz
+				gy += v * wx[a] * dyz
+				gz += v * wx[a] * wdz
+			}
+		}
+	}
+	if f != nil {
+		// ∇φ picks up 1/h per axis from d/dr = (1/h) d/du.
+		f[i][0] -= qi * gx * m.invH[0]
+		f[i][1] -= qi * gy * m.invH[1]
+		f[i][2] -= qi * gz * m.invH[2]
+	}
+	return 0.5 * qi * pot
 }
 
 // PotentialAt interpolates the grid potential at a single position

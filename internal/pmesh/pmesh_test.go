@@ -166,10 +166,11 @@ func BenchmarkAssignP6(b *testing.B) {
 	m := NewMesher(6, [3]int{32, 32, 32}, box)
 	rng := rand.New(rand.NewSource(1))
 	pos, q := randomSystem(rng, 1000, box)
+	g := grid.New(32, 32, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Assign(pos, q)
+		m.AssignTo(g, pos, q)
 	}
 }
 

@@ -5,12 +5,11 @@
 // the finest mesh. AssignPlanes scatters a rank's atom window onto that
 // block; InterpolatePlanes gathers potentials for the rank's interpolation-
 // owned atoms from an extended block that includes the upper halo planes.
-// Both kernels reuse the exact per-atom arithmetic of assignSlab and
-// interpolateRange — same hit test, same weight evaluation, same scatter and
-// gather expressions in the same order — so the per-plane grid values and
-// the per-atom energies/forces are bitwise equal to a full-grid AssignTo /
-// Interpolate as long as the caller feeds atoms in ascending global index
-// order (the serial particle order).
+// Both run the per-atom bodies AssignTo and Interpolate run (Mesher.spread,
+// Mesher.gather), so the per-plane grid values and the per-atom
+// energies/forces are bitwise equal to a full-grid AssignTo / Interpolate
+// as long as the caller feeds atoms in ascending global index order (the
+// serial particle order).
 
 package pmesh
 
@@ -27,7 +26,7 @@ const EnergyChunk = energyChunk
 
 // ReplayEnergy reconstructs Interpolate's energy reduction from per-atom
 // terms: each fixed EnergyChunk-atom chunk accumulates its members' terms
-// in ascending atom order (q==0 atoms skipped, as interpolateRange skips
+// in ascending atom order (q==0 atoms skipped, as Interpolate skips
 // them), then the chunk partials fold in ascending chunk order — exactly
 // Interpolate's two-stage sum, so the result is bitwise equal when
 // eterm[i] came from InterpolatePlanes.
@@ -60,71 +59,24 @@ func (m *Mesher) BasePlane(r vec.V) int {
 
 // SupportHits reports whether the spline support of a position touches any
 // global plane in [zlo, zhi) (zhi ≤ N[2], non-wrapping block). It is the
-// same hit test assignSlab applies, so a sender using it ships exactly the
-// atoms the receiving rank's AssignPlanes will accept.
+// hit test charge assignment itself applies, so a sender using it ships
+// exactly the atoms the receiving rank's AssignPlanes will accept.
 //
 //tme:noalloc
 func (m *Mesher) SupportHits(r vec.V, zlo, zhi int) bool {
-	nz := m.N[2]
-	mz := bspline.Base(m.P, r[2]*m.invH[2])
-	for c := 0; c < m.P; c++ {
-		if iz := wrap(mz+c, nz); iz >= zlo && iz < zhi {
-			return true
-		}
-	}
-	return false
+	var oz [MaxOrder]int
+	return m.supportPlanes(oz[:m.P], r[2]*m.invH[2], zlo, zhi)
 }
 
 // AssignPlanes scatters the charges of the atoms listed in idx (ascending
 // global index) onto sub, which holds the global mesh planes
 // [zlo, zlo+sub.N[2]). Atoms whose support misses the block are skipped by
-// the same hit test as assignSlab. The caller zeroes sub.
+// the same hit test as AssignTo's slabs. The caller zeroes sub.
 //
 //tme:noalloc
 func (m *Mesher) AssignPlanes(sub *grid.G, zlo int, idx []int32, pos []vec.V, q []float64) {
-	p := m.P
-	nx, ny, nz := m.N[0], m.N[1], m.N[2]
-	zhi := zlo + sub.N[2]
-	var wx, wy, wz, d [MaxOrder]float64
 	for _, i := range idx {
-		r := pos[i]
-		qi := q[i]
-		if qi == 0 {
-			continue
-		}
-		uz := r[2] * m.invH[2]
-		mz := bspline.Base(p, uz)
-		hit := false
-		for c := 0; c < p; c++ {
-			if iz := wrap(mz+c, nz); iz >= zlo && iz < zhi {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			continue
-		}
-		ux := r[0] * m.invH[0]
-		uy := r[1] * m.invH[1]
-		mx := bspline.Weights(p, ux, wx[:p], d[:p])
-		my := bspline.Weights(p, uy, wy[:p], d[:p])
-		bspline.Weights(p, uz, wz[:p], d[:p])
-		for c := 0; c < p; c++ {
-			iz := wrap(mz+c, nz)
-			if iz < zlo || iz >= zhi {
-				continue
-			}
-			lz := iz - zlo
-			qz := qi * wz[c]
-			for b := 0; b < p; b++ {
-				iy := wrap(my+b, ny)
-				qyz := qz * wy[b]
-				row := sub.Data[nx*(iy+ny*lz) : nx*(iy+ny*lz)+nx]
-				for a := 0; a < p; a++ {
-					row[wrap(mx+a, nx)] += qyz * wx[a]
-				}
-			}
-		}
+		m.spread(sub.Data, zlo, zlo+sub.N[2], pos[i], q[i])
 	}
 }
 
@@ -138,50 +90,10 @@ func (m *Mesher) AssignPlanes(sub *grid.G, zlo int, idx []int32, pos []vec.V, q 
 //
 //tme:noalloc
 func (m *Mesher) InterpolatePlanes(ext *grid.G, zlo int, idx []int32, pos []vec.V, q []float64, eterm []float64, f []vec.V) {
-	p := m.P
-	var wx, wy, wz, dx, dy, dz [MaxOrder]float64
-	nx, ny, nz := m.N[0], m.N[1], m.N[2]
-	enz := ext.N[2]
 	for _, i := range idx {
-		r := pos[i]
-		qi := q[i]
-		if qi == 0 {
+		if q[i] == 0 {
 			continue
 		}
-		ux := r[0] * m.invH[0]
-		uy := r[1] * m.invH[1]
-		uz := r[2] * m.invH[2]
-		mx := bspline.Weights(p, ux, wx[:p], dx[:p])
-		my := bspline.Weights(p, uy, wy[:p], dy[:p])
-		mz := bspline.Weights(p, uz, wz[:p], dz[:p])
-		bz := wrap(mz, nz)
-		var pot, gx, gy, gz float64
-		for c := 0; c < p; c++ {
-			lz := bz + c - zlo
-			if lz < 0 || lz >= enz {
-				panic("pmesh: InterpolatePlanes atom outside ext window")
-			}
-			for b := 0; b < p; b++ {
-				iy := wrap(my+b, ny)
-				row := ext.Data[nx*(iy+ny*lz) : nx*(iy+ny*lz)+nx]
-				wyz := wy[b] * wz[c]
-				dyz := dy[b] * wz[c]
-				wdz := wy[b] * dz[c]
-				for a := 0; a < p; a++ {
-					v := row[wrap(mx+a, nx)]
-					pot += v * wx[a] * wyz
-					gx += v * dx[a] * wyz
-					gy += v * wx[a] * dyz
-					gz += v * wx[a] * wdz
-				}
-			}
-		}
-		eterm[i] = 0.5 * qi * pot
-		if f != nil {
-			// ∇φ picks up 1/h per axis from d/dr = (1/h) d/du.
-			f[i][0] -= qi * gx * m.invH[0]
-			f[i][1] -= qi * gy * m.invH[1]
-			f[i][2] -= qi * gz * m.invH[2]
-		}
+		eterm[i] = m.gather(ext.Data, zlo, ext.N[2], pos[i], q[i], f, int(i))
 	}
 }
