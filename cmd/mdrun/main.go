@@ -232,7 +232,23 @@ func main() {
 		if *resume || *ckDir != "" || *ckEvery > 0 {
 			fatalf("-ranks does not support checkpointing or -resume")
 		}
-		runRanks(sys, mesh, alpha, *rc, *ranks, *steps, *every, *obsOn, *method)
+		eng, err := rank.New(rank.Config{Ranks: *ranks}, sys, &md.ForceField{Alpha: alpha, Rc: *rc, Mesh: mesh}, 0.001)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		defer eng.Close()
+		var rec *obs.Recorder
+		if *obsOn {
+			rec = obs.New()
+			eng.SetObs(rec)
+		}
+		fmt.Printf("%d atoms over %d ranks, method %s, rc %.2f nm, α %.3f nm⁻¹\n",
+			sys.N(), *ranks, *method, *rc, alpha)
+		runTable(sys, eng.Step, 0, *steps, *every, nil)
+		if b := eng.CommBytes(); *steps > 0 {
+			fmt.Printf("protocol traffic: %d bytes total, %d bytes/step\n", b, b/int64(*steps))
+		}
+		renderObs(rec, fmt.Sprintf("%s-ranks%d", *method, *ranks), sys.N())
 		return
 	}
 
@@ -273,108 +289,91 @@ func main() {
 
 	fmt.Printf("%d atoms, method %s, rc %.2f nm, α %.3f nm⁻¹, grid %d³\n",
 		sys.N(), *method, *rc, alpha, *gridN)
-	fmt.Printf("%8s %14s %14s %14s %8s\n", "step", "potential", "kinetic", "total", "T(K)")
-	if *retune {
-		runRetuned(sys, integ, rec, store, meta, tuneReq, tunePlan, startStep, remaining, *every, *ckEvery)
-		if rec != nil && *obsOn {
-			fmt.Println()
-			rec.Report(*method, sys.N(), runtime.GOMAXPROCS(0)).Render(os.Stdout, 60)
+	step := func() (md.Energies, error) { return integ.Step(sys), nil }
+	save := func(abs int) *md.Snapshot {
+		snap := integ.CaptureResume(sys, meta)
+		if err := store.Save(snap); err != nil {
+			fmt.Fprintf(os.Stderr, "mdrun: checkpoint at step %d failed: %v\n", abs, err)
+			return nil
 		}
-		return
+		return snap
 	}
-	integ.Run(sys, remaining, func(s int, e md.Energies) {
-		abs := startStep + s
-		if abs%*every == 0 || s == 1 {
-			fmt.Printf("%8d %14.3f %14.3f %14.3f %8.1f\n",
-				abs, e.Potential(), e.Kinetic, e.Total(), sys.Temperature())
+	// after is the per-step hook of the serial engine: checkpoints, and with
+	// -retune the drift monitor behind them.
+	var after func(abs int)
+	switch {
+	case *retune:
+		// Each checkpoint boundary saves a snapshot, hands the live obs
+		// profile to the drift monitor, and — when the monitor re-plans —
+		// switches the integrator through tune.Switch. The switch consumes
+		// exactly the state a fresh restore of that checkpoint would, so the
+		// trajectory after a retune is bitwise identical to restarting under
+		// the new plan (TestRetuneBitwise pins this).
+		mon := tune.NewMonitor(tuneReq, tunePlan)
+		after = func(abs int) {
+			if abs%*ckEvery != 0 {
+				return
+			}
+			snap := save(abs)
+			if snap == nil {
+				return
+			}
+			next, changed := mon.Observe(rec.Profile(), int64(abs-startStep))
+			if !changed {
+				return
+			}
+			ni, err := tune.Switch(sys, snap, next, integ.Dt)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "mdrun: retune switch failed, keeping current plan: %v\n", err)
+				return
+			}
+			integ = ni
+			integ.SetObs(rec)
+			fmt.Printf("%8d retune: %s\n", abs, next.String())
 		}
-		if store != nil && *ckEvery > 0 && abs%*ckEvery == 0 {
-			if err := store.Save(integ.CaptureResume(sys, meta)); err != nil {
-				fmt.Fprintf(os.Stderr, "mdrun: checkpoint at step %d failed: %v\n", abs, err)
+	case store != nil && *ckEvery > 0:
+		after = func(abs int) {
+			if abs%*ckEvery == 0 {
+				save(abs)
 			}
 		}
-	})
-	if rec != nil {
-		fmt.Println()
-		rec.Report(*method, sys.N(), runtime.GOMAXPROCS(0)).Render(os.Stdout, 60)
 	}
+	runTable(sys, step, startStep, remaining, *every, after)
+	if !*obsOn {
+		rec = nil // recorded for the retune monitor only
+	}
+	renderObs(rec, *method, sys.N())
 }
 
-// runRetuned drives the trajectory with the online retune loop: each
-// checkpoint boundary saves a snapshot, hands the live obs profile to
-// the drift monitor, and — when the monitor re-plans — switches the
-// integrator through tune.Switch. The switch consumes exactly the state
-// a fresh restore of that checkpoint would, so the trajectory after a
-// retune is bitwise identical to restarting under the new plan
-// (TestRetuneBitwise pins this).
-func runRetuned(sys *md.System, integ *md.Integrator, rec *obs.Recorder, store *ckpt.Store,
-	meta map[string]int64, req tune.Request, plan tune.Plan, startStep, remaining, every, ckEvery int) {
-	mon := tune.NewMonitor(req, plan)
-	for s := 1; s <= remaining; s++ {
-		e := integ.Step(sys)
-		abs := startStep + s
+// runTable advances the trajectory n steps from absolute step start through
+// step — either engine's stepping function — printing the energy table at
+// the report cadence (and after the first step). after, if non-nil, runs
+// after every step with its absolute index: the checkpoint and retune hooks.
+func runTable(sys *md.System, step func() (md.Energies, error), start, n, every int, after func(abs int)) {
+	fmt.Printf("%8s %14s %14s %14s %8s\n", "step", "potential", "kinetic", "total", "T(K)")
+	for s := 1; s <= n; s++ {
+		e, err := step()
+		abs := start + s
+		if err != nil {
+			fatalf("step %d: %v", abs, err)
+		}
 		if abs%every == 0 || s == 1 {
 			fmt.Printf("%8d %14.3f %14.3f %14.3f %8.1f\n",
 				abs, e.Potential(), e.Kinetic, e.Total(), sys.Temperature())
 		}
-		if abs%ckEvery != 0 {
-			continue
+		if after != nil {
+			after(abs)
 		}
-		snap := integ.CaptureResume(sys, meta)
-		if err := store.Save(snap); err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: checkpoint at step %d failed: %v\n", abs, err)
-			continue
-		}
-		next, changed := mon.Observe(rec.Profile(), int64(s))
-		if !changed {
-			continue
-		}
-		ni, err := tune.Switch(sys, snap, next, integ.Dt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: retune switch failed, keeping current plan: %v\n", err)
-			continue
-		}
-		integ = ni
-		integ.SetObs(rec)
-		fmt.Printf("%8d retune: %s\n", abs, next.String())
 	}
 }
 
-// runRanks steps the trajectory through the rank-decomposed engine and
-// reports energies exactly like the serial path, plus the protocol
-// traffic summary at the end.
-func runRanks(sys *md.System, mesh md.MeshSolver, alpha, rc float64, ranks, steps, every int, obsOn bool, method string) {
-	ff := &md.ForceField{Alpha: alpha, Rc: rc, Mesh: mesh}
-	eng, err := rank.New(rank.Config{Ranks: ranks}, sys, ff, 0.001)
-	if err != nil {
-		fatalf("%v", err)
+// renderObs prints the per-stage timing chart of a recorded run.
+func renderObs(rec *obs.Recorder, label string, atoms int) {
+	if rec == nil {
+		return
 	}
-	defer eng.Close()
-	var rec *obs.Recorder
-	if obsOn {
-		rec = obs.New()
-		eng.SetObs(rec)
-	}
-	fmt.Printf("%d atoms over %d ranks, method %s, rc %.2f nm, α %.3f nm⁻¹\n",
-		sys.N(), ranks, method, rc, alpha)
-	fmt.Printf("%8s %14s %14s %14s %8s\n", "step", "potential", "kinetic", "total", "T(K)")
-	for s := 1; s <= steps; s++ {
-		e, err := eng.Step()
-		if err != nil {
-			fatalf("step %d: %v", s, err)
-		}
-		if s%every == 0 || s == 1 {
-			fmt.Printf("%8d %14.3f %14.3f %14.3f %8.1f\n",
-				s, e.Potential(), e.Kinetic, e.Total(), sys.Temperature())
-		}
-	}
-	if b := eng.CommBytes(); steps > 0 {
-		fmt.Printf("protocol traffic: %d bytes total, %d bytes/step\n", b, b/int64(steps))
-	}
-	if rec != nil {
-		fmt.Println()
-		rec.Report(fmt.Sprintf("%s-ranks%d", method, ranks), sys.N(), runtime.GOMAXPROCS(0)).Render(os.Stdout, 60)
-	}
+	fmt.Println()
+	rec.Report(label, atoms, runtime.GOMAXPROCS(0)).Render(os.Stdout, 60)
 }
 
 func fatalf(format string, args ...interface{}) {

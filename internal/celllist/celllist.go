@@ -99,36 +99,51 @@ func (l *List) Rebuild(pos []vec.V) {
 	if l.direct {
 		return
 	}
+	l.clear()
+	for i := range pos {
+		l.bin(pos, int32(i))
+	}
+}
+
+// clear sizes the chain storage for l.n atoms and empties every cell.
+func (l *List) clear() {
 	if cap(l.next) < l.n {
-		l.next = make([]int32, l.n)
-		l.wrapped = make([]vec.V, l.n)
+		l.next = make([]int32, l.n)    //tmevet:ignore noalloc -- grow-once: reused across rebuilds until the atom count grows
+		l.wrapped = make([]vec.V, l.n) //tmevet:ignore noalloc -- grow-once: reused across rebuilds until the atom count grows
 	}
 	l.next = l.next[:l.n]
 	l.wrapped = l.wrapped[:l.n]
 	for i := range l.head {
 		l.head[i] = -1
 	}
-	for i, r := range pos {
-		w := l.Box.Wrap(r)
-		l.wrapped[i] = w
-		c := l.cellIndex(w)
-		l.next[i] = l.head[c]
-		l.head[c] = int32(i)
-	}
 }
 
-func (l *List) cellIndex(r vec.V) int {
-	var c [3]int
-	for j := 0; j < 3; j++ {
-		c[j] = int(r[j] / l.Box.L[j] * float64(l.nc[j]))
-		if c[j] >= l.nc[j] {
-			c[j] = l.nc[j] - 1
-		}
-		if c[j] < 0 {
-			c[j] = 0
-		}
+// bin is the one binning body: it wraps atom i into the box and pushes it
+// onto the head of its cell's chain. Chains grow head-first, so the atoms
+// of a cell always appear in descending insertion order — which is why a
+// subset binned in ascending index (RebuildSubset) reproduces the full
+// list's chains cell for cell.
+func (l *List) bin(pos []vec.V, i int32) {
+	w := l.Box.Wrap(pos[i])
+	l.wrapped[i] = w
+	c := l.axisCell(w, 0) + l.nc[0]*(l.axisCell(w, 1)+l.nc[1]*l.axisCell(w, 2))
+	l.next[i] = l.head[c]
+	l.head[c] = i
+}
+
+// axisCell returns the cell coordinate of a wrapped position along axis j,
+// clamped against rounding at the box faces.
+//
+//tme:noalloc
+func (l *List) axisCell(w vec.V, j int) int {
+	c := int(w[j] / l.Box.L[j] * float64(l.nc[j]))
+	if c >= l.nc[j] {
+		c = l.nc[j] - 1
 	}
-	return c[0] + l.nc[0]*(c[1]+l.nc[1]*c[2])
+	if c < 0 {
+		c = 0
+	}
+	return c
 }
 
 // NCells returns the cell counts per axis (1,1,1 in direct mode).

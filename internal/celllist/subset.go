@@ -1,35 +1,26 @@
 // Subset rebuild support for the rank-decomposed run mode (internal/rank).
 //
 // A rank owns a contiguous range of z-layers and receives, via position
-// halos, exactly the atoms whose layer falls inside its window. Re-binning
-// only those atoms — in ascending global index, the same order Rebuild
-// walks — reproduces the full-list chain layout for every cell of the
-// window: chains grow head-first, so inserting the same atoms in the same
-// order yields identical chains, and ForEachPairInSlab enumerates the
-// window's pairs in exactly the serial order.
+// halos, exactly the atoms whose layer falls inside its window. It bins
+// only those atoms, in ascending global index, through the body Rebuild
+// bins every atom with (List.bin), so every cell of the window holds the
+// full list's chain and ForEachPairInSlab enumerates the window's pairs in
+// exactly the serial order.
 
 package celllist
 
 import "tme4a/internal/vec"
 
-// Layer returns the z-slab (cell layer) that position r falls in,
-// using the same wrap + cell-index arithmetic as Rebuild. Panics in
-// direct mode, where slabs are atom blocks rather than layers.
+// Layer returns the z-slab (cell layer) that position r falls in — the z
+// cell coordinate Rebuild bins it under. Panics in direct mode, where
+// slabs are atom blocks rather than layers.
 //
 //tme:noalloc
 func (l *List) Layer(r vec.V) int {
 	if l.direct {
 		panic("celllist: Layer undefined in direct mode")
 	}
-	w := l.Box.Wrap(r)
-	c := int(w[2] / l.Box.L[2] * float64(l.nc[2]))
-	if c >= l.nc[2] {
-		c = l.nc[2] - 1
-	}
-	if c < 0 {
-		c = 0
-	}
-	return c
+	return l.axisCell(l.Box.Wrap(r), 2)
 }
 
 // RebuildSubset re-bins only the atoms listed in idx (ascending global
@@ -44,20 +35,8 @@ func (l *List) RebuildSubset(pos []vec.V, idx []int32) {
 		panic("celllist: RebuildSubset unsupported in direct mode")
 	}
 	l.n = len(pos)
-	if cap(l.next) < l.n {
-		l.next = make([]int32, l.n)
-		l.wrapped = make([]vec.V, l.n)
-	}
-	l.next = l.next[:l.n]
-	l.wrapped = l.wrapped[:l.n]
-	for i := range l.head {
-		l.head[i] = -1
-	}
+	l.clear()
 	for _, i := range idx {
-		w := l.Box.Wrap(pos[i])
-		l.wrapped[i] = w
-		c := l.cellIndex(w)
-		l.next[i] = l.head[c]
-		l.head[c] = i
+		l.bin(pos, i)
 	}
 }

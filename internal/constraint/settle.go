@@ -65,10 +65,10 @@ func (w *Water) Settle(a0, b0, c0, a1, b1, c1 vec.V) (a, b, c vec.V) {
 	xax = xax.Normalize()
 	yax = yax.Normalize()
 
-	toFrame := func(v vec.V) vec.V {
+	toFrame := func(v vec.V) vec.V { //tmevet:ignore noalloc -- called in place and never stored, so it stays on the stack (TestStepSteadyStateAllocs)
 		return vec.V{v.Dot(xax), v.Dot(yax), v.Dot(zax)}
 	}
-	fromFrame := func(v vec.V) vec.V {
+	fromFrame := func(v vec.V) vec.V { //tmevet:ignore noalloc -- called in place and never stored, so it stays on the stack (TestStepSteadyStateAllocs)
 		return xax.Scale(v[0]).Add(yax.Scale(v[1])).Add(zax.Scale(v[2]))
 	}
 

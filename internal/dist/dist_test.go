@@ -4,16 +4,20 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"tme4a/internal/core"
+	"tme4a/internal/ewald"
+	"tme4a/internal/grid"
+	"tme4a/internal/pmesh"
 	"tme4a/internal/vec"
 )
 
 // testSystem returns a reproducible cloud of charged particles, including
 // positions outside the primary box (the mesher wraps them) and a few
 // neutral atoms (skipped by assignment, interpolation and the energy
-// replay).
+// fold).
 func testSystem(seed int64, n int, box vec.Box) ([]vec.V, []float64) {
 	rng := rand.New(rand.NewSource(seed))
 	pos := make([]vec.V, n)
@@ -35,10 +39,94 @@ var testGeoms = []core.Params{
 	{Alpha: 2.5, Rc: 0.5, Order: 4, N: [3]int{32, 16, 32}, Levels: 2, M: 1, Gc: 3},
 }
 
-// TestLongRangeBitwise asserts the decomposed solver reproduces
+// barrier is a reusable rendezvous of n goroutines.
+type barrier struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	n, seen int
+	gen     int
+}
+
+func newBarrier(n int) *barrier {
+	b := &barrier{n: n}
+	b.cond = sync.NewCond(&b.mu)
+	return b
+}
+
+func (b *barrier) wait() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	gen := b.gen
+	if b.seen++; b.seen == b.n {
+		b.seen = 0
+		b.gen++
+		b.cond.Broadcast()
+		return
+	}
+	for gen == b.gen {
+		b.cond.Wait()
+	}
+}
+
+// lockstep is the test transport: the ranks of one solve run as goroutines
+// that publish their fields in shared slots and meet at a barrier, so each
+// receiver can pack its sleeves straight out of the sender's planes.
+type lockstep struct {
+	plan         *Plan
+	bar          *barrier
+	src          []*grid.G // src[a]: the field rank a published for the exchange in flight
+	topQ, topPhi *grid.G
+}
+
+func newLockstep(p *Plan) *lockstep {
+	tn := p.TopN()
+	return &lockstep{
+		plan: p, bar: newBarrier(p.D.R), src: make([]*grid.G, p.D.R),
+		topQ: grid.New(tn[0], tn[1], tn[2]), topPhi: grid.New(tn[0], tn[1], tn[2]),
+	}
+}
+
+// lockstepRank is one rank's end of a lockstep transport.
+type lockstepRank struct {
+	*lockstep
+	rank int
+	buf  []float64 // sleeve scratch
+}
+
+func (x *lockstepRank) Halo(h *Halo, src, ext *grid.G) {
+	x.src[x.rank] = src
+	x.bar.wait() // every rank's field is published
+	for s := 0; s < h.R; s++ {
+		if s == x.rank || h.PackSize(s, x.rank) == 0 {
+			continue
+		}
+		if len(x.buf) < h.PackSize(s, x.rank) {
+			x.buf = make([]float64, h.PackSize(s, x.rank))
+		}
+		n := h.Pack(s, x.rank, x.src[s].Data, x.buf)
+		h.Unpack(x.rank, s, x.buf[:n], ext.Data)
+	}
+	h.FillOwn(x.rank, src.Data, ext.Data)
+	x.bar.wait() // every rank has read what it needs; fields may change again
+}
+
+func (x *lockstepRank) TopSolve(q, phi *grid.G) {
+	blk := len(q.Data)
+	copy(x.topQ.Data[x.rank*blk:], q.Data)
+	x.bar.wait()
+	if x.rank == 0 {
+		x.plan.TME.TopSolver().PotentialGridInto(x.topPhi, x.topQ)
+	}
+	x.bar.wait()
+	copy(phi.Data, x.topPhi.Data[x.rank*blk:(x.rank+1)*blk])
+}
+
+// TestLongRangeBitwise asserts the decomposed pipeline reproduces
 // core.Solver.LongRange exactly — energy and every force component
 // bit-for-bit — at every rank count that divides the hierarchy, on two
-// geometries (single- and two-level, anisotropic grid). Each solver runs
+// geometries (single- and two-level, anisotropic grid): R instances of
+// Mesh.Solve, the per-rank entry point internal/rank calls, run
+// concurrently over the lock-step transport. Each set of meshes solves
 // twice to cover the steady-state (reused scratch) path.
 func TestLongRangeBitwise(t *testing.T) {
 	for gi, prm := range testGeoms {
@@ -49,13 +137,42 @@ func TestLongRangeBitwise(t *testing.T) {
 		eRef := ref.LongRange(pos, q, fRef)
 		for _, r := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("geom%d/R%d", gi, r), func(t *testing.T) {
-				s, err := New(core.New(prm, box), r)
+				p, err := NewPlan(core.New(prm, box), r)
 				if err != nil {
-					t.Fatalf("New(R=%d): %v", r, err)
+					t.Fatalf("NewPlan(R=%d): %v", r, err)
 				}
+				// Atom windows: a rank assigns every atom whose spline support
+				// touches its finest planes and interpolates every atom whose
+				// base plane it owns, in ascending index.
+				assign := make([][]int32, r)
+				interp := make([][]int32, r)
+				for i := range pos {
+					b := p.Mesher.BasePlane(pos[i]) / p.D.Onz(0)
+					interp[b] = append(interp[b], int32(i))
+					for a := 0; a < r; a++ {
+						if zlo, zhi := p.D.ZRange(0, a); p.Mesher.SupportHits(pos[i], zlo, zhi) {
+							assign[a] = append(assign[a], int32(i))
+						}
+					}
+				}
+				meshes := make([]*Mesh, r)
+				for a := range meshes {
+					meshes[a] = p.NewMesh(a)
+				}
+				x := newLockstep(p)
 				for pass := 0; pass < 2; pass++ {
 					f := make([]vec.V, len(pos))
-					e := s.LongRange(pos, q, f)
+					eterm := make([]float64, len(pos))
+					var wg sync.WaitGroup
+					for a := 0; a < r; a++ {
+						wg.Add(1)
+						go func(a int) {
+							defer wg.Done()
+							meshes[a].Solve(&lockstepRank{lockstep: x, rank: a}, nil, assign[a], interp[a], pos, q, eterm, f)
+						}(a)
+					}
+					wg.Wait()
+					e := pmesh.FoldEnergy(eterm, q) + ewald.SelfEnergy(q, prm.Alpha)
 					if math.Float64bits(e) != math.Float64bits(eRef) {
 						t.Fatalf("pass %d: energy %x != serial %x (Δ=%g)",
 							pass, math.Float64bits(e), math.Float64bits(eRef), e-eRef)
@@ -79,12 +196,12 @@ func TestNewRejectsIndivisible(t *testing.T) {
 	box := vec.Cubic(1.86)
 	tme := core.New(testGeoms[0], box) // top grid 16 planes
 	for _, r := range []int{3, 5, 32} {
-		if _, err := New(tme, r); err == nil {
-			t.Errorf("New(R=%d): expected divisibility error, got nil", r)
+		if _, err := NewPlan(tme, r); err == nil {
+			t.Errorf("NewPlan(R=%d): expected divisibility error, got nil", r)
 		}
 	}
-	if _, err := New(tme, 0); err == nil {
-		t.Error("New(R=0): expected error, got nil")
+	if _, err := NewPlan(tme, 0); err == nil {
+		t.Error("NewPlan(R=0): expected error, got nil")
 	}
 }
 

@@ -1,29 +1,17 @@
-// Plan (shared, immutable) and Mesh (per-rank grid state) for the
-// decomposed TME pipeline. The stage sequence per mesh solve, mirroring
-// core.Solver.meshPotentialFromCharges:
-//
-//	AssignOwn                       // finest charges, own planes
-//	for k = 0..L−1:                 // downward pass
-//	    RestrictXY(k) → exchange Restrict[k] → RestrictZ(k)
-//	top: gather Q[L] planes to root, SPME, scatter into Phi[L]
-//	for k = L−1..0:                 // upward pass
-//	    ProlongXY(k) → exchange Prolong[k] → ProlongZ(k)
-//	    for ν = 0..M−1:
-//	        ConvXY(k,ν) → exchange Conv[k] → ConvZAccum(k,ν)
-//	exchange Interp → Interp        // back interpolation, own atoms
-//
-// "exchange H" means: every rank packs its sleeves (Halo.Pack), delivers
-// them (channels in internal/rank, direct copies in the sequential
-// Solver), unpacks received sleeves (Halo.Unpack) and fills its own planes
-// (Halo.FillOwn). The x/y passes run the exported per-axis passes of
-// internal/grid on the rank's own planes — every row lies within one
-// plane, so the values are bitwise those of the serial full-grid pass.
+// Plan (shared, immutable), Mesh (per-rank grid state) and the one
+// definition of the decomposed TME pipeline's stage order, Mesh.Solve —
+// the block form of core.Solver.meshPotentialFromCharges. The x/y passes
+// run the exported per-axis passes of internal/grid on the rank's own
+// planes — every row lies within one plane, so the values are bitwise those
+// of the serial full-grid pass; the z passes (ops.go) read foreign planes
+// from extended buffers an Exchanger fills.
 
 package dist
 
 import (
 	"tme4a/internal/core"
 	"tme4a/internal/grid"
+	"tme4a/internal/obs"
 	"tme4a/internal/pmesh"
 	"tme4a/internal/vec"
 )
@@ -174,91 +162,78 @@ func (p *Plan) NewMesh(r int) *Mesh {
 	return m
 }
 
-// AssignOwn zeroes the rank's finest charge block and scatters the listed
-// atoms' charges onto it (idx ascending global index — the serial particle
-// order).
+// Exchanger is the communication one rank's Solve needs from its
+// transport (channels in internal/rank, a lock-step in-memory exchanger in
+// this package's tests). Every rank of a solve calls the same sequence of
+// methods, so an implementation may match calls by order alone.
+type Exchanger interface {
+	// Halo runs halo exchange h for this rank: src holds the rank's own
+	// planes of the field; on return ext, the rank's extended buffer, holds
+	// every plane of its window — own planes via Halo.FillOwn, foreign ones
+	// from the sleeves their owners packed out of their src (Halo.Pack,
+	// Halo.Unpack).
+	Halo(h *Halo, src, ext *grid.G)
+	// TopSolve gathers every rank's block q of the top-level charge grid
+	// (plane-major, rank order), runs the plan's top solver on the whole
+	// grid once, and leaves this rank's block of the potential in phi.
+	TopSolve(q, phi *grid.G)
+}
+
+// Solve runs rank m.Rank's block of one mesh solve, recording each stage
+// on o (nil records nothing). assign lists the atoms whose spline support
+// touches the rank's finest planes, interp those whose base plane it owns,
+// both in ascending global index — the serial particle order. Charges are
+// spread, restricted level by level, solved at the top, and prolonged back
+// down with every level's M Gaussian convolutions accumulated on the way;
+// the finest potential is then interpolated at the interp atoms, whose
+// energy terms land in eterm and forces accumulate into f (both indexed by
+// global atom index; pmesh.FoldEnergy over all ranks' terms is the mesh
+// energy). A solve allocates nothing.
 //
 //tme:noalloc
-func (m *Mesh) AssignOwn(idx []int32, pos []vec.V, q []float64) {
+func (m *Mesh) Solve(x Exchanger, o *obs.Recorder, assign, interp []int32, pos []vec.V, q, eterm []float64, f []vec.V) {
+	p := m.P
+	L := p.D.Levels
+	zlo, _ := p.D.ZRange(0, m.Rank)
+	sp := o.Start(obs.StageAssign)
 	m.Q[0].Zero()
-	zlo, _ := m.P.D.ZRange(0, m.Rank)
-	m.P.Mesher.AssignPlanes(m.Q[0], zlo, idx, pos, q)
-}
+	p.Mesher.AssignPlanes(m.Q[0], zlo, assign, pos, q)
+	sp.Stop()
 
-// RestrictXY runs the x and y restriction passes on the rank's level-k
-// charge block, returning the xy-restricted field whose z sleeves are
-// exchanged under Plan.Restrict[k].
-//
-//tme:noalloc
-func (m *Mesh) RestrictXY(k int) *grid.G {
-	grid.RestrictAxisInto(m.rxyA[k], m.Q[k], 0, m.P.J)
-	grid.RestrictAxisInto(m.rxyB[k], m.rxyA[k], 1, m.P.J)
-	return m.rxyB[k]
-}
+	sp = o.Start(obs.StageRestrict)
+	for k := 0; k < L; k++ {
+		grid.RestrictAxisInto(m.rxyA[k], m.Q[k], 0, p.J)
+		grid.RestrictAxisInto(m.rxyB[k], m.rxyA[k], 1, p.J)
+		x.Halo(p.Restrict[k], m.rxyB[k], m.rext[k])
+		restrictZ(m.Q[k+1], m.rext[k], p.J, m.rasc[k])
+	}
+	sp.Stop()
 
-// RestrictExt returns the extended buffer the Restrict[k] exchange fills.
-func (m *Mesh) RestrictExt(k int) *grid.G { return m.rext[k] }
+	sp = o.Start(obs.StageTopSPME)
+	x.TopSolve(m.Q[L], m.Phi[L])
+	sp.Stop()
 
-// RestrictZ completes the level-(k+1) charges from the filled extended
-// buffer.
-//
-//tme:noalloc
-func (m *Mesh) RestrictZ(k int) { restrictZ(m.Q[k+1], m.rext[k], m.P.J, m.rasc[k]) }
+	for k := L - 1; k >= 0; k-- {
+		sp = o.Start(obs.StageProlong)
+		grid.ProlongAxisInto(m.pxyA[k], m.Phi[k+1], 0, p.J)
+		grid.ProlongAxisInto(m.pxyB[k], m.pxyA[k], 1, p.J)
+		x.Halo(p.Prolong[k], m.pxyB[k], m.pext[k])
+		prolongZ(m.Phi[k], m.pext[k], m.ptaps[k])
+		sp.Stop()
+		// Level k is core's 1-based level k+1; the z kernel carries the
+		// level scale exactly as core.Solver.levelConvAccum applies it.
+		sp = o.Start(obs.StageConv)
+		for v := 0; v < p.TME.Prm.M; v++ {
+			grid.ConvAxis(m.cxyA[k], m.Q[k], 0, p.Kern[v][0])
+			grid.ConvAxis(m.cxyB[k], m.cxyA[k], 1, p.Kern[v][1])
+			x.Halo(p.Conv[k], m.cxyB[k], m.cext[k])
+			convZAccum(m.Phi[k], m.cext[k], p.KernZ[k][v], m.cdesc[k])
+		}
+		sp.Stop()
+	}
 
-// ProlongXY runs the x and y prolongation passes on the rank's level-(k+1)
-// potential block, returning the field whose z sleeves are exchanged under
-// Plan.Prolong[k].
-//
-//tme:noalloc
-func (m *Mesh) ProlongXY(k int) *grid.G {
-	grid.ProlongAxisInto(m.pxyA[k], m.Phi[k+1], 0, m.P.J)
-	grid.ProlongAxisInto(m.pxyB[k], m.pxyA[k], 1, m.P.J)
-	return m.pxyB[k]
-}
-
-// ProlongExt returns the extended buffer the Prolong[k] exchange fills.
-func (m *Mesh) ProlongExt(k int) *grid.G { return m.pext[k] }
-
-// ProlongZ sets the rank's level-k potential block by replaying its
-// prolongation tap lists against the filled extended buffer.
-//
-//tme:noalloc
-func (m *Mesh) ProlongZ(k int) { prolongZ(m.Phi[k], m.pext[k], m.ptaps[k]) }
-
-// ConvXY runs Gaussian ν's x and y convolution passes on the rank's
-// level-k charge block, returning the field whose z sleeves are exchanged
-// under Plan.Conv[k].
-//
-//tme:noalloc
-func (m *Mesh) ConvXY(k, v int) *grid.G {
-	grid.ConvAxis(m.cxyA[k], m.Q[k], 0, m.P.Kern[v][0])
-	grid.ConvAxis(m.cxyB[k], m.cxyA[k], 1, m.P.Kern[v][1])
-	return m.cxyB[k]
-}
-
-// ConvExt returns the extended buffer the Conv[k] exchange fills.
-func (m *Mesh) ConvExt(k int) *grid.G { return m.cext[k] }
-
-// ConvZAccum accumulates Gaussian ν's z pass into the rank's level-k
-// potential block, using the level-scaled kernel exactly as
-// core.Solver.levelConvAccum does (level k is core's 1-based level k+1).
-//
-//tme:noalloc
-func (m *Mesh) ConvZAccum(k, v int) {
-	convZAccum(m.Phi[k], m.cext[k], m.P.KernZ[k][v], m.cdesc[k])
-}
-
-// InterpExt returns the extended finest-potential buffer the Interp
-// exchange fills.
-func (m *Mesh) InterpExt() *grid.G { return m.iext }
-
-// Interp back-interpolates the listed atoms (base plane in the rank's
-// block, ascending global index) against the filled extended potential,
-// writing per-atom energy terms into eterm and accumulating forces into f
-// (both indexed by global atom index).
-//
-//tme:noalloc
-func (m *Mesh) Interp(idx []int32, pos []vec.V, q []float64, eterm []float64, f []vec.V) {
-	zlo, _ := m.P.D.ZRange(0, m.Rank)
-	m.P.Mesher.InterpolatePlanes(m.iext, zlo, idx, pos, q, eterm, f)
+	sp = o.Start(obs.StageInterp)
+	x.Halo(p.Interp, m.Phi[0], m.iext)
+	p.Mesher.InterpolatePlanes(m.iext, zlo, interp, pos, q, eterm, f)
+	sp.Stop()
 }

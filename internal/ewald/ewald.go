@@ -64,10 +64,10 @@ func SelfEnergy(q []float64, alpha float64) float64 {
 	return -alpha / math.Sqrt(math.Pi) * s * units.Coulomb
 }
 
-// exclChunk is the fixed atom-chunk size of the parallel exclusion
-// correction; chunk boundaries depend only on the atom count, never on
-// GOMAXPROCS, so the reduction order (and the energy, bitwise) is
-// identical at any worker count.
+// exclChunk is the fixed atom-chunk size of the exclusion-correction energy
+// reduction; chunk boundaries depend only on the atom count, never on
+// GOMAXPROCS or a rank count, so the reduction order (and the energy,
+// bitwise) is identical however the atoms were divided among workers.
 const exclChunk = 256
 
 // ExclusionCorrection removes the reciprocal-space interaction of excluded
@@ -76,14 +76,12 @@ const exclChunk = 256
 //
 // The sum is evaluated in gather form — each atom's worker walks the
 // atom's full exclusion-neighbour list, accumulating only that atom's
-// force and half of each pair energy — so fixed atom chunks can run in
-// parallel with owner-only force writes and a deterministic chunked energy
-// reduction. Since erf(αr)/r and the minimum image are exactly symmetric
-// in i↔j, the two half-energies sum to the pair energy exactly.
+// force and half of each pair energy (exclusionAtom) — so fixed atom
+// chunks can run in parallel with owner-only force writes and a
+// deterministic chunked energy reduction. Since erf(αr)/r and the minimum
+// image are exactly symmetric in i↔j, the two half-energies sum to the
+// pair energy exactly.
 func ExclusionCorrection(box vec.Box, pos []vec.V, q []float64, alpha float64, excl *topol.Exclusions, f []vec.V) float64 {
-	if excl == nil {
-		return 0
-	}
 	n := excl.NAtoms()
 	if n > len(pos) {
 		n = len(pos)
@@ -92,63 +90,142 @@ func ExclusionCorrection(box vec.Box, pos []vec.V, q []float64, alpha float64, e
 	if nchunks == 0 {
 		return 0
 	}
-	var energy float64
+	pp, part := chunkPartials(nchunks)
 	if par.WorkersGrain(nchunks, 1) == 1 {
-		for c := 0; c < nchunks; c++ {
-			energy += exclGatherChunk(box, pos, q, alpha, excl, f, c, n)
-		}
+		exclusionChunks(box, pos, q, alpha, excl, f, part, 0, nchunks, n)
 	} else {
-		partial := exclPartialPool.Get().(*[]float64)
-		if cap(*partial) < nchunks {
-			*partial = make([]float64, nchunks)
-		}
-		ps := (*partial)[:nchunks]
 		par.ForRangeGrain(nchunks, 1, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				ps[c] = exclGatherChunk(box, pos, q, alpha, excl, f, c, n)
-			}
+			exclusionChunks(box, pos, q, alpha, excl, f, part, lo, hi, n)
 		})
-		for _, e := range ps {
-			energy += e
-		}
-		exclPartialPool.Put(partial)
 	}
-	return energy * units.Coulomb
+	energy := foldChunks(part)
+	exclPartialPool.Put(pp)
+	return energy
 }
 
 var exclPartialPool = sync.Pool{New: func() interface{} { return new([]float64) }}
 
-// exclGatherChunk evaluates the exclusion correction gathered onto the
-// atoms of chunk c, returning the chunk's (half-counted) energy.
-func exclGatherChunk(box vec.Box, pos []vec.V, q []float64, alpha float64, excl *topol.Exclusions, f []vec.V, c, n int) float64 {
-	lo, hi := c*exclChunk, (c+1)*exclChunk
-	if hi > n {
-		hi = n
+// chunkPartials takes a slice of n chunk partials from the pool; the caller
+// hands the pointer back with exclPartialPool.Put.
+func chunkPartials(n int) (*[]float64, []float64) {
+	pp := exclPartialPool.Get().(*[]float64)
+	if cap(*pp) < n {
+		*pp = make([]float64, n) //tmevet:ignore noalloc -- grow-once: reused via exclPartialPool in steady state
 	}
-	var energy float64
-	for i := lo; i < hi; i++ {
-		qi := q[i]
-		if qi == 0 {
-			continue
+	return pp, (*pp)[:n]
+}
+
+// exclusionChunks fills part[c] for chunks [clo, chi) of an n-atom system:
+// a chunk's partial starts at zero and runs through the per-atom body over
+// its atoms in ascending order.
+func exclusionChunks(box vec.Box, pos []vec.V, q []float64, alpha float64, excl *topol.Exclusions, f []vec.V, part []float64, clo, chi, n int) {
+	for c := clo; c < chi; c++ {
+		hi := (c + 1) * exclChunk
+		if hi > n {
+			hi = n
 		}
-		for _, j32 := range excl.Neighbors(i) {
-			j := int(j32)
-			qq := qi * q[j]
-			if qq == 0 {
-				continue
-			}
+		var pc float64
+		for i := c * exclChunk; i < hi; i++ {
+			pc = exclusionAtom(box, pos, q, alpha, excl, f, i, pc, nil)
+		}
+		part[c] = pc
+	}
+}
+
+// foldChunks is the one fold of the exclusion energy: chunk partials added
+// up in ascending chunk order.
+func foldChunks(part []float64) float64 {
+	var energy float64
+	for _, pc := range part {
+		energy += pc
+	}
+	return energy * units.Coulomb
+}
+
+// exclusionAtom is the one per-atom body. For each entry j of atom i's
+// neighbour list whose charge product does not vanish it subtracts the
+// half pair energy ½·q_i·q_j·erf(αr)/r from acc, which it returns, and adds
+// the correction force on i to f[i] (f may be nil). With terms non-nil it
+// also records each half energy in the entry's slot (zero for a skipped
+// entry, so slots stay aligned), for a root that was not there to repeat
+// the subtractions (FoldExclusionEnergy).
+func exclusionAtom(box vec.Box, pos []vec.V, q []float64, alpha float64, excl *topol.Exclusions, f []vec.V, i int, acc float64, terms []float64) float64 {
+	qi := q[i]
+	if qi == 0 && terms == nil {
+		return acc
+	}
+	for k, j32 := range excl.Neighbors(i) {
+		j := int(j32)
+		qq := qi * q[j]
+		var half float64
+		if qq != 0 {
 			d := box.MinImage(pos[i].Sub(pos[j]))
 			r2 := d.Norm2()
 			r := math.Sqrt(r2)
 			e := math.Erf(alpha*r) / r
-			energy -= 0.5 * qq * e
+			half = 0.5 * qq * e
+			acc -= half
 			if f != nil {
 				// Correction force: F_i = +q_i q_j d/dr[erf(αr)/r]·r̂.
 				fr := qq * (alpha*TwoOverSqrtPi*math.Exp(-alpha*alpha*r2) - e) / r2 * units.Coulomb
 				f[i] = f[i].Add(d.Scale(fr))
 			}
 		}
+		if terms != nil {
+			terms[k] = half
+		}
 	}
+	return acc
+}
+
+// ExclusionOffsets lays out the flat per-pair term array of an n-atom
+// system: atom i's terms occupy [off[i], off[i+1]), one slot per entry of
+// its neighbour list, none for atoms beyond the exclusion table.
+func ExclusionOffsets(excl *topol.Exclusions, n int) []int32 {
+	off := make([]int32, n+1)
+	na := excl.NAtoms()
+	for i := 0; i < n; i++ {
+		off[i+1] = off[i]
+		if i < na {
+			off[i+1] += int32(len(excl.Neighbors(i)))
+		}
+	}
+	return off
+}
+
+// ExclusionTerms evaluates the exclusion correction gathered onto the
+// listed atoms — the ones a rank owns; partners are read from pos, so they
+// must be current there — recording per-pair energy terms at the atoms'
+// slots of the off layout and accumulating forces into f (may be nil).
+func ExclusionTerms(box vec.Box, pos []vec.V, q []float64, alpha float64, excl *topol.Exclusions, f []vec.V, atoms, off []int32, terms []float64) {
+	for _, i := range atoms {
+		if t := terms[off[i]:off[i+1]]; len(t) > 0 {
+			exclusionAtom(box, pos, q, alpha, excl, f, int(i), 0, t)
+		}
+	}
+}
+
+// FoldExclusionEnergy is ExclusionCorrection's energy from the terms
+// ExclusionTerms recorded for every atom of the off layout: each chunk's
+// partial repeats the body's subtractions — atoms ascending, neighbour
+// lists in order, from zero; subtracting a recorded zero changes no bit —
+// and the partials fold as there.
+func FoldExclusionEnergy(terms []float64, off []int32) float64 {
+	n := len(off) - 1
+	pp, part := chunkPartials((n + exclChunk - 1) / exclChunk)
+	for c := range part {
+		hi := (c + 1) * exclChunk
+		if hi > n {
+			hi = n
+		}
+		var pc float64
+		for _, t := range terms[off[c*exclChunk]:off[hi]] {
+			pc -= t
+		}
+		part[c] = pc
+	}
+	energy := foldChunks(part)
+	exclPartialPool.Put(pp)
 	return energy
 }
 

@@ -270,7 +270,7 @@ func (ff *ForceField) meshTerm(sys *System, doMesh bool) {
 	defer sp.Stop()
 	ff.Obs.Add(obs.CounterMeshSolves, 1)
 	if len(ff.meshForces) != sys.N() {
-		ff.meshForces = make([]vec.V, sys.N())
+		ff.meshForces = make([]vec.V, sys.N()) //tmevet:ignore noalloc -- grow-once on the first mesh evaluation / atom-count change
 	}
 	for i := range ff.meshForces {
 		ff.meshForces[i] = vec.V{}
@@ -287,7 +287,7 @@ func (ff *ForceField) bondedTerm(sys *System) float64 {
 	sp := ff.Obs.Start(obs.StageBonded)
 	defer sp.Stop()
 	if len(ff.bondedFrc) != sys.N() {
-		ff.bondedFrc = make([]vec.V, sys.N())
+		ff.bondedFrc = make([]vec.V, sys.N()) //tmevet:ignore noalloc -- grow-once on the first evaluation / atom-count change
 	}
 	for i := range ff.bondedFrc {
 		ff.bondedFrc[i] = vec.V{}
@@ -295,39 +295,47 @@ func (ff *ForceField) bondedTerm(sys *System) float64 {
 	return ff.Bonded.Compute(sys.Box, sys.Pos, ff.bondedFrc)
 }
 
-// merge folds the term buffers into sys.Frc. Per atom the association
-// order is fixed (short-range + mesh + bonded), so the merge is bitwise
-// identical at any worker count.
+// merge folds the term buffers into sys.Frc, in parallel over atom ranges.
 //
 //tme:noalloc
 func (ff *ForceField) merge(sys *System) {
-	mesh := ff.Mesh != nil
-	bond := ff.Bonded != nil
-	if !mesh && !bond {
+	var mesh, bond []vec.V
+	if ff.Mesh != nil {
+		mesh = ff.meshForces
+	}
+	if ff.Bonded != nil {
+		bond = ff.bondedFrc
+	}
+	if mesh == nil && bond == nil {
 		return
 	}
 	sp := ff.Obs.Start(obs.StageMerge)
 	defer sp.Stop()
-	n := sys.N()
-	if par.Workers(n) == 1 {
-		ff.mergeRange(sys, 0, n, mesh, bond)
+	atoms := sys.All().Atoms
+	if par.Workers(len(atoms)) == 1 {
+		MergeForces(sys.Frc, mesh, bond, atoms)
 	} else {
-		par.ForRange(n, func(lo, hi int) {
-			ff.mergeRange(sys, lo, hi, mesh, bond)
+		par.ForRange(len(atoms), func(lo, hi int) {
+			MergeForces(sys.Frc, mesh, bond, atoms[lo:hi])
 		})
 	}
 }
 
+// MergeForces adds the mesh and bonded term buffers (nil for an absent
+// term) into frc for the listed atoms. Per atom the association order is
+// fixed — short-range + mesh + bonded — so the merge is bitwise identical
+// however the atoms are divided among workers or ranks.
+//
 //tme:noalloc
-func (ff *ForceField) mergeRange(sys *System, lo, hi int, mesh, bond bool) {
-	for i := lo; i < hi; i++ {
-		fi := sys.Frc[i]
-		if mesh {
-			fi = fi.Add(ff.meshForces[i])
+func MergeForces(frc, mesh, bonded []vec.V, atoms []int32) {
+	for _, i := range atoms {
+		fi := frc[i]
+		if mesh != nil {
+			fi = fi.Add(mesh[i])
 		}
-		if bond {
-			fi = fi.Add(ff.bondedFrc[i])
+		if bonded != nil {
+			fi = fi.Add(bonded[i])
 		}
-		sys.Frc[i] = fi
+		frc[i] = fi
 	}
 }

@@ -36,7 +36,8 @@ type Integrator struct {
 func (in *Integrator) SetObs(r *obs.Recorder) { in.FF.SetObs(r) }
 
 // Step advances the system by one time step and returns the energies
-// evaluated at the new positions.
+// evaluated at the new positions. The two integration phases are the stage
+// functions the rank engine runs too; here one owner holds every atom.
 //
 //tme:noalloc
 func (in *Integrator) Step(sys *System) Energies {
@@ -46,41 +47,13 @@ func (in *Integrator) Step(sys *System) Energies {
 	}
 	rec := in.FF.Obs
 	spStep := rec.Start(obs.StageStep)
-	dt := in.Dt
+	own := sys.All()
+	if len(in.old) != 3*len(own.Waters) {
+		in.old = make([]vec.V, 3*len(own.Waters)) //tmevet:ignore noalloc -- grow-once on first step / atom-count change
+	}
 
-	// Phase 1: half-kick with the previous step's forces, then drift.
-	spInt := rec.Start(obs.StageIntegrate)
-	for i := range sys.Vel {
-		sys.Vel[i] = sys.Vel[i].Add(sys.Frc[i].Scale(0.5 * dt / sys.Mass[i]))
-	}
-	if sys.WaterModel != nil && len(sys.RigidWaters) > 0 {
-		if len(in.old) != 3*len(sys.RigidWaters) {
-			in.old = make([]vec.V, 3*len(sys.RigidWaters)) //tmevet:ignore noalloc -- grow-once on first step / atom-count change
-		}
-		for wi, w := range sys.RigidWaters {
-			for k := 0; k < 3; k++ {
-				in.old[3*wi+k] = sys.Pos[w[k]]
-			}
-		}
-	}
-	for i := range sys.Pos {
-		sys.Pos[i] = sys.Pos[i].Add(sys.Vel[i].Scale(dt))
-	}
-	spInt.Stop()
-	// Constrain positions; fold the constraint impulse into velocities via
-	// v = (r_constrained − r_old)/dt.
-	if sys.WaterModel != nil {
-		spCon := rec.Start(obs.StageConstraint)
-		for wi, w := range sys.RigidWaters {
-			a0, b0, c0 := in.old[3*wi], in.old[3*wi+1], in.old[3*wi+2]
-			a, b, c := sys.WaterModel.Settle(a0, b0, c0, sys.Pos[w[0]], sys.Pos[w[1]], sys.Pos[w[2]])
-			sys.Vel[w[0]] = a.Sub(a0).Scale(1 / dt)
-			sys.Vel[w[1]] = b.Sub(b0).Scale(1 / dt)
-			sys.Vel[w[2]] = c.Sub(c0).Scale(1 / dt)
-			sys.Pos[w[0]], sys.Pos[w[1]], sys.Pos[w[2]] = a, b, c
-		}
-		spCon.Stop()
-	}
+	// Phase 1: half-kick with the previous step's forces, drift, SETTLE.
+	sys.KickDrift(own, in.Dt, in.old, rec)
 
 	// Phase 2: forces at the new positions.
 	in.stepCount++
@@ -91,24 +64,89 @@ func (in *Integrator) Step(sys *System) Energies {
 		e = in.FF.Compute(sys)
 	}
 
-	// Phase 3: second half-kick, then remove constraint-violating velocity
-	// components (the velocity half of SETTLE / RATTLE).
-	spInt = rec.Start(obs.StageIntegrate)
-	for i := range sys.Vel {
-		sys.Vel[i] = sys.Vel[i].Add(sys.Frc[i].Scale(0.5 * dt / sys.Mass[i]))
-	}
-	spInt.Stop()
-	spCon := rec.Start(obs.StageConstraint)
-	sys.applyVelocityConstraints()
-	spCon.Stop()
+	// Phase 3: second half-kick and the velocity half of SETTLE.
+	sys.KickConstrain(own, in.Dt, rec)
 
 	if in.Thermostat != nil {
-		in.Thermostat.Apply(sys, dt)
+		in.Thermostat.Apply(sys, in.Dt)
 	}
 	e.Kinetic = sys.KineticEnergy()
 	in.lastE = e
 	spStep.Stop()
 	return e
+}
+
+// Owned lists what one owner of a decomposed step integrates: atom indices
+// and rigid-water indices (into System.RigidWaters), both ascending. The
+// serial engine is the owner of everything (System.All); a rank of
+// internal/rank owns the molecules that started in its cell layers. Every
+// update of the two phases below reads and writes only its own atom or
+// molecule, so running them over disjoint owners composes, bit for bit, to
+// the all-atoms call.
+type Owned struct {
+	Atoms, Waters []int32
+}
+
+// KickDrift is phase 1 of the velocity-Verlet step for the atoms and waters
+// of own: half-kick with the forces in s.Frc, drift, then SETTLE of the
+// drifted waters against their pre-drift positions, the constraint impulse
+// folded into the velocities via v = (r_constrained − r_old)/dt. old is
+// scratch for those reference positions, three per owned water.
+//
+//tme:noalloc
+func (s *System) KickDrift(own Owned, dt float64, old []vec.V, rec *obs.Recorder) {
+	pos, vel := s.Pos, s.Vel
+	sp := rec.Start(obs.StageIntegrate)
+	s.halfKick(own.Atoms, dt)
+	if s.WaterModel != nil {
+		for k, wi := range own.Waters {
+			w := s.RigidWaters[wi]
+			old[3*k], old[3*k+1], old[3*k+2] = pos[w[0]], pos[w[1]], pos[w[2]]
+		}
+	}
+	for _, i := range own.Atoms {
+		pos[i] = pos[i].Add(vel[i].Scale(dt))
+	}
+	sp.Stop()
+	if s.WaterModel == nil {
+		return
+	}
+	sp = rec.Start(obs.StageConstraint)
+	for k, wi := range own.Waters {
+		w := s.RigidWaters[wi]
+		a0, b0, c0 := old[3*k], old[3*k+1], old[3*k+2]
+		a, b, c := s.WaterModel.Settle(a0, b0, c0, pos[w[0]], pos[w[1]], pos[w[2]])
+		vel[w[0]] = a.Sub(a0).Scale(1 / dt)
+		vel[w[1]] = b.Sub(b0).Scale(1 / dt)
+		vel[w[2]] = c.Sub(c0).Scale(1 / dt)
+		pos[w[0]], pos[w[1]], pos[w[2]] = a, b, c
+	}
+	sp.Stop()
+}
+
+// KickConstrain is phase 3 for the atoms and waters of own: the second
+// half-kick with the new forces, then removal of the constraint-violating
+// velocity components (the velocity half of SETTLE / RATTLE).
+//
+//tme:noalloc
+func (s *System) KickConstrain(own Owned, dt float64, rec *obs.Recorder) {
+	sp := rec.Start(obs.StageIntegrate)
+	s.halfKick(own.Atoms, dt)
+	sp.Stop()
+	sp = rec.Start(obs.StageConstraint)
+	s.settleVelocities(own.Waters)
+	sp.Stop()
+}
+
+// halfKick adds half a step of the acceleration F/m to the listed atoms'
+// velocities.
+//
+//tme:noalloc
+func (s *System) halfKick(atoms []int32, dt float64) {
+	vel, frc, mass := s.Vel, s.Frc, s.Mass
+	for _, i := range atoms {
+		vel[i] = vel[i].Add(frc[i].Scale(0.5 * dt / mass[i]))
+	}
 }
 
 // CaptureResume captures the complete cross-step state needed to resume

@@ -35,6 +35,8 @@ type System struct {
 	RigidWaters [][3]int
 	// WaterModel is the rigid geometry shared by all RigidWaters.
 	WaterModel *constraint.Water
+
+	all Owned // cache of All
 }
 
 // N returns the number of atoms.
@@ -52,6 +54,25 @@ func NewSystem(n int, box vec.Box) *System {
 		LJ:   &nonbond.LJ{Sigma: make([]float64, n), Eps: make([]float64, n)},
 		Excl: topol.NewExclusions(n),
 	}
+}
+
+// All returns the ownership set of the single owner that holds every atom
+// and every rigid water — the serial engine's instance of Owned. The lists
+// are cached and rebuilt when either count changes; not safe for concurrent
+// first use.
+func (s *System) All() Owned {
+	if len(s.all.Atoms) != s.N() || len(s.all.Waters) != len(s.RigidWaters) {
+		s.all = Owned{Atoms: ascending(s.N()), Waters: ascending(len(s.RigidWaters))}
+	}
+	return s.all
+}
+
+func ascending(n int) []int32 {
+	idx := make([]int32, n) //tmevet:ignore noalloc -- grow-once: System.All caches the list until the count changes
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
 }
 
 // KineticEnergy returns ½ Σ m v² in kJ/mol.
@@ -86,7 +107,7 @@ func (s *System) InitVelocities(T float64, rng *rand.Rand) {
 		s.Vel[i] = vec.V{rng.NormFloat64() * sd, rng.NormFloat64() * sd, rng.NormFloat64() * sd}
 	}
 	s.RemoveCOMMotion()
-	s.applyVelocityConstraints()
+	s.settleVelocities(s.All().Waters)
 	// Rescale to hit T exactly on the constrained ensemble.
 	cur := s.Temperature()
 	if cur > 0 {
@@ -116,11 +137,16 @@ func (s *System) ScaleVelocities(f float64) {
 	}
 }
 
-func (s *System) applyVelocityConstraints() {
+// settleVelocities projects the bond-stretching velocity components out of
+// the listed rigid waters.
+//
+//tme:noalloc
+func (s *System) settleVelocities(waters []int32) {
 	if s.WaterModel == nil {
 		return
 	}
-	for _, w := range s.RigidWaters {
+	for _, wi := range waters {
+		w := s.RigidWaters[wi]
 		s.WaterModel.SettleVelocities(
 			s.Pos[w[0]], s.Pos[w[1]], s.Pos[w[2]],
 			&s.Vel[w[0]], &s.Vel[w[1]], &s.Vel[w[2]])

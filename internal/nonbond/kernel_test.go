@@ -151,44 +151,64 @@ func TestVerletAgreesWithCellPath(t *testing.T) {
 // TestSlabRangeMatchesComputeWithListBitwise: the rank engine's entry
 // point, run over every cell-mode slab in a few range splits with each
 // returned deferred list applied by the owner of the next slab, must equal
-// ComputeWithList to the bit — forces, energies and pair count.
+// ComputeWithList to the bit — forces, energies and pair count — and so
+// must its energies when no forces are asked for. The second box has three
+// cell layers, the fewest a cell decomposition can have (below that
+// celllist falls back to direct mode, so a two-slab ring does not exist):
+// there every slab's upper neighbour is also the lower neighbour of its
+// lower neighbour, and a two-range split hands each range's deferred list
+// to the range it also receives from.
 func TestSlabRangeMatchesComputeWithListBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(nameSeed(t)))
-	box := vec.Cubic(5)
-	n := 500
-	pos, q, lj := randomSystem(rng, n, box)
-	excl := testExclusions(n)
-	cl := celllist.Build(box, 1.0, pos)
-	if cl.Direct() {
-		t.Fatal("test box must be in cell mode")
-	}
-	ns := cl.Slabs()
-	fRef := make([]vec.V, n)
-	rRef := ComputeWithList(cl, box, pos, q, lj, 2.5, excl, fRef)
+	for _, tc := range []struct {
+		box  vec.Box
+		n    int
+		cuts [][]int
+	}{
+		{vec.Cubic(5), 500, [][]int{{0, 5}, {0, 2, 5}, {0, 1, 2, 3, 4, 5}}},
+		{vec.Cubic(3.1), 240, [][]int{{0, 3}, {0, 1, 3}, {0, 2, 3}, {0, 1, 2, 3}}},
+	} {
+		box, n := tc.box, tc.n
+		pos, q, lj := randomSystem(rng, n, box)
+		excl := testExclusions(n)
+		cl := celllist.Build(box, 1.0, pos)
+		ns := cl.Slabs()
+		if cl.Direct() || ns != tc.cuts[0][1] {
+			t.Fatalf("box %v: want %d cell layers, got %d (direct=%v)", box.L, tc.cuts[0][1], ns, cl.Direct())
+		}
+		fRef := make([]vec.V, n)
+		rRef := ComputeWithList(cl, box, pos, q, lj, 2.5, excl, fRef)
+		rNil := ComputeWithList(cl, box, pos, q, lj, 2.5, excl, nil)
+		assertResultBitwise(t, "ComputeWithList without forces", rRef, rNil)
 
-	for _, cuts := range [][]int{{0, ns}, {0, 2, ns}, {0, 1, 2, 3, 4, ns}} {
-		f := make([]vec.V, n)
-		part := make([]SlabPartial, ns)
-		// Owner passes first, every deferred list after — the phase order of
-		// ComputeWithList; a list belongs to the range that starts at the
-		// slab above the one that recorded it (cyclically).
-		var defs [][]Deferred
-		for r := 0; r+1 < len(cuts); r++ {
-			s0, s1 := cuts[r], cuts[r+1]
-			def := ComputeSlabRange(cl, pos, q, lj, 2.5, excl, f, part[s0:s1], &SlabScratch{}, s0, s1)
-			defs = append(defs, def)
+		for _, cuts := range tc.cuts {
+			for _, forces := range []bool{true, false} {
+				var f []vec.V
+				if forces {
+					f = make([]vec.V, n)
+				}
+				part := make([]SlabPartial, ns)
+				// Owner passes first, every deferred list after — the phase order
+				// of ComputeWithList; a list belongs to the range that starts at
+				// the slab above the one that recorded it (cyclically).
+				var defs [][]Deferred
+				for r := 0; r+1 < len(cuts); r++ {
+					s0, s1 := cuts[r], cuts[r+1]
+					def := ComputeSlabRange(cl, pos, q, lj, 2.5, excl, f, part[s0:s1], &SlabScratch{}, s0, s1)
+					if !forces && len(def) != 0 {
+						t.Fatalf("ns=%d cuts %v: %d deferred forces recorded without a force array", ns, cuts, len(def))
+					}
+					defs = append(defs, def)
+				}
+				for _, def := range defs {
+					ApplyDeferred(f, def)
+				}
+				assertResultBitwise(t, "slab ranges", rRef, FoldSlabs(part))
+				if forces {
+					assertForcesBitwise(t, "slab ranges", fRef, f)
+				}
+			}
 		}
-		for _, def := range defs {
-			ApplyDeferred(f, def)
-		}
-		var res Result
-		for _, p := range part {
-			res.ECoul += p.ECoul
-			res.ELJ += p.ELJ
-			res.Pairs += p.Pairs
-		}
-		assertResultBitwise(t, "slab ranges", rRef, res)
-		assertForcesBitwise(t, "slab ranges", fRef, f)
 	}
 }
 

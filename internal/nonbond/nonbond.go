@@ -52,73 +52,42 @@ type Result struct {
 	Pairs int     // interacting pairs evaluated (within cutoff)
 }
 
-// slabPartial is one slab's energy/pair-count accumulator, padded to a
-// cache line so concurrent slab workers never share one.
-type slabPartial struct {
-	eCoul, eLJ float64
-	pairs      int
-	_          [5]float64
-}
-
-// deferredForce is a Newton-pair reaction force destined for an atom in a
-// foreign slab, applied by that slab's worker in the second pass.
-type deferredForce struct {
-	j int32
-	f vec.V
-}
-
-// pairScratch holds the per-call slab partials and deferred-force buffers
+// pairScratch holds the per-call slab partials and reaction-force buffers
 // of ComputeWithList, recycled through scratchPool so steady-state calls
 // allocate nothing.
 type pairScratch struct {
-	part []slabPartial
-	// def[src*ns+tgt] collects the reaction forces slab src owes slab tgt.
-	// Used in cell mode, where cross-slab pairs are the thin boundary-layer
-	// minority and only tgt = src+1 (mod ns) is populated.
-	def []([]deferredForce)
+	SlabScratch
+	part []SlabPartial
 	// dense[src] is slab src's private full-length reaction-force buffer,
-	// used in direct mode instead of def: there nearly every pair crosses a
-	// block boundary, and a dense accumulator costs one vector write per
-	// pair (like the serial f[j] update) where per-pair deferred entries
-	// would dominate the runtime. Direct mode caps the slab count at 32, so
-	// the footprint stays bounded at ns·n vectors.
+	// used in direct mode instead of the deferred lists: there nearly every
+	// pair crosses a block boundary, and a dense accumulator costs one
+	// vector write per pair (like the serial f[j] update) where per-pair
+	// deferred entries would dominate the runtime. Direct mode caps the slab
+	// count at 32, so the footprint stays bounded at ns·n vectors.
 	dense [][]vec.V
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(pairScratch) }}
 
 func (sc *pairScratch) reset(ns int) {
+	sc.SlabScratch.reset(ns)
 	if cap(sc.part) < ns {
-		sc.part = make([]slabPartial, ns)
+		sc.part = make([]SlabPartial, ns) //tmevet:ignore noalloc -- grow-once: pooled, sized to the slab count
 	}
 	sc.part = sc.part[:ns]
-	for i := range sc.part {
-		sc.part[i] = slabPartial{}
-	}
-	need := ns * ns
-	if cap(sc.def) < need {
-		old := sc.def
-		sc.def = make([][]deferredForce, need)
-		// Keep the grown buffers of previous calls alive.
-		copy(sc.def, old)
-	}
-	sc.def = sc.def[:need]
-	for i := range sc.def {
-		sc.def[i] = sc.def[i][:0]
-	}
 }
 
 // resetDense sizes and zeroes the direct-mode dense reaction buffers.
 func (sc *pairScratch) resetDense(ns, n int) {
 	if cap(sc.dense) < ns {
 		old := sc.dense
-		sc.dense = make([][]vec.V, ns)
+		sc.dense = make([][]vec.V, ns) //tmevet:ignore noalloc -- grow-once: pooled, sized to the slab count
 		copy(sc.dense, old)
 	}
 	sc.dense = sc.dense[:ns]
 	for s := range sc.dense {
 		if cap(sc.dense[s]) < n {
-			sc.dense[s] = make([]vec.V, n)
+			sc.dense[s] = make([]vec.V, n) //tmevet:ignore noalloc -- grow-once: pooled, sized to the atom count
 		}
 		sc.dense[s] = sc.dense[s][:n]
 		buf := sc.dense[s]
@@ -152,7 +121,9 @@ func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, l
 	}
 	// Slabs are claimed one at a time (par.For): direct-mode blocks are
 	// triangular, so equal contiguous ranges would leave the first worker
-	// most of the pairs. Which worker runs a slab touches no result.
+	// most of the pairs. Which worker runs a slab touches no result. In the
+	// deferred pass, target slab m's reaction forces all come from the layer
+	// below it.
 	if par.WorkersGrain(ns, 1) == 1 {
 		if dense {
 			for s := 0; s < ns; s++ {
@@ -163,10 +134,10 @@ func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, l
 			}
 		} else {
 			for s := 0; s < ns; s++ {
-				computeSlab(cl, k, pos, q, lj, excl, f, sc, s, ns)
+				sc.slab(cl, k, pos, q, lj, excl, f, &sc.part[s], s, s)
 			}
 			for m := 0; f != nil && m < ns; m++ {
-				applyDeferred(f, sc, m, ns)
+				ApplyDeferred(f, sc.def[(m+ns-1)%ns])
 			}
 		}
 	} else if dense {
@@ -178,63 +149,34 @@ func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, l
 		})
 	} else {
 		par.For(ns, func(s int) {
-			computeSlab(cl, k, pos, q, lj, excl, f, sc, s, ns)
+			sc.slab(cl, k, pos, q, lj, excl, f, &sc.part[s], s, s)
 		})
 		if f != nil {
 			par.For(ns, func(m int) {
-				applyDeferred(f, sc, m, ns)
+				ApplyDeferred(f, sc.def[(m+ns-1)%ns])
 			})
 		}
 	}
-	var res Result
-	for s := 0; s < ns; s++ {
-		res.ECoul += sc.part[s].eCoul
-		res.ELJ += sc.part[s].eLJ
-		res.Pairs += sc.part[s].pairs
-	}
+	res := FoldSlabs(sc.part)
 	scratchPool.Put(sc)
 	return res
 }
 
-// computeSlab traverses slab s, writing forces only into atoms slab s owns
-// and deferring cross-slab reaction forces.
-func computeSlab(cl *celllist.List, k *kernel, pos []vec.V, q []float64, lj *LJ, excl *topol.Exclusions, f []vec.V, sc *pairScratch, s, ns int) {
-	p := &sc.part[s]
-	base := s * ns
-	cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) {
-		if excl.Excluded(i, j) {
-			return
-		}
-		p.pairs++
-		eC, eLJ, fr := k.pair(q[i]*q[j], lj, i, j, r2)
-		p.eCoul += eC
-		p.eLJ += eLJ
-		if f != nil && fr != 0 {
-			fv := d.Scale(fr)
-			f[i] = f[i].Add(fv)
-			if tgt == s {
-				f[j] = f[j].Sub(fv)
-			} else {
-				sc.def[base+tgt] = append(sc.def[base+tgt], deferredForce{int32(j), fv})
-			}
-		}
-	})
-}
-
-// computeSlabDense is the direct-mode variant of computeSlab: cross-block
+// computeSlabDense is the direct-mode variant of SlabScratch.slab: cross-block
 // reaction forces accumulate into the slab's dense private buffer instead
 // of per-pair deferred entries.
 func computeSlabDense(cl *celllist.List, k *kernel, pos []vec.V, q []float64, lj *LJ, excl *topol.Exclusions, f []vec.V, sc *pairScratch, s int) {
 	p := &sc.part[s]
+	*p = SlabPartial{}
 	fs := sc.dense[s]
-	cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) {
+	cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) { //tmevet:ignore noalloc -- the closure does not escape ForEachPairInSlab; TestComputeWithListSteadyStateAllocs holds it at 0
 		if excl.Excluded(i, j) {
 			return
 		}
-		p.pairs++
+		p.Pairs++
 		eC, eLJ, fr := k.pair(q[i]*q[j], lj, i, j, r2)
-		p.eCoul += eC
-		p.eLJ += eLJ
+		p.ECoul += eC
+		p.ELJ += eLJ
 		if fr != 0 {
 			fv := d.Scale(fr)
 			f[i] = f[i].Add(fv)
@@ -261,20 +203,6 @@ func applyDense(f []vec.V, sc *pairScratch, m, ns, n int) {
 		fs := sc.dense[src]
 		for j := lo; j < hi; j++ {
 			f[j] = f[j].Add(fs[j])
-		}
-	}
-}
-
-// applyDeferred applies the deferred reaction forces owed to target slab m,
-// scanning source slabs in ascending order so each atom's accumulation
-// order is fixed.
-func applyDeferred(f []vec.V, sc *pairScratch, m, ns int) {
-	for src := 0; src < ns; src++ {
-		if src == m {
-			continue
-		}
-		for _, e := range sc.def[src*ns+m] {
-			f[e.j] = f[e.j].Sub(e.f)
 		}
 	}
 }

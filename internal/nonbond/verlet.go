@@ -33,7 +33,7 @@ type VerletList struct {
 	same   [][]pair
 	cross  [][]pair
 	dfrc   [][]vec.V // deferred reaction forces, parallel to cross
-	part   []slabPartial
+	part   []SlabPartial
 	npairs int
 	ref    []vec.V // positions at build time
 	n      int
@@ -72,7 +72,7 @@ func (v *VerletList) Rebuild(pos []vec.V, excl *topol.Exclusions) {
 	defer sp.Stop()
 	v.n = len(pos)
 	if cap(v.ref) < len(pos) {
-		v.ref = make([]vec.V, len(pos))
+		v.ref = make([]vec.V, len(pos)) //tmevet:ignore noalloc -- grow-once: reused across rebuilds until the atom count grows
 	}
 	v.ref = v.ref[:len(pos)]
 	copy(v.ref, pos)
@@ -87,12 +87,12 @@ func (v *VerletList) Rebuild(pos []vec.V, excl *topol.Exclusions) {
 	v.same = resizeBuckets(v.same, ns)
 	v.cross = resizeBuckets(v.cross, ns*ns)
 	if cap(v.part) < ns {
-		v.part = make([]slabPartial, ns)
+		v.part = make([]SlabPartial, ns) //tmevet:ignore noalloc -- grow-once: sized to the slab count
 	}
 	v.part = v.part[:ns]
 	if cap(v.dfrc) < ns*ns {
 		old := v.dfrc
-		v.dfrc = make([][]vec.V, ns*ns)
+		v.dfrc = make([][]vec.V, ns*ns) //tmevet:ignore noalloc -- grow-once: sized to the slab count
 		copy(v.dfrc, old)
 	}
 	v.dfrc = v.dfrc[:ns*ns]
@@ -120,7 +120,7 @@ func (v *VerletList) Rebuild(pos []vec.V, excl *topol.Exclusions) {
 		// fluctuate a little between rebuilds, and sizing to the exact
 		// length would reallocate dfrc on every one-pair growth.
 		if cap(v.dfrc[b]) < cap(v.cross[b]) {
-			v.dfrc[b] = make([]vec.V, cap(v.cross[b]))
+			v.dfrc[b] = make([]vec.V, cap(v.cross[b])) //tmevet:ignore noalloc -- grow-once: follows its bucket's capacity (see above)
 		}
 		v.dfrc[b] = v.dfrc[b][:len(v.cross[b])]
 	}
@@ -133,15 +133,15 @@ func (v *VerletList) Rebuild(pos []vec.V, excl *topol.Exclusions) {
 func (v *VerletList) fillSlab(s int, pos []vec.V, excl *topol.Exclusions) {
 	sm := v.same[s][:0]
 	base := s * v.ns
-	v.cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) {
+	v.cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) { //tmevet:ignore noalloc -- the closure does not escape ForEachPairInSlab; TestVerletComputeSteadyStateAllocs holds Rebuild at 0
 		if excl.Excluded(i, j) {
 			return
 		}
 		pr := pair{int32(i), int32(j)}
 		if tgt == s {
-			sm = append(sm, pr)
+			sm = append(sm, pr) //tmevet:ignore noalloc -- grow-once: buckets keep their capacity across rebuilds
 		} else {
-			v.cross[base+tgt] = append(v.cross[base+tgt], pr)
+			v.cross[base+tgt] = append(v.cross[base+tgt], pr) //tmevet:ignore noalloc -- grow-once: buckets keep their capacity across rebuilds
 		}
 	})
 	v.same[s] = sm
@@ -150,7 +150,7 @@ func (v *VerletList) fillSlab(s int, pos []vec.V, excl *topol.Exclusions) {
 func resizeBuckets(b [][]pair, n int) [][]pair {
 	if cap(b) < n {
 		old := b
-		b = make([][]pair, n)
+		b = make([][]pair, n) //tmevet:ignore noalloc -- grow-once: sized to the slab count
 		copy(b, old)
 	}
 	return b[:n]
@@ -206,14 +206,14 @@ func (v *VerletList) Compute(pos []vec.V, q []float64, lj *LJ, alpha float64, f 
 	}
 	if par.WorkersGrain(ns, 1) == 1 {
 		for s := 0; s < ns; s++ {
-			v.computeSlab(s, pos, q, lj, f)
+			v.evalSlab(s, pos, q, lj, f)
 		}
 		for m := 0; f != nil && m < ns; m++ {
 			v.applyDeferred(f, m)
 		}
 	} else {
 		par.For(ns, func(s int) {
-			v.computeSlab(s, pos, q, lj, f)
+			v.evalSlab(s, pos, q, lj, f)
 		})
 		if f != nil {
 			par.For(ns, func(m int) {
@@ -221,16 +221,10 @@ func (v *VerletList) Compute(pos []vec.V, q []float64, lj *LJ, alpha float64, f 
 			})
 		}
 	}
-	var res Result
-	for s := 0; s < ns; s++ {
-		res.ECoul += v.part[s].eCoul
-		res.ELJ += v.part[s].eLJ
-		res.Pairs += v.part[s].pairs
-	}
-	return res
+	return FoldSlabs(v.part)
 }
 
-// computeSlab evaluates slab s's buckets: same-slab pairs update both
+// evalSlab evaluates slab s's buckets: same-slab pairs update both
 // force entries, cross-slab pairs update the owned side and record the
 // reaction force for the target slab's deferred pass.
 //
@@ -239,7 +233,7 @@ func (v *VerletList) Compute(pos []vec.V, q []float64, lj *LJ, alpha float64, f 
 // costs more than the kernel itself once the transcendentals are gone.
 //
 //tme:noalloc
-func (v *VerletList) computeSlab(s int, pos []vec.V, q []float64, lj *LJ, f []vec.V) {
+func (v *VerletList) evalSlab(s int, pos []vec.V, q []float64, lj *LJ, f []vec.V) {
 	k := v.k
 	rc2 := v.Cutoff * v.Cutoff
 	lx, ly, lz := v.Box.L[0], v.Box.L[1], v.Box.L[2]
@@ -304,7 +298,7 @@ func (v *VerletList) computeSlab(s int, pos []vec.V, q []float64, lj *LJ, f []ve
 			d[0], d[1], d[2] = fx, fy, fz
 		}
 	}
-	v.part[s] = slabPartial{eCoul: eCoul, eLJ: eLJsum, pairs: pairs}
+	v.part[s] = SlabPartial{ECoul: eCoul, ELJ: eLJsum, Pairs: pairs}
 }
 
 // applyDeferred applies the reaction forces owed to target slab m in

@@ -113,7 +113,7 @@ func (m *Mesher) interpolateRangeOracle(phi *grid.G, pos []vec.V, q []float64, f
 }
 
 // interpolateOracle is Interpolate's two-stage energy fold over the oracle
-// gather: EnergyChunk-atom partials, summed in chunk order.
+// gather: energyChunk-atom partials, summed in chunk order.
 func (m *Mesher) interpolateOracle(phi *grid.G, pos []vec.V, q []float64, f []vec.V) float64 {
 	var energy float64
 	for lo := 0; lo < len(pos); lo += energyChunk {
@@ -286,7 +286,7 @@ func TestInterpolateMatchesOracle(t *testing.T) {
 
 		// Rank mode: each block gathers the atoms whose base plane it owns
 		// from its planes plus the P−1 wrapped halo planes above them, and
-		// the energy is replayed from the per-atom terms.
+		// the energy is folded from the per-atom terms.
 		plane := n[0] * n[1]
 		cut := 13 * n[2] / 32
 		gotF := append([]vec.V(nil), f0...)
@@ -305,8 +305,8 @@ func TestInterpolateMatchesOracle(t *testing.T) {
 			}
 			m.InterpolatePlanes(ext, s[0], idx, pos, q, eterm, gotF)
 		}
-		if gotE := ReplayEnergy(eterm, q); !sameBits(wantE, gotE) {
-			t.Fatalf("InterpolatePlanes %s: replayed energy %.17g, oracle %.17g", name, gotE, wantE)
+		if gotE := FoldEnergy(eterm, q); !sameBits(wantE, gotE) {
+			t.Fatalf("InterpolatePlanes %s: folded energy %.17g, oracle %.17g", name, gotE, wantE)
 		}
 		assertForceBits(t, "InterpolatePlanes "+name, wantF, gotF)
 	}

@@ -7,9 +7,9 @@
 // hardware datapath lives in internal/hw/lru.
 //
 // Both AssignTo and Interpolate are parallel and deterministic: the mesh is
-// partitioned by z-plane ownership (scatter) and the energy reduction uses
-// fixed-size particle chunks (gather), so results are bitwise independent
-// of GOMAXPROCS.
+// partitioned by z-plane ownership (scatter) and the energy reduction folds
+// per-atom terms over fixed-size particle chunks (gather), so results are
+// bitwise independent of GOMAXPROCS.
 package pmesh
 
 import (
@@ -203,70 +203,81 @@ func (m *Mesher) spread(data []float64, zlo, zhi int, r vec.V, qi float64) {
 	}
 }
 
-// energyChunk is the fixed particle-chunk size of the Interpolate energy
-// reduction. Chunk boundaries depend only on the particle count — never on
-// GOMAXPROCS — so the summation order (and hence the energy, bitwise) is
-// identical at any worker count.
+// energyChunk is the fixed particle-chunk size of the interpolation energy
+// fold (FoldEnergy). Chunk boundaries depend only on the particle count —
+// never on GOMAXPROCS or a rank count — so the summation order (and hence
+// the energy, bitwise) is identical however the atoms were divided.
 const energyChunk = 256
 
-// partialPool recycles the per-call chunk-partial slices.
-var partialPool = sync.Pool{New: func() interface{} { return new([]float64) }}
+// etermPool recycles the per-call per-atom energy-term slices.
+var etermPool = sync.Pool{New: func() interface{} { return new([]float64) }}
 
 // Interpolate gathers the per-atom electrostatic potentials φ_i from the
 // grid potential phi (Eq. (15)) and accumulates forces F_i = −q_i ∇φ(r_i)
 // (Eq. (16)–(17)) into f. It returns the interaction energy
-// E = ½ Σ q_i φ_i (Eq. (14)).
+// E = ½ Σ q_i φ_i (Eq. (14)): the per-atom terms, gathered in parallel
+// over fixed particle chunks, folded by FoldEnergy.
 //
 //tme:noalloc
 func (m *Mesher) Interpolate(phi *grid.G, pos []vec.V, q []float64, f []vec.V) float64 {
 	sp := m.o.Start(obs.StageInterp)
-	nchunks := (len(pos) + energyChunk - 1) / energyChunk
-	pp := partialPool.Get().(*[]float64)
-	if cap(*pp) < nchunks {
-		*pp = make([]float64, nchunks) //tmevet:ignore noalloc -- grow-once: reused via partialPool in steady state
+	n := len(pos)
+	pp := etermPool.Get().(*[]float64)
+	if cap(*pp) < n {
+		*pp = make([]float64, n) //tmevet:ignore noalloc -- grow-once: reused via etermPool in steady state
 	}
-	partial := (*pp)[:nchunks]
+	eterm := (*pp)[:n]
+	nchunks := (n + energyChunk - 1) / energyChunk
 	if par.WorkersGrain(nchunks, 1) == 1 {
-		m.interpolateChunks(phi, pos, q, f, partial, 0, nchunks)
+		m.gatherRange(phi, pos, q, eterm, f, 0, n)
 	} else {
 		par.ForRangeGrain(nchunks, 1, func(clo, chi int) {
-			m.interpolateChunks(phi, pos, q, f, partial, clo, chi)
+			hi := chi * energyChunk
+			if hi > n {
+				hi = n
+			}
+			m.gatherRange(phi, pos, q, eterm, f, clo*energyChunk, hi)
 		})
 	}
-	var energy float64
-	for _, e := range partial {
-		energy += e
-	}
-	partialPool.Put(pp)
+	energy := FoldEnergy(eterm, q)
+	etermPool.Put(pp)
 	sp.Stop()
 	return energy
 }
 
-// interpolateChunks evaluates the fixed-size particle chunks [clo, chi),
-// storing each chunk's energy in partial.
+// gatherRange gathers particles [lo, hi) from the full periodic grid.
 //
 //tme:noalloc
-func (m *Mesher) interpolateChunks(phi *grid.G, pos []vec.V, q []float64, f []vec.V, partial []float64, clo, chi int) {
-	for ci := clo; ci < chi; ci++ {
-		lo := ci * energyChunk
-		hi := lo + energyChunk
-		if hi > len(pos) {
-			hi = len(pos)
+func (m *Mesher) gatherRange(phi *grid.G, pos []vec.V, q, eterm []float64, f []vec.V, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if q[i] != 0 {
+			eterm[i] = m.gather(phi.Data, 0, m.N[2], pos[i], q[i], f, i)
 		}
-		partial[ci] = m.interpolateRange(phi, pos, q, f, lo, hi)
 	}
 }
 
-// interpolateRange is the serial gather kernel over particles [lo, hi).
+// FoldEnergy sums per-atom energy terms ½·q_i·φ_i into the interpolation
+// energy, the one reduction order of every engine: each fixed
+// energyChunk-atom chunk accumulates its members' terms in ascending atom
+// order (neutral atoms have no term and are skipped), then the chunk
+// partials add up in ascending chunk order.
 //
 //tme:noalloc
-func (m *Mesher) interpolateRange(phi *grid.G, pos []vec.V, q []float64, f []vec.V, lo, hi int) float64 {
+func FoldEnergy(eterm, q []float64) float64 {
 	var energy float64
-	for i := lo; i < hi; i++ {
-		if q[i] == 0 {
-			continue
+	n := len(q)
+	for lo := 0; lo < n; lo += energyChunk {
+		hi := lo + energyChunk
+		if hi > n {
+			hi = n
 		}
-		energy += m.gather(phi.Data, 0, m.N[2], pos[i], q[i], f, i)
+		var pc float64
+		for i := lo; i < hi; i++ {
+			if q[i] != 0 {
+				pc += eterm[i]
+			}
+		}
+		energy += pc
 	}
 	return energy
 }

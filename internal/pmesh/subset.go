@@ -7,9 +7,10 @@
 // owned atoms from an extended block that includes the upper halo planes.
 // Both run the per-atom bodies AssignTo and Interpolate run (Mesher.spread,
 // Mesher.gather), so the per-plane grid values and the per-atom
-// energies/forces are bitwise equal to a full-grid AssignTo / Interpolate
+// energy terms and forces are those of a full-grid AssignTo / Interpolate
 // as long as the caller feeds atoms in ascending global index order (the
-// serial particle order).
+// serial particle order); FoldEnergy, which Interpolate ends with, turns
+// the gathered terms into its return value.
 
 package pmesh
 
@@ -18,37 +19,6 @@ import (
 	"tme4a/internal/grid"
 	"tme4a/internal/vec"
 )
-
-// EnergyChunk is the fixed particle-chunk size of the Interpolate energy
-// reduction, exported so distributed replays fold per-atom energy terms in
-// the identical order.
-const EnergyChunk = energyChunk
-
-// ReplayEnergy reconstructs Interpolate's energy reduction from per-atom
-// terms: each fixed EnergyChunk-atom chunk accumulates its members' terms
-// in ascending atom order (q==0 atoms skipped, as Interpolate skips
-// them), then the chunk partials fold in ascending chunk order — exactly
-// Interpolate's two-stage sum, so the result is bitwise equal when
-// eterm[i] came from InterpolatePlanes.
-func ReplayEnergy(eterm, q []float64) float64 {
-	var energy float64
-	n := len(q)
-	for lo := 0; lo < n; lo += energyChunk {
-		hi := lo + energyChunk
-		if hi > n {
-			hi = n
-		}
-		var pc float64
-		for i := lo; i < hi; i++ {
-			if q[i] == 0 {
-				continue
-			}
-			pc += eterm[i]
-		}
-		energy += pc
-	}
-	return energy
-}
 
 // BasePlane returns the wrapped z base plane of a position: the first of
 // the P consecutive (wrapped) mesh planes its spline support touches.
@@ -85,15 +55,14 @@ func (m *Mesher) AssignPlanes(sub *grid.G, zlo int, idx []int32, pos []vec.V, q 
 // potential planes [zlo, zlo+ext.N[2]) (own block plus P−1 upper halo
 // planes, wrapped). It writes the per-atom energy term ½·q_i·φ_i into
 // eterm[i] and accumulates forces into f[i] (both indexed by global atom
-// index); the root replays the serial 256-atom-chunk fold over eterm to
-// reconstruct Interpolate's return value bitwise.
+// index); FoldEnergy over the terms of all ranks is Interpolate's return
+// value.
 //
 //tme:noalloc
 func (m *Mesher) InterpolatePlanes(ext *grid.G, zlo int, idx []int32, pos []vec.V, q []float64, eterm []float64, f []vec.V) {
 	for _, i := range idx {
-		if q[i] == 0 {
-			continue
+		if q[i] != 0 {
+			eterm[i] = m.gather(ext.Data, zlo, ext.N[2], pos[i], q[i], f, int(i))
 		}
-		eterm[i] = m.gather(ext.Data, zlo, ext.N[2], pos[i], q[i], f, int(i))
 	}
 }

@@ -1,5 +1,5 @@
 // Engine: owns the worker goroutines, drives boot/step rounds over the
-// command and result channels, and folds the per-rank partials into the
+// command and result channels, and folds the per-rank energy terms into the
 // serial energy breakdown and system state.
 package rank
 
@@ -83,20 +83,13 @@ func New(cfg Config, sys *md.System, ff *md.ForceField, dt float64) (*Engine, er
 	n := sys.N()
 
 	sh := &shared{
-		n:      n,
-		r:      r,
-		dt:     dt,
-		alpha:  ff.Alpha,
-		rc:     ff.Rc,
-		box:    sys.Box,
-		q:      sys.Q,
-		mass:   sys.Mass,
-		lj:     sys.LJ,
-		excl:   sys.Excl,
-		waters: sys.RigidWaters,
-		wm:     sys.WaterModel,
-		ns:     ns,
-		abort:  make(chan struct{}),
+		n:     n,
+		r:     r,
+		dt:    dt,
+		alpha: ff.Alpha,
+		rc:    ff.Rc,
+		ns:    ns,
+		abort: make(chan struct{}),
 	}
 	var once sync.Once
 	ab := sh.abort
@@ -114,12 +107,12 @@ func New(cfg Config, sys *md.System, ff *md.ForceField, dt float64) (*Engine, er
 		sh.plan = plan
 		sh.mesher = plan.Mesher
 		sh.onz0 = plan.D.Onz(0)
+		sh.exclOff = ewald.ExclusionOffsets(sys.Excl, n)
 	}
 
 	if err := buildOwnership(sh, sys, probe); err != nil {
 		return nil, err
 	}
-	buildExclOffsets(sh)
 
 	if r > 1 {
 		sh.links = make([][]*link, r)
@@ -151,7 +144,7 @@ func New(cfg Config, sys *md.System, ff *md.ForceField, dt float64) (*Engine, er
 	}
 	for a := 0; a < r; a++ {
 		e.cmds[a] = make(chan uint8, 1)
-		e.workers[a] = newWorker(sh, a, e.cmds[a], e.resCh, sys.Pos, sys.Vel)
+		e.workers[a] = newWorker(sh, a, e.cmds[a], e.resCh, sys)
 	}
 	for _, w := range e.workers {
 		e.wg.Add(1)
@@ -182,7 +175,7 @@ func buildOwnership(sh *shared, sys *md.System, probe *celllist.List) error {
 		}
 		return int32(sh.r - 1)
 	}
-	for _, t := range sh.waters {
+	for _, t := range sys.RigidWaters {
 		o := layerOwner(probe.Layer(sys.Pos[t[0]]))
 		for _, i := range t {
 			if sh.owner[i] >= 0 && sh.owner[i] != o {
@@ -196,13 +189,13 @@ func buildOwnership(sh *shared, sys *md.System, probe *celllist.List) error {
 			sh.owner[i] = layerOwner(probe.Layer(sys.Pos[i]))
 		}
 	}
-	if sh.plan != nil && sh.excl != nil {
-		na := sh.excl.NAtoms()
+	if sh.plan != nil {
+		na := sys.Excl.NAtoms()
 		if na > n {
 			na = n
 		}
 		for i := 0; i < na; i++ {
-			for _, j := range sh.excl.Neighbors(i) {
+			for _, j := range sys.Excl.Neighbors(i) {
 				if sh.owner[j] != sh.owner[i] {
 					return fmt.Errorf("rank: excluded pair (%d, %d) spans ranks %d and %d; exclusions must be intra-molecular",
 						i, j, sh.owner[i], sh.owner[j])
@@ -210,41 +203,16 @@ func buildOwnership(sh *shared, sys *md.System, probe *celllist.List) error {
 			}
 		}
 	}
-	sh.ownedIdx = make([][]int32, sh.r)
-	sh.ownedWaters = make([][]int32, sh.r)
+	sh.own = make([]md.Owned, sh.r)
 	for i := 0; i < n; i++ {
-		o := sh.owner[i]
-		sh.ownedIdx[o] = append(sh.ownedIdx[o], int32(i))
+		o := &sh.own[sh.owner[i]]
+		o.Atoms = append(o.Atoms, int32(i))
 	}
-	for wi, t := range sh.waters {
-		o := sh.owner[t[0]]
-		sh.ownedWaters[o] = append(sh.ownedWaters[o], int32(wi))
+	for wi, t := range sys.RigidWaters {
+		o := &sh.own[sh.owner[t[0]]]
+		o.Waters = append(o.Waters, int32(wi))
 	}
 	return nil
-}
-
-// buildExclOffsets lays out the flat per-atom exclusion-term offsets
-// (mesh mode): exclOff[i+1]−exclOff[i] slots for atom i's neighbor list,
-// zero beyond the exclusion table.
-func buildExclOffsets(sh *shared) {
-	if sh.plan == nil {
-		return
-	}
-	sh.exclOff = make([]int32, sh.n+1)
-	if sh.excl == nil {
-		return
-	}
-	na := sh.excl.NAtoms()
-	if na > sh.n {
-		na = sh.n
-	}
-	for i := 0; i < sh.n; i++ {
-		c := 0
-		if i < na {
-			c = len(sh.excl.Neighbors(i))
-		}
-		sh.exclOff[i+1] = sh.exclOff[i] + int32(c)
-	}
 }
 
 // Step advances the system one time step and returns the energies at the
@@ -318,47 +286,36 @@ func (e *Engine) round(cmd uint8) error {
 	return nil
 }
 
-// fold merges the rank results into sys and the serial energy breakdown:
-// slab partials in ascending slab order, mesh and exclusion energy terms
-// through the serial chunk-order replays, positions and velocities from
-// each atom's owner. sys.Frc is not maintained — forces live in the
-// workers.
+// fold merges the rank results into sys and the serial energy breakdown
+// with the folds the serial engine's own terms end in: slab partials
+// through nonbond.FoldSlabs, mesh and exclusion energy terms through
+// pmesh.FoldEnergy and ewald.FoldExclusionEnergy; positions and velocities
+// come from each atom's owner. sys.Frc is not maintained — forces live in
+// the workers.
 func (e *Engine) fold() md.Energies {
 	sh := e.sh
-	var en md.Energies
-	for a := 0; a < sh.r; a++ {
-		res := e.last[a]
+	off := sh.exclOff
+	for a, res := range e.last {
 		copy(e.partAll[sh.slabLo[a]:sh.slabLo[a+1]], res.part)
-		for _, i := range sh.ownedIdx[a] {
+		for _, i := range sh.own[a].Atoms {
 			e.sys.Pos[i] = res.pos[i]
 			e.sys.Vel[i] = res.vel[i]
 		}
+		if sh.plan == nil {
+			continue
+		}
+		for _, i := range res.interpIdx {
+			e.eterm[i] = res.eterm[i]
+		}
+		for _, i := range sh.own[a].Atoms {
+			copy(e.exclTerm[off[i]:off[i+1]], res.exclTerm[off[i]:off[i+1]])
+		}
 	}
-	for s := 0; s < sh.ns; s++ {
-		en.CoulShort += e.partAll[s].ECoul
-		en.LJ += e.partAll[s].ELJ
-	}
+	short := nonbond.FoldSlabs(e.partAll)
+	en := md.Energies{CoulShort: short.ECoul, LJ: short.ELJ}
 	if sh.plan != nil {
-		for a := 0; a < sh.r; a++ {
-			res := e.last[a]
-			for _, i := range res.interpIdx {
-				e.eterm[i] = res.eterm[i]
-			}
-		}
-		en.CoulLong = pmesh.ReplayEnergy(e.eterm, sh.q) + e.selfE
-		for a := 0; a < sh.r; a++ {
-			res := e.last[a]
-			cur := 0
-			for _, i := range sh.ownedIdx[a] {
-				c := int(sh.exclOff[i+1] - sh.exclOff[i])
-				if c == 0 {
-					continue
-				}
-				copy(e.exclTerm[sh.exclOff[i]:sh.exclOff[i+1]], res.exclTerm[cur:cur+c])
-				cur += c
-			}
-		}
-		en.CoulExcl = ewald.ReplayExclusionEnergy(e.exclTerm, sh.exclOff, sh.q)
+		en.CoulLong = pmesh.FoldEnergy(e.eterm, e.sys.Q) + e.selfE
+		en.CoulExcl = ewald.FoldExclusionEnergy(e.exclTerm, off)
 	}
 	en.Kinetic = e.sys.KineticEnergy()
 	return en

@@ -11,17 +11,22 @@
 //
 // # Determinism
 //
-// Every reduction that crosses ranks is replayed in a fixed serial order
-// on fixed operand sets:
+// A rank runs the stage functions the serial engine runs — the same
+// bodies, over the atoms, slabs and planes it owns instead of all of them —
+// and every reduction that crosses ranks ships terms, not partial sums, to
+// the fold the serial term itself ends in:
 //
-//   - short-range forces follow nonbond.ComputeSlabRange's owner-pass +
-//     deferred phases, with the one cross-rank deferred list applied in
-//     the serial applyDeferred position;
-//   - mesh grids use the internal/dist halo tables, whose z kernels
-//     reproduce the serial per-element arithmetic exactly;
-//   - energies travel as per-slab/per-atom partial terms and are folded
-//     by the engine in the serial chunk orders (nonbond slab order,
-//     pmesh.ReplayEnergy, ewald.ReplayExclusionEnergy).
+//   - integration and the force merge are md.System.KickDrift/KickConstrain
+//     and md.MergeForces over the rank's md.Owned set;
+//   - short-range forces are nonbond.ComputeSlabRange over the rank's slab
+//     range — the slab body ComputeWithList dispatches — with the one
+//     cross-rank deferred list applied after the owner pass, as there;
+//   - the mesh pipeline is dist.Mesh.Solve, with the worker as its
+//     dist.Exchanger; its z kernels reproduce the serial per-element
+//     arithmetic exactly;
+//   - energies travel as per-slab partials and per-atom / per-pair terms and
+//     are folded by the engine with nonbond.FoldSlabs, pmesh.FoldEnergy and
+//     ewald.FoldExclusionEnergy.
 //
 // Message delivery order cannot perturb any of this: each ordered rank
 // pair has one channel carrying a fixed per-step schedule of messages

@@ -1,25 +1,23 @@
-// Per-rank worker goroutine. Each worker replays the serial step on its
-// owned atoms and planes: integration phases on owned atoms only, the
-// short-range term over its slab range, the mesh pipeline over its plane
-// block, exclusion corrections on owned atoms — every per-atom and
-// per-element float sequence identical to the single-process engine's, so
-// the merged trajectory is bitwise equal at any rank count.
+// Per-rank worker goroutine: what is genuinely rank-specific — which atoms
+// and planes the rank owns, the window predicates that decide what crosses a
+// rank boundary, and the channel protocol that carries it. Every stage a
+// round runs on that data is the function the single-process engine calls
+// with one owner holding everything: md.System.KickDrift/KickConstrain,
+// the nonbond slab body, dist.Mesh.Solve, ewald.ExclusionTerms,
+// md.MergeForces.
 package rank
 
 import (
 	"fmt"
-	"math"
 
 	"tme4a/internal/celllist"
-	"tme4a/internal/constraint"
 	"tme4a/internal/dist"
 	"tme4a/internal/ewald"
 	"tme4a/internal/grid"
+	"tme4a/internal/md"
 	"tme4a/internal/nonbond"
 	"tme4a/internal/obs"
 	"tme4a/internal/pmesh"
-	"tme4a/internal/topol"
-	"tme4a/internal/units"
 	"tme4a/internal/vec"
 )
 
@@ -41,37 +39,28 @@ var errAborted = fmt.Errorf("aborted by peer failure")
 // channel closes; round's recover translates it to errAborted.
 type abortSignal struct{}
 
-// shared is the state common to all workers: immutable topology, the
-// decomposition tables, the link matrix and the abort latch. Built once
-// by the engine; workers only read it (abortAll's latch excepted).
+// shared is the state common to all workers: the decomposition tables, the
+// link matrix and the abort latch. Built once by the engine; workers only
+// read it (abortAll's latch excepted).
 type shared struct {
 	n     int
 	r     int
 	dt    float64
 	alpha float64
 	rc    float64
-	box   vec.Box
-	q     []float64
-	mass  []float64
-	lj    *nonbond.LJ
-	excl  *topol.Exclusions
-
-	waters [][3]int
-	wm     *constraint.Water
 
 	// Slab ownership: ns cell layers split into contiguous blocks,
 	// slabLo[r] .. slabLo[r+1] (slabLo has r+1 entries, last = ns).
-	owner       []int32 // owning rank per atom (whole molecules)
-	slabLo      []int
-	ns          int
-	ownedIdx    [][]int32 // owned atoms per rank, ascending
-	ownedWaters [][]int32 // owned water indices per rank, ascending
+	owner  []int32 // owning rank per atom (whole molecules)
+	slabLo []int
+	ns     int
+	own    []md.Owned // owned atoms and waters per rank, ascending
 
 	// Mesh mode only (nil/zero in cutoff mode).
 	plan    *dist.Plan
 	mesher  *pmesh.Mesher
 	onz0    int     // finest-grid planes per rank
-	exclOff []int32 // len n+1: flat exclusion-term offsets per atom
+	exclOff []int32 // ewald.ExclusionOffsets: flat exclusion-term layout
 
 	links [][]*link // links[a][b] carries a→b traffic; nil on a==b or R==1
 
@@ -118,10 +107,14 @@ type worker struct {
 	testDrop  func(dst int, kind uint8) bool
 	testPanic func(step int)
 
+	// sys is the rank's view of the system: the engine's topology (box,
+	// charges, masses, LJ, exclusions, waters) over private full-length
+	// position, velocity and force arrays, valid at the rank's owned atoms
+	// and, for positions, at the halo atoms stamped this step.
+	sys *md.System //tme:owner worker.run
+	own md.Owned
+
 	step      int       //tme:owner worker.run
-	pos       []vec.V   //tme:owner worker.run
-	vel       []vec.V   //tme:owner worker.run
-	frc       []vec.V   //tme:owner worker.run
 	stamp     []int32   //tme:owner worker.run
 	shortF    []vec.V   //tme:owner worker.run
 	meshF     []vec.V   //tme:owner worker.run
@@ -147,25 +140,24 @@ type result struct {
 	pos, vel  []vec.V               // full-length; valid at owned indices
 	interpIdx []int32               // atoms this rank interpolated
 	eterm     []float64             // full-length per-atom energy terms
-	exclTerm  []float64             // flat exclusion terms, owned atoms
+	exclTerm  []float64             // exclOff-layout exclusion terms; valid at owned atoms
 }
 
-// newWorker builds rank r's state. Every worker-owned field is
-// initialized here, in the composite literals, and never reassigned from
-// outside the worker goroutine.
-func newWorker(sh *shared, r int, cmds chan uint8, resCh chan *result, pos0, vel0 []vec.V) *worker {
+// newWorker builds rank r's state over the topology of top, seeded with
+// its positions and velocities. Every worker-owned field is initialized
+// here, in the composite literals, and never reassigned from outside the
+// worker goroutine.
+func newWorker(sh *shared, r int, cmds chan uint8, resCh chan *result, top *md.System) *worker {
 	n := sh.n
-	pos := make([]vec.V, n)
-	copy(pos, pos0)
-	vel := make([]vec.V, n)
-	copy(vel, vel0)
-	span := sh.slabLo[r+1] - sh.slabLo[r]
+	sys := *top
+	sys.Pos = append([]vec.V(nil), top.Pos...)
+	sys.Vel = append([]vec.V(nil), top.Vel...)
+	sys.Frc = make([]vec.V, n)
 	var mesh *dist.Mesh
 	var topQ, topPhi *grid.G
 	var assignIdx, interpIdx []int32
-	var etermFull []float64
+	var etermFull, exclTerm []float64
 	var meshF []vec.V
-	exclN := 0
 	if sh.plan != nil {
 		mesh = sh.plan.NewMesh(r)
 		if r == 0 {
@@ -176,21 +168,18 @@ func newWorker(sh *shared, r int, cmds chan uint8, resCh chan *result, pos0, vel
 		assignIdx = make([]int32, 0, n)
 		interpIdx = make([]int32, 0, n)
 		etermFull = make([]float64, n)
+		exclTerm = make([]float64, sh.exclOff[n])
 		meshF = make([]vec.V, n)
-		for _, i := range sh.ownedIdx[r] {
-			exclN += int(sh.exclOff[i+1] - sh.exclOff[i])
-		}
 	}
 	var out, in []*link
 	if sh.r > 1 {
 		out = make([]*link, sh.r)
 		in = make([]*link, sh.r)
 		for p := 0; p < sh.r; p++ {
-			if p == r {
-				continue
+			if p != r {
+				out[p] = sh.links[r][p]
+				in[p] = sh.links[p][r]
 			}
-			out[p] = sh.links[r][p]
-			in[p] = sh.links[p][r]
 		}
 	}
 	return &worker{
@@ -200,30 +189,29 @@ func newWorker(sh *shared, r int, cmds chan uint8, resCh chan *result, pos0, vel
 		resCh:     resCh,
 		out:       out,
 		in:        in,
-		cl:        celllist.New(sh.box, sh.rc),
+		cl:        celllist.New(sys.Box, sh.rc),
 		sc:        &nonbond.SlabScratch{},
 		mesh:      mesh,
 		topQ:      topQ,
 		topPhi:    topPhi,
-		pos:       pos,
-		vel:       vel,
-		frc:       make([]vec.V, n),
+		sys:       &sys,
+		own:       sh.own[r],
 		stamp:     make([]int32, n),
 		shortF:    make([]vec.V, n),
 		meshF:     meshF,
 		etermFull: etermFull,
-		old:       make([]vec.V, 3*len(sh.ownedWaters[r])),
+		old:       make([]vec.V, 3*len(sh.own[r].Waters)),
 		cellIdx:   make([]int32, 0, n),
 		assignIdx: assignIdx,
 		interpIdx: interpIdx,
 		pairBytes: make([]int64, sh.r),
 		res: &result{
 			rank:     r,
-			part:     make([]nonbond.SlabPartial, span),
-			pos:      pos,
-			vel:      vel,
+			part:     make([]nonbond.SlabPartial, sh.slabLo[r+1]-sh.slabLo[r]),
+			pos:      sys.Pos,
+			vel:      sys.Vel,
 			eterm:    etermFull,
-			exclTerm: make([]float64, exclN),
+			exclTerm: exclTerm,
 		},
 	}
 }
@@ -262,9 +250,9 @@ func (w *worker) round(cmd uint8) (err error) {
 	}
 	if cmd == cmdStep {
 		sp := w.o.Start(obs.StageStep)
-		w.integratePhase1()
+		w.sys.KickDrift(w.own, w.sh.dt, w.old, w.o)
 		w.forceRound()
-		w.integratePhase3()
+		w.sys.KickConstrain(w.own, w.sh.dt, w.o)
 		sp.Stop()
 	} else {
 		w.forceRound()
@@ -275,79 +263,23 @@ func (w *worker) round(cmd uint8) (err error) {
 	return nil
 }
 
-// forceRound evaluates all force terms at the current positions,
-// leaving frc[i] for every owned atom i equal to the serial engine's
-// merged force — the body of ForceField.Compute.
+// forceRound evaluates all force terms at the current positions, leaving
+// sys.Frc[i] for every owned atom i equal to the serial engine's merged
+// force — the body of ForceField.Compute. Excluded partners are
+// intra-molecular and molecules are co-owned, so every partner position the
+// exclusion term reads is current.
 func (w *worker) forceRound() {
 	w.exchangePositions()
 	w.buildWindows()
 	w.shortRange()
 	if w.sh.plan != nil {
 		w.meshRound()
-		w.exclusionRound()
-		w.mergeMesh()
-	}
-}
-
-// integratePhase1 is the serial step's first half: half-kick, reference
-// capture, drift, SETTLE — restricted to owned atoms and waters, whose
-// per-atom arithmetic is independent, so values match the serial sweep.
-func (w *worker) integratePhase1() {
-	sh := w.sh
-	dt := sh.dt
-	owned := sh.ownedIdx[w.rank]
-	sp := w.o.Start(obs.StageIntegrate)
-	for _, i := range owned {
-		w.vel[i] = w.vel[i].Add(w.frc[i].Scale(0.5 * dt / sh.mass[i]))
-	}
-	waters := sh.ownedWaters[w.rank]
-	if sh.wm != nil && len(waters) > 0 {
-		for k, wi := range waters {
-			t := sh.waters[wi]
-			w.old[3*k] = w.pos[t[0]]
-			w.old[3*k+1] = w.pos[t[1]]
-			w.old[3*k+2] = w.pos[t[2]]
-		}
-	}
-	for _, i := range owned {
-		w.pos[i] = w.pos[i].Add(w.vel[i].Scale(dt))
-	}
-	sp.Stop()
-	if sh.wm != nil {
-		sp = w.o.Start(obs.StageConstraint)
-		for k, wi := range waters {
-			t := sh.waters[wi]
-			a0, b0, c0 := w.old[3*k], w.old[3*k+1], w.old[3*k+2]
-			a, b, c := sh.wm.Settle(a0, b0, c0, w.pos[t[0]], w.pos[t[1]], w.pos[t[2]])
-			w.vel[t[0]] = a.Sub(a0).Scale(1 / dt)
-			w.vel[t[1]] = b.Sub(b0).Scale(1 / dt)
-			w.vel[t[2]] = c.Sub(c0).Scale(1 / dt)
-			w.pos[t[0]], w.pos[t[1]], w.pos[t[2]] = a, b, c
-		}
+		ewald.ExclusionTerms(w.sys.Box, w.sys.Pos, w.sys.Q, w.sh.alpha, w.sys.Excl,
+			w.meshF, w.own.Atoms, w.sh.exclOff, w.res.exclTerm)
+		sp := w.o.Start(obs.StageMerge)
+		md.MergeForces(w.sys.Frc, w.meshF, nil, w.own.Atoms)
 		sp.Stop()
 	}
-}
-
-// integratePhase3 is the second half-kick plus the velocity half of
-// SETTLE, on owned atoms and waters.
-func (w *worker) integratePhase3() {
-	sh := w.sh
-	dt := sh.dt
-	sp := w.o.Start(obs.StageIntegrate)
-	for _, i := range sh.ownedIdx[w.rank] {
-		w.vel[i] = w.vel[i].Add(w.frc[i].Scale(0.5 * dt / sh.mass[i]))
-	}
-	sp.Stop()
-	sp = w.o.Start(obs.StageConstraint)
-	if sh.wm != nil {
-		for _, wi := range sh.ownedWaters[w.rank] {
-			t := sh.waters[wi]
-			sh.wm.SettleVelocities(
-				w.pos[t[0]], w.pos[t[1]], w.pos[t[2]],
-				&w.vel[t[0]], &w.vel[t[1]], &w.vel[t[2]])
-		}
-	}
-	sp.Stop()
 }
 
 // needs reports whether rank dst's windows require atom i's current
@@ -356,15 +288,16 @@ func (w *worker) integratePhase3() {
 // delivered atoms, so the sets provably match.
 func (w *worker) needs(dst, i int) bool {
 	sh := w.sh
-	if sh.inCellWindow(dst, w.cl.Layer(w.pos[i])) {
+	r := w.sys.Pos[i]
+	if sh.inCellWindow(dst, w.cl.Layer(r)) {
 		return true
 	}
 	if sh.plan != nil {
 		zlo, zhi := dst*sh.onz0, (dst+1)*sh.onz0
-		if sh.mesher.SupportHits(w.pos[i], zlo, zhi) {
+		if sh.mesher.SupportHits(r, zlo, zhi) {
 			return true
 		}
-		if b := sh.mesher.BasePlane(w.pos[i]); b >= zlo && b < zhi {
+		if b := sh.mesher.BasePlane(r); b >= zlo && b < zhi {
 			return true
 		}
 	}
@@ -377,7 +310,7 @@ func (w *worker) needs(dst, i int) bool {
 func (w *worker) exchangePositions() {
 	sh := w.sh
 	st := int32(w.step)
-	owned := sh.ownedIdx[w.rank]
+	owned, pos := w.own.Atoms, w.sys.Pos
 	for _, i := range owned {
 		w.stamp[i] = st
 	}
@@ -394,7 +327,7 @@ func (w *worker) exchangePositions() {
 		for _, i := range owned {
 			if w.needs(dst, int(i)) {
 				p.idx = append(p.idx, i)
-				p.v = append(p.v, w.pos[i])
+				p.v = append(p.v, pos[i])
 			}
 		}
 		w.send(dst, p)
@@ -405,7 +338,7 @@ func (w *worker) exchangePositions() {
 		}
 		p := w.recv(src, kindPos)
 		for k, i := range p.idx {
-			w.pos[i] = p.v[k]
+			pos[i] = p.v[k]
 			w.stamp[i] = st
 		}
 	}
@@ -428,16 +361,17 @@ func (w *worker) buildWindows() {
 		if w.stamp[i] != st {
 			continue
 		}
-		if sh.inCellWindow(w.rank, w.cl.Layer(w.pos[i])) {
+		r := w.sys.Pos[i]
+		if sh.inCellWindow(w.rank, w.cl.Layer(r)) {
 			w.cellIdx = append(w.cellIdx, int32(i))
 		}
 		if !meshMode {
 			continue
 		}
-		if sh.mesher.SupportHits(w.pos[i], zlo, zhi) {
+		if sh.mesher.SupportHits(r, zlo, zhi) {
 			w.assignIdx = append(w.assignIdx, int32(i))
 		}
-		if b := sh.mesher.BasePlane(w.pos[i]); b >= zlo && b < zhi {
+		if b := sh.mesher.BasePlane(r); b >= zlo && b < zhi {
 			w.interpIdx = append(w.interpIdx, int32(i))
 		}
 	}
@@ -456,22 +390,18 @@ func (w *worker) inRange(lay int) bool {
 // installs one value per atom — no cross-rank summation to order.
 func (w *worker) shortRange() {
 	sh := w.sh
+	sys := w.sys
 	sp := w.o.Start(obs.StageShortRange)
 	for _, i := range w.cellIdx {
 		w.shortF[i] = vec.V{}
 	}
 	spn := w.o.Start(obs.StageNeighbor)
-	w.cl.RebuildSubset(w.pos, w.cellIdx)
+	w.cl.RebuildSubset(sys.Pos, w.cellIdx)
 	spn.Stop()
-	s0, s1 := sh.slabLo[w.rank], sh.slabLo[w.rank+1]
-	def := nonbond.ComputeSlabRange(w.cl, w.pos, sh.q, sh.lj, sh.alpha, sh.excl,
-		w.shortF, w.res.part, w.sc, s0, s1)
+	def := nonbond.ComputeSlabRange(w.cl, sys.Pos, sys.Q, sys.LJ, sh.alpha, sys.Excl,
+		w.shortF, w.res.part, w.sc, sh.slabLo[w.rank], sh.slabLo[w.rank+1])
 	if w.o.Enabled() {
-		var pairs int
-		for _, p := range w.res.part[:s1-s0] {
-			pairs += p.Pairs
-		}
-		w.o.Add(obs.CounterPairsEvaluated, int64(pairs))
+		w.o.Add(obs.CounterPairsEvaluated, int64(nonbond.FoldSlabs(w.res.part).Pairs))
 	}
 	if sh.r == 1 {
 		nonbond.ApplyDeferred(w.shortF, def)
@@ -490,7 +420,7 @@ func (w *worker) shortRange() {
 			ps.idx = ps.idx[:0]
 			ps.v = ps.v[:0]
 			for _, i := range w.cellIdx {
-				if sh.owner[i] == int32(dst) && w.inRange(w.cl.Layer(w.pos[i])) {
+				if sh.owner[i] == int32(dst) && w.inRange(w.cl.Layer(sys.Pos[i])) {
 					ps.idx = append(ps.idx, i)
 					ps.v = append(ps.v, w.shortF[i])
 				}
@@ -498,9 +428,9 @@ func (w *worker) shortRange() {
 			w.send(dst, ps)
 		}
 	}
-	for _, i := range sh.ownedIdx[w.rank] {
-		if w.inRange(w.cl.Layer(w.pos[i])) {
-			w.frc[i] = w.shortF[i]
+	for _, i := range w.own.Atoms {
+		if w.inRange(w.cl.Layer(sys.Pos[i])) {
+			sys.Frc[i] = w.shortF[i]
 		}
 	}
 	if sh.r > 1 {
@@ -510,17 +440,18 @@ func (w *worker) shortRange() {
 			}
 			p := w.recv(src, kindShort)
 			for k, i := range p.idx {
-				w.frc[i] = p.v[k]
+				sys.Frc[i] = p.v[k]
 			}
 		}
 	}
 	sp.Stop()
 }
 
-// gridExchange runs one halo exchange: pack and send the sleeves this
-// rank owes (ascending destination), unpack received sleeves (ascending
-// source — slot-disjoint, so order is cosmetic), then fill own planes.
-func (w *worker) gridExchange(h *dist.Halo, src, ext *grid.G) {
+// Halo runs one halo exchange (dist.Exchanger): pack and send the sleeves
+// this rank owes (ascending destination), unpack received sleeves
+// (ascending source — slot-disjoint, so order is cosmetic), then fill own
+// planes.
+func (w *worker) Halo(h *dist.Halo, src, ext *grid.G) {
 	sh := w.sh
 	for dst := 0; dst < sh.r; dst++ {
 		if dst == w.rank || h.PackSize(w.rank, dst) == 0 {
@@ -544,32 +475,26 @@ func (w *worker) gridExchange(h *dist.Halo, src, ext *grid.G) {
 	h.FillOwn(w.rank, src.Data, ext.Data)
 }
 
-// topSolve gathers the top-level charge blocks to rank 0, runs the SPME
-// top solver there, and scatters the potential blocks back. The block
-// copies are plane-major and contiguous, exactly the sequential
-// solver's gather/scatter.
-func (w *worker) topSolve() {
+// TopSolve gathers the top-level charge blocks to rank 0, runs the SPME
+// top solver there, and scatters the potential blocks back
+// (dist.Exchanger). The blocks are plane-major and contiguous, so the
+// gathered grid is the serial solver's top grid.
+func (w *worker) TopSolve(q, phi *grid.G) {
 	sh := w.sh
-	pl := sh.plan
-	L := pl.D.Levels
-	tn := pl.TopN()
-	blk := pl.D.Onz(L) * tn[0] * tn[1]
-	m := w.mesh
 	if w.rank != 0 {
 		p := w.slot(0, kindTopQ)
-		p.fl = m.Q[L].Data
+		p.fl = q.Data
 		w.send(0, p)
-		pr := w.recv(0, kindTopPhi)
-		copy(m.Phi[L].Data, pr.fl)
+		copy(phi.Data, w.recv(0, kindTopPhi).fl)
 		return
 	}
-	copy(w.topQ.Data[:blk], m.Q[L].Data)
+	blk := len(q.Data)
+	copy(w.topQ.Data[:blk], q.Data)
 	for a := 1; a < sh.r; a++ {
-		p := w.recv(a, kindTopQ)
-		copy(w.topQ.Data[a*blk:(a+1)*blk], p.fl)
+		copy(w.topQ.Data[a*blk:(a+1)*blk], w.recv(a, kindTopQ).fl)
 	}
-	pl.TME.TopSolver().PotentialGridInto(w.topPhi, w.topQ)
-	copy(m.Phi[L].Data, w.topPhi.Data[:blk])
+	sh.plan.TME.TopSolver().PotentialGridInto(w.topPhi, w.topQ)
+	copy(phi.Data, w.topPhi.Data[:blk])
 	for a := 1; a < sh.r; a++ {
 		p := w.slot(a, kindTopPhi)
 		p.fl = w.topPhi.Data[a*blk : (a+1)*blk]
@@ -577,45 +502,16 @@ func (w *worker) topSolve() {
 	}
 }
 
-// meshRound runs the rank's block of the TME pipeline — the stage
-// sequence of dist.Solver.LongRange with channel-borne exchanges — then
-// routes interpolated mesh forces to their owners.
+// meshRound runs the rank's block of the TME pipeline (dist.Mesh.Solve,
+// with this worker as its transport), then routes interpolated mesh forces
+// to their owners.
 func (w *worker) meshRound() {
 	sh := w.sh
-	pl := sh.plan
-	m := w.mesh
 	sp := w.o.Start(obs.StageMesh)
-	spa := w.o.Start(obs.StageAssign)
-	m.AssignOwn(w.assignIdx, w.pos, sh.q)
-	spa.Stop()
-	spr := w.o.Start(obs.StageRestrict)
-	for k := 0; k < pl.D.Levels; k++ {
-		w.gridExchange(pl.Restrict[k], m.RestrictXY(k), m.RestrictExt(k))
-		m.RestrictZ(k)
-	}
-	spr.Stop()
-	spt := w.o.Start(obs.StageTopSPME)
-	w.topSolve()
-	spt.Stop()
-	for k := pl.D.Levels - 1; k >= 0; k-- {
-		spp := w.o.Start(obs.StageProlong)
-		w.gridExchange(pl.Prolong[k], m.ProlongXY(k), m.ProlongExt(k))
-		m.ProlongZ(k)
-		spp.Stop()
-		spc := w.o.Start(obs.StageConv)
-		for v := 0; v < pl.TME.Prm.M; v++ {
-			w.gridExchange(pl.Conv[k], m.ConvXY(k, v), m.ConvExt(k))
-			m.ConvZAccum(k, v)
-		}
-		spc.Stop()
-	}
-	spi := w.o.Start(obs.StageInterp)
-	w.gridExchange(pl.Interp, m.Phi[0], m.InterpExt())
 	for _, i := range w.interpIdx {
 		w.meshF[i] = vec.V{}
 	}
-	m.Interp(w.interpIdx, w.pos, sh.q, w.etermFull, w.meshF)
-	spi.Stop()
+	w.mesh.Solve(w, w.o, w.assignIdx, w.interpIdx, w.sys.Pos, w.sys.Q, w.etermFull, w.meshF)
 	if sh.r > 1 {
 		for dst := 0; dst < sh.r; dst++ {
 			if dst == w.rank {
@@ -641,57 +537,6 @@ func (w *worker) meshRound() {
 				w.meshF[i] = p.v[k]
 			}
 		}
-	}
-	sp.Stop()
-}
-
-// exclusionRound evaluates the Ewald exclusion correction gathered onto
-// the rank's owned atoms — the exact per-pair arithmetic and per-atom
-// accumulation of ewald.ExclusionCorrection, with per-pair energy terms
-// recorded flat (zero for charge-skipped pairs, preserving offsets) for
-// the engine's chunk-order replay. Excluded partners are intra-molecular
-// and molecules are co-owned, so every pos[j] read is current.
-func (w *worker) exclusionRound() {
-	sh := w.sh
-	if sh.excl == nil {
-		return
-	}
-	alpha := sh.alpha
-	terms := w.res.exclTerm
-	cur := 0
-	for _, i32 := range sh.ownedIdx[w.rank] {
-		i := int(i32)
-		if int(sh.exclOff[i+1]-sh.exclOff[i]) == 0 {
-			continue
-		}
-		qi := sh.q[i]
-		ri := w.pos[i]
-		for _, j32 := range sh.excl.Neighbors(i) {
-			j := int(j32)
-			qq := qi * sh.q[j]
-			if qq == 0 {
-				terms[cur] = 0
-				cur++
-				continue
-			}
-			d := sh.box.MinImage(ri.Sub(w.pos[j]))
-			r2 := d.Norm2()
-			r := math.Sqrt(r2)
-			e := math.Erf(alpha*r) / r
-			terms[cur] = 0.5 * qq * e
-			cur++
-			fr := qq * (alpha*ewald.TwoOverSqrtPi*math.Exp(-alpha*alpha*r2) - e) / r2 * units.Coulomb
-			w.meshF[i] = w.meshF[i].Add(d.Scale(fr))
-		}
-	}
-}
-
-// mergeMesh folds the finished mesh force into each owned atom's total,
-// the serial per-atom merge order (short-range + mesh).
-func (w *worker) mergeMesh() {
-	sp := w.o.Start(obs.StageMerge)
-	for _, i := range w.sh.ownedIdx[w.rank] {
-		w.frc[i] = w.frc[i].Add(w.meshF[i])
 	}
 	sp.Stop()
 }

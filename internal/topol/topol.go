@@ -20,8 +20,14 @@ func NewExclusions(n int) *Exclusions {
 	return &Exclusions{adj: make([][]int32, n)}
 }
 
-// NAtoms returns the number of atoms the set was built for.
-func (e *Exclusions) NAtoms() int { return len(e.adj) }
+// NAtoms returns the number of atoms the set was built for (0 for a nil
+// set, which excludes nothing).
+func (e *Exclusions) NAtoms() int {
+	if e == nil {
+		return 0
+	}
+	return len(e.adj)
+}
 
 // Add excludes the pair (i, j). Duplicate additions are ignored.
 func (e *Exclusions) Add(i, j int) {
