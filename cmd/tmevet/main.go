@@ -21,11 +21,12 @@
 //
 //	-json            emit a deterministic machine-readable report on stdout
 //	-baseline file   silence findings recorded in the committed baseline;
-//	                 stale entries (matching nothing) are noted on stderr
+//	                 stale entries (matching nothing) are errors, so run
+//	                 it over the packages the baseline was written for
 //	-write-baseline  rewrite the -baseline file to cover current findings
 //
-// Exit status is 1 when any non-baselined diagnostic is reported, 2 on
-// usage or load errors.
+// Exit status is 1 when any non-baselined diagnostic or stale baseline
+// entry is reported, 2 on usage or load errors.
 //
 // Findings are suppressed line-by-line with
 // "//tmevet:ignore <check>[,<check>...] -- rationale" on the offending
@@ -99,13 +100,13 @@ func main() {
 	}
 
 	kept, baselined := diags, []lint.Diagnostic(nil)
+	var stale []lint.BaselineEntry
 	if *baselinePath != "" {
 		b, err := lint.LoadBaseline(*baselinePath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tmevet:", err)
 			os.Exit(2)
 		}
-		var stale []lint.BaselineEntry
 		kept, baselined, stale = b.Apply(root, diags)
 		for _, e := range stale {
 			fmt.Fprintf(os.Stderr, "tmevet: stale baseline entry (fixed? remove it): %s %s: %s\n", e.Check, e.File, e.Message)
@@ -126,8 +127,8 @@ func main() {
 			fmt.Printf("%s: %s: %s\n", pos, d.Check, d.Message)
 		}
 	}
-	if len(kept) > 0 {
-		fmt.Fprintf(os.Stderr, "tmevet: %d finding(s)\n", len(kept))
+	if len(kept) > 0 || len(stale) > 0 {
+		fmt.Fprintf(os.Stderr, "tmevet: %d finding(s), %d stale baseline entrie(s)\n", len(kept), len(stale))
 		os.Exit(1)
 	}
 }

@@ -1,29 +1,25 @@
 package core
 
-import (
-	"tme4a/internal/solver"
-	"tme4a/internal/vec"
-)
+import "tme4a/internal/solver"
+
+// fromConfig maps the registry's superset config onto this package's Params.
+func fromConfig(cfg solver.Config) Params {
+	return Params{
+		Alpha:  cfg.Alpha,
+		Rc:     cfg.Rc,
+		Order:  cfg.Order,
+		N:      cfg.N,
+		Levels: cfg.Levels,
+		M:      cfg.M,
+		Gc:     cfg.Gc,
+		Kernel: KernelFamily(cfg.Kernel),
+	}
+}
 
 // init registers TME under "tme" so importing this package for effect is
 // enough to select it by name through the solver registry.
 func init() {
 	solver.Register("tme",
 		"tensor-structured multilevel Ewald (the paper's method): separable Gaussian-sum or u-series middle-range kernels over a level hierarchy, SPME top solve",
-		func(cfg solver.Config, box vec.Box) (solver.Solver, error) {
-			prm := Params{
-				Alpha:  cfg.Alpha,
-				Rc:     cfg.Rc,
-				Order:  cfg.Order,
-				N:      cfg.N,
-				Levels: cfg.Levels,
-				M:      cfg.M,
-				Gc:     cfg.Gc,
-				Kernel: KernelFamily(cfg.Kernel),
-			}
-			if err := prm.Validate(); err != nil {
-				return nil, err
-			}
-			return New(prm, box), nil
-		})
+		fromConfig, New)
 }

@@ -18,16 +18,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"tme4a/internal/bspline"
-	"tme4a/internal/ewald"
 	"tme4a/internal/grid"
-	"tme4a/internal/obs"
-	"tme4a/internal/pmesh"
 	"tme4a/internal/quad"
 	"tme4a/internal/spme"
-	"tme4a/internal/topol"
 	"tme4a/internal/units"
 	"tme4a/internal/vec"
 )
@@ -76,15 +71,6 @@ type Params struct {
 // CLI can reject a bad -method/-kernel/-grid combination with a usage
 // message instead of a stack trace.
 func (p Params) Validate() error {
-	if !(p.Alpha > 0) {
-		return fmt.Errorf("core: Alpha must be positive, got %g", p.Alpha)
-	}
-	if !(p.Rc > 0) {
-		return fmt.Errorf("core: Rc must be positive, got %g", p.Rc)
-	}
-	if p.Order%2 != 0 || p.Order < 2 || p.Order > pmesh.MaxOrder {
-		return fmt.Errorf("core: order must be even and in [2, %d], got %d", pmesh.MaxOrder, p.Order)
-	}
 	if p.Levels < 1 {
 		return fmt.Errorf("core: TME needs at least one middle level, got %d", p.Levels)
 	}
@@ -103,58 +89,22 @@ func (p Params) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown kernel family %q (kernels: %s, %s)", p.Kernel, KernelGauss, KernelUSeries)
 	}
-	for jx := 0; jx < 3; jx++ {
-		d := p.N[jx] >> p.Levels
-		if d<<p.Levels != p.N[jx] || d < 1 {
-			return fmt.Errorf("core: grid dim %d not divisible by 2^%d", p.N[jx], p.Levels)
-		}
-		if p.N[jx] < p.Order {
-			return fmt.Errorf("core: grid dim %d smaller than spline order %d", p.N[jx], p.Order)
-		}
-		if d&(d-1) != 0 {
-			return fmt.Errorf("core: top-level grid dim %d (= %d/2^%d) is not a power of two", d, p.N[jx], p.Levels)
-		}
-		if d < p.Order {
-			return fmt.Errorf("core: top-level grid dim %d (= %d/2^%d) smaller than spline order %d", d, p.N[jx], p.Levels, p.Order)
-		}
-	}
-	return nil
+	return spme.CheckParams("core", p.Alpha, p.Rc, p.Order, p.N, p.Levels)
 }
 
-// Solver holds the precomputed kernels and meshers for a fixed box.
+// Solver holds the precomputed kernels for a fixed box. The embedded cycle
+// runs the grid pipeline — Mesher, MeshPotential, LongRange, Coulomb,
+// SetObs — around this package's level convolution.
 type Solver struct {
-	Prm    Params
-	Box    vec.Box
-	Mesher *pmesh.Mesher // finest-grid charge assignment / back interpolation
+	spme.Cycle
+	Prm Params
 
-	j    []float64      // two-scale coefficients
 	kern [][3][]float64 // kern[ν][axis]: 1D kernels K^{ν,j}, length 2·Gc+1
-	top  *spme.Solver   // top-level SPME (α/2^L on N/2^L)
 
 	// kernZ[l-1][ν] is kern[ν][2] with the level-l prefactor
 	// Coulomb/2^{l-1} folded in, so levelConvAccum needs no post-scaling
 	// pass over the grid.
 	kernZ [][][]float64
-
-	pool *grid.Pool // recycled level grids and convolution scratch
-
-	// o, when non-nil, times the restriction, per-level convolution and
-	// prolongation stages of the mesh pipeline.
-	o *obs.Recorder
-
-	// mu guards the reused per-level grid table of the mesh pipeline.
-	mu      sync.Mutex
-	charges []*grid.G
-}
-
-// SetObs attaches a stage recorder to the solver, its mesher, grid pool
-// and top-level SPME solver (nil detaches). Not safe to call concurrently
-// with solves.
-func (s *Solver) SetObs(r *obs.Recorder) {
-	s.o = r
-	s.Mesher.SetObs(r)
-	s.pool.SetObs(r)
-	s.top.SetObs(r)
 }
 
 // shellQuad returns the normalized Gaussian-sum decomposition of the
@@ -187,16 +137,9 @@ func New(prm Params, box vec.Box) *Solver {
 	if err := prm.Validate(); err != nil {
 		panic(err.Error())
 	}
-	var topN [3]int
-	for jx := 0; jx < 3; jx++ {
-		topN[jx] = prm.N[jx] >> prm.Levels
-	}
-	s := &Solver{
-		Prm:    prm,
-		Box:    box,
-		Mesher: pmesh.NewMesher(prm.Order, prm.N, box),
-		j:      bspline.TwoScale(prm.Order),
-	}
+	s := &Solver{Prm: prm}
+	s.Cycle = spme.NewCycle(spme.Params{Alpha: prm.Alpha, Rc: prm.Rc, Order: prm.Order, N: prm.N},
+		prm.Levels, box, s.levelConvAccum)
 	// Gaussian-sum nodes and weights: Eq. (7) Gauss–Legendre by default,
 	// or the u-series family when selected.
 	tau, cv := shellQuad(prm.Kernel, prm.M)
@@ -228,15 +171,6 @@ func New(prm Params, box vec.Box) *Solver {
 			s.kernZ[l-1][v] = kz
 		}
 	}
-	s.pool = grid.NewPool()
-	s.charges = make([]*grid.G, prm.Levels+2)
-	// Top level: SPME with α/2^L on the restricted grid.
-	s.top = spme.New(spme.Params{
-		Alpha: prm.Alpha / math.Pow(2, float64(prm.Levels)),
-		Rc:    prm.Rc,
-		Order: prm.Order,
-		N:     topN,
-	}, box)
 	return s
 }
 
@@ -247,15 +181,8 @@ func (s *Solver) Describe() string {
 		s.Prm.Levels, s.Prm.M, s.Prm.Gc, s.Prm.Kernel.orDefault())
 }
 
-// TopSolver exposes the top-level SPME solver (used by the hardware model
-// and diagnostics).
-func (s *Solver) TopSolver() *spme.Solver { return s.top }
-
 // Kernels returns the per-Gaussian 1D grid kernels (read-only).
 func (s *Solver) Kernels() [][3][]float64 { return s.kern }
-
-// TwoScale returns the restriction/prolongation coefficients (read-only).
-func (s *Solver) TwoScale() []float64 { return s.j }
 
 // LevelZKernels returns the per-level z-axis kernels with the level
 // prefactor and Coulomb conversion folded in: LevelZKernels()[l-1][ν] is
@@ -268,93 +195,16 @@ func (s *Solver) LevelZKernels() [][][]float64 { return s.kernZ }
 // level l (1-based) of the level-l charge grid q into dst, in
 // kJ mol⁻¹ e⁻¹ (paper Eq. (9)–(11)): dst += Σ_ν K^{ν,x}∗K^{ν,y}∗K̃^{ν,z}∗q,
 // where K̃^{ν,z} carries the 1/2^{l−1} prefactor and Coulomb conversion.
-// t1 and t2 are convolution scratch of the same shape as q.
-func (s *Solver) levelConvAccum(dst, q *grid.G, l int, t1, t2 *grid.G) {
-	for v := 0; v < s.Prm.M; v++ {
+// The two convolution scratch grids come from pool and go back.
+//
+//tme:noalloc
+func (s *Solver) levelConvAccum(dst, q *grid.G, l int, pool *grid.Pool) {
+	t1, t2 := pool.Get(q.N), pool.Get(q.N)
+	for v := range s.kern {
 		grid.ConvSeparableAccum(dst, q, s.kern[v][0], s.kern[v][1], s.kernZ[l-1][v], t1, t2)
 	}
-}
-
-// MeshPotential runs the full grid pipeline — charge assignment,
-// restrictions, per-level separable convolutions, top-level SPME,
-// prolongations — and returns the finest-grid potential.
-// It is exposed separately so the hardware simulator can compare its
-// fixed-point datapath against this double-precision reference stage by
-// stage.
-//
-// The returned grid is drawn from the solver's internal pool and is owned
-// by the caller; LongRange recycles it, external callers may simply let it
-// be garbage collected.
-func (s *Solver) MeshPotential(pos []vec.V, q []float64) *grid.G {
-	qg := s.pool.Get(s.Prm.N)
-	qg.Zero()
-	s.Mesher.AssignTo(qg, pos, q)
-	phi := s.meshPotentialFromCharges(qg)
-	s.pool.Put(qg)
-	return phi
-}
-
-func (s *Solver) meshPotentialFromCharges(qg *grid.G) *grid.G {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	L := s.Prm.Levels
-	// Downward pass: restrict charges level by level. charges is 1-based;
-	// [L+1] is the top grid. Entry 1 aliases the caller's grid and is
-	// never recycled.
-	charges := s.charges
-	charges[1] = qg
-	spDown := s.o.Start(obs.StageRestrict)
-	for l := 1; l <= L; l++ {
-		n := charges[l].N
-		charges[l+1] = s.pool.Get([3]int{n[0] / 2, n[1] / 2, n[2] / 2})
-		grid.RestrictInto(charges[l+1], charges[l], s.j, s.pool)
-	}
-	spDown.Stop()
-	// Top-level SPME convolution (the TMENW/root-FPGA computation).
-	phi := s.pool.Get(charges[L+1].N)
-	s.top.PotentialGridInto(phi, charges[L+1])
-	s.pool.Put(charges[L+1])
-	charges[L+1] = nil
-	// Upward pass: prolong and accumulate each level's separable
-	// convolution, recycling every intermediate grid.
-	for l := L; l >= 1; l-- {
-		up := s.pool.Get(charges[l].N)
-		spUp := s.o.Start(obs.StageProlong)
-		grid.ProlongInto(up, phi, s.j, s.pool)
-		spUp.Stop()
-		s.pool.Put(phi)
-		t1 := s.pool.Get(charges[l].N)
-		t2 := s.pool.Get(charges[l].N)
-		spConv := s.o.Start(obs.StageConv)
-		s.levelConvAccum(up, charges[l], l, t1, t2)
-		spConv.Stop()
-		s.pool.Put(t1)
-		s.pool.Put(t2)
-		if l > 1 {
-			s.pool.Put(charges[l])
-		}
-		charges[l] = nil
-		phi = up
-	}
-	return phi
-}
-
-// LongRange computes the mesh (long-range) part of the Coulomb energy plus
-// the Ewald self energy, accumulating forces into f (may be nil).
-func (s *Solver) LongRange(pos []vec.V, q []float64, f []vec.V) float64 {
-	phi := s.MeshPotential(pos, q)
-	e := s.Mesher.Interpolate(phi, pos, q, f)
-	s.pool.Put(phi)
-	return e + ewald.SelfEnergy(q, s.Prm.Alpha)
-}
-
-// Coulomb computes the full TME Coulomb energy — short-range erfc + mesh +
-// self + exclusion corrections — accumulating forces into f (may be nil).
-func (s *Solver) Coulomb(pos []vec.V, q []float64, excl *topol.Exclusions, f []vec.V) float64 {
-	e := ewald.RealSpace(s.Box, pos, q, s.Prm.Alpha, s.Prm.Rc, excl, f)
-	e += s.LongRange(pos, q, f)
-	e += ewald.ExclusionCorrection(s.Box, pos, q, s.Prm.Alpha, excl, f)
-	return e
+	pool.Put(t1)
+	pool.Put(t2)
 }
 
 // ShellExact evaluates the middle-range shell g_{α,l}(r) =

@@ -1,6 +1,6 @@
 // Plan (shared, immutable), Mesh (per-rank grid state) and the one
 // definition of the decomposed TME pipeline's stage order, Mesh.Solve —
-// the block form of core.Solver.meshPotentialFromCharges. The x/y passes
+// the block form of spme.Cycle.MeshPotential. The x/y passes
 // run the exported per-axis passes of internal/grid on the rank's own
 // planes — every row lies within one plane, so the values are bitwise those
 // of the serial full-grid pass; the z passes (ops.go) read foreign planes

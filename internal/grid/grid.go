@@ -131,6 +131,8 @@ func (p *Pool) SetObs(r *obs.Recorder) {
 }
 
 // Get returns an nx×ny×nz grid with undefined contents.
+//
+//tme:noalloc
 func (p *Pool) Get(n [3]int) *G {
 	p.mu.Lock()
 	p.o.Add(obs.CounterPoolGets, 1)
@@ -142,16 +144,18 @@ func (p *Pool) Get(n [3]int) *G {
 	}
 	p.o.Add(obs.CounterPoolMisses, 1)
 	p.mu.Unlock()
-	return New(n[0], n[1], n[2])
+	return New(n[0], n[1], n[2]) //tmevet:ignore noalloc-ipa -- grow-once: a miss only until the pool holds a pipeline's working set; solver's TestLongRangeSteadyStateAllocs holds every method at 0
 }
 
 // Put returns a grid to the pool. The caller must not use g afterwards.
+//
+//tme:noalloc
 func (p *Pool) Put(g *G) {
 	if g == nil {
 		return
 	}
 	p.mu.Lock()
-	p.free[g.N] = append(p.free[g.N], g)
+	p.free[g.N] = append(p.free[g.N], g) //tmevet:ignore noalloc -- grow-once: a shape's free list keeps its capacity; solver's TestLongRangeSteadyStateAllocs holds every method at 0
 	p.mu.Unlock()
 }
 

@@ -88,11 +88,11 @@ type ForceField struct {
 	Obs *obs.Recorder
 }
 
-// obsWirer is satisfied by the instrumentable mesh solvers — all three
-// registered implementations (spme.Solver, core.Solver, msm.Solver) wire
-// the recorder through to their meshers, pools and sub-solvers. Solvers
-// without a SetObs method simply go untimed below the mesh-total stage.
-// internal/solver exports the same assertion as solver.ObsWirer.
+// obsWirer is satisfied by the instrumentable mesh solvers — every
+// registered implementation (solver.Solver requires the method) wires the
+// recorder through to its mesher, pool and sub-solvers. A MeshSolver
+// without a SetObs method, such as a test fake, simply goes untimed below
+// the mesh-total stage.
 type obsWirer interface {
 	SetObs(*obs.Recorder)
 }

@@ -20,16 +20,11 @@ package msm
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"tme4a/internal/bspline"
 	"tme4a/internal/core"
-	"tme4a/internal/ewald"
 	"tme4a/internal/grid"
-	"tme4a/internal/obs"
-	"tme4a/internal/pmesh"
 	"tme4a/internal/spme"
-	"tme4a/internal/topol"
 	"tme4a/internal/units"
 	"tme4a/internal/vec"
 )
@@ -48,73 +43,28 @@ type Params struct {
 // Validate reports the first invalid parameter as an error. New panics on
 // the same conditions; the solver registry surfaces them as errors.
 func (p Params) Validate() error {
-	if !(p.Alpha > 0) {
-		return fmt.Errorf("msm: Alpha must be positive, got %g", p.Alpha)
-	}
-	if !(p.Rc > 0) {
-		return fmt.Errorf("msm: Rc must be positive, got %g", p.Rc)
-	}
-	if p.Order%2 != 0 || p.Order < 2 || p.Order > pmesh.MaxOrder {
-		return fmt.Errorf("msm: order must be even and in [2, %d], got %d", pmesh.MaxOrder, p.Order)
-	}
 	if p.Levels < 1 {
 		return fmt.Errorf("msm: MSM needs at least one middle level, got %d", p.Levels)
 	}
 	if p.Gc < 1 {
 		return fmt.Errorf("msm: grid-kernel cutoff must be >= 1, got %d", p.Gc)
 	}
-	for jx := 0; jx < 3; jx++ {
-		d := p.N[jx] >> p.Levels
-		if d<<p.Levels != p.N[jx] || d < 1 {
-			return fmt.Errorf("msm: grid dim %d not divisible by 2^%d", p.N[jx], p.Levels)
-		}
-		if p.N[jx] < p.Order {
-			return fmt.Errorf("msm: grid dim %d smaller than spline order %d", p.N[jx], p.Order)
-		}
-		if d&(d-1) != 0 {
-			return fmt.Errorf("msm: top-level grid dim %d (= %d/2^%d) is not a power of two", d, p.N[jx], p.Levels)
-		}
-		if d < p.Order {
-			return fmt.Errorf("msm: top-level grid dim %d (= %d/2^%d) smaller than spline order %d", d, p.N[jx], p.Levels, p.Order)
-		}
-	}
-	return nil
+	return spme.CheckParams("msm", p.Alpha, p.Rc, p.Order, p.N, p.Levels)
 }
 
-// Solver holds precomputed 3D level kernels.
+// Solver holds precomputed 3D level kernels. The embedded cycle runs the
+// grid pipeline — Mesher, MeshPotential, LongRange, Coulomb, SetObs —
+// around this package's level convolution.
 type Solver struct {
-	Prm    Params
-	Box    vec.Box
-	Mesher *pmesh.Mesher
+	spme.Cycle
+	Prm Params
 
-	j      []float64
 	kernel []float64 // 3D grid kernel of g_{α,1}, side 2·Gc+1 (level-invariant)
-	top    *spme.Solver
 
 	// kernL[l-1] is kernel with the level-l prefactor Coulomb/2^{l-1}
 	// folded in, so the per-level direct convolutions run without scaling
 	// passes.
 	kernL [][]float64
-
-	pool *grid.Pool // recycled level grids (zero steady-state allocs)
-
-	// o, when non-nil, times the restriction, per-level convolution and
-	// prolongation stages of the mesh pipeline.
-	o *obs.Recorder
-
-	// mu guards the reused per-level grid table of the mesh pipeline.
-	mu      sync.Mutex
-	charges []*grid.G
-}
-
-// SetObs attaches a stage recorder to the solver, its mesher, grid pool
-// and top-level SPME solver (nil detaches). Not safe to call concurrently
-// with solves.
-func (s *Solver) SetObs(r *obs.Recorder) {
-	s.o = r
-	s.Mesher.SetObs(r)
-	s.pool.SetObs(r)
-	s.top.SetObs(r)
 }
 
 // New precomputes the MSM solver for the box. It panics on invalid
@@ -124,16 +74,9 @@ func New(prm Params, box vec.Box) *Solver {
 	if err := prm.Validate(); err != nil {
 		panic(err.Error())
 	}
-	var topN [3]int
-	for jx := 0; jx < 3; jx++ {
-		topN[jx] = prm.N[jx] >> prm.Levels
-	}
-	s := &Solver{
-		Prm:    prm,
-		Box:    box,
-		Mesher: pmesh.NewMesher(prm.Order, prm.N, box),
-		j:      bspline.TwoScale(prm.Order),
-	}
+	s := &Solver{Prm: prm}
+	s.Cycle = spme.NewCycle(spme.Params{Alpha: prm.Alpha, Rc: prm.Rc, Order: prm.Order, N: prm.N},
+		prm.Levels, box, s.levelConvAccum)
 	s.kernel = levelKernel3D(prm, s.Mesher.H())
 	s.kernL = make([][]float64, prm.Levels)
 	for l := 1; l <= prm.Levels; l++ {
@@ -144,14 +87,6 @@ func New(prm Params, box vec.Box) *Solver {
 		}
 		s.kernL[l-1] = kl
 	}
-	s.pool = grid.NewPool()
-	s.charges = make([]*grid.G, prm.Levels+2)
-	s.top = spme.New(spme.Params{
-		Alpha: prm.Alpha / math.Pow(2, float64(prm.Levels)),
-		Rc:    prm.Rc,
-		Order: prm.Order,
-		N:     topN,
-	}, box)
 	return s
 }
 
@@ -238,86 +173,11 @@ func levelKernel3D(prm Params, h vec.V) []float64 {
 // 2·Gc+1 per axis.
 func (s *Solver) Kernel3D() []float64 { return s.kernel }
 
-// MeshPotential runs charge assignment, restrictions, direct 3D level
-// convolutions, top-level SPME and prolongations, returning the finest-grid
-// potential in kJ mol⁻¹ e⁻¹.
-//
-// The returned grid is drawn from the solver's internal pool and is owned
-// by the caller; LongRange recycles it, external callers may simply let it
-// be garbage collected.
+// levelConvAccum accumulates the direct 3D convolution of the level-l
+// (1-based) charge grid q with the pre-scaled level kernel into dst, in
+// kJ mol⁻¹ e⁻¹. It needs no scratch, so pool goes unused.
 //
 //tme:noalloc
-func (s *Solver) MeshPotential(pos []vec.V, q []float64) *grid.G {
-	qg := s.pool.Get(s.Prm.N)
-	qg.Zero()
-	s.Mesher.AssignTo(qg, pos, q)
-	phi := s.meshPotentialFromCharges(qg)
-	s.pool.Put(qg)
-	return phi
-}
-
-// meshPotentialFromCharges is the grid pipeline below charge assignment,
-// structured exactly like core.Solver's: every intermediate grid comes
-// from the pool and goes back, so steady-state solves allocate nothing.
-//
-//tme:noalloc
-func (s *Solver) meshPotentialFromCharges(qg *grid.G) *grid.G {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	L := s.Prm.Levels
-	// Downward pass: restrict charges level by level. charges is 1-based;
-	// [L+1] is the top grid. Entry 1 aliases the caller's grid and is
-	// never recycled.
-	charges := s.charges
-	charges[1] = qg
-	spDown := s.o.Start(obs.StageRestrict)
-	for l := 1; l <= L; l++ {
-		n := charges[l].N
-		charges[l+1] = s.pool.Get([3]int{n[0] / 2, n[1] / 2, n[2] / 2})
-		grid.RestrictInto(charges[l+1], charges[l], s.j, s.pool)
-	}
-	spDown.Stop()
-	// Top-level SPME convolution.
-	phi := s.pool.Get(charges[L+1].N)
-	s.top.PotentialGridInto(phi, charges[L+1])
-	s.pool.Put(charges[L+1])
-	charges[L+1] = nil
-	// Upward pass: prolong, then accumulate each level's direct 3D
-	// convolution with the pre-scaled level kernel, recycling every
-	// intermediate grid.
-	for l := L; l >= 1; l-- {
-		up := s.pool.Get(charges[l].N)
-		spUp := s.o.Start(obs.StageProlong)
-		grid.ProlongInto(up, phi, s.j, s.pool)
-		spUp.Stop()
-		s.pool.Put(phi)
-		spConv := s.o.Start(obs.StageConv)
-		grid.ConvDirect3DAccum(up, charges[l], s.kernL[l-1], s.Prm.Gc)
-		spConv.Stop()
-		if l > 1 {
-			s.pool.Put(charges[l])
-		}
-		charges[l] = nil
-		phi = up
-	}
-	return phi
-}
-
-// LongRange computes the mesh part plus self energy, accumulating forces
-// into f (may be nil).
-//
-//tme:noalloc
-func (s *Solver) LongRange(pos []vec.V, q []float64, f []vec.V) float64 {
-	phi := s.MeshPotential(pos, q)
-	e := s.Mesher.Interpolate(phi, pos, q, f)
-	s.pool.Put(phi)
-	return e + ewald.SelfEnergy(q, s.Prm.Alpha)
-}
-
-// Coulomb computes the full MSM Coulomb energy, accumulating forces into f.
-func (s *Solver) Coulomb(pos []vec.V, q []float64, excl *topol.Exclusions, f []vec.V) float64 {
-	e := ewald.RealSpace(s.Box, pos, q, s.Prm.Alpha, s.Prm.Rc, excl, f)
-	e += s.LongRange(pos, q, f)
-	e += ewald.ExclusionCorrection(s.Box, pos, q, s.Prm.Alpha, excl, f)
-	return e
+func (s *Solver) levelConvAccum(dst, q *grid.G, l int, _ *grid.Pool) {
+	grid.ConvDirect3DAccum(dst, q, s.kernL[l-1], s.Prm.Gc)
 }

@@ -1,27 +1,23 @@
 package msm
 
-import (
-	"tme4a/internal/solver"
-	"tme4a/internal/vec"
-)
+import "tme4a/internal/solver"
 
-// init registers B-spline MSM under "msm". The registry subset ignores the
-// TME-only fields of the shared config (M, Kernel).
+// fromConfig maps the registry's superset config onto this package's Params,
+// ignoring the TME-only fields (M, Kernel).
+func fromConfig(cfg solver.Config) Params {
+	return Params{
+		Alpha:  cfg.Alpha,
+		Rc:     cfg.Rc,
+		Order:  cfg.Order,
+		N:      cfg.N,
+		Levels: cfg.Levels,
+		Gc:     cfg.Gc,
+	}
+}
+
+// init registers B-spline MSM under "msm".
 func init() {
 	solver.Register("msm",
 		"B-spline multilevel summation: real-space level hierarchy comparator, SPME top solve",
-		func(cfg solver.Config, box vec.Box) (solver.Solver, error) {
-			prm := Params{
-				Alpha:  cfg.Alpha,
-				Rc:     cfg.Rc,
-				Order:  cfg.Order,
-				N:      cfg.N,
-				Levels: cfg.Levels,
-				Gc:     cfg.Gc,
-			}
-			if err := prm.Validate(); err != nil {
-				return nil, err
-			}
-			return New(prm, box), nil
-		})
+		fromConfig, New)
 }

@@ -223,8 +223,8 @@ func (sp Spec) Box() vec.Box {
 	return water.CubicBoxFor(sp.Side * sp.Side * sp.Side)
 }
 
-// Validate checks every field and, for mesh methods, constructs the
-// configured solver once so the per-package Params.Validate errors (odd
+// Validate checks every field and, for mesh methods, asks the registry —
+// which builds nothing — so the per-package Params.Validate errors (odd
 // order, non-power-of-two grid, out-of-range u-series M, unknown kernel)
 // surface verbatim in the API response. The spec must be normalized.
 func (sp Spec) Validate() error {
@@ -280,9 +280,7 @@ func (sp Spec) Validate() error {
 		return fmt.Errorf("serve: gc %d out of range [1, 64]", sp.Gc)
 	}
 	if sp.Method != "cutoff" {
-		if _, err := sp.newMesh(); err != nil {
-			return err
-		}
+		return solver.Validate(sp.Method, sp.solverConfig())
 	}
 	return nil
 }
@@ -304,20 +302,21 @@ func (sp Spec) ConfigHash() uint64 { return ckpt.ConfigHash(sp.canonical()) }
 // mesh terms, at the same force tolerance cmd/mdrun uses.
 func (sp Spec) alpha() float64 { return spme.AlphaFromRTol(sp.Rc, 1e-4) }
 
+// solverConfig maps the spec onto the solver registry's config.
+func (sp Spec) solverConfig() solver.Config {
+	return solver.Config{
+		Alpha: sp.alpha(), Rc: sp.Rc, Order: 6, N: [3]int{sp.Grid, sp.Grid, sp.Grid},
+		Levels: sp.Levels, M: sp.M, Gc: sp.Gc, Kernel: sp.Kernel,
+	}
+}
+
 // newMesh constructs the spec's mesh solver through the registry (nil for
 // the cutoff method).
-func (sp Spec) newMesh() (md.MeshSolver, error) {
+func (sp Spec) newMesh() (solver.Solver, error) {
 	if sp.Method == "cutoff" {
 		return nil, nil
 	}
-	s, err := solver.New(sp.Method, solver.Config{
-		Alpha: sp.alpha(), Rc: sp.Rc, Order: 6, N: [3]int{sp.Grid, sp.Grid, sp.Grid},
-		Levels: sp.Levels, M: sp.M, Gc: sp.Gc, Kernel: sp.Kernel,
-	}, sp.Box())
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return solver.New(sp.Method, sp.solverConfig(), sp.Box())
 }
 
 // meta carries the builder parameters into snapshots, mirroring cmd/mdrun.

@@ -20,9 +20,9 @@
 //	)
 //	mesh, err := solver.New("tme", solver.Config{...}, box)
 //
-// Constructors validate their parameter subset via the per-package
-// Params.Validate methods and return errors — never panic — so a CLI can
-// turn a bad -method/-kernel/-grid combination into a usage message.
+// Each implementation registers its Config → Params mapping beside its
+// constructor; Params.Validate is its check, so Validate and New return
+// errors, never panic, and a CLI can turn a bad flag into a usage message.
 package solver
 
 import (
@@ -52,36 +52,26 @@ type Config struct {
 
 // Solver extends the md.MeshSolver calculator contract with
 // self-description, so a run header or results table can state exactly
-// which method and parameters produced it.
-//
-// Two optional hooks are discovered by interface assertion, never
-// required: ObsWirer (per-stage timing; all three registered solvers
-// implement it) and resume hooks, which live at the md.ForceField layer —
-// solvers are stateless between steps by design, so checkpoint/restart
-// needs nothing from them (DESIGN.md §7.5).
+// which method and parameters produced it, and with the per-stage timing
+// hook every registered solver inherits from spme.Cycle. Resume hooks live
+// at the md.ForceField layer — solvers are stateless between steps by
+// design, so checkpoint/restart needs nothing from them (DESIGN.md §7.5).
 type Solver interface {
 	md.MeshSolver
 	// Describe returns a one-line human-readable description of the
 	// configured method and its parameters.
 	Describe() string
-}
-
-// ObsWirer is the optional instrumentation hook: a solver that implements
-// it propagates a stage recorder to its meshers, pools and sub-solvers
-// (nil detaches). md.ForceField.SetObs performs the same assertion.
-type ObsWirer interface {
+	// SetObs propagates a stage recorder to the solver's meshers, pools
+	// and sub-solvers (nil detaches).
 	SetObs(*obs.Recorder)
 }
 
-// Constructor builds a configured solver for a box, returning an error —
-// not panicking — on invalid parameters.
-type Constructor func(cfg Config, box vec.Box) (Solver, error)
-
-// entry is one registered method: its constructor plus the one-line doc
-// the listing endpoints render.
+// entry is one registered method: its parameter check and constructor
+// plus the one-line doc the listing endpoints render.
 type entry struct {
-	doc  string
-	ctor Constructor
+	doc      string
+	validate func(Config) error
+	build    func(Config, vec.Box) Solver
 }
 
 var (
@@ -89,32 +79,53 @@ var (
 	registry = map[string]entry{}
 )
 
-// Register adds a named constructor with a one-line description to the
-// registry. It is intended for package init functions; registering an
-// empty name, a nil constructor or a duplicate name is a programming
-// error and panics.
-func Register(name, doc string, c Constructor) {
-	if name == "" || c == nil {
-		panic("solver: Register needs a non-empty name and a non-nil constructor")
+// Register adds a named method to the registry: a one-line description,
+// the mapping of Config onto the method's own parameters — whose Validate
+// is the method's check — and the constructor over those parameters, which
+// the registry only calls with parameters that passed. It is intended for
+// package init functions; registering an empty name, a nil function or a
+// duplicate name is a programming error and panics.
+func Register[P interface{ Validate() error }, S Solver](name, doc string, params func(Config) P, build func(P, vec.Box) S) {
+	if name == "" || params == nil || build == nil {
+		panic("solver: Register needs a non-empty name, a parameter mapping and a constructor")
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("solver: method %q registered twice", name))
 	}
-	registry[name] = entry{doc: doc, ctor: c}
+	registry[name] = entry{
+		doc:      doc,
+		validate: func(cfg Config) error { return params(cfg).Validate() },
+		build:    func(cfg Config, box vec.Box) Solver { return build(params(cfg), box) },
+	}
 }
 
-// New constructs the named solver. Unknown names and invalid
-// configurations come back as errors suitable for a CLI usage message.
-func New(name string, cfg Config, box vec.Box) (Solver, error) {
+// lookup returns the named method's entry and what its check says of cfg;
+// an unknown name is an error that lists the registered ones.
+func lookup(name string, cfg Config) (entry, error) {
 	regMu.Lock()
 	e, ok := registry[name]
 	regMu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("solver: unknown method %q (registered: %s)", name, strings.Join(Names(), ", "))
+		return e, fmt.Errorf("solver: unknown method %q (registered: %s)", name, strings.Join(Names(), ", "))
 	}
-	return e.ctor(cfg, box)
+	return e, e.validate(cfg)
+}
+
+// Validate reports what New would reject, without constructing anything.
+func Validate(name string, cfg Config) error {
+	_, err := lookup(name, cfg)
+	return err
+}
+
+// New constructs the named solver.
+func New(name string, cfg Config, box vec.Box) (Solver, error) {
+	e, err := lookup(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.build(cfg, box), nil
 }
 
 // Names returns the registered method names, sorted.

@@ -94,9 +94,6 @@ func TestRegistryRoundTrip(t *testing.T) {
 			if s.Describe() == "" {
 				t.Errorf("%s/%q: empty Describe()", name, kern)
 			}
-			if _, ok := s.(solver.ObsWirer); !ok {
-				t.Errorf("%s/%q: solver does not implement ObsWirer", name, kern)
-			}
 			twin := directTwin(t, name, cfg, box)
 			fr, ft := make([]vec.V, len(pos)), make([]vec.V, len(pos))
 			er := s.LongRange(pos, q, fr)
@@ -146,6 +143,14 @@ func TestRegistryUnknownMethod(t *testing.T) {
 			t.Errorf("unknown-method error %q does not list registered method %q", err, name)
 		}
 	}
+	if verr := solver.Validate("p3m", testConfig()); verr == nil || verr.Error() != err.Error() {
+		t.Errorf("Validate() = %v, New() = %v, want the same error", verr, err)
+	}
+	for _, name := range solver.Names() {
+		if verr := solver.Validate(name, testConfig()); verr != nil {
+			t.Errorf("Validate(%s) rejects the config New accepts: %v", name, verr)
+		}
+	}
 }
 
 // TestRegistryValidationErrors: every constructor surfaces bad parameters
@@ -168,6 +173,8 @@ func TestRegistryValidationErrors(t *testing.T) {
 			s, err := solver.New(name, cfg, box)
 			if err == nil {
 				t.Errorf("%s: %s accepted (got %s)", name, tc.label, s.Describe())
+			} else if verr := solver.Validate(name, cfg); verr == nil || verr.Error() != err.Error() {
+				t.Errorf("%s: %s: Validate() = %v, New() = %v, want the same error", name, tc.label, verr, err)
 			}
 		}
 	}
@@ -234,8 +241,9 @@ func TestMethodsDeterministic(t *testing.T) {
 	}
 }
 
-// TestObsWiring smoke-checks that SetObs round-trips on every registered
-// solver without panicking, attached and detached.
+// TestObsWiring checks that SetObs on every registered solver reaches the
+// mesher, the cycle's top-solve span and the FFT plan below it, attached
+// and detached.
 func TestObsWiring(t *testing.T) {
 	box := vec.Cubic(4)
 	rng := rand.New(rand.NewSource(13))
@@ -245,14 +253,17 @@ func TestObsWiring(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		w, ok := s.(solver.ObsWirer)
-		if !ok {
-			t.Fatalf("%s: no ObsWirer", name)
-		}
 		rec := obs.New()
-		w.SetObs(rec)
+		s.SetObs(rec)
 		s.LongRange(pos, q, nil)
-		w.SetObs(nil)
+		assign, top, fft := rec.StageCount(obs.StageAssign), rec.StageCount(obs.StageTopSPME), rec.StageCount(obs.StageFFT)
+		if assign != 1 || top != 1 || fft != 2 {
+			t.Errorf("%s: attached recorder saw %d assign, %d top-solve, %d fft spans, want 1, 1, 2", name, assign, top, fft)
+		}
+		s.SetObs(nil)
 		s.LongRange(pos, q, nil)
+		if rec.StageCount(obs.StageAssign) != 1 {
+			t.Errorf("%s: detached recorder still counts", name)
+		}
 	}
 }

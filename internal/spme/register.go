@@ -1,20 +1,16 @@
 package spme
 
-import (
-	"tme4a/internal/solver"
-	"tme4a/internal/vec"
-)
+import "tme4a/internal/solver"
 
-// init registers SPME under "spme". The registry subset ignores the TME
-// fields of the shared config (Levels, M, Gc, Kernel).
+// fromConfig maps the registry's superset config onto this package's Params,
+// ignoring the TME fields (Levels, M, Gc, Kernel).
+func fromConfig(cfg solver.Config) Params {
+	return Params{Alpha: cfg.Alpha, Rc: cfg.Rc, Order: cfg.Order, N: cfg.N}
+}
+
+// init registers SPME under "spme".
 func init() {
 	solver.Register("spme",
 		"smooth particle-mesh Ewald: B-spline charge assignment, single FFT grid solve",
-		func(cfg solver.Config, box vec.Box) (solver.Solver, error) {
-			prm := Params{Alpha: cfg.Alpha, Rc: cfg.Rc, Order: cfg.Order, N: cfg.N}
-			if err := prm.Validate(); err != nil {
-				return nil, err
-			}
-			return New(prm, box), nil
-		})
+		fromConfig, New)
 }

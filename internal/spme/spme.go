@@ -6,7 +6,9 @@
 // SPME serves two roles in this repository: it is the accuracy and
 // performance baseline of Table 1, and — run with α/2^L on the N/2^L grid —
 // it is the top-level convolution of the TME method (the computation the
-// MDGRAPE-4A root FPGA performs; see internal/hw/fpgafft).
+// MDGRAPE-4A root FPGA performs; see internal/hw/fpgafft). Both roles are
+// one pipeline: Cycle (cycle.go) is the long-range cycle around that
+// solve, with SPME its zero-level instance and TME and MSM embedding it.
 package spme
 
 import (
@@ -15,12 +17,8 @@ import (
 	"sync"
 
 	"tme4a/internal/bspline"
-	"tme4a/internal/ewald"
 	"tme4a/internal/fft"
 	"tme4a/internal/grid"
-	"tme4a/internal/obs"
-	"tme4a/internal/pmesh"
-	"tme4a/internal/topol"
 	"tme4a/internal/units"
 	"tme4a/internal/vec"
 )
@@ -36,25 +34,7 @@ type Params struct {
 // Validate reports the first invalid parameter as an error. New panics on
 // the same conditions; the solver registry surfaces them as errors.
 func (p Params) Validate() error {
-	if !(p.Alpha > 0) {
-		return fmt.Errorf("spme: Alpha must be positive, got %g", p.Alpha)
-	}
-	if !(p.Rc > 0) {
-		return fmt.Errorf("spme: Rc must be positive, got %g", p.Rc)
-	}
-	if p.Order%2 != 0 || p.Order < 2 || p.Order > pmesh.MaxOrder {
-		return fmt.Errorf("spme: order must be even and in [2, %d], got %d", pmesh.MaxOrder, p.Order)
-	}
-	for jx := 0; jx < 3; jx++ {
-		n := p.N[jx]
-		if n < p.Order {
-			return fmt.Errorf("spme: grid dim %d smaller than spline order %d", n, p.Order)
-		}
-		if n&(n-1) != 0 {
-			return fmt.Errorf("spme: grid dim %d is not a power of two (required by the real FFT plan)", n)
-		}
-	}
-	return nil
+	return CheckParams("spme", p.Alpha, p.Rc, p.Order, p.N, 0)
 }
 
 // AlphaFromRTol returns the splitting parameter α satisfying
@@ -75,32 +55,18 @@ func AlphaFromRTol(rc, rtol float64) float64 {
 }
 
 // Solver holds the precomputed tables for a fixed box and parameter set.
+// The embedded cycle, at zero levels, is the method around the reciprocal
+// solve — Box, Mesher, MeshPotential, LongRange, Coulomb, SetObs.
 type Solver struct {
-	Prm    Params
-	Box    vec.Box
-	Mesher *pmesh.Mesher
+	Cycle
+	Prm Params
 
 	plan  *fft.RealPlan3
 	green []float64 // lattice Green function over the grid, DC term 0
 
-	pool *grid.Pool // recycled charge/potential grids (zero steady-state allocs)
-
-	// o, when non-nil, times the reciprocal solve as the top-SPME stage
-	// (this covers both standalone SPME and the TME top-level convolution).
-	o *obs.Recorder
-
 	// specMu guards the reused half-spectrum scratch of PotentialGridInto.
 	specMu sync.Mutex
 	spec   []complex128
-}
-
-// SetObs attaches a stage recorder to the solver and its mesher, FFT plan
-// and grid pool (nil detaches). Not safe to call concurrently with solves.
-func (s *Solver) SetObs(r *obs.Recorder) {
-	s.o = r
-	s.Mesher.SetObs(r)
-	s.plan.SetObs(r)
-	s.pool.SetObs(r)
 }
 
 // New precomputes an SPME solver for the box. It panics on invalid
@@ -111,14 +77,12 @@ func New(prm Params, box vec.Box) *Solver {
 		panic(err.Error())
 	}
 	s := &Solver{
-		Prm:    prm,
-		Box:    box,
-		Mesher: pmesh.NewMesher(prm.Order, prm.N, box),
-		plan:   fft.NewRealPlan3(prm.N[0], prm.N[1], prm.N[2]),
-		pool:   grid.NewPool(),
+		Prm:   prm,
+		plan:  fft.NewRealPlan3(prm.N[0], prm.N[1], prm.N[2]),
+		green: latticeGreen(prm, box),
 	}
-	s.green = latticeGreen(prm, box)
 	s.spec = make([]complex128, s.plan.SpectrumLen())
+	s.Cycle = newCycle(prm, 0, box, s, nil)
 	return s
 }
 
@@ -192,7 +156,10 @@ func (s *Solver) PotentialGrid(q *grid.G) *grid.G {
 
 // PotentialGridInto is PotentialGrid writing into an existing grid,
 // reusing the solver's half-spectrum scratch so repeated solves allocate
-// nothing. phi must not alias q.
+// nothing. phi must not alias q. It is the coarsest-grid solve of every
+// method's Cycle.
+//
+//tme:noalloc
 func (s *Solver) PotentialGridInto(phi, q *grid.G) {
 	nx, ny, nz := s.Prm.N[0], s.Prm.N[1], s.Prm.N[2]
 	if q.N != s.Prm.N {
@@ -201,8 +168,6 @@ func (s *Solver) PotentialGridInto(phi, q *grid.G) {
 	if phi.N != s.Prm.N {
 		panic("spme: potential grid shape mismatch")
 	}
-	sp := s.o.Start(obs.StageTopSPME)
-	defer sp.Stop()
 	s.specMu.Lock()
 	defer s.specMu.Unlock()
 	spec := s.spec
@@ -219,33 +184,7 @@ func (s *Solver) PotentialGridInto(phi, q *grid.G) {
 }
 
 // Recip computes the reciprocal (mesh) part of the SPME energy in kJ/mol,
-// accumulating forces into f (may be nil). It spreads charges, solves on
-// the mesh, and back-interpolates. All grids come from the solver's pool,
-// so repeated calls allocate nothing.
+// accumulating forces into f (may be nil): the cycle's mesh energy.
 func (s *Solver) Recip(pos []vec.V, q []float64, f []vec.V) float64 {
-	qg := s.pool.Get(s.Prm.N)
-	qg.Zero()
-	s.Mesher.AssignTo(qg, pos, q)
-	phi := s.pool.Get(s.Prm.N)
-	s.PotentialGridInto(phi, qg)
-	s.pool.Put(qg)
-	e := s.Mesher.Interpolate(phi, pos, q, f)
-	s.pool.Put(phi)
-	return e
-}
-
-// Coulomb computes the full SPME Coulomb energy — real space + reciprocal +
-// self + exclusion corrections — accumulating forces into f (may be nil).
-func (s *Solver) Coulomb(pos []vec.V, q []float64, excl *topol.Exclusions, f []vec.V) float64 {
-	e := ewald.RealSpace(s.Box, pos, q, s.Prm.Alpha, s.Prm.Rc, excl, f)
-	e += s.Recip(pos, q, f)
-	e += ewald.SelfEnergy(q, s.Prm.Alpha)
-	e += ewald.ExclusionCorrection(s.Box, pos, q, s.Prm.Alpha, excl, f)
-	return e
-}
-
-// LongRange computes only the mesh part plus self energy (the portion the
-// MDGRAPE-4A long-range units would handle), accumulating forces into f.
-func (s *Solver) LongRange(pos []vec.V, q []float64, f []vec.V) float64 {
-	return s.Recip(pos, q, f) + ewald.SelfEnergy(q, s.Prm.Alpha)
+	return s.MeshEnergy(pos, q, f)
 }

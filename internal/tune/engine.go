@@ -3,17 +3,17 @@ package tune
 import (
 	"fmt"
 
-	"tme4a/internal/core"
 	"tme4a/internal/md"
-	"tme4a/internal/msm"
 	"tme4a/internal/solver"
-	"tme4a/internal/spme"
 	"tme4a/internal/vec"
-)
 
-// Plans materialize through the solver registry; importing the three
-// implementation packages here (core registers "tme") keeps every plan
-// the tuner can emit constructible by every caller of this package.
+	// Plans validate and materialize through the solver registry; linking
+	// the implementation packages here (core registers "tme"; surface.go
+	// imports spme by name) keeps every plan the tuner can emit
+	// constructible by every caller of this package.
+	_ "tme4a/internal/core"
+	_ "tme4a/internal/msm"
+)
 
 // Alpha returns the plan's Ewald splitting parameter — derived, not
 // stored: every plan shares the RTol convention.
@@ -34,9 +34,9 @@ func (p Plan) SolverConfig() solver.Config {
 }
 
 // Validate checks the plan without allocating a solver: the plan-level
-// fields first, then the concrete method's Params.Validate — the same
-// checks the registry constructor would run. A plan returned by PlanFor
-// always passes (FuzzPlanRequest leans on this).
+// fields first, then the registry's check of the method and its
+// parameters — what the registry constructor would reject. A plan returned
+// by PlanFor always passes (FuzzPlanRequest leans on this).
 func (p Plan) Validate() error {
 	if !isFinite(p.Rc) || p.Rc <= 0 {
 		return fmt.Errorf("tune: plan Rc %g, want positive", p.Rc)
@@ -53,17 +53,7 @@ func (p Plan) Validate() error {
 	if !isFinite(p.PredMs) || p.PredMs <= 0 {
 		return fmt.Errorf("tune: plan PredMs %g, want positive", p.PredMs)
 	}
-	switch p.Method {
-	case "spme":
-		return spme.Params{Alpha: p.Alpha(), Rc: p.Rc, Order: p.Order, N: p.Grid}.Validate()
-	case "tme":
-		return core.Params{Alpha: p.Alpha(), Rc: p.Rc, Order: p.Order, N: p.Grid,
-			Levels: p.Levels, M: p.M, Gc: p.Gc, Kernel: core.KernelFamily(p.Kernel)}.Validate()
-	case "msm":
-		return msm.Params{Alpha: p.Alpha(), Rc: p.Rc, Order: p.Order, N: p.Grid,
-			Levels: p.Levels, Gc: p.Gc}.Validate()
-	}
-	return fmt.Errorf("tune: plan method %q not one of spme, tme, msm", p.Method)
+	return solver.Validate(p.Method, p.SolverConfig())
 }
 
 // NewSolver constructs the plan's long-range solver for a box.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tme4a/internal/vec"
@@ -220,5 +221,27 @@ func TestStepCostBreakdownShape(t *testing.T) {
 				t.Errorf("%s: bad stage row %+v", c.Plan.String(), s)
 			}
 		}
+	}
+}
+
+// TestPlanValidateThroughRegistry: the method and its parameters are
+// checked by the solver registry — an unknown method and a grid the
+// method cannot run on come back with the error NewSolver would give.
+func TestPlanValidateThroughRegistry(t *testing.T) {
+	req := table1Request()
+	p, err := PlanFor(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := p
+	bad.Method = "pppm"
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "unknown method") {
+		t.Errorf("unknown method: Validate() = %v", err)
+	}
+	bad = p
+	bad.Grid = [3]int{18, 18, 18}
+	_, nerr := bad.NewSolver(req.Box)
+	if err := bad.Validate(); err == nil || nerr == nil || err.Error() != nerr.Error() {
+		t.Errorf("bad grid: Validate() = %v, NewSolver() = %v, want the same error", err, nerr)
 	}
 }
