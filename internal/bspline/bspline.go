@@ -51,13 +51,59 @@ func cardinal(p int, t float64) float64 {
 // with nonzero weight; w[k] = M_p(u − (m0+k)) and dw[k] = M_p'(u − (m0+k))
 // for k = 0..p−1. w and dw must each have length ≥ p.
 //
-// This is the O(p²) single-pass recurrence used by SPME implementations;
-// for p = 6 it evaluates M_p and M_p' on all six grid points at once, the
-// same computation the LRU pipeline performs in hardware.
+// This is the O(p²) single-pass recurrence used by SPME implementations,
+// which evaluates M_p and M_p' on all p grid points at once — for p = 6 the
+// computation the LRU pipeline performs in hardware. p = 6, the paper's
+// order and the order of every production path, runs the recurrence
+// unrolled: the same operations on the same operands in the same order, so
+// the same bits as the loop (TestWeightsP6MatchesRecurrence), with the
+// divisions by 1 gone and those by 2 and 4 exact multiplications.
 func Weights(p int, u float64, w, dw []float64) (m0 int) {
+	if p != 6 {
+		return recurrence(p, u, w, dw)
+	}
+	w, dw = w[:6], dw[:6]
+	fl := math.Floor(u)
+	x := u - fl
+	t1, t2, t3, t4, t5 := x+1, x+2, x+3, x+4, x+5
+	// B_2(x+j), j = 0, 1. Below, a recurrence term whose other factor is
+	// an exact zero (v[k] = 0 at the top, lower = 0 at the bottom) is left
+	// out: it adds +0 to a non-negative product.
+	v1 := 2 - t1
+	v0 := x
+	// B_3.
+	v2 := ((3 - t2) * v1) / 2
+	v1 = (t1*v1 + (3-t1)*v0) / 2
+	v0 = (x * v0) / 2
+	// B_4.
+	v3 := ((4 - t3) * v2) / 3
+	v2 = (t2*v2 + (4-t2)*v1) / 3
+	v1 = (t1*v1 + (4-t1)*v0) / 3
+	v0 = (x * v0) / 3
+	// B_5.
+	v4 := ((5 - t4) * v3) / 4
+	v3 = (t3*v3 + (5-t3)*v2) / 4
+	v2 = (t2*v2 + (5-t2)*v1) / 4
+	v1 = (t1*v1 + (5-t1)*v0) / 4
+	v0 = (x * v0) / 4
+	// M_6' from B_5; 0 − v4 is not −v4 when v4 is +0.
+	dw[0], dw[1], dw[2], dw[3], dw[4], dw[5] = 0-v4, v4-v3, v3-v2, v2-v1, v1-v0, v0
+	// M_6 = B_6, reversed.
+	w[0] = ((6 - t5) * v4) / 5
+	w[1] = (t4*v4 + (6-t4)*v3) / 5
+	w[2] = (t3*v3 + (6-t3)*v2) / 5
+	w[3] = (t2*v2 + (6-t2)*v1) / 5
+	w[4] = (t1*v1 + (6-t1)*v0) / 5
+	w[5] = (x * v0) / 5
+	return int(fl) - 2
+}
+
+// recurrence is the order-p recurrence loop behind Weights, for any p; the
+// oracle of the unrolled p = 6 path.
+func recurrence(p int, u float64, w, dw []float64) (m0 int) {
 	fl := math.Floor(u)
 	frac := u - fl
-	m0 = Base(p, u)
+	m0 = int(fl) - p/2 + 1
 
 	// v[j] holds B_k(frac + j) for the current order k.
 	var vbuf [16]float64

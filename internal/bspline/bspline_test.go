@@ -120,6 +120,43 @@ func TestWeightsMatchEval(t *testing.T) {
 	}
 }
 
+// TestWeightsP6MatchesRecurrence: the unrolled p = 6 path returns the bits
+// of the recurrence loop — m0, every weight and every derivative, signed
+// zeros told apart — on over a million coordinates: random ones near the
+// origin and far out on both sides, integers and half-integers, and
+// fractional parts within a few ulps of 1, where x + j rounds up to j + 1
+// and the top-order terms become exact zeros.
+func TestWeightsP6MatchesRecurrence(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var w, dw, ww, wdw [6]float64
+	check := func(u float64) {
+		m0 := Weights(6, u, w[:], dw[:])
+		wm0 := recurrence(6, u, ww[:], wdw[:])
+		if m0 != wm0 {
+			t.Fatalf("u=%.17g: m0 %d, recurrence %d", u, m0, wm0)
+		}
+		for k := range w {
+			if math.Float64bits(w[k]) != math.Float64bits(ww[k]) || math.Float64bits(dw[k]) != math.Float64bits(wdw[k]) {
+				t.Fatalf("u=%.17g k=%d: (w, dw) = (%.17g, %.17g), recurrence (%.17g, %.17g)", u, k, w[k], dw[k], ww[k], wdw[k])
+			}
+		}
+	}
+	for n := -20000; n <= 20000; n++ {
+		check(float64(n))
+		check(float64(n) + 0.5)
+		below := math.Nextafter(float64(n+1), math.Inf(-1))
+		for k := 0; k < 4; k++ {
+			check(below)
+			below = math.Nextafter(below, math.Inf(-1))
+		}
+	}
+	for _, scale := range []float64{1, 64, 1e4, 1e9, 1e14} {
+		for n := 0; n < 200000; n++ {
+			check((2*rng.Float64() - 1) * scale)
+		}
+	}
+}
+
 func TestWeightsSumProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, p := range orders {

@@ -67,24 +67,57 @@ func (k *kernel) is(alpha, rc float64) bool {
 	return k != nil && k.alpha == alpha && k.rc == rc
 }
 
-// pair evaluates one pair at squared distance r2 ≤ rc²: the two energy
-// terms and the radial force factor fr such that F_i = fr·d (and
-// F_j = −fr·d). Every short-range path calls exactly this function, so they
-// agree bitwise on every pair they share.
+// The pair kernel. A pair at squared distance r2 ≤ rc² with charge product
+// qq has Coulomb energy eC = qq·E(r2) and radial force factor fr = qq·F(r2)
+// — the cubic of the table segment holding r2 (coulomb), or the analytic
+// kernel below the table (coulombOut) — and, when both atoms are LJ sites
+// (LJ.site), adds the Lennard-Jones energy and force factor of ljEval to
+// them; F_i = fr·d and F_j = −fr·d. Each piece is written once, here and in
+// r2tab. The compiler inlines the segment fetch, the cubic and ljEval one by
+// one but not their sum (budget 80), so the two pair loops —
+// VerletList.bucket and SlabScratch.slab — compose them in line, in this
+// order, and call nothing on the in-table path:
+//
+//	var eC, eLJ, fr float64
+//	if c, d := k.tab.Segment(r2); c != nil {
+//		eC, fr = coulomb(qq, c, d)
+//	} else {
+//		eC, fr = k.coulombOut(qq, r2)
+//	}
+//	if lj.site(i, j) {
+//		var fl float64
+//		eLJ, fl = ljEval(lj, i, j, 1/r2)
+//		fr += fl
+//	}
+//
+// tier1.sh fails if any of those calls stops being inlined.
+
+// coulomb is the Coulomb term of a pair inside the table: segment c at
+// offset d. A pair with qq = 0 gets ±0, which no energy sum or force test
+// can tell from the +0 of skipping it.
 //
 //tme:noalloc
-func (k *kernel) pair(qq float64, lj *LJ, i, j int, r2 float64) (eC, eLJ, fr float64) {
-	if qq != 0 {
-		e, f := k.tab.Lookup(r2)
-		eC = qq * e
-		fr = qq * f
+func coulomb(qq float64, c *r2tab.Segment, d float64) (eC, fr float64) {
+	e, f := c.Cubic(d)
+	return qq * e, qq * f
+}
+
+// coulombOut is the Coulomb term of a pair outside the table, where Lookup
+// falls back to the analytic kernel. An uncharged pair is skipped, so
+// coincident uncharged atoms do not turn 0·∞ into NaN.
+//
+//tme:noalloc
+func (k *kernel) coulombOut(qq, r2 float64) (eC, fr float64) {
+	if qq == 0 {
+		return 0, 0
 	}
-	if lj != nil && lj.Eps[i] != 0 && lj.Eps[j] != 0 {
-		var fl float64
-		eLJ, fl = ljEval(lj, i, j, 1/r2)
-		fr += fl
-	}
-	return eC, eLJ, fr
+	e, f := k.tab.Lookup(r2)
+	return qq * e, qq * f
+}
+
+// site reports whether atoms i and j both carry an LJ site.
+func (lj *LJ) site(i, j int) bool {
+	return lj != nil && lj.Eps[i] != 0 && lj.Eps[j] != 0
 }
 
 // ljEval is the closed-form Lennard-Jones term of a pair of LJ sites under
@@ -102,7 +135,7 @@ func ljEval(lj *LJ, i, j int, inv2 float64) (e, fr float64) {
 
 // pairEval is the analytic erfc-screened Coulomb + Lennard-Jones kernel:
 // the generator of the table, the fallback outside its range, and the
-// oracle of the tests. Same contract as kernel.pair.
+// oracle of the tests. Same contract as the pair kernel.
 func pairEval(qq float64, lj *LJ, i, j int, alpha, r2 float64) (eC, eLJ, fr float64) {
 	r := math.Sqrt(r2)
 	inv2 := 1 / r2
@@ -110,7 +143,7 @@ func pairEval(qq float64, lj *LJ, i, j int, alpha, r2 float64) (eC, eLJ, fr floa
 		eC = qq * math.Erfc(alpha*r) / r * units.Coulomb
 		fr = (eC + qq*units.Coulomb*alpha*twoOverSqrtPi*math.Exp(-alpha*alpha*r2)) * inv2
 	}
-	if lj != nil && lj.Eps[i] != 0 && lj.Eps[j] != 0 {
+	if lj.site(i, j) {
 		var fl float64
 		eLJ, fl = ljEval(lj, i, j, inv2)
 		fr += fl

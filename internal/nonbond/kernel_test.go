@@ -28,7 +28,7 @@ func TestKernelTableAccuracy(t *testing.T) {
 				if r2 > rc*rc {
 					r2 = rc * rc
 				}
-				e, _, f := k.pair(1, nil, 0, 0, r2)
+				e, f := k.tab.Lookup(r2)
 				we, _, wf := pairEval(1, nil, 0, 0, alpha, r2)
 				maxE = math.Max(maxE, math.Abs(e-we)/math.Abs(we))
 				maxF = math.Max(maxF, math.Abs(f-wf)/math.Abs(wf))
@@ -50,14 +50,14 @@ func TestKernelForceIsEnergyGradient(t *testing.T) {
 	k := newKernel(3.12, 1.0)
 	rng := rand.New(rand.NewSource(nameSeed(t)))
 	energy := func(r float64) float64 {
-		e, _, _ := k.pair(1, nil, 0, 0, r*r)
+		e, _ := k.tab.Lookup(r * r)
 		return e
 	}
 	for n := 0; n < 20000; n++ {
 		r := 0.04 + 0.95*rng.Float64()
 		h := 1e-4 * r
 		fd := -(energy(r+h) - energy(r-h)) / (2 * h)
-		_, _, fr := k.pair(1, nil, 0, 0, r*r)
+		_, fr := k.tab.Lookup(r * r)
 		if got := fr * r; math.Abs(got-fd) > 1e-6*math.Abs(fd) {
 			t.Fatalf("r=%.6f: tabulated force %.10g vs −dE/dr %.10g (rel %.2e)", r, got, fd, math.Abs(got-fd)/math.Abs(fd))
 		}
@@ -67,15 +67,50 @@ func TestKernelForceIsEnergyGradient(t *testing.T) {
 // TestKernelFallbackBelowTable: closer than the table reaches, and for a
 // cutoff so short the table is empty, the kernel is the analytic one — to
 // rounding, since it scales the unit-charge value by qq where the oracle
-// carries qq through — with LJ to the bit.
+// carries qq through — with LJ to the bit; inside the table it is within
+// the table's error. Checked on one pair through every pair loop as it
+// composes the kernel: the Verlet list and the list-free slab body, in cell
+// mode (deferred lists) and in direct mode (dense buffers).
 func TestKernelFallbackBelowTable(t *testing.T) {
 	lj := &LJ{Sigma: []float64{0.3, 0.32}, Eps: []float64{0.6, 0.7}}
-	for _, k := range []*kernel{newKernel(2.5, 1.0), newKernel(2.5, 0.02), newKernel(0, 1.0)} {
-		for _, r2 := range []float64{1e-6, 4e-4, tableRMin2 * (1 - 1e-12)} {
-			eC, eLJ, fr := k.pair(-0.7, lj, 0, 1, r2)
-			wC, wLJ, wfr := pairEval(-0.7, lj, 0, 1, k.alpha, r2)
-			if math.Abs(eC-wC) > 1e-15*math.Abs(wC) || eLJ != wLJ || math.Abs(fr-wfr) > 1e-15*math.Abs(wfr) {
-				t.Errorf("alpha=%g rc=%g r2=%g: (%g, %g, %g), want analytic (%g, %g, %g)", k.alpha, k.rc, r2, eC, eLJ, fr, wC, wLJ, wfr)
+	q := []float64{1, -0.7}
+	for _, tc := range []struct {
+		alpha, rc float64
+		rs        []float64
+	}{
+		{2.5, 1.0, []float64{1e-3, 0.02, 0.0312, 0.05, 0.3, 0.97}},
+		{2.5, 0.02, []float64{1e-3, 0.0199}},
+		{0, 1.0, []float64{1e-3, 0.0312, 0.5}},
+	} {
+		// 3.5 rc: three cells per axis; 2.5 rc: too few, direct mode.
+		for _, side := range []float64{3.5 * tc.rc, 2.5 * tc.rc} {
+			box := vec.Cubic(side)
+			for _, r := range tc.rs {
+				pos := []vec.V{{0.4 * side, 0.5 * side, 0.5 * side}, {0.4*side + r, 0.5 * side, 0.5 * side}}
+				dx := pos[0][0] - pos[1][0]
+				r2 := dx * dx
+				wC, wLJ, wfr := pairEval(-0.7, lj, 0, 1, tc.alpha, r2)
+				tol := 1e-15
+				if r2 >= tableRMin2 && tc.rc > 0.5 {
+					tol = 1e-8
+				}
+				check := func(path string, res Result, f []vec.V) {
+					t.Helper()
+					if res.Pairs != 1 {
+						t.Fatalf("alpha=%g rc=%g side=%g r=%g %s: %d pairs", tc.alpha, tc.rc, side, r, path, res.Pairs)
+					}
+					fr := f[0][0] / dx
+					if math.Abs(res.ECoul-wC) > tol*math.Abs(wC) || res.ELJ != wLJ || math.Abs(fr-wfr) > tol*math.Abs(wfr) {
+						t.Errorf("alpha=%g rc=%g side=%g r=%g %s: (%g, %g, %g), want analytic (%g, %g, %g)",
+							tc.alpha, tc.rc, side, r, path, res.ECoul, res.ELJ, fr, wC, wLJ, wfr)
+					}
+				}
+				v := NewVerletList(box, tc.rc, 0.1*tc.rc)
+				v.Rebuild(pos, nil)
+				f := make([]vec.V, 2)
+				check("verlet", v.Compute(pos, q, lj, tc.alpha, f), f)
+				f = make([]vec.V, 2)
+				check("slab body", Compute(box, pos, q, lj, tc.alpha, tc.rc, nil, f), f)
 			}
 		}
 	}

@@ -22,11 +22,12 @@
 // # Pair kernel
 //
 // Every path — VerletList.Compute, ComputeWithList, ComputeSlabRange —
-// evaluates a pair through the one kernel in kernel.go: the Coulomb energy
-// and force factor come from a segmented cubic table in r² (internal/r2tab,
-// the datapath of the hardware pipelines), Lennard-Jones from its closed
-// form. The analytic erfc/exp kernel (pairEval) generates the table, takes
-// the pairs below its range, and is the oracle the tests compare against.
+// evaluates a pair with the one kernel in kernel.go, inlined into its pair
+// loop: the Coulomb energy and force factor come from a segmented cubic
+// table in r² (internal/r2tab, the datapath of the hardware pipelines),
+// Lennard-Jones from its closed form. The analytic erfc/exp kernel
+// (pairEval) generates the table, takes the pairs below its range, and is
+// the oracle the tests compare against.
 package nonbond
 
 import (
@@ -127,14 +128,14 @@ func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, l
 	if par.WorkersGrain(ns, 1) == 1 {
 		if dense {
 			for s := 0; s < ns; s++ {
-				computeSlabDense(cl, k, pos, q, lj, excl, f, sc, s)
+				sc.slab(cl, k, pos, q, lj, excl, f, sc.dense[s], &sc.part[s], s, s)
 			}
 			for m := 0; m < ns; m++ {
 				applyDense(f, sc, m, ns, n)
 			}
 		} else {
 			for s := 0; s < ns; s++ {
-				sc.slab(cl, k, pos, q, lj, excl, f, &sc.part[s], s, s)
+				sc.slab(cl, k, pos, q, lj, excl, f, nil, &sc.part[s], s, s)
 			}
 			for m := 0; f != nil && m < ns; m++ {
 				ApplyDeferred(f, sc.def[(m+ns-1)%ns])
@@ -142,14 +143,14 @@ func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, l
 		}
 	} else if dense {
 		par.For(ns, func(s int) {
-			computeSlabDense(cl, k, pos, q, lj, excl, f, sc, s)
+			sc.slab(cl, k, pos, q, lj, excl, f, sc.dense[s], &sc.part[s], s, s)
 		})
 		par.For(ns, func(m int) {
 			applyDense(f, sc, m, ns, n)
 		})
 	} else {
 		par.For(ns, func(s int) {
-			sc.slab(cl, k, pos, q, lj, excl, f, &sc.part[s], s, s)
+			sc.slab(cl, k, pos, q, lj, excl, f, nil, &sc.part[s], s, s)
 		})
 		if f != nil {
 			par.For(ns, func(m int) {
@@ -160,33 +161,6 @@ func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, l
 	res := FoldSlabs(sc.part)
 	scratchPool.Put(sc)
 	return res
-}
-
-// computeSlabDense is the direct-mode variant of SlabScratch.slab: cross-block
-// reaction forces accumulate into the slab's dense private buffer instead
-// of per-pair deferred entries.
-func computeSlabDense(cl *celllist.List, k *kernel, pos []vec.V, q []float64, lj *LJ, excl *topol.Exclusions, f []vec.V, sc *pairScratch, s int) {
-	p := &sc.part[s]
-	*p = SlabPartial{}
-	fs := sc.dense[s]
-	cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) { //tmevet:ignore noalloc -- the closure does not escape ForEachPairInSlab; TestComputeWithListSteadyStateAllocs holds it at 0
-		if excl.Excluded(i, j) {
-			return
-		}
-		p.Pairs++
-		eC, eLJ, fr := k.pair(q[i]*q[j], lj, i, j, r2)
-		p.ECoul += eC
-		p.ELJ += eLJ
-		if fr != 0 {
-			fv := d.Scale(fr)
-			f[i] = f[i].Add(fv)
-			if tgt == s {
-				f[j] = f[j].Sub(fv)
-			} else {
-				fs[j] = fs[j].Sub(fv)
-			}
-		}
-	})
 }
 
 // applyDense folds the dense reaction buffers into the atoms of target

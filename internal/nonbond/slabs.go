@@ -63,11 +63,13 @@ func (sc *SlabScratch) reset(n int) {
 	sc.def = sc.def[:n]
 }
 
-// slab is the one cell-mode slab body: it traverses slab s, writing forces
-// only into atoms slab s owns (f may be nil for energies alone), the slab's
-// energies and pair count into *p, and the reaction forces owed to the slab
-// above into the scratch's k-th deferred list.
-func (sc *SlabScratch) slab(cl *celllist.List, kn *kernel, pos []vec.V, q []float64, lj *LJ, excl *topol.Exclusions, f []vec.V, p *SlabPartial, s, k int) {
+// slab is the one slab body of the list-free paths: it traverses slab s,
+// writing forces only into atoms slab s owns (f may be nil for energies
+// alone) and the slab's energies and pair count into *p. A reaction force
+// owed to another slab goes into the dense buffer fs when there is one
+// (direct mode, see pairScratch.dense), else into the scratch's k-th
+// deferred list. The pair kernel is composed in line (see kernel.go).
+func (sc *SlabScratch) slab(cl *celllist.List, kn *kernel, pos []vec.V, q []float64, lj *LJ, excl *topol.Exclusions, f, fs []vec.V, p *SlabPartial, s, k int) {
 	*p = SlabPartial{}
 	def := sc.def[k][:0]
 	cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) { //tmevet:ignore noalloc -- the closure does not escape ForEachPairInSlab; TestComputeWithListSteadyStateAllocs holds it at 0
@@ -75,15 +77,29 @@ func (sc *SlabScratch) slab(cl *celllist.List, kn *kernel, pos []vec.V, q []floa
 			return
 		}
 		p.Pairs++
-		eC, eLJ, fr := kn.pair(q[i]*q[j], lj, i, j, r2)
+		qq := q[i] * q[j]
+		var eC, eLJ, fr float64
+		if c, dt := kn.tab.Segment(r2); c != nil {
+			eC, fr = coulomb(qq, c, dt)
+		} else {
+			eC, fr = kn.coulombOut(qq, r2)
+		}
+		if lj.site(i, j) {
+			var fl float64
+			eLJ, fl = ljEval(lj, i, j, 1/r2)
+			fr += fl
+		}
 		p.ECoul += eC
 		p.ELJ += eLJ
 		if f != nil && fr != 0 {
 			fv := d.Scale(fr)
 			f[i] = f[i].Add(fv)
-			if tgt == s {
+			switch {
+			case tgt == s:
 				f[j] = f[j].Sub(fv)
-			} else {
+			case fs != nil:
+				fs[j] = fs[j].Sub(fv)
+			default:
 				def = append(def, Deferred{int32(j), fv}) //tmevet:ignore noalloc -- grow-once: the list keeps its capacity across calls
 			}
 		}
@@ -106,7 +122,7 @@ func ComputeSlabRange(cl *celllist.List, pos []vec.V, q []float64, lj *LJ, alpha
 	sc.reset(n)
 	kn := kernelFor(alpha, cl.Cutoff)
 	for k := 0; k < n; k++ {
-		sc.slab(cl, kn, pos, q, lj, excl, f, &part[k], s0+k, k)
+		sc.slab(cl, kn, pos, q, lj, excl, f, nil, &part[k], s0+k, k)
 	}
 	for k := 0; k+1 < n; k++ {
 		ApplyDeferred(f, sc.def[k])

@@ -166,9 +166,14 @@ func (v *VerletList) NeedsRebuild(pos []vec.V) bool {
 		return true
 	}
 	lim2 := v.Skin * v.Skin / 4
+	lx, ly, lz := v.Box.L[0], v.Box.L[1], v.Box.L[2]
+	ix, iy, iz := 1/lx, 1/ly, 1/lz
 	for i := range pos {
-		d := v.Box.MinImage(pos[i].Sub(v.ref[i]))
-		if d.Norm2() > lim2 {
+		p, r := &pos[i], &v.ref[i]
+		dx := vec.MinImage1(p[0]-r[0], lx, ix)
+		dy := vec.MinImage1(p[1]-r[1], ly, iy)
+		dz := vec.MinImage1(p[2]-r[2], lz, iz)
+		if dx*dx+dy*dy+dz*dz > lim2 {
 			return true
 		}
 	}
@@ -224,81 +229,86 @@ func (v *VerletList) Compute(pos []vec.V, q []float64, lj *LJ, alpha float64, f 
 	return FoldSlabs(v.part)
 }
 
-// evalSlab evaluates slab s's buckets: same-slab pairs update both
-// force entries, cross-slab pairs update the owned side and record the
-// reaction force for the target slab's deferred pass.
-//
-// The loops keep the displacement, the accumulators and the force in scalar
-// locals (see vec.MinImage1): a vec.V temporary lives on the stack, which
-// costs more than the kernel itself once the transcendentals are gone.
+// evalSlab evaluates slab s's buckets in a fixed order — the same-slab
+// bucket, then the cross buckets by ascending target — into one running
+// partial.
 //
 //tme:noalloc
 func (v *VerletList) evalSlab(s int, pos []vec.V, q []float64, lj *LJ, f []vec.V) {
+	var p SlabPartial
+	v.bucket(&p, v.same[s], nil, pos, q, lj, f)
+	base := s * v.ns
+	for tgt := 0; tgt < v.ns; tgt++ {
+		if tgt != s {
+			b := base + tgt
+			v.bucket(&p, v.cross[b], v.dfrc[b][:len(v.cross[b])], pos, q, lj, f)
+		}
+	}
+	v.part[s] = p
+}
+
+// bucket evaluates one pair bucket, continuing the running partial p. The
+// same-slab bucket (dst == nil) updates both force entries of a pair; a
+// cross-slab bucket updates the owned side and records in dst[n] the
+// reaction force owed to pair n's second atom (zero beyond the cutoff), for
+// the target slab's deferred pass.
+//
+// The loop keeps the displacement, the accumulators and the force in scalar
+// locals (see vec.MinImage1) — a vec.V temporary lives on the stack, which
+// costs more than the kernel itself once the transcendentals are gone — and
+// composes the pair kernel in line (see kernel.go).
+//
+//tme:noalloc
+func (v *VerletList) bucket(p *SlabPartial, prs []pair, dst []vec.V, pos []vec.V, q []float64, lj *LJ, f []vec.V) {
 	k := v.k
 	rc2 := v.Cutoff * v.Cutoff
 	lx, ly, lz := v.Box.L[0], v.Box.L[1], v.Box.L[2]
 	ix, iy, iz := 1/lx, 1/ly, 1/lz
-	var eCoul, eLJsum float64
-	var pairs int
-	for _, pr := range v.same[s] {
+	eCoul, eLJsum, pairs := p.ECoul, p.ELJ, p.Pairs
+	for n, pr := range prs {
 		i, j := int(pr.i), int(pr.j)
 		pi, pj := &pos[i], &pos[j]
 		dx := vec.MinImage1(pi[0]-pj[0], lx, ix)
 		dy := vec.MinImage1(pi[1]-pj[1], ly, iy)
 		dz := vec.MinImage1(pi[2]-pj[2], lz, iz)
 		r2 := dx*dx + dy*dy + dz*dz
-		if r2 > rc2 {
-			continue
-		}
-		pairs++
-		eC, eLJ, fr := k.pair(q[i]*q[j], lj, i, j, r2)
-		eCoul += eC
-		eLJsum += eLJ
-		if f != nil && fr != 0 {
-			fx, fy, fz := fr*dx, fr*dy, fr*dz
-			fi, fj := &f[i], &f[j]
-			fi[0] += fx
-			fi[1] += fy
-			fi[2] += fz
-			fj[0] -= fx
-			fj[1] -= fy
-			fj[2] -= fz
-		}
-	}
-	base := s * v.ns
-	for tgt := 0; tgt < v.ns; tgt++ {
-		if tgt == s {
-			continue
-		}
-		b := base + tgt
-		prs := v.cross[b]
-		dst := v.dfrc[b][:len(prs)]
-		for n, pr := range prs {
-			var fx, fy, fz float64
-			i, j := int(pr.i), int(pr.j)
-			pi, pj := &pos[i], &pos[j]
-			dx := vec.MinImage1(pi[0]-pj[0], lx, ix)
-			dy := vec.MinImage1(pi[1]-pj[1], ly, iy)
-			dz := vec.MinImage1(pi[2]-pj[2], lz, iz)
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 <= rc2 {
-				pairs++
-				eC, eLJ, fr := k.pair(q[i]*q[j], lj, i, j, r2)
-				eCoul += eC
-				eLJsum += eLJ
-				if f != nil && fr != 0 {
-					fx, fy, fz = fr*dx, fr*dy, fr*dz
-					fi := &f[i]
-					fi[0] += fx
-					fi[1] += fy
-					fi[2] += fz
+		var fx, fy, fz float64
+		if r2 <= rc2 {
+			pairs++
+			qq := q[i] * q[j]
+			var eC, eLJ, fr float64
+			if c, d := k.tab.Segment(r2); c != nil {
+				eC, fr = coulomb(qq, c, d)
+			} else {
+				eC, fr = k.coulombOut(qq, r2)
+			}
+			if lj.site(i, j) {
+				var fl float64
+				eLJ, fl = ljEval(lj, i, j, 1/r2)
+				fr += fl
+			}
+			eCoul += eC
+			eLJsum += eLJ
+			if f != nil && fr != 0 {
+				fx, fy, fz = fr*dx, fr*dy, fr*dz
+				fi := &f[i]
+				fi[0] += fx
+				fi[1] += fy
+				fi[2] += fz
+				if dst == nil {
+					fj := &f[j]
+					fj[0] -= fx
+					fj[1] -= fy
+					fj[2] -= fz
 				}
 			}
+		}
+		if dst != nil {
 			d := &dst[n]
 			d[0], d[1], d[2] = fx, fy, fz
 		}
 	}
-	v.part[s] = SlabPartial{ECoul: eCoul, ELJ: eLJsum, Pairs: pairs}
+	p.ECoul, p.ELJ, p.Pairs = eCoul, eLJsum, pairs
 }
 
 // applyDeferred applies the reaction forces owed to target slab m in

@@ -38,8 +38,9 @@ const (
 	fracMask = 1<<shift - 1
 )
 
-// entry holds one segment's two cubics, lowest order first, in δ = s − s₀.
-type entry struct {
+// Segment is one table entry: the two cubics of a segment, lowest order
+// first, in δ = s − s₀.
+type Segment struct {
 	e, f [4]float64
 }
 
@@ -48,7 +49,7 @@ type entry struct {
 type Table struct {
 	fn   func(s float64) (e, f float64)
 	base int // Float64bits(sMin) >> shift
-	ent  []entry
+	ent  []Segment
 }
 
 // interior nodes of the fit, as fractions of the segment width: with the
@@ -74,7 +75,7 @@ func New(fn func(s float64) (e, f float64), sMin, sMax float64) *Table {
 	if sMax >= sMin {
 		n = int(math.Float64bits(sMax)>>shift) - t.base + 1
 	}
-	t.ent = make([]entry, n) //tmevet:ignore noalloc -- once per table
+	t.ent = make([]Segment, n) //tmevet:ignore noalloc -- once per table
 	for k := range t.ent {
 		s0 := math.Float64frombits(uint64(t.base+k) << shift)
 		s1 := math.Float64frombits(uint64(t.base+k+1) << shift)
@@ -87,7 +88,7 @@ func New(fn func(s float64) (e, f float64), sMin, sMax float64) *Table {
 			u[i] = (xi - s0) / h
 			ye[i], yf[i] = fn(xi)
 		}
-		t.ent[k] = entry{e: fitCubic(u, ye, h), f: fitCubic(u, yf, h)}
+		t.ent[k] = Segment{e: fitCubic(u, ye, h), f: fitCubic(u, yf, h)}
 	}
 	return t
 }
@@ -115,13 +116,32 @@ func fitCubic(u, y [4]float64, h float64) [4]float64 {
 //
 //tme:noalloc
 func (t *Table) Lookup(s float64) (e, f float64) {
+	if c, d := t.Segment(s); c != nil {
+		return c.Cubic(d)
+	}
+	return t.fn(s)
+}
+
+// Segment returns the segment holding s and the exact offset δ = s − s₀
+// from its start, or nil outside the table. With Cubic it is Lookup split
+// in two pieces small enough for the compiler to inline into a pair loop
+// (together they exceed its budget); on nil the caller takes Lookup, which
+// falls back to the analytic function.
+//
+//tme:noalloc
+func (t *Table) Segment(s float64) (c *Segment, d float64) {
 	b := math.Float64bits(s)
 	k := int(b>>shift) - t.base
-	if uint(k) >= uint(len(t.ent)) {
-		return t.fn(s)
+	if ent := t.ent; uint(k) < uint(len(ent)) {
+		return &ent[k], s - math.Float64frombits(b&^fracMask)
 	}
-	c := &t.ent[k]
-	d := s - math.Float64frombits(b&^fracMask)
+	return nil, 0
+}
+
+// Cubic evaluates the segment's two cubics at offset d from its start.
+//
+//tme:noalloc
+func (c *Segment) Cubic(d float64) (e, f float64) {
 	e = c.e[0] + d*(c.e[1]+d*(c.e[2]+d*c.e[3]))
 	f = c.f[0] + d*(c.f[1]+d*(c.f[2]+d*c.f[3]))
 	return e, f

@@ -78,13 +78,22 @@ func (b Box) MinImage(d V) V {
 
 // MinImage1 is Box.MinImage for one component, for hot loops that keep the
 // displacement in scalar locals (Go's SSA backend registerises float64
-// variables but not the elements of a V): d − l·⌊d/l + ½⌋ with the
-// reciprocal invL = 1/l hoisted by the caller. It returns the same bits as
-// MinImage whenever the image is not within rounding of ±l/2 — in
-// particular for every component of a pair inside a cutoff below l/2; at
-// the half-box tie the two may pick opposite images.
+// variables but not the elements of a V): d − l·n with n = d·invL rounded to
+// the nearest integer, the reciprocal invL = 1/l hoisted by the caller.
+//
+// The rounding is the magic-constant form (x + 1.5·2⁵²) − 1.5·2⁵²: adding
+// the constant leaves x in a binade whose unit in the last place is 1, so the
+// addition itself rounds x to an integer (to even on a tie) and the
+// subtraction is exact. It is valid for |d·invL| < 2⁵¹ and costs two adds —
+// math.Floor or math.Round would cost a CPU-feature test and a call at
+// Go's default amd64 target. It returns the same bits as MinImage whenever
+// the image is not within rounding of ±l/2 — in particular for every
+// component of a pair inside a cutoff below l/2; at the half-box tie both
+// return an image of magnitude l/2, possibly opposite ones. A zero image
+// may carry the other sign.
 func MinImage1(d, l, invL float64) float64 {
-	return d - l*math.Floor(d*invL+0.5)
+	const round = 0x1.8p52
+	return d - l*((d*invL+round)-round)
 }
 
 // Wrap maps position r into the primary cell [0, L).

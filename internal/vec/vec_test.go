@@ -104,9 +104,86 @@ func TestMinImage1MatchesMinImage(t *testing.T) {
 		}
 		want := box.MinImage(d)
 		for k := 0; k < 3; k++ {
-			if got := MinImage1(d[k], box.L[k], inv[k]); got != want[k] {
+			if got := MinImage1(d[k], box.L[k], inv[k]); !sameImage(got, want[k]) {
 				t.Fatalf("component %d of %v: MinImage1 %.17g, MinImage %.17g", k, d, got, want[k])
 			}
 		}
 	}
 }
+
+// sameImage is bitwise equality, except that a zero image may carry either
+// sign: −0 − l·(+0) is −0 where Box.MinImage's −0 − l·(−0) is +0, and no
+// sum, square or product with a displacement can tell them apart.
+func sameImage(a, b float64) bool {
+	if a == 0 && b == 0 {
+		return true
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// TestMinImage1Edges: the magic-constant rounding against Box.MinImage on
+// exact box multiples, on ±0, and on displacements up to 10⁶ box lengths
+// out (still far inside the form's |d/l| < 2⁵¹ range).
+func TestMinImage1Edges(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, l := range []float64{2.4849, 3.1, 4.75, 1, 0.3} {
+		box := Cubic(l)
+		inv := 1 / l
+		check := func(d float64) {
+			t.Helper()
+			want := box.MinImage(V{d})[0]
+			if got := MinImage1(d, l, inv); !sameImage(got, want) {
+				t.Fatalf("l=%g d=%.17g: MinImage1 %.17g, MinImage %.17g", l, d, got, want)
+			}
+		}
+		check(0)
+		check(math.Copysign(0, -1))
+		for k := -1000; k <= 1000; k++ {
+			check(float64(k) * l)
+		}
+		for n := 0; n < 20000; n++ {
+			image := (2*rng.Float64() - 1) * 0.45 * l
+			shift := math.Round((2*rng.Float64() - 1) * 1e6)
+			check(image + shift*l)
+			check(shift * l)
+		}
+	}
+}
+
+// TestMinImageHalfBoxTie: a displacement of exactly (k + ½) box lengths has
+// two nearest images. MinImage rounds the tie away from zero, MinImage1 to
+// even; both must return one of the two, of magnitude exactly l/2. The box
+// lengths and multiples are chosen so every product is exact.
+func TestMinImageHalfBoxTie(t *testing.T) {
+	for _, l := range []float64{4, 2.5, 0.75, 3.125} {
+		box := Cubic(l)
+		for k := -40; k <= 40; k++ {
+			d := (float64(k) + 0.5) * l
+			if got := box.MinImage(V{d})[0]; math.Abs(got) != l/2 {
+				t.Errorf("l=%g d=%g: MinImage returned %g, want ±%g", l, d, got, l/2)
+			}
+			if got := MinImage1(d, l, 1/l); math.Abs(got) != l/2 {
+				t.Errorf("l=%g d=%g: MinImage1 returned %g, want ±%g", l, d, got, l/2)
+			}
+		}
+	}
+}
+
+// BenchmarkMinImage1 is the per-component minimum image of the pair loops,
+// over displacements up to three box lengths out.
+func BenchmarkMinImage1(b *testing.B) {
+	const l = 2.4849
+	var d [1024]float64
+	rng := rand.New(rand.NewSource(1))
+	for i := range d {
+		d[i] = (2*rng.Float64() - 1) * 3 * l
+	}
+	var s float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s += MinImage1(d[i&1023], l, 1/l)
+	}
+	sink = s
+}
+
+var sink float64

@@ -5,6 +5,28 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go run ./cmd/tmevet -baseline tmevet.baseline.json -json ./... > tmevet.json
 go build ./...
+# The pair loops must not regain a call per pair: the minimum image and the
+# pair-kernel pieces stay inlinable and are inlined in each pair loop
+# (internal/nonbond/kernel.go).
+inl=$(go build -gcflags=-m ./internal/vec/ ./internal/r2tab/ ./internal/nonbond/ ./internal/celllist/ 2>&1)
+for want in \
+	'vec.go:.*: can inline MinImage1$' \
+	'r2tab.go:.*: can inline (\*Table).Segment$' \
+	'r2tab.go:.*: can inline (\*Segment).Cubic$' \
+	'kernel.go:.*: can inline coulomb$' \
+	'kernel.go:.*: can inline ljEval$' \
+	'celllist.go:.*: inlining call to vec.MinImage1$' \
+	'verlet.go:.*: inlining call to vec.MinImage1$' \
+	'verlet.go:.*: inlining call to r2tab.(\*Table).Segment$' \
+	'verlet.go:.*: inlining call to coulomb$' \
+	'verlet.go:.*: inlining call to (\*LJ).site$' \
+	'verlet.go:.*: inlining call to ljEval$' \
+	'slabs.go:.*: inlining call to r2tab.(\*Table).Segment$' \
+	'slabs.go:.*: inlining call to coulomb$' \
+	'slabs.go:.*: inlining call to (\*LJ).site$' \
+	'slabs.go:.*: inlining call to ljEval$'; do
+	echo "$inl" | grep -q "$want" || { echo "tier1: hot-loop inlining lost: $want" >&2; exit 1; }
+done
 go test ./...
 go test -race ./internal/par/ ./internal/grid/ ./internal/pmesh/ \
 	./internal/fft/ ./internal/spme/ ./internal/core/ \
@@ -21,5 +43,6 @@ go test -run '^$' -fuzz '^FuzzIgnoreDirective$' -fuzztime 10s ./internal/lint/
 go test -run '^$' -fuzz '^FuzzPlanRequest$' -fuzztime 10s ./internal/tune/
 go run ./cmd/mdrun -tune -errbudget 1e-3 -side 5 -steps 20 -report 10
 go test -run '^$' -bench . -benchtime 1x . ./internal/nonbond/ ./internal/grid/ \
-	./internal/pmesh/ ./internal/msm/ ./internal/core/ > /dev/null
+	./internal/pmesh/ ./internal/msm/ ./internal/core/ ./internal/bspline/ \
+	./internal/vec/ > /dev/null
 (cd bench && go test ./...)
