@@ -16,7 +16,6 @@
 //	tmebench -exp costmodel  Sec III.C cost model + strong-scaling curves
 //	tmebench -exp grid64     64³ (L=2) projection (Sec VI.A)
 //	tmebench -exp whatif     Sec VI.B design-space accelerations
-//	tmebench -exp saturate   mdserve multi-tenant saturation sweep
 //	tmebench -exp autotune   auto-tuner oracle: measured error/cost of every plan
 //	tmebench -exp all        everything above
 //
@@ -27,7 +26,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -35,11 +33,10 @@ import (
 	"path/filepath"
 
 	"tme4a/internal/expt"
-	"tme4a/internal/obs"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig3a,fig3b,table1,shootout,fig4,fig4resume,fig9,fig9live,fig10,fig10scale,overlap,table2,costmodel,grid64,whatif,saturate,autotune,all")
+	exp := flag.String("exp", "all", "experiment: fig3a,fig3b,table1,shootout,fig4,fig4resume,fig9,fig9live,fig10,fig10scale,overlap,table2,costmodel,grid64,whatif,autotune,all")
 	full := flag.Bool("full", false, "run paper-scale workloads (slow)")
 	outDir := flag.String("out", "results", "output directory ('' = stdout only)")
 	flag.Parse()
@@ -47,7 +44,7 @@ func main() {
 	runner := &runner{full: *full, outDir: *outDir}
 	exps := []string{*exp}
 	if *exp == "all" {
-		exps = []string{"fig3a", "fig3b", "table1", "shootout", "fig4", "fig4resume", "fig9", "fig9live", "fig10", "fig10scale", "overlap", "table2", "costmodel", "grid64", "whatif", "saturate", "autotune"}
+		exps = []string{"fig3a", "fig3b", "table1", "shootout", "fig4", "fig4resume", "fig9", "fig9live", "fig10", "fig10scale", "overlap", "table2", "costmodel", "grid64", "whatif", "autotune"}
 	}
 	for _, e := range exps {
 		if err := runner.run(e); err != nil {
@@ -85,18 +82,6 @@ func (r *runner) out(name string) (io.Writer, func()) {
 		return os.Stdout, func() {}
 	}
 	return io.MultiWriter(os.Stdout, f), func() { f.Close() }
-}
-
-// writeJSON writes the machine-readable stage report to path at the
-// repository root (next to the results directory), the artifact CI uploads.
-func writeJSON(path string, rep obs.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Printf("wrote %s\n", path)
-	return rep.WriteJSON(f)
 }
 
 func (r *runner) run(exp string) error {
@@ -165,10 +150,7 @@ func (r *runner) run(exp string) error {
 		}
 		w, done := r.out("fig9live.txt")
 		defer done()
-		rep := expt.RunFig9Live(cfg, w)
-		if err := writeJSON("BENCH_obs.json", rep); err != nil {
-			return err
-		}
+		expt.RunFig9Live(cfg, w)
 	case "fig10":
 		w, done := r.out("fig10.csv")
 		defer done()
@@ -180,21 +162,9 @@ func (r *runner) run(exp string) error {
 		}
 		w, done := r.out("fig10scale.csv")
 		defer done()
-		points, err := expt.RunFigScale(cfg, w)
-		if err != nil {
+		if _, err := expt.RunFigScale(cfg, w); err != nil {
 			return err
 		}
-		f, err := os.Create("BENCH_scale.json")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"experiment": "fig10scale", "points": points}); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_scale.json")
 	case "overlap":
 		w, done := r.out("overlap.csv")
 		defer done()
@@ -215,44 +185,12 @@ func (r *runner) run(exp string) error {
 		w, done := r.out("whatif.csv")
 		defer done()
 		expt.RunWhatIf(r.hwContext(), w)
-	case "saturate":
-		w, done := r.out("saturate.csv")
-		defer done()
-		points, err := expt.RunSaturate(expt.QuickSaturate(), w)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create("BENCH_serve.json")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"experiment": "saturate", "points": points}); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_serve.json")
 	case "autotune":
 		w, done := r.out("autotune.csv")
 		defer done()
-		rows, verdicts, err := expt.RunAutotune(expt.QuickAutotune(), w)
-		if err != nil {
+		if _, _, err := expt.RunAutotune(expt.QuickAutotune(), w); err != nil {
 			return err
 		}
-		f, err := os.Create("BENCH_tune.json")
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{
-			"experiment": "autotune", "rows": rows, "verdicts": verdicts,
-		}); err != nil {
-			return err
-		}
-		fmt.Println("wrote BENCH_tune.json")
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}

@@ -28,7 +28,10 @@ import (
 	"tme4a/internal/vec"
 )
 
-// List is a linked-cell list over a periodic box.
+// List is a linked-cell list over a periodic box. The zero List is not yet
+// set up: Init (or New) fixes its box and cutoff, after which a Cutoff > 0
+// marks it ready. Holders keep it by value and set it up in place on first
+// use, so a steady-state step never reaches an allocating constructor.
 type List struct {
 	Box    vec.Box
 	Cutoff float64
@@ -54,13 +57,21 @@ type List struct {
 // concurrently with Rebuild.
 func (l *List) SetObs(r *obs.Recorder) { l.o = r }
 
-// New computes the cell decomposition for box and cutoff without binning
-// any atoms; Rebuild must be called before traversal. Cells are at least
-// cutoff wide, so all pairs within cutoff are found inside the 3×3×3
-// stencil. If the box is too small for a 3-cell decomposition along every
-// axis the list falls back to direct all-pairs enumeration.
+// New returns a list set up by Init.
 func New(box vec.Box, cutoff float64) *List {
-	l := &List{Box: box, Cutoff: cutoff}
+	l := new(List)
+	l.Init(box, cutoff)
+	return l
+}
+
+// Init computes the cell decomposition for box and cutoff in place without
+// binning any atoms; Rebuild must be called before traversal. Cells are at
+// least cutoff wide, so all pairs within cutoff are found inside the 3×3×3
+// stencil. If the box is too small for a 3-cell decomposition along every
+// axis the list falls back to direct all-pairs enumeration. The attached
+// recorder is kept.
+func (l *List) Init(box vec.Box, cutoff float64) {
+	l.Box, l.Cutoff = box, cutoff
 	for j := 0; j < 3; j++ {
 		l.nc[j] = int(box.L[j] / cutoff)
 		if l.nc[j] < 1 {
@@ -75,12 +86,15 @@ func New(box vec.Box, cutoff float64) *List {
 			l.nc[j]--
 		}
 	}
-	if l.nc[0] < 3 || l.nc[1] < 3 || l.nc[2] < 3 {
-		l.direct = true
-		return l
+	l.direct = l.nc[0] < 3 || l.nc[1] < 3 || l.nc[2] < 3
+	if l.direct {
+		return
 	}
-	l.head = make([]int32, l.nc[0]*l.nc[1]*l.nc[2])
-	return l
+	nc := l.nc[0] * l.nc[1] * l.nc[2]
+	if cap(l.head) < nc {
+		l.head = make([]int32, nc) //tmevet:ignore noalloc -- grow-once: sized to the cell count when the list is set up
+	}
+	l.head = l.head[:nc]
 }
 
 // Build constructs a cell list for the positions (New + Rebuild).

@@ -17,7 +17,7 @@ import (
 // tuner enumerates on a small water box, then check the tuner's pick per
 // error budget against the brute-force best. This is the measuring side
 // of internal/tune — it lives here, not there, because the tuner itself
-// is a pure model with no clock (the tmevet noclock contract).
+// is a pure model with no clock (the tmevet clock contract).
 type AutotuneConfig struct {
 	WaterSide  int       // waters per axis (8 → 512 molecules, 1536 atoms)
 	RTol       float64   // erfc(α·rc) target shared with the tuner (1e-4)

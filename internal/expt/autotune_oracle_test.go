@@ -22,7 +22,7 @@ import (
 // wall-clock measurement — at rc = 1.0 most candidates step within a few
 // percent of each other and the "true best" is whichever the host's jitter
 // favoured — so it is logged here and judged by `tmebench -exp autotune`
-// (results/autotune.csv, BENCH_tune.json), not asserted in the gate.
+// (results/autotune.csv), not asserted in the gate.
 //
 // The Ewald reference forces come from the committed cache, so the test
 // costs the equilibration plus one long-range solve and a few timed steps

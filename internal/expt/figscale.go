@@ -68,18 +68,18 @@ func FullFigScale() FigScaleConfig {
 // FigScalePoint is one row of the sweep. Hash and traffic are
 // deterministic; the stage timings are measured wall time on rank 0.
 type FigScalePoint struct {
-	Ranks        int    `json:"ranks"`
-	Atoms        int    `json:"atoms"`
-	StateHash    string `json:"state_hash"`
-	CommPerStep  int64  `json:"comm_bytes_per_step"`
-	TorusNs      int64  `json:"torus_comm_ns_per_step"`
-	StepNs       int64  `json:"step_ns"`
-	ShortNs      int64  `json:"short_range_ns"`
-	NeighborNs   int64  `json:"neighbor_ns"`
-	MeshNs       int64  `json:"mesh_ns"`
-	IntegrateNs  int64  `json:"integrate_ns"`
-	ConstraintNs int64  `json:"constraint_ns"`
-	MergeNs      int64  `json:"merge_ns"`
+	Ranks        int
+	Atoms        int
+	StateHash    string
+	CommPerStep  int64
+	TorusNs      int64
+	StepNs       int64
+	ShortNs      int64
+	NeighborNs   int64
+	MeshNs       int64
+	IntegrateNs  int64
+	ConstraintNs int64
+	MergeNs      int64
 }
 
 // buildScaleSystem prepares the equilibrated box; the seed chain makes

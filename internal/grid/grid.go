@@ -144,7 +144,7 @@ func (p *Pool) Get(n [3]int) *G {
 	}
 	p.o.Add(obs.CounterPoolMisses, 1)
 	p.mu.Unlock()
-	return New(n[0], n[1], n[2]) //tmevet:ignore noalloc-ipa -- grow-once: a miss only until the pool holds a pipeline's working set; solver's TestLongRangeSteadyStateAllocs holds every method at 0
+	return New(n[0], n[1], n[2]) //tmevet:ignore noalloc -- grow-once: a miss only until the pool holds a pipeline's working set; solver's TestLongRangeSteadyStateAllocs holds every method at 0
 }
 
 // Put returns a grid to the pool. The caller must not use g afterwards.

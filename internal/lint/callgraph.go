@@ -8,7 +8,7 @@ import (
 )
 
 // Program is the whole-module view the interprocedural checks (schedown,
-// goleak, noalloc-ipa) share: every function declaration the loader has
+// goleak, noalloc) share: every function declaration the loader has
 // parsed, indexed by its canonical *types.Func, plus a static call graph
 // over them. It is built once per Run, after all pattern packages (and the
 // module-internal imports their type-checking pulled in) are loaded.
@@ -200,7 +200,7 @@ func displayName(fn *types.Func, from *Package) string {
 
 // isParPackage reports whether a package path is the par worker-pool
 // package (or its fixture stub): the sanctioned goroutine dispatch layer,
-// trusted as a leaf by noalloc-ipa.
+// trusted as a leaf by noalloc.
 func isParPackage(pkg *types.Package) bool {
 	if pkg == nil {
 		return false

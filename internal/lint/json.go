@@ -3,19 +3,20 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
+	"path/filepath"
+	"strings"
 )
 
 // Report is tmevet's machine-readable output (-json): the check catalog
 // plus every diagnostic, byte-identical across runs and file-discovery
 // orders. Determinism comes for free from the pipeline — Run sorts
-// diagnostics by position, the registry is name-ordered, and baselines
-// match by content, not by encounter order.
+// diagnostics by position, check and message, and the registry is
+// name-ordered.
 type Report struct {
 	Version     int          `json:"version"`
 	Checks      []CheckInfo  `json:"checks"`
 	Diagnostics []ReportDiag `json:"diagnostics"`
 	Total       int          `json:"total"`
-	Baselined   int          `json:"baselined"`
 }
 
 // CheckInfo documents one registered check.
@@ -26,67 +27,29 @@ type CheckInfo struct {
 
 // ReportDiag is one finding with module-relative file path.
 type ReportDiag struct {
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Col       int    `json:"col"`
-	Check     string `json:"check"`
-	Message   string `json:"message"`
-	Baselined bool   `json:"baselined,omitempty"`
+	File    string `json:"file"`
+	Line    int    `json:"line"`
+	Col     int    `json:"col"`
+	Check   string `json:"check"`
+	Message string `json:"message"`
 }
 
-// NewReport assembles a report from Run's sorted output. kept and
-// baselined are the two halves of Baseline.Apply; pass all diagnostics as
-// kept when no baseline is in play.
-func NewReport(root string, kept, baselined []Diagnostic) *Report {
-	r := &Report{Version: 1}
+// NewReport assembles a report from Run's sorted output.
+func NewReport(root string, diags []Diagnostic) *Report {
+	r := &Report{Version: 1, Total: len(diags)}
 	for _, c := range Checks() {
 		r.Checks = append(r.Checks, CheckInfo{Name: c.Name, Doc: c.Doc})
 	}
-	add := func(d Diagnostic, isBase bool) {
+	for _, d := range diags {
 		r.Diagnostics = append(r.Diagnostics, ReportDiag{
-			File:      RelPath(root, d.Pos.Filename),
-			Line:      d.Pos.Line,
-			Col:       d.Pos.Column,
-			Check:     d.Check,
-			Message:   d.Message,
-			Baselined: isBase,
+			File:    RelPath(root, d.Pos.Filename),
+			Line:    d.Pos.Line,
+			Col:     d.Pos.Column,
+			Check:   d.Check,
+			Message: d.Message,
 		})
 	}
-	// Merge the two sorted halves back into position order.
-	i, j := 0, 0
-	for i < len(kept) || j < len(baselined) {
-		switch {
-		case j == len(baselined):
-			add(kept[i], false)
-			i++
-		case i == len(kept):
-			add(baselined[j], true)
-			j++
-		case diagLess(kept[i], baselined[j]):
-			add(kept[i], false)
-			i++
-		default:
-			add(baselined[j], true)
-			j++
-		}
-	}
-	r.Total = len(r.Diagnostics)
-	r.Baselined = len(baselined)
 	return r
-}
-
-// diagLess is the same ordering Run sorts by.
-func diagLess(a, b Diagnostic) bool {
-	if a.Pos.Filename != b.Pos.Filename {
-		return a.Pos.Filename < b.Pos.Filename
-	}
-	if a.Pos.Line != b.Pos.Line {
-		return a.Pos.Line < b.Pos.Line
-	}
-	if a.Pos.Column != b.Pos.Column {
-		return a.Pos.Column < b.Pos.Column
-	}
-	return a.Check < b.Check
 }
 
 // Encode renders the report as indented JSON with a trailing newline.
@@ -98,4 +61,15 @@ func (r *Report) Encode() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// RelPath rebases an absolute filename to a module-relative slash path;
+// paths outside root (or already relative) pass through slash-normalized.
+func RelPath(root, filename string) string {
+	if root != "" {
+		if rel, err := filepath.Rel(root, filename); err == nil && rel != ".." && !strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+			return filepath.ToSlash(rel)
+		}
+	}
+	return filepath.ToSlash(filename)
 }

@@ -7,8 +7,9 @@
 // importer) so it runs on a bare checkout. Each check lives in its own
 // file and is individually suppressible with a line-scoped
 // "//tmevet:ignore <check>[,<check>...] -- rationale" comment on the
-// offending line or the line above. The noalloc check is opt-in per
-// function via the "//tme:noalloc" doc directive.
+// offending line or the line above; a directive naming a check that is not
+// registered is itself reported. The noalloc check is opt-in per function
+// via the "//tme:noalloc" doc directive.
 //
 // See DESIGN.md §7.3 for the check catalog and the suppression policy.
 package lint
@@ -42,17 +43,20 @@ type Check struct {
 
 // checks is the registry, ordered for stable output.
 var checks = []*Check{
+	clockCheck,
 	detmapCheck,
 	errdropCheck,
 	goleakCheck,
 	mutflagCheck,
 	noallocCheck,
-	noallocIPACheck,
-	noclockCheck,
-	obsclockCheck,
 	parwriteCheck,
 	schedownCheck,
 }
+
+// unknownCheck names the findings on //tmevet:ignore directives that name
+// no registered check. It is not itself a check: those findings cannot be
+// suppressed.
+const unknownCheck = "ignore"
 
 // Checks returns the registered checks in name order.
 func Checks() []*Check { return checks }
@@ -91,8 +95,7 @@ var numericPkgs = map[string]bool{
 	// leak there would make job ordering, traces or API output vary
 	// between runs, so it gets the same determinism checks as the
 	// numeric core.
-	"internal/serve":         true,
-	"internal/serve/loadgen": true,
+	"internal/serve": true,
 	// The rank-decomposed engine and its halo-exchange layer must be
 	// bitwise identical to the serial path at any rank count, so a
 	// nondeterministic map range anywhere in them is a trajectory
@@ -102,13 +105,14 @@ var numericPkgs = map[string]bool{
 	// The auto-tuner is a pure cost/error model: its plans feed config
 	// hashes and the retune path, so any map-range or clock
 	// nondeterminism in it would split trajectories between bitwise-equal
-	// runs. Measuring code lives in internal/expt, which is noclock-exempt.
+	// runs. Measuring code lives in internal/expt, outside the clock check.
 	"internal/tune": true,
 }
 
-// noclockExempt are packages where wall-clock reads are the point
-// (experiment harnesses time themselves) or meaningless (the analyzer).
-var noclockExempt = map[string]bool{
+// clockExempt are the internal packages where wall-clock reads are the
+// point (experiment harnesses time themselves) or meaningless (the
+// analyzer).
+var clockExempt = map[string]bool{
 	"internal/expt": true,
 	"internal/lint": true,
 }
@@ -158,23 +162,21 @@ func checksFor(rel string) []*Check {
 	if goleakScope(rel) {
 		cs = append(cs, goleakCheck)
 	}
-	if rel == "internal/obs" {
-		// The observability package must read the clock, so noclock is
-		// replaced by the stricter-scoped seam rule.
-		cs = append(cs, obsclockCheck)
-	} else if strings.HasPrefix(rel, "internal/") && !noclockExempt[rel] {
-		cs = append(cs, noclockCheck)
+	if strings.HasPrefix(rel, "internal/") && !clockExempt[rel] {
+		cs = append(cs, clockCheck)
 	}
 	// Annotation-driven checks run everywhere: they only fire on
 	// //tme:noalloc and //tme:owner declarations.
-	cs = append(cs, noallocCheck, noallocIPACheck, parwriteCheck, schedownCheck)
+	cs = append(cs, noallocCheck, parwriteCheck, schedownCheck)
 	return cs
 }
 
 // Run loads the packages matching patterns (relative to the module root)
 // and returns every unsuppressed diagnostic, sorted by position. Type
 // errors are reported as "typecheck" diagnostics: the analyzer refuses to
-// pass silently on code it could not fully resolve.
+// pass silently on code it could not fully resolve. Ignore directives that
+// name an unregistered check are reported too, so a renamed or folded
+// check cannot leave a dead suppression behind.
 func Run(root string, patterns []string) ([]Diagnostic, error) {
 	l, err := NewLoader(root)
 	if err != nil {
@@ -212,6 +214,7 @@ func Run(root string, patterns []string) ([]Diagnostic, error) {
 			}
 			diags = append(diags, Diagnostic{Pos: pos, Check: "typecheck", Message: terr.Error()})
 		}
+		diags = append(diags, p.unknownIgnores...)
 		for _, c := range checksFor(p.Rel) {
 			for _, d := range c.Run(p) {
 				if !p.suppressed(d.Check, d.Pos) {
@@ -231,7 +234,10 @@ func Run(root string, patterns []string) ([]Diagnostic, error) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Check < b.Check
+		if a.Check != b.Check {
+			return a.Check < b.Check
+		}
+		return a.Message < b.Message
 	})
 	return diags, nil
 }
@@ -285,15 +291,7 @@ func (p *Package) parCallee(call *ast.CallExpr) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	pkg := p.pkgNameOf(sel.X)
-	if pkg == nil {
-		return "", false
-	}
-	path := pkg.Path()
-	if path != "par" && !strings.HasSuffix(path, "/par") {
-		return "", false
-	}
-	if !parFuncs[sel.Sel.Name] {
+	if !isParPackage(p.pkgNameOf(sel.X)) || !parFuncs[sel.Sel.Name] {
 		return "", false
 	}
 	return sel.Sel.Name, true

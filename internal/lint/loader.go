@@ -38,6 +38,9 @@ type Package struct {
 	// ignores maps filename -> line -> check names suppressed on that
 	// line by a "//tmevet:ignore check[,check...]" comment.
 	ignores map[string]map[int][]string
+	// unknownIgnores reports the ignore directives' names that match no
+	// registered check.
+	unknownIgnores []Diagnostic
 
 	// Prog is the whole-module call-graph view, set by Run after every
 	// package is loaded. Interprocedural checks return nothing when it is
@@ -313,6 +316,7 @@ func validCheckName(name string) bool {
 // collectIgnores records every "//tmevet:ignore check[,check...]" comment
 // by file and line. A diagnostic is suppressed when such a comment naming
 // its check sits on the diagnostic's line or on the line directly above.
+// A name that matches no registered check is recorded as a finding.
 func (p *Package) collectIgnores() {
 	p.ignores = map[string]map[int][]string{}
 	for _, f := range p.Files {
@@ -323,6 +327,13 @@ func (p *Package) collectIgnores() {
 					continue
 				}
 				pos := p.Fset.Position(c.Pos())
+				for _, name := range checks {
+					if ByName(name) == nil {
+						p.unknownIgnores = append(p.unknownIgnores, Diagnostic{
+							Pos: pos, Check: unknownCheck, Message: fmt.Sprintf("unknown check %q", name),
+						})
+					}
+				}
 				m := p.ignores[pos.Filename]
 				if m == nil {
 					m = map[int][]string{}

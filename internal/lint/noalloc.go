@@ -9,8 +9,11 @@ import (
 
 // noalloc enforces the steady-state zero-allocation contract on functions
 // annotated with a "//tme:noalloc" doc directive (the hot paths of the
-// mesh pipeline and short-range engine from PRs 1–2). Inside an annotated
-// function it flags the syntactic allocation sources:
+// mesh pipeline and short-range engine from PRs 1–2). It looks at each
+// annotated function at two depths.
+//
+// At depth 0 it flags the syntactic allocation sources in the annotated
+// body itself:
 //
 //   - make, new, and append calls (append may grow its backing array);
 //   - composite literals of slice or map type, and any composite literal
@@ -21,16 +24,27 @@ import (
 //   - go statements (goroutine launch allocates; use par).
 //
 // Type info whitelists the non-escaping cases: plain struct and array
-// value literals (vec.V{...} and friends live on the stack). This check
-// inspects only the annotated body itself; the companion noalloc-ipa
-// check walks the call graph so an unannotated helper cannot silently
-// reintroduce an allocation. testing.AllocsPerRun gates remain the
-// runtime backstop. Guarded grow-once paths ("if cap(buf) < n { buf =
-// make... }") are legitimate; suppress those lines explicitly with
-// //tmevet:ignore noalloc -- grow-once.
+// value literals (vec.V{...} and friends live on the stack).
+//
+// Below that it walks the static call graph, so extracting a helper out of
+// an annotated function cannot silently move an allocation out of sight: a
+// call that reaches an UNANNOTATED module function containing an
+// unsuppressed allocation source is flagged at the root's first-hop call,
+// where the root's author sees it. Callees carrying their own
+// //tme:noalloc are skipped — they are checked directly — so annotating the
+// helper is the fix that both silences the walk and extends the depth-0
+// check. The par package (and its fixture stub) is trusted as a leaf: it is
+// the sanctioned goroutine-dispatch layer, whose worker spawns are gated to
+// the multi-worker path by design. Interface dispatch and function values
+// produce no edges.
+//
+// testing.AllocsPerRun gates remain the runtime backstop. Guarded grow-once
+// paths ("if cap(buf) < n { buf = make... }") are legitimate; mark those
+// lines //tmevet:ignore noalloc -- grow-once, which also excuses them when
+// the walk reaches them from a root.
 var noallocCheck = &Check{
 	Name: "noalloc",
-	Doc:  "allocation construct inside a //tme:noalloc annotated function",
+	Doc:  "allocation in a //tme:noalloc function or in an unannotated callee it reaches",
 	Run:  runNoalloc,
 }
 
@@ -38,12 +52,14 @@ var noallocCheck = &Check{
 // path.
 const noallocDirective = "//tme:noalloc"
 
-func hasNoallocDirective(fd *ast.FuncDecl) bool {
+// hasDirective reports whether fd's doc comment carries the directive,
+// alone or followed by a space and free text.
+func hasDirective(fd *ast.FuncDecl, directive string) bool {
 	if fd.Doc == nil {
 		return false
 	}
 	for _, c := range fd.Doc.List {
-		if c.Text == noallocDirective || strings.HasPrefix(c.Text, noallocDirective+" ") {
+		if c.Text == directive || strings.HasPrefix(c.Text, directive+" ") {
 			return true
 		}
 	}
@@ -55,10 +71,18 @@ func runNoalloc(p *Package) []Diagnostic {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasNoallocDirective(fd) {
+			if !ok || fd.Body == nil || !hasDirective(fd, noallocDirective) {
 				continue
 			}
-			diags = append(diags, p.checkNoallocBody(fd)...)
+			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			name := displayName(fn, p)
+			for _, s := range p.funcAllocs(fd) {
+				diags = append(diags, p.diag(s.pos, "noalloc", "%s", s.message(name)))
+			}
+			diags = append(diags, p.reachedAllocs(origin(fn), name)...)
 		}
 	}
 	return diags
@@ -76,13 +100,11 @@ const (
 	allocGo
 )
 
-// allocSite is one allocation construct found in a function body. The
-// shared collector feeds both the per-function noalloc check and the
-// call-graph-aware noalloc-ipa check.
+// allocSite is one allocation construct found in a function body.
 type allocSite struct {
 	pos  token.Pos
 	kind allocKind
-	what string // "make", "new", or the literal's type string
+	what string // the builtin's name, the literal's type string, "closure" or "go statement"
 }
 
 // funcAllocs collects every allocation construct in fd's body, applying
@@ -105,7 +127,7 @@ func (p *Package) funcAllocs(fd *ast.FuncDecl) []allocSite {
 				}
 			}
 		case *ast.UnaryExpr:
-			if cl, ok := n.X.(*ast.CompositeLit); ok && n.Op.String() == "&" {
+			if cl, ok := n.X.(*ast.CompositeLit); ok && n.Op == token.AND {
 				addressed[cl] = true
 			}
 		}
@@ -152,7 +174,7 @@ func (p *Package) funcAllocs(fd *ast.FuncDecl) []allocSite {
 	return sites
 }
 
-// describe renders a site for cross-function messages ("make", "append",
+// describe renders a site for call-graph messages ("make", "append",
 // "[]float64 literal", "closure literal", "go statement").
 func (s allocSite) describe() string {
 	switch s.kind {
@@ -167,48 +189,96 @@ func (s allocSite) describe() string {
 	}
 }
 
-func (p *Package) checkNoallocBody(fd *ast.FuncDecl) []Diagnostic {
-	name := fd.Name.Name
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		if id := receiverTypeName(fd.Recv.List[0].Type); id != "" {
-			name = id + "." + name
+// message renders a site found in the body of the annotated function fn.
+func (s allocSite) message(fn string) string {
+	var why string
+	switch s.kind {
+	case allocMakeNew:
+		why = "allocates; preallocate or pool the buffer"
+	case allocAppend:
+		why = "may grow its backing array; size the buffer at rebuild time"
+	case allocLiteral:
+		why = "allocates"
+	case allocAddressedLiteral:
+		why = "risks a heap allocation"
+	case allocClosure:
+		why = "may allocate; only closures passed directly to par.* are exempt"
+	default:
+		why = "allocates a goroutine; dispatch through par instead"
+	}
+	return s.describe() + " in //tme:noalloc function " + fn + " " + why
+}
+
+// reach is one frontier entry of the breadth-first call-graph walk: a
+// callee, the first-hop call position in the annotated root (where the
+// diagnostic is anchored), and the call path for the message.
+type reach struct {
+	fn       *types.Func
+	firstHop token.Pos
+	path     []string
+}
+
+// reachedAllocs walks the call graph from the annotated root and reports
+// every reachable unannotated module function that allocates. It reports
+// nothing without the whole-module view (a package checked in isolation).
+func (p *Package) reachedAllocs(root *types.Func, rootName string) []Diagnostic {
+	if p.Prog == nil {
+		return nil
+	}
+	rootNode := p.Prog.Node(root)
+	if rootNode == nil {
+		return nil
+	}
+	visited := map[*types.Func]bool{root: true}
+	var queue []reach
+	for _, e := range rootNode.Calls {
+		if !visited[e.Callee] {
+			visited[e.Callee] = true
+			queue = append(queue, reach{fn: e.Callee, firstHop: e.Pos})
 		}
 	}
 	var diags []Diagnostic
-	for _, s := range p.funcAllocs(fd) {
-		switch s.kind {
-		case allocMakeNew:
-			diags = append(diags, p.diag(s.pos, "noalloc",
-				"%s in //tme:noalloc function %s allocates; preallocate or pool the buffer", s.what, name))
-		case allocAppend:
-			diags = append(diags, p.diag(s.pos, "noalloc",
-				"append in //tme:noalloc function %s may grow its backing array; size the buffer at rebuild time", name))
-		case allocLiteral:
-			diags = append(diags, p.diag(s.pos, "noalloc",
-				"%s literal in //tme:noalloc function %s allocates", s.what, name))
-		case allocAddressedLiteral:
-			diags = append(diags, p.diag(s.pos, "noalloc",
-				"&%s literal in //tme:noalloc function %s risks a heap allocation", s.what, name))
-		case allocClosure:
-			diags = append(diags, p.diag(s.pos, "noalloc",
-				"closure literal in //tme:noalloc function %s may allocate; only closures passed directly to par.* are exempt", name))
-		case allocGo:
-			diags = append(diags, p.diag(s.pos, "noalloc",
-				"go statement in //tme:noalloc function %s allocates a goroutine; dispatch through par instead", name))
+	for len(queue) > 0 {
+		it := queue[0]
+		queue = queue[1:]
+		node := p.Prog.Node(it.fn)
+		if node == nil {
+			continue // stdlib or bodiless: out of scope
+		}
+		if isParPackage(it.fn.Pkg()) {
+			continue // sanctioned dispatch leaf
+		}
+		if hasDirective(node.Decl, noallocDirective) {
+			continue // carries its own annotation; checked directly
+		}
+		calleeName := displayName(it.fn, p)
+		if desc, ok := node.unsuppressedAlloc(); ok {
+			via := ""
+			if len(it.path) > 0 {
+				via = " via " + strings.Join(it.path, " -> ")
+			}
+			diags = append(diags, p.diag(it.firstHop, "noalloc",
+				"//tme:noalloc function %s calls %s%s, which allocates (%s); annotate the callee //tme:noalloc or hoist the allocation",
+				rootName, calleeName, via, desc))
+		}
+		for _, e := range node.Calls {
+			if !visited[e.Callee] {
+				visited[e.Callee] = true
+				path := append(append([]string(nil), it.path...), calleeName)
+				queue = append(queue, reach{fn: e.Callee, firstHop: it.firstHop, path: path})
+			}
 		}
 	}
 	return diags
 }
 
-// receiverTypeName extracts the receiver's type identifier for messages.
-func receiverTypeName(expr ast.Expr) string {
-	switch t := expr.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.StarExpr:
-		return receiverTypeName(t.X)
-	case *ast.IndexExpr: // generic receiver
-		return receiverTypeName(t.X)
+// unsuppressedAlloc reports the first allocation site in the node's body
+// that is not excused by a //tmevet:ignore noalloc comment at the site.
+func (n *FuncNode) unsuppressedAlloc() (string, bool) {
+	for _, s := range n.Pkg.funcAllocs(n.Decl) {
+		if !n.Pkg.suppressed("noalloc", n.Pkg.Fset.Position(s.pos)) {
+			return s.describe(), true
+		}
 	}
-	return ""
+	return "", false
 }

@@ -3,11 +3,10 @@ package obs
 import "time"
 
 // This file is the clock seam: the only place in internal/ allowed to read
-// wall-clock time. The tmevet obsclock check enforces that time.* calls in
-// this package appear only inside functions carrying the //tme:clock-seam
-// directive, and the noclock check keeps every other internal package
-// clock-free — so a trajectory can depend on the clock only through the
-// recorder's non-numeric timing slots.
+// wall-clock time. The tmevet clock check enforces that time.* reads in
+// internal/ appear only inside functions carrying the //tme:clock-seam
+// directive, and both live here — so a trajectory can depend on the clock
+// only through the recorder's non-numeric timing slots.
 
 // epoch anchors the monotonic clock; reading durations relative to a
 // process-local epoch keeps the int64 nanosecond values small and uses
@@ -28,6 +27,6 @@ func monotonicNow() int64 { return int64(time.Since(epoch)) }
 // Now returns monotonic nanoseconds since process start — the sanctioned
 // clock for code outside the experiment harnesses that must measure wall
 // latency (the serve tier's per-step samples). It reads the same seam as
-// the recorder's default clock, so the noclock invariant stays intact:
+// the recorder's default clock, so the clock invariant stays intact:
 // every clock read in internal/ flows through this file.
 func Now() int64 { return monotonicNow() }

@@ -11,7 +11,7 @@
 //     injected monotonic clock and adds into fixed atomic slots. Simulation
 //     code never calls time.Now directly — the only sanctioned time source
 //     in internal/ is this package's clock seam (clock.go), which the
-//     tmevet obsclock check enforces statically.
+//     tmevet clock check enforces statically.
 //
 //   - Zero allocation. Start/Stop/Add are allocation-free on the enabled
 //     path (fixed-size slot arrays, no maps, value Spans) so the

@@ -146,8 +146,8 @@ func TestMonotonicClock(t *testing.T) {
 }
 
 // TestStageAndCounterNames pins the name tables: every preregistered slot
-// must have distinct, non-empty chart and JSON names (the report and the
-// BENCH_obs.json schema key off them).
+// must have distinct, non-empty chart and JSON names (the report and
+// mdserve's metrics JSON key off them).
 func TestStageAndCounterNames(t *testing.T) {
 	seen := map[string]bool{}
 	for s := Stage(0); s < NumStages; s++ {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -23,7 +22,8 @@ type CounterStat struct {
 }
 
 // Report is an immutable snapshot of a recorder, shaped for both the
-// Fig 9-style text chart (Render) and machine-readable JSON (WriteJSON).
+// Fig 9-style text chart (Render) and machine-readable JSON (mdserve's
+// GET /jobs/{id}/metrics).
 // Stage order is pipeline order; only stages that recorded at least one
 // span appear. Shares are relative to the step-total stage when present,
 // otherwise to the largest stage (stages nest, so shares need not sum
@@ -171,15 +171,6 @@ func fmtNs(ns int64) string {
 	default:
 		return fmt.Sprintf("%d ns", ns)
 	}
-}
-
-// WriteJSON writes the report as indented JSON (the BENCH_obs.json
-// format). Field order is fixed by the struct definitions, so the output
-// is byte-deterministic for a given report.
-func (rep Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // StageStatByName returns the named stage row, if present.

@@ -4,9 +4,9 @@
 // multiplies the displacement — evaluated by table lookup and a cubic, with
 // no square root or transcendental in the datapath.
 //
-// It is the one table implementation of the repository: the production
-// pair kernel (internal/nonbond) and the pipeline model (internal/hw/nbpipe)
-// both evaluate through it.
+// It is the one table implementation of the repository: every short-range
+// path of the production pair kernel (internal/nonbond) evaluates through
+// it.
 //
 // # Layout
 //

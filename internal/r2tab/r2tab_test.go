@@ -91,6 +91,64 @@ func TestOutOfRangeIsAnalytic(t *testing.T) {
 	}
 }
 
+// TestTableAccuracy: segmented cubic interpolation at 128 entries per
+// octave holds a smooth radial kernel to 1e-7 relative all the way out to
+// α·r = 3.45, where erfc has fallen to 1e-6 of its contact value, and to
+// ~1e-9 inside the production cutoff (nonbond's TestKernelTableAccuracy) —
+// the hardware's "indistinguishable from analytic" design point with three
+// decades to spare.
+func TestTableAccuracy(t *testing.T) {
+	const alpha = 2.3
+	pair := func(s float64) (e, f float64) {
+		r := math.Sqrt(s)
+		e = math.Erfc(alpha*r) / r
+		return e, (e + alpha*2/math.SqrtPi*math.Exp(-alpha*alpha*s)) / s
+	}
+	tab := New(pair, 1e-4, 2.25)
+	rng := rand.New(rand.NewSource(1))
+	var maxE, maxF float64
+	for i := 0; i < 20000; i++ {
+		s := 1e-4 + rng.Float64()*(2.25-1e-4)
+		e, f := tab.Lookup(s)
+		we, wf := pair(s)
+		maxE = math.Max(maxE, relErr(e, we))
+		maxF = math.Max(maxF, relErr(f, wf))
+	}
+	if maxE > 1e-7 || maxF > 1e-7 {
+		t.Errorf("max relative table error E %g, F %g, want < 1e-7", maxE, maxF)
+	}
+}
+
+// TestTableResolutionTradeoff: segments have a fixed width within an
+// octave, so relative to their argument they are twice as fine at the
+// octave's top as at its bottom. For a pure power law the relative error
+// depends on that ratio alone, and halving it must cut the error ~16× (h⁴
+// scaling of cubic interpolation): the accuracy/memory trade of the segment
+// count.
+func TestTableResolutionTradeoff(t *testing.T) {
+	power := func(s float64) (e, f float64) {
+		e = 1 / (s * s * s)
+		return e, e / s
+	}
+	tab := New(power, 0.01, 2.25)
+	errIn := func(lo, hi float64) float64 {
+		var m float64
+		for i := 0; i <= 4000; i++ {
+			s := lo + (hi-lo)*float64(i)/4000
+			e, _ := tab.Lookup(s)
+			we, _ := power(s)
+			m = math.Max(m, relErr(e, we))
+		}
+		return m
+	}
+	// First and last of the 128 segments of the octave [1, 2).
+	coarse := errIn(1, 1+1.0/SegmentsPerOctave)
+	fine := errIn(2-1.0/SegmentsPerOctave, math.Nextafter(2, 0))
+	if ratio := coarse / fine; ratio < 8 || ratio > 32 {
+		t.Errorf("resolution scaling %0.1f×, expected ~16× (errors %g, %g)", ratio, coarse, fine)
+	}
+}
+
 func TestNewRejectsBadRange(t *testing.T) {
 	for _, r := range [][2]float64{{0, 1}, {-1, 1}, {math.NaN(), 1}, {0.1, math.Inf(1)}, {0.1, math.NaN()}, {math.Inf(1), 1}} {
 		func() {

@@ -83,9 +83,11 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestServedMatchesDirect is the tentpole acceptance: eight concurrent
-// jobs multiplexed over the shared pool finish with trajectories bitwise
-// identical to the same specs run alone, at GOMAXPROCS 1 and 4.
+// TestServedMatchesDirect is the tentpole acceptance: eight jobs
+// multiplexed over the shared pool finish with trajectories bitwise
+// identical to the same specs run alone, at GOMAXPROCS 1 and 4 and with one
+// or eight of them active at a time — a job's bits must not depend on how
+// many neighbours it shared the pool with.
 func TestServedMatchesDirect(t *testing.T) {
 	specs := make([]Spec, 8)
 	for i := range specs {
@@ -107,26 +109,30 @@ func TestServedMatchesDirect(t *testing.T) {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			old := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(old)
-			s, err := New(Config{MaxActive: 8, Quantum: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			ids := make([]string, len(specs))
-			for i, sp := range specs {
-				ids[i] = mustSubmit(t, s, sp).ID
-			}
-			s.Start()
-			for i, id := range ids {
-				st := waitState(t, s, id)
-				if st.State != StateDone {
-					t.Fatalf("job %s: state %s, err %q", id, st.State, st.Error)
-				}
-				want := fmt.Sprintf("%016x", direct[i])
-				if st.FinalHash != want {
-					t.Errorf("job %s (spec %d): served hash %s, direct %s — multiplexing leaked into the trajectory",
-						id, i, st.FinalHash, want)
-				}
+			for _, active := range []int{1, 8} {
+				t.Run(fmt.Sprintf("active=%d", active), func(t *testing.T) {
+					s, err := New(Config{MaxActive: active, Quantum: 7})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer s.Close()
+					ids := make([]string, len(specs))
+					for i, sp := range specs {
+						ids[i] = mustSubmit(t, s, sp).ID
+					}
+					s.Start()
+					for i, id := range ids {
+						st := waitState(t, s, id)
+						if st.State != StateDone {
+							t.Fatalf("job %s: state %s, err %q", id, st.State, st.Error)
+						}
+						want := fmt.Sprintf("%016x", direct[i])
+						if st.FinalHash != want {
+							t.Errorf("job %s (spec %d): served hash %s, direct %s — multiplexing leaked into the trajectory",
+								id, i, st.FinalHash, want)
+						}
+					}
+				})
 			}
 		})
 	}
