@@ -91,13 +91,7 @@ func ExclusionCorrection(box vec.Box, pos []vec.V, q []float64, alpha float64, e
 		return 0
 	}
 	pp, part := chunkPartials(nchunks)
-	if par.WorkersGrain(nchunks, 1) == 1 {
-		exclusionChunks(box, pos, q, alpha, excl, f, part, 0, nchunks, n)
-	} else {
-		par.ForRangeGrain(nchunks, 1, func(lo, hi int) {
-			exclusionChunks(box, pos, q, alpha, excl, f, part, lo, hi, n)
-		})
-	}
+	par.ForRangeGrain(nchunks, 1, exclJob{box, pos, q, alpha, excl, f, part, n}, exclJob.chunks)
 	energy := foldChunks(part)
 	exclPartialPool.Put(pp)
 	return energy
@@ -115,20 +109,29 @@ func chunkPartials(n int) (*[]float64, []float64) {
 	return pp, (*pp)[:n]
 }
 
-// exclusionChunks fills part[c] for chunks [clo, chi) of an n-atom system:
-// a chunk's partial starts at zero and runs through the per-atom body over
-// its atoms in ascending order.
-func exclusionChunks(box vec.Box, pos []vec.V, q []float64, alpha float64, excl *topol.Exclusions, f []vec.V, part []float64, clo, chi, n int) {
+// exclJob is the argument of ExclusionCorrection's parallel body over the
+// n atoms of the exclusion table.
+type exclJob struct {
+	box   vec.Box
+	pos   []vec.V
+	q     []float64
+	alpha float64
+	excl  *topol.Exclusions
+	f     []vec.V
+	part  []float64
+	n     int
+}
+
+// chunks fills part[c] for chunks [clo, chi): a chunk's partial starts at
+// zero and runs through the per-atom body over its atoms in ascending order.
+func (j exclJob) chunks(clo, chi int) {
 	for c := clo; c < chi; c++ {
-		hi := (c + 1) * exclChunk
-		if hi > n {
-			hi = n
-		}
+		hi := min((c+1)*exclChunk, j.n)
 		var pc float64
 		for i := c * exclChunk; i < hi; i++ {
-			pc = exclusionAtom(box, pos, q, alpha, excl, f, i, pc, nil)
+			pc = exclusionAtom(j.box, j.pos, j.q, j.alpha, j.excl, j.f, i, pc, nil)
 		}
-		part[c] = pc
+		j.part[c] = pc
 	}
 }
 

@@ -168,38 +168,35 @@ func (p *RealPlan3) Forward(data []float64, spec []complex128) {
 	p.o.Add(obs.CounterFFTTransforms, 1)
 	defer sp.Stop()
 	// Every 1D line is transformed independently with per-worker scratch,
-	// so the passes parallelize with bitwise-deterministic results. Each
-	// pass branches before building its closure so the single-worker path
-	// stays allocation-free.
-	if par.WorkersGrain(nz*ny, rowGrain(nx)) == 1 {
-		p.xPass(data, spec, false, 0, nz*ny)
-	} else {
-		par.ForRangeGrain(nz*ny, rowGrain(nx), func(lo, hi int) { p.xPass(data, spec, false, lo, hi) })
-	}
-	// y-pass (stride hx) and z-pass (stride hx·ny) on the half spectrum.
-	if par.WorkersGrain(nz*hx, rowGrain(ny)) == 1 {
-		p.yPass(spec, false, 0, nz*hx)
-	} else {
-		par.ForRangeGrain(nz*hx, rowGrain(ny), func(lo, hi int) { p.yPass(spec, false, lo, hi) })
-	}
-	if par.WorkersGrain(ny*hx, rowGrain(nz)) == 1 {
-		p.zPass(spec, false, 0, ny*hx)
-	} else {
-		par.ForRangeGrain(ny*hx, rowGrain(nz), func(lo, hi int) { p.zPass(spec, false, lo, hi) })
-	}
+	// so the passes parallelize with bitwise-deterministic results. The
+	// y-pass (stride hx) and z-pass (stride hx·ny) run on the half spectrum.
+	a := pass3{p, data, spec, false}
+	par.ForRangeGrain(nz*ny, rowGrain(nx), a, pass3.x)
+	par.ForRangeGrain(nz*hx, rowGrain(ny), a, pass3.y)
+	par.ForRangeGrain(ny*hx, rowGrain(nz), a, pass3.z)
 }
 
-// xPass runs the r2c (forward) or c2r (inverse) x-transform on rows
-// [lo, hi) with pooled scratch.
+// pass3 is the argument of the parallel passes of one 3D transform; its
+// methods are the per-chunk bodies.
+type pass3 struct {
+	p       *RealPlan3
+	data    []float64
+	spec    []complex128
+	inverse bool
+}
+
+// x runs the r2c (forward) or c2r (inverse) x-transform on rows [lo, hi)
+// with pooled scratch.
 //
 //tme:noalloc
-func (p *RealPlan3) xPass(data []float64, spec []complex128, inverse bool, lo, hi int) {
+func (a pass3) x(lo, hi int) {
+	p := a.p
 	nx, hx := p.Nx, p.Hx
 	sp := getCBuf(nx / 2)
 	for r := lo; r < hi; r++ {
-		re := data[nx*r : nx*r+nx]
-		cx := spec[hx*r : hx*r+hx]
-		if inverse {
+		re := a.data[nx*r : nx*r+nx]
+		cx := a.spec[hx*r : hx*r+hx]
+		if a.inverse {
 			p.px.Inverse(cx, re, *sp)
 		} else {
 			p.px.Forward(re, cx, *sp)
@@ -208,11 +205,12 @@ func (p *RealPlan3) xPass(data []float64, spec []complex128, inverse bool, lo, h
 	cbufPool.Put(sp)
 }
 
-// yPass transforms the y-lines (stride hx) indexed by columns [lo, hi)
-// over (x, z).
+// y transforms the y-lines (stride hx) indexed by columns [lo, hi) over
+// (x, z).
 //
 //tme:noalloc
-func (p *RealPlan3) yPass(spec []complex128, inverse bool, lo, hi int) {
+func (a pass3) y(lo, hi int) {
+	p, spec := a.p, a.spec
 	ny, hx := p.Ny, p.Hx
 	rp := getCBuf(ny)
 	row := *rp
@@ -222,7 +220,7 @@ func (p *RealPlan3) yPass(spec []complex128, inverse bool, lo, hi int) {
 		for y := 0; y < ny; y++ {
 			row[y] = spec[base+hx*y]
 		}
-		if inverse {
+		if a.inverse {
 			p.py.Inverse(row[:ny])
 		} else {
 			p.py.Forward(row[:ny])
@@ -234,11 +232,12 @@ func (p *RealPlan3) yPass(spec []complex128, inverse bool, lo, hi int) {
 	cbufPool.Put(rp)
 }
 
-// zPass transforms the z-lines (stride hx·ny) indexed by columns [lo, hi)
-// over (x, y).
+// z transforms the z-lines (stride hx·ny) indexed by columns [lo, hi) over
+// (x, y).
 //
 //tme:noalloc
-func (p *RealPlan3) zPass(spec []complex128, inverse bool, lo, hi int) {
+func (a pass3) z(lo, hi int) {
+	p, spec := a.p, a.spec
 	ny, nz, hx := p.Ny, p.Nz, p.Hx
 	rp := getCBuf(nz)
 	row := *rp
@@ -248,7 +247,7 @@ func (p *RealPlan3) zPass(spec []complex128, inverse bool, lo, hi int) {
 		for z := 0; z < nz; z++ {
 			row[z] = spec[base+hx*ny*z]
 		}
-		if inverse {
+		if a.inverse {
 			p.pz.Inverse(row[:nz])
 		} else {
 			p.pz.Forward(row[:nz])
@@ -272,19 +271,8 @@ func (p *RealPlan3) Inverse(spec []complex128, data []float64) {
 	sp := p.o.Start(obs.StageFFT)
 	p.o.Add(obs.CounterFFTTransforms, 1)
 	defer sp.Stop()
-	if par.WorkersGrain(ny*hx, rowGrain(nz)) == 1 {
-		p.zPass(spec, true, 0, ny*hx)
-	} else {
-		par.ForRangeGrain(ny*hx, rowGrain(nz), func(lo, hi int) { p.zPass(spec, true, lo, hi) })
-	}
-	if par.WorkersGrain(nz*hx, rowGrain(ny)) == 1 {
-		p.yPass(spec, true, 0, nz*hx)
-	} else {
-		par.ForRangeGrain(nz*hx, rowGrain(ny), func(lo, hi int) { p.yPass(spec, true, lo, hi) })
-	}
-	if par.WorkersGrain(nz*ny, rowGrain(nx)) == 1 {
-		p.xPass(data, spec, true, 0, nz*ny)
-	} else {
-		par.ForRangeGrain(nz*ny, rowGrain(nx), func(lo, hi int) { p.xPass(data, spec, true, lo, hi) })
-	}
+	a := pass3{p, data, spec, true}
+	par.ForRangeGrain(ny*hx, rowGrain(nz), a, pass3.z)
+	par.ForRangeGrain(nz*hx, rowGrain(ny), a, pass3.y)
+	par.ForRangeGrain(nz*ny, rowGrain(nx), a, pass3.x)
 }

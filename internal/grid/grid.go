@@ -419,26 +419,26 @@ func axisPass(dst, src *G, axis, op int, c []float64, accum bool) {
 	if op == opProlong {
 		perRow /= 2 // a fine point has every other J as a tap
 	}
-	grain := rowGrain(perRow)
-	// Serial fast path with a direct call: no closure, so a GOMAXPROCS=1
-	// steady state allocates nothing.
-	if par.WorkersGrain(rows, grain) == 1 {
-		axisRows(dst, src, axis, op, c, accum, 0, rows)
-		return
-	}
-	par.ForRangeGrain(rows, grain, func(lo, hi int) {
-		axisRows(dst, src, axis, op, c, accum, lo, hi)
-	})
+	par.ForRangeGrain(rows, rowGrain(perRow), axisJob{dst, src, axis, op, c, accum}, axisJob.rows)
 }
 
-// axisRows is the per-worker body of axisPass over dst rows [lo, hi).
+// axisJob is the argument of axisPass's parallel body.
+type axisJob struct {
+	dst, src *G
+	axis, op int
+	c        []float64
+	accum    bool
+}
+
+// rows is the per-worker body of axisPass over dst rows [lo, hi).
 //
 //tme:noalloc
-func axisRows(dst, src *G, axis, op int, c []float64, accum bool, lo, hi int) {
+func (a axisJob) rows(lo, hi int) {
+	dst, src, c, accum := a.dst, a.src, a.c, a.accum
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
 	nx, ny := dst.N[0], dst.N[1]
-	if axis == 0 && op == opConv {
+	if a.axis == 0 && a.op == opConv {
 		// Neighbouring outputs read neighbouring cells: one tap row per
 		// grid row, over the row padded with its periodic ghost cells.
 		g := len(c) / 2
@@ -450,13 +450,13 @@ func axisRows(dst, src *G, axis, op int, c []float64, accum bool, lo, hi int) {
 		return
 	}
 	var t taps
-	switch axis {
+	switch a.axis {
 	case 0:
 		// Two-scale x pass: neighbouring outputs read cells two apart
 		// (restriction) or alternate between tap lists (prolongation), so
 		// each output folds its own list.
 		snx := src.N[0]
-		t.build(s, op, c, snx, 1)
+		t.build(s, a.op, c, snx, 1)
 		for r := lo; r < hi; r++ {
 			srow := src.Data[r*snx : (r+1)*snx]
 			drow := dst.Data[r*nx : (r+1)*nx]
@@ -472,7 +472,7 @@ func axisRows(dst, src *G, axis, op int, c []float64, accum bool, lo, hi int) {
 	case 1:
 		// Output row (y, z) is a tap sum of whole source rows of plane z.
 		sny := src.N[1]
-		t.build(s, op, c, sny, nx)
+		t.build(s, a.op, c, sny, nx)
 		for r := lo; r < hi; r++ {
 			coef, off := t.at(r % ny)
 			TapRow(dst.Data[r*nx:(r+1)*nx], src.Data[nx*sny*(r/ny):], coef, off, accum)
@@ -480,7 +480,7 @@ func axisRows(dst, src *G, axis, op int, c []float64, accum bool, lo, hi int) {
 	case 2:
 		// Output plane z is a tap sum of whole source planes; the rows of
 		// [lo, hi) inside one plane are contiguous and run as one long row.
-		t.build(s, op, c, src.N[2], nx*ny)
+		t.build(s, a.op, c, src.N[2], nx*ny)
 		for r := lo; r < hi; {
 			z := r / ny
 			end := (z + 1) * ny
@@ -578,26 +578,25 @@ func ConvDirect3DAccum(dst, src *G, kernel []float64, gc int) {
 	}
 	// Each output x-row (iy, iz) is independent: gather-only, so any
 	// partition over rows is bitwise deterministic.
-	grain := rowGrain(nx * k * k * k)
-	// Serial fast path with a direct call: no closure, so a GOMAXPROCS=1
-	// steady state allocates nothing.
-	if par.WorkersGrain(ny*nz, grain) == 1 {
-		convDirectRows(dst, src, kernel, gc, 0, ny*nz)
-		return
-	}
-	par.ForRangeGrain(ny*nz, grain, func(lo, hi int) {
-		convDirectRows(dst, src, kernel, gc, lo, hi)
-	})
+	par.ForRangeGrain(ny*nz, rowGrain(nx*k*k*k), directJob{dst, src, kernel, gc}, directJob.rows)
 }
 
-// convDirectRows accumulates the direct convolution for the output x-rows
+// directJob is the argument of ConvDirect3DAccum's parallel body.
+type directJob struct {
+	dst, src *G
+	kernel   []float64
+	gc       int
+}
+
+// rows accumulates the direct convolution for the output x-rows
 // [lo, hi). An output row folds its (2gc+1)³ taps in ascending (mz, my, mx)
 // as (2gc+1)² chained x-tap rows — one per source row, padded as in the
 // separable x pass — into a running row that starts at +0, then adds that
 // row to dst.
 //
 //tme:noalloc
-func convDirectRows(dst, src *G, kernel []float64, gc, lo, hi int) {
+func (a directJob) rows(lo, hi int) {
+	dst, src, kernel, gc := a.dst, a.src, a.kernel, a.gc
 	k := 2*gc + 1
 	nx, ny, nz := src.N[0], src.N[1], src.N[2]
 	s := scratchPool.Get().(*scratch)

@@ -17,15 +17,18 @@ import (
 //
 //   - Only statically resolvable calls become edges: package-level
 //     functions, qualified pkg.Func calls, and concrete method calls.
-//     Interface dispatch and function values (including closures passed as
-//     parameters) produce no edge — the runtime gates (race detector,
-//     AllocsPerRun) remain the backstop for those.
+//     Interface dispatch and function values produce no edge — the runtime
+//     gates (race detector, AllocsPerRun) remain the backstop for those.
+//   - The one exception is a par loop's body: a named function or method
+//     expression passed to a par.* call is an edge at that call. par runs
+//     it before returning, on the caller's goroutine or on workers it joins,
+//     so for every check it is a callee of the caller.
 //   - Calls inside a `go` statement's subtree are NOT edges of the
 //     enclosing function: they run on a different goroutine, which is the
 //     distinction the ownership check is built on. Each spawn is recorded
 //     separately in Spawns for the goleak check.
 //   - Calls inside ordinary closures (deferred, called inline, or passed
-//     to par.*) are attributed to the enclosing declaration.
+//     to par.ForRange) are attributed to the enclosing declaration.
 type Program struct {
 	nodes map[*types.Func]*FuncNode
 	reach map[*types.Func]map[*types.Func]bool // memoized sync-reachability
@@ -95,8 +98,15 @@ func collectEdges(p *Package, body ast.Node, node *FuncNode) {
 			node.Spawns = append(node.Spawns, n)
 			return false
 		case *ast.CallExpr:
-			if callee := p.staticCallee(n); callee != nil {
+			if callee := p.staticFunc(n.Fun); callee != nil {
 				node.Calls = append(node.Calls, Edge{Callee: callee, Pos: n.Pos()})
+			}
+			if _, ok := p.parCallee(n); ok {
+				for _, arg := range n.Args {
+					if body := p.staticFunc(arg); body != nil {
+						node.Calls = append(node.Calls, Edge{Callee: body, Pos: n.Pos()})
+					}
+				}
 			}
 		}
 		return true
@@ -111,18 +121,19 @@ func origin(fn *types.Func) *types.Func {
 	return fn.Origin()
 }
 
-// staticCallee resolves a call expression to the module-or-stdlib function
-// it statically invokes, or nil for builtins, conversions, interface
-// dispatch, and function values.
-func (p *Package) staticCallee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+// staticFunc resolves an expression that names one module-or-stdlib
+// function statically — a declared function, pkg.Func, a concrete method
+// value or a method expression. As a call's Fun it gives the callee; it is
+// nil for builtins, conversions, interface dispatch and function values.
+func (p *Package) staticFunc(e ast.Expr) *types.Func {
+	switch fun := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		if fn, ok := p.useOf(fun).(*types.Func); ok {
 			return origin(fn)
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := p.Info.Selections[fun]; ok {
-			if sel.Kind() != types.MethodVal {
+			if sel.Kind() == types.FieldVal {
 				return nil
 			}
 			if _, isIface := sel.Recv().Underlying().(*types.Interface); isIface {

@@ -65,13 +65,13 @@ func (p *Package) spawnJoined(prog *Program, g *ast.GoStmt) bool {
 		// The closure's direct calls feed the reachability scan.
 		ast.Inspect(fl.Body, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				if callee := p.staticCallee(call); callee != nil {
+				if callee := p.staticFunc(call.Fun); callee != nil {
 					roots = append(roots, callee)
 				}
 			}
 			return true
 		})
-	} else if callee := p.staticCallee(g.Call); callee != nil {
+	} else if callee := p.staticFunc(g.Call.Fun); callee != nil {
 		roots = append(roots, callee)
 	} else {
 		return false // dynamic spawn target: cannot prove a join
@@ -118,7 +118,7 @@ func (p *Package) hasJoinMarker(body ast.Node) bool {
 }
 
 // methodCallee resolves a selector to the method it names, including
-// interface methods (which staticCallee deliberately skips).
+// interface methods (which staticFunc deliberately skips).
 func (p *Package) methodCallee(sel *ast.SelectorExpr) *types.Func {
 	if s, ok := p.Info.Selections[sel]; ok {
 		if fn, ok := s.Obj().(*types.Func); ok {

@@ -273,18 +273,16 @@ func (p *Package) pkgNameOf(expr ast.Expr) *types.Package {
 	return pn.Imported()
 }
 
-// parFuncs are the worker-pool entry points whose closure arguments the
-// parwrite and noalloc checks treat specially.
+// parFuncs are the par loops whose body arguments the call graph enters
+// and whose closure bodies parwrite checks.
 var parFuncs = map[string]bool{
 	"For":           true,
 	"ForRange":      true,
 	"ForRangeGrain": true,
-	"Do":            true,
-	"SumFloat64":    true,
 }
 
-// parCallee reports whether call invokes one of the par package's loop
-// helpers, returning the helper name. The par package is matched by
+// parCallee reports whether call invokes one of the par package's loops,
+// returning the loop's name. The par package is matched by
 // import-path suffix so the testdata stub package qualifies too.
 func (p *Package) parCallee(call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)

@@ -18,9 +18,9 @@ import (
 //   - make, new, and append calls (append may grow its backing array);
 //   - composite literals of slice or map type, and any composite literal
 //     whose address is taken (escape risk);
-//   - closure literals, except those passed directly to a par.* worker
-//     helper — the one sanctioned closure (it is only materialized on the
-//     multi-worker path, which the callers gate behind par.WorkersGrain);
+//   - closure literals, including those handed to par: a closure escapes
+//     wherever it is created, even when one worker runs it. A parallel
+//     loop passes par a job value and a named body instead;
 //   - go statements (goroutine launch allocates; use par).
 //
 // Type info whitelists the non-escaping cases: plain struct and array
@@ -33,10 +33,12 @@ import (
 // where the root's author sees it. Callees carrying their own
 // //tme:noalloc are skipped — they are checked directly — so annotating the
 // helper is the fix that both silences the walk and extends the depth-0
-// check. The par package (and its fixture stub) is trusted as a leaf: it is
-// the sanctioned goroutine-dispatch layer, whose worker spawns are gated to
-// the multi-worker path by design. Interface dispatch and function values
-// produce no edges.
+// check. The walk enters the named body handed to a par loop through the
+// call graph's par edge (see collectEdges), so a loop body is held to the
+// same contract as a direct callee. The par package itself (and its
+// fixture stub) is trusted as a leaf: its worker spawns happen only on the
+// multi-worker path. Interface dispatch and other function values produce
+// no edges.
 //
 // testing.AllocsPerRun gates remain the runtime backstop. Guarded grow-once
 // paths ("if cap(buf) < n { buf = make... }") are legitimate; mark those
@@ -107,27 +109,14 @@ type allocSite struct {
 	what string // the builtin's name, the literal's type string, "closure" or "go statement"
 }
 
-// funcAllocs collects every allocation construct in fd's body, applying
-// the par-closure exemption (closures handed directly to a par.* worker
-// helper are the sanctioned dispatch pattern).
+// funcAllocs collects every allocation construct in fd's body.
 func (p *Package) funcAllocs(fd *ast.FuncDecl) []allocSite {
-	// First pass: closures handed directly to par.* helpers are the
-	// sanctioned parallel-dispatch pattern; composite literals under & are
-	// heap-escape risks even for struct types.
-	parClosures := map[*ast.FuncLit]bool{}
+	// First pass: composite literals under & are heap-escape risks even for
+	// struct types.
 	addressed := map[*ast.CompositeLit]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if _, ok := p.parCallee(n); ok {
-				for _, arg := range n.Args {
-					if fl, ok := arg.(*ast.FuncLit); ok {
-						parClosures[fl] = true
-					}
-				}
-			}
-		case *ast.UnaryExpr:
-			if cl, ok := n.X.(*ast.CompositeLit); ok && n.Op == token.AND {
+		if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			if cl, ok := u.X.(*ast.CompositeLit); ok {
 				addressed[cl] = true
 			}
 		}
@@ -163,9 +152,7 @@ func (p *Package) funcAllocs(fd *ast.FuncDecl) []allocSite {
 				}
 			}
 		case *ast.FuncLit:
-			if !parClosures[n] {
-				sites = append(sites, allocSite{n.Pos(), allocClosure, "closure"})
-			}
+			sites = append(sites, allocSite{n.Pos(), allocClosure, "closure"})
 		case *ast.GoStmt:
 			sites = append(sites, allocSite{n.Pos(), allocGo, "go statement"})
 		}
@@ -202,7 +189,7 @@ func (s allocSite) message(fn string) string {
 	case allocAddressedLiteral:
 		why = "risks a heap allocation"
 	case allocClosure:
-		why = "may allocate; only closures passed directly to par.* are exempt"
+		why = "may allocate; use a named function (for par, a job value and a named body)"
 	default:
 		why = "allocates a goroutine; dispatch through par instead"
 	}
@@ -246,7 +233,7 @@ func (p *Package) reachedAllocs(root *types.Func, rootName string) []Diagnostic 
 			continue // stdlib or bodiless: out of scope
 		}
 		if isParPackage(it.fn.Pkg()) {
-			continue // sanctioned dispatch leaf
+			continue // dispatch leaf: its spawns are multi-worker only
 		}
 		if hasDirective(node.Decl, noallocDirective) {
 			continue // carries its own annotation; checked directly

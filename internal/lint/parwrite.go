@@ -7,25 +7,20 @@ import (
 )
 
 // parwrite guards the slab-ownership discipline: a closure handed to a
-// par worker helper runs concurrently on many chunks, so a plain
-// assignment to a variable captured from the enclosing scope is a data
-// race (and, even when "benign", makes the result depend on scheduling).
-// The sanctioned write forms are element writes through an index
-// (buf[i] = ..., v.part[s].e += ... — ownership partitions the index
-// space) and variables declared inside the closure itself.
+// par loop runs concurrently on many chunks, so a plain assignment to a
+// variable captured from the enclosing scope is a data race (and, even
+// when "benign", makes the result depend on scheduling). The sanctioned
+// write forms are element writes through an index (buf[i] = ...,
+// v.part[s].e += ... — ownership partitions the index space) and
+// variables declared inside the closure itself, its job parameter
+// included.
 //
-// par.Do is different: its heterogeneous tasks legitimately assign
-// distinct captured result variables (res = shortRange(...) in one task,
-// eBonded = bonded(...) in another). For Do the check therefore flags
-// only overlap — a captured variable written by one task and read or
-// written by a sibling task of the same call.
-//
-// Mutation hidden behind method calls is out of scope (not
-// interprocedural); the race-detector tier of tier1.sh remains the
-// runtime backstop.
+// Named bodies (the job-value form of the hot loops) and mutation hidden
+// behind method calls are out of scope (not interprocedural); the
+// race-detector tier of tier1.sh remains the runtime backstop.
 var parwriteCheck = &Check{
 	Name: "parwrite",
-	Doc:  "closure passed to par.For/ForRange/Do writes captured shared state",
+	Doc:  "closure passed to par.For/ForRange/ForRangeGrain writes captured shared state",
 	Run:  runParwrite,
 }
 
@@ -41,16 +36,8 @@ func runParwrite(p *Package) []Diagnostic {
 			if !ok {
 				return true
 			}
-			var closures []*ast.FuncLit
 			for _, arg := range call.Args {
 				if fl, ok := arg.(*ast.FuncLit); ok {
-					closures = append(closures, fl)
-				}
-			}
-			if name == "Do" {
-				diags = append(diags, p.checkDoTasks(closures)...)
-			} else {
-				for _, fl := range closures {
 					diags = append(diags, p.checkWorkerClosure(fl, name)...)
 				}
 			}
@@ -137,52 +124,13 @@ func (p *Package) closureWrites(fl *ast.FuncLit) map[*types.Var]token.Pos {
 }
 
 // checkWorkerClosure flags every captured non-index write in a closure
-// passed to a chunked worker helper (For/ForRange/ForRangeGrain/
-// SumFloat64), where the closure body runs concurrently with itself.
+// passed to a par loop, where the closure body runs concurrently with
+// itself.
 func (p *Package) checkWorkerClosure(fl *ast.FuncLit, helper string) []Diagnostic {
 	var diags []Diagnostic
 	for v, pos := range p.closureWrites(fl) {
 		diags = append(diags, p.diag(pos, "parwrite",
 			"closure passed to par.%s writes captured variable %q; partition writes by index (buf[i]) or use per-worker scratch", helper, v.Name()))
-	}
-	return diags
-}
-
-// checkDoTasks flags captured variables written by one par.Do task and
-// touched by a sibling task of the same call.
-func (p *Package) checkDoTasks(tasks []*ast.FuncLit) []Diagnostic {
-	writes := make([]map[*types.Var]token.Pos, len(tasks))
-	uses := make([]map[*types.Var]bool, len(tasks))
-	for i, fl := range tasks {
-		writes[i] = p.closureWrites(fl)
-		uses[i] = map[*types.Var]bool{}
-		ast.Inspect(fl.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if v, ok := p.useOf(id).(*types.Var); ok {
-				if v.Pos() < fl.Pos() || v.Pos() >= fl.End() {
-					uses[i][v] = true
-				}
-			}
-			return true
-		})
-	}
-	var diags []Diagnostic
-	for i := range tasks {
-		for v, pos := range writes[i] {
-			for j := range tasks {
-				if j == i {
-					continue
-				}
-				if uses[j][v] {
-					diags = append(diags, p.diag(pos, "parwrite",
-						"par.Do task writes captured variable %q that a sibling task also touches; tasks must write disjoint state", v.Name()))
-					break
-				}
-			}
-		}
 	}
 	return diags
 }

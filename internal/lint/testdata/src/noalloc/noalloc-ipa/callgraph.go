@@ -1,6 +1,7 @@
 // Package noallocipa exercises the call-graph half of the noalloc check: a
 // //tme:noalloc function must not reach, through the static call graph, an
-// unannotated callee that allocates. Callees carrying their own annotation
+// unannotated callee that allocates. The named body of a par loop counts
+// as a callee of the loop's caller. Callees carrying their own annotation
 // are checked directly, the par stub is the trusted dispatch leaf, and a
 // callee whose allocation site is suppressed with a rationale (grow-once)
 // does not count.
@@ -25,6 +26,7 @@ func (e *engine) step(n int) {
 	e.helperAnnotated(n)
 	e.helperSuppressed(n)
 	e.helperPar(n)
+	par.ForRangeGrain(n, 1, rows{e.out}, rows.grow) // want "calls rows.grow, which allocates \(append\)"
 }
 
 // helperAlloc allocates directly: one hop from the annotated root.
@@ -66,10 +68,18 @@ func (e *engine) helperSuppressed(n int) {
 	}
 }
 
-// helperPar dispatches through the sanctioned worker-pool leaf; the
-// closure handed to par.For is the exempt pattern.
+// helperPar dispatches through the par leaf with a job value and a named
+// body; the walk enters the clean body.
 func (e *engine) helperPar(n int) {
-	par.For(n, func(i int) {
-		e.buf[i] = 0
-	})
+	par.For(n, e.buf, zero)
+}
+
+func zero(buf []float64, i int) { buf[i] = 0 }
+
+// rows is a job value whose method-expression body allocates; only the par
+// edge leads the walk into it.
+type rows struct{ out []float64 }
+
+func (r rows) grow(lo, hi int) {
+	r.out = append(r.out, float64(hi-lo))
 }

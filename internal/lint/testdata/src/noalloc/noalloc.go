@@ -1,7 +1,7 @@
 // Package noalloc exercises the noalloc check's depth-0 half (the
 // call-graph half is the noalloc-ipa sub-package): inside a //tme:noalloc
-// function every syntactic allocation source is flagged, par worker
-// closures and plain value literals are not, and unannotated functions are
+// function every syntactic allocation source is flagged, closures handed to
+// par included, plain value literals are not, and unannotated functions are
 // never inspected as roots.
 package noalloc
 
@@ -27,7 +27,7 @@ func (s *state) hot(n int) {
 	v := vec3{1, 2, 3}                 // plain value literal stays on the stack: no finding
 	f := func() {}                     // want "closure literal in //tme:noalloc function state.hot may allocate"
 	go s.drain()                       // want "go statement in //tme:noalloc function state.hot allocates a goroutine"
-	par.ForRange(n, func(lo, hi int) { // par worker closure is the sanctioned pattern: no finding
+	par.ForRange(n, func(lo, hi int) { // want "closure literal in //tme:noalloc function state.hot may allocate; use a named function \(for par, a job value and a named body\)"
 		for i := lo; i < hi; i++ {
 			s.buf[i] = v[0]
 		}

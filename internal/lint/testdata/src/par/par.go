@@ -5,30 +5,14 @@
 package par
 
 // For mirrors par.For.
-func For(n int, body func(i int)) {
+func For[T any](n int, t T, body func(T, int)) {
 	for i := 0; i < n; i++ {
-		body(i)
+		body(t, i)
 	}
 }
+
+// ForRangeGrain mirrors par.ForRangeGrain.
+func ForRangeGrain[T any](n, grain int, t T, body func(T, int, int)) { body(t, 0, n) }
 
 // ForRange mirrors par.ForRange.
 func ForRange(n int, body func(lo, hi int)) { body(0, n) }
-
-// ForRangeGrain mirrors par.ForRangeGrain.
-func ForRangeGrain(n, grain int, body func(lo, hi int)) { body(0, n) }
-
-// Do mirrors par.Do.
-func Do(tasks ...func()) {
-	for _, t := range tasks {
-		t()
-	}
-}
-
-// SumFloat64 mirrors par.SumFloat64.
-func SumFloat64(n int, body func(i int) float64) float64 {
-	var s float64
-	for i := 0; i < n; i++ {
-		s += body(i)
-	}
-	return s
-}

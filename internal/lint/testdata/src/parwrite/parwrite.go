@@ -1,13 +1,11 @@
-// Package parwrite exercises the parwrite check: chunked worker closures
-// must not assign captured variables except through element indices, and
-// par.Do tasks must touch pairwise-disjoint captured state.
+// Package parwrite exercises the parwrite check: closures handed to par
+// loops must not assign captured variables except through element indices.
 package parwrite
 
 import "tme4a/internal/lint/testdata/src/par"
 
 type accum struct {
-	total float64
-	part  []float64
+	part []float64
 }
 
 func raceyReduction(xs []float64) float64 {
@@ -22,7 +20,7 @@ func raceyReduction(xs []float64) float64 {
 
 func raceyCounter(n int) int {
 	count := 0
-	par.For(n, func(i int) {
+	par.For(n, 0, func(_, i int) {
 		count++ // want "closure passed to par.For writes captured variable \"count\""
 	})
 	return count
@@ -40,31 +38,14 @@ func partitionedWrites(a *accum, xs []float64) {
 }
 
 func raceyPointer(out *float64, n int) {
-	par.ForRangeGrain(n, 1, func(lo, hi int) {
+	par.ForRangeGrain(n, 1, 0, func(_, lo, hi int) {
 		*out = float64(hi) // want "closure passed to par.ForRangeGrain writes captured variable \"out\""
 	})
 }
 
-func disjointDo(a, b *accum) (x, y float64) {
-	par.Do(
-		func() { x = a.part[0] }, // each task writes its own result: no finding
-		func() { y = b.part[0] },
-	)
-	return x, y
-}
-
-func overlappingDo(a *accum) float64 {
-	var t float64
-	par.Do(
-		func() { t = a.part[0] },   // want "par.Do task writes captured variable \"t\" that a sibling task also touches"
-		func() { a.total = t + 1 }, // want "par.Do task writes captured variable \"a\" that a sibling task also touches"
-	)
-	return t
-}
-
 func suppressedWrite(n int) int {
 	last := 0
-	par.For(n, func(i int) {
+	par.For(n, 0, func(_, i int) {
 		last = i //tmevet:ignore parwrite -- demo: any worker's value is acceptable here
 	})
 	return last

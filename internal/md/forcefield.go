@@ -55,10 +55,10 @@ func (e Energies) Coulomb() float64 { return e.CoulShort + e.CoulLong + e.CoulEx
 // Every term writes into its own cached force buffer and the buffers are
 // merged per atom in a fixed order, so the short-range pair engine, the
 // mesh solve (+ exclusion corrections) and the bonded terms can run
-// concurrently on the worker pool (par.Do) with results bitwise identical
-// at any GOMAXPROCS — the software analogue of the MDGRAPE-4A pipelines,
-// LRU and GP cores working the same step in parallel. All scratch is
-// reused, so a steady-state force evaluation allocates nothing.
+// concurrently as the three indices of one par.For with results bitwise
+// identical at any GOMAXPROCS — the software analogue of the MDGRAPE-4A
+// pipelines, LRU and GP cores working the same step in parallel. All
+// scratch is reused, so a steady-state force evaluation allocates nothing.
 type ForceField struct {
 	Alpha  float64
 	Rc     float64
@@ -82,6 +82,10 @@ type ForceField struct {
 	meshExcl   float64
 	// bondedFrc is the bonded terms' private force buffer.
 	bondedFrc []vec.V
+	// short and eBonded are the short-range and bonded results of the last
+	// evaluation, stored by the term bodies (see terms.run).
+	short   nonbond.Result
+	eBonded float64
 
 	// Obs, when non-nil, records the per-step stage timing breakdown. Set
 	// it through SetObs so the recorder propagates to the mesh solver and
@@ -165,26 +169,18 @@ func (ff *ForceField) ComputeReuseMesh(sys *System) Energies {
 
 func (ff *ForceField) compute(sys *System, doMesh bool) Energies {
 	// The three force terms write disjoint buffers (sys.Frc, meshForces,
-	// bondedFrc), so they can overlap. Each is internally deterministic
-	// and the merge below is per-atom with a fixed association order, so
-	// the result does not depend on how the tasks interleave. The
-	// concurrent branch lives in its own function: par.Do closures would
-	// force their captures onto the heap even on the serial path, and the
-	// sequential branch must stay allocation-free at steady state.
-	var res nonbond.Result
-	var eBonded float64
-	if par.Concurrent() && (ff.Mesh != nil || ff.Bonded != nil) {
-		res, eBonded = ff.computeTermsParallel(sys, doMesh)
-	} else {
-		res = ff.shortRange(sys)
-		ff.meshTerm(sys, doMesh)
-		eBonded = ff.bondedTerm(sys)
-	}
+	// bondedFrc) and disjoint result fields, so they can overlap. Each is
+	// internally deterministic and the merge below is per-atom with a fixed
+	// association order, so the result does not depend on how the terms
+	// interleave.
+	sp := ff.Obs.Start(obs.StageOverlap)
+	par.For(3, terms{ff, sys, doMesh}, terms.run)
+	sp.Stop()
 
 	var e Energies
-	e.CoulShort = res.ECoul
-	e.LJ = res.ELJ
-	e.Bonded = eBonded
+	e.CoulShort = ff.short.ECoul
+	e.LJ = ff.short.ELJ
+	e.Bonded = ff.eBonded
 	if ff.Mesh != nil {
 		e.CoulLong = ff.meshEnergy
 		e.CoulExcl = ff.meshExcl
@@ -194,22 +190,26 @@ func (ff *ForceField) compute(sys *System, doMesh bool) Energies {
 	return e
 }
 
-// computeTermsParallel overlaps the three force terms on the worker pool,
-// the software analogue of MDGRAPE-4A's nonbond pipelines, LRU and GP
-// cores working the same step concurrently.
-//
-//tme:noalloc
-func (ff *ForceField) computeTermsParallel(sys *System, doMesh bool) (nonbond.Result, float64) {
-	var res nonbond.Result
-	var eBonded float64
-	sp := ff.Obs.Start(obs.StageOverlap)
-	par.Do(
-		func() { res = ff.shortRange(sys) },
-		func() { ff.meshTerm(sys, doMesh) },
-		func() { eBonded = ff.bondedTerm(sys) },
-	)
-	sp.Stop()
-	return res, eBonded
+// terms is the argument of the force-term body: one evaluation's three
+// terms, the software analogue of MDGRAPE-4A's nonbond pipelines, LRU and
+// GP cores working the same step concurrently.
+type terms struct {
+	ff     *ForceField
+	sys    *System
+	doMesh bool
+}
+
+// run evaluates term i: 0 short range, 1 mesh, 2 bonded. With one worker
+// they run in that order.
+func (t terms) run(i int) {
+	switch i {
+	case 0:
+		t.ff.short = t.ff.shortRange(t.sys)
+	case 1:
+		t.ff.meshTerm(t.sys, t.doMesh)
+	case 2:
+		t.ff.eBonded = t.ff.bondedTerm(t.sys)
+	}
 }
 
 // shortRange zeroes sys.Frc and evaluates the short-range nonbonded term
@@ -309,14 +309,19 @@ func (ff *ForceField) merge(sys *System) {
 	sp := ff.Obs.Start(obs.StageMerge)
 	defer sp.Stop()
 	atoms := sys.All().Atoms
-	if par.Workers(len(atoms)) == 1 {
-		MergeForces(sys.Frc, mesh, bond, atoms)
-	} else {
-		par.ForRange(len(atoms), func(lo, hi int) {
-			MergeForces(sys.Frc, mesh, bond, atoms[lo:hi])
-		})
-	}
+	par.ForRangeGrain(len(atoms), mergeGrain, mergeJob{sys.Frc, mesh, bond, atoms}, mergeJob.run)
 }
+
+// mergeGrain is the least number of atoms per merge chunk.
+const mergeGrain = 64
+
+// mergeJob is the argument of merge's parallel body.
+type mergeJob struct {
+	frc, mesh, bond []vec.V
+	atoms           []int32
+}
+
+func (j mergeJob) run(lo, hi int) { MergeForces(j.frc, j.mesh, j.bond, j.atoms[lo:hi]) }
 
 // MergeForces adds the mesh and bonded term buffers (nil for an absent
 // term) into frc for the listed atoms. Per atom the association order is

@@ -122,61 +122,57 @@ func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, l
 	}
 	// Slabs are claimed one at a time (par.For): direct-mode blocks are
 	// triangular, so equal contiguous ranges would leave the first worker
-	// most of the pairs. Which worker runs a slab touches no result. In the
-	// deferred pass, target slab m's reaction forces all come from the layer
-	// below it.
-	if par.WorkersGrain(ns, 1) == 1 {
-		if dense {
-			for s := 0; s < ns; s++ {
-				sc.slab(cl, k, pos, q, lj, excl, f, sc.dense[s], &sc.part[s], s, s)
-			}
-			for m := 0; m < ns; m++ {
-				applyDense(f, sc, m, ns, n)
-			}
-		} else {
-			for s := 0; s < ns; s++ {
-				sc.slab(cl, k, pos, q, lj, excl, f, nil, &sc.part[s], s, s)
-			}
-			for m := 0; f != nil && m < ns; m++ {
-				ApplyDeferred(f, sc.def[(m+ns-1)%ns])
-			}
-		}
-	} else if dense {
-		par.For(ns, func(s int) {
-			sc.slab(cl, k, pos, q, lj, excl, f, sc.dense[s], &sc.part[s], s, s)
-		})
-		par.For(ns, func(m int) {
-			applyDense(f, sc, m, ns, n)
-		})
-	} else {
-		par.For(ns, func(s int) {
-			sc.slab(cl, k, pos, q, lj, excl, f, nil, &sc.part[s], s, s)
-		})
-		if f != nil {
-			par.For(ns, func(m int) {
-				ApplyDeferred(f, sc.def[(m+ns-1)%ns])
-			})
-		}
+	// most of the pairs. Which worker runs a slab touches no result.
+	j := cellJob{sc, cl, k, pos, q, lj, excl, f, dense}
+	par.For(ns, j, cellJob.slab)
+	if f != nil {
+		par.For(ns, j, cellJob.apply)
 	}
 	res := FoldSlabs(sc.part)
 	scratchPool.Put(sc)
 	return res
 }
 
-// applyDense folds the dense reaction buffers into the atoms of target
-// slab m, scanning source slabs in ascending order. Direct-mode blocks
-// follow atom order with i < j, so only sources below the target ever
-// contribute.
-func applyDense(f []vec.V, sc *pairScratch, m, ns, n int) {
-	c := (n + ns - 1) / ns
-	lo, hi := m*c, (m+1)*c
-	if hi > n {
-		hi = n
+// cellJob is the argument of ComputeWithList's parallel bodies.
+type cellJob struct {
+	sc    *pairScratch
+	cl    *celllist.List
+	k     *kernel
+	pos   []vec.V
+	q     []float64
+	lj    *LJ
+	excl  *topol.Exclusions
+	f     []vec.V
+	dense bool
+}
+
+// slab runs the slab body over slab s, its reactions going to the slab's
+// dense buffer in direct mode.
+func (j cellJob) slab(s int) {
+	var fs []vec.V
+	if j.dense {
+		fs = j.sc.dense[s]
 	}
+	j.sc.slab(j.cl, j.k, j.pos, j.q, j.lj, j.excl, j.f, fs, &j.sc.part[s], s, s)
+}
+
+// apply folds the reaction forces owed to target slab m. In deferred mode
+// they all come from the layer below it. In direct mode the dense buffers
+// are scanned in ascending source slab; blocks follow atom order with
+// i < j, so only sources below the target ever contribute.
+func (j cellJob) apply(m int) {
+	ns := len(j.sc.part)
+	if !j.dense {
+		ApplyDeferred(j.f, j.sc.def[(m+ns-1)%ns])
+		return
+	}
+	n := len(j.pos)
+	c := (n + ns - 1) / ns
+	lo, hi := m*c, min((m+1)*c, n)
 	for src := 0; src < m; src++ {
-		fs := sc.dense[src]
-		for j := lo; j < hi; j++ {
-			f[j] = f[j].Add(fs[j])
+		fs := j.sc.dense[src]
+		for i := lo; i < hi; i++ {
+			j.f[i] = j.f[i].Add(fs[i])
 		}
 	}
 }

@@ -110,15 +110,7 @@ func (v *VerletList) Rebuild(pos []vec.V, excl *topol.Exclusions) {
 		v.cross[b] = v.cross[b][:0]
 	}
 
-	if par.WorkersGrain(ns, 1) == 1 {
-		for s := 0; s < ns; s++ {
-			v.fillSlab(s, pos, excl)
-		}
-	} else {
-		par.For(ns, func(s int) {
-			v.fillSlab(s, pos, excl)
-		})
-	}
+	par.For(ns, listJob{v: v, pos: pos, excl: excl}, listJob.fill)
 
 	v.npairs = 0
 	for s := range v.same {
@@ -138,9 +130,20 @@ func (v *VerletList) Rebuild(pos []vec.V, excl *topol.Exclusions) {
 	v.o.Add(obs.CounterVerletPairs, int64(v.npairs))
 }
 
-// fillSlab collects slab s's candidate pairs into its own buckets; safe to
-// run concurrently for distinct slabs.
-func (v *VerletList) fillSlab(s int, pos []vec.V, excl *topol.Exclusions) {
+// listJob is the argument of Rebuild's and Compute's parallel bodies.
+type listJob struct {
+	v    *VerletList
+	pos  []vec.V
+	excl *topol.Exclusions // Rebuild
+	q    []float64         // Compute
+	lj   *LJ
+	f    []vec.V
+}
+
+// fill collects slab s's candidate pairs into its own buckets; safe to run
+// concurrently for distinct slabs.
+func (j listJob) fill(s int) {
+	v, pos, excl := j.v, j.pos, j.excl
 	sm := v.same[s][:0]
 	base := s * v.ns
 	v.cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) { //tmevet:ignore noalloc -- the closure does not escape ForEachPairInSlab; TestVerletComputeSteadyStateAllocs holds Rebuild at 0
@@ -215,43 +218,31 @@ func (v *VerletList) RefPositions() []vec.V {
 //
 //tme:noalloc
 func (v *VerletList) Compute(pos []vec.V, q []float64, lj *LJ, alpha float64, f []vec.V) Result {
-	ns := v.ns
 	if !v.k.is(alpha, v.Cutoff) {
 		v.k = kernelFor(alpha, v.Cutoff)
 	}
-	if par.WorkersGrain(ns, 1) == 1 {
-		for s := 0; s < ns; s++ {
-			v.evalSlab(s, pos, q, lj, f)
-		}
-		for m := 0; f != nil && m < ns; m++ {
-			v.applyDeferred(f, m)
-		}
-	} else {
-		par.For(ns, func(s int) {
-			v.evalSlab(s, pos, q, lj, f)
-		})
-		if f != nil {
-			par.For(ns, func(m int) {
-				v.applyDeferred(f, m)
-			})
-		}
+	j := listJob{v: v, pos: pos, q: q, lj: lj, f: f}
+	par.For(v.ns, j, listJob.eval)
+	if f != nil {
+		par.For(v.ns, j, listJob.apply)
 	}
 	return FoldSlabs(v.part)
 }
 
-// evalSlab evaluates slab s's buckets in a fixed order — the same-slab
+// eval evaluates slab s's buckets in a fixed order — the same-slab
 // bucket, then the cross buckets by ascending target — into one running
 // partial.
 //
 //tme:noalloc
-func (v *VerletList) evalSlab(s int, pos []vec.V, q []float64, lj *LJ, f []vec.V) {
+func (j listJob) eval(s int) {
+	v := j.v
 	var p SlabPartial
-	v.bucket(&p, v.same[s], nil, pos, q, lj, f)
+	v.bucket(&p, v.same[s], nil, j.pos, j.q, j.lj, j.f)
 	base := s * v.ns
 	for tgt := 0; tgt < v.ns; tgt++ {
 		if tgt != s {
 			b := base + tgt
-			v.bucket(&p, v.cross[b], v.dfrc[b][:len(v.cross[b])], pos, q, lj, f)
+			v.bucket(&p, v.cross[b], v.dfrc[b][:len(v.cross[b])], j.pos, j.q, j.lj, j.f)
 		}
 	}
 	v.part[s] = p
@@ -321,11 +312,12 @@ func (v *VerletList) bucket(p *SlabPartial, prs []pair, dst []vec.V, pos []vec.V
 	p.ECoul, p.ELJ, p.Pairs = eCoul, eLJsum, pairs
 }
 
-// applyDeferred applies the reaction forces owed to target slab m in
+// apply applies the reaction forces owed to target slab m in
 // ascending source-slab order.
 //
 //tme:noalloc
-func (v *VerletList) applyDeferred(f []vec.V, m int) {
+func (j listJob) apply(m int) {
+	v, f := j.v, j.f
 	ns := v.ns
 	for src := 0; src < ns; src++ {
 		if src == m {

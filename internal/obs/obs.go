@@ -2,7 +2,8 @@
 // stack: preregistered per-stage timers and counters for the pipeline the
 // paper charts in Fig. 9 (charge assignment, restriction, grid
 // convolution, top-level SPME, prolongation, back interpolation,
-// short-range, bonded, constraints, and the par.Do overlap window).
+// short-range, bonded, constraints, and the overlap window of the force
+// terms).
 //
 // Design constraints, in order:
 //
@@ -48,7 +49,7 @@ const (
 	StageBonded                  // bonded terms
 	StageConstraint              // SETTLE position + velocity constraints
 	StageMerge                   // per-atom force-buffer merge
-	StageOverlap                 // par.Do overlap window of the force terms
+	StageOverlap                 // overlap window of the force terms (one par.For)
 	StageIntegrate               // kick/drift integration bookkeeping
 	StageStep                    // whole Integrator.Step
 	StageCheckpoint              // checkpoint encode + atomic write (outside the step)
@@ -170,7 +171,7 @@ func (c Counter) String() string {
 }
 
 // slot is one stage's accumulator pair, padded to its own cache line so
-// concurrently-updated stages (the par.Do overlap) do not false-share.
+// concurrently-updated stages (the overlapped force terms) do not false-share.
 type slot struct {
 	ns    atomic.Int64
 	count atomic.Int64

@@ -56,7 +56,7 @@ func TestSpanAccumulation(t *testing.T) {
 }
 
 // TestConcurrentIncrementStress hammers one recorder from many goroutines
-// — the par.Do overlap situation — and checks the totals are exact. Run
+// — the overlapped force terms situation — and checks the totals are exact. Run
 // under -race in tier1.sh, this is also the data-race gate on the slot
 // arrays.
 func TestConcurrentIncrementStress(t *testing.T) {

@@ -1,15 +1,21 @@
-// Package par provides small data-parallel helpers (worker-pool loops and
-// reductions) used by the hot loops of the force and mesh modules.
+// Package par provides the data-parallel loops of the force and mesh
+// modules.
 //
-// The helpers degrade gracefully to plain sequential loops when GOMAXPROCS
-// is one or the trip count is small, so there is no goroutine overhead on
-// single-core hosts.
+// A hot loop is one call with a job value and a named body: the caller packs
+// the loop's arguments into a small struct T and passes a method expression
+// (job.body) or function of type func(T, …). With one worker — GOMAXPROCS
+// one, or a trip count below the grain — the body runs directly on the
+// caller's goroutine and nothing is allocated, so a caller needs no serial
+// branch of its own to keep a steady-state path allocation-free. Only the
+// multi-worker path allocates: its goroutines and their shared join state.
+// The worker count is private to this package, so no caller can branch on
+// it.
 //
 // Determinism: the helpers only decide *which worker* executes a chunk or
-// index, never the chunk boundaries themselves. Callers that need results bitwise
-// independent of GOMAXPROCS must therefore fix their own reduction
-// granularity (see pmesh.Interpolate for the pattern); plain ForRange/
-// ForRangeGrain bodies that write disjoint outputs are deterministic as is.
+// index, never the chunk boundaries themselves. Callers that need results
+// bitwise independent of GOMAXPROCS must therefore fix their own reduction
+// granularity (see pmesh.Interpolate for the pattern); bodies that write
+// disjoint outputs are deterministic as is.
 package par
 
 import (
@@ -23,25 +29,26 @@ import (
 // cost.
 const minChunk = 64
 
-// For runs body(i) for every i in [0, n) on up to min(GOMAXPROCS, n)
+// For runs body(t, i) for every i in [0, n) on up to min(GOMAXPROCS, n)
 // workers that claim indices one at a time, in ascending order, from a
 // shared atomic counter. It is the form for loops whose iterations are
 // individually expensive and unequal — the triangular atom blocks and
-// z-slabs of the pair engine — where ForRange's equal contiguous ranges
-// would leave one worker most of the work; cheap uniform iterations belong
-// in ForRange, which touches no shared counter. body must be safe to call
-// concurrently for distinct i. Each index runs exactly once and For returns
-// after the last one, so a body that writes only state owned by its index
-// produces results independent of the worker count and of the claim order.
-func For(n int, body func(i int)) {
-	workers := WorkersGrain(n, 1)
+// z-slabs of the pair engine, the force terms of one evaluation — where
+// ForRangeGrain's equal contiguous ranges would leave one worker most of the
+// work. body must be safe to call concurrently for distinct i. Each index
+// runs exactly once and For returns after the last one, so a body that
+// writes only state owned by its index produces results independent of the
+// worker count and of the claim order. With one worker the indices run in
+// ascending order on the caller's goroutine. A body may itself call For.
+func For[T any](n int, t T, body func(T, int)) {
+	workers := workersGrain(n, 1)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			body(i)
+			body(t, i)
 		}
 		return
 	}
-	c := &claim{n: n, body: body}
+	c := &claim[T]{n: n, t: t, body: body}
 	c.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
 		go c.worker()
@@ -50,106 +57,75 @@ func For(n int, body func(i int)) {
 	c.wg.Wait()
 }
 
-// claim is the shared state of one For call.
-type claim struct {
+// claim is the shared state of one multi-worker For call.
+type claim[T any] struct {
 	next atomic.Int64
 	wg   sync.WaitGroup
 	n    int
-	body func(i int)
+	t    T
+	body func(T, int)
 }
 
 // run claims and runs indices until none are left.
-func (c *claim) run() {
+func (c *claim[T]) run() {
 	for i := int(c.next.Add(1)) - 1; i < c.n; i = int(c.next.Add(1)) - 1 {
-		c.body(i)
+		c.body(c.t, i)
 	}
 }
 
-func (c *claim) worker() {
+func (c *claim[T]) worker() {
 	defer c.wg.Done()
 	c.run()
 }
 
-// ForRange splits [0, n) into contiguous chunks and runs body(lo, hi) for
-// each chunk, using up to GOMAXPROCS workers. It is the preferred form for
-// loops that carry per-worker scratch state.
-func ForRange(n int, body func(lo, hi int)) {
-	ForRangeGrain(n, minChunk, body)
-}
-
-// ForRangeGrain is ForRange with a caller-chosen minimum chunk size. Use a
-// small grain (down to 1) for loops whose iterations are individually
-// expensive — grid lines, z-slabs, atom blocks — where minChunk's
-// cheap-iteration assumption would serialize the loop.
-func ForRangeGrain(n, grain int, body func(lo, hi int)) {
+// ForRangeGrain splits [0, n) into at most GOMAXPROCS contiguous chunks of
+// at least grain iterations and runs body(t, lo, hi) for each chunk, one
+// goroutine per chunk. Use a small grain (down to 1) for loops whose
+// iterations are individually expensive — grid lines, z-slabs, atom chunks;
+// per-worker scratch is taken inside the body. With one chunk, body(t, 0, n)
+// runs on the caller's goroutine.
+func ForRangeGrain[T any](n, grain int, t T, body func(T, int, int)) {
 	if n <= 0 {
 		return
 	}
-	workers := WorkersGrain(n, grain)
+	workers := workersGrain(n, grain)
 	if workers == 1 {
-		body(0, n)
+		body(t, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
+	r := &ranges[T]{t: t, body: body}
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
+	for lo := 0; lo < n; lo += chunk {
+		r.wg.Add(1)
+		go r.run(lo, min(lo+chunk, n))
 	}
-	wg.Wait()
+	r.wg.Wait()
 }
 
-// Concurrent reports whether more than one worker is available at all —
-// callers use it to pick a closure-free sequential path when parallelism
-// cannot help (keeping hot paths allocation-free on single-proc hosts).
-func Concurrent() bool {
-	return runtime.GOMAXPROCS(0) > 1
+// ranges is the shared state of one multi-worker ForRangeGrain call.
+type ranges[T any] struct {
+	wg   sync.WaitGroup
+	t    T
+	body func(T, int, int)
 }
 
-// Do runs the tasks concurrently, waiting for all of them; with a single
-// worker available they run sequentially in argument order. Tasks must
-// write disjoint state. Unlike ForRange this is for heterogeneous work —
-// e.g. overlapping the short-range pair loop with the long-range mesh
-// solve and the bonded terms of one force evaluation.
-func Do(tasks ...func()) {
-	if !Concurrent() || len(tasks) <= 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(tasks) - 1)
-	for _, t := range tasks[1:] {
-		go func(t func()) {
-			defer wg.Done()
-			t()
-		}(t)
-	}
-	tasks[0]()
-	wg.Wait()
+func (r *ranges[T]) run(lo, hi int) {
+	defer r.wg.Done()
+	r.body(r.t, lo, hi)
 }
 
-// Workers returns the number of workers ForRange would use for n items.
-func Workers(n int) int {
-	return WorkersGrain(n, minChunk)
+// ForRange is ForRangeGrain with the default grain and a closure body, for
+// cold loops where a closure's allocation does not matter.
+func ForRange(n int, body func(lo, hi int)) {
+	ForRangeGrain(n, minChunk, body, callRange)
 }
 
-// WorkersGrain returns the number of workers ForRangeGrain would use for n
-// items at the given grain. It is the single source of truth for the
-// worker-count formula.
-func WorkersGrain(n, grain int) int {
+func callRange(body func(lo, hi int), lo, hi int) { body(lo, hi) }
+
+// workersGrain returns the number of workers For (grain 1) and
+// ForRangeGrain use for n items at the given grain: GOMAXPROCS, capped so
+// each worker gets at least grain items, and at least one.
+func workersGrain(n, grain int) int {
 	if grain < 1 {
 		grain = 1
 	}
@@ -161,52 +137,4 @@ func WorkersGrain(n, grain int) int {
 		workers = 1
 	}
 	return workers
-}
-
-// pad is the number of float64 words per partial-sum slot; 8 words = 64
-// bytes keeps each worker's accumulator on its own cache line.
-const pad = 8
-
-// SumFloat64 computes body(i) summed over [0, n) with a parallel reduction.
-// body must be pure with respect to shared state. Partials are reduced in
-// fixed worker order, so the result is deterministic for a given worker
-// count; the chunking (and hence the floating-point association) depends on
-// GOMAXPROCS.
-func SumFloat64(n int, body func(i int) float64) float64 {
-	workers := Workers(n)
-	if workers == 1 {
-		var s float64
-		for i := 0; i < n; i++ {
-			s += body(i)
-		}
-		return s
-	}
-	partial := make([]float64, workers*pad)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var s float64
-			for i := lo; i < hi; i++ {
-				s += body(i)
-			}
-			partial[w*pad] = s
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var s float64
-	for w := 0; w < workers; w++ {
-		s += partial[w*pad]
-	}
-	return s
 }

@@ -221,7 +221,7 @@ func TestAssignMatchesOracle(t *testing.T) {
 		cut := 13 * n[2] / 32
 		got, wantSlabs := grid.New(n[0], n[1], n[2]), grid.New(n[0], n[1], n[2])
 		for _, s := range [][2]int{{0, cut}, {cut, n[2]}} {
-			m.assignSlab(got, pos, q, s[0], s[1])
+			job{m: m, g: got, pos: pos, q: q}.assignSlab(s[0], s[1])
 			m.assignSlabOracle(wantSlabs, pos, q, s[0], s[1])
 		}
 		assertGridBits(t, "assignSlab halves vs oracle slabs "+name, wantSlabs.Data, got.Data)

@@ -92,27 +92,29 @@ func (m *Mesher) Assign(pos []vec.V, q []float64) *grid.G {
 //tme:noalloc
 func (m *Mesher) AssignTo(g *grid.G, pos []vec.V, q []float64) {
 	sp := m.o.Start(obs.StageAssign)
-	nz := m.N[2]
-	if par.WorkersGrain(nz, 1) == 1 {
-		m.assignSlab(g, pos, q, 0, nz)
-		sp.Stop()
-		return
-	}
-	par.ForRangeGrain(nz, 1, func(zlo, zhi int) {
-		m.assignSlab(g, pos, q, zlo, zhi)
-	})
+	par.ForRangeGrain(m.N[2], 1, job{m: m, g: g, pos: pos, q: q}, job.assignSlab)
 	sp.Stop()
+}
+
+// job is the argument of AssignTo's and Interpolate's parallel bodies.
+type job struct {
+	m     *Mesher
+	g     *grid.G // the grid spread onto or gathered from
+	pos   []vec.V
+	q     []float64
+	eterm []float64 // Interpolate's per-atom energy terms
+	f     []vec.V
 }
 
 // assignSlab scatters every particle whose support touches grid planes
 // [zlo, zhi), writing only those planes.
 //
 //tme:noalloc
-func (m *Mesher) assignSlab(g *grid.G, pos []vec.V, q []float64, zlo, zhi int) {
-	plane := m.N[0] * m.N[1]
-	data := g.Data[plane*zlo : plane*zhi]
-	for i, r := range pos {
-		m.spread(data, zlo, zhi, r, q[i])
+func (j job) assignSlab(zlo, zhi int) {
+	plane := j.m.N[0] * j.m.N[1]
+	data := j.g.Data[plane*zlo : plane*zhi]
+	for i, r := range j.pos {
+		j.m.spread(data, zlo, zhi, r, j.q[i])
 	}
 }
 
@@ -228,30 +230,22 @@ func (m *Mesher) Interpolate(phi *grid.G, pos []vec.V, q []float64, f []vec.V) f
 	}
 	eterm := (*pp)[:n]
 	nchunks := (n + energyChunk - 1) / energyChunk
-	if par.WorkersGrain(nchunks, 1) == 1 {
-		m.gatherRange(phi, pos, q, eterm, f, 0, n)
-	} else {
-		par.ForRangeGrain(nchunks, 1, func(clo, chi int) {
-			hi := chi * energyChunk
-			if hi > n {
-				hi = n
-			}
-			m.gatherRange(phi, pos, q, eterm, f, clo*energyChunk, hi)
-		})
-	}
+	par.ForRangeGrain(nchunks, 1, job{m, phi, pos, q, eterm, f}, job.gatherChunks)
 	energy := FoldEnergy(eterm, q)
 	etermPool.Put(pp)
 	sp.Stop()
 	return energy
 }
 
-// gatherRange gathers particles [lo, hi) from the full periodic grid.
+// gatherChunks gathers the particles of energy chunks [clo, chi) from the
+// full periodic grid.
 //
 //tme:noalloc
-func (m *Mesher) gatherRange(phi *grid.G, pos []vec.V, q, eterm []float64, f []vec.V, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if q[i] != 0 {
-			eterm[i] = m.gather(phi.Data, 0, m.N[2], pos[i], q[i], f, i)
+func (j job) gatherChunks(clo, chi int) {
+	hi := min(chi*energyChunk, len(j.pos))
+	for i := clo * energyChunk; i < hi; i++ {
+		if j.q[i] != 0 {
+			j.eterm[i] = j.m.gather(j.g.Data, 0, j.m.N[2], j.pos[i], j.q[i], j.f, i)
 		}
 	}
 }

@@ -74,7 +74,8 @@ type Spec struct {
 	Gc int `json:"gc,omitempty"`
 	// Levels is the TME/MSM middle-level count. Default 1.
 	Levels int `json:"levels,omitempty"`
-	// Skin is the Verlet buffer in nm (0 disables the pair list). Default 0.1.
+	// Skin is the Verlet buffer in nm. A served job always runs a Verlet
+	// pair list, so 0 selects the default 0.1.
 	Skin float64 `json:"skin,omitempty"`
 	// MeshEvery > 1 evaluates the mesh every MeshEvery steps (MTS). Default 1.
 	MeshEvery int `json:"mesh_every,omitempty"`

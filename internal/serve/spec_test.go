@@ -109,6 +109,18 @@ func TestNormalizeStable(t *testing.T) {
 	}
 }
 
+// TestNormalizeSkin pins Skin's default: 0 becomes 0.1 (a served job
+// always runs a Verlet list), and an explicit skin is kept.
+func TestNormalizeSkin(t *testing.T) {
+	for _, c := range []struct{ in, want float64 }{{0, 0.1}, {0.05, 0.05}} {
+		sp := Spec{Method: "tme", Side: 3, Steps: 100, Skin: c.in}
+		sp.Normalize()
+		if sp.Skin != c.want {
+			t.Errorf("Skin %g normalizes to %g, want %g", c.in, sp.Skin, c.want)
+		}
+	}
+}
+
 // TestAutoSpecResolves: a method-"auto" submission is rewritten at
 // Normalize to the tuner's concrete plan — the stored job and its config
 // hash never contain "auto" — and the resolved spec passes the same
