@@ -19,8 +19,10 @@
 // atoms owned by s and atoms owned by one "target" slab (s itself, the
 // layer above, or a later atom block). ForEachPairInSlab reports that
 // target, letting callers accumulate forces with exclusive slab ownership
-// and defer the cross-slab half for a deterministic second pass (see
-// nonbond.ComputeWithList).
+// and defer the cross-slab half for a deterministic second pass:
+// nonbond.VerletList stores the pairs bucketed by (slab, target) and
+// evaluates them that way, and a rank of internal/rank bins only its layer
+// window (RebuildSubset, subset.go) and fills only its own slabs.
 package celllist
 
 import (
@@ -47,9 +49,8 @@ type List struct {
 	n       int
 	direct  bool // too few cells for the stencil; fall back to O(N²)
 	// o, when non-nil, counts rebuilds. The cell list records no span of
-	// its own: when it backs a Verlet list the rebuild time is attributed
-	// to the neighbor stage by VerletList.Rebuild, and the unbuffered
-	// force-field path wraps Rebuild in its own neighbor span.
+	// its own: the Verlet list it backs attributes the rebuild time to the
+	// neighbor stage.
 	o *obs.Recorder
 }
 

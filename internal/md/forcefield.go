@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tme4a/internal/bonded"
-	"tme4a/internal/celllist"
 	"tme4a/internal/ewald"
 	"tme4a/internal/nonbond"
 	"tme4a/internal/obs"
@@ -47,10 +46,11 @@ func (e Energies) Coulomb() float64 { return e.CoulShort + e.CoulLong + e.CoulEx
 // ForceField composes the interaction terms of a simulation. Mesh and
 // Bonded may be nil. Alpha is the Ewald splitting parameter shared by the
 // short-range erfc term and the exclusion corrections; with Alpha = 0 and
-// Mesh = nil electrostatics are plain cutoff Coulomb. A positive Skin
-// enables a buffered Verlet pair list rebuilt only when an atom has moved
-// more than Skin/2 (the GROMACS verlet scheme the paper's reference runs
-// use).
+// Mesh = nil electrostatics are plain cutoff Coulomb. The short-range term
+// runs over one Verlet pair list at cutoff Rc + Skin, rebuilt when an atom
+// has moved more than Skin/2 (the GROMACS verlet scheme the paper's
+// reference runs use); Skin = 0 rebuilds it whenever any atom has moved,
+// which is every step.
 //
 // Every term writes into its own cached force buffer and the buffers are
 // merged per atom in a fixed order, so the short-range pair engine, the
@@ -62,16 +62,13 @@ func (e Energies) Coulomb() float64 { return e.CoulShort + e.CoulLong + e.CoulEx
 type ForceField struct {
 	Alpha  float64
 	Rc     float64
-	Skin   float64
+	Skin   float64 // Verlet buffer (nm); 0 rebuilds the pair list every step
 	Mesh   MeshSolver
 	Bonded *bonded.FF
 
-	// vlist is the buffered pair list of the Skin > 0 path and cl the
-	// reused cell decomposition of the unbuffered path, rebuilt every
-	// evaluation but never reallocated. Both are held by value and set up
-	// in place on first use (see verlet and shortRange).
+	// vlist is the short-range pair list, held by value and set up in
+	// place on first use (see verlet).
 	vlist nonbond.VerletList
-	cl    celllist.List
 	// Cached long-range state for multiple-timestep integration
 	// (Integrator.MeshEvery > 1): the mesh forces of the last full
 	// evaluation are replayed on intermediate steps, the practice the
@@ -112,14 +109,15 @@ func (ff *ForceField) SetObs(r *obs.Recorder) {
 		w.SetObs(r)
 	}
 	ff.vlist.SetObs(r)
-	ff.cl.SetObs(r)
 }
 
-// captureResume copies the force field's cross-step caches into snap: the
-// Verlet list's build-time positions and, when a mesh term is cached for
-// multiple-timestep replay, the cached forces and energies.
+// captureResume copies the force field's cross-step caches into snap: a
+// buffered Verlet list's build-time positions and, when a mesh term is
+// cached for multiple-timestep replay, the cached forces and energies. A
+// skin-0 list carries nothing across a step — the next step moves every
+// atom and rebuilds it — so its reference is not captured.
 func (ff *ForceField) captureResume(sys *System, snap *Snapshot) {
-	if ref := ff.vlist.RefPositions(); ref != nil {
+	if ref := ff.vlist.RefPositions(); ref != nil && ff.Skin > 0 {
 		snap.VerletRef = append([]vec.V(nil), ref...)
 	}
 	if ff.Mesh != nil && len(ff.meshForces) == sys.N() && sys.N() > 0 {
@@ -138,9 +136,6 @@ func (ff *ForceField) captureResume(sys *System, snap *Snapshot) {
 // sys.Restore.
 func (ff *ForceField) restoreResume(sys *System, snap *Snapshot) error {
 	if len(snap.VerletRef) > 0 {
-		if ff.Skin <= 0 {
-			return fmt.Errorf("md: snapshot carries a Verlet reference but the force field runs skinless")
-		}
 		ff.verlet(sys).Rebuild(snap.VerletRef, sys.Excl)
 	}
 	if snap.HasMesh {
@@ -213,39 +208,24 @@ func (t terms) run(i int) {
 }
 
 // shortRange zeroes sys.Frc and evaluates the short-range nonbonded term
-// into it, via the buffered Verlet list (Skin > 0) or the reused cell
-// list.
+// into it over the pair list, rebuilt first when stale.
 func (ff *ForceField) shortRange(sys *System) nonbond.Result {
 	sp := ff.Obs.Start(obs.StageShortRange)
 	defer sp.Stop()
 	for i := range sys.Frc {
 		sys.Frc[i] = vec.V{}
 	}
-	var res nonbond.Result
-	if ff.Skin > 0 {
-		vl := ff.verlet(sys)
-		if vl.NeedsRebuild(sys.Pos) {
-			vl.Rebuild(sys.Pos, sys.Excl)
-		}
-		res = vl.Compute(sys.Pos, sys.Q, sys.LJ, ff.Alpha, sys.Frc)
-	} else {
-		if ff.cl.Cutoff == 0 {
-			ff.cl.Init(sys.Box, ff.Rc)
-		}
-		// The unbuffered path rebuilds every evaluation; the cell list records
-		// no span of its own, so attribute the rebuild to the neighbor stage
-		// here (nested inside short-range, like the Verlet rebuild).
-		spn := ff.Obs.Start(obs.StageNeighbor)
-		ff.cl.Rebuild(sys.Pos)
-		spn.Stop()
-		res = nonbond.ComputeWithList(&ff.cl, sys.Box, sys.Pos, sys.Q, sys.LJ, ff.Alpha, sys.Excl, sys.Frc)
+	vl := ff.verlet(sys)
+	if vl.NeedsRebuild(sys.Pos) {
+		vl.Rebuild(sys.Pos, sys.Excl)
 	}
+	res := vl.Compute(sys.Pos, sys.Q, sys.LJ, ff.Alpha, sys.Frc)
 	ff.Obs.Add(obs.CounterPairsEvaluated, int64(res.Pairs))
 	return res
 }
 
-// verlet returns the buffered pair list, set up in place for the system's
-// box on first use.
+// verlet returns the pair list, set up in place for the system's box on
+// first use.
 func (ff *ForceField) verlet(sys *System) *nonbond.VerletList {
 	if ff.vlist.Cutoff == 0 {
 		ff.vlist.Init(sys.Box, ff.Rc, ff.Skin)

@@ -1,8 +1,8 @@
 package md_test
 
 // Whole-stack determinism and steady-state allocation gates. A trajectory
-// must be bitwise reproducible at any GOMAXPROCS: the short-range slab
-// engine, the mesh solve, the exclusion corrections and the bonded terms
+// must be bitwise reproducible at any GOMAXPROCS: the short-range pair
+// list, the mesh solve, the exclusion corrections and the bonded terms
 // each fix their accumulation orders independently of the worker count,
 // and the force-field merge is per-atom in a fixed association order.
 
@@ -143,9 +143,10 @@ func TestNVELongRegression(t *testing.T) {
 	}
 }
 
-// TestStepSteadyStateAllocs: after warmup an Integrator.Step with the
-// buffered Verlet list and no mesh must not allocate at all; with a full
-// SPME mesh it must stay within the mesh pipeline's small fixed budget.
+// TestStepSteadyStateAllocs: after warmup an Integrator.Step with no mesh
+// must not allocate at all, over a buffered Verlet list or a skin-0 one
+// rebuilt every step; with a full SPME mesh it must stay within the mesh
+// pipeline's small fixed budget.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -154,11 +155,13 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 
 	for _, tc := range []struct {
 		name   string
+		skin   float64
 		mesh   bool
 		budget float64
 	}{
-		{"verlet-no-mesh", false, 0},
-		{"verlet+spme", true, 4},
+		{"verlet-no-mesh", 0.1, false, 0},
+		{"skin0-no-mesh", 0, false, 0},
+		{"verlet+spme", 0.1, true, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			box := water.CubicBoxFor(64)
@@ -166,7 +169,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			water.Equilibrate(sys, 20, 0.001, 300, 0.7, 7)
 			rc := 0.7
 			alpha := spme.AlphaFromRTol(rc, 1e-4)
-			ff := &md.ForceField{Alpha: alpha, Rc: rc, Skin: 0.1}
+			ff := &md.ForceField{Alpha: alpha, Rc: rc, Skin: tc.skin}
 			if tc.mesh {
 				ff.Mesh = spme.New(spme.Params{Alpha: alpha, Rc: rc, Order: 6, N: [3]int{16, 16, 16}}, sys.Box)
 			}

@@ -142,10 +142,13 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 // TestResumeIsBitwise is the integrator-level resume contract: capturing
 // mid-run with CaptureResume and continuing in a fresh process-alike
 // (new System from the same builder, new Integrator, RestoreResume) must
-// reproduce the uninterrupted trajectory bit for bit. Exercised both for
-// the plain every-step force field and for the hard case — buffered
-// Verlet list plus a multiple-timestep mesh whose cached long-range term
-// must replay, not recompute.
+// reproduce the uninterrupted trajectory bit for bit. Exercised for the
+// plain every-step force field, for a skin-0 list under a multiple-timestep
+// mesh, and for the hard case — buffered Verlet list plus a
+// multiple-timestep mesh whose cached long-range term must replay, not
+// recompute. Only the buffered list's build positions travel in the
+// snapshot: a skin-0 list is rebuilt by the first step after the resume,
+// as by every step.
 func TestResumeIsBitwise(t *testing.T) {
 	type cfg struct {
 		name      string
@@ -155,6 +158,7 @@ func TestResumeIsBitwise(t *testing.T) {
 	}
 	for _, c := range []cfg{
 		{name: "plain", meshEvery: 1},
+		{name: "skin0+mts-mesh", mesh: true, meshEvery: 2},
 		{name: "verlet+mts-mesh", skin: 0.15, mesh: true, meshEvery: 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -199,6 +203,9 @@ func TestResumeIsBitwise(t *testing.T) {
 			snap := ai.CaptureResume(a, map[string]int64{"side": side, "seed": seed})
 			if snap.Step != breakAt {
 				t.Fatalf("captured step %d, want %d", snap.Step, breakAt)
+			}
+			if got, want := len(snap.VerletRef) > 0, c.skin > 0; got != want {
+				t.Fatalf("snapshot carries a Verlet reference: %v, want %v", got, want)
 			}
 
 			// …serialize through the wire format, as a real restart would…

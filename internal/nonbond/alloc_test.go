@@ -1,20 +1,20 @@
 package nonbond
 
-// Steady-state allocation gates for the short-range engine. After the first
-// call warms the scratch pool, recomputing over a reused cell list or a
-// buffered Verlet list must not allocate at all: the inner loop runs every
-// MD step and any per-step garbage would dominate GC pressure at scale.
+// Steady-state allocation gates for the short-range engine. Once its
+// buckets have grown, rebuilding and evaluating a pair list — buffered, or
+// at skin 0, where a step does both — must not allocate at all: the inner
+// loop runs every MD step and any per-step garbage would dominate GC
+// pressure at scale.
 
 import (
 	"math/rand"
 	"runtime"
 	"testing"
 
-	"tme4a/internal/celllist"
 	"tme4a/internal/vec"
 )
 
-func TestComputeWithListSteadyStateAllocs(t *testing.T) {
+func TestSkin0ListSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
@@ -32,16 +32,16 @@ func TestComputeWithListSteadyStateAllocs(t *testing.T) {
 			n := 300
 			pos, q, lj := randomSystem(rng, n, tc.box)
 			excl := testExclusions(n)
-			cl := celllist.New(tc.box, 1.0)
+			v := NewVerletList(tc.box, 1.0, 0)
 			f := make([]vec.V, n)
-			cl.Rebuild(pos)
-			ComputeWithList(cl, tc.box, pos, q, lj, 2.5, excl, f) // warm the pool
+			v.Rebuild(pos, excl) // grow the buckets
+			v.Compute(pos, q, lj, 2.5, f)
 			allocs := testing.AllocsPerRun(10, func() {
-				cl.Rebuild(pos)
-				ComputeWithList(cl, tc.box, pos, q, lj, 2.5, excl, f)
+				v.Rebuild(pos, excl)
+				v.Compute(pos, q, lj, 2.5, f)
 			})
 			if allocs != 0 {
-				t.Fatalf("Rebuild+ComputeWithList allocates %.1f per run, want 0", allocs)
+				t.Fatalf("skin-0 Rebuild+Compute allocates %.1f per run, want 0", allocs)
 			}
 		})
 	}

@@ -40,9 +40,9 @@ func newKernel(alpha, rc float64) *kernel {
 	return &kernel{alpha: alpha, rc: rc, tab: r2tab.New(gen, tableRMin2, sMax)} //tmevet:ignore noalloc -- once per table
 }
 
-// lastKernel remembers the most recently built kernel so that the engines
-// of one run — a Verlet list and its cell-path twin, every rank of a rank
-// engine — share one table. Only one is retained: engines hold their own
+// lastKernel remembers the most recently built kernel so that the lists of
+// one run — a force field's, every rank's of a rank engine — share one
+// table. Only one is retained: engines hold their own
 // reference, and a table is garbage once its last engine and this slot
 // have let go of it.
 var lastKernel struct {
@@ -74,9 +74,9 @@ func (k *kernel) is(alpha, rc float64) bool {
 // (LJ.site), adds the Lennard-Jones energy and force factor of ljEval to
 // them; F_i = fr·d and F_j = −fr·d. Each piece is written once, here and in
 // r2tab. The compiler inlines the segment fetch, the cubic and ljEval one by
-// one but not their sum (budget 80), so the two pair loops —
-// VerletList.bucket and SlabScratch.slab — compose them in line, in this
-// order, and call nothing on the in-table path:
+// one but not their sum (budget 80), so the pair loop, VerletList.bucket,
+// composes them in line, in this order, and calls nothing on the in-table
+// path:
 //
 //	var eC, eLJ, fr float64
 //	if c, d := k.tab.Segment(r2); c != nil {

@@ -1,6 +1,7 @@
 package nonbond
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -68,9 +69,9 @@ func TestKernelForceIsEnergyGradient(t *testing.T) {
 // cutoff so short the table is empty, the kernel is the analytic one — to
 // rounding, since it scales the unit-charge value by qq where the oracle
 // carries qq through — with LJ to the bit; inside the table it is within
-// the table's error. Checked on one pair through every pair loop as it
-// composes the kernel: the Verlet list and the list-free slab body, in cell
-// mode (deferred lists) and in direct mode (dense buffers).
+// the table's error. Checked on one pair through the pair loop — a buffered
+// and a skin-0 list — and through the oracle slab body, in cell mode and in
+// direct mode.
 func TestKernelFallbackBelowTable(t *testing.T) {
 	lj := &LJ{Sigma: []float64{0.3, 0.32}, Eps: []float64{0.6, 0.7}}
 	q := []float64{1, -0.7}
@@ -110,7 +111,9 @@ func TestKernelFallbackBelowTable(t *testing.T) {
 				f := make([]vec.V, 2)
 				check("verlet", v.Compute(pos, q, lj, tc.alpha, f), f)
 				f = make([]vec.V, 2)
-				check("slab body", Compute(box, pos, q, lj, tc.alpha, tc.rc, nil, f), f)
+				check("skin-0 list", compute(box, pos, q, lj, tc.alpha, tc.rc, nil, f), f)
+				f = make([]vec.V, 2)
+				check("oracle slab body", OracleCompute(box, pos, q, lj, tc.alpha, tc.rc, nil, f), f)
 			}
 		}
 	}
@@ -138,11 +141,11 @@ func TestKernelSharedPerAlphaRc(t *testing.T) {
 	}
 }
 
-// TestVerletAgreesWithCellPath: the buffered-list and cell-list paths share
-// the kernel but sum in different orders and round the displacement
-// differently (minimum image of a difference vs difference of wrapped
-// positions), so they agree to 1e-12 of the system's force and energy
-// scale, not to the bit — in cell mode and in direct mode.
+// TestVerletAgreesWithCellPath: the buffered list and the cell-path oracle
+// (oracle_test.go) share the kernel but sum in different orders and round
+// the displacement differently (minimum image of a difference vs difference
+// of wrapped positions), so they agree to 1e-12 of the system's force and
+// energy scale, not to the bit — in cell mode and in direct mode.
 func TestVerletAgreesWithCellPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(nameSeed(t)))
 	for _, tc := range []struct {
@@ -160,7 +163,7 @@ func TestVerletAgreesWithCellPath(t *testing.T) {
 		v := NewVerletList(tc.box, 1.0, 0.15)
 		v.Rebuild(pos, excl)
 		rV := v.Compute(pos, q, lj, 3.12, fV)
-		rC := Compute(tc.box, pos, q, lj, 3.12, 1.0, excl, fC)
+		rC := OracleCompute(tc.box, pos, q, lj, 3.12, 1.0, excl, fC)
 		if rV.Pairs != rC.Pairs {
 			t.Fatalf("%s: %d pairs via the Verlet list, %d via the cell list", tc.name, rV.Pairs, rC.Pairs)
 		}
@@ -183,64 +186,83 @@ func TestVerletAgreesWithCellPath(t *testing.T) {
 	}
 }
 
-// TestSlabRangeMatchesComputeWithListBitwise: the rank engine's entry
-// point, run over every cell-mode slab in a few range splits with each
-// returned deferred list applied by the owner of the next slab, must equal
-// ComputeWithList to the bit — forces, energies and pair count — and so
-// must its energies when no forces are asked for. The second box has three
+// TestRangeMatchesComputeBitwise: the rank engine's entry points — one
+// list per range of slabs, RebuildRange over the range's layer window,
+// Compute, and the owed reactions subtracted by the next range afterwards
+// — must equal one list over every slab to the bit, forces, energies and
+// pair count, for every split of [0, ns) into contiguous ranges; and so
+// must the energies when no forces are asked for. The second box has three
 // cell layers, the fewest a cell decomposition can have (below that
 // celllist falls back to direct mode, so a two-slab ring does not exist):
 // there every slab's upper neighbour is also the lower neighbour of its
-// lower neighbour, and a two-range split hands each range's deferred list
+// lower neighbour, and a two-range split hands each range's owed reactions
 // to the range it also receives from.
-func TestSlabRangeMatchesComputeWithListBitwise(t *testing.T) {
+func TestRangeMatchesComputeBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(nameSeed(t)))
 	for _, tc := range []struct {
-		box  vec.Box
-		n    int
-		cuts [][]int
+		box vec.Box
+		n   int
+		ns  int
 	}{
-		{vec.Cubic(5), 500, [][]int{{0, 5}, {0, 2, 5}, {0, 1, 2, 3, 4, 5}}},
-		{vec.Cubic(3.1), 240, [][]int{{0, 3}, {0, 1, 3}, {0, 2, 3}, {0, 1, 2, 3}}},
+		{vec.Cubic(5), 500, 5},
+		{vec.Cubic(3.1), 240, 3},
 	} {
 		box, n := tc.box, tc.n
 		pos, q, lj := randomSystem(rng, n, box)
 		excl := testExclusions(n)
-		cl := celllist.Build(box, 1.0, pos)
-		ns := cl.Slabs()
-		if cl.Direct() || ns != tc.cuts[0][1] {
-			t.Fatalf("box %v: want %d cell layers, got %d (direct=%v)", box.L, tc.cuts[0][1], ns, cl.Direct())
+		cells := celllist.New(box, 1.0)
+		if cells.Direct() || cells.Slabs() != tc.ns {
+			t.Fatalf("box %v: want %d cell layers, got %d (direct=%v)", box.L, tc.ns, cells.Slabs(), cells.Direct())
 		}
+		full := NewVerletList(box, 1.0, 0)
+		full.Rebuild(pos, excl)
 		fRef := make([]vec.V, n)
-		rRef := ComputeWithList(cl, box, pos, q, lj, 2.5, excl, fRef)
-		rNil := ComputeWithList(cl, box, pos, q, lj, 2.5, excl, nil)
-		assertResultBitwise(t, "ComputeWithList without forces", rRef, rNil)
+		rRef := full.Compute(pos, q, lj, 2.5, fRef)
+		assertResultBitwise(t, "full list without forces", rRef, full.Compute(pos, q, lj, 2.5, nil))
 
-		for _, cuts := range tc.cuts {
+		// Every split of [0, ns) into contiguous ranges: bit b of mask set
+		// means a range starts at slab b+1.
+		for mask := 0; mask < 1<<(tc.ns-1); mask++ {
+			cuts := []int{0}
+			for b := 0; b < tc.ns-1; b++ {
+				if mask&(1<<b) != 0 {
+					cuts = append(cuts, b+1)
+				}
+			}
+			cuts = append(cuts, tc.ns)
 			for _, forces := range []bool{true, false} {
 				var f []vec.V
 				if forces {
 					f = make([]vec.V, n)
 				}
-				part := make([]SlabPartial, ns)
-				// Owner passes first, every deferred list after — the phase order
-				// of ComputeWithList; a list belongs to the range that starts at
-				// the slab above the one that recorded it (cyclically).
-				var defs [][]Deferred
+				var part []SlabPartial
+				var idx []int32
+				var fv []vec.V
 				for r := 0; r+1 < len(cuts); r++ {
 					s0, s1 := cuts[r], cuts[r+1]
-					def := ComputeSlabRange(cl, pos, q, lj, 2.5, excl, f, part[s0:s1], &SlabScratch{}, s0, s1)
-					if !forces && len(def) != 0 {
-						t.Fatalf("ns=%d cuts %v: %d deferred forces recorded without a force array", ns, cuts, len(def))
+					var window []int32
+					for i := range pos {
+						if (cells.Layer(pos[i])-s0+tc.ns)%tc.ns <= s1-s0 {
+							window = append(window, int32(i))
+						}
 					}
-					defs = append(defs, def)
+					v := NewVerletList(box, 1.0, 0)
+					v.RebuildRange(pos, excl, window, s0, s1)
+					v.Compute(pos, q, lj, 2.5, f)
+					part = append(part, v.Partials()...)
+					idx, fv = v.AppendOwed(idx, fv)
 				}
-				for _, def := range defs {
-					ApplyDeferred(f, def)
-				}
-				assertResultBitwise(t, "slab ranges", rRef, FoldSlabs(part))
+				// The owed reactions after every range's Compute — the phase
+				// order of the rank engine.
 				if forces {
-					assertForcesBitwise(t, "slab ranges", fRef, f)
+					for k, i := range idx {
+						f[i] = f[i].Sub(fv[k])
+					}
+				}
+				name := fmt.Sprintf("ns=%d cuts %v forces=%v", tc.ns, cuts, forces)
+				assertResultBitwise(t, name, rRef, FoldSlabs(part))
+				if forces {
+					assertForcesBitwise(t, name, fRef, f)
 				}
 			}
 		}

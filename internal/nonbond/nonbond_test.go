@@ -25,6 +25,13 @@ func randomSystem(rng *rand.Rand, n int, box vec.Box) ([]vec.V, []float64, *LJ) 
 	return pos, q, lj
 }
 
+// compute evaluates the short-range term over a one-shot skin-0 list.
+func compute(box vec.Box, pos []vec.V, q []float64, lj *LJ, alpha, rc float64, excl *topol.Exclusions, f []vec.V) Result {
+	v := NewVerletList(box, rc, 0)
+	v.Rebuild(pos, excl)
+	return v.Compute(pos, q, lj, alpha, f)
+}
+
 // naive recomputes the short-range interactions with a double loop.
 func naive(box vec.Box, pos []vec.V, q []float64, lj *LJ, alpha, rc float64, excl *topol.Exclusions, f []vec.V) Result {
 	var res Result
@@ -73,7 +80,7 @@ func TestMatchesNaive(t *testing.T) {
 	}
 	f1 := make([]vec.V, len(pos))
 	f2 := make([]vec.V, len(pos))
-	r1 := Compute(box, pos, q, lj, 2.5, 1.1, excl, f1)
+	r1 := compute(box, pos, q, lj, 2.5, 1.1, excl, f1)
 	r2 := naive(box, pos, q, lj, 2.5, 1.1, excl, f2)
 	if r1.Pairs != r2.Pairs {
 		t.Fatalf("pair counts %d vs %d", r1.Pairs, r2.Pairs)
@@ -100,7 +107,7 @@ func TestLJMinimumLocation(t *testing.T) {
 	pos := []vec.V{{5, 5, 5}, {5 + rmin, 5, 5}}
 	lj := &LJ{Sigma: []float64{sigma, sigma}, Eps: []float64{eps, eps}}
 	f := make([]vec.V, 2)
-	res := Compute(box, pos, []float64{0, 0}, lj, 0, 2, nil, f)
+	res := compute(box, pos, []float64{0, 0}, lj, 0, 2, nil, f)
 	if math.Abs(res.ELJ+eps) > 1e-12 {
 		t.Errorf("LJ minimum energy %g, want %g", res.ELJ, -eps)
 	}
@@ -114,7 +121,7 @@ func TestPlainCoulombAlphaZero(t *testing.T) {
 	pos := []vec.V{{5, 5, 5}, {5.5, 5, 5}}
 	q := []float64{1, -1}
 	lj := &LJ{Sigma: []float64{0, 0}, Eps: []float64{0, 0}}
-	res := Compute(box, pos, q, lj, 0, 2, nil, nil)
+	res := compute(box, pos, q, lj, 0, 2, nil, nil)
 	want := -units.Coulomb / 0.5
 	if math.Abs(res.ECoul-want) > 1e-10*math.Abs(want) {
 		t.Errorf("plain Coulomb %g, want %g", res.ECoul, want)
@@ -126,9 +133,9 @@ func TestForceGradientConsistency(t *testing.T) {
 	box := vec.Cubic(3)
 	pos, q, lj := randomSystem(rng, 20, box)
 	f := make([]vec.V, len(pos))
-	Compute(box, pos, q, lj, 2.0, 1.2, nil, f)
+	compute(box, pos, q, lj, 2.0, 1.2, nil, f)
 	energy := func() float64 {
-		r := Compute(box, pos, q, lj, 2.0, 1.2, nil, nil)
+		r := compute(box, pos, q, lj, 2.0, 1.2, nil, nil)
 		return r.ECoul + r.ELJ
 	}
 	const h = 1e-7
@@ -157,7 +164,7 @@ func TestExclusionsRespected(t *testing.T) {
 	lj := &LJ{Sigma: []float64{0.3, 0.3}, Eps: []float64{0.6, 0.6}}
 	excl := topol.NewExclusions(2)
 	excl.Add(0, 1)
-	res := Compute(box, pos, q, lj, 2.0, 1.0, excl, nil)
+	res := compute(box, pos, q, lj, 2.0, 1.0, excl, nil)
 	if res.Pairs != 0 || res.ECoul != 0 || res.ELJ != 0 {
 		t.Errorf("excluded pair leaked: %+v", res)
 	}
@@ -171,6 +178,6 @@ func BenchmarkComputeWater1536(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compute(box, pos, q, lj, 2.3, 1.0, nil, f)
+		compute(box, pos, q, lj, 2.3, 1.0, nil, f)
 	}
 }

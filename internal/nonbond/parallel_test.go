@@ -4,7 +4,7 @@ package nonbond
 // slab decomposition fixes every accumulation order independently of the
 // worker count (owner-only writes + deferred cross-slab pass + slab-ordered
 // partial reduction), so energies, forces and the pair list itself must be
-// bitwise identical at any GOMAXPROCS.
+// bitwise identical at any GOMAXPROCS, buffered or at skin 0.
 
 import (
 	"hash/fnv"
@@ -58,6 +58,8 @@ func assertResultBitwise(t *testing.T, name string, a, b Result) {
 	}
 }
 
+// TestComputeWithListBitwiseAcrossGOMAXPROCS: the one-shot skin-0 list
+// behind ComputeWithList, in cell and direct mode.
 func TestComputeWithListBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(nameSeed(t)))
 	for _, tc := range []struct {
@@ -158,7 +160,7 @@ func TestVerletBitwiseAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestPropertyMatchesNaive drives the whole stack (cell list traversal,
-// parallel ComputeWithList, buffered Verlet list) against the O(N²) naive
+// the skin-0 and the buffered Verlet list) against the O(N²) naive
 // evaluator on randomized boxes, including near-cutoff box lengths (cells
 // exactly 3 wide) and direct-mode small boxes. The RNG is seeded from the
 // test name so any failure reproduces exactly.
@@ -183,8 +185,8 @@ func TestPropertyMatchesNaive(t *testing.T) {
 		rNaive := naive(box, pos, q, lj, alpha, rc, excl, fNaive)
 
 		fList := make([]vec.V, n)
-		rList := Compute(box, pos, q, lj, alpha, rc, excl, fList)
-		compareToNaive(t, "ComputeWithList", trial, L, n, rList, rNaive, fList, fNaive)
+		rList := compute(box, pos, q, lj, alpha, rc, excl, fList)
+		compareToNaive(t, "skin-0 list", trial, L, n, rList, rNaive, fList, fNaive)
 
 		v := NewVerletList(box, rc, 0.15)
 		v.Rebuild(pos, excl)

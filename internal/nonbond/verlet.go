@@ -13,16 +13,21 @@ import (
 // than skin/2, amortizing the cell-list traversal over many MD steps.
 // This mirrors GROMACS' Verlet scheme (the paper's reference runs use
 // verlet-buffer-tolerance) and the import-region buffering of the
-// MDGRAPE-4A cells.
+// MDGRAPE-4A cells. Skin = 0 is the unbuffered engine: the list holds the
+// pairs within the cutoff and goes stale as soon as any atom moves, so a
+// stepping caller rebuilds it every step.
 //
 // The list is stored bucketed by the cell list's ownership slabs: same[s]
 // holds the pairs fully owned by slab s, cross[s*ns+t] the pairs whose
-// first atom slab s owns and whose second atom slab t owns. Rebuild fills
-// the buckets in parallel (each slab's worker writes only its own buckets)
-// and Compute evaluates them with owner-only force writes plus a deferred
-// cross-slab pass, so both the pair list and the computed forces/energies
-// are bitwise independent of GOMAXPROCS. Steady-state Rebuild and Compute
-// allocate nothing.
+// first atom slab s owns and whose second atom slab t owns. A list owns the
+// slab range [s0, s1) of its last build — every slab after Rebuild, a
+// rank's slabs after RebuildRange — and fills, evaluates and applies the
+// reactions of those slabs alone. Rebuild fills the buckets in parallel
+// (each slab's worker writes only its own buckets) and Compute evaluates
+// them with owner-only force writes plus a deferred cross-slab pass, so
+// both the pair list and the computed forces/energies are bitwise
+// independent of GOMAXPROCS. Steady-state Rebuild and Compute allocate
+// nothing.
 //
 // The zero VerletList is not yet set up: Init (or NewVerletList) fixes its
 // box, cutoff and skin, after which a Cutoff > 0 marks it ready, as for
@@ -34,6 +39,7 @@ type VerletList struct {
 
 	cl     celllist.List // set up by Init for cutoff+skin
 	ns     int
+	s0, s1 int // owned slab range of the last build
 	same   [][]pair
 	cross  [][]pair
 	dfrc   [][]vec.V // deferred reaction forces, parallel to cross
@@ -78,12 +84,31 @@ func (v *VerletList) Init(box vec.Box, cutoff, skin float64) {
 	v.cl.Init(box, cutoff+skin)
 }
 
-// Rebuild regenerates the pair list from the current positions. The atom
-// count may differ from the previous build; all internal storage is
-// resized and reused.
+// Rebuild regenerates the pair list of every slab from the current
+// positions. The atom count may differ from the previous build; all
+// internal storage is resized and reused.
 func (v *VerletList) Rebuild(pos []vec.V, excl *topol.Exclusions) {
 	sp := v.o.Start(obs.StageNeighbor)
 	defer sp.Stop()
+	v.cl.Rebuild(pos)
+	v.fill(pos, excl, 0, v.cl.Slabs())
+}
+
+// RebuildRange is Rebuild for the owner of the cell-mode slabs [s0, s1)
+// (internal/rank): it bins only the atoms listed in idx, ascending — the
+// owned layers and the one above, through celllist.RebuildSubset — and
+// fills only the owned slabs, whose buckets then equal a full Rebuild's.
+// pos is the full-length position array, valid at idx.
+func (v *VerletList) RebuildRange(pos []vec.V, excl *topol.Exclusions, idx []int32, s0, s1 int) {
+	sp := v.o.Start(obs.StageNeighbor)
+	defer sp.Stop()
+	v.cl.RebuildSubset(pos, idx)
+	v.fill(pos, excl, s0, s1)
+}
+
+// fill records the build positions and fills the buckets of the owned
+// slabs [s0, s1) from the binned cell list.
+func (v *VerletList) fill(pos []vec.V, excl *topol.Exclusions, s0, s1 int) {
 	v.n = len(pos)
 	if cap(v.ref) < len(pos) {
 		v.ref = make([]vec.V, len(pos)) //tmevet:ignore noalloc -- grow-once: reused across rebuilds until the atom count grows
@@ -91,9 +116,8 @@ func (v *VerletList) Rebuild(pos []vec.V, excl *topol.Exclusions) {
 	v.ref = v.ref[:len(pos)]
 	copy(v.ref, pos)
 
-	v.cl.Rebuild(pos)
 	ns := v.cl.Slabs()
-	v.ns = ns
+	v.ns, v.s0, v.s1 = ns, s0, s1
 	v.same = resizeBuckets(v.same, ns)
 	v.cross = resizeBuckets(v.cross, ns*ns)
 	if cap(v.part) < ns {
@@ -110,7 +134,7 @@ func (v *VerletList) Rebuild(pos []vec.V, excl *topol.Exclusions) {
 		v.cross[b] = v.cross[b][:0]
 	}
 
-	par.For(ns, listJob{v: v, pos: pos, excl: excl}, listJob.fill)
+	par.For(s1-s0, listJob{v: v, pos: pos, excl: excl}, listJob.fill)
 
 	v.npairs = 0
 	for s := range v.same {
@@ -130,7 +154,8 @@ func (v *VerletList) Rebuild(pos []vec.V, excl *topol.Exclusions) {
 	v.o.Add(obs.CounterVerletPairs, int64(v.npairs))
 }
 
-// listJob is the argument of Rebuild's and Compute's parallel bodies.
+// listJob is the argument of Rebuild's and Compute's parallel bodies, which
+// take the k-th owned slab, s0+k.
 type listJob struct {
 	v    *VerletList
 	pos  []vec.V
@@ -140,10 +165,11 @@ type listJob struct {
 	f    []vec.V
 }
 
-// fill collects slab s's candidate pairs into its own buckets; safe to run
-// concurrently for distinct slabs.
-func (j listJob) fill(s int) {
+// fill collects slab s0+k's candidate pairs into its own buckets; safe to
+// run concurrently for distinct slabs.
+func (j listJob) fill(k int) {
 	v, pos, excl := j.v, j.pos, j.excl
+	s := v.s0 + k
 	sm := v.same[s][:0]
 	base := s * v.ns
 	v.cl.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) { //tmevet:ignore noalloc -- the closure does not escape ForEachPairInSlab; TestVerletComputeSteadyStateAllocs holds Rebuild at 0
@@ -171,9 +197,9 @@ func resizeBuckets(b [][]pair, n int) [][]pair {
 
 // NeedsRebuild reports whether the list is stale: the atom count changed
 // since the last Rebuild, or any atom has moved more than skin/2 (the
-// standard sufficient condition for list validity). The atom-count check
-// comes first so a grown position slice is never compared against the
-// shorter reference copy.
+// standard sufficient condition for list validity) — at Skin 0, moved at
+// all. The atom-count check comes first so a grown position slice is never
+// compared against the shorter reference copy.
 func (v *VerletList) NeedsRebuild(pos []vec.V) bool {
 	if len(pos) != v.n || v.n == 0 || len(v.ref) != v.n {
 		return true
@@ -211,10 +237,11 @@ func (v *VerletList) RefPositions() []vec.V {
 	return v.ref[:v.n]
 }
 
-// Compute evaluates the short-range interactions over the buffered list
-// (pairs beyond the true cutoff are skipped), accumulating forces into f.
-// Exclusions were applied at Rebuild time. Parallel over slabs, bitwise
-// deterministic at any GOMAXPROCS, and allocation-free.
+// Compute evaluates the short-range interactions of the owned slabs over
+// the buffered list (pairs beyond the true cutoff are skipped),
+// accumulating forces into f, and applies the reactions the owned slabs
+// owe each other. Exclusions were applied at Rebuild time. Parallel over
+// slabs, bitwise deterministic at any GOMAXPROCS, and allocation-free.
 //
 //tme:noalloc
 func (v *VerletList) Compute(pos []vec.V, q []float64, lj *LJ, alpha float64, f []vec.V) Result {
@@ -222,20 +249,42 @@ func (v *VerletList) Compute(pos []vec.V, q []float64, lj *LJ, alpha float64, f 
 		v.k = kernelFor(alpha, v.Cutoff)
 	}
 	j := listJob{v: v, pos: pos, q: q, lj: lj, f: f}
-	par.For(v.ns, j, listJob.eval)
+	par.For(v.s1-v.s0, j, listJob.eval)
 	if f != nil {
-		par.For(v.ns, j, listJob.apply)
+		par.For(v.s1-v.s0, j, listJob.apply)
 	}
-	return FoldSlabs(v.part)
+	return FoldSlabs(v.Partials())
 }
 
-// eval evaluates slab s's buckets in a fixed order — the same-slab
+// Partials returns the owned slabs' energy partials from the last Compute,
+// slab s0 first.
+func (v *VerletList) Partials() []SlabPartial { return v.part[v.s0:v.s1] }
+
+// AppendOwed appends to idx and fv the reaction forces the last Compute of
+// a RebuildRange list owes the slab above its range, s1 mod ns: atom j and
+// the force to subtract from f[j], in the order the slab's owner subtracts
+// them after its own Compute. In cell mode only slab s1−1 has pairs there.
+// A list that owns every slab owes nothing.
+func (v *VerletList) AppendOwed(idx []int32, fv []vec.V) ([]int32, []vec.V) {
+	if v.s1-v.s0 == v.ns {
+		return idx, fv
+	}
+	b := (v.s1-1)*v.ns + v.s1%v.ns
+	for n, pr := range v.cross[b] {
+		idx = append(idx, pr.j)
+		fv = append(fv, v.dfrc[b][n])
+	}
+	return idx, fv
+}
+
+// eval evaluates slab s0+k's buckets in a fixed order — the same-slab
 // bucket, then the cross buckets by ascending target — into one running
 // partial.
 //
 //tme:noalloc
-func (j listJob) eval(s int) {
+func (j listJob) eval(k int) {
 	v := j.v
+	s := v.s0 + k
 	var p SlabPartial
 	v.bucket(&p, v.same[s], nil, j.pos, j.q, j.lj, j.f)
 	base := s * v.ns
@@ -312,14 +361,14 @@ func (v *VerletList) bucket(p *SlabPartial, prs []pair, dst []vec.V, pos []vec.V
 	p.ECoul, p.ELJ, p.Pairs = eCoul, eLJsum, pairs
 }
 
-// apply applies the reaction forces owed to target slab m in
-// ascending source-slab order.
+// apply applies the reaction forces owed to owned slab m = s0+k by the
+// other owned slabs, in ascending source-slab order.
 //
 //tme:noalloc
-func (j listJob) apply(m int) {
+func (j listJob) apply(k int) {
 	v, f := j.v, j.f
-	ns := v.ns
-	for src := 0; src < ns; src++ {
+	ns, m := v.ns, v.s0+k
+	for src := v.s0; src < v.s1; src++ {
 		if src == m {
 			continue
 		}

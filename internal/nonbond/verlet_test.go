@@ -23,7 +23,7 @@ func TestVerletMatchesDirect(t *testing.T) {
 	f1 := make([]vec.V, len(pos))
 	f2 := make([]vec.V, len(pos))
 	r1 := v.Compute(pos, q, lj, 2.5, f1)
-	r2 := Compute(box, pos, q, lj, 2.5, 1.1, excl, f2)
+	r2 := OracleCompute(box, pos, q, lj, 2.5, 1.1, excl, f2)
 	if r1.Pairs != r2.Pairs {
 		t.Fatalf("pair counts %d vs %d", r1.Pairs, r2.Pairs)
 	}
@@ -56,7 +56,7 @@ func TestVerletValidAfterSmallMoves(t *testing.T) {
 	f1 := make([]vec.V, len(pos))
 	f2 := make([]vec.V, len(pos))
 	r1 := v.Compute(pos, q, lj, 2.2, f1)
-	r2 := Compute(box, pos, q, lj, 2.2, 1.0, excl, f2)
+	r2 := OracleCompute(box, pos, q, lj, 2.2, 1.0, excl, f2)
 	if r1.Pairs != r2.Pairs {
 		t.Fatalf("pair counts %d vs %d after moves", r1.Pairs, r2.Pairs)
 	}

@@ -1,6 +1,7 @@
 package nonbond_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,11 +51,11 @@ func floorPairCount(sys *md.System, pos []vec.V, rc float64) int {
 	return n
 }
 
-// TestPairCountsMatchFloorImage: the buffered list (NPairs), the Verlet
-// force pass and the list-free pass (Result.Pairs) find exactly the pairs
-// the Floor-based minimum image finds, on the two benchmark water boxes —
-// with every atom moved by a random whole number of box lengths, so the
-// rounding is exercised on every axis of every pair.
+// TestPairCountsMatchFloorImage: the list (NPairs), its force pass and the
+// cell-path oracle (Result.Pairs) find exactly the pairs the Floor-based
+// minimum image finds, on the two benchmark water boxes, buffered and at
+// skin 0 — with every atom moved by a random whole number of box lengths,
+// so the rounding is exercised on every axis of every pair.
 func TestPairCountsMatchFloorImage(t *testing.T) {
 	for _, tc := range []struct {
 		side       int
@@ -63,32 +64,144 @@ func TestPairCountsMatchFloorImage(t *testing.T) {
 	}{
 		{8, 1.0, 0.1, true},
 		{10, 0.5, 0.1, false},
+		{8, 1.0, 0, true},
+		{10, 0.5, 0, false},
 	} {
 		sys := waterBox(tc.side)
 		if d := celllist.New(sys.Box, tc.rc).Direct(); d != tc.wantDirect {
 			t.Fatalf("%d atoms at rc %g: direct mode %v, want %v", sys.N(), tc.rc, d, tc.wantDirect)
 		}
-		rng := rand.New(rand.NewSource(int64(tc.side)))
-		pos := make([]vec.V, sys.N())
-		for i, p := range sys.Pos {
-			for k := 0; k < 3; k++ {
-				pos[i][k] = p[k] + float64(rng.Intn(7)-3)*sys.Box.L[k]
-			}
-		}
+		pos := shiftedByBoxes(sys, int64(tc.side))
 		alpha := spme.AlphaFromRTol(tc.rc, 1e-4)
 		v := nonbond.NewVerletList(sys.Box, tc.rc, tc.skin)
 		v.Rebuild(pos, sys.Excl)
 		want, wantList := floorPairCount(sys, pos, tc.rc), floorPairCount(sys, pos, tc.rc+tc.skin)
 		if got := v.NPairs(); got != wantList {
-			t.Errorf("%d atoms: NPairs %d, Floor-image oracle %d", sys.N(), got, wantList)
+			t.Errorf("%d atoms skin %g: NPairs %d, Floor-image oracle %d", sys.N(), tc.skin, got, wantList)
 		}
 		if got := v.Compute(pos, sys.Q, sys.LJ, alpha, nil).Pairs; got != want {
-			t.Errorf("%d atoms: Verlet Result.Pairs %d, Floor-image oracle %d", sys.N(), got, want)
+			t.Errorf("%d atoms skin %g: list Result.Pairs %d, Floor-image oracle %d", sys.N(), tc.skin, got, want)
 		}
 		f := make([]vec.V, sys.N())
-		if got := nonbond.Compute(sys.Box, pos, sys.Q, sys.LJ, alpha, tc.rc, sys.Excl, f).Pairs; got != want {
-			t.Errorf("%d atoms: list-free Result.Pairs %d, Floor-image oracle %d", sys.N(), got, want)
+		if got := nonbond.OracleCompute(sys.Box, pos, sys.Q, sys.LJ, alpha, tc.rc, sys.Excl, f).Pairs; got != want {
+			t.Errorf("%d atoms: cell-path oracle Result.Pairs %d, Floor-image oracle %d", sys.N(), got, want)
 		}
+	}
+}
+
+// shiftedByBoxes returns the system's positions, each atom moved by a random
+// whole number (−3…3) of box lengths along every axis.
+func shiftedByBoxes(sys *md.System, seed int64) []vec.V {
+	rng := rand.New(rand.NewSource(seed))
+	pos := make([]vec.V, sys.N())
+	for i, p := range sys.Pos {
+		for k := 0; k < 3; k++ {
+			pos[i][k] = p[k] + float64(rng.Intn(7)-3)*sys.Box.L[k]
+		}
+	}
+	return pos
+}
+
+// listForces evaluates the short-range term of sys at pos over a fresh list.
+func listForces(sys *md.System, pos []vec.V, rc, skin float64) (nonbond.Result, []vec.V) {
+	v := nonbond.NewVerletList(sys.Box, rc, skin)
+	v.Rebuild(pos, sys.Excl)
+	f := make([]vec.V, sys.N())
+	return v.Compute(pos, sys.Q, sys.LJ, spme.AlphaFromRTol(rc, 1e-4), f), f
+}
+
+// requireClose fails unless every atom's force in got is within rel of its
+// force in want, relative to that force's magnitude, and returns the
+// largest relative difference.
+func requireClose(t *testing.T, name string, got, want []vec.V, rel float64) float64 {
+	t.Helper()
+	var worst float64
+	for i := range want {
+		d := got[i].Sub(want[i]).Norm() / want[i].Norm()
+		if !(d <= rel) {
+			t.Fatalf("%s: atom %d force %v vs %v (%.2e relative)", name, i, got[i], want[i], d)
+		}
+		worst = math.Max(worst, d)
+	}
+	return worst
+}
+
+// TestSkin0ListMatchesOracle holds the skin-0 list to the cell-path oracle
+// on the 648-, 1536- and 3000-atom water boxes, each at one cutoff that
+// decomposes into cells and one that leaves the list in direct mode: the
+// same Result.Pairs, energies within 1e-12 and every atom's force within
+// 1e-12 of its magnitude.
+func TestSkin0ListMatchesOracle(t *testing.T) {
+	for _, tc := range []struct {
+		side   int
+		rc     float64
+		direct bool
+	}{
+		{6, 0.6, false}, {6, 0.84, true},
+		{8, 0.8, false}, {8, 0.9, true},
+		{10, 0.5, false}, {10, 1.2, true},
+	} {
+		sys := waterBox(tc.side)
+		name := fmt.Sprintf("%d atoms rc %g", sys.N(), tc.rc)
+		if d := celllist.New(sys.Box, tc.rc).Direct(); d != tc.direct {
+			t.Fatalf("%s: direct mode %v, want %v", name, d, tc.direct)
+		}
+		rL, fL := listForces(sys, sys.Pos, tc.rc, 0)
+		fO := make([]vec.V, sys.N())
+		rO := nonbond.OracleCompute(sys.Box, sys.Pos, sys.Q, sys.LJ, spme.AlphaFromRTol(tc.rc, 1e-4), tc.rc, sys.Excl, fO)
+		if rL.Pairs != rO.Pairs {
+			t.Fatalf("%s: %d pairs via the list, %d via the oracle", name, rL.Pairs, rO.Pairs)
+		}
+		if math.Abs(rL.ECoul-rO.ECoul) > 1e-12*math.Abs(rO.ECoul) || math.Abs(rL.ELJ-rO.ELJ) > 1e-12*math.Abs(rO.ELJ) {
+			t.Errorf("%s: energies (%.15g, %.15g) via the list, (%.15g, %.15g) via the oracle", name, rL.ECoul, rL.ELJ, rO.ECoul, rO.ELJ)
+		}
+		t.Logf("%s: worst per-atom force difference %.2e relative", name, requireClose(t, name, fL, fO, 1e-12))
+	}
+}
+
+// The short-range properties of the one pair loop (ROADMAP item 1(b)), at
+// skin 0 and 0.1, on a cell-mode and a direct-mode water box.
+var propertyCases = []struct {
+	side     int
+	rc, skin float64
+}{
+	{10, 0.5, 0}, {10, 0.5, 0.1}, // cell mode
+	{8, 1.0, 0}, {8, 1.0, 0.1}, // direct mode
+}
+
+// TestShortRangeForcesSumToZero: every pair adds a force to one atom and
+// subtracts the same bits from the other, so the forces sum to zero up to
+// the rounding of the per-atom sums.
+func TestShortRangeForcesSumToZero(t *testing.T) {
+	for _, tc := range propertyCases {
+		sys := waterBox(tc.side)
+		_, f := listForces(sys, sys.Pos, tc.rc, tc.skin)
+		var sum vec.V
+		var scale float64
+		for _, fi := range f {
+			sum = sum.Add(fi)
+			scale += fi.Norm()
+		}
+		t.Logf("%d atoms rc %g skin %g: |ΣF| / Σ|F| = %.2e", sys.N(), tc.rc, tc.skin, sum.Norm()/scale)
+		if sum.Norm() > 1e-13*scale {
+			t.Errorf("%d atoms rc %g skin %g: forces sum to %v, %.2e of Σ|F|", sys.N(), tc.rc, tc.skin, sum, sum.Norm()/scale)
+		}
+	}
+}
+
+// TestShortRangeBoxShiftInvariance: moving every atom by whole box vectors
+// changes no pair and no force beyond the rounding of the shifted
+// coordinates.
+func TestShortRangeBoxShiftInvariance(t *testing.T) {
+	for _, tc := range propertyCases {
+		sys := waterBox(tc.side)
+		name := fmt.Sprintf("%d atoms rc %g skin %g", sys.N(), tc.rc, tc.skin)
+		r0, f0 := listForces(sys, sys.Pos, tc.rc, tc.skin)
+		r1, f1 := listForces(sys, shiftedByBoxes(sys, 1), tc.rc, tc.skin)
+		if r0.Pairs != r1.Pairs {
+			t.Fatalf("%s: %d pairs, %d after the shift", name, r0.Pairs, r1.Pairs)
+		}
+		t.Logf("%s: worst per-atom force difference %.2e relative", name, requireClose(t, name, f1, f0, 1e-12))
 	}
 }
 
@@ -117,5 +230,31 @@ func BenchmarkRebuildWater1536(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v.Rebuild(sys.Pos, sys.Excl)
+	}
+}
+
+// BenchmarkSkin0ListWater is one unbuffered force evaluation — Rebuild and
+// Compute of a skin-0 list — on four water boxes: 3000 atoms at rc 0.5
+// (cell mode), and 648, 1029 and 1536 atoms in direct mode.
+func BenchmarkSkin0ListWater(b *testing.B) {
+	for _, tc := range []struct {
+		side int
+		rc   float64
+	}{
+		{10, 0.5}, {6, 0.84}, {7, 0.9}, {8, 0.9},
+	} {
+		sys := waterBox(tc.side)
+		alpha := spme.AlphaFromRTol(tc.rc, 1e-4)
+		b.Run(fmt.Sprintf("%datoms-rc%g", sys.N(), tc.rc), func(b *testing.B) {
+			v := nonbond.NewVerletList(sys.Box, tc.rc, 0)
+			v.Rebuild(sys.Pos, sys.Excl) // grow the buckets
+			f := make([]vec.V, sys.N())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.Rebuild(sys.Pos, sys.Excl)
+				v.Compute(sys.Pos, sys.Q, sys.LJ, alpha, f)
+			}
+		})
 	}
 }

@@ -55,7 +55,7 @@ func New(cfg Config, sys *md.System, ff *md.ForceField, dt float64) (*Engine, er
 		return nil, err
 	}
 	if ff.Skin != 0 {
-		return nil, fmt.Errorf("rank: buffered Verlet lists (skin %g) are not rank-decomposable; use the unbuffered cell path", ff.Skin)
+		return nil, fmt.Errorf("rank: a Verlet skin (%g nm) is not rank-decomposable: each rank rebuilds its skin-0 pair list every step; use Skin 0", ff.Skin)
 	}
 	if ff.Bonded != nil {
 		return nil, fmt.Errorf("rank: bonded terms are not supported in rank mode")
@@ -89,6 +89,7 @@ func New(cfg Config, sys *md.System, ff *md.ForceField, dt float64) (*Engine, er
 		alpha: ff.Alpha,
 		rc:    ff.Rc,
 		ns:    ns,
+		cells: probe,
 		abort: make(chan struct{}),
 	}
 	var once sync.Once
@@ -321,9 +322,12 @@ func (e *Engine) fold() md.Energies {
 	return en
 }
 
-// SetObs attaches a stage recorder to rank 0's worker (nil detaches).
-// Call it only between steps.
-func (e *Engine) SetObs(rec *obs.Recorder) { e.workers[0].o = rec }
+// SetObs attaches a stage recorder to rank 0's worker and its pair list
+// (nil detaches). Call it only between steps.
+func (e *Engine) SetObs(rec *obs.Recorder) {
+	e.workers[0].o = rec
+	e.workers[0].vl.SetObs(rec)
+}
 
 // Ranks returns the configured rank count.
 func (e *Engine) Ranks() int { return e.sh.r }

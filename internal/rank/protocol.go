@@ -1,9 +1,10 @@
 // Channel protocol of the rank engine. Each ordered pair of ranks (a, b)
 // owns one channel whose per-step message schedule is fixed at
 // construction time (linkSchedule): position halo, then (for b = a+1 mod
-// R) the deferred reaction-force list, the computed short-force return,
-// and in mesh mode the grid sleeves of every halo exchange in pipeline
-// order, the top-grid gather/scatter legs, and the mesh-force return.
+// R) the reaction forces owed to b's first slab, the computed short-force
+// return, and in mesh mode the grid sleeves of every halo exchange in
+// pipeline order, the top-grid gather/scatter legs, and the mesh-force
+// return.
 // The channel capacity equals the schedule length, so a sender never
 // blocks; packets live in a per-link ring indexed by the schedule, which
 // the engine's per-step barrier makes safe to reuse (every packet sent in
@@ -12,14 +13,13 @@ package rank
 
 import (
 	"tme4a/internal/dist"
-	"tme4a/internal/nonbond"
 	"tme4a/internal/vec"
 )
 
 // Message kinds, in the order they appear within a step's schedule.
 const (
 	kindPos    uint8 = iota // position halo: atoms the receiver's windows need
-	kindDef                 // deferred Newton reaction forces for slab s1 (to rank+1 only)
+	kindDef                 // Newton reaction forces owed to slab s1 (to rank+1 only)
 	kindShort               // computed short-range forces returned to owners
 	kindGrid                // packed halo sleeve of one dist exchange
 	kindTopQ                // top-grid charge block gathered to rank 0
@@ -28,17 +28,15 @@ const (
 )
 
 // packet is one protocol message. idx/v carry (atom, vector) pairs for
-// kindPos/kindShort/kindMesh; fl carries floats for kindGrid (exact
-// sleeve size) and kindTopQ/kindTopPhi (slice headers into the sender's
-// grids — zero copy, safe under the per-step barrier); def carries the
-// deferred list header for kindDef.
+// kindPos/kindDef/kindShort/kindMesh; fl carries floats for kindGrid
+// (exact sleeve size) and kindTopQ/kindTopPhi (slice headers into the
+// sender's grids — zero copy, safe under the per-step barrier).
 type packet struct {
 	kind uint8
 	n    int
 	idx  []int32
 	v    []vec.V
 	fl   []float64
-	def  []nonbond.Deferred
 }
 
 // slotSpec describes one schedule position of a link.
@@ -106,7 +104,7 @@ func newLink(specs []slotSpec, natoms int) *link {
 	for i, sp := range specs {
 		p := &packet{kind: sp.kind}
 		switch sp.kind {
-		case kindPos, kindShort, kindMesh:
+		case kindPos, kindDef, kindShort, kindMesh:
 			p.idx = make([]int32, 0, natoms)
 			p.v = make([]vec.V, 0, natoms)
 		case kindGrid:
@@ -118,11 +116,9 @@ func newLink(specs []slotSpec, natoms int) *link {
 }
 
 // packetBytes is the modeled wire size of a packet: 4-byte atom indices,
-// 24-byte vectors, 8-byte floats, 28-byte deferred entries.
+// 24-byte vectors, 8-byte floats.
 func packetBytes(p *packet) int64 {
 	switch p.kind {
-	case kindDef:
-		return int64(len(p.def)) * 28
 	case kindGrid, kindTopQ, kindTopPhi:
 		return int64(len(p.fl)) * 8
 	default:

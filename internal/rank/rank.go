@@ -3,7 +3,7 @@
 // z layers for the short-range term and the matching z-plane block of
 // every TME level grid (internal/dist) for the long-range term,
 // communicate exclusively over typed message channels — position halos,
-// deferred Newton reaction forces, computed-force returns, packed grid
+// owed Newton reaction forces, computed-force returns, packed grid
 // sleeves, top-grid gather/scatter — laid out like the MDGRAPE-4A torus
 // traffic the paper describes. A full Engine.Step over R ranks is bitwise
 // identical to the single-process md.Integrator.Step at any rank count
@@ -18,9 +18,11 @@
 //
 //   - integration and the force merge are md.System.KickDrift/KickConstrain
 //     and md.MergeForces over the rank's md.Owned set;
-//   - short-range forces are nonbond.ComputeSlabRange over the rank's slab
-//     range — the slab body ComputeWithList dispatches — with the one
-//     cross-rank deferred list applied after the owner pass, as there;
+//   - short-range forces are the serial engine's skin-0 nonbond.VerletList
+//     over the rank's slab range (RebuildRange, Compute), rebuilt every
+//     step; the reactions its top slab owes the next rank's first slab
+//     (AppendOwed) are subtracted there after that rank's own Compute, as
+//     the serial list applies them after its evaluation pass;
 //   - the mesh pipeline is dist.Mesh.Solve, with the worker as its
 //     dist.Exchanger; its z kernels reproduce the serial per-element
 //     arithmetic exactly;

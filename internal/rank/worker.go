@@ -3,8 +3,8 @@
 // rank boundary, and the channel protocol that carries it. Every stage a
 // round runs on that data is the function the single-process engine calls
 // with one owner holding everything: md.System.KickDrift/KickConstrain,
-// the nonbond slab body, dist.Mesh.Solve, ewald.ExclusionTerms,
-// md.MergeForces.
+// nonbond.VerletList over a slab range, dist.Mesh.Solve,
+// ewald.ExclusionTerms, md.MergeForces.
 package rank
 
 import (
@@ -54,7 +54,8 @@ type shared struct {
 	owner  []int32 // owning rank per atom (whole molecules)
 	slabLo []int
 	ns     int
-	own    []md.Owned // owned atoms and waters per rank, ascending
+	own    []md.Owned     // owned atoms and waters per rank, ascending
+	cells  *celllist.List // the cell decomposition at rc, for Layer only
 
 	// Mesh mode only (nil/zero in cutoff mode).
 	plan    *dist.Plan
@@ -91,9 +92,8 @@ type worker struct {
 	out []*link // out[dst]: this rank's sends to dst
 	in  []*link // in[src]: receives from src
 
-	cl   *celllist.List
-	sc   *nonbond.SlabScratch
-	mesh *dist.Mesh // nil in cutoff mode
+	vl   *nonbond.VerletList // skin 0, over the rank's slab range
+	mesh *dist.Mesh          // nil in cutoff mode
 
 	// Rank 0's full top grids for the gathered SPME solve (mesh mode).
 	topQ, topPhi *grid.G
@@ -128,9 +128,10 @@ type worker struct {
 	res *result
 }
 
-// result is a rank's per-round report. pos, vel and eterm share backing
-// arrays with the worker's full-length state; the engine reads them only
-// between rounds, under the result-channel happens-before edge.
+// result is a rank's per-round report. part shares its backing array with
+// the worker's pair list, and pos, vel and eterm with its full-length
+// state; the engine reads them only between rounds, under the
+// result-channel happens-before edge.
 //
 //tme:owner worker.run
 type result struct {
@@ -189,8 +190,7 @@ func newWorker(sh *shared, r int, cmds chan uint8, resCh chan *result, top *md.S
 		resCh:     resCh,
 		out:       out,
 		in:        in,
-		cl:        celllist.New(sys.Box, sh.rc),
-		sc:        &nonbond.SlabScratch{},
+		vl:        nonbond.NewVerletList(sys.Box, sh.rc, 0),
 		mesh:      mesh,
 		topQ:      topQ,
 		topPhi:    topPhi,
@@ -207,7 +207,6 @@ func newWorker(sh *shared, r int, cmds chan uint8, resCh chan *result, top *md.S
 		pairBytes: make([]int64, sh.r),
 		res: &result{
 			rank:     r,
-			part:     make([]nonbond.SlabPartial, sh.slabLo[r+1]-sh.slabLo[r]),
 			pos:      sys.Pos,
 			vel:      sys.Vel,
 			eterm:    etermFull,
@@ -289,7 +288,7 @@ func (w *worker) forceRound() {
 func (w *worker) needs(dst, i int) bool {
 	sh := w.sh
 	r := w.sys.Pos[i]
-	if sh.inCellWindow(dst, w.cl.Layer(r)) {
+	if sh.inCellWindow(dst, sh.cells.Layer(r)) {
 		return true
 	}
 	if sh.plan != nil {
@@ -362,7 +361,7 @@ func (w *worker) buildWindows() {
 			continue
 		}
 		r := w.sys.Pos[i]
-		if sh.inCellWindow(w.rank, w.cl.Layer(r)) {
+		if sh.inCellWindow(w.rank, sh.cells.Layer(r)) {
 			w.cellIdx = append(w.cellIdx, int32(i))
 		}
 		if !meshMode {
@@ -383,11 +382,12 @@ func (w *worker) inRange(lay int) bool {
 	return lay >= w.sh.slabLo[w.rank] && lay < w.sh.slabLo[w.rank+1]
 }
 
-// shortRange evaluates the rank's slab range, completes the deferred
-// reaction-force ring exchange, and routes each window atom's finished
-// short force to its owner. Every atom's force is computed entirely by
-// the single rank whose slab range holds its layer, so the owner
-// installs one value per atom — no cross-rank summation to order.
+// shortRange builds and evaluates the pair list over the rank's slab
+// range, completes the reaction-force ring exchange, and routes each
+// window atom's finished short force to its owner. Every atom's force is
+// computed entirely by the single rank whose slab range holds its layer,
+// so the owner installs one value per atom — no cross-rank summation to
+// order.
 func (w *worker) shortRange() {
 	sh := w.sh
 	sys := w.sys
@@ -395,23 +395,19 @@ func (w *worker) shortRange() {
 	for _, i := range w.cellIdx {
 		w.shortF[i] = vec.V{}
 	}
-	spn := w.o.Start(obs.StageNeighbor)
-	w.cl.RebuildSubset(sys.Pos, w.cellIdx)
-	spn.Stop()
-	def := nonbond.ComputeSlabRange(w.cl, sys.Pos, sys.Q, sys.LJ, sh.alpha, sys.Excl,
-		w.shortF, w.res.part, w.sc, sh.slabLo[w.rank], sh.slabLo[w.rank+1])
-	if w.o.Enabled() {
-		w.o.Add(obs.CounterPairsEvaluated, int64(nonbond.FoldSlabs(w.res.part).Pairs))
-	}
-	if sh.r == 1 {
-		nonbond.ApplyDeferred(w.shortF, def)
-	} else {
+	w.vl.RebuildRange(sys.Pos, sys.Excl, w.cellIdx, sh.slabLo[w.rank], sh.slabLo[w.rank+1])
+	res := w.vl.Compute(sys.Pos, sys.Q, sys.LJ, sh.alpha, w.shortF)
+	w.res.part = w.vl.Partials()
+	w.o.Add(obs.CounterPairsEvaluated, int64(res.Pairs))
+	if sh.r > 1 {
 		nxt := (w.rank + 1) % sh.r
 		p := w.slot(nxt, kindDef)
-		p.def = def
+		p.idx, p.v = w.vl.AppendOwed(p.idx[:0], p.v[:0])
 		w.send(nxt, p)
 		pd := w.recv((w.rank-1+sh.r)%sh.r, kindDef)
-		nonbond.ApplyDeferred(w.shortF, pd.def)
+		for k, i := range pd.idx {
+			w.shortF[i] = w.shortF[i].Sub(pd.v[k])
+		}
 		for dst := 0; dst < sh.r; dst++ {
 			if dst == w.rank {
 				continue
@@ -420,7 +416,7 @@ func (w *worker) shortRange() {
 			ps.idx = ps.idx[:0]
 			ps.v = ps.v[:0]
 			for _, i := range w.cellIdx {
-				if sh.owner[i] == int32(dst) && w.inRange(w.cl.Layer(sys.Pos[i])) {
+				if sh.owner[i] == int32(dst) && w.inRange(sh.cells.Layer(sys.Pos[i])) {
 					ps.idx = append(ps.idx, i)
 					ps.v = append(ps.v, w.shortF[i])
 				}
@@ -429,7 +425,7 @@ func (w *worker) shortRange() {
 		}
 	}
 	for _, i := range w.own.Atoms {
-		if w.inRange(w.cl.Layer(sys.Pos[i])) {
+		if w.inRange(sh.cells.Layer(sys.Pos[i])) {
 			sys.Frc[i] = w.shortF[i]
 		}
 	}

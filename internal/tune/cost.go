@@ -17,8 +17,8 @@ type Weights struct {
 	SkinPairNs    float64 // per stored pair outside rc (distance check only)
 	RebuildPairNs float64 // per stored pair at a Verlet list rebuild
 	RebuildAtomNs float64 // per atom at a Verlet list rebuild (binning)
-	CellPairNs    float64 // per pair inside rc on the skinless cell path
-	CellAtomNs    float64 // per atom per step on the skinless cell path
+	CellPairNs    float64 // per pair inside rc at Skin 0 (list rebuilt every step)
+	CellAtomNs    float64 // per atom per step at Skin 0
 	AssignNs      float64 // per atom·spline-tap of charge assign + interp
 	ConvNs        float64 // per separable-convolution MAC (TME)
 	ConvDirectNs  float64 // per direct-convolution MAC (MSM)

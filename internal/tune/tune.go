@@ -70,7 +70,7 @@ type Plan struct {
 	Method string  // "spme", "tme" or "msm"
 	Kernel string  // TME middle-range family: "" (gauss), "gauss", "useries"
 	Rc     float64 // short-range cutoff (nm)
-	Skin   float64 // Verlet buffer (nm); 0 selects the skinless cell path
+	Skin   float64 // Verlet buffer (nm); 0 rebuilds the pair list every step
 	Grid   [3]int  // mesh points per axis
 	Gc     int     // grid-kernel cutoff (TME/MSM; 0 for SPME)
 	M      int     // Gaussians per middle-range shell (TME; 0 otherwise)
