@@ -2,32 +2,17 @@ package celllist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tme4a/internal/vec"
 )
 
-// slabCall is one ForEachPairInSlab callback, recorded whole.
-type slabCall struct {
-	i, j int
-	d    vec.V
-	r2   float64
-	tgt  int
-}
-
-func slabCalls(l *List, s int, pos []vec.V) []slabCall {
-	var out []slabCall
-	l.ForEachPairInSlab(s, pos, func(i, j int, d vec.V, r2 float64, tgt int) {
-		out = append(out, slabCall{i, j, d, r2, tgt})
-	})
-	return out
-}
-
 // TestRebuildSubsetMatchesRebuild: binning every atom through RebuildSubset
 // gives the chains of Rebuild, and binning only the atoms of a window of
 // layers — a rank's owned slabs plus the layer above, wrapping round the
-// ring — makes every owned slab issue exactly the callbacks the full list
-// issues, in the same order, with the same displacement bits. Positions
+// ring — leaves every cell of the window holding exactly the atoms of the
+// full binning, in the same order, and every other cell empty. Positions
 // reach a box length outside the box on either side.
 func TestRebuildSubsetMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -40,7 +25,7 @@ func TestRebuildSubsetMatchesRebuild(t *testing.T) {
 		}
 	}
 	full := Build(box, 1.0, pos)
-	ns := full.Slabs()
+	ns := full.NCells()[2]
 	if full.Direct() || ns < 4 {
 		t.Fatalf("test box must give at least four cell layers, got %d (direct=%v)", ns, full.Direct())
 	}
@@ -75,15 +60,16 @@ func TestRebuildSubsetMatchesRebuild(t *testing.T) {
 			t.Fatalf("window [%d, %d) holds every atom; the subset exercises nothing", s0, s1)
 		}
 		sub.RebuildSubset(pos, idx)
-		for s := s0; s < s1; s++ {
-			want, got := slabCalls(full, s, pos), slabCalls(sub, s, pos)
-			if len(want) == 0 || len(got) != len(want) {
-				t.Fatalf("window [%d, %d) slab %d: %d callbacks, full list %d", s0, s1, s, len(got), len(want))
+		nc := full.NCells()
+		per := nc[0] * nc[1]
+		want, got := make([]int32, n), make([]int32, n)
+		for c := 0; c < per*ns; c++ {
+			w, g := full.CellAtoms(c, want), sub.CellAtoms(c, got)
+			if (c/per-s0+ns)%ns > s1-s0 {
+				w = nil
 			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("window [%d, %d) slab %d callback %d: %+v, full list %+v", s0, s1, s, k, got[k], want[k])
-				}
+			if len(g) != len(w) || !slices.Equal(g, w) {
+				t.Fatalf("window [%d, %d) cell %d: atoms %v, full list %v", s0, s1, c, g, w)
 			}
 		}
 	}

@@ -131,7 +131,7 @@ func (ff *ForceField) captureResume(sys *System, snap *Snapshot) {
 // restoreResume rebuilds the force field's cross-step caches from snap.
 // The Verlet list is re-primed by running Rebuild at the captured build
 // positions — Rebuild is deterministic in (positions, exclusions), so the
-// pair buckets and their summation order come back bitwise, where a fresh
+// clusters, entries and their summation order come back bitwise, where a fresh
 // build at the resume positions would reorder them. Call after
 // sys.Restore.
 func (ff *ForceField) restoreResume(sys *System, snap *Snapshot) error {

@@ -36,8 +36,8 @@ type Snapshot struct {
 	Frc   []vec.V  // forces at the end of step Step (empty: not captured)
 	LastE Energies // energies of step Step
 	// VerletRef holds the positions the live buffered Verlet pair list was
-	// built from; re-running Rebuild at these positions reproduces the pair
-	// buckets, and hence the force summation order, bitwise. Empty at
+	// built from; re-running Rebuild at these positions reproduces its
+	// clusters and entries, and hence the force summation order, bitwise. Empty at
 	// Skin 0, whose list the next step rebuilds anyway.
 	VerletRef []vec.V
 	// MeshForces/MeshEnergy/MeshExcl are the cached long-range term of a

@@ -1,7 +1,7 @@
 package nonbond
 
 // Steady-state allocation gates for the short-range engine. Once its
-// buckets have grown, rebuilding and evaluating a pair list — buffered, or
+// storage has grown, rebuilding and evaluating a pair list — buffered, or
 // at skin 0, where a step does both — must not allocate at all: the inner
 // loop runs every MD step and any per-step garbage would dominate GC
 // pressure at scale.
@@ -34,7 +34,7 @@ func TestSkin0ListSteadyStateAllocs(t *testing.T) {
 			excl := testExclusions(n)
 			v := NewVerletList(tc.box, 1.0, 0)
 			f := make([]vec.V, n)
-			v.Rebuild(pos, excl) // grow the buckets
+			v.Rebuild(pos, excl) // grow the list's storage
 			v.Compute(pos, q, lj, 2.5, f)
 			allocs := testing.AllocsPerRun(10, func() {
 				v.Rebuild(pos, excl)
@@ -71,7 +71,7 @@ func TestVerletComputeSteadyStateAllocs(t *testing.T) {
 	}
 
 	// Rebuild at the same atom count must also be allocation-free once the
-	// buckets have grown to capacity.
+	// storage has grown to capacity.
 	v.Rebuild(pos, excl)
 	allocs = testing.AllocsPerRun(10, func() {
 		v.Rebuild(pos, excl)

@@ -8,19 +8,17 @@ import (
 	"tme4a/internal/units"
 )
 
-// The Coulomb table spans r from 1/32 nm — inside any physical contact, so
-// only synthetic overlaps fall below it — up to the cutoff, capped at 16 nm
-// to bound the footprint of an absurd cutoff; pairs outside take the
-// analytic kernel. At rc = 1.0 nm that is ten octaves: 1281 entries, 80 KB.
+// The Coulomb table spans r from 1/32 nm (inside any physical contact) to
+// the cutoff, capped at 16 nm; pairs outside take the analytic kernel. At
+// rc = 1.0 nm that is ten octaves: 1281 entries, 80 KB.
 const (
 	tableRMin2 = 1.0 / (32 * 32)
 	tableRMax2 = 16.0 * 16
 )
 
-// kernel is the pair kernel for one (α, rc): the Coulomb energy
-// E(s) = C·erfc(α√s)/√s and force factor F(s) = −2 dE/ds per unit charge
-// product, tabulated in s = r². α = 0 (plain Coulomb) is the same table of a
-// different function, not a second code path. Immutable and shared.
+// kernel is the pair kernel for one (α, rc): the Coulomb energy E(s) =
+// C·erfc(α√s)/√s and force factor F(s) = −2 dE/ds per unit charge product,
+// tabulated in s = r² (α = 0 is plain Coulomb). Immutable and shared.
 type kernel struct {
 	alpha, rc float64
 	tab       *r2tab.Table
@@ -31,8 +29,7 @@ func newKernel(alpha, rc float64) *kernel {
 	if !(sMax < tableRMax2) {
 		sMax = tableRMax2
 	}
-	// Both allocations below happen when (α, rc) changes, never on a
-	// steady-state step.
+	// Both allocations happen when (α, rc) changes, never in a steady step.
 	gen := func(s float64) (e, f float64) { //tmevet:ignore noalloc -- once per table
 		e, _, f = pairEval(1, nil, 0, 0, alpha, s)
 		return e, f
@@ -42,17 +39,14 @@ func newKernel(alpha, rc float64) *kernel {
 
 // lastKernel remembers the most recently built kernel so that the lists of
 // one run — a force field's, every rank's of a rank engine — share one
-// table. Only one is retained: engines hold their own
-// reference, and a table is garbage once its last engine and this slot
-// have let go of it.
+// table; a table is garbage once its last engine and this slot let go.
 var lastKernel struct {
 	sync.Mutex
 	k *kernel
 }
 
-// kernelFor returns the kernel for (alpha, rc), building it on a miss. The
-// build runs under the lock so concurrent first callers (the ranks' first
-// step) wait for one table instead of building one each.
+// kernelFor returns the kernel for (alpha, rc), building it on a miss under
+// the lock, so concurrent first callers wait for one table.
 func kernelFor(alpha, rc float64) *kernel {
 	lastKernel.Lock()
 	defer lastKernel.Unlock()
@@ -68,43 +62,27 @@ func (k *kernel) is(alpha, rc float64) bool {
 }
 
 // The pair kernel. A pair at squared distance r2 ≤ rc² with charge product
-// qq has Coulomb energy eC = qq·E(r2) and radial force factor fr = qq·F(r2)
-// — the cubic of the table segment holding r2 (coulomb), or the analytic
-// kernel below the table (coulombOut) — and, when both atoms are LJ sites
-// (LJ.site), adds the Lennard-Jones energy and force factor of ljEval to
-// them; F_i = fr·d and F_j = −fr·d. Each piece is written once, here and in
-// r2tab. The compiler inlines the segment fetch, the cubic and ljEval one by
-// one but not their sum (budget 80), so the pair loop, VerletList.bucket,
-// composes them in line, in this order, and calls nothing on the in-table
-// path:
-//
-//	var eC, eLJ, fr float64
-//	if c, d := k.tab.Segment(r2); c != nil {
-//		eC, fr = coulomb(qq, c, d)
-//	} else {
-//		eC, fr = k.coulombOut(qq, r2)
-//	}
-//	if lj.site(i, j) {
-//		var fl float64
-//		eLJ, fl = ljEval(lj, i, j, 1/r2)
-//		fr += fl
-//	}
-//
-// tier1.sh fails if any of those calls stops being inlined.
+// qq has Coulomb energy qq·E(r2) and radial force factor fr = qq·F(r2) —
+// the cubic of the table segment holding r2 (coulomb), or the analytic
+// kernel below the table (coulombOut) — plus, when both atoms are LJ sites,
+// the Lennard-Jones terms of ljEval; the force on atom i is fr·(r_i − r_j).
+// Each piece is written once, here and in r2tab, and rounds every product
+// it sums (float64(x*y)), so no architecture fuses a multiply-add. The
+// compiler inlines them one by one but not their sum (budget 80), so the
+// pair loop (listJob.eval) composes them in line and calls nothing on the
+// in-table path; tier1.sh fails if that stops being true.
 
 // coulomb is the Coulomb term of a pair inside the table: segment c at
-// offset d. A pair with qq = 0 gets ±0, which no energy sum or force test
-// can tell from the +0 of skipping it.
+// offset d. An uncharged pair gets ±0, as good as skipping it.
 //
 //tme:noalloc
 func coulomb(qq float64, c *r2tab.Segment, d float64) (eC, fr float64) {
-	e, f := c.Cubic(d)
-	return qq * e, qq * f
+	eC, fr = c.Cubic(d)
+	return float64(qq * eC), float64(qq * fr)
 }
 
-// coulombOut is the Coulomb term of a pair outside the table, where Lookup
-// falls back to the analytic kernel. An uncharged pair is skipped, so
-// coincident uncharged atoms do not turn 0·∞ into NaN.
+// coulombOut is the Coulomb term of a pair outside the table (the analytic
+// kernel); an uncharged pair is skipped, so 0·∞ cannot make a NaN.
 //
 //tme:noalloc
 func (k *kernel) coulombOut(qq, r2 float64) (eC, fr float64) {
@@ -120,22 +98,20 @@ func (lj *LJ) site(i, j int) bool {
 	return lj != nil && lj.Eps[i] != 0 && lj.Eps[j] != 0
 }
 
-// ljEval is the closed-form Lennard-Jones term of a pair of LJ sites under
-// Lorentz–Berthelot mixing, given inv2 = 1/r².
+// ljEval is the Lennard-Jones term of two sites under Lorentz–Berthelot
+// mixing, given their well depths' product ee, diameters' sum ss, and 1/r².
 //
 //tme:noalloc
-func ljEval(lj *LJ, i, j int, inv2 float64) (e, fr float64) {
-	eps := math.Sqrt(lj.Eps[i] * lj.Eps[j])
-	sig := 0.5 * (lj.Sigma[i] + lj.Sigma[j])
-	sr2 := sig * sig * inv2
-	sr6 := sr2 * sr2 * sr2
-	sr12 := sr6 * sr6
-	return 4 * eps * (sr12 - sr6), 24 * eps * (2*sr12 - sr6) * inv2
+func ljEval(ee, ss, inv2 float64) (e, fr float64) {
+	eps := math.Sqrt(ee)
+	sr2 := 0.25 * ss * ss * inv2 // (σ/r)², σ = ss/2
+	sr6 := float64(sr2 * sr2 * sr2)
+	sr12 := float64(sr6 * sr6)
+	return float64(4 * eps * (sr12 - sr6)), float64(24 * eps * (sr12 + sr12 - sr6) * inv2)
 }
 
 // pairEval is the analytic erfc-screened Coulomb + Lennard-Jones kernel:
-// the generator of the table, the fallback outside its range, and the
-// oracle of the tests. Same contract as the pair kernel.
+// the table's generator, its fallback outside its range, the tests' oracle.
 func pairEval(qq float64, lj *LJ, i, j int, alpha, r2 float64) (eC, eLJ, fr float64) {
 	r := math.Sqrt(r2)
 	inv2 := 1 / r2
@@ -145,7 +121,7 @@ func pairEval(qq float64, lj *LJ, i, j int, alpha, r2 float64) (eC, eLJ, fr floa
 	}
 	if lj.site(i, j) {
 		var fl float64
-		eLJ, fl = ljEval(lj, i, j, inv2)
+		eLJ, fl = ljEval(lj.Eps[i]*lj.Eps[j], lj.Sigma[i]+lj.Sigma[j], inv2)
 		fr += fl
 	}
 	return eC, eLJ, fr

@@ -70,7 +70,7 @@ func TestKernelForceIsEnergyGradient(t *testing.T) {
 // rounding, since it scales the unit-charge value by qq where the oracle
 // carries qq through — with LJ to the bit; inside the table it is within
 // the table's error. Checked on one pair through the pair loop — a buffered
-// and a skin-0 list — and through the oracle slab body, in cell mode and in
+// and a skin-0 list — and through the cell-path oracle, in cell mode and in
 // direct mode.
 func TestKernelFallbackBelowTable(t *testing.T) {
 	lj := &LJ{Sigma: []float64{0.3, 0.32}, Eps: []float64{0.6, 0.7}}
@@ -113,7 +113,7 @@ func TestKernelFallbackBelowTable(t *testing.T) {
 				f = make([]vec.V, 2)
 				check("skin-0 list", compute(box, pos, q, lj, tc.alpha, tc.rc, nil, f), f)
 				f = make([]vec.V, 2)
-				check("oracle slab body", OracleCompute(box, pos, q, lj, tc.alpha, tc.rc, nil, f), f)
+				check("cell-path oracle", OracleCompute(box, pos, q, lj, tc.alpha, tc.rc, nil, f), f)
 			}
 		}
 	}
@@ -188,31 +188,41 @@ func TestVerletAgreesWithCellPath(t *testing.T) {
 
 // TestRangeMatchesComputeBitwise: the rank engine's entry points — one
 // list per range of slabs, RebuildRange over the range's layer window,
-// Compute, and the owed reactions subtracted by the next range afterwards
-// — must equal one list over every slab to the bit, forces, energies and
-// pair count, for every split of [0, ns) into contiguous ranges; and so
-// must the energies when no forces are asked for. The second box has three
-// cell layers, the fewest a cell decomposition can have (below that
-// celllist falls back to direct mode, so a two-slab ring does not exist):
-// there every slab's upper neighbour is also the lower neighbour of its
-// lower neighbour, and a two-range split hands each range's owed reactions
-// to the range it also receives from.
+// Compute, and the owed reactions added by the next range afterwards —
+// must equal one list over every slab to the bit, forces, energies and pair
+// count, for every split of [0, ns) into contiguous ranges; and so must the
+// energies when no forces are asked for. The systems are scattered atoms
+// with scattered exclusion triplets, compact molecules (clusters cut by
+// cell, layer and periodic faces) and six-atom chains (clusters excluded
+// from each other's atoms across layers). The 3-layer boxes have the fewest
+// layers a cell decomposition can have (below that celllist falls back to
+// direct mode, so a two-slab ring does not exist): there every slab's upper
+// neighbour is also the lower neighbour of its lower neighbour, and a
+// two-range split hands each range's owed reactions to the range it also
+// receives from.
 func TestRangeMatchesComputeBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(nameSeed(t)))
 	for _, tc := range []struct {
-		box vec.Box
-		n   int
-		ns  int
+		box   vec.Box
+		n, ns int
+		g     int // atoms per group of groupSystem; 0: randomSystem
+		chain bool
 	}{
-		{vec.Cubic(5), 500, 5},
-		{vec.Cubic(3.1), 240, 3},
+		{vec.Cubic(5), 500, 5, 0, false},
+		{vec.Cubic(3.1), 240, 3, 0, false},
+		{vec.Cubic(5), 600, 5, 3, false},
+		{vec.Cubic(3.1), 240, 3, 3, false},
+		{vec.Cubic(5), 600, 5, 6, true},
 	} {
 		box, n := tc.box, tc.n
 		pos, q, lj := randomSystem(rng, n, box)
 		excl := testExclusions(n)
+		if tc.g > 0 {
+			pos, q, lj, excl = groupSystem(rng, n, tc.g, tc.chain, box)
+		}
 		cells := celllist.New(box, 1.0)
-		if cells.Direct() || cells.Slabs() != tc.ns {
-			t.Fatalf("box %v: want %d cell layers, got %d (direct=%v)", box.L, tc.ns, cells.Slabs(), cells.Direct())
+		if cells.Direct() || cells.NCells()[2] != tc.ns {
+			t.Fatalf("box %v: want %d cell layers, got %d (direct=%v)", box.L, tc.ns, cells.NCells()[2], cells.Direct())
 		}
 		full := NewVerletList(box, 1.0, 0)
 		full.Rebuild(pos, excl)
@@ -256,10 +266,10 @@ func TestRangeMatchesComputeBitwise(t *testing.T) {
 				// order of the rank engine.
 				if forces {
 					for k, i := range idx {
-						f[i] = f[i].Sub(fv[k])
+						f[i] = f[i].Add(fv[k])
 					}
 				}
-				name := fmt.Sprintf("ns=%d cuts %v forces=%v", tc.ns, cuts, forces)
+				name := fmt.Sprintf("ns=%d groups of %d cuts %v forces=%v", tc.ns, tc.g, cuts, forces)
 				assertResultBitwise(t, name, rRef, FoldSlabs(part))
 				if forces {
 					assertForcesBitwise(t, name, fRef, f)

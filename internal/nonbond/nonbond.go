@@ -1,36 +1,14 @@
-// Package nonbond computes the short-range nonbonded interactions: the
+// Package nonbond computes the short-range nonbonded interactions — the
 // real-space (erfc-screened) Coulomb term of Ewald-split electrostatics and
-// Lennard-Jones dispersion/repulsion, over one pair list, VerletList.
-//
-// This is the computation the MDGRAPE-4A "nonbond pipelines" perform: 64
-// dedicated pipelines per SoC evaluating one pair interaction per cycle,
-// over a single stream of pairs whatever builds it. The cycle model of
-// those pipelines lives in internal/hw; this package is the numerical
-// implementation. A buffered run (Skin > 0) reuses the list across steps;
-// an unbuffered one (Skin = 0) rebuilds it every step; the rank engine
-// builds and evaluates it over its own slab range (RebuildRange). All of
-// them evaluate pairs in the one loop, VerletList.bucket.
-//
-// # Parallel determinism
-//
-// VerletList is bucketed by the cell list's ownership slabs
-// (celllist.List.Slabs) and parallelized over them with the same guarantee
-// the mesh pipeline gives: results are bitwise identical at any GOMAXPROCS.
-// Each slab's worker accumulates forces only into atoms its slab owns, in
-// a fixed enumeration order; the Newton-pair reaction forces that land in
-// a foreign slab are recorded beside their pair bucket and applied by the
-// owning slab in a second pass, in fixed source-slab order. Energies and
-// pair counts reduce over per-slab padded partials in ascending slab order
-// (FoldSlabs). No atomics, no per-worker force arrays.
-//
-// # Pair kernel
-//
-// The pair loop evaluates a pair with the one kernel in kernel.go, inlined
-// into it: the Coulomb energy and force factor come from a segmented cubic
-// table in r² (internal/r2tab, the datapath of the hardware pipelines),
-// Lennard-Jones from its closed form. The analytic erfc/exp kernel
-// (pairEval) generates the table, takes the pairs below its range, and is
-// the oracle the tests compare against.
+// Lennard-Jones — over one cluster-pair list, VerletList, in one pair loop:
+// the computation of the MDGRAPE-4A nonbond pipelines, which hold
+// i-particles while j-particles stream past (their cycle model is in
+// internal/hw). A buffered run reuses the list across steps, an unbuffered
+// one (Skin = 0) rebuilds it every step, and a rank builds it over its own
+// slabs (RebuildRange). Results are bitwise identical at any GOMAXPROCS,
+// with no atomics and no per-worker force arrays. The Coulomb term comes
+// from a segmented cubic table in r² (internal/r2tab, the pipelines'
+// datapath), Lennard-Jones from its closed form (kernel.go).
 package nonbond
 
 import (
@@ -73,12 +51,9 @@ func FoldSlabs(part []SlabPartial) Result {
 	return res
 }
 
-// ComputeWithList evaluates the short-range interactions of every
-// non-excluded pair within cl.Cutoff, accumulating forces into f (may be
-// nil); alpha = 0 is plain Coulomb. It is a one-shot skin-0 VerletList:
-// only cl's cutoff is read, and the list is built afresh, allocating, on
-// every call. It remains as the entry point of the benchmark's
-// nonbond.cellpath_ms probe; a stepping caller holds a VerletList.
+// ComputeWithList evaluates every non-excluded pair within cl.Cutoff into
+// f (may be nil) over a one-shot, allocating skin-0 VerletList: the entry
+// point of the benchmark's nonbond.cellpath_ms probe.
 func ComputeWithList(cl *celllist.List, box vec.Box, pos []vec.V, q []float64, lj *LJ, alpha float64, excl *topol.Exclusions, f []vec.V) Result {
 	v := NewVerletList(box, cl.Cutoff, 0)
 	v.Rebuild(pos, excl)

@@ -2,7 +2,7 @@ package nonbond
 
 // Serial-vs-parallel bitwise equivalence of the short-range engine. The
 // slab decomposition fixes every accumulation order independently of the
-// worker count (owner-only writes + deferred cross-slab pass + slab-ordered
+// worker count (per-slab buffers + source-ordered second pass + slab-ordered
 // partial reduction), so energies, forces and the pair list itself must be
 // bitwise identical at any GOMAXPROCS, buffered or at skin 0.
 
@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tme4a/internal/celllist"
@@ -100,8 +101,8 @@ func TestVerletBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	pos, q, lj := randomSystem(rng, n, box)
 	excl := testExclusions(n)
 
-	// The pair list itself must be identical at any worker count: same
-	// buckets, same order.
+	// The list itself must be identical at any worker count: same clusters,
+	// same entries and runs in the same order, same force-buffer layout.
 	var refList *VerletList
 	for li, p := range gomaxprocsLevels {
 		v := NewVerletList(box, 1.0, 0.2)
@@ -113,24 +114,13 @@ func TestVerletBitwiseAcrossGOMAXPROCS(t *testing.T) {
 		if v.NPairs() != refList.NPairs() {
 			t.Fatalf("GOMAXPROCS=%d: %d pairs, want %d", p, v.NPairs(), refList.NPairs())
 		}
-		for s := range refList.same {
-			if len(v.same[s]) != len(refList.same[s]) {
-				t.Fatalf("GOMAXPROCS=%d: slab %d same-bucket length differs", p, s)
-			}
-			for k := range refList.same[s] {
-				if v.same[s][k] != refList.same[s][k] {
-					t.Fatalf("GOMAXPROCS=%d: slab %d pair %d differs", p, s, k)
-				}
-			}
+		if !slices.Equal(v.atom, refList.atom) || !slices.Equal(v.cstart, refList.cstart) || !slices.Equal(v.blk, refList.blk) {
+			t.Fatalf("GOMAXPROCS=%d: cluster layout differs", p)
 		}
-		for b := range refList.cross {
-			if len(v.cross[b]) != len(refList.cross[b]) {
-				t.Fatalf("GOMAXPROCS=%d: cross bucket %d length differs", p, b)
-			}
-			for k := range refList.cross[b] {
-				if v.cross[b][k] != refList.cross[b][k] {
-					t.Fatalf("GOMAXPROCS=%d: cross bucket %d pair %d differs", p, b, k)
-				}
+		for s := range refList.sl {
+			a, b := &v.sl[s], &refList.sl[s]
+			if !slices.Equal(a.ent, b.ent) || !slices.Equal(a.runs, b.runs) || a.nbuf != b.nbuf {
+				t.Fatalf("GOMAXPROCS=%d: slab %d list differs", p, s)
 			}
 		}
 	}

@@ -21,6 +21,114 @@ func waterBox(side int) *md.System {
 	return water.Build(side, side, side, water.CubicBoxFor(side*side*side), 7)
 }
 
+// diffuseHalf bounds diffusedWaterBox's offsets: half the 0.62 nm cell of
+// the 3000-atom box at rc 0.5 + skin 0.1.
+const diffuseHalf = 0.31
+
+// diffusedWaterBox is waterBox with every molecule moved rigidly by a
+// seeded random offset of up to diffuseHalf along each axis. The lattice's
+// planes fall between the cell faces of the 3000-atom box at rc 0.5 + skin
+// 0.1, so no lattice molecule straddles a cell there and a cluster test or
+// benchmark on it is flattered; these molecules straddle cell, slab and
+// periodic faces (TestWaterFixturesCutFaces). An offset that would bring
+// an atom within 0.15 nm of another molecule's, or two oxygens within
+// 0.25 nm, is drawn again, up to 50 times, after which the molecule stays.
+func diffusedWaterBox(side int) *md.System {
+	sys := waterBox(side)
+	if pos, ok := diffused[side]; ok {
+		copy(sys.Pos, pos)
+		return sys
+	}
+	rng := rand.New(rand.NewSource(int64(side)))
+	for m, w := range sys.RigidWaters {
+		for try := 0; try < 50; try++ {
+			var d vec.V
+			for k := range d {
+				d[k] = diffuseHalf * (2*rng.Float64() - 1)
+			}
+			if !contact(sys, m, d) {
+				for _, i := range w {
+					sys.Pos[i] = sys.Pos[i].Add(d)
+				}
+				break
+			}
+		}
+	}
+	diffused[side] = append([]vec.V(nil), sys.Pos...)
+	return sys
+}
+
+// diffused holds the positions diffusedWaterBox has drawn, per side.
+var diffused = map[int][]vec.V{}
+
+// contact reports whether molecule m, moved by d, would come within 0.15 nm
+// of another molecule's atom or bring its oxygen within 0.25 nm of another.
+func contact(sys *md.System, m int, d vec.V) bool {
+	o := sys.Pos[sys.RigidWaters[m][0]].Add(d)
+	for i, w := range sys.RigidWaters {
+		if i == m || sys.Box.MinImage(o.Sub(sys.Pos[w[0]])).Norm2() > 0.5*0.5 {
+			continue
+		}
+		for a, ia := range sys.RigidWaters[m] {
+			for b, ib := range w {
+				r := sys.Box.MinImage(sys.Pos[ia].Add(d).Sub(sys.Pos[ib])).Norm()
+				if r < 0.15 || a == 0 && b == 0 && r < 0.25 {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// waterFixtures are the two variants of each box the short-range tests run
+// on.
+var waterFixtures = []struct {
+	name string
+	box  func(side int) *md.System
+}{{"lattice", waterBox}, {"diffused", diffusedWaterBox}}
+
+// TestWaterFixturesCutFaces: on the 3000-atom box with cells of cutoff 0.6,
+// no lattice molecule straddles a cell, slab (z-layer) or periodic face;
+// some diffused molecules straddle each.
+func TestWaterFixturesCutFaces(t *testing.T) {
+	for _, fx := range waterFixtures {
+		sys := fx.box(10)
+		cl := celllist.Build(sys.Box, 0.6, sys.Pos)
+		nc := cl.NCells()
+		cell, buf := make([]int, sys.N()), make([]int32, sys.N())
+		for c := range nc[0] * nc[1] * nc[2] {
+			for _, a := range cl.CellAtoms(c, buf) {
+				cell[a] = c
+			}
+		}
+		var cells, slabs, faces int
+		for _, w := range sys.RigidWaters {
+			var cutCell, cutSlab, cutFace bool
+			for _, i := range w[1:] {
+				cutCell = cutCell || cell[i] != cell[w[0]]
+				cutSlab = cutSlab || cell[i]/(nc[0]*nc[1]) != cell[w[0]]/(nc[0]*nc[1])
+				for k, l := range sys.Box.L {
+					cutFace = cutFace || math.Floor(sys.Pos[i][k]/l) != math.Floor(sys.Pos[w[0]][k]/l)
+				}
+			}
+			cells, slabs, faces = cells+b2i(cutCell), slabs+b2i(cutSlab), faces+b2i(cutFace)
+		}
+		t.Logf("%s: of %d molecules, %d cut by a cell face, %d by a slab face, %d by a periodic face",
+			fx.name, len(sys.RigidWaters), cells, slabs, faces)
+		if cut := fx.name == "diffused"; cut != (cells > 0) || cut != (slabs > 0) || cut != (faces > 0) {
+			t.Errorf("%s: %d, %d, %d molecules cut by cell, slab and periodic faces", fx.name, cells, slabs, faces)
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // floorImage is the minimum image as the pair loops computed it before the
 // magic-constant rounding, d − l·⌊d/l + ½⌋: the oracle the pair counts are
 // held to.
@@ -126,41 +234,75 @@ func requireClose(t *testing.T, name string, got, want []vec.V, rel float64) flo
 	return worst
 }
 
+// oracleCase is a water box, lattice and diffused, at a cutoff and skin
+// whose sum decomposes into cells or leaves the list in direct mode.
+type oracleCase struct {
+	side     int
+	rc, skin float64
+	direct   bool
+}
+
 // TestSkin0ListMatchesOracle holds the skin-0 list to the cell-path oracle
-// on the 648-, 1536- and 3000-atom water boxes, each at one cutoff that
-// decomposes into cells and one that leaves the list in direct mode: the
-// same Result.Pairs, energies within 1e-12 and every atom's force within
-// 1e-12 of its magnitude.
+// on the 648-, 1536- and 3000-atom boxes in cell and direct mode
+// (matchOracle).
 func TestSkin0ListMatchesOracle(t *testing.T) {
-	for _, tc := range []struct {
-		side   int
-		rc     float64
-		direct bool
-	}{
-		{6, 0.6, false}, {6, 0.84, true},
-		{8, 0.8, false}, {8, 0.9, true},
-		{10, 0.5, false}, {10, 1.2, true},
-	} {
-		sys := waterBox(tc.side)
-		name := fmt.Sprintf("%d atoms rc %g", sys.N(), tc.rc)
-		if d := celllist.New(sys.Box, tc.rc).Direct(); d != tc.direct {
-			t.Fatalf("%s: direct mode %v, want %v", name, d, tc.direct)
+	matchOracle(t, []oracleCase{
+		{6, 0.6, 0, false}, {6, 0.84, 0, true},
+		{8, 0.8, 0, false}, {8, 0.9, 0, true},
+		{10, 0.5, 0, false}, {10, 1.2, 0, true},
+	})
+}
+
+// TestBufferedListMatchesOracle is TestSkin0ListMatchesOracle for the list
+// buffered by a 0.1 nm skin.
+func TestBufferedListMatchesOracle(t *testing.T) {
+	matchOracle(t, []oracleCase{
+		{6, 0.5, 0.1, false}, {6, 0.84, 0.1, true}, // cutoff+skin > L/2
+		{8, 0.7, 0.1, false}, {8, 0.9, 0.1, true},
+		{10, 0.5, 0.1, false}, {10, 1.2, 0.1, true},
+	})
+}
+
+// matchOracle holds the list of each case, on the lattice and the diffused
+// box, to the cell-path oracle: the same Result.Pairs, which is also the
+// Floor-image count, an NPairs equal to the Floor-image count at rc+skin,
+// energies within 1e-12 and every atom's force within 1e-12 of its
+// magnitude.
+func matchOracle(t *testing.T, cases []oracleCase) {
+	t.Helper()
+	for _, fx := range waterFixtures {
+		for _, tc := range cases {
+			matchOracleOne(t, fx.name, fx.box(tc.side), tc.rc, tc.skin, tc.direct)
 		}
-		rL, fL := listForces(sys, sys.Pos, tc.rc, 0)
-		fO := make([]vec.V, sys.N())
-		rO := nonbond.OracleCompute(sys.Box, sys.Pos, sys.Q, sys.LJ, spme.AlphaFromRTol(tc.rc, 1e-4), tc.rc, sys.Excl, fO)
-		if rL.Pairs != rO.Pairs {
-			t.Fatalf("%s: %d pairs via the list, %d via the oracle", name, rL.Pairs, rO.Pairs)
-		}
-		if math.Abs(rL.ECoul-rO.ECoul) > 1e-12*math.Abs(rO.ECoul) || math.Abs(rL.ELJ-rO.ELJ) > 1e-12*math.Abs(rO.ELJ) {
-			t.Errorf("%s: energies (%.15g, %.15g) via the list, (%.15g, %.15g) via the oracle", name, rL.ECoul, rL.ELJ, rO.ECoul, rO.ELJ)
-		}
-		t.Logf("%s: worst per-atom force difference %.2e relative", name, requireClose(t, name, fL, fO, 1e-12))
 	}
 }
 
+func matchOracleOne(t *testing.T, fixture string, sys *md.System, rc, skin float64, direct bool) {
+	t.Helper()
+	name := fmt.Sprintf("%s %d atoms rc %g skin %g", fixture, sys.N(), rc, skin)
+	if d := celllist.New(sys.Box, rc+skin).Direct(); d != direct {
+		t.Fatalf("%s: direct mode %v, want %v", name, d, direct)
+	}
+	v := nonbond.NewVerletList(sys.Box, rc, skin)
+	v.Rebuild(sys.Pos, sys.Excl)
+	fL, fO := make([]vec.V, sys.N()), make([]vec.V, sys.N())
+	rL := v.Compute(sys.Pos, sys.Q, sys.LJ, spme.AlphaFromRTol(rc, 1e-4), fL)
+	rO := nonbond.OracleCompute(sys.Box, sys.Pos, sys.Q, sys.LJ, spme.AlphaFromRTol(rc, 1e-4), rc, sys.Excl, fO)
+	if want := floorPairCount(sys, sys.Pos, rc); rL.Pairs != rO.Pairs || rL.Pairs != want {
+		t.Fatalf("%s: %d pairs via the list, %d via the oracle, %d by the Floor image", name, rL.Pairs, rO.Pairs, want)
+	}
+	if want := floorPairCount(sys, sys.Pos, rc+skin); v.NPairs() != want {
+		t.Fatalf("%s: NPairs %d, Floor-image count at rc+skin %d", name, v.NPairs(), want)
+	}
+	if math.Abs(rL.ECoul-rO.ECoul) > 1e-12*math.Abs(rO.ECoul) || math.Abs(rL.ELJ-rO.ELJ) > 1e-12*math.Abs(rO.ELJ) {
+		t.Errorf("%s: energies (%.15g, %.15g) via the list, (%.15g, %.15g) via the oracle", name, rL.ECoul, rL.ELJ, rO.ECoul, rO.ELJ)
+	}
+	t.Logf("%s: worst per-atom force difference %.2e relative", name, requireClose(t, name, fL, fO, 1e-12))
+}
+
 // The short-range properties of the one pair loop (ROADMAP item 1(b)), at
-// skin 0 and 0.1, on a cell-mode and a direct-mode water box.
+// skin 0 and 0.1, on a cell-mode and a direct-mode water box, lattice and
+// diffused.
 var propertyCases = []struct {
 	side     int
 	rc, skin float64
@@ -173,18 +315,21 @@ var propertyCases = []struct {
 // subtracts the same bits from the other, so the forces sum to zero up to
 // the rounding of the per-atom sums.
 func TestShortRangeForcesSumToZero(t *testing.T) {
-	for _, tc := range propertyCases {
-		sys := waterBox(tc.side)
-		_, f := listForces(sys, sys.Pos, tc.rc, tc.skin)
-		var sum vec.V
-		var scale float64
-		for _, fi := range f {
-			sum = sum.Add(fi)
-			scale += fi.Norm()
-		}
-		t.Logf("%d atoms rc %g skin %g: |ΣF| / Σ|F| = %.2e", sys.N(), tc.rc, tc.skin, sum.Norm()/scale)
-		if sum.Norm() > 1e-13*scale {
-			t.Errorf("%d atoms rc %g skin %g: forces sum to %v, %.2e of Σ|F|", sys.N(), tc.rc, tc.skin, sum, sum.Norm()/scale)
+	for _, fx := range waterFixtures {
+		for _, tc := range propertyCases {
+			sys := fx.box(tc.side)
+			name := fmt.Sprintf("%s %d atoms rc %g skin %g", fx.name, sys.N(), tc.rc, tc.skin)
+			_, f := listForces(sys, sys.Pos, tc.rc, tc.skin)
+			var sum vec.V
+			var scale float64
+			for _, fi := range f {
+				sum = sum.Add(fi)
+				scale += fi.Norm()
+			}
+			t.Logf("%s: |ΣF| / Σ|F| = %.2e", name, sum.Norm()/scale)
+			if sum.Norm() > 1e-13*scale {
+				t.Errorf("%s: forces sum to %v, %.2e of Σ|F|", name, sum, sum.Norm()/scale)
+			}
 		}
 	}
 }
@@ -193,31 +338,37 @@ func TestShortRangeForcesSumToZero(t *testing.T) {
 // changes no pair and no force beyond the rounding of the shifted
 // coordinates.
 func TestShortRangeBoxShiftInvariance(t *testing.T) {
-	for _, tc := range propertyCases {
-		sys := waterBox(tc.side)
-		name := fmt.Sprintf("%d atoms rc %g skin %g", sys.N(), tc.rc, tc.skin)
-		r0, f0 := listForces(sys, sys.Pos, tc.rc, tc.skin)
-		r1, f1 := listForces(sys, shiftedByBoxes(sys, 1), tc.rc, tc.skin)
-		if r0.Pairs != r1.Pairs {
-			t.Fatalf("%s: %d pairs, %d after the shift", name, r0.Pairs, r1.Pairs)
+	for _, fx := range waterFixtures {
+		for _, tc := range propertyCases {
+			sys := fx.box(tc.side)
+			name := fmt.Sprintf("%s %d atoms rc %g skin %g", fx.name, sys.N(), tc.rc, tc.skin)
+			r0, f0 := listForces(sys, sys.Pos, tc.rc, tc.skin)
+			r1, f1 := listForces(sys, shiftedByBoxes(sys, 1), tc.rc, tc.skin)
+			if r0.Pairs != r1.Pairs {
+				t.Fatalf("%s: %d pairs, %d after the shift", name, r0.Pairs, r1.Pairs)
+			}
+			t.Logf("%s: worst per-atom force difference %.2e relative", name, requireClose(t, name, f1, f0, 1e-12))
 		}
-		t.Logf("%s: worst per-atom force difference %.2e relative", name, requireClose(t, name, f1, f0, 1e-12))
 	}
 }
 
 // BenchmarkVerletComputeWater1536 is the pair pass of the sr-verlet
 // workload: 1536 TIP3P atoms, rc = 1.0, skin 0.1 — a box too small for
-// three cells, so the list is built in direct mode.
+// three cells, so the list is built in direct mode — lattice and diffused.
 func BenchmarkVerletComputeWater1536(b *testing.B) {
-	sys := waterBox(8)
-	v := nonbond.NewVerletList(sys.Box, 1.0, 0.1)
-	v.Rebuild(sys.Pos, sys.Excl)
-	alpha := spme.AlphaFromRTol(1.0, 1e-4)
-	f := make([]vec.V, sys.N())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Compute(sys.Pos, sys.Q, sys.LJ, alpha, f)
+	for _, fx := range waterFixtures {
+		sys := fx.box(8)
+		b.Run(fx.name, func(b *testing.B) {
+			v := nonbond.NewVerletList(sys.Box, 1.0, 0.1)
+			v.Rebuild(sys.Pos, sys.Excl)
+			alpha := spme.AlphaFromRTol(1.0, 1e-4)
+			f := make([]vec.V, sys.N())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.Compute(sys.Pos, sys.Q, sys.LJ, alpha, f)
+			}
+		})
 	}
 }
 
@@ -234,8 +385,9 @@ func BenchmarkRebuildWater1536(b *testing.B) {
 }
 
 // BenchmarkSkin0ListWater is one unbuffered force evaluation — Rebuild and
-// Compute of a skin-0 list — on four water boxes: 3000 atoms at rc 0.5
-// (cell mode), and 648, 1029 and 1536 atoms in direct mode.
+// Compute of a skin-0 list — on four water boxes, lattice and diffused:
+// 3000 atoms at rc 0.5 (cell mode), and 648, 1029 and 1536 atoms in direct
+// mode.
 func BenchmarkSkin0ListWater(b *testing.B) {
 	for _, tc := range []struct {
 		side int
@@ -243,18 +395,23 @@ func BenchmarkSkin0ListWater(b *testing.B) {
 	}{
 		{10, 0.5}, {6, 0.84}, {7, 0.9}, {8, 0.9},
 	} {
-		sys := waterBox(tc.side)
-		alpha := spme.AlphaFromRTol(tc.rc, 1e-4)
-		b.Run(fmt.Sprintf("%datoms-rc%g", sys.N(), tc.rc), func(b *testing.B) {
-			v := nonbond.NewVerletList(sys.Box, tc.rc, 0)
-			v.Rebuild(sys.Pos, sys.Excl) // grow the buckets
-			f := make([]vec.V, sys.N())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v.Rebuild(sys.Pos, sys.Excl)
-				v.Compute(sys.Pos, sys.Q, sys.LJ, alpha, f)
-			}
-		})
+		for _, fx := range waterFixtures {
+			benchSkin0(b, fx.name, fx.box(tc.side), tc.rc)
+		}
 	}
+}
+
+func benchSkin0(b *testing.B, fixture string, sys *md.System, rc float64) {
+	alpha := spme.AlphaFromRTol(rc, 1e-4)
+	b.Run(fmt.Sprintf("%datoms-rc%g-%s", sys.N(), rc, fixture), func(b *testing.B) {
+		v := nonbond.NewVerletList(sys.Box, rc, 0)
+		v.Rebuild(sys.Pos, sys.Excl) // grow the list's storage
+		f := make([]vec.V, sys.N())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v.Rebuild(sys.Pos, sys.Excl)
+			v.Compute(sys.Pos, sys.Q, sys.LJ, alpha, f)
+		}
+	})
 }

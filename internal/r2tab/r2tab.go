@@ -138,12 +138,15 @@ func (t *Table) Segment(s float64) (c *Segment, d float64) {
 	return nil, 0
 }
 
-// Cubic evaluates the segment's two cubics at offset d from its start.
+// Cubic evaluates the segment's two cubics at offset d from its start, by
+// Horner's rule with every product rounded (float64(…)), so that no
+// architecture fuses a step into a multiply-add and the result has the same
+// bits everywhere.
 //
 //tme:noalloc
 func (c *Segment) Cubic(d float64) (e, f float64) {
-	e = c.e[0] + d*(c.e[1]+d*(c.e[2]+d*c.e[3]))
-	f = c.f[0] + d*(c.f[1]+d*(c.f[2]+d*c.f[3]))
+	e = c.e[0] + float64(d*(c.e[1]+float64(d*(c.e[2]+float64(d*c.e[3])))))
+	f = c.f[0] + float64(d*(c.f[1]+float64(d*(c.f[2]+float64(d*c.f[3])))))
 	return e, f
 }
 

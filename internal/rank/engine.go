@@ -75,7 +75,7 @@ func New(cfg Config, sys *md.System, ff *md.ForceField, dt float64) (*Engine, er
 	if probe.Direct() {
 		return nil, fmt.Errorf("rank: box %v with cutoff %g has no cell decomposition (direct mode)", sys.Box.L, ff.Rc)
 	}
-	ns := probe.Slabs()
+	ns := probe.NCells()[2]
 	r := cfg.Ranks
 	if r > ns {
 		return nil, fmt.Errorf("rank: %d ranks over %d cell layers; need ranks <= layers", r, ns)

@@ -406,7 +406,7 @@ func (w *worker) shortRange() {
 		w.send(nxt, p)
 		pd := w.recv((w.rank-1+sh.r)%sh.r, kindDef)
 		for k, i := range pd.idx {
-			w.shortF[i] = w.shortF[i].Sub(pd.v[k])
+			w.shortF[i] = w.shortF[i].Add(pd.v[k])
 		}
 		for dst := 0; dst < sh.r; dst++ {
 			if dst == w.rank {

@@ -5,9 +5,13 @@ test -z "$(gofmt -l .)"
 go vet ./...
 go run ./cmd/tmevet -json ./... > tmevet.json
 go build ./...
-# The pair loop must not regain a call per pair: the minimum image and the
-# pair-kernel pieces stay inlinable and are inlined in the pair loop and the
-# direct-mode traversal (internal/nonbond/kernel.go).
+# The pair loop, listJob.eval in internal/nonbond/verlet.go, must not regain
+# a call per pair: the kernel pieces (internal/nonbond/kernel.go) stay
+# inlinable and are inlined within the loop's own lines, and its amd64 code
+# calls nothing but the out-of-table fallback, the once-per-slab buffer
+# clears and the runtime's panics. The minimum image stays inlined in the
+# cell list's direct-mode traversal.
+loop=$(awk '/^func \(j listJob\) eval\(/ { s = NR } s && !e && /^}/ { e = NR } END { print s ":" e }' internal/nonbond/verlet.go)
 inl=$(go build -gcflags=-m ./internal/vec/ ./internal/r2tab/ ./internal/nonbond/ ./internal/celllist/ 2>&1)
 for want in \
 	'vec.go:.*: can inline MinImage1$' \
@@ -15,14 +19,24 @@ for want in \
 	'r2tab.go:.*: can inline (\*Segment).Cubic$' \
 	'kernel.go:.*: can inline coulomb$' \
 	'kernel.go:.*: can inline ljEval$' \
-	'celllist.go:.*: inlining call to vec.MinImage1$' \
-	'verlet.go:.*: inlining call to vec.MinImage1$' \
-	'verlet.go:.*: inlining call to r2tab.(\*Table).Segment$' \
-	'verlet.go:.*: inlining call to coulomb$' \
-	'verlet.go:.*: inlining call to (\*LJ).site$' \
-	'verlet.go:.*: inlining call to ljEval$'; do
+	'celllist.go:.*: inlining call to vec.MinImage1$'; do
 	echo "$inl" | grep -q "$want" || { echo "tier1: hot-loop inlining lost: $want" >&2; exit 1; }
 done
+for call in 'r2tab.(\*Table).Segment' 'coulomb' 'r2tab.(\*Segment).Cubic' 'ljEval'; do
+	echo "$inl" | grep "verlet.go:[0-9]*:[0-9]*: inlining call to $call\$" |
+		awk -F: -v r="$loop" 'BEGIN { split(r, b, ":") } $2 >= b[1] && $2 <= b[2] { f = 1 } END { exit !f }' ||
+		{ echo "tier1: $call is no longer inlined into the pair loop" >&2; exit 1; }
+done
+calls=$(go build -gcflags=-S ./internal/nonbond/ 2>&1 |
+	awk '/STEXT/ { p = ($1 == "tme4a/internal/nonbond.listJob.eval") } p && /\tCALL\t/' |
+	grep -vE 'CALL	(tme4a/internal/nonbond\.\(\*kernel\)\.coulombOut\(SB\)|runtime\.(panic[A-Za-z]*\(SB\)|memclrNoHeapPointers\(SB\)|morestack_noctxt\(SB\)|duffzero\+[0-9]+))$' || true)
+[ -z "$calls" ] || { echo "tier1: the pair loop calls $calls" >&2; exit 1; }
+# No fused multiply-add in the pair loop or the pieces inlined into it, on
+# an architecture that fuses (gc fuses x*y + z on arm64 unless the product
+# is rounded with float64(x*y)), so it sums the same bits everywhere.
+fma=$(GOARCH=arm64 go build -gcflags=-S ./internal/nonbond/ ./internal/r2tab/ 2>&1 |
+	awk '/STEXT/ { p = ($1 ~ /^tme4a\/internal\/(nonbond\.(listJob\.eval|coulomb|ljEval)|r2tab\.\(\*(Segment\)\.Cubic|Table\)\.Segment))$/) } p && /\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\t/')
+[ -z "$fma" ] || { echo "tier1: fused multiply-add in the pair loop on arm64:" >&2; echo "$fma" >&2; exit 1; }
 go test ./...
 # The force terms overlap as one nested par.For whose writes no lint check
 # covers: the par tests pin that pattern under -race at several worker
