@@ -26,14 +26,8 @@ func testSnap(step int64, n int, seed int64) *md.Snapshot {
 	for i := 0; i < n; i++ {
 		snap.Pos = append(snap.Pos, rv())
 		snap.Vel = append(snap.Vel, rv())
-		snap.Frc = append(snap.Frc, rv())
 		snap.VerletRef = append(snap.VerletRef, rv())
-		snap.MeshForces = append(snap.MeshForces, rv())
 	}
-	snap.LastE = md.Energies{CoulShort: -1, CoulLong: -2, LJ: 0.5, Kinetic: 3}
-	snap.MeshEnergy = -7.25
-	snap.MeshExcl = 0.125
-	snap.HasMesh = true
 	return snap
 }
 

@@ -32,7 +32,6 @@ type Fig4ResumeConfig struct {
 	KillAt     int     // the interrupted run dies after this step
 	Every      int     // checkpoint cadence (steps)
 	Keep       int     // retention for the checkpoint store
-	MeshEvery  int     // >1 exercises the cached long-range term
 	Dt         float64 // ps
 	Seed       int64
 	EquilSteps int
@@ -51,7 +50,6 @@ func QuickFig4Resume() Fig4ResumeConfig {
 		KillAt:     500,
 		Every:      100,
 		Keep:       3,
-		MeshEvery:  2,
 		Dt:         0.001,
 		Seed:       7,
 		EquilSteps: 100,
@@ -80,9 +78,9 @@ type Fig4ResumeResult struct {
 // configHash fingerprints every parameter that shapes the trajectory.
 func (cfg Fig4ResumeConfig) configHash() uint64 {
 	return ckpt.ConfigHash(fmt.Sprintf(
-		"fig4resume side=%d grid=%d rc=%g rtol=%g skin=%g steps=%d dt=%g meshEvery=%d seed=%d equil=%d",
+		"fig4resume side=%d grid=%d rc=%g rtol=%g skin=%g steps=%d dt=%g seed=%d equil=%d",
 		cfg.WaterSide, cfg.GridN, cfg.Rc, cfg.RTol, cfg.Skin, cfg.Steps, cfg.Dt,
-		cfg.MeshEvery, cfg.Seed, cfg.EquilSteps))
+		cfg.Seed, cfg.EquilSteps))
 }
 
 // build constructs the initial state; it is a pure function of cfg.
@@ -112,8 +110,7 @@ func (cfg Fig4ResumeConfig) integrator(box vec.Box) *md.Integrator {
 			Skin:  cfg.Skin,
 			Mesh:  spme.New(spme.Params{Alpha: alpha, Rc: cfg.Rc, Order: 6, N: n}, box),
 		},
-		Dt:        cfg.Dt,
-		MeshEvery: cfg.MeshEvery,
+		Dt: cfg.Dt,
 	}
 }
 

@@ -1,8 +1,6 @@
 package md
 
 import (
-	"fmt"
-
 	"tme4a/internal/bonded"
 	"tme4a/internal/ewald"
 	"tme4a/internal/nonbond"
@@ -52,13 +50,17 @@ func (e Energies) Coulomb() float64 { return e.CoulShort + e.CoulLong + e.CoulEx
 // reference runs use); Skin = 0 rebuilds it whenever any atom has moved,
 // which is every step.
 //
-// Every term writes into its own cached force buffer and the buffers are
-// merged per atom in a fixed order, so the short-range pair engine, the
-// mesh solve (+ exclusion corrections) and the bonded terms can run
+// Every term writes into its own force buffer and the buffers are merged
+// per atom in a fixed order, so the short-range pair engine, the mesh
+// solve (+ exclusion corrections) and the bonded terms can run
 // concurrently as the three indices of one par.For with results bitwise
 // identical at any GOMAXPROCS — the software analogue of the MDGRAPE-4A
-// pipelines, LRU and GP cores working the same step in parallel. All
-// scratch is reused, so a steady-state force evaluation allocates nothing.
+// pipelines, LRU and GP cores working the same step in parallel. Every
+// term is evaluated on every Compute, as on the machine. All scratch is
+// reused, so a steady-state force evaluation allocates nothing. The only
+// state that outlives a Compute and is not a function of the current
+// positions is the pair list's build positions, which
+// Integrator.CaptureResume carries across a restart.
 type ForceField struct {
 	Alpha  float64
 	Rc     float64
@@ -69,11 +71,8 @@ type ForceField struct {
 	// vlist is the short-range pair list, held by value and set up in
 	// place on first use (see verlet).
 	vlist nonbond.VerletList
-	// Cached long-range state for multiple-timestep integration
-	// (Integrator.MeshEvery > 1): the mesh forces of the last full
-	// evaluation are replayed on intermediate steps, the practice the
-	// paper notes for the Anton family ("they calculate long range part
-	// at every other step").
+	// meshForces is the mesh term's private force buffer; meshEnergy and
+	// meshExcl are its energies from the last evaluation.
 	meshForces []vec.V
 	meshEnergy float64
 	meshExcl   float64
@@ -111,65 +110,16 @@ func (ff *ForceField) SetObs(r *obs.Recorder) {
 	ff.vlist.SetObs(r)
 }
 
-// captureResume copies the force field's cross-step caches into snap: a
-// buffered Verlet list's build-time positions and, when a mesh term is
-// cached for multiple-timestep replay, the cached forces and energies. A
-// skin-0 list carries nothing across a step — the next step moves every
-// atom and rebuilds it — so its reference is not captured.
-func (ff *ForceField) captureResume(sys *System, snap *Snapshot) {
-	if ref := ff.vlist.RefPositions(); ref != nil && ff.Skin > 0 {
-		snap.VerletRef = append([]vec.V(nil), ref...)
-	}
-	if ff.Mesh != nil && len(ff.meshForces) == sys.N() && sys.N() > 0 {
-		snap.MeshForces = append([]vec.V(nil), ff.meshForces...)
-		snap.MeshEnergy = ff.meshEnergy
-		snap.MeshExcl = ff.meshExcl
-		snap.HasMesh = true
-	}
-}
-
-// restoreResume rebuilds the force field's cross-step caches from snap.
-// The Verlet list is re-primed by running Rebuild at the captured build
-// positions — Rebuild is deterministic in (positions, exclusions), so the
-// clusters, entries and their summation order come back bitwise, where a fresh
-// build at the resume positions would reorder them. Call after
-// sys.Restore.
-func (ff *ForceField) restoreResume(sys *System, snap *Snapshot) error {
-	if len(snap.VerletRef) > 0 {
-		ff.verlet(sys).Rebuild(snap.VerletRef, sys.Excl)
-	}
-	if snap.HasMesh {
-		if ff.Mesh == nil {
-			return fmt.Errorf("md: snapshot carries cached mesh forces but the force field has no mesh solver")
-		}
-		ff.meshForces = append(ff.meshForces[:0], snap.MeshForces...)
-		ff.meshEnergy = snap.MeshEnergy
-		ff.meshExcl = snap.MeshExcl
-	}
-	return nil
-}
-
 // Compute zeroes sys.Frc and evaluates all force-field terms, returning
 // the energy breakdown (Kinetic included for convenience).
 func (ff *ForceField) Compute(sys *System) Energies {
-	return ff.compute(sys, true)
-}
-
-// ComputeReuseMesh evaluates the short-range and bonded terms freshly but
-// replays the cached long-range forces (multiple-timestep mode). Compute
-// must have run at least once before.
-func (ff *ForceField) ComputeReuseMesh(sys *System) Energies {
-	return ff.compute(sys, false)
-}
-
-func (ff *ForceField) compute(sys *System, doMesh bool) Energies {
 	// The three force terms write disjoint buffers (sys.Frc, meshForces,
 	// bondedFrc) and disjoint result fields, so they can overlap. Each is
 	// internally deterministic and the merge below is per-atom with a fixed
 	// association order, so the result does not depend on how the terms
 	// interleave.
 	sp := ff.Obs.Start(obs.StageOverlap)
-	par.For(3, terms{ff, sys, doMesh}, terms.run)
+	par.For(3, terms{ff, sys}, terms.run)
 	sp.Stop()
 
 	var e Energies
@@ -189,9 +139,8 @@ func (ff *ForceField) compute(sys *System, doMesh bool) Energies {
 // terms, the software analogue of MDGRAPE-4A's nonbond pipelines, LRU and
 // GP cores working the same step concurrently.
 type terms struct {
-	ff     *ForceField
-	sys    *System
-	doMesh bool
+	ff  *ForceField
+	sys *System
 }
 
 // run evaluates term i: 0 short range, 1 mesh, 2 bonded. With one worker
@@ -201,7 +150,7 @@ func (t terms) run(i int) {
 	case 0:
 		t.ff.short = t.ff.shortRange(t.sys)
 	case 1:
-		t.ff.meshTerm(t.sys, t.doMesh)
+		t.ff.meshTerm(t.sys)
 	case 2:
 		t.ff.eBonded = t.ff.bondedTerm(t.sys)
 	}
@@ -233,14 +182,10 @@ func (ff *ForceField) verlet(sys *System) *nonbond.VerletList {
 	return &ff.vlist
 }
 
-// meshTerm refreshes the cached long-range forces and energies when due
-// (every step, or on mesh steps of a multiple-timestep schedule).
-func (ff *ForceField) meshTerm(sys *System, doMesh bool) {
+// meshTerm evaluates the long-range mesh and the exclusion corrections
+// into their private buffer.
+func (ff *ForceField) meshTerm(sys *System) {
 	if ff.Mesh == nil {
-		return
-	}
-	if !doMesh && len(ff.meshForces) == sys.N() {
-		ff.Obs.Add(obs.CounterMeshReplays, 1)
 		return
 	}
 	sp := ff.Obs.Start(obs.StageMesh)

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"tme4a/internal/md"
@@ -22,13 +24,7 @@ func fuzzSeedSnapshot() *md.Snapshot {
 	sys.InitVelocities(300, rand.New(rand.NewSource(4)))
 	snap := sys.TakeSnapshot(map[string]int64{"side": 2, "seed": 21})
 	snap.Step = 137
-	snap.Frc = append([]vec.V(nil), snap.Pos...)
 	snap.VerletRef = append([]vec.V(nil), snap.Pos...)
-	snap.MeshForces = append([]vec.V(nil), snap.Vel...)
-	snap.MeshEnergy = -3.25
-	snap.MeshExcl = 1.5
-	snap.HasMesh = true
-	snap.LastE = md.Energies{Kinetic: 2.5, LJ: -1.25}
 	return snap
 }
 
@@ -72,6 +68,41 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("re-encode of decoded snapshot failed: %v", err)
 		}
 	})
+}
+
+// TestCommittedSeedStillRestores: the committed seed-valid entry was
+// encoded when snapshots also carried forces, energies and a cached mesh
+// term. Gob skips fields the receiver lacks, so such an old checkpoint
+// still decodes and resumes, with its state intact.
+func TestCommittedSeedStillRestores(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzSnapshotDecode", "seed-valid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(body), "\n")
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := md.ReadSnapshot(strings.NewReader(data))
+	if err != nil {
+		t.Fatalf("old snapshot no longer decodes: %v", err)
+	}
+	want := fuzzSeedSnapshot()
+	sys := water.Build(2, 2, 2, snap.Box, 21)
+	in := &md.Integrator{FF: &md.ForceField{Rc: 0.25, Skin: 0.05}, Dt: 0.001}
+	if err := in.RestoreResume(sys, snap); err != nil {
+		t.Fatalf("old snapshot no longer restores: %v", err)
+	}
+	if in.StepCount() != int(want.Step) || len(snap.VerletRef) != len(want.VerletRef) {
+		t.Fatalf("restored step %d with %d reference positions, want %d and %d",
+			in.StepCount(), len(snap.VerletRef), want.Step, len(want.VerletRef))
+	}
+	for i := range want.Pos {
+		if sys.Pos[i] != want.Pos[i] || sys.Vel[i] != want.Vel[i] || snap.VerletRef[i] != want.VerletRef[i] {
+			t.Fatalf("restored state differs at atom %d", i)
+		}
+	}
 }
 
 // TestWriteFuzzCorpus regenerates the committed seed corpus under

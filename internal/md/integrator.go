@@ -14,11 +14,6 @@ type Integrator struct {
 	FF *ForceField
 	Dt float64 // ps
 
-	// MeshEvery > 1 evaluates the long-range mesh only every MeshEvery
-	// steps, replaying its forces in between — the multiple-timestep
-	// practice the paper's Table 2 notes for the Anton machines.
-	MeshEvery int
-
 	// Thermostat, if non-nil, is applied after each step. Both the
 	// Berendsen weak-coupling Thermostat and the canonical CSVR satisfy
 	// the interface.
@@ -26,7 +21,6 @@ type Integrator struct {
 
 	initialized bool
 	stepCount   int
-	lastE       Energies
 	old         []vec.V // reference positions of constrained waters
 }
 
@@ -42,7 +36,7 @@ func (in *Integrator) SetObs(r *obs.Recorder) { in.FF.SetObs(r) }
 //tme:noalloc
 func (in *Integrator) Step(sys *System) Energies {
 	if !in.initialized {
-		in.lastE = in.FF.Compute(sys)
+		in.FF.Compute(sys)
 		in.initialized = true
 	}
 	rec := in.FF.Obs
@@ -57,12 +51,7 @@ func (in *Integrator) Step(sys *System) Energies {
 
 	// Phase 2: forces at the new positions.
 	in.stepCount++
-	var e Energies
-	if in.MeshEvery > 1 && in.stepCount%in.MeshEvery != 0 {
-		e = in.FF.ComputeReuseMesh(sys)
-	} else {
-		e = in.FF.Compute(sys)
-	}
+	e := in.FF.Compute(sys)
 
 	// Phase 3: second half-kick and the velocity half of SETTLE.
 	sys.KickConstrain(own, in.Dt, rec)
@@ -71,7 +60,6 @@ func (in *Integrator) Step(sys *System) Energies {
 		in.Thermostat.Apply(sys, in.Dt)
 	}
 	e.Kinetic = sys.KineticEnergy()
-	in.lastE = e
 	spStep.Stop()
 	return e
 }
@@ -149,48 +137,46 @@ func (s *System) halfKick(atoms []int32, dt float64) {
 	}
 }
 
-// CaptureResume captures the complete cross-step state needed to resume
-// the run bitwise: the system snapshot plus the step counter, last-step
-// forces and energies, the Verlet-list build positions and the cached
-// long-range term of a multiple-timestep schedule. Call it between steps
-// (e.g. from a Run report callback), never concurrently with Step.
+// CaptureResume captures the state needed to resume the run bitwise: the
+// system snapshot plus the step counter and the Verlet-list build
+// positions. Call it between steps (e.g. from a Run report callback),
+// never concurrently with Step.
 //
-// The SETTLE scratch (in.old) is deliberately not captured: it is
-// refilled from the current positions at the top of every step before
-// anything reads it, so it carries no cross-step information. A CSVR
-// thermostat's RNG state is likewise not captured — CSVR runs resume as
-// valid canonical trajectories but not bitwise-identical ones.
+// Forces and energies are not captured: they are a pure function of the
+// positions and the pair list, so the first resumed Step recomputes them
+// bit for bit. The SETTLE scratch (in.old) is refilled from the current
+// positions at the top of every step before anything reads it. A CSVR
+// thermostat's RNG state is not captured — CSVR runs resume as valid
+// canonical trajectories but not bitwise-identical ones.
 func (in *Integrator) CaptureResume(sys *System, meta map[string]int64) *Snapshot {
 	snap := sys.TakeSnapshot(meta)
 	snap.Step = int64(in.stepCount)
-	if in.initialized {
-		snap.Frc = append([]vec.V(nil), sys.Frc...)
-		snap.LastE = in.lastE
+	if ref := in.FF.vlist.RefPositions(); ref != nil && in.FF.Skin > 0 {
+		snap.VerletRef = append([]vec.V(nil), ref...)
 	}
-	in.FF.captureResume(sys, snap)
 	return snap
 }
 
 // RestoreResume restores a CaptureResume snapshot into sys and the
-// integrator/force-field cross-step state, so the next Step continues the
-// checkpointed trajectory bitwise. The system must have the topology the
-// snapshot was taken from (same builder, same atom count).
+// integrator's step counter, and re-primes the pair list, so the next
+// Step continues the checkpointed trajectory bitwise. The integrator is
+// left uninitialized: that Step first recomputes the forces at the
+// restored positions. The system must have the topology the snapshot was
+// taken from (same builder, same atom count).
 func (in *Integrator) RestoreResume(sys *System, snap *Snapshot) error {
 	if err := sys.Restore(snap); err != nil {
 		return err
 	}
 	in.stepCount = int(snap.Step)
 	in.initialized = false
-	if len(snap.Frc) == sys.N() && sys.N() > 0 {
-		copy(sys.Frc, snap.Frc)
-		in.lastE = snap.LastE
-		// With the checkpointed forces in place the bootstrap Compute of
-		// the first Step must not run: it would be correct at MeshEvery=1
-		// but would recompute the mesh term a multiple-timestep schedule
-		// expects to replay from its cache.
-		in.initialized = true
+	if len(snap.VerletRef) > 0 {
+		// Rebuild is deterministic in (positions, exclusions), so building
+		// at the captured positions brings back the clusters, entries and
+		// summation order bitwise, where a build at the resume positions
+		// would reorder them.
+		in.FF.verlet(sys).Rebuild(snap.VerletRef, sys.Excl)
 	}
-	return in.FF.restoreResume(sys, snap)
+	return nil
 }
 
 // StepCount returns the number of completed steps (restored across a

@@ -7,7 +7,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"tme4a/internal/bonded"
 	"tme4a/internal/md"
+	"tme4a/internal/obs"
+	"tme4a/internal/protein"
 	"tme4a/internal/spme"
 	"tme4a/internal/vec"
 	"tme4a/internal/water"
@@ -39,13 +42,7 @@ func TestSnapshotPropertyRoundTrip(t *testing.T) {
 			snap := sys.TakeSnapshot(meta)
 			if name == "resume-state" {
 				snap.Step = rng.Int63n(1 << 40)
-				snap.Frc = randVecs(rng, sys.N())
 				snap.VerletRef = randVecs(rng, sys.N())
-				snap.MeshForces = randVecs(rng, sys.N())
-				snap.MeshEnergy = rng.NormFloat64()
-				snap.MeshExcl = rng.NormFloat64()
-				snap.HasMesh = true
-				snap.LastE = md.Energies{Kinetic: rng.Float64(), LJ: rng.NormFloat64()}
 			}
 
 			var first bytes.Buffer
@@ -67,8 +64,13 @@ func TestSnapshotPropertyRoundTrip(t *testing.T) {
 					t.Fatalf("restored state differs at atom %d", i)
 				}
 			}
-			if got.Step != snap.Step || got.HasMesh != snap.HasMesh || got.LastE != snap.LastE {
-				t.Fatal("resume scalars lost in round trip")
+			if got.Step != snap.Step || len(got.VerletRef) != len(snap.VerletRef) {
+				t.Fatal("resume state lost in round trip")
+			}
+			for i := range snap.VerletRef {
+				if got.VerletRef[i] != snap.VerletRef[i] {
+					t.Fatalf("verlet reference differs at atom %d", i)
+				}
 			}
 
 			// Re-encoding the decoded snapshot is byte-identical.
@@ -111,9 +113,8 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 		{"nan box edge", func(s *md.Snapshot) { s.Box.L[0] = math.NaN() }},
 		{"velocity count mismatch", func(s *md.Snapshot) { s.Vel = s.Vel[:len(s.Vel)-1] }},
 		{"negative step", func(s *md.Snapshot) { s.Step = -1 }},
-		{"nan force", func(s *md.Snapshot) { s.Frc = make([]vec.V, len(s.Pos)); s.Frc[0][0] = math.NaN() }},
-		{"mesh claim without forces", func(s *md.Snapshot) { s.HasMesh = true }},
-		{"nan energy", func(s *md.Snapshot) { s.LastE.CoulLong = math.NaN() }},
+		{"nan verlet reference", func(s *md.Snapshot) { s.VerletRef = make([]vec.V, len(s.Pos)); s.VerletRef[0][0] = math.NaN() }},
+		{"verlet reference count mismatch", func(s *md.Snapshot) { s.VerletRef = make([]vec.V, len(s.Pos)-1) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,24 +143,33 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 // TestResumeIsBitwise is the integrator-level resume contract: capturing
 // mid-run with CaptureResume and continuing in a fresh process-alike
 // (new System from the same builder, new Integrator, RestoreResume) must
-// reproduce the uninterrupted trajectory bit for bit. Exercised for the
-// plain every-step force field, for a skin-0 list under a multiple-timestep
-// mesh, and for the hard case — buffered Verlet list plus a
-// multiple-timestep mesh whose cached long-range term must replay, not
-// recompute. Only the buffered list's build positions travel in the
+// reproduce the uninterrupted trajectory bit for bit. A snapshot carries
+// no forces, so the first resumed step recomputes them, and each row checks
+// that recomputation for one term or list state: plain cutoff, the mesh
+// under a skin-0 list and under a buffered list, bonded terms on a small
+// protein system, and a Berendsen thermostat. The protein box is wide
+// enough for the list's cell mode, where cluster order follows the build
+// positions; it is captured on a step that rebuilt the buffered list and on
+// one that did not. Only the buffered list's build positions travel in the
 // snapshot: a skin-0 list is rebuilt by the first step after the resume,
 // as by every step.
 func TestResumeIsBitwise(t *testing.T) {
 	type cfg struct {
-		name      string
-		skin      float64
-		mesh      bool
-		meshEvery int
+		name    string
+		skin    float64
+		mesh    bool
+		protein bool // a small protein.Build system with its bonded terms
+		nvt     bool // a Berendsen thermostat
+		breakAt int
+		rebuilt bool // skin > 0: whether step breakAt rebuilds the list
 	}
 	for _, c := range []cfg{
-		{name: "plain", meshEvery: 1},
-		{name: "skin0+mts-mesh", mesh: true, meshEvery: 2},
-		{name: "verlet+mts-mesh", skin: 0.15, mesh: true, meshEvery: 2},
+		{name: "plain", breakAt: 23},
+		{name: "skin0+mesh", mesh: true, breakAt: 23},
+		{name: "verlet+mesh", skin: 0.15, mesh: true, breakAt: 23},
+		{name: "protein+bonded", skin: 0.12, mesh: true, protein: true, breakAt: 23},
+		{name: "protein+bonded-rebuilt-at-break", skin: 0.12, mesh: true, protein: true, breakAt: 25, rebuilt: true},
+		{name: "berendsen", skin: 0.15, mesh: true, nvt: true, breakAt: 23},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			const (
@@ -168,40 +178,58 @@ func TestResumeIsBitwise(t *testing.T) {
 				rc       = 0.55
 				dt       = 0.0005
 				total    = 50
-				breakAt  = 23 // deliberately not a mesh-step multiple
 				tempInit = 280.0
 			)
-			box := water.CubicBoxFor(side * side * side)
-			build := func() *md.System {
-				sys := water.Build(side, side, side, box, seed)
+			breakAt := c.breakAt
+			build := func() (*md.System, *bonded.FF) {
+				if c.protein {
+					ps := relaxedProtein(rc, seed)
+					ps.InitVelocities(tempInit, rand.New(rand.NewSource(seed)))
+					return ps.System, ps.Bonded
+				}
+				sys := water.Build(side, side, side, water.CubicBoxFor(side*side*side), seed)
 				sys.InitVelocities(tempInit, rand.New(rand.NewSource(seed)))
-				return sys
+				return sys, nil
 			}
-			mkInteg := func(sysBox vec.Box) *md.Integrator {
-				ff := &md.ForceField{Rc: rc, Skin: c.skin}
+			mkInteg := func(sysBox vec.Box, bff *bonded.FF) *md.Integrator {
+				ff := &md.ForceField{Rc: rc, Skin: c.skin, Bonded: bff}
 				if c.mesh {
 					alpha := spme.AlphaFromRTol(rc, 1e-4)
 					ff.Alpha = alpha
 					ff.Mesh = spme.New(spme.Params{Alpha: alpha, Rc: rc, Order: 6, N: [3]int{16, 16, 16}}, sysBox)
 				}
-				return &md.Integrator{FF: ff, Dt: dt, MeshEvery: c.meshEvery}
+				in := &md.Integrator{FF: ff, Dt: dt}
+				if c.nvt {
+					in.Thermostat = &md.Thermostat{T: 300, Tau: 0.01}
+				}
+				return in
 			}
 
 			// Uninterrupted reference.
-			ref := build()
-			refInteg := mkInteg(ref.Box)
+			ref, refFF := build()
+			refInteg := mkInteg(ref.Box, refFF)
+			var refE md.Energies
 			for s := 0; s < total; s++ {
-				refInteg.Step(ref)
+				refE = refInteg.Step(ref)
 			}
 
-			// Interrupted run: capture at breakAt…
-			a := build()
-			ai := mkInteg(a.Box)
+			// Interrupted run: capture at breakAt, noting whether that step
+			// rebuilt the pair list…
+			a, aFF := build()
+			ai := mkInteg(a.Box, aFF)
+			rec := obs.New()
+			ai.SetObs(rec)
+			var rebuilt bool
 			for s := 0; s < breakAt; s++ {
+				before := rec.CounterValue(obs.CounterVerletRebuilds)
 				ai.Step(a)
+				rebuilt = rec.CounterValue(obs.CounterVerletRebuilds) > before
+			}
+			if c.skin > 0 && rebuilt != c.rebuilt {
+				t.Fatalf("step %d rebuilt the pair list: %v, want %v", breakAt, rebuilt, c.rebuilt)
 			}
 			snap := ai.CaptureResume(a, map[string]int64{"side": side, "seed": seed})
-			if snap.Step != breakAt {
+			if snap.Step != int64(breakAt) {
 				t.Fatalf("captured step %d, want %d", snap.Step, breakAt)
 			}
 			if got, want := len(snap.VerletRef) > 0, c.skin > 0; got != want {
@@ -219,16 +247,17 @@ func TestResumeIsBitwise(t *testing.T) {
 			}
 
 			// …and continue in fresh objects.
-			b := build()
-			bi := mkInteg(b.Box)
+			b, bFF := build()
+			bi := mkInteg(b.Box, bFF)
 			if err := bi.RestoreResume(b, wire); err != nil {
 				t.Fatal(err)
 			}
 			if bi.StepCount() != breakAt {
 				t.Fatalf("resumed step count %d, want %d", bi.StepCount(), breakAt)
 			}
+			var bE md.Energies
 			for s := breakAt; s < total; s++ {
-				bi.Step(b)
+				bE = bi.Step(b)
 			}
 
 			for i := range ref.Pos {
@@ -237,6 +266,31 @@ func TestResumeIsBitwise(t *testing.T) {
 						i, ref.Pos[i], b.Pos[i], ref.Vel[i], b.Vel[i])
 				}
 			}
+			if bE != refE {
+				t.Fatalf("final energies differ:\n  resumed %+v\n  straight %+v", bE, refE)
+			}
 		})
 	}
+}
+
+// relaxedProtein builds a 600-atom protein.Build system — a 40-atom chain
+// with bonds, angles and dihedrals, 23 ions, 179 waters — and moves the
+// chain and ions down the force in steps of at most 5 pm until their
+// clashes are gone: the builder's random-walk chain puts non-excluded
+// atoms as close as 0.02 nm, which would blow the dynamics up.
+func relaxedProtein(rc float64, seed int64) *protein.System {
+	ps := protein.Build(protein.Params{
+		Residues: 5, AtomsPerRes: 8, TotalAtoms: 600,
+		Box: vec.NewBox(2.5, 2.5, 2.5), GlobuleR: 1, Seed: seed,
+	})
+	ff := &md.ForceField{Rc: rc, Alpha: spme.AlphaFromRTol(rc, 1e-4), Bonded: ps.Bonded}
+	for k := 0; k < 200; k++ {
+		ff.Compute(ps.System)
+		for i := 0; i < ps.ProteinAtoms+ps.Ions; i++ {
+			if f := ps.Frc[i]; f.Norm() > 0 {
+				ps.Pos[i] = ps.Pos[i].Add(f.Scale(math.Min(1e-5, 0.005/f.Norm())))
+			}
+		}
+	}
+	return ps
 }

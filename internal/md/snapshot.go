@@ -17,12 +17,12 @@ import (
 // are deterministic in their seeds).
 //
 // Beyond the plain (Box, Pos, Vel, Meta) state, a snapshot can carry the
-// full cross-step resume state captured by Integrator.CaptureResume: the
-// step counter, the forces of the last completed step, the neighbor-list
-// build positions and the cached long-range forces of a multiple-timestep
-// schedule. With those present, Integrator.RestoreResume reproduces the
-// uninterrupted trajectory bitwise (see DESIGN.md §7.5); without them the
-// snapshot restores like a plain initial condition.
+// resume state captured by Integrator.CaptureResume: the step counter and
+// the neighbor-list build positions. With those, Integrator.RestoreResume
+// reproduces the uninterrupted trajectory bitwise (see DESIGN.md §7.5);
+// without them the snapshot restores like a plain initial condition. It
+// holds state only, never a cache: forces and energies are recomputed by
+// the first resumed step.
 type Snapshot struct {
 	Box vec.Box
 	Pos []vec.V
@@ -32,23 +32,12 @@ type Snapshot struct {
 	Meta map[string]int64
 
 	// Resume extension, zero-valued in plain TakeSnapshot snapshots.
-	Step  int64    // completed integrator steps at capture time
-	Frc   []vec.V  // forces at the end of step Step (empty: not captured)
-	LastE Energies // energies of step Step
+	Step int64 // completed integrator steps at capture time
 	// VerletRef holds the positions the live buffered Verlet pair list was
 	// built from; re-running Rebuild at these positions reproduces its
-	// clusters and entries, and hence the force summation order, bitwise. Empty at
-	// Skin 0, whose list the next step rebuilds anyway.
+	// clusters and entries, and hence the force summation order, bitwise.
+	// Empty at Skin 0, whose list the next step rebuilds anyway.
 	VerletRef []vec.V
-	// MeshForces/MeshEnergy/MeshExcl are the cached long-range term of a
-	// multiple-timestep schedule (Integrator.MeshEvery > 1), valid when
-	// HasMesh is set. They were computed at the last mesh step's
-	// positions, so recomputing at the snapshot positions would not be
-	// the same replay.
-	MeshForces []vec.V
-	MeshEnergy float64
-	MeshExcl   float64
-	HasMesh    bool
 }
 
 // Validate checks the snapshot's self-consistency: matching array
@@ -69,25 +58,8 @@ func (snap *Snapshot) Validate() error {
 			return fmt.Errorf("md: snapshot box edge %d is %g, want finite and positive", k, l)
 		}
 	}
-	for _, s := range []struct {
-		name string
-		v    []vec.V
-	}{
-		{"forces", snap.Frc},
-		{"verlet reference", snap.VerletRef},
-		{"mesh forces", snap.MeshForces},
-	} {
-		if len(s.v) != 0 && len(s.v) != n {
-			return fmt.Errorf("md: snapshot %s cover %d atoms, positions %d", s.name, len(s.v), n)
-		}
-	}
-	if snap.HasMesh {
-		if len(snap.MeshForces) != n {
-			return fmt.Errorf("md: snapshot claims cached mesh forces but carries %d of %d", len(snap.MeshForces), n)
-		}
-		if !isFinite(snap.MeshEnergy) || !isFinite(snap.MeshExcl) {
-			return fmt.Errorf("md: snapshot mesh energies are not finite (%g, %g)", snap.MeshEnergy, snap.MeshExcl)
-		}
+	if len(snap.VerletRef) != 0 && len(snap.VerletRef) != n {
+		return fmt.Errorf("md: snapshot verlet reference covers %d atoms, positions %d", len(snap.VerletRef), n)
 	}
 	for _, s := range []struct {
 		name string
@@ -95,22 +67,12 @@ func (snap *Snapshot) Validate() error {
 	}{
 		{"position", snap.Pos},
 		{"velocity", snap.Vel},
-		{"force", snap.Frc},
 		{"verlet reference", snap.VerletRef},
-		{"mesh force", snap.MeshForces},
 	} {
 		for i, v := range s.v {
 			if !isFinite(v[0]) || !isFinite(v[1]) || !isFinite(v[2]) {
 				return fmt.Errorf("md: snapshot %s %d is not finite: %v", s.name, i, v)
 			}
-		}
-	}
-	for _, e := range [...]float64{
-		snap.LastE.CoulShort, snap.LastE.CoulLong, snap.LastE.CoulExcl,
-		snap.LastE.LJ, snap.LastE.Bonded, snap.LastE.Kinetic,
-	} {
-		if !isFinite(e) {
-			return fmt.Errorf("md: snapshot energies are not finite: %+v", snap.LastE)
 		}
 	}
 	return nil
@@ -161,24 +123,15 @@ type snapshotWire struct {
 	MetaKeys []string
 	MetaVals []int64
 
-	Step       int64
-	Frc        []vec.V
-	LastE      Energies
-	VerletRef  []vec.V
-	MeshForces []vec.V
-	MeshEnergy float64
-	MeshExcl   float64
-	HasMesh    bool
+	Step      int64
+	VerletRef []vec.V
 }
 
 // GobEncode implements gob.GobEncoder with byte-deterministic output.
 func (snap *Snapshot) GobEncode() ([]byte, error) {
 	w := snapshotWire{
 		Box: snap.Box, Pos: snap.Pos, Vel: snap.Vel,
-		Step: snap.Step, Frc: snap.Frc, LastE: snap.LastE,
-		VerletRef: snap.VerletRef, MeshForces: snap.MeshForces,
-		MeshEnergy: snap.MeshEnergy, MeshExcl: snap.MeshExcl,
-		HasMesh: snap.HasMesh,
+		Step: snap.Step, VerletRef: snap.VerletRef,
 	}
 	w.MetaKeys = make([]string, 0, len(snap.Meta))
 	for k := range snap.Meta { //tmevet:ignore detmap -- keys are sorted below before anything observes the order
@@ -203,9 +156,7 @@ func (snap *Snapshot) GobDecode(data []byte) error {
 		return err
 	}
 	snap.Box, snap.Pos, snap.Vel = w.Box, w.Pos, w.Vel
-	snap.Step, snap.Frc, snap.LastE = w.Step, w.Frc, w.LastE
-	snap.VerletRef, snap.MeshForces = w.VerletRef, w.MeshForces
-	snap.MeshEnergy, snap.MeshExcl, snap.HasMesh = w.MeshEnergy, w.MeshExcl, w.HasMesh
+	snap.Step, snap.VerletRef = w.Step, w.VerletRef
 	snap.Meta = nil
 	if len(w.MetaKeys) > 0 {
 		if len(w.MetaVals) != len(w.MetaKeys) {

@@ -2,7 +2,6 @@ package md_test
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -110,42 +109,6 @@ func TestEnergyReporterFormat(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "0.0010,") {
 		t.Errorf("first row %q", lines[1])
-	}
-}
-
-// TestMeshEveryTwoConservesEnergyApproximately: multiple-timestepping the
-// mesh at every other step (Anton practice) must remain stable, with only
-// modestly larger energy excursions than every-step evaluation.
-func TestMeshEveryTwoConservesEnergyApproximately(t *testing.T) {
-	run := func(every int) float64 {
-		box := water.CubicBoxFor(125)
-		sys := water.Build(5, 5, 5, box, 42)
-		water.Equilibrate(sys, 100, 0.001, 300, 0.7, 7)
-		rc := 0.7
-		alpha := spme.AlphaFromRTol(rc, 1e-4)
-		mesh := spme.New(spme.Params{Alpha: alpha, Rc: rc, Order: 6, N: [3]int{16, 16, 16}}, sys.Box)
-		integ := &md.Integrator{
-			FF:        &md.ForceField{Alpha: alpha, Rc: rc, Mesh: mesh},
-			Dt:        0.001,
-			MeshEvery: every,
-		}
-		var eMin, eMax float64
-		for s := 0; s < 150; s++ {
-			e := integ.Step(sys)
-			tot := e.Total()
-			if s == 0 {
-				eMin, eMax = tot, tot
-			}
-			eMin = math.Min(eMin, tot)
-			eMax = math.Max(eMax, tot)
-		}
-		return eMax - eMin
-	}
-	s1 := run(1)
-	s2 := run(2)
-	t.Logf("energy spread: every step %.3f, every other %.3f kJ/mol", s1, s2)
-	if s2 > 30*s1+5 {
-		t.Errorf("MeshEvery=2 spread %.3f wildly exceeds every-step %.3f", s2, s1)
 	}
 }
 

@@ -118,8 +118,7 @@ func (s Stage) JSONName() string {
 type Counter uint8
 
 const (
-	CounterMeshSolves     Counter = iota // full long-range mesh evaluations
-	CounterMeshReplays                   // multiple-timestep replays of cached mesh forces
+	CounterMeshSolves     Counter = iota // long-range mesh evaluations
 	CounterVerletRebuilds                // Verlet pair-list rebuilds
 	CounterVerletPairs                   // pairs enumerated across all rebuilds
 	CounterCellRebuilds                  // cell-list rebuilds
@@ -136,7 +135,6 @@ const (
 // counterJSONNames are the counter identifiers, indexed by Counter.
 var counterJSONNames = [NumCounters]string{
 	"mesh_solves",
-	"mesh_replays",
 	"verlet_rebuilds",
 	"verlet_pairs",
 	"cell_rebuilds",

@@ -145,9 +145,10 @@ type Scheduler struct {
 }
 
 // New builds a scheduler and, when cfg.Dir is set, recovers every
-// persisted job: terminal jobs are listed as-is, interrupted ones are
-// re-admitted (in id order) and resume from their newest valid checkpoint
-// when they next run. Call Start to begin stepping.
+// persisted job: terminal jobs are listed as-is, jobs whose spec does not
+// decode are listed failed, and interrupted ones are re-admitted (in id
+// order) and resume from their newest valid checkpoint when they next run.
+// Call Start to begin stepping.
 func New(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
@@ -186,12 +187,13 @@ func (s *Scheduler) recover() error {
 			continue // a job dir without a durable spec never fully existed
 		}
 		sp, err := DecodeSpec(specData)
-		if err != nil {
-			return fmt.Errorf("serve: job %s has a corrupt spec: %w", id, err)
-		}
 		sp.Normalize()
 		j := &job{id: id, spec: sp, rec: obs.New(), state: StateQueued}
-		if data, err := s.fs.ReadFile(filepath.Join(dir, stateFileName)); err == nil {
+		if err != nil {
+			// One unreadable spec (corrupt, or written by a build with
+			// fields this one lacks) fails that job, not the daemon.
+			j.state, j.err = StateFailed, err.Error()
+		} else if data, err := s.fs.ReadFile(filepath.Join(dir, stateFileName)); err == nil {
 			var ds durableState
 			if err := json.Unmarshal(data, &ds); err == nil && ds.State.Terminal() {
 				j.state = ds.State

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -243,6 +245,61 @@ func TestRestartAfterClose(t *testing.T) {
 	}
 	if final.FinalHash != fmt.Sprintf("%016x", want) {
 		t.Errorf("slow job resumed hash %s, direct %016x", final.FinalHash, want)
+	}
+}
+
+// TestRecoverListsUnreadableSpecAsFailed: a job directory whose spec no
+// longer decodes — here one written while specs still carried mesh_every —
+// is listed failed on restart instead of stopping the daemon, and a valid
+// queued job next to it still runs to the bits of a solo run.
+func TestRecoverListsUnreadableSpecAsFailed(t *testing.T) {
+	mfs := ckpt.NewMemFS()
+	persist := func(id string, doc any) {
+		t.Helper()
+		data, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := jobDir("svc", id)
+		if err := mfs.MkdirAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := (&Scheduler{fs: mfs}).writeFileAtomic(dir, specFileName, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sp := fastSpec(33, 20)
+	sp.Normalize()
+	// The old format: the normalized spec plus "mesh_every": 1.
+	var old map[string]any
+	data, _ := json.Marshal(sp)
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatal(err)
+	}
+	old["mesh_every"] = 1
+	persist("j000000", old)
+	persist("j000001", sp)
+
+	s, err := New(Config{Dir: "svc", FS: mfs, CkptEvery: 10})
+	if err != nil {
+		t.Fatalf("one unreadable spec stopped recovery: %v", err)
+	}
+	defer s.Close()
+	st, err := s.Get("j000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "mesh_every") {
+		t.Fatalf("old-format job: state %s, error %q; want failed naming mesh_every", st.State, st.Error)
+	}
+	s.Start()
+	done := waitState(t, s, "j000001")
+	want, err := sp.RunDirect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done.State != StateDone || done.FinalHash != fmt.Sprintf("%016x", want) {
+		t.Fatalf("valid job: state %s hash %s err %q, want done %016x", done.State, done.FinalHash, done.Error, want)
 	}
 }
 

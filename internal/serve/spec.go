@@ -74,11 +74,9 @@ type Spec struct {
 	Gc int `json:"gc,omitempty"`
 	// Levels is the TME/MSM middle-level count. Default 1.
 	Levels int `json:"levels,omitempty"`
-	// Skin is the Verlet buffer in nm. A served job always runs a Verlet
-	// pair list, so 0 selects the default 0.1.
+	// Skin is the Verlet buffer in nm. Zero in the JSON means "unset", so
+	// it selects the default 0.1; a served job cannot ask for skin 0.
 	Skin float64 `json:"skin,omitempty"`
-	// MeshEvery > 1 evaluates the mesh every MeshEvery steps (MTS). Default 1.
-	MeshEvery int `json:"mesh_every,omitempty"`
 	// Temp is the initial temperature in K. Default 300.
 	Temp float64 `json:"temp,omitempty"`
 	// Seed feeds box building, equilibration and the velocity draw. Default 1.
@@ -170,9 +168,6 @@ func (sp *Spec) Normalize() {
 	if sp.Skin == 0 {
 		sp.Skin = 0.1
 	}
-	if sp.MeshEvery == 0 {
-		sp.MeshEvery = 1
-	}
 	if sp.Temp == 0 {
 		sp.Temp = 300
 	}
@@ -254,9 +249,6 @@ func (sp Spec) Validate() error {
 	if sp.Skin < 0 || sp.Skin > 0.5 {
 		return fmt.Errorf("serve: skin %g nm out of range [0, 0.5]", sp.Skin)
 	}
-	if sp.MeshEvery < 1 || sp.MeshEvery > 16 {
-		return fmt.Errorf("serve: mesh_every %d out of range [1, 16]", sp.MeshEvery)
-	}
 	if sp.Temp <= 0 || sp.Temp > maxTemp {
 		return fmt.Errorf("serve: temp %g K out of range (0, %g]", sp.Temp, float64(maxTemp))
 	}
@@ -291,9 +283,9 @@ func (sp Spec) Validate() error {
 // spec is refused by the store.
 func (sp Spec) canonical() string {
 	return fmt.Sprintf(
-		"serve method=%s kernel=%s side=%d steps=%d dt=%g rc=%g grid=%d M=%d gc=%d L=%d skin=%g meshEvery=%d T=%g seed=%d equil=%d errbudget=%g rtol=1e-4",
+		"serve method=%s kernel=%s side=%d steps=%d dt=%g rc=%g grid=%d M=%d gc=%d L=%d skin=%g T=%g seed=%d equil=%d errbudget=%g rtol=1e-4",
 		sp.Method, sp.Kernel, sp.Side, sp.Steps, sp.Dt, sp.Rc, sp.Grid, sp.M, sp.Gc,
-		sp.Levels, sp.Skin, sp.MeshEvery, sp.Temp, sp.Seed, sp.Equil, sp.ErrBudget)
+		sp.Levels, sp.Skin, sp.Temp, sp.Seed, sp.Equil, sp.ErrBudget)
 }
 
 // ConfigHash fingerprints the normalized spec for the checkpoint store.
@@ -351,9 +343,8 @@ func (sp Spec) integrator(box vec.Box) (*md.Integrator, error) {
 		return nil, err
 	}
 	return &md.Integrator{
-		FF:        &md.ForceField{Alpha: sp.alpha(), Rc: sp.Rc, Skin: sp.Skin, Mesh: mesh},
-		Dt:        sp.Dt,
-		MeshEvery: sp.MeshEvery,
+		FF: &md.ForceField{Alpha: sp.alpha(), Rc: sp.Rc, Skin: sp.Skin, Mesh: mesh},
+		Dt: sp.Dt,
 	}, nil
 }
 

@@ -60,7 +60,6 @@ func TestValidateTable(t *testing.T) {
 		{"negative rc", func(sp *Spec) { sp.Rc = -1 }, "rc -1"},
 		{"negative skin", func(sp *Spec) { sp.Skin = -0.1 }, "skin"},
 		{"fat skin", func(sp *Spec) { sp.Skin = 2 }, "skin"},
-		{"mesh_every", func(sp *Spec) { sp.MeshEvery = 99 }, "mesh_every"},
 		{"cold start", func(sp *Spec) { sp.Temp = -3 }, "temp"},
 		{"hot start", func(sp *Spec) { sp.Temp = 5000 }, "temp"},
 		{"negative equil", func(sp *Spec) { sp.Equil = -1 }, "equil"},

@@ -75,12 +75,11 @@ func (p Plan) NewIntegrator(box vec.Box, dt float64) (*md.Integrator, error) {
 }
 
 // PlainState strips a resume snapshot to the plan-independent state:
-// box, positions, velocities, builder metadata and the step counter.
-// Everything else a CaptureResume snapshot carries — forces, Verlet
-// reference positions, cached mesh terms — is a cache of the *old*
-// plan's force evaluation and must not leak across a retune. Restoring
-// a plain snapshot leaves the integrator uninitialized, so its first
-// Step recomputes forces from scratch under the new plan.
+// box, positions, velocities, builder metadata and the step counter. The
+// one field it drops, the Verlet reference positions, belongs to the
+// *old* plan's pair list (its cutoff and skin) and must not leak across
+// a retune. The new plan's first Step builds its own list and computes
+// forces from scratch, as after any resume.
 //
 // This is the retune bitwise guarantee: a mid-run switch and a fresh
 // process restoring the same checkpoint both pass through PlainState,

@@ -23,8 +23,8 @@ type stepRecord struct {
 // plans mid-run at a checkpoint boundary produces a trajectory bitwise
 // identical — StateHash and every energy field — to a fresh process that
 // restores the same checkpoint and starts under the new plan. Both paths
-// go through tune.Switch → PlainState, which strips the old plan's force
-// and neighbor-list caches, so the new plan bootstraps identically from
+// go through tune.Switch → PlainState, which strips the old plan's
+// neighbor-list build positions, so the new plan bootstraps identically from
 // plain (positions, velocities, step) state either way. The property must
 // hold at any parallelism, so the whole scenario runs at GOMAXPROCS 1
 // and 4 and the traces must also agree across the two.

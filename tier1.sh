@@ -56,6 +56,20 @@ go test -run '^$' -fuzz '^FuzzHaloPartition$' -fuzztime 10s ./internal/dist/
 go test -run '^$' -fuzz '^FuzzIgnoreDirective$' -fuzztime 10s ./internal/lint/
 go test -run '^$' -fuzz '^FuzzPlanRequest$' -fuzztime 10s ./internal/tune/
 go run ./cmd/mdrun -tune -errbudget 1e-3 -side 5 -steps 20 -report 10
+# End-to-end resume: a run checkpointed at step 20 and resumed to step 40
+# prints the straight run's step-40 energies byte for byte, plain and under
+# the tuned plan, whose skin-0.1 Verlet list travels as its build positions.
+smoke=$(mktemp -d)
+go build -o "$smoke/mdrun" ./cmd/mdrun
+for tune in '' '-tune -errbudget 1e-3'; do
+	rm -rf "$smoke/ck"
+	"$smoke/mdrun" $tune -side 4 -steps 40 -report 10 | grep -E '^ +40 ' > "$smoke/straight"
+	"$smoke/mdrun" $tune -side 4 -steps 20 -report 10 -checkpoint-dir "$smoke/ck" -checkpoint-every 10 > /dev/null
+	"$smoke/mdrun" $tune -side 4 -steps 40 -report 10 -checkpoint-dir "$smoke/ck" -resume | grep -E '^ +40 ' > "$smoke/resumed"
+	test -s "$smoke/straight"
+	cmp "$smoke/straight" "$smoke/resumed"
+done
+rm -rf "$smoke"
 go test -run '^$' -bench . -benchtime 1x . ./internal/nonbond/ ./internal/grid/ \
 	./internal/pmesh/ ./internal/msm/ ./internal/core/ ./internal/bspline/ \
 	./internal/vec/ > /dev/null
