@@ -1,27 +1,23 @@
 // Command tmevet is the project's static analyzer. It enforces the
-// determinism, hot-path, parallel-safety, and concurrency/durability
-// invariants of the simulation code with eight checks: no wall-clock read
-// outside internal/obs's //tme:clock-seam functions and no
-// global-random-source draw in internal packages (clock), no map-order
-// iteration in numeric packages
-// (detmap), no discarded errors on durability/wire paths (errdrop), no
-// unjoinable goroutines in the service tier (goleak), no exported mutable
-// package-level state in numeric packages (mutflag), no allocation in a
-// //tme:noalloc function or in an unannotated callee it reaches (noalloc),
-// no unpartitioned writes to captured state in par worker closures
-// (parwrite), and no mutation of //tme:owner fields outside the owner
-// goroutine's call tree (schedown).
+// determinism, hot-path and concurrency/durability invariants of the
+// simulation code with six checks: no wall-clock read outside
+// internal/obs's //tme:clock-seam functions and no global-random-source
+// draw in internal packages (clock), no map-order iteration in numeric
+// packages (detmap), no discarded errors on durability/wire paths
+// (errdrop), no unjoinable goroutines in the service tier (goleak), no
+// allocation in a //tme:noalloc function or in an unannotated callee it
+// reaches (noalloc), and no mutation of //tme:owner fields outside the
+// owner goroutine's call tree (schedown).
 //
 // Usage:
 //
-//	go run ./cmd/tmevet [-list] [-json] [packages]
+//	go run ./cmd/tmevet [-list] [packages]
 //
 // Packages follow the go tool's pattern syntax ("./...", "./internal/...",
 // a plain directory), resolved against the enclosing module. With no
-// arguments it analyzes "./...".
-//
-//	-list  print the registered checks and exit
-//	-json  emit a deterministic machine-readable report on stdout
+// arguments it analyzes "./...". -list prints the registered checks and
+// exits. Findings are printed one per line as file:line:col: check:
+// message, with module-relative file names.
 //
 // Exit status is 1 when any diagnostic is reported, 2 on usage or load
 // errors. Nothing is grandfathered: a finding is fixed or carries a
@@ -45,9 +41,8 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list registered checks and exit")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable report on stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tmevet [-list] [-json] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: tmevet [-list] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -83,19 +78,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *jsonOut {
-		data, err := lint.NewReport(root, diags).Encode()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tmevet:", err)
-			os.Exit(2)
-		}
-		os.Stdout.Write(data) //tmevet:ignore errdrop -- report emission; a failed stdout write has nowhere to go
-	} else {
-		for _, d := range diags {
-			pos := d.Pos
-			pos.Filename = lint.RelPath(root, pos.Filename)
-			fmt.Printf("%s: %s: %s\n", pos, d.Check, d.Message)
-		}
+	for _, d := range diags {
+		pos := d.Pos
+		pos.Filename = relPath(root, pos.Filename)
+		fmt.Printf("%s: %s: %s\n", pos, d.Check, d.Message)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "tmevet: %d finding(s)\n", len(diags))
@@ -151,4 +137,13 @@ func rebase(root string, patterns []string) ([]string, error) {
 		out = append(out, filepath.ToSlash(r)+suffix)
 	}
 	return out, nil
+}
+
+// relPath rebases an absolute filename to a module-relative slash path;
+// paths outside root pass through slash-normalized.
+func relPath(root, filename string) string {
+	if rel, err := filepath.Rel(root, filename); err == nil && rel != ".." && !strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+		return filepath.ToSlash(rel)
+	}
+	return filepath.ToSlash(filename)
 }

@@ -3,6 +3,7 @@ package ewald
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tme4a/internal/topol"
@@ -291,6 +292,44 @@ func TestReferenceShortCutoffBranch(t *testing.T) {
 	for i := range fHalf {
 		if fHalf[i].Sub(fThird[i]).Norm() > 1e-6*math.Max(1, fHalf[i].Norm()) {
 			t.Fatalf("force %d differs between branches: %v vs %v", i, fHalf[i], fThird[i])
+		}
+	}
+}
+
+// TestParallelBitwise: Reciprocal's energy and forces, and Reference's,
+// are bitwise equal at GOMAXPROCS 1, 2 and 4. The box holds 512 atoms, so
+// par's loops (default grain 64) run more than one worker and the race
+// detector sees the parallel bodies; every other test box here is below
+// two grains and runs them on one.
+func TestParallelBitwise(t *testing.T) {
+	box := vec.Cubic(2.4)
+	pos, q := neutralRandomSystem(rand.New(rand.NewSource(17)), 512, box)
+	type result struct {
+		recip, ref   float64
+		recipF, refF []vec.V
+	}
+	run := func(procs int) (r result) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r.recipF = make([]vec.V, len(pos))
+		r.recip = Reciprocal(box, pos, q, 3.1, 6, r.recipF)
+		r.ref, r.refF = Reference(box, pos, q, nil, 1e-6)
+		return r
+	}
+	want := run(1)
+	if want.recip == 0 || want.ref == 0 {
+		t.Fatal("zero energy; the system exercises nothing")
+	}
+	for _, procs := range []int{2, 4} {
+		got := run(procs)
+		if !sameBits(got.recip, want.recip) || !sameBits(got.ref, want.ref) {
+			t.Fatalf("GOMAXPROCS %d: energies %.17g, %.17g; at 1: %.17g, %.17g",
+				procs, got.recip, got.ref, want.recip, want.ref)
+		}
+		for i := range pos {
+			if got.recipF[i] != want.recipF[i] || got.refF[i] != want.refF[i] {
+				t.Fatalf("GOMAXPROCS %d: atom %d forces %v, %v; at 1: %v, %v",
+					procs, i, got.recipF[i], got.refF[i], want.recipF[i], want.refF[i])
+			}
 		}
 	}
 }

@@ -101,7 +101,7 @@ func collectEdges(p *Package, body ast.Node, node *FuncNode) {
 			if callee := p.staticFunc(n.Fun); callee != nil {
 				node.Calls = append(node.Calls, Edge{Callee: callee, Pos: n.Pos()})
 			}
-			if _, ok := p.parCallee(n); ok {
+			if p.isParLoop(n) {
 				for _, arg := range n.Args {
 					if body := p.staticFunc(arg); body != nil {
 						node.Calls = append(node.Calls, Edge{Callee: body, Pos: n.Pos()})

@@ -1,7 +1,9 @@
 // Package lint implements tmevet, the project's static analyzer. It
-// enforces, at review time, the invariants PRs 1–2 established at runtime:
-// bitwise-deterministic results at any GOMAXPROCS, allocation-free
-// steady-state hot paths, and slab/owner-partitioned parallel writes.
+// enforces, at review time, invariants the runtime tests only see on the
+// paths they execute: results that depend on no wall clock and no map
+// order, allocation-free steady-state hot paths, joinable goroutines,
+// checked errors on durability and wire paths, and single-goroutine
+// ownership of the serve tier's engine state.
 //
 // The analyzer is stdlib-only (go/parser + go/types with the from-source
 // importer) so it runs on a bare checkout. Each check lives in its own
@@ -11,7 +13,8 @@
 // registered is itself reported. The noalloc check is opt-in per function
 // via the "//tme:noalloc" doc directive.
 //
-// See DESIGN.md §7.3 for the check catalog and the suppression policy.
+// See DESIGN.md §7.3 for the check catalog, the defect each check is
+// known to catch that the tests miss, and the suppression policy.
 package lint
 
 import (
@@ -47,9 +50,7 @@ var checks = []*Check{
 	detmapCheck,
 	errdropCheck,
 	goleakCheck,
-	mutflagCheck,
 	noallocCheck,
-	parwriteCheck,
 	schedownCheck,
 }
 
@@ -73,9 +74,8 @@ func ByName(name string) *Check {
 
 // numericPkgs are the module-relative directories whose floating-point
 // results must be bitwise reproducible: the mesh pipeline, the short-range
-// stack, and every force/integration module (ISSUE 3). detmap and mutflag
-// apply only here; noalloc and parwrite are annotation/usage driven and
-// run everywhere.
+// stack, and every force/integration module. detmap applies only here;
+// noalloc and schedown are annotation driven and run everywhere.
 var numericPkgs = map[string]bool{
 	"internal/grid":       true,
 	"internal/pmesh":      true,
@@ -154,7 +154,7 @@ func checksFor(rel string) []*Check {
 	}
 	var cs []*Check
 	if numericPkgs[rel] {
-		cs = append(cs, detmapCheck, mutflagCheck)
+		cs = append(cs, detmapCheck)
 	}
 	if errdropPkgs[rel] {
 		cs = append(cs, errdropCheck)
@@ -167,7 +167,7 @@ func checksFor(rel string) []*Check {
 	}
 	// Annotation-driven checks run everywhere: they only fire on
 	// //tme:noalloc and //tme:owner declarations.
-	cs = append(cs, noallocCheck, parwriteCheck, schedownCheck)
+	cs = append(cs, noallocCheck, schedownCheck)
 	return cs
 }
 
@@ -273,24 +273,18 @@ func (p *Package) pkgNameOf(expr ast.Expr) *types.Package {
 	return pn.Imported()
 }
 
-// parFuncs are the par loops whose body arguments the call graph enters
-// and whose closure bodies parwrite checks.
+// parFuncs are the par loops whose named body argument the call graph
+// enters as a callee of the loop's caller.
 var parFuncs = map[string]bool{
 	"For":           true,
 	"ForRange":      true,
 	"ForRangeGrain": true,
 }
 
-// parCallee reports whether call invokes one of the par package's loops,
-// returning the loop's name. The par package is matched by
-// import-path suffix so the testdata stub package qualifies too.
-func (p *Package) parCallee(call *ast.CallExpr) (string, bool) {
+// isParLoop reports whether call invokes one of the par package's loops.
+// The par package is matched by import-path suffix so the testdata stub
+// package qualifies too.
+func (p *Package) isParLoop(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	if !isParPackage(p.pkgNameOf(sel.X)) || !parFuncs[sel.Sel.Name] {
-		return "", false
-	}
-	return sel.Sel.Name, true
+	return ok && isParPackage(p.pkgNameOf(sel.X)) && parFuncs[sel.Sel.Name]
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -165,6 +166,47 @@ func TestFixturesFailViaDriverPatterns(t *testing.T) {
 		if perCheck[c.Name] == 0 {
 			t.Errorf("check %s produced no fixture diagnostics", c.Name)
 		}
+	}
+}
+
+// TestRunDeterministic pins Run's output order: the diagnostics, as
+// strings, are identical whichever order the patterns are given in, and
+// they include a call-graph finding whose " via " path exposes the walk's
+// order.
+func TestRunDeterministic(t *testing.T) {
+	root := moduleRoot(t)
+	forward := []string{
+		fixturePrefix + "errdrop",
+		fixturePrefix + "goleak",
+		fixturePrefix + "noalloc",
+		fixturePrefix + "noalloc/noalloc-ipa",
+		fixturePrefix + "schedown",
+	}
+	reversed := []string{forward[4], forward[3], forward[2], forward[1], forward[0]}
+	shuffled := []string{forward[3], forward[0], forward[4], forward[2], forward[1]}
+
+	render := func(patterns []string) []string {
+		t.Helper()
+		diags, err := Run(root, patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(diags))
+		for i, d := range diags {
+			out[i] = d.String()
+		}
+		return out
+	}
+
+	want := render(forward)
+	if !slices.ContainsFunc(want, func(d string) bool { return strings.Contains(d, " via ") }) {
+		t.Errorf("no call-graph finding with a \"via\" path; the walk order is not covered")
+	}
+	if got := render(reversed); !slices.Equal(got, want) {
+		t.Errorf("reversed pattern order changed the diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if got := render(shuffled); !slices.Equal(got, want) {
+		t.Errorf("shuffled pattern order changed the diagnostics:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

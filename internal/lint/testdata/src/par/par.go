@@ -1,7 +1,7 @@
 // Package par is a stub of tme4a/internal/par for the lint golden
-// fixtures: the parwrite and noalloc checks match the par package by
-// import-path suffix, so fixtures can exercise them without importing the
-// real worker pool.
+// fixtures: the call graph matches the par package by import-path suffix,
+// so fixtures can exercise its par edge and the noalloc check's dispatch
+// leaf without importing the real worker pool.
 package par
 
 // For mirrors par.For.

@@ -21,8 +21,8 @@
 //   - short-range forces are the serial engine's skin-0 nonbond.VerletList
 //     over the rank's slab range (RebuildRange, Compute), rebuilt every
 //     step; the reactions its top slab owes the next rank's first slab
-//     (AppendOwed) are subtracted there after that rank's own Compute, as
-//     the serial list applies them after its evaluation pass;
+//     (AppendOwed) are added there after that rank's own Compute, as the
+//     serial list applies them after its evaluation pass;
 //   - the mesh pipeline is dist.Mesh.Solve, with the worker as its
 //     dist.Exchanger; its z kernels reproduce the serial per-element
 //     arithmetic exactly;

@@ -20,11 +20,11 @@ import (
 var (
 	// ErrQueueFull is returned by Submit when the bounded pending queue is
 	// at capacity — the backpressure signal (HTTP 429).
-	ErrQueueFull = errors.New("serve: pending queue full") //tmevet:ignore mutflag -- sentinel error, assigned once at init
+	ErrQueueFull = errors.New("serve: pending queue full")
 	// ErrClosed is returned by Submit after Close (HTTP 503).
-	ErrClosed = errors.New("serve: scheduler closed") //tmevet:ignore mutflag -- sentinel error, assigned once at init
+	ErrClosed = errors.New("serve: scheduler closed")
 	// ErrUnknownJob is returned for ids the scheduler never issued (HTTP 404).
-	ErrUnknownJob = errors.New("serve: unknown job") //tmevet:ignore mutflag -- sentinel error, assigned once at init
+	ErrUnknownJob = errors.New("serve: unknown job")
 )
 
 // ValidationError wraps a job-spec rejection so the API layer can answer

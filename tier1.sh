@@ -3,7 +3,7 @@ set -eux
 
 test -z "$(gofmt -l .)"
 go vet ./...
-go run ./cmd/tmevet -json ./... > tmevet.json
+go run ./cmd/tmevet ./...
 go build ./...
 # The pair loop, listJob.eval in internal/nonbond/verlet.go, must not regain
 # a call per pair: the kernel pieces (internal/nonbond/kernel.go) stay
@@ -38,14 +38,15 @@ fma=$(GOARCH=arm64 go build -gcflags=-S ./internal/nonbond/ ./internal/r2tab/ 2>
 	awk '/STEXT/ { p = ($1 ~ /^tme4a\/internal\/(nonbond\.(listJob\.eval|coulomb|ljEval)|r2tab\.\(\*(Segment\)\.Cubic|Table\)\.Segment))$/) } p && /\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\t/')
 [ -z "$fma" ] || { echo "tier1: fused multiply-add in the pair loop on arm64:" >&2; echo "$fma" >&2; exit 1; }
 go test ./...
-# The force terms overlap as one nested par.For whose writes no lint check
-# covers: the par tests pin that pattern under -race at several worker
-# counts, and md's race run below covers the terms themselves.
-go test -race -cpu 1,2,4 ./internal/par/
+# Parallel writes are the race detector's to catch, at several worker
+# counts: the par tests pin the nested par.For the force terms overlap as,
+# ewald's 512-atom box runs its closure bodies on more than one worker, and
+# md's race run below covers the terms themselves.
+go test -race -cpu 1,2,4 ./internal/par/ ./internal/ewald/
 go test -race ./internal/grid/ ./internal/pmesh/ \
 	./internal/fft/ ./internal/spme/ ./internal/core/ \
 	./internal/celllist/ ./internal/nonbond/ \
-	./internal/ewald/ ./internal/msm/ ./internal/bonded/ \
+	./internal/msm/ ./internal/bonded/ \
 	./internal/constraint/ ./internal/obs/ ./internal/ckpt/ \
 	./internal/quad/ ./internal/solver/ ./internal/tune/ \
 	./internal/serve/ ./internal/dist/
