@@ -188,9 +188,10 @@ func BenchmarkConvSeparableVsDirect(b *testing.B) {
 		src.Data[i] = rng.NormFloat64()
 	}
 	gc := 8
-	k1 := make([]float64, 2*gc+1)
-	for i := range k1 {
+	k1 := make([]float64, 2*gc+1) // even, as the separable convolution requires
+	for i := 0; i <= gc; i++ {
 		k1[i] = rng.NormFloat64()
+		k1[2*gc-i] = k1[i]
 	}
 	k3 := make([]float64, len(k1)*len(k1)*len(k1))
 	for i := range k3 {

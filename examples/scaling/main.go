@@ -29,9 +29,11 @@ func main() {
 	}
 	gc := 8
 	m := 4
+	// The separable convolution takes even kernels: mirror a random half.
 	k1 := make([]float64, 2*gc+1)
-	for i := range k1 {
+	for i := 0; i <= gc; i++ {
 		k1[i] = rng.NormFloat64()
+		k1[2*gc-i] = k1[i]
 	}
 	k3 := make([]float64, len(k1)*len(k1)*len(k1))
 	for i := range k3 {

@@ -244,6 +244,8 @@ func invertSpectrum(p, maxM, power int) []float64 {
 // GridKernel returns the coefficients G_m(a) of the B-spline representation
 // of the 1D Gaussian e^{−a²(x−x')²} (paper Eq. (8)): G(a) = g(a) ∗ ω′ with
 // g_m = e^{−a²m²}. The result is truncated to |m| ≤ maxM, indexed [m+maxM].
+// It is exactly even: G_m is summed for m ≥ 0 and mirrored to −m, which is
+// what the mirrored-tap convolutions of internal/grid require.
 func GridKernel(p int, a float64, maxM int) []float64 {
 	if a <= 0 {
 		panic(fmt.Sprintf("bspline: GridKernel needs a > 0, got %g", a))
@@ -253,7 +255,7 @@ func GridKernel(p int, a float64, maxM int) []float64 {
 	wp := OmegaSq(p, maxM+jmax)
 	half := maxM + jmax
 	out := make([]float64, 2*maxM+1)
-	for m := -maxM; m <= maxM; m++ {
+	for m := 0; m <= maxM; m++ {
 		var s float64
 		for j := -jmax; j <= jmax; j++ {
 			// g_j * ω′_{m−j}; ω′ index bounds are ±(maxM+jmax).
@@ -263,7 +265,7 @@ func GridKernel(p int, a float64, maxM int) []float64 {
 			}
 			s += math.Exp(-a*a*float64(j*j)) * wp[k+half]
 		}
-		out[m+maxM] = s
+		out[maxM+m], out[maxM-m] = s, s
 	}
 	return out
 }

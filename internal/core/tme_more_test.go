@@ -8,6 +8,7 @@ import (
 	"tme4a/internal/ewald"
 	"tme4a/internal/spme"
 	"tme4a/internal/vec"
+	"tme4a/internal/water"
 )
 
 // TestAnisotropicBoxAndGrid: the paper's benchmark box is rectangular
@@ -159,5 +160,40 @@ func TestInvalidParamsPanic(t *testing.T) {
 			}()
 			New(prm, box)
 		}()
+	}
+}
+
+// TestKernelsExactlyEven: every level-convolution kernel New builds at the
+// Table-1 operating points — the quick (16³) and paper-scale (32³) water
+// boxes, the rc, g_c and M sweeps, both kernel families — is exactly even,
+// kernel[g_c−m] == kernel[g_c+m] bit for bit, as the mirrored-tap
+// convolutions of internal/grid require. It also makes each level operator
+// exactly self-adjoint.
+func TestKernelsExactlyEven(t *testing.T) {
+	for _, side := range []int{16, 32} {
+		box := water.CubicBoxFor(side * side * side)
+		for _, rc := range []float64{1.0, 1.25, 1.5} {
+			alpha := spme.AlphaFromRTol(rc, 1e-4)
+			for _, gc := range []int{4, 8, 12} {
+				for m := 1; m <= 4; m++ {
+					for _, fam := range []KernelFamily{KernelGauss, KernelUSeries} {
+						s := New(Params{Alpha: alpha, Rc: rc, Order: 6, N: [3]int{side, side, side},
+							Levels: 1, M: m, Gc: gc, Kernel: fam}, box)
+						kernels := append([][]float64(nil), s.LevelZKernels()[0]...)
+						for _, k := range s.Kernels() {
+							kernels = append(kernels, k[:]...)
+						}
+						for _, k := range kernels {
+							for e := 0; e < gc; e++ {
+								if math.Float64bits(k[e]) != math.Float64bits(k[2*gc-e]) {
+									t.Fatalf("side %d rc %g gc %d M %d %s: kernel[%d] %.17g, mirror %.17g",
+										side, rc, gc, m, fam, e, k[e], k[2*gc-e])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,10 +1,11 @@
-// Slab z-pass kernels. Each runs the row kernel of internal/grid
-// (grid.TapRow: every output folds its taps from +0 in list order, the
-// arithmetic of the full-grid passes) over whole planes of an extended
-// buffer instead of a wrapped full grid. The extended buffer's slot k holds
-// global plane wrap(zlo−Lo+k, nz), so the only thing this file supplies is
-// the map from a tap to the slot — a plane offset — it reads; the tables
-// are built once per Mesh.
+// Slab z-pass kernels. Each runs the row kernel its full-grid pass runs in
+// internal/grid — grid.ConvRow (mirrored taps of an even kernel) for the
+// convolution, grid.TapRow (taps folded from +0 in list order) for the
+// restriction and prolongation — over whole planes of an extended buffer
+// instead of a wrapped full grid, so it gets the full-grid bits. The
+// extended buffer's slot k holds global plane wrap(zlo−Lo+k, nz), so the
+// only thing this file supplies is the map from a tap to the slot — a plane
+// offset — it reads; the tables are built once per Mesh.
 
 package dist
 
@@ -25,8 +26,9 @@ func planeOffsets(nz, planeLen int, descending bool) []int {
 	return off
 }
 
-// convZAccum accumulates the z-axis convolution into the owned block:
-// dst[·,·,i] += Σ_t kernel[t]·plane(zlo+i+gc−t), t ascending. ext must
+// convZAccum accumulates the z-axis convolution with an even kernel into
+// the owned block: dst[·,·,i] += Σ_t kernel[t]·plane(zlo+i+gc−t), summed as
+// grid.ConvRow pairs mirrored taps. ext must
 // hold the window [zlo−gc, zhi+gc), i.e. Lo = Hi = gc, so tap t of output
 // plane i reads slot i+2gc−t: the window at onz−1−i of desc, the
 // descending offsets of ext's slots.
@@ -35,7 +37,7 @@ func planeOffsets(nz, planeLen int, descending bool) []int {
 func convZAccum(dst, ext *grid.G, kernel []float64, desc []int) {
 	plane, onz := dst.N[0]*dst.N[1], dst.N[2]
 	for iz := 0; iz < onz; iz++ {
-		grid.TapRow(dst.Data[plane*iz:plane*(iz+1)], ext.Data, kernel, desc[onz-1-iz:], true)
+		grid.ConvRow(dst.Data[plane*iz:plane*(iz+1)], ext.Data, kernel, desc[onz-1-iz:], true)
 	}
 }
 
@@ -50,7 +52,7 @@ func convZAccum(dst, ext *grid.G, kernel []float64, desc []int) {
 func restrictZ(dst, ext *grid.G, J []float64, asc []int) {
 	plane, conz := dst.N[0]*dst.N[1], dst.N[2]
 	for iz := 0; iz < conz; iz++ {
-		grid.TapRow(dst.Data[plane*iz:plane*(iz+1)], ext.Data, J, asc[2*iz:], false)
+		grid.TapRow(dst.Data[plane*iz:plane*(iz+1)], ext.Data, J, asc[2*iz:])
 	}
 }
 
@@ -106,6 +108,6 @@ func buildProlongTaps(J []float64, cn, czlo, conz, ph, fzlo, fonz, planeLen int)
 func prolongZ(dst, ext *grid.G, taps []planeTaps) {
 	plane := dst.N[0] * dst.N[1]
 	for iz, t := range taps {
-		grid.TapRow(dst.Data[plane*iz:plane*(iz+1)], ext.Data, t.coef, t.off, false)
+		grid.TapRow(dst.Data[plane*iz:plane*(iz+1)], ext.Data, t.coef, t.off)
 	}
 }

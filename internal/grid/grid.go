@@ -7,11 +7,14 @@
 // matching the layout of internal/fft.Plan3.
 //
 // Every grid-to-grid operator is a tap sum — an output point is
-// Σ_e coef[e]·src[…], folded from +0 in a fixed order — and all of them run
-// on one row kernel (tapRow) that walks contiguous x-rows with a tile of
-// independent accumulators: the x pass of a convolution over a padded row,
-// y and z passes as taps over whole source rows and planes. The passes are
-// split over output rows with par.ForRangeGrain; an output's arithmetic
+// Σ_e coef[e]·src[…] in a fixed order — run by a row kernel that walks
+// contiguous x-rows with a tile of independent accumulators: the x pass
+// over a padded row, y and z passes as taps over whole source rows and
+// planes. Convolutions take an even kernel and run ConvRow, which adds each
+// mirrored pair of source values before its one multiply (g+1 products per
+// output of a 2g+1-tap kernel). Restriction, prolongation and the direct 3D
+// convolution run TapRow, one product per tap folded from +0. The passes
+// are split over output rows with par.ForRangeGrain; an output's arithmetic
 // does not depend on the split or on its place in a tile, so results are
 // bitwise independent of GOMAXPROCS.
 package grid
@@ -188,50 +191,37 @@ func (s *scratch) ints(n int) []int {
 	return s.idx[:n]
 }
 
-// tapMode says how tapRow combines a folded tap sum with dst.
-type tapMode int
-
-const (
-	tapSet   tapMode = iota // dst[i] = Σ, folded from +0
-	tapAdd                  // dst[i] += Σ, folded from +0 first
-	tapChain                // dst[i] = (…((dst[i] + c₀x₀) + c₁x₁)…): continues a fold
-)
-
-// TapRow is the row kernel every grid-to-grid operator runs on: for each i
-// in [0, len(dst)) it folds s = Σ_e coef[e]·src[off[e]+i] from +0 in
-// ascending e and stores dst[i] = s (accum false) or dst[i] += s (accum
-// true). A caller describes an operator by nothing but its tap list — the
-// coefficient and source-row offset of every tap — so slab-decomposed
+// TapRow is the row kernel of the two-scale operators: for each i in
+// [0, len(dst)) it folds dst[i] = Σ_e coef[e]·src[off[e]+i] from +0 in
+// ascending e. A caller describes an operator by nothing but its tap list —
+// the coefficient and source-row offset of every tap — so slab-decomposed
 // pipelines (internal/dist) run their z passes over extended buffers with
 // the same arithmetic, hence the same bits, as the full-grid passes here.
 // dst must not overlap the source rows.
 //
 //tme:noalloc
-func TapRow(dst, src, coef []float64, off []int, accum bool) {
-	mode := tapSet
-	if accum {
-		mode = tapAdd
-	}
-	tapRow(dst, src, coef, off, mode)
+func TapRow(dst, src, coef []float64, off []int) {
+	tapRow(dst, src, coef, off, false)
 }
 
 // tapRow computes eight outputs at a time in eight independent
 // accumulators, so the adds of one tap overlap instead of queueing on one
 // register (a single accumulator is one floating-point add latency per
-// tap). Every output still sees exactly the serial sequence — start value,
-// then s += coef[e]·x in ascending e, each product rounded before its add —
-// so the result does not depend on where a row is cut into tiles or on
-// whether a point falls in a tile or in the scalar tail.
+// tap). Every output still sees exactly the serial sequence — start value
+// (+0, or dst[i] when chain continues a fold), then s += coef[e]·x in
+// ascending e, each product rounded before its add — so the result does
+// not depend on where a row is cut into tiles or on whether a point falls
+// in a tile or in the scalar tail.
 //
 //tme:noalloc
-func tapRow(dst, src, coef []float64, off []int, mode tapMode) {
+func tapRow(dst, src, coef []float64, off []int, chain bool) {
 	off = off[:len(coef)]
 	n := len(dst)
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		d := dst[i : i+8 : i+8]
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		if mode == tapChain {
+		if chain {
 			s0, s1, s2, s3, s4, s5, s6, s7 = d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
 		}
 		for e, c := range coef {
@@ -246,21 +236,14 @@ func tapRow(dst, src, coef []float64, off []int, mode tapMode) {
 			s6 += c * r[6]
 			s7 += c * r[7]
 		}
-		if mode == tapAdd {
-			s0, s1, s2, s3, s4, s5, s6, s7 = d[0]+s0, d[1]+s1, d[2]+s2, d[3]+s3, d[4]+s4, d[5]+s5, d[6]+s6, d[7]+s7
-		}
 		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
 	for ; i < n; i++ {
 		var s float64
-		if mode == tapChain {
+		if chain {
 			s = dst[i]
 		}
-		s = fold(s, src[i:], coef, off)
-		if mode == tapAdd {
-			s += dst[i]
-		}
-		dst[i] = s
+		dst[i] = fold(s, src[i:], coef, off)
 	}
 }
 
@@ -273,6 +256,61 @@ func fold(s float64, src, coef []float64, off []int) float64 {
 		s += c * src[off[e]]
 	}
 	return s
+}
+
+// ConvRow is the row kernel of every convolution pass. coef is an even
+// kernel of 2g+1 taps (coef[e] == coef[2g−e]) and off the source-row
+// offsets of its taps; tap e and its mirror 2g−e share one product. For
+// each i in [0, len(dst)) it folds
+//
+//	s = coef[g]·x_g,  then  s += coef[e]·(x_e + x_{2g−e})  for e = 0 … g−1,
+//
+// with x_e = src[off[e]+i], and stores dst[i] = s (accum false) or
+// dst[i] += s (accum true). The tiles and the scalar tail see that same
+// sequence, as in tapRow. The caller guarantees the kernel is even (convAxis
+// checks it); slab-decomposed z passes (internal/dist) call it with their
+// own offsets and get the full-grid bits. dst must not overlap src.
+//
+//tme:noalloc
+func ConvRow(dst, src, coef []float64, off []int, accum bool) {
+	g := len(coef) / 2
+	off = off[:2*g+1]
+	cg, og := coef[g], off[g]
+	n := len(dst)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		d := dst[i : i+8 : i+8]
+		o := og + i
+		r := src[o : o+8 : o+8]
+		s0, s1, s2, s3 := cg*r[0], cg*r[1], cg*r[2], cg*r[3]
+		s4, s5, s6, s7 := cg*r[4], cg*r[5], cg*r[6], cg*r[7]
+		for e, c := range coef[:g] {
+			a, b := off[e]+i, off[2*g-e]+i
+			l, h := src[a:a+8:a+8], src[b:b+8:b+8]
+			s0 += float64(c * (l[0] + h[0]))
+			s1 += float64(c * (l[1] + h[1]))
+			s2 += float64(c * (l[2] + h[2]))
+			s3 += float64(c * (l[3] + h[3]))
+			s4 += float64(c * (l[4] + h[4]))
+			s5 += float64(c * (l[5] + h[5]))
+			s6 += float64(c * (l[6] + h[6]))
+			s7 += float64(c * (l[7] + h[7]))
+		}
+		if accum {
+			s0, s1, s2, s3, s4, s5, s6, s7 = d[0]+s0, d[1]+s1, d[2]+s2, d[3]+s3, d[4]+s4, d[5]+s5, d[6]+s6, d[7]+s7
+		}
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+	for ; i < n; i++ {
+		s := cg * src[og+i]
+		for e, c := range coef[:g] {
+			s += float64(c * (src[off[e]+i] + src[off[2*g-e]+i]))
+		}
+		if accum {
+			s += dst[i]
+		}
+		dst[i] = s
+	}
 }
 
 // padRow fills pad with row extended periodically by g cells on each side,
@@ -445,7 +483,7 @@ func (a axisJob) rows(lo, hi int) {
 		pad, off := s.floats(nx+2*g), s.xOffsets(g)
 		for r := lo; r < hi; r++ {
 			padRow(pad, src.Data[r*nx:(r+1)*nx], g)
-			TapRow(dst.Data[r*nx:(r+1)*nx], pad, c, off, accum)
+			ConvRow(dst.Data[r*nx:(r+1)*nx], pad, c, off, accum)
 		}
 		return
 	}
@@ -462,11 +500,7 @@ func (a axisJob) rows(lo, hi int) {
 			drow := dst.Data[r*nx : (r+1)*nx]
 			for k := range drow {
 				coef, off := t.at(k)
-				v := fold(0, srow, coef, off)
-				if accum {
-					v += drow[k]
-				}
-				drow[k] = v
+				drow[k] = fold(0, srow, coef, off)
 			}
 		}
 	case 1:
@@ -475,7 +509,7 @@ func (a axisJob) rows(lo, hi int) {
 		t.build(s, a.op, c, sny, nx)
 		for r := lo; r < hi; r++ {
 			coef, off := t.at(r % ny)
-			TapRow(dst.Data[r*nx:(r+1)*nx], src.Data[nx*sny*(r/ny):], coef, off, accum)
+			a.row(dst.Data[r*nx:(r+1)*nx], src.Data[nx*sny*(r/ny):], coef, off)
 		}
 	case 2:
 		// Output plane z is a tap sum of whole source planes; the rows of
@@ -488,7 +522,7 @@ func (a axisJob) rows(lo, hi int) {
 				end = hi
 			}
 			coef, off := t.at(z)
-			TapRow(dst.Data[r*nx:end*nx], src.Data[(r-z*ny)*nx:], coef, off, accum)
+			a.row(dst.Data[r*nx:end*nx], src.Data[(r-z*ny)*nx:], coef, off)
 			r = end
 		}
 	default:
@@ -496,10 +530,24 @@ func (a axisJob) rows(lo, hi int) {
 	}
 }
 
+// row runs the pass's row kernel over one output row: ConvRow for a
+// convolution, TapRow for the two-scale operators (which never accumulate).
+//
+//tme:noalloc
+func (a axisJob) row(dst, src, coef []float64, off []int) {
+	if a.op == opConv {
+		ConvRow(dst, src, coef, off, a.accum)
+		return
+	}
+	TapRow(dst, src, coef, off)
+}
+
 // ConvAxis computes the periodic, range-limited 1D convolution of src with
 // kernel along the given axis (0 = x, 1 = y, 2 = z) and stores the result in
 // dst: dst[n] = Σ_{|m| ≤ gc} kernel[m+gc]·src[n−m]. kernel must have odd
-// length 2·gc+1. dst must not alias src and must have the same shape.
+// length 2·gc+1 and be exactly even, kernel[gc−m] == kernel[gc+m] (a Gaussian
+// grid kernel from bspline.GridKernel is); ConvAxis panics otherwise. dst
+// must not alias src and must have the same shape.
 func ConvAxis(dst, src *G, axis int, kernel []float64) {
 	convAxis(dst, src, axis, kernel, false)
 }
@@ -512,12 +560,18 @@ func convAxis(dst, src *G, axis int, kernel []float64, accum bool) {
 	if len(kernel)%2 == 0 {
 		panic("grid: ConvAxis kernel length must be odd")
 	}
+	for e, c := range kernel[:len(kernel)/2] {
+		if c != kernel[len(kernel)-1-e] {
+			panic("grid: ConvAxis kernel must be even")
+		}
+	}
 	axisPass(dst, src, axis, opConv, kernel, accum)
 }
 
 // ConvSeparable computes the separable 3D convolution kz∗(ky∗(kx∗src)) and
 // returns a new grid. This is the tensor-structured convolution at the heart
-// of the TME method (paper Eq. (10)). Steady-state callers should prefer
+// of the TME method (paper Eq. (10)). Each kernel must be even, as for
+// ConvAxis. Steady-state callers should prefer
 // ConvSeparableInto/ConvSeparableAccum, which allocate nothing.
 func ConvSeparable(src *G, kx, ky, kz []float64) *G {
 	dst := New(src.N[0], src.N[1], src.N[2])
@@ -614,7 +668,7 @@ func (a directJob) rows(lo, hi int) {
 				jy := wrap(iy-my, ny)
 				padRow(pad, src.Data[nx*(jy+ny*jz):nx*(jy+ny*jz)+nx], gc)
 				krow := k * ((my + gc) + k*(mz+gc))
-				tapRow(acc, pad, kernel[krow:krow+k], off, tapChain)
+				tapRow(acc, pad, kernel[krow:krow+k], off, true)
 			}
 		}
 		out := dst.Data[r*nx : (r+1)*nx]

@@ -45,7 +45,7 @@ func naiveConvAxis(src *G, axis int, kernel []float64) *G {
 func TestConvAxisMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	src := randGrid(rng, 8, 6, 4)
-	kernel := []float64{0.1, -0.4, 1.0, 0.3, 0.2}
+	kernel := []float64{0.2, -0.4, 1.0, -0.4, 0.2}
 	for axis := 0; axis < 3; axis++ {
 		want := naiveConvAxis(src, axis, kernel)
 		got := New(8, 6, 4)
@@ -63,10 +63,7 @@ func TestConvAxisKernelLongerThanGrid(t *testing.T) {
 	// grid size (small top-level TME grids with g_c = 8).
 	rng := rand.New(rand.NewSource(2))
 	src := randGrid(rng, 4, 4, 4)
-	kernel := make([]float64, 2*6+1)
-	for i := range kernel {
-		kernel[i] = rng.NormFloat64()
-	}
+	kernel := randKernel(rng, 6)
 	want := naiveConvAxis(src, 0, kernel)
 	got := New(4, 4, 4)
 	ConvAxis(got, src, 0, kernel)
@@ -74,6 +71,24 @@ func TestConvAxisKernelLongerThanGrid(t *testing.T) {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-12 {
 			t.Fatalf("index %d: got %g want %g", i, got.Data[i], want.Data[i])
 		}
+	}
+}
+
+// TestConvAxisRejectsUnevenKernel: the convolutions pair mirrored taps, so
+// a kernel whose mirrored entries differ — here by one ulp — is refused
+// rather than read by its left half.
+func TestConvAxisRejectsUnevenKernel(t *testing.T) {
+	src := New(8, 8, 8)
+	kernel := []float64{0.2, -0.4, 1.0, math.Nextafter(-0.4, 0), 0.2}
+	for axis := 0; axis < 3; axis++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("axis %d: ConvAxis accepted an uneven kernel", axis)
+				}
+			}()
+			ConvAxis(New(8, 8, 8), src, axis, kernel)
+		}()
 	}
 }
 
@@ -85,12 +100,7 @@ func TestSeparableEqualsDirect(t *testing.T) {
 	src := randGrid(rng, 8, 8, 8)
 	gc := 2
 	k := 2*gc + 1
-	kx := make([]float64, k)
-	ky := make([]float64, k)
-	kz := make([]float64, k)
-	for i := 0; i < k; i++ {
-		kx[i], ky[i], kz[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-	}
+	kx, ky, kz := randKernel(rng, gc), randKernel(rng, gc), randKernel(rng, gc)
 	k3 := make([]float64, k*k*k)
 	for mz := 0; mz < k; mz++ {
 		for my := 0; my < k; my++ {
@@ -191,10 +201,7 @@ func TestCloneIsDeep(t *testing.T) {
 func BenchmarkConvSeparable32(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	src := randGrid(rng, 32, 32, 32)
-	k := make([]float64, 17)
-	for i := range k {
-		k[i] = rng.Float64()
-	}
+	k := randKernel(rng, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,13 +1,15 @@
 package grid
 
-// Bitwise oracles. The loops below are the line-at-a-time kernels this
+// Line oracles. The loops below are the line-at-a-time kernels this
 // package ran before the row-tap restructuring, kept verbatim (one strided
 // line gathered at a time, one accumulator per output, the prolongation as
-// a scatter) with only their scratch and index tables made local. Every
-// pinned trajectory hash, golden table and cached reference force in the
-// repository was produced by this arithmetic, so the production operators
-// must reproduce it bit for bit — signed zeros included — on every shape,
-// kernel width and worker count.
+// a scatter) with only their scratch and index tables made local. The
+// restriction, prolongation and direct 3D convolution must reproduce them
+// bit for bit — signed zeros included — on every shape, kernel width and
+// worker count. The separable convolution pairs mirrored taps of its even
+// kernel instead (ConvRow): mirrorLines pins that order bitwise, and the
+// one-product-per-tap convLines stays as a tolerance oracle, within
+// convTol of the sum of the absolute terms.
 
 import (
 	"fmt"
@@ -77,6 +79,63 @@ func convLines(dst, src *G, kernel []float64, n, stride int, bases []int, lo, hi
 			} else {
 				dst.Data[base+i*stride] = s
 			}
+		}
+	}
+}
+
+// oracleMirrorConvAxis is oracleConvAxis in ConvRow's order: the centre
+// product, then kernel[t]·(x₋ + x₊) for each mirrored pair, t ascending.
+func oracleMirrorConvAxis(dst, src *G, axis int, kernel []float64, accum bool) {
+	n, stride, bases := oracleLines(src.N, axis)
+	gc := len(kernel) / 2
+	pad := make([]float64, n+2*gc)
+	for _, base := range bases {
+		for k := range pad {
+			pad[k] = src.Data[base+wrap(k-gc, n)*stride]
+		}
+		for i := 0; i < n; i++ {
+			row := pad[i : i+2*gc+1]
+			s := kernel[gc] * row[gc]
+			for t := 0; t < gc; t++ {
+				s += float64(kernel[t] * (row[2*gc-t] + row[t]))
+			}
+			if accum {
+				dst.Data[base+i*stride] += s
+			} else {
+				dst.Data[base+i*stride] = s
+			}
+		}
+	}
+}
+
+// convTol bounds the distance between the two convolution orders, relative
+// to the sum of the absolute values of the terms (and of the accumulated
+// previous value).
+const convTol = 1e-13
+
+// assertConvWithin checks got against the one-product-per-tap order of
+// oracleConvAxis, within convTol of Σ|terms|, which is oracleConvAxis run
+// on the absolute kernel and source (each |c·x| is |c|·|x| exactly).
+func assertConvWithin(t *testing.T, name string, prev, src *G, axis int, kernel []float64, accum bool, got *G) {
+	t.Helper()
+	abs := func(g *G) *G {
+		a := g.Clone()
+		for i, v := range a.Data {
+			a.Data[i] = math.Abs(v)
+		}
+		return a
+	}
+	want, scale := prev.Clone(), abs(prev)
+	oracleConvAxis(want, src, axis, kernel, accum)
+	absK := make([]float64, len(kernel))
+	for i, c := range kernel {
+		absK[i] = math.Abs(c)
+	}
+	oracleConvAxis(scale, abs(src), axis, absK, accum)
+	for i, v := range got.Data {
+		if d := math.Abs(v - want.Data[i]); !(d <= convTol*scale.Data[i]) {
+			t.Fatalf("%s: point %d: %.17g, one-product-per-tap order %.17g (|Δ| %.3g > %g·Σ|terms| %.3g)",
+				name, i, v, want.Data[i], d, convTol, scale.Data[i])
 		}
 	}
 }
@@ -212,6 +271,9 @@ func dirty(n [3]int) *G {
 	return g
 }
 
+// TestConvAxisMatchesLineOracle: every convolution pass equals the
+// mirrored-tap line oracle bitwise at every worker count, and that oracle
+// stays within convTol of the one-product-per-tap order.
 func TestConvAxisMatchesLineOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for _, n := range oracleShapes {
@@ -221,12 +283,14 @@ func TestConvAxisMatchesLineOracle(t *testing.T) {
 				sname, src := ng.name, ng.g
 				for axis := 0; axis < 3; axis++ {
 					for _, accum := range []bool{false, true} {
+						name := fmt.Sprintf("%v gc=%d %s axis=%d accum=%v", n, gc, sname, axis, accum)
 						want := dirty(n)
-						oracleConvAxis(want, src, axis, kernel, accum)
+						oracleMirrorConvAxis(want, src, axis, kernel, accum)
+						assertConvWithin(t, name, dirty(n), src, axis, kernel, accum, want)
 						for _, procs := range oracleProcs {
 							got := dirty(n)
 							withGOMAXPROCS(procs, func() { convAxis(got, src, axis, kernel, accum) })
-							assertBitwise(t, fmt.Sprintf("%v gc=%d %s axis=%d accum=%v procs=%d", n, gc, sname, axis, accum, procs), want, got)
+							assertBitwise(t, fmt.Sprintf("%s procs=%d", name, procs), want, got)
 						}
 					}
 				}
@@ -306,11 +370,14 @@ func TestRestrictProlongMatchLineOracle(t *testing.T) {
 }
 
 // TestTapRowTilesAndTail drives the row kernel directly over every length
-// around the tile width, so each tail of 0–7 points and each mode is
-// compared with the plain fold.
+// around the tile width, so each tail of 0–7 points, from +0 and chained,
+// is compared with the plain fold.
 func TestTapRowTilesAndTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
-	coef := randKernel(rng, 3)
+	coef := make([]float64, 7) // any tap list, not only a mirrored one
+	for e := range coef {
+		coef[e] = rng.NormFloat64()
+	}
 	off := make([]int, len(coef))
 	for e := range off {
 		off[e] = rng.Intn(9)
@@ -320,28 +387,77 @@ func TestTapRowTilesAndTail(t *testing.T) {
 		src[i] = rng.NormFloat64()
 	}
 	for n := 0; n <= 25; n++ {
-		for _, mode := range []tapMode{tapSet, tapAdd, tapChain} {
+		for _, chain := range []bool{false, true} {
 			want := make([]float64, n)
 			got := make([]float64, n)
 			for i := range want {
 				prev := rng.NormFloat64()
 				got[i] = prev
 				var s float64
-				if mode == tapChain {
+				if chain {
 					s = prev
 				}
 				for e, c := range coef {
 					s += c * src[off[e]+i]
 				}
-				if mode == tapAdd {
+				want[i] = s
+			}
+			tapRow(got, src, coef, off, chain)
+			for i := range want {
+				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("n=%d chain=%v i=%d: got %.17g want %.17g", n, chain, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestConvRowTilesAndTail is TestTapRowTilesAndTail for the mirrored-tap
+// kernel: every length around the tile width, both modes, against the plain
+// per-output fold, on values that include zeros of both signs (an all-zero
+// output keeps the sign the fold gives it).
+func TestConvRowTilesAndTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(105))
+	coef := randKernel(rng, 3)
+	off := make([]int, len(coef))
+	for e := range off {
+		off[e] = rng.Intn(9)
+	}
+	src := make([]float64, 64)
+	for i := range src {
+		switch rng.Intn(3) {
+		case 0:
+			src[i] = math.Copysign(0, -1)
+		case 1:
+			src[i] = 0
+		default:
+			src[i] = rng.NormFloat64()
+		}
+	}
+	g := len(coef) / 2
+	for n := 0; n <= 25; n++ {
+		for _, accum := range []bool{false, true} {
+			want := make([]float64, n)
+			got := make([]float64, n)
+			for i := range want {
+				prev := rng.NormFloat64()
+				if rng.Intn(4) == 0 {
+					prev = math.Copysign(0, -1)
+				}
+				got[i] = prev
+				s := coef[g] * src[off[g]+i]
+				for e := 0; e < g; e++ {
+					s += float64(coef[e] * (src[off[e]+i] + src[off[2*g-e]+i]))
+				}
+				if accum {
 					s = prev + s
 				}
 				want[i] = s
 			}
-			tapRow(got, src, coef, off, mode)
+			ConvRow(got, src, coef, off, accum)
 			for i := range want {
 				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-					t.Fatalf("n=%d mode=%d i=%d: got %.17g want %.17g", n, mode, i, got[i], want[i])
+					t.Fatalf("n=%d accum=%v i=%d: got %.17g want %.17g", n, accum, i, got[i], want[i])
 				}
 			}
 		}

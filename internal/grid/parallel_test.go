@@ -33,10 +33,13 @@ func assertBitwise(t *testing.T, name string, a, b *G) {
 	}
 }
 
+// randKernel returns a random even kernel of 2gc+1 taps, the only kind the
+// convolutions accept.
 func randKernel(rng *rand.Rand, gc int) []float64 {
 	k := make([]float64, 2*gc+1)
-	for i := range k {
+	for i := 0; i <= gc; i++ {
 		k[i] = rng.NormFloat64()
+		k[2*gc-i] = k[i]
 	}
 	return k
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"tme4a/internal/obs"
+	"tme4a/internal/par"
 	"tme4a/internal/vec"
 )
 
@@ -100,8 +101,34 @@ func (s *System) KickDrift(own Owned, dt float64, old []vec.V, rec *obs.Recorder
 		return
 	}
 	sp = rec.Start(obs.StageConstraint)
-	for k, wi := range own.Waters {
-		w := s.RigidWaters[wi]
+	par.ForRangeGrain(len(own.Waters), settleGrain, settleJob{s, own.Waters, old, dt}, settleJob.positions)
+	sp.Stop()
+}
+
+// settleGrain is the least number of waters a SETTLE worker takes: a
+// 216-water box stays on one worker, where a goroutine would cost more than
+// it saves.
+const settleGrain = 128
+
+// settleJob is the argument of the parallel SETTLE bodies. Water k of the
+// list reads and writes only its own three atoms (and its three reference
+// positions old[3k…3k+2]), so any split gives the serial bits.
+type settleJob struct {
+	s      *System
+	waters []int32
+	old    []vec.V
+	dt     float64
+}
+
+// positions constrains the drifted waters [lo, hi) of the list against
+// their reference positions and sets their velocities from the
+// displacement.
+//
+//tme:noalloc
+func (j settleJob) positions(lo, hi int) {
+	s, pos, vel, old, dt := j.s, j.s.Pos, j.s.Vel, j.old, j.dt
+	for k := lo; k < hi; k++ {
+		w := s.RigidWaters[j.waters[k]]
 		a0, b0, c0 := old[3*k], old[3*k+1], old[3*k+2]
 		a, b, c := s.WaterModel.Settle(a0, b0, c0, pos[w[0]], pos[w[1]], pos[w[2]])
 		vel[w[0]] = a.Sub(a0).Scale(1 / dt)
@@ -109,7 +136,20 @@ func (s *System) KickDrift(own Owned, dt float64, old []vec.V, rec *obs.Recorder
 		vel[w[2]] = c.Sub(c0).Scale(1 / dt)
 		pos[w[0]], pos[w[1]], pos[w[2]] = a, b, c
 	}
-	sp.Stop()
+}
+
+// velocities projects the bond-stretching velocity components out of the
+// waters [lo, hi) of the list.
+//
+//tme:noalloc
+func (j settleJob) velocities(lo, hi int) {
+	s := j.s
+	for _, wi := range j.waters[lo:hi] {
+		w := s.RigidWaters[wi]
+		s.WaterModel.SettleVelocities(
+			s.Pos[w[0]], s.Pos[w[1]], s.Pos[w[2]],
+			&s.Vel[w[0]], &s.Vel[w[1]], &s.Vel[w[2]])
+	}
 }
 
 // KickConstrain is phase 3 for the atoms and waters of own: the second

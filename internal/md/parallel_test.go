@@ -8,6 +8,7 @@ package md_test
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -92,6 +93,42 @@ func TestStepBitwiseAcrossGOMAXPROCS(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSettleBitwiseAcrossGOMAXPROCS: SETTLE splits its waters over
+// workers once a box has more than one grain of them (the trajectories
+// above are too small to). Phases 1 and 3 on a 512-water box with thermal
+// velocities and random forces give the serial bits at every worker count.
+func TestSettleBitwiseAcrossGOMAXPROCS(t *testing.T) {
+	run := func() (pos, vel []vec.V) {
+		sys := water.Build(8, 8, 8, water.CubicBoxFor(512), 5)
+		sys.InitVelocities(300, rand.New(rand.NewSource(6)))
+		rng := rand.New(rand.NewSource(7))
+		for i := range sys.Frc {
+			sys.Frc[i] = vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(500)
+		}
+		old := make([]vec.V, 3*len(sys.RigidWaters))
+		for step := 0; step < 3; step++ {
+			sys.KickDrift(sys.All(), 0.002, old, nil)
+			sys.KickConstrain(sys.All(), 0.002, nil)
+		}
+		return sys.Pos, sys.Vel
+	}
+	var refPos, refVel []vec.V
+	for li, p := range gomaxprocsLevels {
+		old := runtime.GOMAXPROCS(p)
+		pos, vel := run()
+		runtime.GOMAXPROCS(old)
+		if li == 0 {
+			refPos, refVel = pos, vel
+			continue
+		}
+		for i := range refPos {
+			if pos[i] != refPos[i] || vel[i] != refVel[i] {
+				t.Fatalf("GOMAXPROCS=%d: atom %d: pos %v vel %v, serial %v %v", p, i, pos[i], vel[i], refPos[i], refVel[i])
+			}
+		}
 	}
 }
 

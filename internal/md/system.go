@@ -15,6 +15,7 @@ import (
 
 	"tme4a/internal/constraint"
 	"tme4a/internal/nonbond"
+	"tme4a/internal/par"
 	"tme4a/internal/topol"
 	"tme4a/internal/units"
 	"tme4a/internal/vec"
@@ -138,19 +139,14 @@ func (s *System) ScaleVelocities(f float64) {
 }
 
 // settleVelocities projects the bond-stretching velocity components out of
-// the listed rigid waters.
+// the listed rigid waters, split over workers as KickDrift's SETTLE is.
 //
 //tme:noalloc
 func (s *System) settleVelocities(waters []int32) {
 	if s.WaterModel == nil {
 		return
 	}
-	for _, wi := range waters {
-		w := s.RigidWaters[wi]
-		s.WaterModel.SettleVelocities(
-			s.Pos[w[0]], s.Pos[w[1]], s.Pos[w[2]],
-			&s.Vel[w[0]], &s.Vel[w[1]], &s.Vel[w[2]])
-	}
+	par.ForRangeGrain(len(waters), settleGrain, settleJob{s: s, waters: waters}, settleJob.velocities)
 }
 
 // Validate performs basic sanity checks and returns an error describing

@@ -1,12 +1,15 @@
 package pmesh
 
-// Bitwise oracles. assignSlabOracle and interpolateRangeOracle are the
-// scatter and gather loops this package ran before spreading was
-// restructured, kept verbatim: a wrap() modulo on every one of the p³
-// support points. Every pinned trajectory hash and cached reference force
-// was produced by this arithmetic, so Mesher.spread and Mesher.gather —
-// behind AssignTo, AssignPlanes, Interpolate and InterpolatePlanes — must
-// reproduce it bit for bit.
+// Oracles. assignSlabOracle and interpolateRangeOracle are the scatter and
+// gather loops this package ran before spreading was restructured, kept
+// verbatim: a wrap() modulo on every one of the p³ support points.
+// Mesher.spread — behind AssignTo and AssignPlanes — must reproduce the
+// scatter bit for bit. Mesher.gather — behind Interpolate and
+// InterpolatePlanes — contracts the weights one axis at a time instead:
+// interpolateRangeOracleXYZ is that x → y → z order written with the same
+// per-point wraps, and pins it bitwise; interpolateRangeOracle, which
+// multiplies out all three weights at every point, stays as a tolerance
+// oracle within gatherTol of the sum of the absolute terms.
 
 import (
 	"fmt"
@@ -112,18 +115,132 @@ func (m *Mesher) interpolateRangeOracle(phi *grid.G, pos []vec.V, q []float64, f
 	return energy
 }
 
-// interpolateOracle is Interpolate's two-stage energy fold over the oracle
-// gather: energyChunk-atom partials, summed in chunk order.
-func (m *Mesher) interpolateOracle(phi *grid.G, pos []vec.V, q []float64, f []vec.V) float64 {
+// interpolateRangeOracleXYZ is interpolateRangeOracle with the weights
+// contracted innermost axis first: Σ_a v·wx and Σ_a v·dx per x-run (from
+// the first product), folded from +0 over b with wy and dy into a plane's
+// value, ∂x and ∂y sums, folded from +0 over c with wz (and the value sum
+// with dz into ∂z).
+func (m *Mesher) interpolateRangeOracleXYZ(phi *grid.G, pos []vec.V, q []float64, f []vec.V, lo, hi int) float64 {
+	p := m.P
+	var wx, wy, wz, dx, dy, dz [MaxOrder]float64
+	nx, ny, nz := m.N[0], m.N[1], m.N[2]
+	var energy float64
+	for i := lo; i < hi; i++ {
+		r := pos[i]
+		qi := q[i]
+		if qi == 0 {
+			continue
+		}
+		mx := bspline.Weights(p, r[0]*m.invH[0], wx[:p], dx[:p])
+		my := bspline.Weights(p, r[1]*m.invH[1], wy[:p], dy[:p])
+		mz := bspline.Weights(p, r[2]*m.invH[2], wz[:p], dz[:p])
+		var pot, gx, gy, gz float64
+		for c := 0; c < p; c++ {
+			iz := wrap(mz+c, nz)
+			var pw, pdx, pdy float64
+			for b := 0; b < p; b++ {
+				iy := wrap(my+b, ny)
+				row := phi.Data[nx*(iy+ny*iz) : nx*(iy+ny*iz)+nx]
+				v := row[wrap(mx, nx)]
+				sw, sd := float64(v*wx[0]), float64(v*dx[0])
+				for a := 1; a < p; a++ {
+					v := row[wrap(mx+a, nx)]
+					sw += float64(v * wx[a])
+					sd += float64(v * dx[a])
+				}
+				pw += float64(sw * wy[b])
+				pdx += float64(sd * wy[b])
+				pdy += float64(sw * dy[b])
+			}
+			pot += float64(pw * wz[c])
+			gx += float64(pdx * wz[c])
+			gy += float64(pdy * wz[c])
+			gz += float64(pw * dz[c])
+		}
+		energy += 0.5 * qi * pot
+		if f != nil {
+			f[i][0] -= float64(qi * gx * m.invH[0])
+			f[i][1] -= float64(qi * gy * m.invH[1])
+			f[i][2] -= float64(qi * gz * m.invH[2])
+		}
+	}
+	return energy
+}
+
+// rangeOracle is one of the two gather oracles.
+type rangeOracle func(m *Mesher, phi *grid.G, pos []vec.V, q []float64, f []vec.V, lo, hi int) float64
+
+// interpolateOracle is Interpolate's two-stage energy fold over a gather
+// oracle: energyChunk-atom partials, summed in chunk order.
+func (m *Mesher) interpolateOracle(gather rangeOracle, phi *grid.G, pos []vec.V, q []float64, f []vec.V) float64 {
 	var energy float64
 	for lo := 0; lo < len(pos); lo += energyChunk {
 		hi := lo + energyChunk
 		if hi > len(pos) {
 			hi = len(pos)
 		}
-		energy += m.interpolateRangeOracle(phi, pos, q, f, lo, hi)
+		energy += gather(m, phi, pos, q, f, lo, hi)
 	}
 	return energy
+}
+
+// gatherTol bounds the distance between the two gather orders, relative to
+// the sum of the absolute values of the terms.
+const gatherTol = 1e-13
+
+// gatherScale returns Σ|terms| of Interpolate's energy and, per atom, of
+// each force component: the all-weights loop on |φ| with |q| and |d|
+// (B-spline weights are non-negative).
+func (m *Mesher) gatherScale(phi *grid.G, pos []vec.V, q []float64) (float64, []vec.V) {
+	p := m.P
+	var wx, wy, wz, dx, dy, dz [MaxOrder]float64
+	nx, ny, nz := m.N[0], m.N[1], m.N[2]
+	var energy float64
+	fs := make([]vec.V, len(pos))
+	for i, r := range pos {
+		qi := math.Abs(q[i])
+		mx := bspline.Weights(p, r[0]*m.invH[0], wx[:p], dx[:p])
+		my := bspline.Weights(p, r[1]*m.invH[1], wy[:p], dy[:p])
+		mz := bspline.Weights(p, r[2]*m.invH[2], wz[:p], dz[:p])
+		var pot, gx, gy, gz float64
+		for c := 0; c < p; c++ {
+			for b := 0; b < p; b++ {
+				for a := 0; a < p; a++ {
+					v := math.Abs(phi.Data[wrap(mx+a, nx)+nx*(wrap(my+b, ny)+ny*wrap(mz+c, nz))])
+					pot += v * wx[a] * wy[b] * wz[c]
+					gx += v * math.Abs(dx[a]) * wy[b] * wz[c]
+					gy += v * wx[a] * math.Abs(dy[b]) * wz[c]
+					gz += v * wx[a] * wy[b] * math.Abs(dz[c])
+				}
+			}
+		}
+		energy += 0.5 * qi * pot
+		fs[i] = vec.V{qi * gx * m.invH[0], qi * gy * m.invH[1], qi * gz * m.invH[2]}
+	}
+	return energy, fs
+}
+
+// assertGatherWithin checks an energy and forces, gathered from phi onto
+// forces that started at f0, against the all-three-weights order of
+// interpolateRangeOracle, within gatherTol of Σ|terms| (plus |f0| for the
+// forces).
+func (m *Mesher) assertGatherWithin(t *testing.T, name string, phi *grid.G, pos []vec.V, q []float64, f0 []vec.V, gotE float64, gotF []vec.V) {
+	t.Helper()
+	wantF := append([]vec.V(nil), f0...)
+	wantE := m.interpolateOracle((*Mesher).interpolateRangeOracle, phi, pos, q, wantF)
+	scaleE, scaleF := m.gatherScale(phi, pos, q)
+	if d := math.Abs(gotE - wantE); !(d <= gatherTol*scaleE) {
+		t.Fatalf("%s: energy %.17g, all-weights order %.17g (|Δ| %.3g > %g·Σ|terms| %.3g)", name, gotE, wantE, d, gatherTol, scaleE)
+	}
+	for i := range wantF {
+		for j := 0; j < 3; j++ {
+			scale := scaleF[i][j] + math.Abs(f0[i][j])
+			if d := math.Abs(gotF[i][j] - wantF[i][j]); !(d <= gatherTol*scale) {
+				t.Fatalf("%s: force %d[%d] %.17g, all-weights order %.17g (|Δ| %.3g > %g·Σ|terms| %.3g)",
+					name, i, j, gotF[i][j], wantF[i][j], d, gatherTol, scale)
+			}
+		}
+	}
 }
 
 // oracleSystem is a charge set built to reach every branch of the spread
@@ -254,6 +371,9 @@ func TestAssignMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestInterpolateMatchesOracle: Interpolate and InterpolatePlanes equal the
+// x → y → z oracle bitwise, and that oracle stays within gatherTol of the
+// all-weights order.
 func TestInterpolateMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for _, m := range oracleMeshers() {
@@ -269,7 +389,8 @@ func TestInterpolateMatchesOracle(t *testing.T) {
 			wantF[i] = vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
 		}
 		f0 := append([]vec.V(nil), wantF...)
-		wantE := m.interpolateOracle(phi, pos, q, wantF)
+		wantE := m.interpolateOracle((*Mesher).interpolateRangeOracleXYZ, phi, pos, q, wantF)
+		m.assertGatherWithin(t, "x→y→z oracle "+name, phi, pos, q, f0, wantE, wantF)
 
 		for _, procs := range []int{1, 2, 7} {
 			gotF := append([]vec.V(nil), f0...)
