@@ -193,9 +193,20 @@ func BenchmarkConvSeparableVsDirect(b *testing.B) {
 		k1[i] = rng.NormFloat64()
 		k1[2*gc-i] = k1[i]
 	}
-	k3 := make([]float64, len(k1)*len(k1)*len(k1))
+	// The direct convolution takes kernels even along every axis: each
+	// entry copies a random octant entry (|mx|, |my|, |mz|).
+	k := len(k1)
+	at := func(mx, my, mz int) int { return (mx + gc) + k*((my+gc)+k*(mz+gc)) }
+	k3 := make([]float64, k*k*k)
 	for i := range k3 {
 		k3[i] = rng.NormFloat64()
+	}
+	for mz := -gc; mz <= gc; mz++ {
+		for my := -gc; my <= gc; my++ {
+			for mx := -gc; mx <= gc; mx++ {
+				k3[at(mx, my, mz)] = k3[at(max(mx, -mx), max(my, -my), max(mz, -mz))]
+			}
+		}
 	}
 	b.Run("TME_separable_M4", func(b *testing.B) {
 		// Steady-state form: the M = 4 Gaussians are fused into one

@@ -12,11 +12,12 @@
 // over a padded row, y and z passes as taps over whole source rows and
 // planes. Convolutions take an even kernel and run ConvRow, which adds each
 // mirrored pair of source values before its one multiply (g+1 products per
-// output of a 2g+1-tap kernel). Restriction, prolongation and the direct 3D
-// convolution run TapRow, one product per tap folded from +0. The passes
-// are split over output rows with par.ForRangeGrain; an output's arithmetic
-// does not depend on the split or on its place in a tile, so results are
-// bitwise independent of GOMAXPROCS.
+// output of a 2g+1-tap kernel); the direct 3D convolution first adds the
+// source rows its kernel's y and z mirrors share, then runs ConvRow on the
+// sum. Restriction and prolongation run TapRow, one product per tap folded
+// from +0. The passes are split over output rows with par.ForRangeGrain; an
+// output's arithmetic does not depend on the split or on its place in a
+// tile, so results are bitwise independent of GOMAXPROCS.
 package grid
 
 import (
@@ -164,10 +165,11 @@ func (p *Pool) Put(g *G) {
 
 // scratch is one worker's reusable buffers. f holds the padded source row
 // of an x convolution (the direct convolution adds its running output row,
-// the prolongation its coefficient lists); idx holds tap-offset tables. Both
-// grow once to the largest row the process touches and are recycled through
-// scratchPool, so steady-state passes allocate nothing. A pass uses each
-// buffer for one purpose at a time.
+// the prolongation its coefficient lists); idx holds tap-offset tables (the
+// direct convolution also its wrapped row offsets). Both grow once to the
+// largest row the process touches and are recycled through scratchPool, so
+// steady-state passes allocate nothing. A pass uses each buffer for one
+// purpose at a time.
 type scratch struct {
 	f   []float64
 	idx []int
@@ -199,31 +201,22 @@ func (s *scratch) ints(n int) []int {
 // the same arithmetic, hence the same bits, as the full-grid passes here.
 // dst must not overlap the source rows.
 //
-//tme:noalloc
-func TapRow(dst, src, coef []float64, off []int) {
-	tapRow(dst, src, coef, off, false)
-}
-
-// tapRow computes eight outputs at a time in eight independent
-// accumulators, so the adds of one tap overlap instead of queueing on one
-// register (a single accumulator is one floating-point add latency per
-// tap). Every output still sees exactly the serial sequence — start value
-// (+0, or dst[i] when chain continues a fold), then s += coef[e]·x in
+// It computes eight outputs at a time in eight independent accumulators, so
+// the adds of one tap overlap instead of queueing on one register (a single
+// accumulator is one floating-point add latency per tap). Every output
+// still sees exactly the serial sequence — +0, then s += coef[e]·x in
 // ascending e, each product rounded before its add — so the result does
 // not depend on where a row is cut into tiles or on whether a point falls
 // in a tile or in the scalar tail.
 //
 //tme:noalloc
-func tapRow(dst, src, coef []float64, off []int, chain bool) {
+func TapRow(dst, src, coef []float64, off []int) {
 	off = off[:len(coef)]
 	n := len(dst)
 	i := 0
 	for ; i+8 <= n; i += 8 {
 		d := dst[i : i+8 : i+8]
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		if chain {
-			s0, s1, s2, s3, s4, s5, s6, s7 = d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
-		}
 		for e, c := range coef {
 			o := off[e] + i
 			r := src[o : o+8 : o+8]
@@ -239,19 +232,16 @@ func tapRow(dst, src, coef []float64, off []int, chain bool) {
 		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
 	for ; i < n; i++ {
-		var s float64
-		if chain {
-			s = dst[i]
-		}
-		dst[i] = fold(s, src[i:], coef, off)
+		dst[i] = fold(src[i:], coef, off)
 	}
 }
 
-// fold is the one-output tile of tapRow: s + Σ_e coef[e]·src[off[e]],
-// added in ascending e.
+// fold is the one-output tile of TapRow: Σ_e coef[e]·src[off[e]], folded
+// from +0 in ascending e.
 //
 //tme:noalloc
-func fold(s float64, src, coef []float64, off []int) float64 {
+func fold(src, coef []float64, off []int) float64 {
+	var s float64
 	for e, c := range coef {
 		s += c * src[off[e]]
 	}
@@ -267,9 +257,10 @@ func fold(s float64, src, coef []float64, off []int) float64 {
 //
 // with x_e = src[off[e]+i], and stores dst[i] = s (accum false) or
 // dst[i] += s (accum true). The tiles and the scalar tail see that same
-// sequence, as in tapRow. The caller guarantees the kernel is even (convAxis
-// checks it); slab-decomposed z passes (internal/dist) call it with their
-// own offsets and get the full-grid bits. dst must not overlap src.
+// sequence, as in TapRow. The caller guarantees the kernel is even
+// (convAxis and ConvDirect3DAccum check it); slab-decomposed z passes
+// (internal/dist) call it with their own offsets and get the full-grid
+// bits. dst must not overlap src.
 //
 //tme:noalloc
 func ConvRow(dst, src, coef []float64, off []int, accum bool) {
@@ -500,7 +491,7 @@ func (a axisJob) rows(lo, hi int) {
 			drow := dst.Data[r*nx : (r+1)*nx]
 			for k := range drow {
 				coef, off := t.at(k)
-				drow[k] = fold(0, srow, coef, off)
+				drow[k] = fold(srow, coef, off)
 			}
 		}
 	case 1:
@@ -607,8 +598,12 @@ func ConvSeparableAccum(dst, src *G, kx, ky, kz []float64, t1, t2 *G) {
 // ConvDirect3D computes the periodic, range-limited direct 3D convolution
 // dst[n] = Σ_{|m_j| ≤ gc} kernel(m)·src[n−m], where kernel is indexed
 // kernel[(mx+gc) + (2gc+1)·((my+gc) + (2gc+1)·(mz+gc))]. This is the
-// B-spline MSM convolution that the TME replaces; its cost is (2gc+1)³ per
-// grid point versus the TME's 3·(2gc+1)·M.
+// B-spline MSM convolution that the TME replaces: (2gc+1)³ taps per grid
+// point versus the TME's 3·(2gc+1)·M. The kernel must be exactly even along
+// every axis, kernel(mx, my, mz) == kernel(−mx, my, mz) == kernel(mx, −my, mz)
+// == kernel(mx, my, −mz), and ConvDirect3D panics otherwise; the evenness
+// folds the sum to (gc+1)² mirrored x rows, about (gc+1)³ multiplies per
+// point (see ConvDirect3DAccum).
 func ConvDirect3D(src *G, kernel []float64, gc int) *G {
 	dst := New(src.N[0], src.N[1], src.N[2])
 	ConvDirect3DAccum(dst, src, kernel, gc)
@@ -616,7 +611,8 @@ func ConvDirect3D(src *G, kernel []float64, gc int) *G {
 }
 
 // ConvDirect3DAccum accumulates the periodic, range-limited direct 3D
-// convolution into dst: dst[n] += Σ_{|m_j| ≤ gc} kernel(m)·src[n−m].
+// convolution into dst: dst[n] += Σ_{|m_j| ≤ gc} kernel(m)·src[n−m], for a
+// kernel even along every axis as in ConvDirect3D (it panics on any other).
 // dst and src must have equal shapes and must not alias. This is the
 // allocation-free form msm.Solver uses.
 //
@@ -630,9 +626,20 @@ func ConvDirect3DAccum(dst, src *G, kernel []float64, gc int) {
 	if dst.N != src.N {
 		panic("grid: ConvDirect3DAccum shape mismatch")
 	}
+	for i, z := 0, 0; z < k; z++ {
+		for y := 0; y < k; y++ {
+			for x := 0; x < k; x, i = x+1, i+1 {
+				c := kernel[i]
+				if c != kernel[i+k-1-2*x] || c != kernel[i+k*(k-1-2*y)] || c != kernel[i+k*k*(k-1-2*z)] {
+					panic("grid: ConvDirect3DAccum kernel must be even along every axis")
+				}
+			}
+		}
+	}
 	// Each output x-row (iy, iz) is independent: gather-only, so any
-	// partition over rows is bitwise deterministic.
-	par.ForRangeGrain(ny*nz, rowGrain(nx*k*k*k), directJob{dst, src, kernel, gc}, directJob.rows)
+	// partition over rows is bitwise deterministic. A row costs (gc+1)²
+	// mirrored rows of gc+1 products and up to three row adds per point.
+	par.ForRangeGrain(ny*nz, rowGrain(nx*(gc+1)*(gc+1)*(gc+4)), directJob{dst, src, kernel, gc}, directJob.rows)
 }
 
 // directJob is the argument of ConvDirect3DAccum's parallel body.
@@ -642,11 +649,18 @@ type directJob struct {
 	gc       int
 }
 
-// rows accumulates the direct convolution for the output x-rows
-// [lo, hi). An output row folds its (2gc+1)³ taps in ascending (mz, my, mx)
-// as (2gc+1)² chained x-tap rows — one per source row, padded as in the
-// separable x pass — into a running row that starts at +0, then adds that
-// row to dst.
+// rows accumulates the direct convolution for the output x-rows [lo, hi),
+// folded by the kernel's mirror symmetry. For output row (iy, iz), in
+// ascending ez and within it ascending ey (0 … gc each), it sums the source
+// rows
+//
+//	S = src(iy−ey, iz−ez) [+ src(iy+ey, iz−ez)] [+ src(iy−ey, iz+ez) + src(iy+ey, iz+ez)],
+//
+// left to right, the bracketed rows taken only when ey > 0 (ez > 0), so that
+// every signed offset counts once even where offsets alias on a short ring;
+// it pads S as the separable x pass does and adds ConvRow of S with the
+// kernel row k(·, ey, ez) into a running row that starts at +0. The running
+// row is then added to dst.
 //
 //tme:noalloc
 func (a directJob) rows(lo, hi int) {
@@ -655,20 +669,48 @@ func (a directJob) rows(lo, hi int) {
 	nx, ny, nz := src.N[0], src.N[1], src.N[2]
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	buf, off := s.floats(2*nx+2*gc), s.xOffsets(gc)
+	buf := s.floats(2*nx + 2*gc)
 	acc, pad := buf[:nx], buf[nx:]
+	sum := pad[gc : gc+nx]
+	// off holds the x taps of the padded row; wy and wz the flat offsets of
+	// source row y = wrap(j−gc) and plane z = wrap(j−gc) at index j, so no
+	// mirrored row pays a modulo.
+	tab := s.ints(2*gc + 1 + ny + nz + 4*gc)
+	off, wy, wz := tab[:2*gc+1], tab[2*gc+1:4*gc+1+ny], tab[4*gc+1+ny:]
+	for e := range off {
+		off[e] = 2*gc - e
+	}
+	for j := range wy {
+		wy[j] = nx * wrap(j-gc, ny)
+	}
+	for j := range wz {
+		wz[j] = nx * ny * wrap(j-gc, nz)
+	}
+	d := src.Data
 	for r := lo; r < hi; r++ {
-		iy, iz := r%ny, r/ny
-		for ix := range acc {
-			acc[ix] = 0
-		}
-		for mz := -gc; mz <= gc; mz++ {
-			jz := wrap(iz-mz, nz)
-			for my := -gc; my <= gc; my++ {
-				jy := wrap(iy-my, ny)
-				padRow(pad, src.Data[nx*(jy+ny*jz):nx*(jy+ny*jz)+nx], gc)
-				krow := k * ((my + gc) + k*(mz+gc))
-				tapRow(acc, pad, kernel[krow:krow+k], off, true)
+		iy, iz := r%ny+gc, r/ny+gc
+		clear(acc)
+		for ez := 0; ez <= gc; ez++ {
+			z0, z1 := wz[iz-ez], wz[iz+ez]
+			for ey := 0; ey <= gc; ey++ {
+				y0, y1 := wy[iy-ey], wy[iy+ey]
+				r0, r3 := d[y0+z0:y0+z0+nx], d[y1+z1:y1+z1+nx]
+				switch {
+				case ey > 0 && ez > 0:
+					r1, r2 := d[y1+z0:y1+z0+nx], d[y0+z1:y0+z1+nx]
+					for i := range sum {
+						sum[i] = r0[i] + r1[i] + r2[i] + r3[i]
+					}
+				case ey > 0 || ez > 0: // y1 == y0 or z1 == z0: r3 is the one mirror row
+					for i := range sum {
+						sum[i] = r0[i] + r3[i]
+					}
+				default:
+					copy(sum, r0)
+				}
+				padRow(pad, sum, gc)
+				krow := k * ((ey + gc) + k*(ez+gc))
+				ConvRow(acc, pad, kernel[krow:krow+k], off, true)
 			}
 		}
 		out := dst.Data[r*nx : (r+1)*nx]

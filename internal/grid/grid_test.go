@@ -227,16 +227,13 @@ func BenchmarkConvSeparableAccum32(b *testing.B) {
 }
 
 // BenchmarkConvDirect3DAccum16 times the MSM level convolution of a 16³
-// grid at g_c = 8 (17³ taps per point) in the form msm.Solver calls.
+// grid at g_c = 8 (17³ taps per point, folded to 9² mirrored rows) in the
+// form msm.Solver calls.
 func BenchmarkConvDirect3DAccum16(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	src := randGrid(rng, 16, 16, 16)
 	gc := 8
-	n := 2*gc + 1
-	k3 := make([]float64, n*n*n)
-	for i := range k3 {
-		k3[i] = rng.Float64()
-	}
+	k3 := randKernel3(rng, gc)
 	dst := New(16, 16, 16)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -249,11 +246,7 @@ func BenchmarkConvDirect3D32(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	src := randGrid(rng, 32, 32, 32)
 	gc := 8
-	n := 2*gc + 1
-	k3 := make([]float64, n*n*n)
-	for i := range k3 {
-		k3[i] = rng.Float64()
-	}
+	k3 := randKernel3(rng, gc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

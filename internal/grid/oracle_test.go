@@ -4,12 +4,14 @@ package grid
 // package ran before the row-tap restructuring, kept verbatim (one strided
 // line gathered at a time, one accumulator per output, the prolongation as
 // a scatter) with only their scratch and index tables made local. The
-// restriction, prolongation and direct 3D convolution must reproduce them
-// bit for bit — signed zeros included — on every shape, kernel width and
-// worker count. The separable convolution pairs mirrored taps of its even
-// kernel instead (ConvRow): mirrorLines pins that order bitwise, and the
-// one-product-per-tap convLines stays as a tolerance oracle, within
-// convTol of the sum of the absolute terms.
+// restriction and prolongation must reproduce them bit for bit — signed
+// zeros included — on every shape, kernel width and worker count. The
+// convolutions use their even kernels' mirrors instead (ConvRow): the
+// separable passes pair mirrored taps and the direct 3D convolution also
+// sums mirrored source rows. oracleMirrorConvAxis and
+// oracleFoldedConvDirectAccum pin those orders bitwise, and the
+// one-product-per-tap convLines and oracleConvDirectAccum stay as tolerance
+// oracles, within convTol of the sum of the absolute terms.
 
 import (
 	"fmt"
@@ -140,35 +142,94 @@ func assertConvWithin(t *testing.T, name string, prev, src *G, axis int, kernel 
 	}
 }
 
+// oracleConvDirectAccum is the direct convolution in its defining order:
+// one product per tap, ascending (mz, my, mx), folded from +0 and then added
+// to dst. The folded order of ConvDirect3DAccum stays within convTol of it
+// (assertDirectWithin).
 func oracleConvDirectAccum(dst, src *G, kernel []float64, gc int) {
-	wx := make([]int, src.N[0]+2*gc)
-	for i := range wx {
-		wx[i] = wrap(i-gc, src.N[0])
-	}
-	convDirectLines(dst, src, kernel, gc, wx, 0, src.N[1]*src.N[2])
-}
-
-func convDirectLines(dst, src *G, kernel []float64, gc int, wx []int, lo, hi int) {
 	k := 2*gc + 1
 	nx, ny, nz := src.N[0], src.N[1], src.N[2]
-	for line := lo; line < hi; line++ {
-		iy := line % ny
-		iz := line / ny
-		out := dst.Data[nx*(iy+ny*iz) : nx*(iy+ny*iz)+nx]
-		for ix := 0; ix < nx; ix++ {
-			var s float64
-			for mz := -gc; mz <= gc; mz++ {
-				jz := wrap(iz-mz, nz)
-				for my := -gc; my <= gc; my++ {
-					jy := wrap(iy-my, ny)
-					krow := k * ((my + gc) + k*(mz+gc))
-					srow := src.Data[nx*(jy+ny*jz) : nx*(jy+ny*jz)+nx]
-					for mx := -gc; mx <= gc; mx++ {
-						s += kernel[(mx+gc)+krow] * srow[wx[ix-mx+gc]]
+	for iz := 0; iz < nz; iz++ {
+		for iy := 0; iy < ny; iy++ {
+			for ix := 0; ix < nx; ix++ {
+				var s float64
+				for mz := -gc; mz <= gc; mz++ {
+					for my := -gc; my <= gc; my++ {
+						for mx := -gc; mx <= gc; mx++ {
+							s += kernel[(mx+gc)+k*((my+gc)+k*(mz+gc))] * src.At(ix-mx, iy-my, iz-mz)
+						}
 					}
 				}
+				dst.Data[dst.Idx(ix, iy, iz)] += s
 			}
-			out[ix] += s
+		}
+	}
+}
+
+// oracleFoldedConvDirectAccum is the direct convolution in the folded order
+// ConvDirect3DAccum documents, one output point at a time: for ez, then ey,
+// ascending from 0 to gc, the mirrored source rows are summed left to right
+// into S — (−ey, −ez), then (+ey, −ez) if ey > 0, then (−ey, +ez) and
+// (+ey, +ez) if ez > 0, each an offset subtracted from the output's (y, z) —
+// and the x convolution of S in ConvRow's order, k(0)·S(ix) then
+// k(d)·(S(ix+d) + S(ix−d)) for d = gc … 1, is added to a running sum that
+// starts at +0; the running sum is then added to dst.
+func oracleFoldedConvDirectAccum(dst, src *G, kernel []float64, gc int) {
+	k := 2*gc + 1
+	nx, ny, nz := src.N[0], src.N[1], src.N[2]
+	for iz := 0; iz < nz; iz++ {
+		for iy := 0; iy < ny; iy++ {
+			for ix := 0; ix < nx; ix++ {
+				var run float64
+				for ez := 0; ez <= gc; ez++ {
+					for ey := 0; ey <= gc; ey++ {
+						S := func(jx int) float64 {
+							v := src.At(jx, iy-ey, iz-ez)
+							if ey > 0 {
+								v += src.At(jx, iy+ey, iz-ez)
+							}
+							if ez > 0 {
+								v += src.At(jx, iy-ey, iz+ez)
+								if ey > 0 {
+									v += src.At(jx, iy+ey, iz+ez)
+								}
+							}
+							return v
+						}
+						krow := kernel[k*((ey+gc)+k*(ez+gc)):]
+						t := krow[gc] * S(ix)
+						for d := gc; d >= 1; d-- {
+							t += float64(krow[gc+d] * (S(ix+d) + S(ix-d)))
+						}
+						run += t
+					}
+				}
+				dst.Data[dst.Idx(ix, iy, iz)] += run
+			}
+		}
+	}
+}
+
+// assertDirectWithin checks got, the direct convolution of src added to a
+// zero grid, against the defining order of oracleConvDirectAccum, within
+// convTol of Σ|terms| (that oracle on the absolute kernel and source).
+func assertDirectWithin(t *testing.T, name string, src *G, kernel []float64, gc int, got *G) {
+	t.Helper()
+	n := src.N
+	want, scale := New(n[0], n[1], n[2]), New(n[0], n[1], n[2])
+	oracleConvDirectAccum(want, src, kernel, gc)
+	absSrc, absK := src.Clone(), make([]float64, len(kernel))
+	for i, v := range absSrc.Data {
+		absSrc.Data[i] = math.Abs(v)
+	}
+	for i, c := range kernel {
+		absK[i] = math.Abs(c)
+	}
+	oracleConvDirectAccum(scale, absSrc, absK, gc)
+	for i, v := range got.Data {
+		if d := math.Abs(v - want.Data[i]); !(d <= convTol*scale.Data[i]) {
+			t.Fatalf("%s: point %d: %.17g, defining order %.17g (|Δ| %.3g > %g·Σ|terms| %.3g)",
+				name, i, v, want.Data[i], d, convTol, scale.Data[i])
 		}
 	}
 }
@@ -299,6 +360,10 @@ func TestConvAxisMatchesLineOracle(t *testing.T) {
 	}
 }
 
+// TestConvDirectMatchesLineOracle: the direct convolution equals the
+// folded-order oracle bitwise at every worker count, and that order stays
+// within convTol of the defining one. The 8³ ring at g_c = 12 and the
+// 7- and 9-point axes of 18×7×9 alias mirrored offsets onto one row.
 func TestConvDirectMatchesLineOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))
 	for _, c := range []struct {
@@ -312,25 +377,50 @@ func TestConvDirectMatchesLineOracle(t *testing.T) {
 		{[3]int{32, 32, 32}, []int{2}},
 	} {
 		for _, gc := range c.gc {
-			k := 2*gc + 1
-			kernel := make([]float64, k*k*k)
-			for i := range kernel {
-				kernel[i] = rng.NormFloat64()
-			}
+			kernel := randKernel3(rng, gc)
 			for _, ng := range oracleSources(rng, c.n) {
 				sname, src := ng.name, ng.g
 				if gc > 2 && sname == "zero" {
 					continue // the wide kernels are the slow cases; one zero source per shape is enough
 				}
+				name := fmt.Sprintf("%v gc=%d %s", c.n, gc, sname)
+				folded := New(c.n[0], c.n[1], c.n[2])
+				oracleFoldedConvDirectAccum(folded, src, kernel, gc)
+				assertDirectWithin(t, name, src, kernel, gc, folded)
 				want := dirty(c.n)
-				oracleConvDirectAccum(want, src, kernel, gc)
+				oracleFoldedConvDirectAccum(want, src, kernel, gc)
 				for _, procs := range oracleProcs {
 					got := dirty(c.n)
 					withGOMAXPROCS(procs, func() { ConvDirect3DAccum(got, src, kernel, gc) })
-					assertBitwise(t, fmt.Sprintf("%v gc=%d %s procs=%d", c.n, gc, sname, procs), want, got)
+					assertBitwise(t, fmt.Sprintf("%s procs=%d", name, procs), want, got)
 				}
 			}
 		}
+	}
+}
+
+// TestConvDirect3DRejectsUnevenKernel: the direct convolution folds the
+// kernel's mirrors together, so a kernel one ulp off even along any one
+// axis is refused rather than read by its octant.
+func TestConvDirect3DRejectsUnevenKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(106))
+	const gc = 2
+	k := 2*gc + 1
+	src := New(8, 8, 8)
+	for axis := 0; axis < 3; axis++ {
+		kernel := randKernel3(rng, gc)
+		var m [3]int // an entry off the mirror plane of this axis only
+		m[axis] = 1
+		i := (m[0] + gc) + k*((m[1]+gc)+k*(m[2]+gc))
+		kernel[i] = math.Nextafter(kernel[i], math.Inf(1))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("axis %d: ConvDirect3DAccum accepted a kernel uneven by one ulp", axis)
+				}
+			}()
+			ConvDirect3DAccum(New(8, 8, 8), src, kernel, gc)
+		}()
 	}
 }
 
@@ -370,8 +460,8 @@ func TestRestrictProlongMatchLineOracle(t *testing.T) {
 }
 
 // TestTapRowTilesAndTail drives the row kernel directly over every length
-// around the tile width, so each tail of 0–7 points, from +0 and chained,
-// is compared with the plain fold.
+// around the tile width, so each tail of 0–7 points is compared with the
+// plain fold from +0, over a destination holding stale values.
 func TestTapRowTilesAndTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(104))
 	coef := make([]float64, 7) // any tap list, not only a mirrored one
@@ -387,26 +477,20 @@ func TestTapRowTilesAndTail(t *testing.T) {
 		src[i] = rng.NormFloat64()
 	}
 	for n := 0; n <= 25; n++ {
-		for _, chain := range []bool{false, true} {
-			want := make([]float64, n)
-			got := make([]float64, n)
-			for i := range want {
-				prev := rng.NormFloat64()
-				got[i] = prev
-				var s float64
-				if chain {
-					s = prev
-				}
-				for e, c := range coef {
-					s += c * src[off[e]+i]
-				}
-				want[i] = s
+		want := make([]float64, n)
+		got := make([]float64, n)
+		for i := range want {
+			got[i] = rng.NormFloat64()
+			var s float64
+			for e, c := range coef {
+				s += c * src[off[e]+i]
 			}
-			tapRow(got, src, coef, off, chain)
-			for i := range want {
-				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-					t.Fatalf("n=%d chain=%v i=%d: got %.17g want %.17g", n, chain, i, got[i], want[i])
-				}
+			want[i] = s
+		}
+		TapRow(got, src, coef, off)
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("n=%d i=%d: got %.17g want %.17g", n, i, got[i], want[i])
 			}
 		}
 	}

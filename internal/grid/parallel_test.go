@@ -44,6 +44,26 @@ func randKernel(rng *rand.Rand, gc int) []float64 {
 	return k
 }
 
+// randKernel3 returns a random (2gc+1)³ kernel, x fastest, that is even
+// along every axis — the only kind the direct convolution accepts: each
+// entry copies the octant entry (|mx|, |my|, |mz|).
+func randKernel3(rng *rand.Rand, gc int) []float64 {
+	k := 2*gc + 1
+	at := func(mx, my, mz int) int { return (mx + gc) + k*((my+gc)+k*(mz+gc)) }
+	k3 := make([]float64, k*k*k)
+	for i := range k3 {
+		k3[i] = rng.NormFloat64()
+	}
+	for mz := -gc; mz <= gc; mz++ {
+		for my := -gc; my <= gc; my++ {
+			for mx := -gc; mx <= gc; mx++ {
+				k3[at(mx, my, mz)] = k3[at(max(mx, -mx), max(my, -my), max(mz, -mz))]
+			}
+		}
+	}
+	return k3
+}
+
 func TestGridOpsBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	src := randGrid(rng, 16, 12, 8)
@@ -51,10 +71,7 @@ func TestGridOpsBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	ky := randKernel(rng, 5)
 	kz := randKernel(rng, 5)
 	gc := 2
-	k3 := make([]float64, (2*gc+1)*(2*gc+1)*(2*gc+1))
-	for i := range k3 {
-		k3[i] = rng.NormFloat64()
-	}
+	k3 := randKernel3(rng, gc)
 	J := bspline.TwoScale(6)
 
 	type out struct{ sep, dir, res, pro *G }

@@ -6,6 +6,11 @@
 // top-level SPME), but each middle-range shell g_{α,l}(r) is convolved
 // directly as a range-limited 3D grid kernel instead of a separable
 // Gaussian sum: cost (2g_c+1)³ per grid point versus TME's 3·M·(2g_c+1).
+// The kernel is even along every axis, so grid.ConvDirect3DAccum folds that
+// sum to (g_c+1)² mirrored rows per point, about (g_c+1)³ multiplies and
+// (g_c+1)²·(2g_c+2) adds. perfmodel.CompCostMSM, hw/* and tune keep the
+// paper's unfolded (2g_c+1)³ on purpose: it is the count the paper sizes
+// the hardware by.
 // Because no Gaussian approximation is made, MSM is (slightly) more
 // accurate at the same g_c — TME trades that accuracy headroom for
 // separability; the exchange is quantified by the Table 1 benches and the
@@ -100,6 +105,12 @@ func (s *Solver) Describe() string {
 // levelKernel3D builds the B-spline representation of g_{α,1} on the grid:
 // samples of the shell at grid displacements, convolved with ω′ along each
 // axis (the 3D analogue of bspline.GridKernel), truncated to |m_j| ≤ g_c.
+// The shell is sampled once per octant point (m_j ≥ 0) and mirrored; each ω′
+// pass runs only for the outputs the window keeps, x ∈ [0, g_c] over all y
+// and z, then y ∈ [0, g_c], then z ∈ [0, g_c]; and the octant is mirrored
+// into the kernel, which is therefore exactly even along every axis, as
+// grid.ConvDirect3DAccum requires. The octant entries are those the full
+// cube of passes gives, bit for bit.
 //
 // By the self-similarity g_{α,l}(r) = g_{α,1}(r/2^{l−1})/2^{l−1} and the
 // level-l grid spacing 2^{l−1}h, the same kernel serves every level with a
@@ -110,59 +121,62 @@ func levelKernel3D(prm Params, h vec.V) []float64 {
 	const pad = 26
 	ext := gc + pad
 	side := 2*ext + 1
+	at := func(mx, my, mz int) int { return (mx + ext) + side*((my+ext)+side*(mz+ext)) }
 	buf := make([]float64, side*side*side)
-	// Sample the exact shell on the extended grid.
+	// Sample the exact shell on the octant of the extended grid; mirror it.
+	for mz := 0; mz <= ext; mz++ {
+		for my := 0; my <= ext; my++ {
+			for mx := 0; mx <= ext; mx++ {
+				r := math.Sqrt(float64(float64(mx*mx)*h[0]*h[0]) + float64(float64(my*my)*h[1]*h[1]) +
+					float64(float64(mz*mz)*h[2]*h[2]))
+				buf[at(mx, my, mz)] = core.ShellExact(prm.Alpha, 1, r)
+			}
+		}
+	}
 	for mz := -ext; mz <= ext; mz++ {
 		for my := -ext; my <= ext; my++ {
 			for mx := -ext; mx <= ext; mx++ {
-				r := math.Sqrt(float64(mx*mx)*h[0]*h[0] + float64(my*my)*h[1]*h[1] + float64(mz*mz)*h[2]*h[2])
-				buf[(mx+ext)+side*((my+ext)+side*(mz+ext))] = core.ShellExact(prm.Alpha, 1, r)
+				buf[at(mx, my, mz)] = buf[at(max(mx, -mx), max(my, -my), max(mz, -mz))]
 			}
 		}
 	}
 	// Convolve ω′ along each axis (non-periodic; the shell has decayed to
-	// negligible values at the padded boundary).
+	// negligible values at the padded boundary, and a kept output's taps all
+	// lie inside the extended grid).
 	wp := bspline.OmegaSq(prm.Order, pad)
 	tmp := make([]float64, side*side*side)
-	convAxis := func(src, dst []float64, axis int) {
-		strides := [3]int{1, side, side * side}
-		st := strides[axis]
-		for c := 0; c < side; c++ {
-			for b := 0; b < side; b++ {
-				var base int
-				switch axis {
-				case 0:
-					base = side * (b + side*c)
-				case 1:
-					base = b + side*side*c
-				default:
-					base = b + side*c
-				}
-				for i := 0; i < side; i++ {
+	omegaPass := func(dst, src []float64, axis int) {
+		var lo, hi [3]int
+		for a := range lo {
+			lo[a], hi[a] = -ext, ext
+			if a <= axis {
+				lo[a], hi[a] = 0, gc
+			}
+		}
+		st := [3]int{1, side, side * side}[axis]
+		for mz := lo[2]; mz <= hi[2]; mz++ {
+			for my := lo[1]; my <= hi[1]; my++ {
+				for mx := lo[0]; mx <= hi[0]; mx++ {
+					c := at(mx, my, mz)
 					var sum float64
 					for m := -pad; m <= pad; m++ {
-						jj := i - m
-						if jj < 0 || jj >= side {
-							continue
-						}
-						sum += wp[m+pad] * src[base+jj*st]
+						sum += float64(wp[m+pad] * src[c-m*st])
 					}
-					dst[base+i*st] = sum
+					dst[c] = sum
 				}
 			}
 		}
 	}
-	convAxis(buf, tmp, 0)
-	convAxis(tmp, buf, 1)
-	convAxis(buf, tmp, 2)
-	// Truncate to the g_c window.
+	omegaPass(tmp, buf, 0)
+	omegaPass(buf, tmp, 1)
+	omegaPass(tmp, buf, 2)
+	// Mirror the octant into the g_c window.
 	k := 2*gc + 1
 	out := make([]float64, k*k*k)
 	for mz := -gc; mz <= gc; mz++ {
 		for my := -gc; my <= gc; my++ {
 			for mx := -gc; mx <= gc; mx++ {
-				out[(mx+gc)+k*((my+gc)+k*(mz+gc))] =
-					tmp[(mx+ext)+side*((my+ext)+side*(mz+ext))]
+				out[(mx+gc)+k*((my+gc)+k*(mz+gc))] = tmp[at(max(mx, -mx), max(my, -my), max(mz, -mz))]
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tme4a/internal/ckpt"
+	"tme4a/internal/solver"
 )
 
 // fastSpec is a small, quick job: 8 water molecules, cutoff electrostatics.
@@ -85,18 +86,20 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestServedMatchesDirect is the tentpole acceptance: eight jobs
-// multiplexed over the shared pool finish with trajectories bitwise
-// identical to the same specs run alone, at GOMAXPROCS 1 and 4 and with one
-// or eight of them active at a time — a job's bits must not depend on how
-// many neighbours it shared the pool with.
+// TestServedMatchesDirect is the tentpole acceptance: eight jobs, two of
+// every registered mesh method and cutoff, multiplexed over the shared pool
+// finish with trajectories bitwise identical to the same specs run alone,
+// at GOMAXPROCS 1 and 4 and with one or eight of them active at a time — a
+// job's bits must not depend on how many neighbours it shared the pool
+// with.
 func TestServedMatchesDirect(t *testing.T) {
-	specs := make([]Spec, 8)
+	methods := append(solver.Names(), "cutoff")
+	specs := make([]Spec, 2*len(methods))
 	for i := range specs {
-		if i%4 == 3 {
-			specs[i] = meshSpec("spme", int64(10+i), 30)
-		} else {
+		if m := methods[i%len(methods)]; m == "cutoff" {
 			specs[i] = fastSpec(int64(10+i), 30)
+		} else {
+			specs[i] = meshSpec(m, int64(10+i), 30)
 		}
 	}
 	direct := make([]uint64, len(specs))

@@ -32,12 +32,13 @@ calls=$(go build -gcflags=-S ./internal/nonbond/ 2>&1 |
 	grep -vE 'CALL	(tme4a/internal/nonbond\.\(\*kernel\)\.coulombOut\(SB\)|runtime\.(panic[A-Za-z]*\(SB\)|memclrNoHeapPointers\(SB\)|morestack_noctxt\(SB\)|duffzero\+[0-9]+))$' || true)
 [ -z "$calls" ] || { echo "tier1: the pair loop calls $calls" >&2; exit 1; }
 # No fused multiply-add in the pair loop or the pieces inlined into it, nor
-# in the mesh's mirrored-tap convolution row and back-interpolation gather,
-# on an architecture that fuses (gc fuses x*y + z on arm64 unless the
-# product is rounded with float64(x*y)), so they sum the same bits
+# in the mesh's mirrored-tap convolution row, the direct convolution's row
+# body, the MSM level-kernel construction and the back-interpolation
+# gather, on an architecture that fuses (gc fuses x*y + z on arm64 unless
+# the product is rounded with float64(x*y)), so they sum the same bits
 # everywhere.
-fma=$(GOARCH=arm64 go build -gcflags=-S ./internal/nonbond/ ./internal/r2tab/ ./internal/grid/ ./internal/pmesh/ 2>&1 |
-	awk '/STEXT/ { p = ($1 ~ /^tme4a\/internal\/(nonbond\.(listJob\.eval|coulomb|ljEval)|r2tab\.\(\*(Segment\)\.Cubic|Table\)\.Segment)|grid\.ConvRow|pmesh\.\(\*Mesher\)\.gather)$/) } p && /\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\t/')
+fma=$(GOARCH=arm64 go build -gcflags=-S ./internal/nonbond/ ./internal/r2tab/ ./internal/grid/ ./internal/pmesh/ ./internal/msm/ 2>&1 |
+	awk '/STEXT/ { p = ($1 ~ /^tme4a\/internal\/(nonbond\.(listJob\.eval|coulomb|ljEval)|r2tab\.\(\*(Segment\)\.Cubic|Table\)\.Segment)|grid\.(ConvRow|directJob\.rows)|msm\.levelKernel3D(\.func[0-9]+)?|pmesh\.\(\*Mesher\)\.gather)$/) } p && /\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\t/')
 [ -z "$fma" ] || { echo "tier1: fused multiply-add in a fixed-order kernel on arm64:" >&2; echo "$fma" >&2; exit 1; }
 go test ./...
 # Parallel writes are the race detector's to catch, at several worker
