@@ -36,7 +36,7 @@
 //
 // Rank-decomposed execution (see DESIGN.md §7.9):
 //
-//	mdrun -ranks 4 -side 6 -rc 0.23 -grid 32 -M 2 -gc 4 -steps 100
+//	mdrun -ranks 4 -side 6 -rc 0.3 -grid 32 -M 2 -gc 4 -steps 100
 //
 // -ranks N steps the same NVE trajectory through internal/rank — N
 // domain-owning workers exchanging halos over typed channels — bitwise
@@ -207,6 +207,9 @@ func main() {
 		fmt.Printf("cutoff reduced to %.3f nm (half box)\n", *rc)
 	}
 
+	if *method != "cutoff" && *rc+skin < md.MinMeshReach {
+		fatalf("-rc %g (+ skin %g) is below %g nm: the pair list would miss excluded pairs whose mesh interaction it takes back", *rc, skin, md.MinMeshReach)
+	}
 	alpha := spme.AlphaFromRTol(*rc, 1e-4)
 	n := [3]int{*gridN, *gridN, *gridN}
 	var mesh md.MeshSolver

@@ -13,7 +13,6 @@ package ewald
 
 import (
 	"math"
-	"sync"
 
 	"tme4a/internal/celllist"
 	"tme4a/internal/par"
@@ -64,172 +63,34 @@ func SelfEnergy(q []float64, alpha float64) float64 {
 	return -alpha / math.Sqrt(math.Pi) * s * units.Coulomb
 }
 
-// exclChunk is the fixed atom-chunk size of the exclusion-correction energy
-// reduction; chunk boundaries depend only on the atom count, never on
-// GOMAXPROCS or a rank count, so the reduction order (and the energy,
-// bitwise) is identical however the atoms were divided among workers.
-const exclChunk = 256
-
 // ExclusionCorrection removes the reciprocal-space interaction of excluded
 // pairs: E = −Σ_excl q_i q_j erf(α r)/r with minimum-image r, accumulating
-// forces into f (may be nil).
-//
-// The sum is evaluated in gather form — each atom's worker walks the
-// atom's full exclusion-neighbour list, accumulating only that atom's
-// force and half of each pair energy (exclusionAtom) — so fixed atom
-// chunks can run in parallel with owner-only force writes and a
-// deterministic chunked energy reduction. Since erf(αr)/r and the minimum
-// image are exactly symmetric in i↔j, the two half-energies sum to the
-// pair energy exactly.
+// forces into f (may be nil). It is the reference for the correction the
+// MD engines evaluate in their pair loop (nonbond.VerletList.EwaldExcl).
 func ExclusionCorrection(box vec.Box, pos []vec.V, q []float64, alpha float64, excl *topol.Exclusions, f []vec.V) float64 {
-	n := excl.NAtoms()
-	if n > len(pos) {
-		n = len(pos)
-	}
-	nchunks := (n + exclChunk - 1) / exclChunk
-	if nchunks == 0 {
-		return 0
-	}
-	pp, part := chunkPartials(nchunks)
-	par.ForRangeGrain(nchunks, 1, exclJob{box, pos, q, alpha, excl, f, part, n}, exclJob.chunks)
-	energy := foldChunks(part)
-	exclPartialPool.Put(pp)
-	return energy
-}
-
-var exclPartialPool = sync.Pool{New: func() interface{} { return new([]float64) }}
-
-// chunkPartials takes a slice of n chunk partials from the pool; the caller
-// hands the pointer back with exclPartialPool.Put.
-func chunkPartials(n int) (*[]float64, []float64) {
-	pp := exclPartialPool.Get().(*[]float64)
-	if cap(*pp) < n {
-		*pp = make([]float64, n) //tmevet:ignore noalloc -- grow-once: reused via exclPartialPool in steady state
-	}
-	return pp, (*pp)[:n]
-}
-
-// exclJob is the argument of ExclusionCorrection's parallel body over the
-// n atoms of the exclusion table.
-type exclJob struct {
-	box   vec.Box
-	pos   []vec.V
-	q     []float64
-	alpha float64
-	excl  *topol.Exclusions
-	f     []vec.V
-	part  []float64
-	n     int
-}
-
-// chunks fills part[c] for chunks [clo, chi): a chunk's partial starts at
-// zero and runs through the per-atom body over its atoms in ascending order.
-func (j exclJob) chunks(clo, chi int) {
-	for c := clo; c < chi; c++ {
-		hi := min((c+1)*exclChunk, j.n)
-		var pc float64
-		for i := c * exclChunk; i < hi; i++ {
-			pc = exclusionAtom(j.box, j.pos, j.q, j.alpha, j.excl, j.f, i, pc, nil)
-		}
-		j.part[c] = pc
-	}
-}
-
-// foldChunks is the one fold of the exclusion energy: chunk partials added
-// up in ascending chunk order.
-func foldChunks(part []float64) float64 {
 	var energy float64
-	for _, pc := range part {
-		energy += pc
+	for _, p := range excl.Pairs() {
+		i, j := int(p.I), int(p.J)
+		if j >= len(pos) {
+			continue
+		}
+		qq := q[i] * q[j]
+		if qq == 0 {
+			continue
+		}
+		d := box.MinImage(pos[i].Sub(pos[j]))
+		r2 := d.Norm2()
+		r := math.Sqrt(r2)
+		e := math.Erf(alpha*r) / r
+		energy -= qq * e
+		if f != nil {
+			// Correction force: F_i = +q_i q_j d/dr[erf(αr)/r]·r̂.
+			fv := d.Scale(qq * (alpha*TwoOverSqrtPi*math.Exp(-alpha*alpha*r2) - e) / r2 * units.Coulomb)
+			f[i] = f[i].Add(fv)
+			f[j] = f[j].Sub(fv)
+		}
 	}
 	return energy * units.Coulomb
-}
-
-// exclusionAtom is the one per-atom body. For each entry j of atom i's
-// neighbour list whose charge product does not vanish it subtracts the
-// half pair energy ½·q_i·q_j·erf(αr)/r from acc, which it returns, and adds
-// the correction force on i to f[i] (f may be nil). With terms non-nil it
-// also records each half energy in the entry's slot (zero for a skipped
-// entry, so slots stay aligned), for a root that was not there to repeat
-// the subtractions (FoldExclusionEnergy).
-func exclusionAtom(box vec.Box, pos []vec.V, q []float64, alpha float64, excl *topol.Exclusions, f []vec.V, i int, acc float64, terms []float64) float64 {
-	qi := q[i]
-	if qi == 0 && terms == nil {
-		return acc
-	}
-	for k, j32 := range excl.Neighbors(i) {
-		j := int(j32)
-		qq := qi * q[j]
-		var half float64
-		if qq != 0 {
-			d := box.MinImage(pos[i].Sub(pos[j]))
-			r2 := d.Norm2()
-			r := math.Sqrt(r2)
-			e := math.Erf(alpha*r) / r
-			half = 0.5 * qq * e
-			acc -= half
-			if f != nil {
-				// Correction force: F_i = +q_i q_j d/dr[erf(αr)/r]·r̂.
-				fr := qq * (alpha*TwoOverSqrtPi*math.Exp(-alpha*alpha*r2) - e) / r2 * units.Coulomb
-				f[i] = f[i].Add(d.Scale(fr))
-			}
-		}
-		if terms != nil {
-			terms[k] = half
-		}
-	}
-	return acc
-}
-
-// ExclusionOffsets lays out the flat per-pair term array of an n-atom
-// system: atom i's terms occupy [off[i], off[i+1]), one slot per entry of
-// its neighbour list, none for atoms beyond the exclusion table.
-func ExclusionOffsets(excl *topol.Exclusions, n int) []int32 {
-	off := make([]int32, n+1)
-	na := excl.NAtoms()
-	for i := 0; i < n; i++ {
-		off[i+1] = off[i]
-		if i < na {
-			off[i+1] += int32(len(excl.Neighbors(i)))
-		}
-	}
-	return off
-}
-
-// ExclusionTerms evaluates the exclusion correction gathered onto the
-// listed atoms — the ones a rank owns; partners are read from pos, so they
-// must be current there — recording per-pair energy terms at the atoms'
-// slots of the off layout and accumulating forces into f (may be nil).
-func ExclusionTerms(box vec.Box, pos []vec.V, q []float64, alpha float64, excl *topol.Exclusions, f []vec.V, atoms, off []int32, terms []float64) {
-	for _, i := range atoms {
-		if t := terms[off[i]:off[i+1]]; len(t) > 0 {
-			exclusionAtom(box, pos, q, alpha, excl, f, int(i), 0, t)
-		}
-	}
-}
-
-// FoldExclusionEnergy is ExclusionCorrection's energy from the terms
-// ExclusionTerms recorded for every atom of the off layout: each chunk's
-// partial repeats the body's subtractions — atoms ascending, neighbour
-// lists in order, from zero; subtracting a recorded zero changes no bit —
-// and the partials fold as there.
-func FoldExclusionEnergy(terms []float64, off []int32) float64 {
-	n := len(off) - 1
-	pp, part := chunkPartials((n + exclChunk - 1) / exclChunk)
-	for c := range part {
-		hi := (c + 1) * exclChunk
-		if hi > n {
-			hi = n
-		}
-		var pc float64
-		for _, t := range terms[off[c*exclChunk]:off[hi]] {
-			pc -= t
-		}
-		part[c] = pc
-	}
-	energy := foldChunks(part)
-	exclPartialPool.Put(pp)
-	return energy
 }
 
 // Reciprocal computes the reciprocal-space Ewald sum over lattice vectors

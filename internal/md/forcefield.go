@@ -2,7 +2,6 @@ package md
 
 import (
 	"tme4a/internal/bonded"
-	"tme4a/internal/ewald"
 	"tme4a/internal/nonbond"
 	"tme4a/internal/obs"
 	"tme4a/internal/par"
@@ -24,7 +23,7 @@ type MeshSolver interface {
 type Energies struct {
 	CoulShort float64 // erfc-screened short-range Coulomb
 	CoulLong  float64 // mesh + self energy
-	CoulExcl  float64 // exclusion corrections
+	CoulExcl  float64 // Ewald exclusion corrections
 	LJ        float64
 	Bonded    float64
 	Kinetic   float64
@@ -41,21 +40,30 @@ func (e Energies) Total() float64 { return e.Potential() + e.Kinetic }
 // Coulomb returns the full electrostatic energy.
 func (e Energies) Coulomb() float64 { return e.CoulShort + e.CoulLong + e.CoulExcl }
 
+// MinMeshReach is the least pair-list reach Rc + Skin, in nm, that a mesh
+// run accepts from outside input (cmd/mdrun's flags, a served spec): about
+// twice TIP3P's H–H distance, so the list holds every excluded pair of a
+// water box and ForceField's exclusion check cannot fire.
+const MinMeshReach = 0.3
+
 // ForceField composes the interaction terms of a simulation. Mesh and
 // Bonded may be nil. Alpha is the Ewald splitting parameter shared by the
-// short-range erfc term and the exclusion corrections; with Alpha = 0 and
-// Mesh = nil electrostatics are plain cutoff Coulomb. The short-range term
-// runs over one Verlet pair list at cutoff Rc + Skin, rebuilt when an atom
-// has moved more than Skin/2 (the GROMACS verlet scheme the paper's
-// reference runs use); Skin = 0 rebuilds it whenever any atom has moved,
-// which is every step.
+// short-range erfc term and the mesh; with Alpha = 0 and Mesh = nil
+// electrostatics are plain cutoff Coulomb. The short-range term runs over
+// one Verlet pair list at cutoff Rc + Skin, rebuilt when an atom has moved
+// more than Skin/2 (the GROMACS verlet scheme the paper's reference runs
+// use); Skin = 0 rebuilds it whenever any atom has moved, which is every
+// step. With a mesh the list also holds the excluded pairs and its pair
+// loop evaluates their Ewald exclusion correction (CoulExcl), so every
+// excluded pair must lie within Rc + Skin of its partner: a build that
+// misses one panics (nonbond.CheckExclusions).
 //
 // Every term writes into its own force buffer and the buffers are merged
 // per atom in a fixed order, so the short-range pair engine, the mesh
-// solve (+ exclusion corrections) and the bonded terms can run
-// concurrently as the three indices of one par.For with results bitwise
-// identical at any GOMAXPROCS — the software analogue of the MDGRAPE-4A
-// pipelines, LRU and GP cores working the same step in parallel. Every
+// solve and the bonded terms can run concurrently as the three indices of
+// one par.For with results bitwise identical at any GOMAXPROCS — the
+// software analogue of the MDGRAPE-4A pipelines, LRU and GP cores working
+// the same step in parallel. Every
 // term is evaluated on every Compute, as on the machine. All scratch is
 // reused, so a steady-state force evaluation allocates nothing. The only
 // state that outlives a Compute and is not a function of the current
@@ -71,11 +79,10 @@ type ForceField struct {
 	// vlist is the short-range pair list, held by value and set up in
 	// place on first use (see verlet).
 	vlist nonbond.VerletList
-	// meshForces is the mesh term's private force buffer; meshEnergy and
-	// meshExcl are its energies from the last evaluation.
+	// meshForces is the mesh term's private force buffer; meshEnergy is
+	// its energy from the last evaluation.
 	meshForces []vec.V
 	meshEnergy float64
-	meshExcl   float64
 	// bondedFrc is the bonded terms' private force buffer.
 	bondedFrc []vec.V
 	// short and eBonded are the short-range and bonded results of the last
@@ -125,10 +132,10 @@ func (ff *ForceField) Compute(sys *System) Energies {
 	var e Energies
 	e.CoulShort = ff.short.ECoul
 	e.LJ = ff.short.ELJ
+	e.CoulExcl = ff.short.EExcl
 	e.Bonded = ff.eBonded
 	if ff.Mesh != nil {
 		e.CoulLong = ff.meshEnergy
-		e.CoulExcl = ff.meshExcl
 	}
 	ff.merge(sys)
 	e.Kinetic = sys.KineticEnergy()
@@ -169,21 +176,24 @@ func (ff *ForceField) shortRange(sys *System) nonbond.Result {
 		vl.Rebuild(sys.Pos, sys.Excl)
 	}
 	res := vl.Compute(sys.Pos, sys.Q, sys.LJ, ff.Alpha, sys.Frc)
+	if vl.EwaldExcl {
+		nonbond.CheckExclusions(res, sys.Box, sys.Pos, sys.Excl, ff.Rc+ff.Skin)
+	}
 	ff.Obs.Add(obs.CounterPairsEvaluated, int64(res.Pairs))
 	return res
 }
 
 // verlet returns the pair list, set up in place for the system's box on
-// first use.
+// first use, correcting the excluded pairs when there is a mesh.
 func (ff *ForceField) verlet(sys *System) *nonbond.VerletList {
 	if ff.vlist.Cutoff == 0 {
 		ff.vlist.Init(sys.Box, ff.Rc, ff.Skin)
+		ff.vlist.EwaldExcl = ff.Mesh != nil
 	}
 	return &ff.vlist
 }
 
-// meshTerm evaluates the long-range mesh and the exclusion corrections
-// into their private buffer.
+// meshTerm evaluates the long-range mesh into its private buffer.
 func (ff *ForceField) meshTerm(sys *System) {
 	if ff.Mesh == nil {
 		return
@@ -198,7 +208,6 @@ func (ff *ForceField) meshTerm(sys *System) {
 		ff.meshForces[i] = vec.V{}
 	}
 	ff.meshEnergy = ff.Mesh.LongRange(sys.Pos, sys.Q, ff.meshForces)
-	ff.meshExcl = ewald.ExclusionCorrection(sys.Box, sys.Pos, sys.Q, ff.Alpha, sys.Excl, ff.meshForces)
 }
 
 // bondedTerm evaluates the bonded terms into their private buffer.

@@ -2,8 +2,8 @@ package md_test
 
 // Whole-stack determinism and steady-state allocation gates. A trajectory
 // must be bitwise reproducible at any GOMAXPROCS: the short-range pair
-// list, the mesh solve, the exclusion corrections and the bonded terms
-// each fix their accumulation orders independently of the worker count,
+// list (with the exclusion corrections), the mesh solve and the bonded
+// terms each fix their accumulation orders independently of the worker count,
 // and the force-field merge is per-atom in a fixed association order.
 
 import (

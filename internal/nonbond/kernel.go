@@ -64,8 +64,10 @@ func (k *kernel) is(alpha, rc float64) bool {
 // The pair kernel. A pair at squared distance r2 ≤ rc² with charge product
 // qq has Coulomb energy qq·E(r2) and radial force factor fr = qq·F(r2) —
 // the cubic of the table segment holding r2 (coulomb), or the analytic
-// kernel below the table (coulombOut) — plus, when both atoms are LJ sites,
+// kernel outside it (coulombOut) — plus, when both atoms are LJ sites,
 // the Lennard-Jones terms of ljEval; the force on atom i is fr·(r_i − r_j).
+// An excluded pair the list corrects has no LJ term and, at any distance,
+// its Coulomb term turned into the correction by exclusion.
 // Each piece is written once, here and in r2tab, and rounds every product
 // it sums (float64(x*y)), so no architecture fuses a multiply-add. The
 // compiler inlines them one by one but not their sum (budget 80), so the
@@ -93,6 +95,17 @@ func (k *kernel) coulombOut(qq, r2 float64) (eC, fr float64) {
 	return qq * e, qq * f
 }
 
+// exclusion turns the screened Coulomb term (eC, fr) of an excluded pair
+// at r2 into its Ewald exclusion correction, the mesh's share of the pair
+// taken back: −qq·C·erf(αr)/r = qq·(E(r2) − C/r), force factor
+// qq·(F(r2) − C/r³).
+//
+//tme:noalloc
+func exclusion(qq, r2, eC, fr float64) (float64, float64) {
+	c := float64(qq*units.Coulomb) / math.Sqrt(r2)
+	return eC - c, fr - c/r2
+}
+
 // site reports whether atoms i and j both carry an LJ site.
 func (lj *LJ) site(i, j int) bool {
 	return lj != nil && lj.Eps[i] != 0 && lj.Eps[j] != 0
@@ -117,7 +130,7 @@ func pairEval(qq float64, lj *LJ, i, j int, alpha, r2 float64) (eC, eLJ, fr floa
 	inv2 := 1 / r2
 	if qq != 0 {
 		eC = qq * math.Erfc(alpha*r) / r * units.Coulomb
-		fr = (eC + qq*units.Coulomb*alpha*twoOverSqrtPi*math.Exp(-alpha*alpha*r2)) * inv2
+		fr = (float64(eC) + float64(qq*units.Coulomb*alpha*twoOverSqrtPi*math.Exp(-alpha*alpha*r2))) * inv2
 	}
 	if lj.site(i, j) {
 		var fl float64

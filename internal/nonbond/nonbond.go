@@ -12,6 +12,9 @@
 package nonbond
 
 import (
+	"fmt"
+	"math"
+
 	"tme4a/internal/celllist"
 	"tme4a/internal/topol"
 	"tme4a/internal/vec"
@@ -26,17 +29,19 @@ type LJ struct {
 
 // Result reports the short-range energy components in kJ/mol.
 type Result struct {
-	ECoul float64 // erfc-screened Coulomb
-	ELJ   float64 // Lennard-Jones
-	Pairs int     // interacting pairs evaluated (within cutoff)
+	ECoul    float64 // erfc-screened Coulomb
+	ELJ      float64 // Lennard-Jones
+	EExcl    float64 // Ewald exclusion correction (VerletList.EwaldExcl)
+	Pairs    int     // interacting pairs evaluated (within cutoff)
+	Excluded int     // excluded pairs corrected
 }
 
 // SlabPartial is one slab's short-range energy/pair-count accumulator,
 // padded to a cache line so concurrent slab workers never share one.
 type SlabPartial struct {
-	ECoul, ELJ float64
-	Pairs      int
-	_          [5]float64
+	ECoul, ELJ, EExcl float64
+	Pairs, Excluded   int
+	_                 [3]float64
 }
 
 // FoldSlabs reduces per-slab partials in ascending slab order, the one
@@ -46,9 +51,45 @@ func FoldSlabs(part []SlabPartial) Result {
 	for s := range part {
 		res.ECoul += part[s].ECoul
 		res.ELJ += part[s].ELJ
+		res.EExcl += part[s].EExcl
 		res.Pairs += part[s].Pairs
+		res.Excluded += part[s].Excluded
 	}
 	return res
+}
+
+// CheckExclusions panics unless res, the result of lists covering every
+// slab with EwaldExcl set, corrected every excluded pair of excl among
+// pos's atoms: a pair the lists missed, being beyond their reach
+// (rc + skin), would otherwise lose its correction without a trace. The
+// message names the excluded pair farthest apart.
+func CheckExclusions(res Result, box vec.Box, pos []vec.V, excl *topol.Exclusions, reach float64) {
+	want := 0
+	for _, p := range excl.Pairs() {
+		if int(p.J) < len(pos) {
+			want++
+		}
+	}
+	if res.Excluded >= want {
+		return
+	}
+	far, r2 := topol.Pair{}, -1.0
+	for _, p := range excl.Pairs() {
+		if int(p.J) >= len(pos) {
+			continue
+		}
+		var d2 float64 // minimum image, products rounded against fusion
+		for ax, l := range box.L {
+			d := pos[p.I][ax] - pos[p.J][ax]
+			d -= float64(l * math.Round(d/l))
+			d2 += float64(d * d)
+		}
+		if d2 > r2 {
+			far, r2 = p, d2
+		}
+	}
+	panic(fmt.Sprintf("nonbond: the pair list corrected %d of %d excluded pairs; the farthest, (%d, %d), is %.4g nm apart and the list reaches rc + skin = %.4g nm",
+		res.Excluded, want, far.I, far.J, math.Sqrt(r2), reach))
 }
 
 // ComputeWithList evaluates every non-excluded pair within cl.Cutoff into

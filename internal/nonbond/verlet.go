@@ -18,7 +18,9 @@ import (
 // exclusion-connected group (a TIP3P molecule, an ion) that share an
 // ownership cell — in direct mode the whole box — split in index order into
 // pieces of at most clusterMax. An entry per (i-cluster, j-cluster, image)
-// masks its atom pairs within cutoff+skin that are not excluded.
+// masks its atom pairs within cutoff+skin that are not excluded and, with
+// EwaldExcl, in a second mask its excluded pairs whose minimum image it is,
+// at any distance.
 //
 // Slabs own clusters: a z-layer of cells, in direct mode a block of
 // clusters. A list owns the slabs [s0, s1) of its last build — all after
@@ -31,6 +33,11 @@ type VerletList struct {
 	Box    vec.Box
 	Cutoff float64
 	Skin   float64
+	// EwaldExcl, set before a build, has the list hold the excluded pairs
+	// and Compute add their Ewald exclusion correction (Result.EExcl): the
+	// pairs' interaction a mesh term includes, taken back. A force field
+	// with a mesh sets it.
+	EwaldExcl bool
 
 	cl     celllist.List // set up by Init for cutoff+skin
 	ns     int
@@ -66,6 +73,7 @@ type entry struct {
 	j    int32   // j-cluster
 	jo   int32   // offset of the j-cluster's first atom in the slab's force buffer
 	mask uint16  // the listed atom pairs
+	excl uint16  // the excluded atom pairs to correct
 	img  [3]int8 // image of the i-cluster: its atoms are moved by img·L
 }
 
@@ -213,7 +221,7 @@ func (v *VerletList) cluster(pos []vec.V, excl *topol.Exclusions) {
 			for ax, l := range v.Box.L {
 				p := pos[v.atom[k]][ax]
 				m := math.Floor(p / l)
-				if p-l*m >= l {
+				if p-float64(l*m) >= l {
 					m++
 				}
 				if direct && k > v.cstart[c] {
@@ -230,9 +238,10 @@ func (v *VerletList) cluster(pos []vec.V, excl *topol.Exclusions) {
 		g := geometry{ctr: lo.Add(hi).Scale(0.5), cell: cell, grp: find(v.root, v.atom[v.cstart[c]])}
 		var rad float64
 		for k := v.cstart[c]; k < v.cstart[c+1]; k++ {
-			rad = max(rad, pos[v.atom[k]].Add(v.img[k]).Sub(g.ctr).Norm())
+			d := pos[v.atom[k]].Add(v.img[k]).Sub(g.ctr)
+			rad = max(rad, math.Sqrt(float64(d[0]*d[0])+float64(d[1]*d[1])+float64(d[2]*d[2])))
 		}
-		g.out, g.in = (half+rad)*(1+1e-12), (half-rad)*(1-1e-12)
+		g.out, g.in = (float64(half)+rad)*(1+1e-12), (float64(half)-rad)*(1-1e-12)
 		v.geo[c] = g
 	}
 	v.gather(pos, nil, nil)
@@ -306,10 +315,10 @@ func (j listJob) fill(k int) {
 					r := gi.out + gj.out
 					dx, dy, dz := gi.ctr[0]-gj.ctr[0], gi.ctr[1]-gj.ctr[1], gi.ctr[2]-gj.ctr[2]
 					// Usually only the nearest image can be in reach.
-					nx, ny, nz := -rint(dx*il[0]), -rint(dy*il[1]), -rint(dz*il[2])
+					nx, ny, nz := -rint(float64(dx*il[0])), -rint(float64(dy*il[1])), -rint(float64(dz*il[2]))
 					ex, ey, ez := dx+float64(nx*l[0]), dy+float64(ny*l[1]), dz+float64(nz*l[2])
 					if math.Abs(ex) < l[0]-r && math.Abs(ey) < l[1]-r && math.Abs(ez) < l[2]-r {
-						if d2 := ex*ex + ey*ey + ez*ez; d2 <= r*r {
+						if d2 := float64(ex*ex) + float64(ey*ey) + float64(ez*ez); d2 <= r*r {
 							sl.npairs += bits.OnesCount16(v.pair(sl, row, j.excl, int(i), int(jc), [3]int8{int8(nx), int8(ny), int8(nz)}, t, d2))
 						}
 						continue
@@ -385,20 +394,21 @@ func (v *VerletList) shifted(gi *geometry, img [3]int8) (x, y, z float64) {
 // Scalar locals: vec.V temporaries would round-trip the stack.
 func sphere(x, y, z, out float64, gj *geometry) (float64, bool) {
 	dx, dy, dz := x-gj.ctr[0], y-gj.ctr[1], z-gj.ctr[2]
-	d2, r := dx*dx+dy*dy+dz*dz, out+gj.out
+	d2, r := float64(dx*dx)+float64(dy*dy)+float64(dz*dz), out+gj.out
 	return d2, d2 <= r*r
 }
 
 // pair appends, and returns the mask of, the entry of cluster i in image
 // img against cluster j of slab t, centres d2 apart squared, if any of
 // their pairs is within cutoff+skin and not excluded (only a < b within one
-// cluster). Clusters of different groups closer than their in sum list all.
+// cluster) or, with EwaldExcl, excluded and in its minimum image. Clusters
+// of different groups closer than their in sum list all.
 func (v *VerletList) pair(sl *slabList, row []int32, excl *topol.Exclusions, i, j int, img [3]int8, t int, d2 float64) uint16 {
 	gi, gj, l := &v.geo[i], &v.geo[j], v.Box.L
 	sx, sy, sz := float64(float64(img[0])*l[0]), float64(float64(img[1])*l[1]), float64(float64(img[2])*l[2])
 	in := gi.in + gj.in
 	i0, i1, j0, j1 := int(v.cstart[i]), int(v.cstart[i+1]), int(v.cstart[j]), int(v.cstart[j+1])
-	var mask uint16
+	var mask, ex uint16
 	if gi.grp != gj.grp && in > 0 && d2 <= in*in {
 		for a := range i1 - i0 {
 			mask |= (1<<(j1-j0) - 1) << (clusterMax * a)
@@ -414,18 +424,24 @@ func (v *VerletList) pair(sl *slabList, row []int32, excl *topol.Exclusions, i, 
 			xa, ya, za := pa.x+sx, pa.y+sy, pa.z+sz
 			for b := b0; b < j1; b++ {
 				pb := &v.at[b]
-				ex, ey, ez := xa-pb.x, ya-pb.y, za-pb.z
-				if ex*ex+ey*ey+ez*ez <= rcs2 && !(check && excl.Excluded(int(v.atom[a]), int(v.atom[b]))) {
-					mask |= 1 << (clusterMax*(a-i0) + b - j0)
+				dx, dy, dz := xa-pb.x, ya-pb.y, za-pb.z
+				bit := uint16(1) << (clusterMax*(a-i0) + b - j0)
+				switch {
+				case check && excl.Excluded(int(v.atom[a]), int(v.atom[b])):
+					if v.EwaldExcl && math.Abs(dx) <= l[0]/2 && math.Abs(dy) <= l[1]/2 && math.Abs(dz) <= l[2]/2 {
+						ex |= bit
+					}
+				case float64(dx*dx)+float64(dy*dy)+float64(dz*dz) <= rcs2:
+					mask |= bit
 				}
 			}
 		}
-		if mask == 0 {
+		if mask|ex == 0 {
 			return 0
 		}
 	}
 	jo := v.block(sl, row, t) + int32(j0) - v.cstart[v.cbase[t]]
-	sl.ent = append(sl.ent, entry{j: int32(j), jo: jo, mask: mask, img: img}) //tmevet:ignore noalloc -- grow-once: entries keep their capacity across rebuilds
+	sl.ent = append(sl.ent, entry{j: int32(j), jo: jo, mask: mask, excl: ex, img: img}) //tmevet:ignore noalloc -- grow-once: entries keep their capacity across rebuilds
 	return mask
 }
 
@@ -465,7 +481,7 @@ func (v *VerletList) NeedsRebuild(pos []vec.V) bool {
 	for i := range pos {
 		p, r := &pos[i], &v.ref[i]
 		dx, dy, dz := p[0]-r[0], p[1]-r[1], p[2]-r[2]
-		if dx*dx+dy*dy+dz*dz > lim2 {
+		if float64(dx*dx)+float64(dy*dy)+float64(dz*dz) > lim2 {
 			return true
 		}
 	}
@@ -529,10 +545,11 @@ type near struct {
 
 // eval is the pair loop. Per entry a geometry pass moves the run's
 // i-cluster to the entry's image and keeps, branch-free, the masked pairs
-// within the cutoff; a kernel pass composes each from kernel.go's pieces;
-// the j-cluster's reactions are written once. Summed products are rounded
-// (float64(x*y)) against fusion; tier1.sh holds the loop to that and to no
-// call on the in-table path.
+// within the cutoff; a kernel pass composes each from kernel.go's pieces,
+// then the entry's excluded pairs get their correction; the j-cluster's
+// reactions are written once. Summed products are rounded (float64(x*y))
+// against fusion; tier1.sh holds the loop to that and to no call on the
+// in-table path.
 //
 //tme:noalloc
 func (j listJob) eval(k int) {
@@ -542,7 +559,7 @@ func (j listJob) eval(k int) {
 	clear(buf)
 	rc2 := v.Cutoff * v.Cutoff
 	lx, ly, lz := v.Box.L[0], v.Box.L[1], v.Box.L[2]
-	eCoul, eLJ, pairs := 0.0, 0.0, 0
+	eCoul, eLJ, eExcl, pairs, nexcl := 0.0, 0.0, 0.0, 0, 0
 	var in [clusterMax * clusterMax]near
 	e0 := int32(0)
 	for _, r := range sl.runs {
@@ -599,6 +616,29 @@ func (j listJob) eval(k int) {
 				fyj[b] += fy
 				fzj[b] += fz
 			}
+			for m := e.excl; m != 0; m &= m - 1 {
+				ab := bits.TrailingZeros16(m)
+				a, b := ab/clusterMax&(clusterMax-1), ab&(clusterMax-1)
+				pa, pb := &si[a], &sj[b]
+				dx, dy, dz := pb.x-(pa.x+sx), pb.y-(pa.y+sy), pb.z-(pa.z+sz)
+				r2, qq := float64(dx*dx)+float64(dy*dy)+float64(dz*dz), pa.q*pb.q
+				var eC, fr float64
+				if c, d := tab.Segment(r2); c != nil {
+					eC, fr = coulomb(qq, c, d)
+				} else {
+					eC, fr = kn.coulombOut(qq, r2)
+				}
+				eC, fr = exclusion(qq, r2, eC, fr)
+				eExcl += eC
+				nexcl++
+				fx, fy, fz := float64(fr*dx), float64(fr*dy), float64(fr*dz)
+				fxi[a] -= fx
+				fyi[a] -= fy
+				fzi[a] -= fz
+				fxj[b] += fx
+				fyj[b] += fy
+				fzj[b] += fz
+			}
 			for b := range nj {
 				fb := &buf[int(e.jo)+b]
 				fb[0], fb[1], fb[2] = fb[0]+fxj[b], fb[1]+fyj[b], fb[2]+fzj[b]
@@ -610,7 +650,7 @@ func (j listJob) eval(k int) {
 		}
 		e0 = r.end
 	}
-	v.part[s] = SlabPartial{ECoul: eCoul, ELJ: eLJ, Pairs: pairs}
+	v.part[s] = SlabPartial{ECoul: eCoul, ELJ: eLJ, EExcl: eExcl, Pairs: pairs, Excluded: nexcl}
 }
 
 // apply adds to slab m = s0+k's atoms its own block, then the other owned

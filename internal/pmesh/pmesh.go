@@ -194,12 +194,12 @@ func (m *Mesher) spread(data []float64, zlo, zhi int, r vec.V, qi float64) {
 			if contiguous {
 				seg := row[bx : bx+p]
 				for a, w := range wx[:len(seg)] {
-					seg[a] += qyz * w
+					seg[a] += float64(qyz * w)
 				}
 				continue
 			}
 			for a, w := range wx[:p] {
-				row[ox[a]] += qyz * w
+				row[ox[a]] += float64(qyz * w)
 			}
 		}
 	}

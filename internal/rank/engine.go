@@ -33,10 +33,9 @@ type Engine struct {
 	wg      sync.WaitGroup
 	last    []*result
 
-	selfE    float64
-	partAll  []nonbond.SlabPartial
-	eterm    []float64
-	exclTerm []float64
+	selfE   float64
+	partAll []nonbond.SlabPartial
+	eterm   []float64
 
 	booted bool
 	closed bool
@@ -108,7 +107,6 @@ func New(cfg Config, sys *md.System, ff *md.ForceField, dt float64) (*Engine, er
 		sh.plan = plan
 		sh.mesher = plan.Mesher
 		sh.onz0 = plan.D.Onz(0)
-		sh.exclOff = ewald.ExclusionOffsets(sys.Excl, n)
 	}
 
 	if err := buildOwnership(sh, sys, probe); err != nil {
@@ -141,7 +139,6 @@ func New(cfg Config, sys *md.System, ff *md.ForceField, dt float64) (*Engine, er
 	if tme != nil {
 		e.selfE = ewald.SelfEnergy(sys.Q, tme.Prm.Alpha)
 		e.eterm = make([]float64, n)
-		e.exclTerm = make([]float64, sh.exclOff[n])
 	}
 	for a := 0; a < r; a++ {
 		e.cmds[a] = make(chan uint8, 1)
@@ -160,8 +157,6 @@ func New(cfg Config, sys *md.System, ff *md.ForceField, dt float64) (*Engine, er
 // buildOwnership assigns every atom to the rank owning its initial cell
 // layer, whole molecules at a time (a rigid water follows its oxygen),
 // and materializes the per-rank atom and water lists in ascending order.
-// In mesh mode it also checks exclusion partners are co-owned, which the
-// exclusion round's position reads rely on.
 func buildOwnership(sh *shared, sys *md.System, probe *celllist.List) error {
 	n := sh.n
 	sh.owner = make([]int32, n)
@@ -188,20 +183,6 @@ func buildOwnership(sh *shared, sys *md.System, probe *celllist.List) error {
 	for i := 0; i < n; i++ {
 		if sh.owner[i] < 0 {
 			sh.owner[i] = layerOwner(probe.Layer(sys.Pos[i]))
-		}
-	}
-	if sh.plan != nil {
-		na := sys.Excl.NAtoms()
-		if na > n {
-			na = n
-		}
-		for i := 0; i < na; i++ {
-			for _, j := range sys.Excl.Neighbors(i) {
-				if sh.owner[j] != sh.owner[i] {
-					return fmt.Errorf("rank: excluded pair (%d, %d) spans ranks %d and %d; exclusions must be intra-molecular",
-						i, j, sh.owner[i], sh.owner[j])
-				}
-			}
 		}
 	}
 	sh.own = make([]md.Owned, sh.r)
@@ -289,13 +270,12 @@ func (e *Engine) round(cmd uint8) error {
 
 // fold merges the rank results into sys and the serial energy breakdown
 // with the folds the serial engine's own terms end in: slab partials
-// through nonbond.FoldSlabs, mesh and exclusion energy terms through
-// pmesh.FoldEnergy and ewald.FoldExclusionEnergy; positions and velocities
-// come from each atom's owner. sys.Frc is not maintained — forces live in
-// the workers.
+// through nonbond.FoldSlabs, which also counts the excluded pairs the
+// ranks corrected for nonbond.CheckExclusions, mesh energy terms through
+// pmesh.FoldEnergy; positions and velocities come from each atom's owner.
+// sys.Frc is not maintained — forces live in the workers.
 func (e *Engine) fold() md.Energies {
 	sh := e.sh
-	off := sh.exclOff
 	for a, res := range e.last {
 		copy(e.partAll[sh.slabLo[a]:sh.slabLo[a+1]], res.part)
 		for _, i := range sh.own[a].Atoms {
@@ -308,15 +288,12 @@ func (e *Engine) fold() md.Energies {
 		for _, i := range res.interpIdx {
 			e.eterm[i] = res.eterm[i]
 		}
-		for _, i := range sh.own[a].Atoms {
-			copy(e.exclTerm[off[i]:off[i+1]], res.exclTerm[off[i]:off[i+1]])
-		}
 	}
 	short := nonbond.FoldSlabs(e.partAll)
-	en := md.Energies{CoulShort: short.ECoul, LJ: short.ELJ}
+	en := md.Energies{CoulShort: short.ECoul, CoulExcl: short.EExcl, LJ: short.ELJ}
 	if sh.plan != nil {
+		nonbond.CheckExclusions(short, e.sys.Box, e.sys.Pos, e.sys.Excl, sh.rc)
 		en.CoulLong = pmesh.FoldEnergy(e.eterm, e.sys.Q) + e.selfE
-		en.CoulExcl = ewald.FoldExclusionEnergy(e.exclTerm, off)
 	}
 	en.Kinetic = e.sys.KineticEnergy()
 	return en

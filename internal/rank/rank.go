@@ -26,9 +26,9 @@
 //   - the mesh pipeline is dist.Mesh.Solve, with the worker as its
 //     dist.Exchanger; its z kernels reproduce the serial per-element
 //     arithmetic exactly;
-//   - energies travel as per-slab partials and per-atom / per-pair terms and
-//     are folded by the engine with nonbond.FoldSlabs, pmesh.FoldEnergy and
-//     ewald.FoldExclusionEnergy.
+//   - energies travel as per-slab partials — the Ewald exclusion correction
+//     among them, evaluated in the pair loop — and per-atom mesh terms, and
+//     are folded by the engine with nonbond.FoldSlabs and pmesh.FoldEnergy.
 //
 // Message delivery order cannot perturb any of this: each ordered rank
 // pair has one channel carrying a fixed per-step schedule of messages

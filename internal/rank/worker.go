@@ -3,8 +3,7 @@
 // rank boundary, and the channel protocol that carries it. Every stage a
 // round runs on that data is the function the single-process engine calls
 // with one owner holding everything: md.System.KickDrift/KickConstrain,
-// nonbond.VerletList over a slab range, dist.Mesh.Solve,
-// ewald.ExclusionTerms, md.MergeForces.
+// nonbond.VerletList over a slab range, dist.Mesh.Solve, md.MergeForces.
 package rank
 
 import (
@@ -12,7 +11,6 @@ import (
 
 	"tme4a/internal/celllist"
 	"tme4a/internal/dist"
-	"tme4a/internal/ewald"
 	"tme4a/internal/grid"
 	"tme4a/internal/md"
 	"tme4a/internal/nonbond"
@@ -58,10 +56,9 @@ type shared struct {
 	cells  *celllist.List // the cell decomposition at rc, for Layer only
 
 	// Mesh mode only (nil/zero in cutoff mode).
-	plan    *dist.Plan
-	mesher  *pmesh.Mesher
-	onz0    int     // finest-grid planes per rank
-	exclOff []int32 // ewald.ExclusionOffsets: flat exclusion-term layout
+	plan   *dist.Plan
+	mesher *pmesh.Mesher
+	onz0   int // finest-grid planes per rank
 
 	links [][]*link // links[a][b] carries a→b traffic; nil on a==b or R==1
 
@@ -141,7 +138,6 @@ type result struct {
 	pos, vel  []vec.V               // full-length; valid at owned indices
 	interpIdx []int32               // atoms this rank interpolated
 	eterm     []float64             // full-length per-atom energy terms
-	exclTerm  []float64             // exclOff-layout exclusion terms; valid at owned atoms
 }
 
 // newWorker builds rank r's state over the topology of top, seeded with
@@ -157,7 +153,7 @@ func newWorker(sh *shared, r int, cmds chan uint8, resCh chan *result, top *md.S
 	var mesh *dist.Mesh
 	var topQ, topPhi *grid.G
 	var assignIdx, interpIdx []int32
-	var etermFull, exclTerm []float64
+	var etermFull []float64
 	var meshF []vec.V
 	if sh.plan != nil {
 		mesh = sh.plan.NewMesh(r)
@@ -169,7 +165,6 @@ func newWorker(sh *shared, r int, cmds chan uint8, resCh chan *result, top *md.S
 		assignIdx = make([]int32, 0, n)
 		interpIdx = make([]int32, 0, n)
 		etermFull = make([]float64, n)
-		exclTerm = make([]float64, sh.exclOff[n])
 		meshF = make([]vec.V, n)
 	}
 	var out, in []*link
@@ -183,6 +178,8 @@ func newWorker(sh *shared, r int, cmds chan uint8, resCh chan *result, top *md.S
 			}
 		}
 	}
+	vl := nonbond.NewVerletList(sys.Box, sh.rc, 0)
+	vl.EwaldExcl = sh.plan != nil
 	return &worker{
 		sh:        sh,
 		rank:      r,
@@ -190,7 +187,7 @@ func newWorker(sh *shared, r int, cmds chan uint8, resCh chan *result, top *md.S
 		resCh:     resCh,
 		out:       out,
 		in:        in,
-		vl:        nonbond.NewVerletList(sys.Box, sh.rc, 0),
+		vl:        vl,
 		mesh:      mesh,
 		topQ:      topQ,
 		topPhi:    topPhi,
@@ -206,11 +203,10 @@ func newWorker(sh *shared, r int, cmds chan uint8, resCh chan *result, top *md.S
 		interpIdx: interpIdx,
 		pairBytes: make([]int64, sh.r),
 		res: &result{
-			rank:     r,
-			pos:      sys.Pos,
-			vel:      sys.Vel,
-			eterm:    etermFull,
-			exclTerm: exclTerm,
+			rank:  r,
+			pos:   sys.Pos,
+			vel:   sys.Vel,
+			eterm: etermFull,
 		},
 	}
 }
@@ -264,17 +260,13 @@ func (w *worker) round(cmd uint8) (err error) {
 
 // forceRound evaluates all force terms at the current positions, leaving
 // sys.Frc[i] for every owned atom i equal to the serial engine's merged
-// force — the body of ForceField.Compute. Excluded partners are
-// intra-molecular and molecules are co-owned, so every partner position the
-// exclusion term reads is current.
+// force — the body of ForceField.Compute.
 func (w *worker) forceRound() {
 	w.exchangePositions()
 	w.buildWindows()
 	w.shortRange()
 	if w.sh.plan != nil {
 		w.meshRound()
-		ewald.ExclusionTerms(w.sys.Box, w.sys.Pos, w.sys.Q, w.sh.alpha, w.sys.Excl,
-			w.meshF, w.own.Atoms, w.sh.exclOff, w.res.exclTerm)
 		sp := w.o.Start(obs.StageMerge)
 		md.MergeForces(w.sys.Frc, w.meshF, nil, w.own.Atoms)
 		sp.Stop()

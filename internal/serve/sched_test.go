@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -361,6 +362,22 @@ func TestBackpressure(t *testing.T) {
 	s.Close()
 	if _, err := s.Submit(fastSpec(54, 50)); err != ErrClosed {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestShortMeshReachRejected: a mesh spec whose pair list could not reach
+// every excluded pair is refused at admission as a *ValidationError.
+func TestShortMeshReachRejected(t *testing.T) {
+	s, err := New(Config{MaxActive: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sp := meshSpec("tme", 1, 10)
+	sp.Rc, sp.Skin = 0.1, 0.1
+	var verr *ValidationError
+	if _, err := s.Submit(sp); !errors.As(err, &verr) || !strings.Contains(err.Error(), "rc + skin") {
+		t.Fatalf("Submit: %v, want a *ValidationError on rc + skin", err)
 	}
 }
 

@@ -249,6 +249,9 @@ func (sp Spec) Validate() error {
 	if sp.Skin < 0 || sp.Skin > 0.5 {
 		return fmt.Errorf("serve: skin %g nm out of range [0, 0.5]", sp.Skin)
 	}
+	if sp.Method != "cutoff" && sp.Rc+sp.Skin < md.MinMeshReach {
+		return fmt.Errorf("serve: rc + skin = %g nm is below %g nm: the pair list would miss excluded pairs whose mesh interaction it takes back", sp.Rc+sp.Skin, md.MinMeshReach)
+	}
 	if sp.Temp <= 0 || sp.Temp > maxTemp {
 		return fmt.Errorf("serve: temp %g K out of range (0, %g]", sp.Temp, float64(maxTemp))
 	}

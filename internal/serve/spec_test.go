@@ -59,6 +59,7 @@ func TestValidateTable(t *testing.T) {
 		{"rc beyond half box", func(sp *Spec) { sp.Rc = 10 }, "rc 10"},
 		{"negative rc", func(sp *Spec) { sp.Rc = -1 }, "rc -1"},
 		{"negative skin", func(sp *Spec) { sp.Skin = -0.1 }, "skin"},
+		{"mesh reach", func(sp *Spec) { sp.Method = "spme"; sp.Rc = 0.15; sp.Skin = 0.1 }, "rc + skin = 0.25 nm"},
 		{"fat skin", func(sp *Spec) { sp.Skin = 2 }, "skin"},
 		{"cold start", func(sp *Spec) { sp.Temp = -3 }, "temp"},
 		{"hot start", func(sp *Spec) { sp.Temp = 5000 }, "temp"},

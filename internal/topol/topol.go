@@ -20,15 +20,6 @@ func NewExclusions(n int) *Exclusions {
 	return &Exclusions{adj: make([][]int32, n)}
 }
 
-// NAtoms returns the number of atoms the set was built for (0 for a nil
-// set, which excludes nothing).
-func (e *Exclusions) NAtoms() int {
-	if e == nil {
-		return 0
-	}
-	return len(e.adj)
-}
-
 // Add excludes the pair (i, j). Duplicate additions are ignored.
 func (e *Exclusions) Add(i, j int) {
 	if i == j {
@@ -78,14 +69,6 @@ func (e *Exclusions) Pairs() []Pair {
 		return nil
 	}
 	return e.pairs
-}
-
-// Neighbors returns the sorted excluded partners of atom i.
-func (e *Exclusions) Neighbors(i int) []int32 {
-	if e == nil {
-		return nil
-	}
-	return e.adj[i]
 }
 
 func insertSorted(l []int32, v int32) []int32 {

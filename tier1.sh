@@ -19,10 +19,11 @@ for want in \
 	'r2tab.go:.*: can inline (\*Segment).Cubic$' \
 	'kernel.go:.*: can inline coulomb$' \
 	'kernel.go:.*: can inline ljEval$' \
+	'kernel.go:.*: can inline exclusion$' \
 	'celllist.go:.*: inlining call to vec.MinImage1$'; do
 	echo "$inl" | grep -q "$want" || { echo "tier1: hot-loop inlining lost: $want" >&2; exit 1; }
 done
-for call in 'r2tab.(\*Table).Segment' 'coulomb' 'r2tab.(\*Segment).Cubic' 'ljEval'; do
+for call in 'r2tab.(\*Table).Segment' 'coulomb' 'r2tab.(\*Segment).Cubic' 'ljEval' 'exclusion'; do
 	echo "$inl" | grep "verlet.go:[0-9]*:[0-9]*: inlining call to $call\$" |
 		awk -F: -v r="$loop" 'BEGIN { split(r, b, ":") } $2 >= b[1] && $2 <= b[2] { f = 1 } END { exit !f }' ||
 		{ echo "tier1: $call is no longer inlined into the pair loop" >&2; exit 1; }
@@ -31,14 +32,16 @@ calls=$(go build -gcflags=-S ./internal/nonbond/ 2>&1 |
 	awk '/STEXT/ { p = ($1 == "tme4a/internal/nonbond.listJob.eval") } p && /\tCALL\t/' |
 	grep -vE 'CALL	(tme4a/internal/nonbond\.\(\*kernel\)\.coulombOut\(SB\)|runtime\.(panic[A-Za-z]*\(SB\)|memclrNoHeapPointers\(SB\)|morestack_noctxt\(SB\)|duffzero\+[0-9]+))$' || true)
 [ -z "$calls" ] || { echo "tier1: the pair loop calls $calls" >&2; exit 1; }
-# No fused multiply-add in the pair loop or the pieces inlined into it, nor
-# in the mesh's mirrored-tap convolution row, the direct convolution's row
-# body, the MSM level-kernel construction and the back-interpolation
-# gather, on an architecture that fuses (gc fuses x*y + z on arm64 unless
-# the product is rounded with float64(x*y)), so they sum the same bits
+# No fused multiply-add anywhere in internal/nonbond — the list build,
+# whose distance tests decide which pairs the loop ever sees, the pair loop
+# and the pieces inlined into it — nor in r2tab's lookup, the mesh's
+# mirrored-tap convolution row, the direct convolution's row body, the MSM
+# level-kernel construction and charge spreading and back interpolation,
+# on an architecture that fuses (gc fuses x*y + z on arm64 unless the
+# product is rounded with float64(x*y)), so they sum the same bits
 # everywhere.
 fma=$(GOARCH=arm64 go build -gcflags=-S ./internal/nonbond/ ./internal/r2tab/ ./internal/grid/ ./internal/pmesh/ ./internal/msm/ 2>&1 |
-	awk '/STEXT/ { p = ($1 ~ /^tme4a\/internal\/(nonbond\.(listJob\.eval|coulomb|ljEval)|r2tab\.\(\*(Segment\)\.Cubic|Table\)\.Segment)|grid\.(ConvRow|directJob\.rows)|msm\.levelKernel3D(\.func[0-9]+)?|pmesh\.\(\*Mesher\)\.gather)$/) } p && /\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\t/')
+	awk '/STEXT/ { p = ($1 ~ /^tme4a\/internal\/(nonbond\..*|r2tab\.\(\*(Segment\)\.Cubic|Table\)\.Segment)|grid\.(ConvRow|directJob\.rows)|msm\.levelKernel3D(\.func[0-9]+)?|pmesh\.\(\*Mesher\)\.(gather|spread))$/) } p && /\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\t/')
 [ -z "$fma" ] || { echo "tier1: fused multiply-add in a fixed-order kernel on arm64:" >&2; echo "$fma" >&2; exit 1; }
 go test ./...
 # Parallel writes are the race detector's to catch, at several worker
