@@ -285,7 +285,7 @@ func (s *Store) save(snap *md.Snapshot) error {
 		return err
 	}
 	name := FileName(snap.Step)
-	if err := s.writeAtomic(name, data); err != nil {
+	if err := WriteFileAtomic(s.fs, s.dir, name, data); err != nil {
 		return fmt.Errorf("ckpt: write %s: %w", name, err)
 	}
 	s.rec.Add(obs.CounterCkptWrites, 1)
@@ -324,18 +324,19 @@ func (s *Store) save(snap *md.Snapshot) error {
 	return nil
 }
 
-// writeAtomic writes data to dir/name via temp + fsync + rename +
-// dir-fsync. On failure the temp file is removed best-effort.
-func (s *Store) writeAtomic(name string, data []byte) error {
-	final := filepath.Join(s.dir, name)
+// WriteFileAtomic writes data to dir/name through fsys via temp + fsync +
+// rename + dir-fsync, so a crash leaves either the old file or the whole
+// new one. On failure the temp file is removed best-effort.
+func WriteFileAtomic(fsys FS, dir, name string, data []byte) error {
+	final := filepath.Join(dir, name)
 	tmp := final + tmpSuffix
-	f, err := s.fs.Create(tmp)
+	f, err := fsys.Create(tmp)
 	if err != nil {
 		return err
 	}
 	cleanup := func(err error) error {
 		f.Close()        //tmevet:ignore errdrop -- already failing; the first error wins
-		s.fs.Remove(tmp) //tmevet:ignore errdrop -- best-effort temp cleanup on the failure path
+		fsys.Remove(tmp) //tmevet:ignore errdrop -- best-effort temp cleanup on the failure path
 		return err
 	}
 	if _, err := f.Write(data); err != nil {
@@ -347,11 +348,11 @@ func (s *Store) writeAtomic(name string, data []byte) error {
 	if err := f.Close(); err != nil {
 		return cleanup(err)
 	}
-	if err := s.fs.Rename(tmp, final); err != nil {
-		s.fs.Remove(tmp) //tmevet:ignore errdrop -- best-effort temp cleanup on the failure path
+	if err := fsys.Rename(tmp, final); err != nil {
+		fsys.Remove(tmp) //tmevet:ignore errdrop -- best-effort temp cleanup on the failure path
 		return err
 	}
-	return s.fs.SyncDir(s.dir)
+	return fsys.SyncDir(dir)
 }
 
 // writeManifest persists the entry ledger with the same atomic protocol
@@ -365,7 +366,7 @@ func (s *Store) writeManifest() error {
 	for _, e := range s.entries {
 		fmt.Fprintf(&b, "%s step=%d size=%d crc=%08x\n", e.Name, e.Step, e.Size, e.CRC) //tmevet:ignore errdrop -- strings.Builder never errors
 	}
-	return s.writeAtomic(manifestName, []byte(b.String()))
+	return WriteFileAtomic(s.fs, s.dir, manifestName, []byte(b.String()))
 }
 
 // parseManifest returns the entries of a manifest image, skipping

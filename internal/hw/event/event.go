@@ -1,103 +1,17 @@
-// Package event provides the discrete-event simulation core used by the
-// MDGRAPE-4A machine model: a time-ordered event queue, sequential
-// resources with queuing, and busy-interval tracking that renders the
-// paper's Fig. 9/10-style time charts.
+// Package event records the busy intervals of the MDGRAPE-4A machine
+// model's units and renders them as the paper's Fig. 9/10-style time
+// charts. The machine model (internal/hw/machine) computes each interval
+// from its barrier-phased step schedule; this package only collects and
+// draws them.
 //
-// Simulated time is in nanoseconds (float64), matching the 10 ns
-// measurement resolution the paper reports for CGP status transitions.
+// Time is in nanoseconds (float64), matching the 10 ns measurement
+// resolution the paper reports for CGP status transitions.
 package event
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 	"strings"
 )
-
-// Sim is a discrete-event simulator.
-type Sim struct {
-	now   float64
-	queue eventHeap
-	seq   int64 // tie-breaker for deterministic ordering
-	Chart *Chart
-}
-
-// NewSim returns a simulator at time zero with an empty chart.
-func NewSim() *Sim {
-	return &Sim{Chart: &Chart{}}
-}
-
-// Now returns the current simulation time (ns).
-func (s *Sim) Now() float64 { return s.now }
-
-// At schedules fn to run at absolute time t (clamped to now).
-func (s *Sim) At(t float64, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
-	heap.Push(&s.queue, &event{t: t, seq: s.seq, fn: fn})
-	s.seq++
-}
-
-// After schedules fn to run delay ns from now.
-func (s *Sim) After(delay float64, fn func()) { s.At(s.now+delay, fn) }
-
-// Run processes events until the queue is empty and returns the final time.
-func (s *Sim) Run() float64 {
-	for s.queue.Len() > 0 {
-		ev := heap.Pop(&s.queue).(*event)
-		s.now = ev.t
-		ev.fn()
-	}
-	return s.now
-}
-
-type event struct {
-	t   float64
-	seq int64
-	fn  func()
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// Resource models a unit that serves one request at a time (a pipeline, a
-// network link, a GP core). Acquire returns the time the request actually
-// starts given the earliest time it could start.
-type Resource struct {
-	nextFree float64
-}
-
-// Acquire reserves the resource for duration starting no earlier than at;
-// it returns the actual start time.
-func (r *Resource) Acquire(at, duration float64) (start float64) {
-	if at > r.nextFree {
-		start = at
-	} else {
-		start = r.nextFree
-	}
-	r.nextFree = start + duration
-	return start
-}
-
-// NextFree returns the time the resource becomes idle.
-func (r *Resource) NextFree() float64 { return r.nextFree }
 
 // Interval is one busy span of one module on one node.
 type Interval struct {
@@ -115,35 +29,6 @@ type Chart struct {
 // Add records a busy interval.
 func (c *Chart) Add(module string, node int, start, end float64) {
 	c.Intervals = append(c.Intervals, Interval{Module: module, Node: node, Start: start, End: end})
-}
-
-// ModuleSpan returns the earliest start and latest end over all intervals
-// of the module (ok reports whether any were recorded).
-func (c *Chart) ModuleSpan(module string) (start, end float64, ok bool) {
-	for _, iv := range c.Intervals {
-		if iv.Module != module {
-			continue
-		}
-		if !ok || iv.Start < start {
-			start = iv.Start
-		}
-		if !ok || iv.End > end {
-			end = iv.End
-		}
-		ok = true
-	}
-	return start, end, ok
-}
-
-// ModuleBusy returns the summed busy time of the module across nodes.
-func (c *Chart) ModuleBusy(module string) float64 {
-	var t float64
-	for _, iv := range c.Intervals {
-		if iv.Module == module {
-			t += iv.End - iv.Start
-		}
-	}
-	return t
 }
 
 // Modules returns the distinct module names in first-appearance order.
@@ -207,11 +92,4 @@ func (c *Chart) Bounds() (start, end float64) {
 		}
 	}
 	return start, end
-}
-
-// SortedByStart returns a copy of the intervals ordered by start time.
-func (c *Chart) SortedByStart() []Interval {
-	out := append([]Interval(nil), c.Intervals...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
 }

@@ -1,94 +1,15 @@
 package event
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
 
-func TestEventOrdering(t *testing.T) {
-	s := NewSim()
-	var order []int
-	s.At(30, func() { order = append(order, 3) })
-	s.At(10, func() { order = append(order, 1) })
-	s.At(20, func() { order = append(order, 2) })
-	end := s.Run()
-	if end != 30 {
-		t.Errorf("final time %g", end)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Errorf("order %v", order)
-	}
-}
-
-func TestSimultaneousEventsFIFO(t *testing.T) {
-	s := NewSim()
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		s.At(7, func() { order = append(order, i) })
-	}
-	s.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tie order %v", order)
-		}
-	}
-}
-
-func TestNestedScheduling(t *testing.T) {
-	s := NewSim()
-	var times []float64
-	s.At(5, func() {
-		times = append(times, s.Now())
-		s.After(10, func() { times = append(times, s.Now()) })
-	})
-	s.Run()
-	if len(times) != 2 || times[0] != 5 || times[1] != 15 {
-		t.Errorf("times %v", times)
-	}
-}
-
-func TestPastSchedulingClamped(t *testing.T) {
-	s := NewSim()
-	var got float64 = -1
-	s.At(10, func() {
-		s.At(3, func() { got = s.Now() }) // in the past: clamp to now
-	})
-	s.Run()
-	if got != 10 {
-		t.Errorf("clamped event ran at %g, want 10", got)
-	}
-}
-
-func TestResourceQueueing(t *testing.T) {
-	var r Resource
-	s1 := r.Acquire(0, 100)
-	s2 := r.Acquire(10, 50)
-	s3 := r.Acquire(500, 20)
-	if s1 != 0 || s2 != 100 || s3 != 500 {
-		t.Errorf("starts %g %g %g", s1, s2, s3)
-	}
-	if r.NextFree() != 520 {
-		t.Errorf("next free %g", r.NextFree())
-	}
-}
-
-func TestChartSpansAndBusy(t *testing.T) {
+func TestChartModules(t *testing.T) {
 	c := &Chart{}
 	c.Add("LRU", 0, 100, 200)
 	c.Add("LRU", 1, 150, 260)
 	c.Add("GCU", 0, 300, 400)
-	start, end, ok := c.ModuleSpan("LRU")
-	if !ok || start != 100 || end != 260 {
-		t.Errorf("span %g %g %v", start, end, ok)
-	}
-	if busy := c.ModuleBusy("LRU"); math.Abs(busy-210) > 1e-12 {
-		t.Errorf("busy %g", busy)
-	}
-	if _, _, ok := c.ModuleSpan("NONE"); ok {
-		t.Error("span of missing module should report !ok")
-	}
 	mods := c.Modules()
 	if len(mods) != 2 || mods[0] != "LRU" || mods[1] != "GCU" {
 		t.Errorf("modules %v", mods)

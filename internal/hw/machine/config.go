@@ -13,6 +13,7 @@
 package machine
 
 import (
+	"tme4a/internal/hw/fpgafft"
 	"tme4a/internal/hw/octree"
 	"tme4a/internal/hw/torus"
 )
@@ -102,7 +103,7 @@ func MDGRAPE4A() Config {
 		PPGHz:          0.8,
 		NPipes:         64,
 		Cal:            cal,
-		TopSolveNs:     2112, // 330 cycles @ 156.25 MHz (fpgafft)
+		TopSolveNs:     fpgafft.SolveTimeNs(),
 		GCUPointsCycle: 12,
 	}
 }

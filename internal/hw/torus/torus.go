@@ -63,67 +63,6 @@ func axisSteps(from, to, n int) int {
 	return d
 }
 
-// HopDistance returns the minimal torus hop count between nodes.
-func (c Config) HopDistance(a, b Coord) int {
-	h := 0
-	for axis := 0; axis < 3; axis++ {
-		var f, t int
-		switch axis {
-		case 0:
-			f, t = a.X, b.X
-		case 1:
-			f, t = a.Y, b.Y
-		default:
-			f, t = a.Z, b.Z
-		}
-		d := axisSteps(f, t, c.Size[axis])
-		if d < 0 {
-			d = -d
-		}
-		h += d
-	}
-	return h
-}
-
-// Route returns the dimension-ordered (x, then y, then z) path from a to b
-// as a sequence of coordinates, excluding a, including b.
-func (c Config) Route(a, b Coord) []Coord {
-	var path []Coord
-	cur := a
-	step := func(axis, dir int) {
-		switch axis {
-		case 0:
-			cur.X = wrap(cur.X+dir, c.Size[0])
-		case 1:
-			cur.Y = wrap(cur.Y+dir, c.Size[1])
-		default:
-			cur.Z = wrap(cur.Z+dir, c.Size[2])
-		}
-		path = append(path, cur)
-	}
-	for axis := 0; axis < 3; axis++ {
-		var f, t int
-		switch axis {
-		case 0:
-			f, t = a.X, b.X
-		case 1:
-			f, t = a.Y, b.Y
-		default:
-			f, t = a.Z, b.Z
-		}
-		d := axisSteps(f, t, c.Size[axis])
-		dir := 1
-		if d < 0 {
-			dir = -1
-			d = -d
-		}
-		for s := 0; s < d; s++ {
-			step(axis, dir)
-		}
-	}
-	return path
-}
-
 // linkIndex returns the directed-link slot leaving node co toward the next
 // hop along axis with direction dir (±1).
 func (n *Network) linkIndex(co Coord, axis, dir int) int {

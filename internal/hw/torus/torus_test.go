@@ -2,9 +2,7 @@ package torus
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNodeIDRoundTrip(t *testing.T) {
@@ -12,60 +10,6 @@ func TestNodeIDRoundTrip(t *testing.T) {
 	for id := 0; id < cfg.NNodes(); id++ {
 		if got := cfg.NodeID(cfg.CoordOf(id)); got != id {
 			t.Fatalf("id %d -> %v -> %d", id, cfg.CoordOf(id), got)
-		}
-	}
-}
-
-func TestHopDistanceProperties(t *testing.T) {
-	cfg := MDGRAPE4A()
-	rng := rand.New(rand.NewSource(1))
-	randCoord := func() Coord {
-		return Coord{rng.Intn(8), rng.Intn(8), rng.Intn(8)}
-	}
-	f := func(seed int64) bool {
-		a, b := randCoord(), randCoord()
-		d := cfg.HopDistance(a, b)
-		// Symmetry, identity, torus bound (≤ 4 per axis in an 8-ring).
-		return d == cfg.HopDistance(b, a) &&
-			cfg.HopDistance(a, a) == 0 &&
-			d <= 12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHopDistanceWrapsShortWay(t *testing.T) {
-	cfg := MDGRAPE4A()
-	// 0 → 7 is one hop through the wraparound.
-	if d := cfg.HopDistance(Coord{0, 0, 0}, Coord{7, 0, 0}); d != 1 {
-		t.Errorf("wrap distance %d, want 1", d)
-	}
-	if d := cfg.HopDistance(Coord{0, 0, 0}, Coord{4, 0, 0}); d != 4 {
-		t.Errorf("half-ring distance %d, want 4", d)
-	}
-}
-
-func TestRouteLengthAndEndpoint(t *testing.T) {
-	cfg := MDGRAPE4A()
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		a := Coord{rng.Intn(8), rng.Intn(8), rng.Intn(8)}
-		b := Coord{rng.Intn(8), rng.Intn(8), rng.Intn(8)}
-		path := cfg.Route(a, b)
-		if len(path) != cfg.HopDistance(a, b) {
-			t.Fatalf("route %v->%v has %d hops, want %d", a, b, len(path), cfg.HopDistance(a, b))
-		}
-		if len(path) > 0 && path[len(path)-1] != b {
-			t.Fatalf("route %v->%v ends at %v", a, b, path[len(path)-1])
-		}
-		// Each step moves exactly one hop.
-		cur := a
-		for _, nxt := range path {
-			if cfg.HopDistance(cur, nxt) != 1 {
-				t.Fatalf("non-unit step %v->%v", cur, nxt)
-			}
-			cur = nxt
 		}
 	}
 }

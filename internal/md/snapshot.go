@@ -204,23 +204,3 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	defer f.Close()
 	return ReadSnapshot(f)
 }
-
-// EnergyReporter writes a CSV energy ledger, one row per report, for
-// trajectory analysis (the Fig. 4 series use this format).
-type EnergyReporter struct {
-	W     io.Writer
-	Dt    float64 // ps per step
-	wrote bool
-}
-
-// Report writes one row (writing the header first if needed); it is shaped
-// to plug into Integrator.Run.
-func (r *EnergyReporter) Report(step int, e Energies) {
-	if !r.wrote {
-		fmt.Fprintln(r.W, "time_ps,potential,kinetic,total,coul_short,coul_long,coul_excl,lj,bonded")
-		r.wrote = true
-	}
-	fmt.Fprintf(r.W, "%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f\n",
-		float64(step)*r.Dt, e.Potential(), e.Kinetic, e.Total(),
-		e.CoulShort, e.CoulLong, e.CoulExcl, e.LJ, e.Bonded)
-}

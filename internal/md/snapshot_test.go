@@ -3,7 +3,6 @@ package md_test
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"tme4a/internal/md"
@@ -90,25 +89,6 @@ func TestRestoreRejectsWrongSize(t *testing.T) {
 	b := water.Build(3, 3, 3, water.CubicBoxFor(27), 1)
 	if err := b.Restore(a.TakeSnapshot(nil)); err == nil {
 		t.Error("expected size-mismatch error")
-	}
-}
-
-func TestEnergyReporterFormat(t *testing.T) {
-	var buf bytes.Buffer
-	r := &md.EnergyReporter{W: &buf, Dt: 0.001}
-	var e md.Energies
-	e.Kinetic = 2
-	r.Report(1, e)
-	r.Report(2, e)
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("expected header + 2 rows, got %d lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "time_ps,") {
-		t.Errorf("header %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "0.0010,") {
-		t.Errorf("first row %q", lines[1])
 	}
 }
 

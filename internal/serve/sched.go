@@ -292,7 +292,7 @@ func (s *Scheduler) Submit(sp Spec) (Status, error) {
 		if err != nil {
 			return Status{}, err
 		}
-		if err := s.writeFileAtomic(dir, specFileName, data); err != nil {
+		if err := ckpt.WriteFileAtomic(s.fs, dir, specFileName, data); err != nil {
 			return Status{}, fmt.Errorf("serve: persist spec: %w", err)
 		}
 	}
@@ -710,37 +710,7 @@ func (s *Scheduler) finalize(j *job, state State, errMsg string) {
 
 	if s.dir != "" {
 		if data, err := json.MarshalIndent(ds, "", "  "); err == nil {
-			s.writeFileAtomic(jobDir(s.dir, j.id), stateFileName, data) //tmevet:ignore errdrop -- best effort: a lost marker re-admits the job on restart, never corrupts it
+			ckpt.WriteFileAtomic(s.fs, jobDir(s.dir, j.id), stateFileName, data) //tmevet:ignore errdrop -- best effort: a lost marker re-admits the job on restart, never corrupts it
 		}
 	}
-}
-
-// writeFileAtomic writes data to dir/name with the temp + fsync + rename
-// + dir-fsync protocol, through the scheduler's FS seam.
-func (s *Scheduler) writeFileAtomic(dir, name string, data []byte) error {
-	final := filepath.Join(dir, name)
-	tmp := final + ".tmp"
-	f, err := s.fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	cleanup := func(err error) error {
-		f.Close()        //tmevet:ignore errdrop -- already failing; the first error wins
-		s.fs.Remove(tmp) //tmevet:ignore errdrop -- best-effort temp cleanup on the failure path
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		return cleanup(err)
-	}
-	if err := s.fs.Rename(tmp, final); err != nil {
-		s.fs.Remove(tmp) //tmevet:ignore errdrop -- best-effort temp cleanup on the failure path
-		return err
-	}
-	return s.fs.SyncDir(dir)
 }

@@ -268,7 +268,7 @@ func TestRecoverListsUnreadableSpecAsFailed(t *testing.T) {
 		if err := mfs.MkdirAll(dir); err != nil {
 			t.Fatal(err)
 		}
-		if err := (&Scheduler{fs: mfs}).writeFileAtomic(dir, specFileName, data); err != nil {
+		if err := ckpt.WriteFileAtomic(mfs, dir, specFileName, data); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -44,9 +44,6 @@ func (p Plan) Validate() error {
 	if !isFinite(p.Skin) || p.Skin < 0 || p.Skin > maxSkin {
 		return fmt.Errorf("tune: plan Skin %g outside [0, %g]", p.Skin, float64(maxSkin))
 	}
-	if p.Slabs < 1 {
-		return fmt.Errorf("tune: plan Slabs %d, want ≥ 1", p.Slabs)
-	}
 	if !isFinite(p.PredErr) || p.PredErr <= 0 {
 		return fmt.Errorf("tune: plan PredErr %g, want positive", p.PredErr)
 	}

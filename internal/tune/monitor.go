@@ -105,14 +105,12 @@ func (m *Monitor) Observe(p obs.Profile, stepsDone int64) (Plan, bool) {
 	w.SkinPairNs *= rShort
 	w.RebuildPairNs *= rShort
 	w.RebuildAtomNs *= rShort
-	w.CellPairNs *= rShort
-	w.CellAtomNs *= rShort
+	w.ExclNs *= rShort
 	w.AssignNs *= rMesh
 	w.ConvNs *= rMesh
 	w.ConvDirectNs *= rMesh
 	w.FFTNs *= rMesh
 	w.GridNs *= rMesh
-	w.ExclNs *= rMesh
 	if w.validate() != nil {
 		return m.plan, false // a degenerate ratio (Inf/NaN) must not poison the model
 	}

@@ -70,6 +70,33 @@ func TestMonitorUniformDriftKeepsPlan(t *testing.T) {
 	}
 }
 
+// TestMonitorExclFollowsShortRange: the exclusion corrections run in the
+// pair loop, so their weight moves with the short-range group's drift and
+// not with the mesh's.
+func TestMonitorExclFollowsShortRange(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		rShort, rMesh float64
+		wantExcl      float64 // ExclNs over its default
+	}{
+		{"short drifts", 2, 1, 2},
+		{"mesh drifts", 1, 2, 1},
+	} {
+		m := monitorUnderTest(t, 1e-3)
+		cum := advance(m, obs.Profile{}, 100, 1, 1)
+		m.Observe(cum, 100)
+		cum = advance(m, cum, 100, tc.rShort, tc.rMesh)
+		m.Observe(cum, 200)
+		w, d := m.Weights(), DefaultWeights()
+		if got := w.ExclNs / d.ExclNs; math.Abs(got-tc.wantExcl) > 1e-6 {
+			t.Errorf("%s: ExclNs scaled by %.6f, want %g", tc.name, got, tc.wantExcl)
+		}
+		if got := w.AssignNs / d.AssignNs; math.Abs(got-tc.rMesh) > 1e-6 {
+			t.Errorf("%s: AssignNs scaled by %.6f, want %g", tc.name, got, tc.rMesh)
+		}
+	}
+}
+
 // TestMonitorMeshDriftRetunes: on hardware where the mesh pipeline runs
 // far slower than modeled, the monitor re-plans toward a plan that
 // spends less in the mesh (larger cutoff and/or coarser grid), while

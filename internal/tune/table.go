@@ -11,7 +11,7 @@ import (
 // — so the repository pins the Table-1 sweep byte-for-byte
 // (results/autotune_plans.csv, TestGoldenDecisionTable).
 func DecisionTable(req Request, budgets []float64, w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "err_budget,method,kernel,rc,grid,gc,M,skin,slabs,pred_err,pred_ms"); err != nil {
+	if _, err := fmt.Fprintln(w, "err_budget,method,kernel,rc,grid,gc,M,skin,pred_err,pred_ms"); err != nil {
 		return err
 	}
 	for _, budget := range budgets {
@@ -21,16 +21,16 @@ func DecisionTable(req Request, budgets []float64, w io.Writer) error {
 		if err != nil {
 			// An infeasible budget is a legitimate table row, not a failure.
 			if _, ok := err.(*InfeasibleError); ok {
-				if _, werr := fmt.Fprintf(w, "%.3g,none,,,,,,,,,\n", budget); werr != nil {
+				if _, werr := fmt.Fprintf(w, "%.3g,none,,,,,,,,\n", budget); werr != nil {
 					return werr
 				}
 				continue
 			}
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "%.3g,%s,%s,%.3g,%d,%d,%d,%.3g,%d,%.3e,%.3f\n",
+		if _, err := fmt.Fprintf(w, "%.3g,%s,%s,%.3g,%d,%d,%d,%.3g,%.3e,%.3f\n",
 			budget, plan.Method, plan.Kernel, plan.Rc, plan.Grid[0], plan.Gc, plan.M,
-			plan.Skin, plan.Slabs, plan.PredErr, plan.PredMs); err != nil {
+			plan.Skin, plan.PredErr, plan.PredMs); err != nil {
 			return err
 		}
 	}

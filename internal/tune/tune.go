@@ -5,8 +5,8 @@
 // every candidate plan over the registered long-range solvers (SPME, TME
 // with the gauss and u-series kernel families, B-spline MSM), scores each
 // with per-stage cost rows plus a surface-fit error estimate, and emits a
-// deterministic Plan — method, kernel, cutoff, grid, g_c, M, Verlet skin
-// and rank-slab count.
+// deterministic Plan — method, kernel, cutoff, grid, g_c, M and Verlet
+// skin.
 //
 // The tuner runs in two regimes:
 //
@@ -55,9 +55,6 @@ type Request struct {
 	// ErrBudget is the maximum acceptable relative force error
 	// (Table 1's metric: RMS force deviation over the Ewald reference).
 	ErrBudget float64
-	// Workers is the parallelism available for a rank-decomposed run; it
-	// sets the plan's slab count and nothing else. 0 means serial.
-	Workers int
 	// Weights overrides the cost-model calibration; nil selects
 	// DefaultWeights. The online monitor re-plans through this field.
 	Weights *Weights
@@ -76,7 +73,6 @@ type Plan struct {
 	M      int     // Gaussians per middle-range shell (TME; 0 otherwise)
 	Levels int     // middle-range levels (TME/MSM; 0 for SPME)
 	Order  int     // B-spline order
-	Slabs  int     // rank-decomposition slab count (1 = serial)
 
 	// PredErr is the estimated relative force error (surface fit).
 	PredErr float64
@@ -148,7 +144,6 @@ const (
 	maxAtoms     = 100_000_000
 	minBudget    = 1e-6
 	maxBudget    = 0.5
-	maxWorkers   = 4096
 	maxGridDim   = 64
 	minGridDim   = 8
 	maxSkin      = 0.1
@@ -180,9 +175,6 @@ func (r Request) validate() error {
 	if !isFinite(r.ErrBudget) || r.ErrBudget < minBudget || r.ErrBudget > maxBudget {
 		return &RequestError{Field: "err_budget", Reason: fmt.Sprintf("%g outside [%g, %g]", r.ErrBudget, minBudget, maxBudget)}
 	}
-	if r.Workers < 0 || r.Workers > maxWorkers {
-		return &RequestError{Field: "workers", Reason: fmt.Sprintf("%d outside [0, %d]", r.Workers, maxWorkers)}
-	}
 	if r.Weights != nil {
 		if err := r.Weights.validate(); err != nil {
 			return err
@@ -212,16 +204,6 @@ func rcCandidates(lmin float64) []float64 {
 // gridCandidates returns the cubic mesh sizes worth considering.
 func gridCandidates() []int { return []int{8, 16, 32, 64} }
 
-// slabsFor returns the rank-decomposition slab count: the largest power
-// of two ≤ workers that keeps at least two grid planes per slab.
-func slabsFor(gridZ, workers int) int {
-	s := 1
-	for s*2 <= workers && gridZ/(s*2) >= 2 {
-		s *= 2
-	}
-	return s
-}
-
 // Enumerate scores every candidate plan for the request, cheapest first.
 // The order is a total order (cost, then method/kernel/grid/gc/M/rc/skin),
 // so the listing — and hence PlanFor's pick — is deterministic.
@@ -245,7 +227,6 @@ func Enumerate(req Request) ([]Candidate, error) {
 	var out []Candidate
 	add := func(p Plan) {
 		p.Order = Order
-		p.Slabs = slabsFor(p.Grid[2], req.Workers)
 		cost := w.StepCost(req, p)
 		p.PredMs = cost.Total() * 1e-6
 		out = append(out, Candidate{

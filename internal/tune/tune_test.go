@@ -119,7 +119,6 @@ func TestRequestErrors(t *testing.T) {
 		{"zero budget", func(r *Request) { r.ErrBudget = 0 }},
 		{"absurd budget", func(r *Request) { r.ErrBudget = 2 }},
 		{"nan budget", func(r *Request) { r.ErrBudget = math.NaN() }},
-		{"negative workers", func(r *Request) { r.Workers = -1 }},
 		{"bad weights", func(r *Request) { w := DefaultWeights(); w.PairNs = math.Inf(1); r.Weights = &w }},
 		{"zero drift", func(r *Request) { w := DefaultWeights(); w.DriftPerStep = 0; r.Weights = &w }},
 	}
@@ -170,27 +169,36 @@ func TestSmallBoxFallback(t *testing.T) {
 	}
 }
 
-// TestSlabsFollowWorkers: the slab count is the largest power of two
-// within the worker budget that keeps ≥ 2 planes per slab.
-func TestSlabsFollowWorkers(t *testing.T) {
-	for _, tc := range []struct {
-		grid, workers, want int
-	}{
-		{32, 0, 1}, {32, 1, 1}, {32, 2, 2}, {32, 3, 2}, {32, 4, 4},
-		{32, 16, 16}, {32, 64, 16}, {8, 8, 4}, {16, 1000, 8},
-	} {
-		if got := slabsFor(tc.grid, tc.workers); got != tc.want {
-			t.Errorf("slabsFor(%d, %d) = %d, want %d", tc.grid, tc.workers, got, tc.want)
-		}
-	}
+// TestStepCostSkinZeroRebuildsEveryStep: one pair-list formula prices
+// every skin. At skin 0 the list stores exactly the in-range pairs and is
+// rebuilt every step, so the short-range row is the in-range pairs at the
+// kernel price and the neighbor row a full rebuild.
+func TestStepCostSkinZeroRebuildsEveryStep(t *testing.T) {
 	req := table1Request()
-	req.Workers = 4
-	p, err := PlanFor(req)
+	cands, err := Enumerate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Slabs != 4 {
-		t.Errorf("plan slabs = %d with 4 workers, want 4", p.Slabs)
+	w := DefaultWeights()
+	atoms := float64(req.Atoms)
+	rho := atoms / req.Box.Volume()
+	seen := 0
+	for _, c := range cands {
+		if c.Skin != 0 {
+			continue
+		}
+		seen++
+		inRc := 0.5 * atoms * rho * (4 * math.Pi / 3) * c.Rc * c.Rc * c.Rc
+		b := w.StepCost(req, c.Plan)
+		if got, want := b.StageTime("short-range"), inRc*w.PairNs; got != want {
+			t.Fatalf("%s: short-range %g ns, want inRc·PairNs = %g", c.Plan.String(), got, want)
+		}
+		if got, want := b.StageTime("neighbor"), inRc*w.RebuildPairNs+atoms*w.RebuildAtomNs; got != want {
+			t.Fatalf("%s: neighbor %g ns, want inRc·RebuildPairNs + atoms·RebuildAtomNs = %g", c.Plan.String(), got, want)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no skin-0 candidate enumerated")
 	}
 }
 

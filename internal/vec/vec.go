@@ -19,9 +19,6 @@ func (a V) Sub(b V) V { return V{a[0] - b[0], a[1] - b[1], a[2] - b[2]} }
 // Scale returns s·a.
 func (a V) Scale(s float64) V { return V{s * a[0], s * a[1], s * a[2]} }
 
-// Mul returns the component-wise product a∘b.
-func (a V) Mul(b V) V { return V{a[0] * b[0], a[1] * b[1], a[2] * b[2]} }
-
 // Div returns the component-wise quotient a/b.
 func (a V) Div(b V) V { return V{a[0] / b[0], a[1] / b[1], a[2] / b[2]} }
 
