@@ -4,9 +4,7 @@
 //	tmebench -exp fig3a      Gaussian-sum approximation of g_{α,l} (Fig 3a)
 //	tmebench -exp fig3b      approximation error vs M (Fig 3b)
 //	tmebench -exp table1     relative force errors of SPME and TME (Table 1)
-//	tmebench -exp shootout   kernel-family accuracy/cost shootout (GL vs u-series)
 //	tmebench -exp fig4       NVE total-energy stability (Fig 4)
-//	tmebench -exp fig4resume crash/resume bitwise-identity harness
 //	tmebench -exp fig9       single-step machine time chart (Fig 9)
 //	tmebench -exp fig9live   measured per-stage step breakdown (live Fig 9)
 //	tmebench -exp fig10      long-range phase breakdown (Fig 10, Sec V.B)
@@ -16,7 +14,7 @@
 //	tmebench -exp costmodel  Sec III.C cost model + strong-scaling curves
 //	tmebench -exp grid64     64³ (L=2) projection (Sec VI.A)
 //	tmebench -exp whatif     Sec VI.B design-space accelerations
-//	tmebench -exp autotune   auto-tuner oracle: measured error/cost of every plan
+//	tmebench -exp frontier   measured error, step and stage times of every tuner plan
 //	tmebench -exp all        everything above
 //
 // By default experiments run at single-host ("quick") scale, which
@@ -36,7 +34,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig3a,fig3b,table1,shootout,fig4,fig4resume,fig9,fig9live,fig10,fig10scale,overlap,table2,costmodel,grid64,whatif,autotune,all")
+	exp := flag.String("exp", "all", "experiment: fig3a,fig3b,table1,fig4,fig9,fig9live,fig10,fig10scale,overlap,table2,costmodel,grid64,whatif,frontier,all")
 	full := flag.Bool("full", false, "run paper-scale workloads (slow)")
 	outDir := flag.String("out", "results", "output directory ('' = stdout only)")
 	flag.Parse()
@@ -44,7 +42,7 @@ func main() {
 	runner := &runner{full: *full, outDir: *outDir}
 	exps := []string{*exp}
 	if *exp == "all" {
-		exps = []string{"fig3a", "fig3b", "table1", "shootout", "fig4", "fig4resume", "fig9", "fig9live", "fig10", "fig10scale", "overlap", "table2", "costmodel", "grid64", "whatif", "autotune"}
+		exps = []string{"fig3a", "fig3b", "table1", "fig4", "fig9", "fig9live", "fig10", "fig10scale", "overlap", "table2", "costmodel", "grid64", "whatif", "frontier"}
 	}
 	for _, e := range exps {
 		if err := runner.run(e); err != nil {
@@ -108,14 +106,6 @@ func (r *runner) run(exp string) error {
 		w, done := r.out("table1.csv")
 		defer done()
 		expt.RunTable1(cfg, w)
-	case "shootout":
-		cfg := expt.QuickShootout()
-		if r.full {
-			cfg = expt.FullShootout()
-		}
-		w, done := r.out("shootout.csv")
-		defer done()
-		expt.RunShootout(cfg, w)
 	case "fig4":
 		cfg := expt.QuickFig4()
 		if r.full {
@@ -124,21 +114,6 @@ func (r *runner) run(exp string) error {
 		w, done := r.out("fig4.csv")
 		defer done()
 		expt.RunFig4(cfg, w)
-	case "fig4resume":
-		cfg := expt.QuickFig4Resume()
-		w, done := r.out("fig4resume.txt")
-		defer done()
-		ckdir, err := os.MkdirTemp("", "tme-ckpt-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(ckdir)
-		res, err := expt.RunFig4Resume(cfg, filepath.Join(ckdir, "clean"), filepath.Join(ckdir, "torn"), nil, w)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "final state hash %016x (resume points: clean %d, torn fallback %d)\n",
-			res.FinalHash, res.ResumedFrom, res.TornResumeFrom)
 	case "fig9":
 		w, done := r.out("fig9.txt")
 		defer done()
@@ -185,10 +160,10 @@ func (r *runner) run(exp string) error {
 		w, done := r.out("whatif.csv")
 		defer done()
 		expt.RunWhatIf(r.hwContext(), w)
-	case "autotune":
-		w, done := r.out("autotune.csv")
+	case "frontier":
+		w, done := r.out("frontier.csv")
 		defer done()
-		if _, _, err := expt.RunAutotune(expt.QuickAutotune(), w); err != nil {
+		if _, _, err := expt.RunFrontier(expt.QuickFrontier(), w); err != nil {
 			return err
 		}
 	default:

@@ -94,13 +94,19 @@ type fileWire struct {
 }
 
 // Encode renders the checkpoint as a byte-deterministic file image
-// (same state → same bytes).
+// (same state → same bytes). It refuses a snapshot that Decode would
+// reject (Snapshot.Validate: lengths, box, finite values), so a run that
+// has gone numerically bad never replaces a good checkpoint with a file
+// no resume can load.
 func (c *Checkpoint) Encode() ([]byte, error) {
 	if c.Snap == nil {
 		return nil, errors.New("ckpt: nil snapshot")
 	}
 	if len(c.ObsNames) != len(c.ObsVals) {
 		return nil, fmt.Errorf("ckpt: %d counter names, %d values", len(c.ObsNames), len(c.ObsVals))
+	}
+	if err := c.Snap.Validate(); err != nil {
+		return nil, fmt.Errorf("ckpt: invalid snapshot: %w", err)
 	}
 	var payload bytes.Buffer
 	w := fileWire{ConfigHash: c.ConfigHash, Snap: c.Snap, ObsNames: c.ObsNames, ObsVals: c.ObsVals}
@@ -259,7 +265,8 @@ func (s *Store) Entries() []Entry { return append([]Entry(nil), s.entries...) }
 // protocol: write ckpt-<step>.tme.tmp, fsync it, close, rename over the
 // final name, fsync the directory; then rewrite the manifest the same way
 // and prune beyond the retention limit. A failure at any point leaves
-// every previously durable checkpoint untouched.
+// every previously durable checkpoint untouched; a snapshot Encode
+// refuses (a NaN or Inf position or velocity) writes nothing at all.
 func (s *Store) Save(snap *md.Snapshot) error {
 	sp := s.rec.Start(obs.StageCheckpoint)
 	defer sp.Stop()

@@ -2,7 +2,10 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -128,16 +131,60 @@ func TestDecodeRejections(t *testing.T) {
 	}
 }
 
-// mustEncode encodes without the Validate gate that Decode applies, by
-// building the file image the same way Encode does. Encode itself does
-// not validate (capture of live state is trusted); Decode must.
+// mustEncode builds the file image the way Encode does, but without
+// Encode's Validate gate, so state Encode refuses can still be handed to
+// Decode, which must refuse it again.
 func mustEncode(t *testing.T, c *Checkpoint) []byte {
 	t.Helper()
-	data, err := c.Encode()
+	var payload bytes.Buffer
+	w := fileWire{ConfigHash: c.ConfigHash, Snap: c.Snap, ObsNames: c.ObsNames, ObsVals: c.ObsVals}
+	if err := gob.NewEncoder(&payload).Encode(&w); err != nil {
+		t.Fatal(err)
+	}
+	data := append([]byte(magic), binary.LittleEndian.AppendUint64(nil, uint64(payload.Len()))...)
+	data = append(data, payload.Bytes()...)
+	return binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, crcTable))
+}
+
+// TestSaveRefusesNonFiniteState: a step whose state has gone non-finite
+// is not checkpointed. Save returns the validation error, writes no file,
+// counts the failure, and the last healthy checkpoint stays the one a
+// resume loads.
+func TestSaveRefusesNonFiniteState(t *testing.T) {
+	fs := NewMemFS()
+	st, err := Open("ck", 3, 99, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	rec := obs.NewWithClock(func() int64 { return 0 })
+	st.SetObs(rec)
+	if err := st.Save(testSnap(100, 6, 1)); err != nil {
+		t.Fatal(err)
+	}
+	bad := testSnap(200, 6, 2)
+	bad.Vel[3][1] = nanFloat()
+	if err := st.Save(bad); err == nil || !strings.Contains(err.Error(), "not finite") {
+		t.Fatalf("saving a NaN velocity returned %v, want a not-finite error", err)
+	}
+	if got := rec.CounterValue(obs.CounterCkptFailures); got != 1 {
+		t.Errorf("ckpt_failures = %d, want 1", got)
+	}
+	names, err := fs.ReadDir("ck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if strings.Contains(name, FileName(200)) {
+			t.Errorf("refused save left %s behind", name)
+		}
+	}
+	c, err := st.LoadLatest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Step() != 100 {
+		t.Errorf("LoadLatest returned step %d, want the healthy 100", c.Step())
+	}
 }
 
 func nanFloat() float64 {

@@ -13,7 +13,7 @@ import (
 // self energy and accumulates mesh forces. The solver registry
 // (internal/solver) extends this contract with self-description and
 // constructs any registered implementation from a method name, so callers
-// that select the method at runtime (cmd/mdrun, the shootout experiment)
+// that select the method at runtime (cmd/mdrun, tune.Plan.NewSolver)
 // need not import the concrete packages.
 type MeshSolver interface {
 	LongRange(pos []vec.V, q []float64, f []vec.V) float64

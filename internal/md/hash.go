@@ -8,7 +8,7 @@ import (
 // StateHash digests the full dynamic state of a system — positions and
 // velocities as raw float64 bits, in atom order — with FNV-1a. Two states
 // hash equal iff they are bitwise identical, so trajectory comparisons
-// built on it (the fig4resume harness, the serve tier's per-job identity
+// built on it (the serve tier's kill-and-resume and per-job identity
 // checks) are exact rather than tolerance-based.
 func StateHash(sys *System) uint64 {
 	h := fnv.New64a()

@@ -2,9 +2,11 @@ package md_test
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tme4a/internal/bonded"
@@ -22,7 +24,7 @@ import (
 // reproduce the snapshot exactly, restoring must reproduce the system
 // state exactly, and re-encoding the decoded snapshot must reproduce the
 // original bytes — the byte-determinism contract the checkpoint CRC and
-// the fig4resume harness both lean on.
+// bitwise resume both lean on.
 func TestSnapshotPropertyRoundTrip(t *testing.T) {
 	for _, name := range []string{"tiny", "small", "medium", "meta-heavy", "resume-state"} {
 		t.Run(name, func(t *testing.T) {
@@ -152,7 +154,8 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 // positions; it is captured on a step that rebuilt the buffered list and on
 // one that did not. Only the buffered list's build positions travel in the
 // snapshot: a skin-0 list is rebuilt by the first step after the resume,
-// as by every step.
+// as by every step. Every row runs at GOMAXPROCS 1 and 4, since the engine
+// promises the same bits under serial and parallel scheduling.
 func TestResumeIsBitwise(t *testing.T) {
 	type cfg struct {
 		name    string
@@ -172,102 +175,107 @@ func TestResumeIsBitwise(t *testing.T) {
 		{name: "berendsen", skin: 0.15, mesh: true, nvt: true, breakAt: 23},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			const (
-				side     = 3
-				seed     = 17
-				rc       = 0.55
-				dt       = 0.0005
-				total    = 50
-				tempInit = 280.0
-			)
-			breakAt := c.breakAt
-			build := func() (*md.System, *bonded.FF) {
-				if c.protein {
-					ps := relaxedProtein(rc, seed)
-					ps.InitVelocities(tempInit, rand.New(rand.NewSource(seed)))
-					return ps.System, ps.Bonded
-				}
-				sys := water.Build(side, side, side, water.CubicBoxFor(side*side*side), seed)
-				sys.InitVelocities(tempInit, rand.New(rand.NewSource(seed)))
-				return sys, nil
-			}
-			mkInteg := func(sysBox vec.Box, bff *bonded.FF) *md.Integrator {
-				ff := &md.ForceField{Rc: rc, Skin: c.skin, Bonded: bff}
-				if c.mesh {
-					alpha := spme.AlphaFromRTol(rc, 1e-4)
-					ff.Alpha = alpha
-					ff.Mesh = spme.New(spme.Params{Alpha: alpha, Rc: rc, Order: 6, N: [3]int{16, 16, 16}}, sysBox)
-				}
-				in := &md.Integrator{FF: ff, Dt: dt}
-				if c.nvt {
-					in.Thermostat = &md.Thermostat{T: 300, Tau: 0.01}
-				}
-				return in
-			}
+			for _, procs := range []int{1, 4} {
+				t.Run(fmt.Sprintf("gomaxprocs-%d", procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					const (
+						side     = 3
+						seed     = 17
+						rc       = 0.55
+						dt       = 0.0005
+						total    = 50
+						tempInit = 280.0
+					)
+					breakAt := c.breakAt
+					build := func() (*md.System, *bonded.FF) {
+						if c.protein {
+							ps := relaxedProtein(rc, seed)
+							ps.InitVelocities(tempInit, rand.New(rand.NewSource(seed)))
+							return ps.System, ps.Bonded
+						}
+						sys := water.Build(side, side, side, water.CubicBoxFor(side*side*side), seed)
+						sys.InitVelocities(tempInit, rand.New(rand.NewSource(seed)))
+						return sys, nil
+					}
+					mkInteg := func(sysBox vec.Box, bff *bonded.FF) *md.Integrator {
+						ff := &md.ForceField{Rc: rc, Skin: c.skin, Bonded: bff}
+						if c.mesh {
+							alpha := spme.AlphaFromRTol(rc, 1e-4)
+							ff.Alpha = alpha
+							ff.Mesh = spme.New(spme.Params{Alpha: alpha, Rc: rc, Order: 6, N: [3]int{16, 16, 16}}, sysBox)
+						}
+						in := &md.Integrator{FF: ff, Dt: dt}
+						if c.nvt {
+							in.Thermostat = &md.Thermostat{T: 300, Tau: 0.01}
+						}
+						return in
+					}
 
-			// Uninterrupted reference.
-			ref, refFF := build()
-			refInteg := mkInteg(ref.Box, refFF)
-			var refE md.Energies
-			for s := 0; s < total; s++ {
-				refE = refInteg.Step(ref)
-			}
+					// Uninterrupted reference.
+					ref, refFF := build()
+					refInteg := mkInteg(ref.Box, refFF)
+					var refE md.Energies
+					for s := 0; s < total; s++ {
+						refE = refInteg.Step(ref)
+					}
 
-			// Interrupted run: capture at breakAt, noting whether that step
-			// rebuilt the pair list…
-			a, aFF := build()
-			ai := mkInteg(a.Box, aFF)
-			rec := obs.New()
-			ai.SetObs(rec)
-			var rebuilt bool
-			for s := 0; s < breakAt; s++ {
-				before := rec.CounterValue(obs.CounterVerletRebuilds)
-				ai.Step(a)
-				rebuilt = rec.CounterValue(obs.CounterVerletRebuilds) > before
-			}
-			if c.skin > 0 && rebuilt != c.rebuilt {
-				t.Fatalf("step %d rebuilt the pair list: %v, want %v", breakAt, rebuilt, c.rebuilt)
-			}
-			snap := ai.CaptureResume(a, map[string]int64{"side": side, "seed": seed})
-			if snap.Step != int64(breakAt) {
-				t.Fatalf("captured step %d, want %d", snap.Step, breakAt)
-			}
-			if got, want := len(snap.VerletRef) > 0, c.skin > 0; got != want {
-				t.Fatalf("snapshot carries a Verlet reference: %v, want %v", got, want)
-			}
+					// Interrupted run: capture at breakAt, noting whether that step
+					// rebuilt the pair list…
+					a, aFF := build()
+					ai := mkInteg(a.Box, aFF)
+					rec := obs.New()
+					ai.SetObs(rec)
+					var rebuilt bool
+					for s := 0; s < breakAt; s++ {
+						before := rec.CounterValue(obs.CounterVerletRebuilds)
+						ai.Step(a)
+						rebuilt = rec.CounterValue(obs.CounterVerletRebuilds) > before
+					}
+					if c.skin > 0 && rebuilt != c.rebuilt {
+						t.Fatalf("step %d rebuilt the pair list: %v, want %v", breakAt, rebuilt, c.rebuilt)
+					}
+					snap := ai.CaptureResume(a, map[string]int64{"side": side, "seed": seed})
+					if snap.Step != int64(breakAt) {
+						t.Fatalf("captured step %d, want %d", snap.Step, breakAt)
+					}
+					if got, want := len(snap.VerletRef) > 0, c.skin > 0; got != want {
+						t.Fatalf("snapshot carries a Verlet reference: %v, want %v", got, want)
+					}
 
-			// …serialize through the wire format, as a real restart would…
-			var buf bytes.Buffer
-			if err := snap.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
-			wire, err := md.ReadSnapshot(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
+					// …serialize through the wire format, as a real restart would…
+					var buf bytes.Buffer
+					if err := snap.Encode(&buf); err != nil {
+						t.Fatal(err)
+					}
+					wire, err := md.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+					if err != nil {
+						t.Fatal(err)
+					}
 
-			// …and continue in fresh objects.
-			b, bFF := build()
-			bi := mkInteg(b.Box, bFF)
-			if err := bi.RestoreResume(b, wire); err != nil {
-				t.Fatal(err)
-			}
-			if bi.StepCount() != breakAt {
-				t.Fatalf("resumed step count %d, want %d", bi.StepCount(), breakAt)
-			}
-			var bE md.Energies
-			for s := breakAt; s < total; s++ {
-				bE = bi.Step(b)
-			}
+					// …and continue in fresh objects.
+					b, bFF := build()
+					bi := mkInteg(b.Box, bFF)
+					if err := bi.RestoreResume(b, wire); err != nil {
+						t.Fatal(err)
+					}
+					if bi.StepCount() != breakAt {
+						t.Fatalf("resumed step count %d, want %d", bi.StepCount(), breakAt)
+					}
+					var bE md.Energies
+					for s := breakAt; s < total; s++ {
+						bE = bi.Step(b)
+					}
 
-			for i := range ref.Pos {
-				if ref.Pos[i] != b.Pos[i] || ref.Vel[i] != b.Vel[i] {
-					t.Fatalf("resumed trajectory diverged at atom %d:\n  pos %v vs %v\n  vel %v vs %v",
-						i, ref.Pos[i], b.Pos[i], ref.Vel[i], b.Vel[i])
-				}
-			}
-			if bE != refE {
-				t.Fatalf("final energies differ:\n  resumed %+v\n  straight %+v", bE, refE)
+					for i := range ref.Pos {
+						if ref.Pos[i] != b.Pos[i] || ref.Vel[i] != b.Vel[i] {
+							t.Fatalf("resumed trajectory diverged at atom %d:\n  pos %v vs %v\n  vel %v vs %v",
+								i, ref.Pos[i], b.Pos[i], ref.Vel[i], b.Vel[i])
+						}
+					}
+					if bE != refE {
+						t.Fatalf("final energies differ:\n  resumed %+v\n  straight %+v", bE, refE)
+					}
+				})
 			}
 		})
 	}

@@ -51,7 +51,7 @@ func glShell(m int) (tau, c []float64) {
 // u-series family: in the force-weighted norm the fit minimizes, it is
 // strictly more accurate than the M-point Gauss–Legendre rule for every
 // M ≤ 3 (at M = 4 both are far below the grid-error floor of any real
-// solve; see the shootout experiment).
+// solve; see the kernel-family shootout rows in EXPERIMENTS.md).
 func TestUSeriesBeatsGaussLegendreForceNorm(t *testing.T) {
 	for m := 1; m <= 3; m++ {
 		ut, uc := USeries(m)

@@ -28,8 +28,8 @@ type Weights struct {
 
 // DefaultWeights returns the committed calibration: constants set by hand
 // when the tuner was written, against the stage timings of the engine of
-// that time. No code fits them; `tmebench -exp autotune` measures the
-// plans they pick. Absolute values shift across hardware (the Monitor
+// that time. No code fits them; `tmebench -exp frontier` measures every
+// plan they price. Absolute values shift across hardware (the Monitor
 // rescales them online); the ratios are what the planner's ranking rests
 // on.
 func DefaultWeights() Weights {

@@ -53,9 +53,13 @@ func surfaceTME() [3][3][4]float64 {
 }
 
 // useriesRatio lists the u-series/gauss error ratio per M, from the
-// kernel shootout at the Table-1 operating point (results/shootout.csv):
-// the u-series quadrature tracks the Gaussian one to within a couple of
-// percent at every M, so its error is modeled as gauss × ratio.
+// kernel shootout at the Table-1 operating point (its nine rows are kept
+// in EXPERIMENTS.md, "Kernel-family shootout"): there the u-series
+// quadrature tracks the Gaussian one to within a couple of percent at
+// every M, so its error is modeled as gauss × ratio. The measured
+// frontier (results/frontier.csv) pairs the families at equal (rc, grid,
+// g_c, M) on three boxes: the ratio stays within 0.995–1.053 at M ≥ 3
+// but spans 0.66–1.39 at M ≤ 2.
 func useriesRatio() [4]float64 {
 	return [4]float64{
 		1.802e-03 / 1.784e-03,
@@ -70,8 +74,11 @@ func useriesRatio() [4]float64 {
 // promise better errors than the surface demonstrated; the extra factor
 // covers the component of the measured error that does NOT shrink with
 // the mesh (the M-truncation and real-space floors), which the x-clamp
-// alone underestimates by up to ~45% in the oracle's ground-truth
-// measurements (TestAutotuneOracle).
+// alone underestimated by up to ~45% on the 1,536-atom box at grids
+// ≤ 16 (TestFrontier holds that slice conservative). Far below the
+// surface the factor does not cover the gap: at grid 32 on that box
+// (x = 0.21) the measured frontier (results/frontier.csv) finds up to
+// 25× the estimate (ROADMAP item 11).
 const clampLowSafety = 1.5
 
 // msmSafety inflates the TME gauss M=4 estimate for B-spline MSM: the

@@ -12,7 +12,7 @@
 //
 //   - At startup, PlanFor picks the cheapest candidate whose predicted
 //     force error meets the budget (mdrun -tune, serve's "auto" method,
-//     the autotune experiment).
+//     the frontier experiment).
 //
 //   - Online, a Monitor watches the live obs stage profile; when measured
 //     per-stage costs drift from the model's prediction past a threshold,
