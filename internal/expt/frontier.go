@@ -137,7 +137,7 @@ func RunFrontier(cfg FrontierConfig, w io.Writer) ([]FrontierRow, []FrontierVerd
 
 // frontierBox measures one box: every candidate's error once (it is
 // bitwise the same at any GOMAXPROCS), then every candidate's step and
-// stage times and the verdicts at each configured GOMAXPROCS.
+// stage times and the verdicts at each of frontierProcs.
 func frontierBox(cfg FrontierConfig, side int, w io.Writer) ([]FrontierRow, []FrontierVerdict, error) {
 	t1 := Table1Config{
 		WaterSide: side, GridN: side, RTol: cfg.RTol,

@@ -25,9 +25,9 @@ import (
 //
 // The other benchmark boxes and the grid-32 and -64 candidates are
 // recorded by `tmebench -exp frontier` (results/frontier.csv), not
-// asserted. Timings are not judged: a few steps per candidate suffice.
-// The Ewald reference forces come from the committed cache. Skipped in
-// -short mode; runs in full tier-1.
+// asserted. Timings are not judged, so one timed step per candidate
+// suffices. The Ewald reference forces come from the committed cache.
+// Skipped in -short mode; runs in full tier-1.
 func TestFrontier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the frontier measures every candidate plan (~15 s)")
