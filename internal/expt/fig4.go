@@ -89,24 +89,45 @@ func (s Fig4Series) Mean() float64 {
 	return m / float64(len(s.Total))
 }
 
+// base builds the equilibrated initial state every series starts from.
+func (cfg Fig4Config) base() *md.System {
+	nmol := cfg.WaterSide * cfg.WaterSide * cfg.WaterSide
+	box := water.CubicBoxFor(nmol)
+	sys := water.Build(cfg.WaterSide, cfg.WaterSide, cfg.WaterSide, box, cfg.Seed)
+	water.Equilibrate(sys, cfg.EquilSteps, cfg.Dt, 300, min(0.9, cfg.Rc), cfg.Seed+1)
+	sys.InitVelocities(300, rand.New(rand.NewSource(cfg.Seed+2)))
+	return sys
+}
+
+// integrator returns the NVE integrator of one series: SPME for m = 0,
+// TME with m Gaussians otherwise.
+func (cfg Fig4Config) integrator(m int, box vec.Box) *md.Integrator {
+	alpha := spme.AlphaFromRTol(cfg.Rc, cfg.RTol)
+	n := [3]int{cfg.GridN, cfg.GridN, cfg.GridN}
+	var mesh md.MeshSolver
+	if m == 0 {
+		mesh = spme.New(spme.Params{Alpha: alpha, Rc: cfg.Rc, Order: 6, N: n}, box)
+	} else {
+		mesh = core.New(core.Params{
+			Alpha: alpha, Rc: cfg.Rc, Order: 6, N: n,
+			Levels: 1, M: m, Gc: cfg.Gc,
+		}, box)
+	}
+	return &md.Integrator{
+		FF: &md.ForceField{Alpha: alpha, Rc: cfg.Rc, Mesh: mesh},
+		Dt: cfg.Dt,
+	}
+}
+
 // RunFig4 runs NVE trajectories with SPME and with TME (M ∈ cfg.Ms) from
 // identical initial conditions and returns the total-energy series.
 func RunFig4(cfg Fig4Config, w io.Writer) []Fig4Series {
-	nmol := cfg.WaterSide * cfg.WaterSide * cfg.WaterSide
-	box := water.CubicBoxFor(nmol)
-	base := water.Build(cfg.WaterSide, cfg.WaterSide, cfg.WaterSide, box, cfg.Seed)
-	water.Equilibrate(base, cfg.EquilSteps, cfg.Dt, 300, min(0.9, cfg.Rc), cfg.Seed+1)
-	base.InitVelocities(300, rand.New(rand.NewSource(cfg.Seed+2)))
-	alpha := spme.AlphaFromRTol(cfg.Rc, cfg.RTol)
-	n := [3]int{cfg.GridN, cfg.GridN, cfg.GridN}
+	base := cfg.base()
 
 	var out []Fig4Series
-	run := func(label string, mesh md.MeshSolver) {
+	run := func(label string, m int) {
 		sys := cloneSystem(base)
-		integ := &md.Integrator{
-			FF: &md.ForceField{Alpha: alpha, Rc: cfg.Rc, Mesh: mesh},
-			Dt: cfg.Dt,
-		}
+		integ := cfg.integrator(m, sys.Box)
 		s := Fig4Series{Label: label}
 		for step := 1; step <= cfg.Steps; step++ {
 			e := integ.Step(sys)
@@ -120,13 +141,9 @@ func RunFig4(cfg Fig4Config, w io.Writer) []Fig4Series {
 			label, s.Mean(), s.Drift())
 	}
 
-	run("SPME", spme.New(spme.Params{Alpha: alpha, Rc: cfg.Rc, Order: 6, N: n}, box))
+	run("SPME", 0)
 	for _, m := range cfg.Ms {
-		tme := core.New(core.Params{
-			Alpha: alpha, Rc: cfg.Rc, Order: 6, N: n,
-			Levels: 1, M: m, Gc: cfg.Gc,
-		}, box)
-		run(sprintfLabel(m), tme)
+		run(sprintfLabel(m), m)
 	}
 
 	if w != nil {

@@ -4,51 +4,61 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// TestFrontier runs the measured plan sweep on the 512-water box (whose
-// grid-8 spacing reproduces the Table-1 operating point h = 0.3106 nm
-// exactly) at GOMAXPROCS 1 and 2, and checks three things:
-//
-//   - the tuner's contract on the grid ≤ 16 candidates, at four budgets
-//     spanning the Table-1 error range: the enumeration offers dozens of
-//     candidates, the error model is conservative there (no measured
-//     error above its prediction), and the pick never violates its budget
-//     by measured error;
-//   - the kernel families at the Table-1 operating point rc = 1.0,
-//     grid 16, g_c = 8: both converge with M, converged TME is comparable
-//     to SPME, and u-series tracks gauss;
-//   - the CSV's shape: every row has the header's field count, the step
-//     stage is recorded at both GOMAXPROCS, and the per-budget section
-//     has one row per (GOMAXPROCS, budget).
-//
-// The other benchmark boxes and the grid-32 and -64 candidates are
+// sideEight runs the measured plan sweep once per test binary on the
+// 512-water box (whose grid-8 spacing reproduces the Table-1 operating
+// point h = 0.3106 nm exactly) at GOMAXPROCS 1 and 2, for the three tests
+// below. The other benchmark boxes and the grid-32 and -64 candidates are
 // recorded by `tmebench -exp frontier` (results/frontier.csv), not
 // asserted. Timings are not judged, so one timed step per candidate
 // suffices. The Ewald reference forces come from the committed cache.
 // Skipped in -short mode; runs in full tier-1.
-func TestFrontier(t *testing.T) {
+var sideEight struct {
+	once     sync.Once
+	cfg      FrontierConfig
+	rows     []FrontierRow
+	verdicts []FrontierVerdict
+	log      string
+	err      error
+}
+
+func frontierSideEight(t *testing.T) (cfg FrontierConfig, rows []FrontierRow, verdicts []FrontierVerdict, log string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("the frontier measures every candidate plan (~15 s)")
 	}
-	cfg := QuickFrontier()
-	cfg.Sides = []int{8}
-	cfg.Steps, cfg.Reps = 1, 1
-	cfg.CacheDir = "../../results/cache"
-
-	var log bytes.Buffer
-	rows, verdicts, err := RunFrontier(cfg, &log)
-	if err != nil {
-		t.Fatalf("RunFrontier: %v", err)
+	f := &sideEight
+	f.once.Do(func() {
+		f.cfg = QuickFrontier()
+		f.cfg.Sides = []int{8}
+		f.cfg.Steps, f.cfg.Reps = 1, 1
+		f.cfg.CacheDir = "../../results/cache"
+		var buf bytes.Buffer
+		f.rows, f.verdicts, f.err = RunFrontier(f.cfg, &buf)
+		f.log = buf.String()
+	})
+	if f.err != nil {
+		t.Fatalf("RunFrontier: %v", f.err)
 	}
-	defer func() {
+	t.Cleanup(func() {
 		if t.Failed() {
-			t.Logf("frontier log:\n%s", log.String())
+			t.Logf("frontier log:\n%s", f.log)
 		}
-	}()
+	})
+	return f.cfg, f.rows, f.verdicts, f.log
+}
 
-	// The tuner's contract, at procs 1 (errors do not depend on it).
+// TestAutotuneOracle holds the tuner's contract on the side-8 frontier's
+// grid ≤ 16 candidates, at four budgets spanning the Table-1 error range:
+// the enumeration offers dozens of candidates, the error model is
+// conservative there (no measured error above its prediction), and the
+// pick never violates its budget by measured error.
+func TestAutotuneOracle(t *testing.T) {
+	_, rows, verdicts, _ := frontierSideEight(t)
+	// Errors do not depend on GOMAXPROCS; the procs-1 rows stand for both.
 	n := 0
 	for _, r := range rows {
 		if r.Procs != 1 || r.Plan.Grid[0] > 16 {
@@ -69,8 +79,13 @@ func TestFrontier(t *testing.T) {
 				v.Budget, v.Pick.Plan.String(), v.Pick.MeasErr)
 		}
 	}
+}
 
-	// The kernel families at rc = 1.0, grid 16, g_c = 8.
+// TestShootoutTiny compares the kernel families on the side-8 frontier at
+// the Table-1 operating point rc = 1.0, grid 16, g_c = 8: both converge
+// with M, converged TME is comparable to SPME, and u-series tracks gauss.
+func TestShootoutTiny(t *testing.T) {
+	_, rows, _, _ := frontierSideEight(t)
 	get := func(method, kernel string, gc, m int) float64 {
 		for _, r := range rows {
 			p := r.Plan
@@ -96,11 +111,17 @@ func TestFrontier(t *testing.T) {
 	if u, g := get("tme", "useries", 8, 3), get("tme", "gauss", 8, 3); u > g*1.15 {
 		t.Errorf("converged useries error %g not within 15%% of gauss %g", u, g)
 	}
+}
 
-	// The CSV: a row section and a per-budget section, each under its
-	// own header.
+// TestFrontier checks the side-8 frontier's CSV: every row has the
+// header's field count, the step stage is recorded at both GOMAXPROCS,
+// and the per-budget section has one row per (GOMAXPROCS, budget).
+func TestFrontier(t *testing.T) {
+	cfg, rows, verdicts, log := frontierSideEight(t)
+
+	// A row section and a per-budget section, each under its own header.
 	var sections [][][]string
-	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+	for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
 		if strings.HasPrefix(line, "#") {
 			continue
 		}

@@ -75,7 +75,7 @@ func useriesRatio() [4]float64 {
 // covers the component of the measured error that does NOT shrink with
 // the mesh (the M-truncation and real-space floors), which the x-clamp
 // alone underestimated by up to ~45% on the 1,536-atom box at grids
-// ≤ 16 (TestFrontier holds that slice conservative). Far below the
+// ≤ 16 (TestAutotuneOracle holds that slice conservative). Far below the
 // surface the factor does not cover the gap: at grid 32 on that box
 // (x = 0.21) the measured frontier (results/frontier.csv) finds up to
 // 25× the estimate (ROADMAP item 11).
