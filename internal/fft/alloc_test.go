@@ -2,14 +2,16 @@ package fft
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
+
+	"tme4a/internal/par/partest"
 )
 
 // TestPlan3SteadyStateAllocs gates the //tme:noalloc annotations on the
 // complex 3D path: after the plan cache and the row-scratch pool are
-// warm, repeated transforms of a fixed-size grid allocate nothing at
-// GOMAXPROCS=1 (the strided-line buffer is pooled, not remade per call).
+// warm, repeated transforms of a fixed-size grid allocate nothing at one,
+// two or four workers (the strided-line buffer is pooled, not remade per
+// call).
 func TestPlan3SteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
@@ -21,20 +23,14 @@ func TestPlan3SteadyStateAllocs(t *testing.T) {
 		data[i] = complex(rng.Float64(), rng.Float64())
 	}
 
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-
-	for i := 0; i < 3; i++ {
-		p.Forward(data)
-		p.Inverse(data)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		p.Forward(data)
-		p.Inverse(data)
-	})
-	// Budget 1 for sync.Pool repopulation after a GC mid-measurement.
-	if allocs > 1 {
-		t.Errorf("Plan3 Forward+Inverse allocates %.1f objects per step in steady state, want 0", allocs)
+	for _, procs := range []int{1, 2, 4} {
+		allocs := partest.AllocsPerRun(procs, 50, func() {
+			p.Forward(data)
+			p.Inverse(data)
+		})
+		if allocs != 0 {
+			t.Errorf("GOMAXPROCS=%d: Plan3 Forward+Inverse allocates %.1f objects per step in steady state, want 0", procs, allocs)
+		}
 	}
 }
 
@@ -52,18 +48,13 @@ func TestRealPlan3SteadyStateAllocs(t *testing.T) {
 		data[i] = rng.Float64()
 	}
 
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-
-	for i := 0; i < 3; i++ {
-		p.Forward(data, spec)
-		p.Inverse(spec, data)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		p.Forward(data, spec)
-		p.Inverse(spec, data)
-	})
-	if allocs > 1 {
-		t.Errorf("RealPlan3 Forward+Inverse allocates %.1f objects per step in steady state, want 0", allocs)
+	for _, procs := range []int{1, 2, 4} {
+		allocs := partest.AllocsPerRun(procs, 50, func() {
+			p.Forward(data, spec)
+			p.Inverse(spec, data)
+		})
+		if allocs != 0 {
+			t.Errorf("GOMAXPROCS=%d: RealPlan3 Forward+Inverse allocates %.1f objects per step in steady state, want 0", procs, allocs)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"tme4a/internal/bspline"
+	"tme4a/internal/par/partest"
 )
 
 func withGOMAXPROCS(p int, fn func()) {
@@ -167,8 +168,7 @@ func TestPoolReusesGrids(t *testing.T) {
 }
 
 // TestConvSeparableSteadyStateAllocFree verifies the zero-allocation claim
-// of the fused path at GOMAXPROCS=1 (with more workers, the goroutine
-// spawns themselves allocate a fixed few hundred bytes).
+// of the fused path at one, two and four workers.
 func TestConvSeparableSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
@@ -179,14 +179,12 @@ func TestConvSeparableSteadyStateAllocFree(t *testing.T) {
 	dst := New(16, 16, 16)
 	t1 := New(16, 16, 16)
 	t2 := New(16, 16, 16)
-	withGOMAXPROCS(1, func() {
-		// Warm the line-scratch pool.
-		ConvSeparableAccum(dst, src, k, k, k, t1, t2)
-		allocs := testing.AllocsPerRun(10, func() {
+	for _, procs := range []int{1, 2, 4} {
+		allocs := partest.AllocsPerRun(procs, 50, func() {
 			ConvSeparableAccum(dst, src, k, k, k, t1, t2)
 		})
-		if allocs > 0.5 {
-			t.Errorf("ConvSeparableAccum allocates %.1f objects per run, want 0", allocs)
+		if allocs != 0 {
+			t.Errorf("GOMAXPROCS=%d: ConvSeparableAccum allocates %.1f objects per run, want 0", procs, allocs)
 		}
-	})
+	}
 }

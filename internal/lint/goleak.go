@@ -11,7 +11,7 @@ import (
 // path, signal completion or observe cancellation. The accepted join
 // protocols are exactly the three the codebase uses:
 //
-//   - a sync.WaitGroup Done (par's worker fan-out, joined by Wait);
+//   - a sync.WaitGroup Done (par's team workers, joined by Wait);
 //   - a send on — or close of — a channel (the done-channel protocol:
 //     serve.Scheduler.loop closes loopDone, mdserve's listener goroutine
 //     sends its error);

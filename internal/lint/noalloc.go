@@ -36,11 +36,13 @@ import (
 // check. The walk enters the named body handed to a par loop through the
 // call graph's par edge (see collectEdges), so a loop body is held to the
 // same contract as a direct callee. The par package itself (and its
-// fixture stub) is trusted as a leaf: its worker spawns happen only on the
-// multi-worker path. Interface dispatch and other function values produce
-// no edges.
+// fixture stub) is a leaf of the walk: its hot path carries its own
+// annotations, checked directly, and its grow-once sites (a team worker, a
+// descriptor for a new job type) stay off that path. Interface dispatch
+// and other function values produce no edges.
 //
-// testing.AllocsPerRun gates remain the runtime backstop. Guarded grow-once
+// The allocation gates (testing.AllocsPerRun, and partest.AllocsPerRun
+// at several GOMAXPROCS) remain the runtime backstop. Guarded grow-once
 // paths ("if cap(buf) < n { buf = make... }") are legitimate; mark those
 // lines //tmevet:ignore noalloc -- grow-once, which also excuses them when
 // the walk reaches them from a root.
@@ -233,7 +235,7 @@ func (p *Package) reachedAllocs(root *types.Func, rootName string) []Diagnostic 
 			continue // stdlib or bodiless: out of scope
 		}
 		if isParPackage(it.fn.Pkg()) {
-			continue // dispatch leaf: its spawns are multi-worker only
+			continue // dispatch leaf: its hot path is annotated itself
 		}
 		if hasDirective(node.Decl, noallocDirective) {
 			continue // carries its own annotation; checked directly

@@ -15,6 +15,7 @@ import (
 	"tme4a/internal/core"
 	"tme4a/internal/md"
 	"tme4a/internal/obs"
+	"tme4a/internal/par/partest"
 	"tme4a/internal/spme"
 	"tme4a/internal/vec"
 	"tme4a/internal/water"
@@ -180,25 +181,23 @@ func TestNVELongRegression(t *testing.T) {
 	}
 }
 
-// TestStepSteadyStateAllocs: after warmup an Integrator.Step with no mesh
-// must not allocate at all, over a buffered Verlet list or a skin-0 one
-// rebuilt every step; with a full SPME mesh it must stay within the mesh
-// pipeline's small fixed budget.
+// TestStepSteadyStateAllocs: after warmup an Integrator.Step allocates
+// nothing at one, two or four workers — with no mesh over a buffered
+// Verlet list or a skin-0 one rebuilt every step, and with a full SPME or
+// TME mesh.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-
 	for _, tc := range []struct {
-		name   string
-		skin   float64
-		mesh   bool
-		budget float64
+		name string
+		skin float64
+		mesh string
 	}{
-		{"verlet-no-mesh", 0.1, false, 0},
-		{"skin0-no-mesh", 0, false, 0},
-		{"verlet+spme", 0.1, true, 4},
+		{"verlet-no-mesh", 0.1, ""},
+		{"skin0-no-mesh", 0, ""},
+		{"verlet+spme", 0.1, "spme"},
+		{"skin0+tme", 0, "tme"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			box := water.CubicBoxFor(64)
@@ -207,18 +206,20 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 			rc := 0.7
 			alpha := spme.AlphaFromRTol(rc, 1e-4)
 			ff := &md.ForceField{Alpha: alpha, Rc: rc, Skin: tc.skin}
-			if tc.mesh {
+			switch tc.mesh {
+			case "spme":
 				ff.Mesh = spme.New(spme.Params{Alpha: alpha, Rc: rc, Order: 6, N: [3]int{16, 16, 16}}, sys.Box)
+			case "tme":
+				ff.Mesh = core.New(core.Params{
+					Alpha: alpha, Rc: rc, Order: 6,
+					N: [3]int{16, 16, 16}, Levels: 1, M: 3, Gc: 8,
+				}, sys.Box)
 			}
 			integ := &md.Integrator{FF: ff, Dt: 0.001}
-			for s := 0; s < 5; s++ {
-				integ.Step(sys)
-			}
-			allocs := testing.AllocsPerRun(10, func() {
-				integ.Step(sys)
-			})
-			if allocs > tc.budget {
-				t.Errorf("Step allocates %.1f per run, budget %.0f", allocs, tc.budget)
+			for _, procs := range []int{1, 2, 4} {
+				if a := partest.AllocsPerRun(procs, 50, func() { integ.Step(sys) }); a != 0 {
+					t.Errorf("GOMAXPROCS=%d: Step allocates %.1f per run, want 0", procs, a)
+				}
 			}
 		})
 	}

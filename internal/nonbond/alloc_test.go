@@ -8,9 +8,9 @@ package nonbond
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
+	"tme4a/internal/par/partest"
 	"tme4a/internal/vec"
 )
 
@@ -18,7 +18,6 @@ func TestSkin0ListSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	rng := rand.New(rand.NewSource(nameSeed(t)))
 	for _, tc := range []struct {
@@ -34,14 +33,14 @@ func TestSkin0ListSteadyStateAllocs(t *testing.T) {
 			excl := testExclusions(n)
 			v := NewVerletList(tc.box, 1.0, 0)
 			f := make([]vec.V, n)
-			v.Rebuild(pos, excl) // grow the list's storage
-			v.Compute(pos, q, lj, 2.5, f)
-			allocs := testing.AllocsPerRun(10, func() {
-				v.Rebuild(pos, excl)
-				v.Compute(pos, q, lj, 2.5, f)
-			})
-			if allocs != 0 {
-				t.Fatalf("skin-0 Rebuild+Compute allocates %.1f per run, want 0", allocs)
+			for _, procs := range []int{1, 2, 4} {
+				allocs := partest.AllocsPerRun(procs, 50, func() {
+					v.Rebuild(pos, excl)
+					v.Compute(pos, q, lj, 2.5, f)
+				})
+				if allocs != 0 {
+					t.Fatalf("GOMAXPROCS=%d: skin-0 Rebuild+Compute allocates %.1f per run, want 0", procs, allocs)
+				}
 			}
 		})
 	}
@@ -51,7 +50,6 @@ func TestVerletComputeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	rng := rand.New(rand.NewSource(nameSeed(t)))
 	box := vec.Cubic(4)
@@ -62,21 +60,21 @@ func TestVerletComputeSteadyStateAllocs(t *testing.T) {
 	v := NewVerletList(box, 1.0, 0.2)
 	v.Rebuild(pos, excl)
 	f := make([]vec.V, n)
-	v.Compute(pos, q, lj, 2.5, f)
-	allocs := testing.AllocsPerRun(10, func() {
-		v.Compute(pos, q, lj, 2.5, f)
-	})
-	if allocs != 0 {
-		t.Fatalf("VerletList.Compute allocates %.1f per run, want 0", allocs)
-	}
+	for _, procs := range []int{1, 2, 4} {
+		allocs := partest.AllocsPerRun(procs, 50, func() {
+			v.Compute(pos, q, lj, 2.5, f)
+		})
+		if allocs != 0 {
+			t.Fatalf("GOMAXPROCS=%d: VerletList.Compute allocates %.1f per run, want 0", procs, allocs)
+		}
 
-	// Rebuild at the same atom count must also be allocation-free once the
-	// storage has grown to capacity.
-	v.Rebuild(pos, excl)
-	allocs = testing.AllocsPerRun(10, func() {
-		v.Rebuild(pos, excl)
-	})
-	if allocs != 0 {
-		t.Fatalf("VerletList.Rebuild allocates %.1f per run, want 0", allocs)
+		// Rebuild at the same atom count must also be allocation-free once
+		// the storage has grown to capacity.
+		allocs = partest.AllocsPerRun(procs, 50, func() {
+			v.Rebuild(pos, excl)
+		})
+		if allocs != 0 {
+			t.Fatalf("GOMAXPROCS=%d: VerletList.Rebuild allocates %.1f per run, want 0", procs, allocs)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"tme4a/internal/grid"
+	"tme4a/internal/par/partest"
 	"tme4a/internal/vec"
 )
 
@@ -137,4 +138,28 @@ func TestNewMesherRejectsOrderAbove16(t *testing.T) {
 	// validation and only blew up later with an opaque slice-bounds panic
 	// in the fixed [16]float64 weight scratch.
 	NewMesher(18, [3]int{32, 32, 32}, vec.Cubic(1))
+}
+
+// TestMeshSteadyStateAllocs: once the scratch pools are warm, charge
+// assignment and back interpolation allocate nothing at one, two or four
+// workers.
+func TestMeshSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
+	}
+	rng := rand.New(rand.NewSource(14))
+	box := vec.Cubic(2.5)
+	m := NewMesher(6, [3]int{16, 16, 16}, box)
+	pos, q := testSystem(rng, 648, box)
+	g := grid.New(16, 16, 16)
+	f := make([]vec.V, len(pos))
+	for _, procs := range []int{1, 2, 4} {
+		allocs := partest.AllocsPerRun(procs, 50, func() {
+			m.AssignTo(g, pos, q)
+			m.Interpolate(g, pos, q, f)
+		})
+		if allocs != 0 {
+			t.Errorf("GOMAXPROCS=%d: AssignTo+Interpolate allocates %.1f objects per run, want 0", procs, allocs)
+		}
+	}
 }

@@ -214,11 +214,15 @@ const energyChunk = 256
 // etermPool recycles the per-call per-atom energy-term slices.
 var etermPool = sync.Pool{New: func() interface{} { return new([]float64) }}
 
+// gatherGrain is the smallest atom range of one parallel gather chunk.
+const gatherGrain = 64
+
 // Interpolate gathers the per-atom electrostatic potentials φ_i from the
 // grid potential phi (Eq. (15)) and accumulates forces F_i = −q_i ∇φ(r_i)
 // (Eq. (16)–(17)) into f. It returns the interaction energy
 // E = ½ Σ q_i φ_i (Eq. (14)): the per-atom terms, gathered in parallel
-// over fixed particle chunks, folded by FoldEnergy.
+// over equal atom ranges, folded by FoldEnergy over its fixed chunks. Each
+// atom writes only its own term and force, so the split moves no bit.
 //
 //tme:noalloc
 func (m *Mesher) Interpolate(phi *grid.G, pos []vec.V, q []float64, f []vec.V) float64 {
@@ -229,21 +233,18 @@ func (m *Mesher) Interpolate(phi *grid.G, pos []vec.V, q []float64, f []vec.V) f
 		*pp = make([]float64, n) //tmevet:ignore noalloc -- grow-once: reused via etermPool in steady state
 	}
 	eterm := (*pp)[:n]
-	nchunks := (n + energyChunk - 1) / energyChunk
-	par.ForRangeGrain(nchunks, 1, job{m, phi, pos, q, eterm, f}, job.gatherChunks)
+	par.ForRangeGrain(n, gatherGrain, job{m, phi, pos, q, eterm, f}, job.gatherAtoms)
 	energy := FoldEnergy(eterm, q)
 	etermPool.Put(pp)
 	sp.Stop()
 	return energy
 }
 
-// gatherChunks gathers the particles of energy chunks [clo, chi) from the
-// full periodic grid.
+// gatherAtoms gathers atoms [lo, hi) from the full periodic grid.
 //
 //tme:noalloc
-func (j job) gatherChunks(clo, chi int) {
-	hi := min(chi*energyChunk, len(j.pos))
-	for i := clo * energyChunk; i < hi; i++ {
+func (j job) gatherAtoms(lo, hi int) {
+	for i := lo; i < hi; i++ {
 		if j.q[i] != 0 {
 			j.eterm[i] = j.m.gather(j.g.Data, 0, j.m.N[2], j.pos[i], j.q[i], j.f, i)
 		}

@@ -1,15 +1,16 @@
 package rank
 
 import (
-	"runtime"
 	"testing"
+
+	"tme4a/internal/par/partest"
 )
 
 // TestStepZeroAlloc is the steady-state allocation gate: after the boot
-// round and one warm-up step (which grow the reusable packet/scratch
+// round and the warm-up steps (which grow the reusable packet/scratch
 // arrays to their working set), a full rank step — integration, halo
 // exchanges, short-range, the whole mesh pipeline, and the engine-side
-// fold — must allocate nothing.
+// fold — must allocate nothing, at one, two or four workers.
 func TestStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -17,8 +18,6 @@ func TestStepZeroAlloc(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
 	for _, tf := range []testFF{
 		{side: 6, rc: 0.23, mesh: true},
 		{side: 6, rc: 0.23, mesh: false},
@@ -34,18 +33,15 @@ func TestStepZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			for s := 0; s < 2; s++ {
-				if _, err := eng.Step(); err != nil {
-					t.Fatal(err)
+			for _, procs := range []int{1, 2, 4} {
+				avg := partest.AllocsPerRun(procs, 100, func() {
+					if _, err := eng.Step(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if avg != 0 {
+					t.Errorf("GOMAXPROCS=%d: steady-state Step allocates %.1f times per call, want 0", procs, avg)
 				}
-			}
-			avg := testing.AllocsPerRun(5, func() {
-				if _, err := eng.Step(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if avg != 0 {
-				t.Errorf("steady-state Step allocates %.1f times per call, want 0", avg)
 			}
 		})
 	}

@@ -20,6 +20,7 @@ import (
 	"tme4a/internal/ewald"
 	"tme4a/internal/grid"
 	"tme4a/internal/msm"
+	"tme4a/internal/par/partest"
 	"tme4a/internal/pmesh"
 	"tme4a/internal/solver"
 	"tme4a/internal/spme"
@@ -191,24 +192,21 @@ func TestCycleMatchesStageOracle(t *testing.T) {
 
 // TestLongRangeSteadyStateAllocs is the one allocation gate of the cycle:
 // after warmup a long-range solve of every registered method draws every
-// grid from the pool and allocates nothing at GOMAXPROCS=1. The bound is
-// exact for all of them: AllocsPerRun reports the integer mean over its
-// runs, so the handful of objects a sync.Pool refill after a GC costs —
-// the allowance core's own gate still carries — rounds to zero.
+// grid from the pool and allocates nothing at one, two or four workers.
+// The bound is exact for all of them: the count is the integer mean over
+// its runs, so the handful of objects a sync.Pool refill after a GC costs
+// — the allowance core's own gate still carries — rounds to zero.
 func TestLongRangeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
 	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
 	forEachMethod(t, func(t *testing.T, s solver.Solver, cfg solver.Config, box vec.Box) {
 		pos, q := oracleSystem(43, 200, box)
 		f := make([]vec.V, len(pos))
-		for i := 0; i < 3; i++ {
-			s.LongRange(pos, q, f)
-		}
-		if allocs := testing.AllocsPerRun(10, func() { s.LongRange(pos, q, f) }); allocs != 0 {
-			t.Errorf("LongRange allocates %.1f objects per solve in steady state, want 0", allocs)
+		for _, procs := range []int{1, 2, 4} {
+			if allocs := partest.AllocsPerRun(procs, 30, func() { s.LongRange(pos, q, f) }); allocs != 0 {
+				t.Errorf("GOMAXPROCS=%d: LongRange allocates %.1f objects per solve in steady state, want 0", procs, allocs)
+			}
 		}
 	})
 }
