@@ -47,18 +47,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"strings"
-
 	"runtime"
+	"strings"
 
 	"tme4a/internal/ckpt"
 	"tme4a/internal/md"
 	"tme4a/internal/obs"
 	"tme4a/internal/rank"
 	"tme4a/internal/solver"
-	"tme4a/internal/spme"
 	"tme4a/internal/tune"
 	"tme4a/internal/water"
 
@@ -67,44 +64,34 @@ import (
 	_ "tme4a/internal/msm"
 )
 
-func main() {
-	var (
-		side    = flag.Int("side", 10, "waters per box edge when building fresh")
-		in      = flag.String("in", "", "snapshot file from watergen (optional)")
-		steps   = flag.Int("steps", 200, "total MD steps (1 fs); a resumed run does the remainder")
-		method  = flag.String("method", "tme", "long-range method: cutoff|"+strings.Join(solver.Names(), "|"))
-		kernel  = flag.String("kernel", "", "TME middle-range kernel family: gauss|useries (default gauss)")
-		rc      = flag.Float64("rc", 1.0, "short-range cutoff (nm)")
-		gridN   = flag.Int("grid", 16, "mesh points per axis")
-		m       = flag.Int("M", 3, "TME Gaussians per shell")
-		gc      = flag.Int("gc", 8, "grid kernel cutoff")
-		levels  = flag.Int("L", 1, "TME/MSM middle levels")
-		temp    = flag.Float64("T", 300, "initial temperature (K)")
-		nvt     = flag.Bool("nvt", false, "couple a Berendsen thermostat")
-		every   = flag.Int("report", 20, "report interval (steps)")
-		seed    = flag.Int64("seed", 1, "random seed")
-		obsOn   = flag.Bool("obs", false, "record per-stage timings and print the breakdown at the end")
-		ckDir   = flag.String("checkpoint-dir", "", "directory for crash-consistent checkpoints")
-		ckEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence in steps (0 = off)")
-		ckKeep  = flag.Int("checkpoint-keep", 3, "checkpoints retained (keep-last-K)")
-		resume  = flag.Bool("resume", false, "restore from the newest valid checkpoint in -checkpoint-dir")
-		ranks   = flag.Int("ranks", 0, "rank-decomposed run with N domain workers (0 = serial; NVE, cutoff|tme only)")
-		tuneOn  = flag.Bool("tune", false, "auto-tune: pick method/kernel/rc/grid/gc/M for -errbudget, ignoring the manual solver flags")
-		budget  = flag.Float64("errbudget", 1e-3, "relative force-error budget for -tune")
-		retune  = flag.Bool("retune", false, "with -tune and checkpointing: re-plan at checkpoint boundaries when stage timings drift off the cost model")
-	)
-	flag.Parse()
+var (
+	side    = flag.Int("side", 10, "waters per box edge when building fresh")
+	in      = flag.String("in", "", "snapshot file from watergen (optional)")
+	steps   = flag.Int("steps", 200, "total MD steps (1 fs); a resumed run does the remainder")
+	method  = flag.String("method", "tme", "long-range method: cutoff|"+strings.Join(solver.Names(), "|"))
+	kernel  = flag.String("kernel", "", "TME middle-range kernel family: gauss|useries (default gauss)")
+	rc      = flag.Float64("rc", 1.0, "short-range cutoff (nm)")
+	gridN   = flag.Int("grid", 16, "mesh points per axis")
+	m       = flag.Int("M", 3, "TME Gaussians per shell")
+	gc      = flag.Int("gc", 8, "grid kernel cutoff")
+	levels  = flag.Int("L", 1, "TME/MSM middle levels")
+	temp    = flag.Float64("T", 300, "initial temperature (K)")
+	nvt     = flag.Bool("nvt", false, "couple a Berendsen thermostat")
+	every   = flag.Int("report", 20, "report interval (steps)")
+	seed    = flag.Int64("seed", 1, "random seed")
+	obsOn   = flag.Bool("obs", false, "record per-stage timings and print the breakdown at the end")
+	ckDir   = flag.String("checkpoint-dir", "", "directory for crash-consistent checkpoints")
+	ckEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence in steps (0 = off)")
+	ckKeep  = flag.Int("checkpoint-keep", 3, "checkpoints retained (keep-last-K)")
+	resume  = flag.Bool("resume", false, "restore from the newest valid checkpoint in -checkpoint-dir")
+	ranks   = flag.Int("ranks", 0, "rank-decomposed run with N domain workers (0 = serial; NVE, cutoff|tme only)")
+	tuneOn  = flag.Bool("tune", false, "auto-tune: pick method/kernel/rc/grid/gc/M for -errbudget, ignoring the manual solver flags")
+	budget  = flag.Float64("errbudget", 1e-3, "relative force-error budget for -tune")
+	retune  = flag.Bool("retune", false, "with -tune and checkpointing: re-plan at checkpoint boundaries when stage timings drift off the cost model")
+)
 
-	// Auto-tuning resolves the solver configuration before anything else:
-	// the plan is a pure function of (box, atoms, budget), so it can be
-	// recomputed identically on a resume from the same flags, and the
-	// resolved values flow into the config hash below exactly like
-	// hand-picked ones.
-	var (
-		skin     float64
-		tuneReq  tune.Request
-		tunePlan tune.Plan
-	)
+func main() {
+	flag.Parse()
 	if *tuneOn {
 		if *in != "" {
 			fatalf("-tune plans from -side; it does not combine with -in")
@@ -112,23 +99,6 @@ func main() {
 		if *ranks > 0 {
 			fatalf("-tune does not combine with -ranks")
 		}
-		tuneReq = tune.Request{
-			Box:       water.CubicBoxFor(*side * *side * *side),
-			Atoms:     3 * *side * *side * *side,
-			ErrBudget: *budget,
-		}
-		var err error
-		tunePlan, err = tune.PlanFor(tuneReq)
-		if err != nil {
-			fatalf("tune: %v", err)
-		}
-		fmt.Printf("tuned plan: %s\n", tunePlan.String())
-		*method, *kernel, *rc = tunePlan.Method, tunePlan.Kernel, tunePlan.Rc
-		*gridN, *gc, *m, *levels = tunePlan.Grid[0], tunePlan.Gc, tunePlan.M, tunePlan.Levels
-		if *levels < 1 {
-			*levels = 1
-		}
-		skin = tunePlan.Skin
 	}
 	if *retune {
 		if !*tuneOn {
@@ -142,18 +112,19 @@ func main() {
 		}
 	}
 
-	// Everything that shapes the trajectory goes into the config hash;
-	// a checkpoint from a run with different parameters is refused.
-	cfgStr := fmt.Sprintf(
-		"mdrun in=%q side=%d method=%s kernel=%s rc=%g grid=%d M=%d gc=%d L=%d T=%g nvt=%t seed=%d dt=0.001",
-		*in, *side, *method, *kernel, *rc, *gridN, *m, *gc, *levels, *temp, *nvt, *seed)
-	if *tuneOn {
-		// A tuned run's trajectory additionally depends on the skin and —
-		// through possible mid-run retunes — on the budget; non-tuned runs
-		// keep the historical hash string so their checkpoints stay valid.
-		cfgStr += fmt.Sprintf(" tune=true errbudget=%g skin=%g retune=%t", *budget, skin, *retune)
+	// Auto-tuning resolves the plan before anything else: it is a pure
+	// function of (box, atoms, budget), so a resume from the same flags
+	// recomputes it identically, and its values flow into the config hash
+	// exactly like hand-picked ones.
+	plan, tuneReq, err := flagPlan()
+	if err != nil {
+		fatalf("tune: %v", err)
 	}
-	cfgHash := ckpt.ConfigHash(cfgStr)
+	tuned := plan // the retune monitor's starting plan
+	if *tuneOn {
+		fmt.Printf("tuned plan: %s\n", plan.String())
+	}
+	cfgHash := ckpt.ConfigHash(configString(plan))
 
 	var store *ckpt.Store
 	openStore := func() *ckpt.Store {
@@ -173,7 +144,8 @@ func main() {
 		resumed   *ckpt.Checkpoint
 		startStep int
 	)
-	if *resume {
+	switch {
+	case *resume:
 		if *ckDir == "" {
 			fatalf("-resume requires -checkpoint-dir")
 		}
@@ -186,46 +158,43 @@ func main() {
 		// Rebuild the topology the checkpoint was taken from; positions
 		// and velocities come from the snapshot, so no equilibration and
 		// no fresh velocity draw.
-		wside := int(c.Snap.Meta["side"])
-		wseed := c.Snap.Meta["seed"]
-		if wside <= 0 {
-			fatalf("resume: checkpoint carries no builder meta")
+		if sys, err = water.Rebuild(c.Snap); err != nil {
+			fatalf("resume: %v", err)
 		}
-		sys = water.Build(wside, wside, wside, c.Snap.Box, wseed)
 		meta = c.Snap.Meta
 		fmt.Printf("resuming from %s/%s at step %d\n", *ckDir, ckpt.FileName(c.Step()), startStep)
-	} else {
-		var err error
-		sys, meta, err = buildSystem(*in, *side, *seed)
+	case *in != "":
+		snap, err := md.LoadSnapshot(*in)
 		if err != nil {
+			fatalf("loading %s: %v", *in, err)
+		}
+		if sys, err = water.Rebuild(snap); err != nil {
 			fatalf("%v", err)
 		}
-		sys.InitVelocities(*temp, rand.New(rand.NewSource(*seed+2)))
-	}
-	if *rc >= sys.Box.L[0]/2 {
-		*rc = sys.Box.L[0] / 2 * 0.95
-		fmt.Printf("cutoff reduced to %.3f nm (half box)\n", *rc)
-	}
-
-	if *method != "cutoff" && *rc+skin < md.MinMeshReach {
-		fatalf("-rc %g (+ skin %g) is below %g nm: the pair list would miss excluded pairs whose mesh interaction it takes back", *rc, skin, md.MinMeshReach)
-	}
-	alpha := spme.AlphaFromRTol(*rc, 1e-4)
-	n := [3]int{*gridN, *gridN, *gridN}
-	var mesh md.MeshSolver
-	if *kernel != "" && *method != "tme" {
-		fatalf("-kernel selects the TME middle-range family and applies only to -method tme")
-	}
-	if *method != "cutoff" {
-		s, err := solver.New(*method, solver.Config{
-			Alpha: alpha, Rc: *rc, Order: 6, N: n,
-			Levels: *levels, M: *m, Gc: *gc, Kernel: *kernel,
-		}, sys.Box)
-		if err != nil {
+		if err := sys.Restore(snap); err != nil {
 			fatalf("%v", err)
 		}
+		meta = snap.Meta
+		water.Draw(sys, *temp, *seed)
+	default:
+		// The box is thermalised at 300 K whatever -T says; -T sets the
+		// velocity draw.
+		sys, meta = water.Fresh(*side, *seed, 200, 0.001, 300, 0), water.Meta(*side, *seed)
+		water.Draw(sys, *temp, *seed)
+	}
+	if plan.Rc >= sys.Box.L[0]/2 {
+		plan.Rc = sys.Box.L[0] / 2 * 0.95
+		fmt.Printf("cutoff reduced to %.3f nm (half box)\n", plan.Rc)
+	}
+	if err := plan.Check(); err != nil {
+		fatalf("%v", err)
+	}
+	ff, err := plan.NewForceField(sys.Box)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if s, ok := ff.Mesh.(solver.Solver); ok {
 		fmt.Println(s.Describe())
-		mesh = s
 	}
 
 	if *ranks > 0 {
@@ -235,7 +204,7 @@ func main() {
 		if *resume || *ckDir != "" || *ckEvery > 0 {
 			fatalf("-ranks does not support checkpointing or -resume")
 		}
-		eng, err := rank.New(rank.Config{Ranks: *ranks}, sys, &md.ForceField{Alpha: alpha, Rc: *rc, Mesh: mesh}, 0.001)
+		eng, err := rank.New(rank.Config{Ranks: *ranks}, sys, ff, 0.001)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -246,19 +215,16 @@ func main() {
 			eng.SetObs(rec)
 		}
 		fmt.Printf("%d atoms over %d ranks, method %s, rc %.2f nm, α %.3f nm⁻¹\n",
-			sys.N(), *ranks, *method, *rc, alpha)
+			sys.N(), *ranks, plan.Method, plan.Rc, ff.Alpha)
 		runTable(sys, eng.Step, 0, *steps, *every, nil)
 		if b := eng.CommBytes(); *steps > 0 {
 			fmt.Printf("protocol traffic: %d bytes total, %d bytes/step\n", b, b/int64(*steps))
 		}
-		renderObs(rec, fmt.Sprintf("%s-ranks%d", *method, *ranks), sys.N())
+		renderObs(rec, fmt.Sprintf("%s-ranks%d", plan.Method, *ranks), sys.N())
 		return
 	}
 
-	integ := &md.Integrator{
-		FF: &md.ForceField{Alpha: alpha, Rc: *rc, Skin: skin, Mesh: mesh},
-		Dt: 0.001,
-	}
+	integ := &md.Integrator{FF: ff, Dt: 0.001}
 	if *nvt {
 		integ.Thermostat = &md.Thermostat{T: *temp, Tau: 0.1}
 	}
@@ -291,7 +257,7 @@ func main() {
 	}
 
 	fmt.Printf("%d atoms, method %s, rc %.2f nm, α %.3f nm⁻¹, grid %d³\n",
-		sys.N(), *method, *rc, alpha, *gridN)
+		sys.N(), plan.Method, plan.Rc, ff.Alpha, plan.Grid[0])
 	step := func() (md.Energies, error) { return integ.Step(sys), nil }
 	save := func(abs int) *md.Snapshot {
 		snap := integ.CaptureResume(sys, meta)
@@ -312,7 +278,7 @@ func main() {
 		// exactly the state a fresh restore of that checkpoint would, so the
 		// trajectory after a retune is bitwise identical to restarting under
 		// the new plan (TestRetuneBitwise pins this).
-		mon := tune.NewMonitor(tuneReq, tunePlan)
+		mon := tune.NewMonitor(tuneReq, tuned)
 		after = func(abs int) {
 			if abs%*ckEvery != 0 {
 				return
@@ -345,7 +311,44 @@ func main() {
 	if !*obsOn {
 		rec = nil // recorded for the retune monitor only
 	}
-	renderObs(rec, *method, sys.N())
+	renderObs(rec, plan.Method, sys.N())
+}
+
+// flagPlan resolves the solver flags into the run's plan: under -tune the
+// tuner's pick for the -side box and -errbudget, with the request it was
+// made from (the manual solver flags are ignored); otherwise the flags as
+// given, at the tuner's spline order.
+func flagPlan() (tune.Plan, tune.Request, error) {
+	if !*tuneOn {
+		return tune.Plan{
+			Method: *method, Kernel: *kernel, Rc: *rc, Grid: [3]int{*gridN, *gridN, *gridN},
+			Gc: *gc, M: *m, Levels: *levels, Order: tune.Order,
+		}, tune.Request{}, nil
+	}
+	nmol := *side * *side * *side
+	req := tune.Request{Box: water.CubicBoxFor(nmol), Atoms: 3 * nmol, ErrBudget: *budget}
+	plan, err := tune.PlanFor(req)
+	return plan, req, err
+}
+
+// configString renders everything that shapes the trajectory of a run
+// with the flags and plan; its hash keys the checkpoint store, so a
+// checkpoint from a run with different parameters is refused.
+func configString(p tune.Plan) string {
+	levels := p.Levels
+	if *tuneOn {
+		levels = max(levels, 1) // an SPME plan has none; tuned runs record 1
+	}
+	s := fmt.Sprintf(
+		"mdrun in=%q side=%d method=%s kernel=%s rc=%g grid=%d M=%d gc=%d L=%d T=%g nvt=%t seed=%d dt=0.001",
+		*in, *side, p.Method, p.Kernel, p.Rc, p.Grid[0], p.M, p.Gc, levels, *temp, *nvt, *seed)
+	if *tuneOn {
+		// A tuned run's trajectory additionally depends on the skin and —
+		// through possible mid-run retunes — on the budget; untuned runs
+		// keep the historical string so their checkpoints stay valid.
+		s += fmt.Sprintf(" tune=true errbudget=%g skin=%g retune=%t", *budget, p.Skin, *retune)
+	}
+	return s
 }
 
 // runTable advances the trajectory n steps from absolute step start through
@@ -382,32 +385,4 @@ func renderObs(rec *obs.Recorder, label string, atoms int) {
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "mdrun: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-func buildSystem(in string, side int, seed int64) (*md.System, map[string]int64, error) {
-	if in == "" {
-		nmol := side * side * side
-		box := water.CubicBoxFor(nmol)
-		sys := water.Build(side, side, side, box, seed)
-		water.Equilibrate(sys, 200, 0.001, 300, minf(0.9, box.L[0]/2*0.95), seed+1)
-		return sys, map[string]int64{"side": int64(side), "seed": seed}, nil
-	}
-	snap, err := md.LoadSnapshot(in)
-	if err != nil {
-		return nil, nil, fmt.Errorf("loading %s: %w", in, err)
-	}
-	wside := int(snap.Meta["side"])
-	wseed := snap.Meta["seed"]
-	sys := water.Build(wside, wside, wside, snap.Box, wseed)
-	if err := sys.Restore(snap); err != nil {
-		return nil, nil, err
-	}
-	return sys, snap.Meta, nil
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,0 +1,38 @@
+package main
+
+import (
+	"flag"
+	"strings"
+	"testing"
+)
+
+// TestConfigString pins the string whose hash keys mdrun's checkpoint
+// store, for the default flags and for a tuned run: a change to either
+// would orphan every checkpoint written before it, silently, since the
+// store refuses a mismatched hash as a different run.
+func TestConfigString(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{nil, `mdrun in="" side=10 method=tme kernel= rc=1 grid=16 M=3 gc=8 L=1 T=300 nvt=false seed=1 dt=0.001`},
+		{[]string{"-tune", "-errbudget", "1e-3"}, `mdrun in="" side=10 method=tme kernel=gauss rc=1 grid=16 M=2 gc=8 L=1 T=300 nvt=false seed=1 dt=0.001 tune=true errbudget=0.001 skin=0.1 retune=false`},
+	}
+	for _, tc := range cases {
+		flag.VisitAll(func(f *flag.Flag) {
+			if !strings.HasPrefix(f.Name, "test.") {
+				f.Value.Set(f.DefValue)
+			}
+		})
+		if err := flag.CommandLine.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		plan, _, err := flagPlan()
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if got := configString(plan); got != tc.want {
+			t.Errorf("%v:\n got %s\nwant %s", tc.args, got, tc.want)
+		}
+	}
+}

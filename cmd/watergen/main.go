@@ -21,19 +21,15 @@ func main() {
 	flag.Parse()
 
 	nmol := (*side) * (*side) * (*side)
-	box := water.CubicBoxFor(nmol)
-	fmt.Printf("building %d TIP3P waters in a %.4f nm box...\n", nmol, box.L[0])
-	sys := water.Build(*side, *side, *side, box, *seed)
+	fmt.Printf("building %d TIP3P waters in a %.4f nm box...\n", nmol, water.CubicBoxFor(nmol).L[0])
 	if *steps > 0 {
-		rc := box.L[0] / 2 * 0.95
-		if rc > 0.9 {
-			rc = 0.9
-		}
-		fmt.Printf("equilibrating %d steps at 300 K (rc = %.2f nm)...\n", *steps, rc)
-		water.Equilibrate(sys, *steps, 0.001, 300, rc, *seed+1)
+		fmt.Printf("equilibrating %d steps at 300 K...\n", *steps)
+	}
+	sys := water.Fresh(*side, *seed, *steps, 0.001, 300, 0)
+	if *steps > 0 {
 		fmt.Printf("final temperature: %.1f K\n", sys.Temperature())
 	}
-	snap := sys.TakeSnapshot(map[string]int64{"side": int64(*side), "seed": *seed})
+	snap := sys.TakeSnapshot(water.Meta(*side, *seed))
 	if err := md.SaveSnapshot(*out, snap); err != nil {
 		fmt.Fprintf(os.Stderr, "watergen: %v\n", err)
 		os.Exit(1)

@@ -35,7 +35,7 @@ func main() {
 	sys := water.Build(side, side, side, box, 3)
 	rc := 1.2
 	prm := core.Params{
-		Alpha: spme.AlphaFromRTol(rc, 1e-4), Rc: rc, Order: 6,
+		Alpha: spme.Alpha(rc), Rc: rc, Order: 6,
 		N: [3]int{32, 32, 32}, Levels: 1, M: 4, Gc: 8,
 	}
 	tme := core.New(prm, box)

@@ -33,7 +33,7 @@ func main() {
 	// The 16³ grid keeps the TME top level (8³) at least as large as the
 	// spline order.
 	rc := 1.0
-	alpha := spme.AlphaFromRTol(rc, 1e-4)
+	alpha := spme.Alpha(rc)
 	grid := [3]int{16, 16, 16}
 
 	// SPME baseline on the same grid.

@@ -36,7 +36,7 @@ func main() {
 	sys.InitVelocities(300, rand.New(rand.NewSource(11)))
 
 	rc := min(1.2, box.L[0]/2.2)
-	alpha := spme.AlphaFromRTol(rc, 1e-4)
+	alpha := spme.Alpha(rc)
 	mesh := core.New(core.Params{
 		Alpha: alpha, Rc: rc, Order: 6,
 		N: [3]int{16, 16, 16}, Levels: 1, M: 3, Gc: 8,

@@ -28,7 +28,7 @@ func main() {
 	fmt.Printf("TIP3P water: %d molecules, %.3f nm box\n", side*side*side, box.L[0])
 
 	rc := 0.9
-	alpha := spme.AlphaFromRTol(rc, 1e-4)
+	alpha := spme.Alpha(rc)
 	mesh := core.New(core.Params{
 		Alpha: alpha, Rc: rc, Order: 6,
 		N: [3]int{16, 16, 16}, Levels: 1, M: 3, Gc: 8,

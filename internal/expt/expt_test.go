@@ -48,7 +48,6 @@ func TestTable1Tiny(t *testing.T) {
 	cfg := Table1Config{
 		WaterSide:  8,
 		GridN:      16,
-		RTol:       1e-4,
 		RefTol:     1e-10,
 		Rcs:        []float64{1.0},
 		Gcs:        []int{4, 12},

@@ -3,11 +3,9 @@ package expt
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
-	"tme4a/internal/core"
 	"tme4a/internal/md"
-	"tme4a/internal/spme"
+	"tme4a/internal/tune"
 	"tme4a/internal/vec"
 	"tme4a/internal/water"
 )
@@ -22,10 +20,8 @@ type Fig4Config struct {
 	WaterSide  int
 	GridN      int
 	Rc         float64
-	RTol       float64
 	Steps      int
-	Dt         float64 // ps
-	Ms         []int   // TME Gaussian counts to compare with SPME
+	Ms         []int // TME Gaussian counts to compare with SPME
 	Gc         int
 	Seed       int64
 	EquilSteps int
@@ -38,9 +34,7 @@ func QuickFig4() Fig4Config {
 		WaterSide:  12, // 1,728 waters, 5,184 atoms
 		GridN:      16,
 		Rc:         1.2,
-		RTol:       1e-4,
 		Steps:      200,
-		Dt:         0.001,
 		Ms:         []int{1, 2, 3},
 		Gc:         8,
 		Seed:       11,
@@ -91,32 +85,21 @@ func (s Fig4Series) Mean() float64 {
 
 // base builds the equilibrated initial state every series starts from.
 func (cfg Fig4Config) base() *md.System {
-	nmol := cfg.WaterSide * cfg.WaterSide * cfg.WaterSide
-	box := water.CubicBoxFor(nmol)
-	sys := water.Build(cfg.WaterSide, cfg.WaterSide, cfg.WaterSide, box, cfg.Seed)
-	water.Equilibrate(sys, cfg.EquilSteps, cfg.Dt, 300, min(0.9, cfg.Rc), cfg.Seed+1)
-	sys.InitVelocities(300, rand.New(rand.NewSource(cfg.Seed+2)))
-	return sys
+	return thermalBox(cfg.WaterSide, cfg.Seed, cfg.EquilSteps, cfg.Rc)
 }
 
 // integrator returns the NVE integrator of one series: SPME for m = 0,
 // TME with m Gaussians otherwise.
 func (cfg Fig4Config) integrator(m int, box vec.Box) *md.Integrator {
-	alpha := spme.AlphaFromRTol(cfg.Rc, cfg.RTol)
-	n := [3]int{cfg.GridN, cfg.GridN, cfg.GridN}
-	var mesh md.MeshSolver
-	if m == 0 {
-		mesh = spme.New(spme.Params{Alpha: alpha, Rc: cfg.Rc, Order: 6, N: n}, box)
-	} else {
-		mesh = core.New(core.Params{
-			Alpha: alpha, Rc: cfg.Rc, Order: 6, N: n,
-			Levels: 1, M: m, Gc: cfg.Gc,
-		}, box)
+	p := tune.Plan{Method: "spme", Rc: cfg.Rc, Grid: [3]int{cfg.GridN, cfg.GridN, cfg.GridN}, Order: tune.Order}
+	if m > 0 {
+		p.Method, p.Levels, p.M, p.Gc = "tme", 1, m, cfg.Gc
 	}
-	return &md.Integrator{
-		FF: &md.ForceField{Alpha: alpha, Rc: cfg.Rc, Mesh: mesh},
-		Dt: cfg.Dt,
+	integ, err := p.NewIntegrator(box, dt)
+	if err != nil {
+		panic(err)
 	}
+	return integ
 }
 
 // RunFig4 runs NVE trajectories with SPME and with TME (M ∈ cfg.Ms) from
@@ -132,7 +115,7 @@ func RunFig4(cfg Fig4Config, w io.Writer) []Fig4Series {
 		for step := 1; step <= cfg.Steps; step++ {
 			e := integ.Step(sys)
 			if step%cfg.ReportEach == 0 {
-				s.Time = append(s.Time, float64(step)*cfg.Dt)
+				s.Time = append(s.Time, float64(step)*dt)
 				s.Total = append(s.Total, e.Total())
 			}
 		}
@@ -175,9 +158,14 @@ func cloneSystem(src *md.System) *md.System {
 	return &dst
 }
 
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
+// dt is the time step of every experiment's trajectories, in ps.
+const dt = 0.001
+
+// thermalBox returns an experiment's initial state: water.Fresh's box of
+// side³ molecules thermalised for equil steps at 300 K with cutoff
+// min(0.9 nm, rc), and velocities drawn at 300 K.
+func thermalBox(side int, seed int64, equil int, rc float64) *md.System {
+	sys := water.Fresh(side, seed, equil, dt, 300, rc)
+	water.Draw(sys, 300, seed)
+	return sys
 }

@@ -2,14 +2,10 @@ package expt
 
 import (
 	"io"
-	"math/rand"
 	"runtime"
 
-	"tme4a/internal/core"
-	"tme4a/internal/md"
 	"tme4a/internal/obs"
-	"tme4a/internal/spme"
-	"tme4a/internal/water"
+	"tme4a/internal/tune"
 )
 
 // Fig9LiveConfig parameterizes the live (measured) counterpart of Fig 9:
@@ -20,14 +16,11 @@ import (
 // back interpolation, short-range, constraints and integration.
 type Fig9LiveConfig struct {
 	WaterSide  int     // waters per box edge
-	GridN      int     // finest TME grid (GridN³)
-	Levels     int     // TME levels L
+	GridN      int     // finest TME grid (GridN³); one middle level
 	M          int     // Gaussians per shell
 	Gc         int     // grid-kernel cutoff
 	Rc         float64 // short-range cutoff (nm)
 	Skin       float64 // Verlet buffer (nm)
-	RTol       float64 // erfc(α·rc) tolerance
-	Dt         float64 // ps
 	Seed       int64
 	EquilSteps int // thermostatted pre-equilibration steps
 	Warmup     int // instrumented-but-discarded steps (fills pools and lists)
@@ -40,13 +33,10 @@ func QuickFig9Live() Fig9LiveConfig {
 	return Fig9LiveConfig{
 		WaterSide:  8, // 512 waters, 1,536 atoms
 		GridN:      16,
-		Levels:     1,
 		M:          3,
 		Gc:         8,
 		Rc:         0.9,
 		Skin:       0.1,
-		RTol:       1e-4,
-		Dt:         0.001,
 		Seed:       17,
 		EquilSteps: 50,
 		Warmup:     10,
@@ -68,21 +58,13 @@ func FullFig9Live() Fig9LiveConfig {
 // charged to the steady state), measures cfg.Steps steps, renders the
 // Fig 9-style chart to w and returns the machine-readable report.
 func RunFig9Live(cfg Fig9LiveConfig, w io.Writer) obs.Report {
-	nmol := cfg.WaterSide * cfg.WaterSide * cfg.WaterSide
-	box := water.CubicBoxFor(nmol)
-	sys := water.Build(cfg.WaterSide, cfg.WaterSide, cfg.WaterSide, box, cfg.Seed)
-	water.Equilibrate(sys, cfg.EquilSteps, cfg.Dt, 300, min(0.9, cfg.Rc), cfg.Seed+1)
-	sys.InitVelocities(300, rand.New(rand.NewSource(cfg.Seed+2)))
-
-	alpha := spme.AlphaFromRTol(cfg.Rc, cfg.RTol)
-	n := [3]int{cfg.GridN, cfg.GridN, cfg.GridN}
-	mesh := core.New(core.Params{
-		Alpha: alpha, Rc: cfg.Rc, Order: 6, N: n,
-		Levels: cfg.Levels, M: cfg.M, Gc: cfg.Gc,
-	}, box)
-	integ := &md.Integrator{
-		FF: &md.ForceField{Alpha: alpha, Rc: cfg.Rc, Skin: cfg.Skin, Mesh: mesh},
-		Dt: cfg.Dt,
+	sys := thermalBox(cfg.WaterSide, cfg.Seed, cfg.EquilSteps, cfg.Rc)
+	integ, err := tune.Plan{
+		Method: "tme", Rc: cfg.Rc, Skin: cfg.Skin, Grid: [3]int{cfg.GridN, cfg.GridN, cfg.GridN},
+		Gc: cfg.Gc, M: cfg.M, Levels: 1, Order: tune.Order,
+	}.NewIntegrator(sys.Box, dt)
+	if err != nil {
+		panic(err)
 	}
 
 	rec := obs.New()

@@ -3,15 +3,12 @@ package expt
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
-	"tme4a/internal/core"
 	"tme4a/internal/hw/torus"
 	"tme4a/internal/md"
 	"tme4a/internal/obs"
 	"tme4a/internal/rank"
-	"tme4a/internal/spme"
-	"tme4a/internal/water"
+	"tme4a/internal/tune"
 )
 
 // FigScaleConfig parameterizes the rank strong-scaling sweep (the live
@@ -22,13 +19,10 @@ import (
 // trajectory itself stays bitwise identical at every rank count.
 type FigScaleConfig struct {
 	WaterSide  int     // waters per box edge
-	GridN      int     // finest TME grid (GridN³)
-	Levels     int     // TME levels L
+	GridN      int     // finest TME grid (GridN³); one middle level
 	M          int     // Gaussians per shell
 	Gc         int     // grid-kernel cutoff
 	Rc         float64 // short-range cutoff (nm)
-	RTol       float64 // erfc(α·rc) tolerance
-	Dt         float64 // ps
 	Seed       int64
 	EquilSteps int   // thermostatted pre-equilibration steps
 	Warmup     int   // instrumented-but-discarded steps per rank count
@@ -42,12 +36,9 @@ func QuickFigScale() FigScaleConfig {
 	return FigScaleConfig{
 		WaterSide:  6, // 216 waters, 648 atoms
 		GridN:      32,
-		Levels:     1,
 		M:          2,
 		Gc:         4,
 		Rc:         0.23,
-		RTol:       1e-4,
-		Dt:         0.001,
 		Seed:       23,
 		EquilSteps: 100,
 		Warmup:     5,
@@ -82,17 +73,6 @@ type FigScalePoint struct {
 	MergeNs      int64
 }
 
-// buildScaleSystem prepares the equilibrated box; the seed chain makes
-// every call return a bitwise-identical system.
-func buildScaleSystem(cfg FigScaleConfig) *md.System {
-	nmol := cfg.WaterSide * cfg.WaterSide * cfg.WaterSide
-	box := water.CubicBoxFor(nmol)
-	sys := water.Build(cfg.WaterSide, cfg.WaterSide, cfg.WaterSide, box, cfg.Seed)
-	water.Equilibrate(sys, cfg.EquilSteps, cfg.Dt, 300, cfg.Rc, cfg.Seed+1)
-	sys.InitVelocities(300, rand.New(rand.NewSource(cfg.Seed+2)))
-	return sys
-}
-
 // RunFigScale runs the sweep: one fresh engine per rank count, warm-up,
 // then cfg.Steps measured steps. Every rank count must land on the same
 // md.StateHash — a divergence is returned as an error, not a data point.
@@ -103,8 +83,8 @@ func RunFigScale(cfg FigScaleConfig, w io.Writer) ([]FigScalePoint, error) {
 	if w == nil {
 		w = io.Discard
 	}
-	fmt.Fprintf(w, "# fig10scale: %d waters, grid %d^3 L=%d M=%d gc=%d rc=%g, %d measured steps per rank count\n",
-		cfg.WaterSide*cfg.WaterSide*cfg.WaterSide, cfg.GridN, cfg.Levels, cfg.M, cfg.Gc, cfg.Rc, cfg.Steps)
+	fmt.Fprintf(w, "# fig10scale: %d waters, grid %d^3 L=1 M=%d gc=%d rc=%g, %d measured steps per rank count\n",
+		cfg.WaterSide*cfg.WaterSide*cfg.WaterSide, cfg.GridN, cfg.M, cfg.Gc, cfg.Rc, cfg.Steps)
 	fmt.Fprintf(w, "ranks,atoms,state_hash,comm_bytes_per_step,torus_comm_ns,step_us,short_us,neighbor_us,mesh_us,integrate_us,constraint_us,merge_us\n")
 
 	points := make([]FigScalePoint, 0, len(cfg.Ranks))
@@ -134,16 +114,16 @@ func RunFigScale(cfg FigScaleConfig, w io.Writer) ([]FigScalePoint, error) {
 // runFigScalePoint measures one rank count and returns the point plus
 // the final state hash.
 func runFigScalePoint(cfg FigScaleConfig, r int) (FigScalePoint, uint64, error) {
-	sys := buildScaleSystem(cfg)
-	alpha := spme.AlphaFromRTol(cfg.Rc, cfg.RTol)
-	n := [3]int{cfg.GridN, cfg.GridN, cfg.GridN}
-	mesh := core.New(core.Params{
-		Alpha: alpha, Rc: cfg.Rc, Order: 4, N: n,
-		Levels: cfg.Levels, M: cfg.M, Gc: cfg.Gc,
-	}, sys.Box)
-	ff := &md.ForceField{Alpha: alpha, Rc: cfg.Rc, Mesh: mesh}
-
-	eng, err := rank.New(rank.Config{Ranks: r}, sys, ff, cfg.Dt)
+	// The seed chain makes every call start from a bitwise-identical box.
+	sys := thermalBox(cfg.WaterSide, cfg.Seed, cfg.EquilSteps, cfg.Rc)
+	ff, err := tune.Plan{
+		Method: "tme", Rc: cfg.Rc, Grid: [3]int{cfg.GridN, cfg.GridN, cfg.GridN},
+		Gc: cfg.Gc, M: cfg.M, Levels: 1, Order: 4,
+	}.NewForceField(sys.Box)
+	if err != nil {
+		return FigScalePoint{}, 0, err
+	}
+	eng, err := rank.New(rank.Config{Ranks: r}, sys, ff, dt)
 	if err != nil {
 		return FigScalePoint{}, 0, err
 	}

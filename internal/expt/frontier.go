@@ -13,7 +13,6 @@ import (
 	"tme4a/internal/ewald"
 	"tme4a/internal/md"
 	"tme4a/internal/obs"
-	"tme4a/internal/spme"
 	"tme4a/internal/tune"
 	"tme4a/internal/vec"
 )
@@ -27,7 +26,6 @@ import (
 // tuner itself is a pure model with no clock (the tmevet clock contract).
 type FrontierConfig struct {
 	Sides      []int     // waters per axis of each box (6, 8, 10 → 648, 1536, 3000 atoms)
-	RTol       float64   // erfc(α·rc) target shared with the tuner (1e-4)
 	RefTol     float64   // reference Ewald error-factor tolerance
 	Budgets    []float64 // error budgets to render a verdict for
 	Steps      int       // timed steps per repetition
@@ -35,7 +33,6 @@ type FrontierConfig struct {
 	EquilSteps int
 	Seed       int64
 	CacheDir   string
-	Dt         float64 // ps
 }
 
 // QuickFrontier returns the single-host sweep: the boxes of the
@@ -45,7 +42,6 @@ type FrontierConfig struct {
 func QuickFrontier() FrontierConfig {
 	return FrontierConfig{
 		Sides:      []int{6, 8, 10},
-		RTol:       1e-4,
 		RefTol:     1e-12,
 		Budgets:    []float64{2e-3, 1e-3, 5e-4, 2e-4},
 		Steps:      3,
@@ -53,7 +49,6 @@ func QuickFrontier() FrontierConfig {
 		EquilSteps: 200,
 		Seed:       7,
 		CacheDir:   "results/cache",
-		Dt:         0.001,
 	}
 }
 
@@ -140,8 +135,7 @@ func RunFrontier(cfg FrontierConfig, w io.Writer) ([]FrontierRow, []FrontierVerd
 // stage times and the verdicts at each of frontierProcs.
 func frontierBox(cfg FrontierConfig, side int, w io.Writer) ([]FrontierRow, []FrontierVerdict, error) {
 	t1 := Table1Config{
-		WaterSide: side, GridN: side, RTol: cfg.RTol,
-		RefTol: cfg.RefTol, EquilSteps: cfg.EquilSteps, Seed: cfg.Seed,
+		WaterSide: side, GridN: side, RefTol: cfg.RefTol, EquilSteps: cfg.EquilSteps, Seed: cfg.Seed,
 		CacheDir: cfg.CacheDir,
 	}
 	logf(w, "# %d TIP3P waters\n", side*side*side)
@@ -163,7 +157,7 @@ func frontierBox(cfg FrontierConfig, side int, w io.Writer) ([]FrontierRow, []Fr
 	for i, c := range cands {
 		if fSR[c.Rc] == nil {
 			fSR[c.Rc] = make([]vec.V, sys.N())
-			ewald.RealSpace(sys.Box, sys.Pos, sys.Q, spme.AlphaFromRTol(c.Rc, cfg.RTol), c.Rc, nil, fSR[c.Rc])
+			ewald.RealSpace(sys.Box, sys.Pos, sys.Q, c.Alpha(), c.Rc, nil, fSR[c.Rc])
 		}
 		mesh, err := c.NewSolver(sys.Box)
 		if err != nil {
@@ -235,7 +229,7 @@ func measurePlan(cfg FrontierConfig, sys *md.System, start *md.Snapshot, row *Fr
 		if err := sys.Restore(start); err != nil {
 			return fmt.Errorf("frontier: restore: %w", err)
 		}
-		integ, err := p.NewIntegrator(sys.Box, cfg.Dt)
+		integ, err := p.NewIntegrator(sys.Box, dt)
 		if err != nil {
 			return fmt.Errorf("frontier: %s: %w", p.String(), err)
 		}

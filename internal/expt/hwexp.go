@@ -28,7 +28,7 @@ func NewHWContext() *HWContext {
 		Cfg:      cfg,
 		Workload: cfg.Decompose(ps.System, ps.Bonded, 1.2),
 		Prm: core.Params{
-			Alpha: spme.AlphaFromRTol(1.2, 1e-4), Rc: 1.2, Order: 6,
+			Alpha: spme.Alpha(1.2), Rc: 1.2, Order: 6,
 			N: [3]int{32, 32, 32}, Levels: 1, M: 4, Gc: 8,
 		},
 	}

@@ -21,7 +21,6 @@ import (
 type Table1Config struct {
 	WaterSide  int     // waters per axis (lattice side); paper: 32
 	GridN      int     // finest grid per axis; paper: 32
-	RTol       float64 // erfc(α·rc) target (1e-4)
 	RefTol     float64 // reference Ewald error-factor tolerance
 	Rcs        []float64
 	Gcs        []int
@@ -37,7 +36,6 @@ func QuickTable1() Table1Config {
 	return Table1Config{
 		WaterSide:  16,
 		GridN:      16,
-		RTol:       1e-4,
 		RefTol:     1e-12,
 		Rcs:        []float64{1.0, 1.25, 1.5},
 		Gcs:        []int{4, 8, 12},
@@ -90,7 +88,7 @@ func RunTable1(cfg Table1Config, w io.Writer) []Table1Row {
 			logf(w, "# skipping rc=%.2f (exceeds half box)\n", rc)
 			continue
 		}
-		alpha := spme.AlphaFromRTol(rc, cfg.RTol)
+		alpha := spme.Alpha(rc)
 		// The short-range forces are identical for SPME and every TME
 		// configuration at this cutoff: compute once.
 		fSR := make([]vec.V, sys.N())
@@ -124,13 +122,9 @@ func RunTable1(cfg Table1Config, w io.Writer) []Table1Row {
 
 // buildWater constructs and lightly equilibrates the water box.
 func buildWater(cfg Table1Config, w io.Writer) *md.System {
-	nmol := cfg.WaterSide * cfg.WaterSide * cfg.WaterSide
-	box := water.CubicBoxFor(nmol)
-	sys := water.Build(cfg.WaterSide, cfg.WaterSide, cfg.WaterSide, box, cfg.Seed)
+	start := time.Now()
+	sys := water.Fresh(cfg.WaterSide, cfg.Seed, cfg.EquilSteps, dt, 300, 0)
 	if cfg.EquilSteps > 0 {
-		start := time.Now()
-		rcEq := math.Min(0.9, box.L[0]/2*0.95)
-		water.Equilibrate(sys, cfg.EquilSteps, 0.001, 300, rcEq, cfg.Seed+1)
 		logf(w, "# equilibrated %d steps in %.1fs (T=%.0f K)\n",
 			cfg.EquilSteps, time.Since(start).Seconds(), sys.Temperature())
 	}

@@ -14,6 +14,7 @@ import (
 	"tme4a/internal/ckpt"
 	"tme4a/internal/md"
 	"tme4a/internal/obs"
+	"tme4a/internal/water"
 )
 
 // Sentinel errors the API layer maps to HTTP statuses.
@@ -540,7 +541,7 @@ func (s *Scheduler) runQuantum(j *job) {
 			// A failed checkpoint must not kill the simulation: the store
 			// counts the failure (obs ckpt_failures) and the previous
 			// durable checkpoint remains the resume point.
-			j.store.Save(j.integ.CaptureResume(j.sys, j.spec.meta())) //tmevet:ignore errdrop -- deliberate: the store counts the failure (obs ckpt_failures) and the previous durable checkpoint stays the resume point
+			j.store.Save(j.integ.CaptureResume(j.sys, water.Meta(j.spec.Side, j.spec.Seed))) //tmevet:ignore errdrop -- deliberate: the store counts the failure (obs ckpt_failures) and the previous durable checkpoint stays the resume point
 		}
 	}
 	s.quanta.Add(1)
@@ -615,8 +616,11 @@ func (s *Scheduler) startJob(j *job) error {
 		c, err := store.LoadLatest()
 		switch {
 		case err == nil:
-			sys := j.spec.rebuild(c.Snap)
-			integ, ierr := j.spec.integrator(sys.Box)
+			sys, ierr := water.Rebuild(c.Snap)
+			if ierr != nil {
+				return ierr
+			}
+			integ, ierr := j.spec.plan().NewIntegrator(sys.Box, j.spec.Dt)
 			if ierr != nil {
 				return ierr
 			}
@@ -653,7 +657,7 @@ func (s *Scheduler) startJob(j *job) error {
 
 func (s *Scheduler) startFresh(j *job) error {
 	sys := j.spec.buildFresh()
-	integ, err := j.spec.integrator(sys.Box)
+	integ, err := j.spec.plan().NewIntegrator(sys.Box, j.spec.Dt)
 	if err != nil {
 		return err
 	}

@@ -22,12 +22,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 
 	"tme4a/internal/ckpt"
 	"tme4a/internal/md"
 	"tme4a/internal/solver"
-	"tme4a/internal/spme"
 	"tme4a/internal/tune"
 	"tme4a/internal/vec"
 	"tme4a/internal/water"
@@ -249,17 +247,14 @@ func (sp Spec) Validate() error {
 	if sp.Skin < 0 || sp.Skin > 0.5 {
 		return fmt.Errorf("serve: skin %g nm out of range [0, 0.5]", sp.Skin)
 	}
-	if sp.Method != "cutoff" && sp.Rc+sp.Skin < md.MinMeshReach {
-		return fmt.Errorf("serve: rc + skin = %g nm is below %g nm: the pair list would miss excluded pairs whose mesh interaction it takes back", sp.Rc+sp.Skin, md.MinMeshReach)
+	if err := sp.plan().Check(); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	if sp.Temp <= 0 || sp.Temp > maxTemp {
 		return fmt.Errorf("serve: temp %g K out of range (0, %g]", sp.Temp, float64(maxTemp))
 	}
 	if sp.Equil < 0 || sp.Equil > maxEquil {
 		return fmt.Errorf("serve: equil %d out of range [0, %d]", sp.Equil, maxEquil)
-	}
-	if sp.Kernel != "" && sp.Method != "tme" {
-		return fmt.Errorf("serve: kernel %q applies only to method tme", sp.Kernel)
 	}
 	// Mesh-size admission bounds, checked before any solver is built so a
 	// hostile spec cannot make Validate itself allocate a huge grid.
@@ -276,7 +271,7 @@ func (sp Spec) Validate() error {
 		return fmt.Errorf("serve: gc %d out of range [1, 64]", sp.Gc)
 	}
 	if sp.Method != "cutoff" {
-		return solver.Validate(sp.Method, sp.solverConfig())
+		return solver.Validate(sp.Method, sp.plan().SolverConfig())
 	}
 	return nil
 }
@@ -294,61 +289,24 @@ func (sp Spec) canonical() string {
 // ConfigHash fingerprints the normalized spec for the checkpoint store.
 func (sp Spec) ConfigHash() uint64 { return ckpt.ConfigHash(sp.canonical()) }
 
-// alpha is the Ewald splitting parameter shared by the short-range and
-// mesh terms, at the same force tolerance cmd/mdrun uses.
-func (sp Spec) alpha() float64 { return spme.AlphaFromRTol(sp.Rc, 1e-4) }
-
-// solverConfig maps the spec onto the solver registry's config.
-func (sp Spec) solverConfig() solver.Config {
-	return solver.Config{
-		Alpha: sp.alpha(), Rc: sp.Rc, Order: 6, N: [3]int{sp.Grid, sp.Grid, sp.Grid},
-		Levels: sp.Levels, M: sp.M, Gc: sp.Gc, Kernel: sp.Kernel,
+// plan maps the spec onto the run plan every entry point builds from. Its
+// NewIntegrator constructs a fresh solver on every call, so concurrent
+// jobs never share solver scratch.
+func (sp Spec) plan() tune.Plan {
+	return tune.Plan{
+		Method: sp.Method, Kernel: sp.Kernel, Rc: sp.Rc, Skin: sp.Skin,
+		Grid: [3]int{sp.Grid, sp.Grid, sp.Grid}, Gc: sp.Gc, M: sp.M, Levels: sp.Levels,
+		Order: tune.Order,
 	}
-}
-
-// newMesh constructs the spec's mesh solver through the registry (nil for
-// the cutoff method).
-func (sp Spec) newMesh() (solver.Solver, error) {
-	if sp.Method == "cutoff" {
-		return nil, nil
-	}
-	return solver.New(sp.Method, sp.solverConfig(), sp.Box())
-}
-
-// meta carries the builder parameters into snapshots, mirroring cmd/mdrun.
-func (sp Spec) meta() map[string]int64 {
-	return map[string]int64{"side": int64(sp.Side), "seed": sp.Seed}
 }
 
 // buildFresh constructs the job's initial state: lattice build, cheap
-// thermalization, Maxwell–Boltzmann velocity draw. Pure in the spec.
+// thermalization at the spec's temperature, Maxwell–Boltzmann velocity
+// draw. Pure in the spec.
 func (sp Spec) buildFresh() *md.System {
-	sys := water.Build(sp.Side, sp.Side, sp.Side, sp.Box(), sp.Seed)
-	if sp.Equil > 0 {
-		water.Equilibrate(sys, sp.Equil, sp.Dt, sp.Temp, math.Min(0.9, sp.Rc), sp.Seed+1)
-	}
-	sys.InitVelocities(sp.Temp, rand.New(rand.NewSource(sp.Seed+2)))
+	sys := water.Fresh(sp.Side, sp.Seed, sp.Equil, sp.Dt, sp.Temp, sp.Rc)
+	water.Draw(sys, sp.Temp, sp.Seed)
 	return sys
-}
-
-// rebuild reconstructs the topology for a checkpoint resume; positions
-// and velocities are about to be overwritten by the snapshot, so no
-// equilibration and no velocity draw.
-func (sp Spec) rebuild(snap *md.Snapshot) *md.System {
-	return water.Build(sp.Side, sp.Side, sp.Side, snap.Box, sp.Seed)
-}
-
-// integrator builds the spec's integrator for a box. The mesh solver is
-// constructed fresh so concurrent jobs never share solver scratch.
-func (sp Spec) integrator(box vec.Box) (*md.Integrator, error) {
-	mesh, err := sp.newMesh()
-	if err != nil {
-		return nil, err
-	}
-	return &md.Integrator{
-		FF: &md.ForceField{Alpha: sp.alpha(), Rc: sp.Rc, Skin: sp.Skin, Mesh: mesh},
-		Dt: sp.Dt,
-	}, nil
 }
 
 // RunDirect executes the spec's full trajectory in-process, outside any
@@ -361,7 +319,7 @@ func (sp Spec) RunDirect() (uint64, error) {
 		return 0, err
 	}
 	sys := sp.buildFresh()
-	integ, err := sp.integrator(sys.Box)
+	integ, err := sp.plan().NewIntegrator(sys.Box, sp.Dt)
 	if err != nil {
 		return 0, err
 	}

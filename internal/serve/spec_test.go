@@ -2,10 +2,13 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
+	"tme4a/internal/md"
 	"tme4a/internal/tune"
+	"tme4a/internal/water"
 )
 
 // TestDecodeSpecStrict pins the strict decode contract: typos, trailing
@@ -176,6 +179,71 @@ func TestAutoSpecErrors(t *testing.T) {
 	bad.Normalize()
 	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "err_budget") {
 		t.Errorf("negative err_budget: %v, want range error", err)
+	}
+}
+
+// TestConfigHashPinned pins the checkpoint config hash of a minimal spec
+// and of a method-"auto" one: a change to either orphans every served
+// job's checkpoints, silently, since the store refuses a mismatched hash
+// as a different run.
+func TestConfigHashPinned(t *testing.T) {
+	for _, tc := range []struct {
+		doc  string
+		want uint64
+	}{
+		{`{"method":"tme","side":4,"steps":200}`, 0x26863df947dbcfe6},
+		{`{"method":"auto","side":4,"steps":200,"err_budget":1e-3}`, 0x2bd61ddbf0c7c001},
+	} {
+		sp, err := DecodeSpec([]byte(tc.doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.Normalize()
+		if err := sp.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.doc, err)
+		}
+		if got := sp.ConfigHash(); got != tc.want {
+			t.Errorf("%s: config hash %#016x, want %#016x (%s)", tc.doc, got, tc.want, sp.canonical())
+		}
+	}
+}
+
+// TestSpecRunsItsPlan: for each method, a spec run through RunDirect must
+// land on the state hash of the run plan it stands for — written out here
+// field by field, at the spec defaults — stepped directly from the same
+// water box. It fences the one mapping from a served spec onto a run.
+func TestSpecRunsItsPlan(t *testing.T) {
+	const (
+		side  = 3
+		steps = 10
+		seed  = 1
+		equil = 50
+	)
+	rc := math.Min(0.9, 0.45*water.CubicBoxFor(side * side * side).L[0])
+	for _, p := range []tune.Plan{
+		{Method: "cutoff", Rc: rc, Skin: 0.1},
+		{Method: "spme", Rc: rc, Skin: 0.1, Grid: [3]int{16, 16, 16}, Order: 6},
+		{Method: "tme", Rc: rc, Skin: 0.1, Grid: [3]int{16, 16, 16}, Gc: 8, M: 3, Levels: 1, Order: 6},
+		{Method: "msm", Rc: rc, Skin: 0.1, Grid: [3]int{16, 16, 16}, Gc: 8, Levels: 1, Order: 6},
+	} {
+		t.Run(p.Method, func(t *testing.T) {
+			served, err := Spec{Method: p.Method, Side: side, Steps: steps}.RunDirect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := water.Fresh(side, seed, equil, 0.001, 300, rc)
+			water.Draw(sys, 300, seed)
+			integ, err := p.NewIntegrator(sys.Box, 0.001)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < steps; s++ {
+				integ.Step(sys)
+			}
+			if direct := md.StateHash(sys); served != direct {
+				t.Errorf("served spec hash %016x, plan %s stepped directly %016x", served, p.String(), direct)
+			}
+		})
 	}
 }
 

@@ -37,6 +37,15 @@ func (p Params) Validate() error {
 	return CheckParams("spme", p.Alpha, p.Rc, p.Order, p.N, 0)
 }
 
+// RTol is the erfc(α·rc) tolerance every run shares: GROMACS' ewald-rtol
+// of the paper's runs, and the tolerance the Table-1 accuracy surface
+// behind the tuner was measured at.
+const RTol = 1e-4
+
+// Alpha returns the splitting parameter of a run with cutoff rc:
+// AlphaFromRTol at RTol.
+func Alpha(rc float64) float64 { return AlphaFromRTol(rc, RTol) }
+
 // AlphaFromRTol returns the splitting parameter α satisfying
 // erfc(α·rc) = rtol, the convention of GROMACS' ewald-rtol input
 // (the paper uses rtol = 1e-4).
@@ -64,9 +73,10 @@ type Solver struct {
 	plan  *fft.RealPlan3
 	green []float64 // lattice Green function over the grid, DC term 0
 
-	// specMu guards the reused half-spectrum scratch of PotentialGridInto.
-	specMu sync.Mutex
-	spec   []complex128
+	// specs is the free list of PotentialGridInto's half-spectrum scratch:
+	// each call takes its own, so concurrent calls on one solver never
+	// wait on one another.
+	specs sync.Pool
 }
 
 // New precomputes an SPME solver for the box. It panics on invalid
@@ -81,7 +91,8 @@ func New(prm Params, box vec.Box) *Solver {
 		plan:  fft.NewRealPlan3(prm.N[0], prm.N[1], prm.N[2]),
 		green: latticeGreen(prm, box),
 	}
-	s.spec = make([]complex128, s.plan.SpectrumLen())
+	n := s.plan.SpectrumLen()
+	s.specs.New = func() any { spec := make([]complex128, n); return &spec }
 	s.Cycle = newCycle(prm, 0, box, s, nil)
 	return s
 }
@@ -155,9 +166,9 @@ func (s *Solver) PotentialGrid(q *grid.G) *grid.G {
 }
 
 // PotentialGridInto is PotentialGrid writing into an existing grid,
-// reusing the solver's half-spectrum scratch so repeated solves allocate
-// nothing. phi must not alias q. It is the coarsest-grid solve of every
-// method's Cycle.
+// taking its half-spectrum scratch from the solver's free list so repeated
+// solves allocate nothing and concurrent ones share nothing. phi must not
+// alias q. It is the coarsest-grid solve of every method's Cycle.
 //
 //tme:noalloc
 func (s *Solver) PotentialGridInto(phi, q *grid.G) {
@@ -168,9 +179,8 @@ func (s *Solver) PotentialGridInto(phi, q *grid.G) {
 	if phi.N != s.Prm.N {
 		panic("spme: potential grid shape mismatch")
 	}
-	s.specMu.Lock()
-	defer s.specMu.Unlock()
-	spec := s.spec
+	sp := s.specs.Get().(*[]complex128)
+	spec := *sp
 	s.plan.Forward(q.Data, spec)
 	hx := s.plan.Hx
 	for kz := 0; kz < nz; kz++ {
@@ -181,6 +191,7 @@ func (s *Solver) PotentialGridInto(phi, q *grid.G) {
 		}
 	}
 	s.plan.Inverse(spec, phi.Data)
+	s.specs.Put(sp)
 }
 
 // Recip computes the reciprocal (mesh) part of the SPME energy in kJ/mol,

@@ -3,9 +3,13 @@ package spme
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"tme4a/internal/ewald"
+	"tme4a/internal/grid"
+	"tme4a/internal/par"
 	"tme4a/internal/topol"
 	"tme4a/internal/vec"
 )
@@ -177,5 +181,78 @@ func BenchmarkSPMERecip32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Recip(pos, q, f)
+	}
+}
+
+// concurrentSolve is the par job of TestPotentialGridIntoConcurrent: chunk
+// i solves q[i] into phi[i] on the one shared solver.
+type concurrentSolve struct {
+	s      *Solver
+	q, phi []*grid.G
+}
+
+func (c concurrentSolve) solve(i int) { c.s.PotentialGridInto(c.phi[i], c.q[i]) }
+
+// TestPotentialGridIntoConcurrent has two goroutines each run a par loop
+// whose chunks call PotentialGridInto on one shared solver, at GOMAXPROCS
+// 1, 2 and 4. Each solve's FFT runs par loops of its own, and a caller
+// waiting on one of those helps with the oldest open phase, which may be
+// the other goroutine's loop: a solve that held a solver-wide lock across
+// its FFT would then wait on itself, and a scratch shared without one
+// would race (the race detector runs this). Every result must equal the
+// serial solve bit for bit, within a deadline.
+func TestPotentialGridIntoConcurrent(t *testing.T) {
+	s := New(Params{Alpha: 2.0, Rc: 1.0, Order: 6, N: [3]int{16, 16, 16}}, vec.Cubic(3))
+	rng := rand.New(rand.NewSource(6))
+	const (
+		callers = 2
+		chunks  = 6
+		rounds  = 20
+	)
+	q := make([]*grid.G, chunks)
+	want := make([]*grid.G, chunks)
+	for i := range q {
+		q[i] = grid.New(16, 16, 16)
+		for k := range q[i].Data {
+			q[i].Data[k] = rng.NormFloat64()
+		}
+		want[i] = s.PotentialGrid(q[i])
+	}
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		jobs := make([]concurrentSolve, callers)
+		for c := range jobs {
+			jobs[c] = concurrentSolve{s: s, q: q, phi: make([]*grid.G, chunks)}
+			for i := range jobs[c].phi {
+				jobs[c].phi[i] = grid.New(16, 16, 16)
+			}
+		}
+		done := make(chan struct{}, callers)
+		for _, job := range jobs {
+			go func() {
+				for r := 0; r < rounds; r++ {
+					par.For(chunks, job, concurrentSolve.solve)
+				}
+				done <- struct{}{}
+			}()
+		}
+		deadline := time.After(time.Minute)
+		for range jobs {
+			select {
+			case <-done:
+			case <-deadline:
+				t.Fatalf("GOMAXPROCS %d: concurrent PotentialGridInto calls still running after a minute (deadlock)", procs)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+		for c, job := range jobs {
+			for i := range want {
+				for k, v := range want[i].Data {
+					if job.phi[i].Data[k] != v {
+						t.Fatalf("GOMAXPROCS %d, caller %d, chunk %d: phi[%d] = %v, serial %v", procs, c, i, k, job.phi[i].Data[k], v)
+					}
+				}
+			}
+		}
 	}
 }

@@ -5,19 +5,20 @@ import (
 
 	"tme4a/internal/md"
 	"tme4a/internal/solver"
+	"tme4a/internal/spme"
 	"tme4a/internal/vec"
 
 	// Plans validate and materialize through the solver registry; linking
-	// the implementation packages here (core registers "tme"; surface.go
-	// imports spme by name) keeps every plan the tuner can emit
-	// constructible by every caller of this package.
+	// the implementation packages here (core registers "tme"; spme is
+	// imported by name) keeps every plan the tuner can emit constructible
+	// by every caller of this package.
 	_ "tme4a/internal/core"
 	_ "tme4a/internal/msm"
 )
 
 // Alpha returns the plan's Ewald splitting parameter — derived, not
-// stored: every plan shares the RTol convention.
-func (p Plan) Alpha() float64 { return alphaFor(p.Rc) }
+// stored: every run shares the spme.RTol convention.
+func (p Plan) Alpha() float64 { return spme.Alpha(p.Rc) }
 
 // SolverConfig maps the plan onto the solver registry's superset config.
 func (p Plan) SolverConfig() solver.Config {
@@ -53,22 +54,49 @@ func (p Plan) Validate() error {
 	return solver.Validate(p.Method, p.SolverConfig())
 }
 
-// NewSolver constructs the plan's long-range solver for a box.
+// Check reports the two run conventions every entry point refuses a plan
+// for before it builds anything: a kernel family on a method other than
+// tme, and a mesh run whose pair list reach Rc + Skin falls below
+// md.MinMeshReach (the list would miss excluded pairs whose mesh
+// interaction the pair loop takes back).
+func (p Plan) Check() error {
+	if p.Kernel != "" && p.Method != "tme" {
+		return fmt.Errorf("kernel %q applies only to method tme", p.Kernel)
+	}
+	if p.Method != "cutoff" && p.Rc+p.Skin < md.MinMeshReach {
+		return fmt.Errorf("rc + skin = %g nm is below %g nm: the pair list would miss excluded pairs whose mesh interaction it takes back", p.Rc+p.Skin, md.MinMeshReach)
+	}
+	return nil
+}
+
+// NewSolver constructs the plan's long-range solver for a box; a "cutoff"
+// plan (erfc-screened short range only) has none and returns nil.
 func (p Plan) NewSolver(box vec.Box) (solver.Solver, error) {
+	if p.Method == "cutoff" {
+		return nil, nil
+	}
 	return solver.New(p.Method, p.SolverConfig(), box)
 }
 
-// NewIntegrator constructs a velocity-Verlet integrator running the plan:
-// the plan's solver behind a force field with the plan's cutoff and skin.
-func (p Plan) NewIntegrator(box vec.Box, dt float64) (*md.Integrator, error) {
+// NewForceField constructs the plan's force field for a box: its solver
+// behind the plan's cutoff, splitting and skin. The rank engine takes this
+// directly; NewIntegrator wraps it.
+func (p Plan) NewForceField(box vec.Box) (*md.ForceField, error) {
 	mesh, err := p.NewSolver(box)
 	if err != nil {
 		return nil, err
 	}
-	return &md.Integrator{
-		FF: &md.ForceField{Alpha: p.Alpha(), Rc: p.Rc, Skin: p.Skin, Mesh: mesh},
-		Dt: dt,
-	}, nil
+	return &md.ForceField{Alpha: p.Alpha(), Rc: p.Rc, Skin: p.Skin, Mesh: mesh}, nil
+}
+
+// NewIntegrator constructs a velocity-Verlet integrator of time step dt
+// running the plan's force field.
+func (p Plan) NewIntegrator(box vec.Box, dt float64) (*md.Integrator, error) {
+	ff, err := p.NewForceField(box)
+	if err != nil {
+		return nil, err
+	}
+	return &md.Integrator{FF: ff, Dt: dt}, nil
 }
 
 // PlainState strips a resume snapshot to the plan-independent state:

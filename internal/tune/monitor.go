@@ -17,11 +17,6 @@ import (
 // plan only changes when the reweighted ranking actually flips, so a
 // uniformly slow machine (both groups drift together) keeps its plan.
 type Monitor struct {
-	// Threshold is the relative drift that triggers a re-plan: 0.3 means
-	// a measured/predicted ratio outside [1/1.3, 1.3] on either stage
-	// group. Non-positive means the DefaultDriftThreshold.
-	Threshold float64
-
 	req     Request
 	plan    Plan
 	weights Weights
@@ -31,9 +26,11 @@ type Monitor struct {
 	haveBase  bool
 }
 
-// DefaultDriftThreshold is the re-plan trigger: the cost model's stage
-// weights are trusted to roughly ±30%; beyond that the measurements,
-// not the priors, should pick the plan.
+// DefaultDriftThreshold is the re-plan trigger, the relative drift past
+// which a measured/predicted ratio (outside [1/1.3, 1.3] on either stage
+// group) re-plans: the cost model's stage weights are trusted to roughly
+// ±30%; beyond that the measurements, not the priors, should pick the
+// plan.
 const DefaultDriftThreshold = 0.3
 
 // NewMonitor starts monitoring a running plan. The request should be the
@@ -51,14 +48,6 @@ func (m *Monitor) Plan() Plan { return m.plan }
 
 // Weights returns the monitor's current (possibly recalibrated) weights.
 func (m *Monitor) Weights() Weights { return m.weights }
-
-// threshold returns the effective drift threshold.
-func (m *Monitor) threshold() float64 {
-	if m.Threshold > 0 {
-		return m.Threshold
-	}
-	return DefaultDriftThreshold
-}
 
 // Observe ingests the cumulative profile at a checkpoint boundary after
 // stepsDone completed steps. The first call establishes the baseline
@@ -93,7 +82,7 @@ func (m *Monitor) Observe(p obs.Profile, stepsDone int64) (Plan, bool) {
 	}
 	rShort := gotShort / predShort
 	rMesh := gotMesh / predMesh
-	t := 1 + m.threshold()
+	t := 1 + DefaultDriftThreshold
 	if rShort < t && 1/rShort < t && rMesh < t && 1/rMesh < t {
 		return m.plan, false
 	}

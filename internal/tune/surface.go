@@ -18,7 +18,7 @@ import (
 //	w = g_c·α·h    grid-kernel window coverage in splitting widths
 //
 // Both keys are invariant under rescaling the box and the cutoff
-// together (α·rc is pinned by RTol), which is what lets a surface
+// together (α·rc is pinned by spme.RTol), which is what lets a surface
 // measured at one system size speak for other boxes and grids.
 
 // surfaceRc lists the measured cutoffs, ascending.
@@ -92,10 +92,6 @@ const msmSafety = 1.3
 // estimator's x keys and a rerun of the experiment can never disagree.
 func surfaceH() float64 { return water.CubicBoxFor(4096).L[0] / 16 }
 
-// alphaFor returns the Ewald splitting for a cutoff under the package's
-// fixed RTol convention.
-func alphaFor(rc float64) float64 { return spme.AlphaFromRTol(rc, RTol) }
-
 // surfaceXs returns the measured x = α·h keys, descending in rc order
 // (larger rc ⇒ smaller α ⇒ smaller x), i.e. ascending in x when read
 // back-to-front. Index order matches surfaceRc.
@@ -104,7 +100,7 @@ func surfaceXs() [3]float64 {
 	rcs := surfaceRc()
 	var xs [3]float64
 	for i := range rcs {
-		xs[i] = alphaFor(rcs[i]) * h
+		xs[i] = spme.Alpha(rcs[i]) * h
 	}
 	return xs
 }

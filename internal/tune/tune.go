@@ -34,13 +34,9 @@ import (
 	"sort"
 
 	"tme4a/internal/perfmodel"
+	"tme4a/internal/spme"
 	"tme4a/internal/vec"
 )
-
-// RTol is the erfc(α·rc) force tolerance every plan shares — the paper's
-// ewald-rtol = 1e-4 convention (the Table-1 surface the error estimator
-// is fit to was measured at this tolerance, so plans must not vary it).
-const RTol = 1e-4
 
 // Order is the B-spline interpolation order of every plan (the paper's
 // hardware operating point; the accuracy surface was measured at p = 6).
@@ -60,11 +56,12 @@ type Request struct {
 	Weights *Weights
 }
 
-// Plan is the tuner's output: a complete, validated parameterization of a
-// run. A Plan is a pure function of its Request, so it can be embedded in
-// checkpoint config hashes and golden decision tables.
+// Plan is a complete parameterization of a run; every run mode builds its
+// force field from one (engine.go). A tuned Plan is a pure function of its
+// Request, so it can be embedded in checkpoint config hashes and golden
+// decision tables.
 type Plan struct {
-	Method string  // "spme", "tme" or "msm"
+	Method string  // "spme", "tme" or "msm"; "cutoff" (no mesh) is never tuned
 	Kernel string  // TME middle-range family: "" (gauss), "gauss", "useries"
 	Rc     float64 // short-range cutoff (nm)
 	Skin   float64 // Verlet buffer (nm); 0 rebuilds the pair list every step
@@ -237,7 +234,7 @@ func Enumerate(req Request) ([]Candidate, error) {
 	}
 
 	for _, rc := range rcCandidates(lmin) {
-		alpha := alphaFor(rc)
+		alpha := spme.Alpha(rc)
 		for _, skin := range []float64{0, maxSkin} {
 			if rc+skin >= boxEdgeShare*lmin+1e-12 {
 				continue

@@ -5,6 +5,7 @@
 package water
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 
@@ -31,7 +32,6 @@ func Build(nx, ny, nz int, box vec.Box, seed int64) *md.System {
 	sys.WaterModel = Model()
 	rng := rand.New(rand.NewSource(seed))
 
-	w := sys.WaterModel
 	// Canonical molecule about its COM (matching constraint geometry).
 	h := units.TIP3PROH * math.Cos(units.TIP3PAngleHOH/2)
 	x := units.TIP3PROH * math.Sin(units.TIP3PAngleHOH/2)
@@ -42,7 +42,6 @@ func Build(nx, ny, nz int, box vec.Box, seed int64) *md.System {
 		{-x, yO - h, 0}, // H1
 		{x, yO - h, 0},  // H2
 	}
-	_ = w
 
 	spacing := vec.V{box.L[0] / float64(nx), box.L[1] / float64(ny), box.L[2] / float64(nz)}
 	minContact2 := 0.13 * 0.13
@@ -143,12 +142,51 @@ func CubicBoxFor(nmol int) vec.Box {
 func Equilibrate(sys *md.System, steps int, dt, temperature, rc float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	sys.InitVelocities(temperature, rng)
-	alpha := spme.AlphaFromRTol(rc, 1e-4)
 	integ := &md.Integrator{
-		FF:         &md.ForceField{Alpha: alpha, Rc: rc},
+		FF:         &md.ForceField{Alpha: spme.Alpha(rc), Rc: rc},
 		Dt:         dt,
 		Thermostat: &md.Thermostat{T: temperature, Tau: 0.1},
 	}
 	integ.Run(sys, steps, nil)
 	sys.RemoveCOMMotion()
+}
+
+// Fresh returns the start of a run on side³ TIP3P molecules: Build's
+// lattice in CubicBoxFor's box on seed, then, for equil > 0, Equilibrate's
+// equil thermostatted steps of dt at equilT on seed+1, with the
+// short-range cutoff min(0.9 nm, rc); rc ≤ 0 selects 0.475·L, the largest
+// the box edge L holds with a margin. Draw continues the seed chain.
+func Fresh(side int, seed int64, equil int, dt, equilT, rc float64) *md.System {
+	box := CubicBoxFor(side * side * side)
+	sys := Build(side, side, side, box, seed)
+	if equil > 0 {
+		if rc <= 0 {
+			rc = box.L[0] / 2 * 0.95
+		}
+		Equilibrate(sys, equil, dt, equilT, math.Min(0.9, rc), seed+1)
+	}
+	return sys
+}
+
+// Draw gives sys Maxwell–Boltzmann velocities at temperature T on seed+2,
+// the third draw of the seed chain Fresh starts.
+func Draw(sys *md.System, T float64, seed int64) {
+	sys.InitVelocities(T, rand.New(rand.NewSource(seed+2)))
+}
+
+// Meta is the builder record a snapshot of a Fresh box carries, from which
+// Rebuild reconstructs its topology.
+func Meta(side int, seed int64) map[string]int64 {
+	return map[string]int64{"side": int64(side), "seed": seed}
+}
+
+// Rebuild reconstructs the topology of a snapshot carrying Meta's record,
+// in the snapshot's box. Positions and velocities are the caller's to
+// restore from the snapshot, so there is no equilibration and no draw.
+func Rebuild(snap *md.Snapshot) (*md.System, error) {
+	side := int(snap.Meta["side"])
+	if side <= 0 {
+		return nil, errors.New("water: snapshot carries no builder meta")
+	}
+	return Build(side, side, side, snap.Box, snap.Meta["seed"]), nil
 }

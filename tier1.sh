@@ -57,11 +57,14 @@ go test -race ./internal/grid/ ./internal/pmesh/ \
 	./internal/quad/ ./internal/solver/ ./internal/tune/ \
 	./internal/serve/ ./internal/dist/
 go test -race -short ./internal/md/ ./internal/expt/ ./internal/rank/
-go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 30s ./internal/md/
-go test -run '^$' -fuzz '^FuzzJobSpecDecode$' -fuzztime 15s ./internal/serve/
-go test -run '^$' -fuzz '^FuzzHaloPartition$' -fuzztime 10s ./internal/dist/
-go test -run '^$' -fuzz '^FuzzIgnoreDirective$' -fuzztime 10s ./internal/lint/
-go test -run '^$' -fuzz '^FuzzPlanRequest$' -fuzztime 10s ./internal/tune/
+# Each new corpus entry is minimised for at most 2 s: at Go's default of
+# 60 s, FuzzSnapshotDecode's first minimisation took its whole budget
+# (129 execs in 30 s).
+go test -run '^$' -fuzz '^FuzzSnapshotDecode$' -fuzztime 30s -fuzzminimizetime 2s ./internal/md/
+go test -run '^$' -fuzz '^FuzzJobSpecDecode$' -fuzztime 15s -fuzzminimizetime 2s ./internal/serve/
+go test -run '^$' -fuzz '^FuzzHaloPartition$' -fuzztime 10s -fuzzminimizetime 2s ./internal/dist/
+go test -run '^$' -fuzz '^FuzzIgnoreDirective$' -fuzztime 10s -fuzzminimizetime 2s ./internal/lint/
+go test -run '^$' -fuzz '^FuzzPlanRequest$' -fuzztime 10s -fuzzminimizetime 2s ./internal/tune/
 go run ./cmd/mdrun -tune -errbudget 1e-3 -side 5 -steps 20 -report 10
 # End-to-end resume: a run checkpointed at step 20 and resumed to step 40
 # prints the straight run's step-40 energies byte for byte, plain and under
