@@ -92,24 +92,8 @@ var (
 
 func main() {
 	flag.Parse()
-	if *tuneOn {
-		if *in != "" {
-			fatalf("-tune plans from -side; it does not combine with -in")
-		}
-		if *ranks > 0 {
-			fatalf("-tune does not combine with -ranks")
-		}
-	}
-	if *retune {
-		if !*tuneOn {
-			fatalf("-retune requires -tune")
-		}
-		if *ckDir == "" || *ckEvery <= 0 {
-			fatalf("-retune re-plans at checkpoint boundaries; set -checkpoint-dir and -checkpoint-every")
-		}
-		if *nvt {
-			fatalf("-retune is NVE only; drop -nvt")
-		}
+	if err := checkFlags(); err != nil {
+		fatalf("%v", err)
 	}
 
 	// Auto-tuning resolves the plan before anything else: it is a pure
@@ -380,6 +364,27 @@ func renderObs(rec *obs.Recorder, label string, atoms int) {
 	}
 	fmt.Println()
 	rec.Report(label, atoms, runtime.GOMAXPROCS(0)).Render(os.Stdout, 60)
+}
+
+// checkFlags rejects flag values and combinations mdrun cannot run.
+func checkFlags() error {
+	switch {
+	case *side < 1:
+		return fmt.Errorf("-side %d: want at least 1 water per box edge", *side)
+	case *every < 1:
+		return fmt.Errorf("-report %d: want a report interval of at least 1 step", *every)
+	case *tuneOn && *in != "":
+		return fmt.Errorf("-tune plans from -side; it does not combine with -in")
+	case *tuneOn && *ranks > 0:
+		return fmt.Errorf("-tune does not combine with -ranks")
+	case *retune && !*tuneOn:
+		return fmt.Errorf("-retune requires -tune")
+	case *retune && (*ckDir == "" || *ckEvery <= 0):
+		return fmt.Errorf("-retune re-plans at checkpoint boundaries; set -checkpoint-dir and -checkpoint-every")
+	case *retune && *nvt:
+		return fmt.Errorf("-retune is NVE only; drop -nvt")
+	}
+	return nil
 }
 
 func fatalf(format string, args ...interface{}) {

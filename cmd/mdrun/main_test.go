@@ -19,20 +19,50 @@ func TestConfigString(t *testing.T) {
 		{[]string{"-tune", "-errbudget", "1e-3"}, `mdrun in="" side=10 method=tme kernel=gauss rc=1 grid=16 M=2 gc=8 L=1 T=300 nvt=false seed=1 dt=0.001 tune=true errbudget=0.001 skin=0.1 retune=false`},
 	}
 	for _, tc := range cases {
-		flag.VisitAll(func(f *flag.Flag) {
-			if !strings.HasPrefix(f.Name, "test.") {
-				f.Value.Set(f.DefValue)
-			}
-		})
-		if err := flag.CommandLine.Parse(tc.args); err != nil {
-			t.Fatal(err)
-		}
+		parseFlags(t, tc.args)
 		plan, _, err := flagPlan()
 		if err != nil {
 			t.Fatalf("%v: %v", tc.args, err)
 		}
 		if got := configString(plan); got != tc.want {
 			t.Errorf("%v:\n got %s\nwant %s", tc.args, got, tc.want)
+		}
+	}
+}
+
+// parseFlags resets every mdrun flag to its default, then parses args.
+func parseFlags(t *testing.T, args []string) {
+	t.Helper()
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			f.Value.Set(f.DefValue)
+		}
+	})
+	if err := flag.CommandLine.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckFlags: values mdrun cannot run with are refused with a one-line
+// error before anything is built; -report 0 used to panic dividing by
+// zero and -side -1 sizing a slice.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // error substring; "" for accepted flags
+	}{
+		{nil, ""},
+		{[]string{"-side", "1", "-report", "1"}, ""},
+		{[]string{"-report", "0"}, "-report 0"},
+		{[]string{"-report", "-3"}, "-report -3"},
+		{[]string{"-side", "-1"}, "-side -1"},
+		{[]string{"-side", "0"}, "-side 0"},
+		{[]string{"-retune"}, "-retune requires -tune"},
+	} {
+		parseFlags(t, tc.args)
+		err := checkFlags()
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%v: checkFlags() = %v, want %q", tc.args, err, tc.want)
 		}
 	}
 }

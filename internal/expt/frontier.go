@@ -10,11 +10,9 @@ import (
 	"strings"
 	"time"
 
-	"tme4a/internal/ewald"
 	"tme4a/internal/md"
 	"tme4a/internal/obs"
 	"tme4a/internal/tune"
-	"tme4a/internal/vec"
 )
 
 // FrontierConfig parameterizes the measured plan sweep: on each water box,
@@ -150,22 +148,13 @@ func frontierBox(cfg FrontierConfig, side int, w io.Writer) ([]FrontierRow, []Fr
 		return nil, nil, fmt.Errorf("frontier: side %d: enumerate: %w", side, err)
 	}
 
-	// The short-range term is shared by every candidate at the same
-	// cutoff: compute it once per distinct rc.
-	fSR := map[float64][]vec.V{}
-	measErr := make([]float64, len(cands))
+	plans := make([]tune.Plan, len(cands))
 	for i, c := range cands {
-		if fSR[c.Rc] == nil {
-			fSR[c.Rc] = make([]vec.V, sys.N())
-			ewald.RealSpace(sys.Box, sys.Pos, sys.Q, c.Alpha(), c.Rc, nil, fSR[c.Rc])
-		}
-		mesh, err := c.NewSolver(sys.Box)
-		if err != nil {
-			return nil, nil, fmt.Errorf("frontier: %s: %w", c.String(), err)
-		}
-		f := cloneForces(fSR[c.Rc])
-		mesh.LongRange(sys.Pos, sys.Q, f)
-		measErr[i] = relForceError(f, fRef)
+		plans[i] = c.Plan
+	}
+	measErr, err := planErrors(sys, fRef, plans)
+	if err != nil {
+		return nil, nil, fmt.Errorf("frontier: %w", err)
 	}
 
 	var rows []FrontierRow

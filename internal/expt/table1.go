@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
-	"tme4a/internal/core"
 	"tme4a/internal/ewald"
 	"tme4a/internal/md"
-	"tme4a/internal/spme"
+	"tme4a/internal/tune"
 	"tme4a/internal/vec"
 	"tme4a/internal/water"
 )
@@ -68,8 +69,9 @@ type Table1Row struct {
 
 // RunTable1 builds the water system, computes the double-precision Ewald
 // reference forces (cached), and measures the relative force error of
-// SPME and of TME over the g_c × M sweep for each cutoff. Rows are written
-// to w as they are produced.
+// SPME and of TME over the g_c × M sweep for each cutoff, each through
+// its tune.Plan like every frontier candidate. Each cutoff's rows are
+// written to w once they are measured.
 func RunTable1(cfg Table1Config, w io.Writer) []Table1Row {
 	logf(w, "# Table 1: %d TIP3P waters, grid %d^3\n",
 		cfg.WaterSide*cfg.WaterSide*cfg.WaterSide, cfg.GridN)
@@ -78,8 +80,7 @@ func RunTable1(cfg Table1Config, w io.Writer) []Table1Row {
 	logf(w, "# box %.4f nm, h %.4f nm, %d atoms\n",
 		sys.Box.L[0], sys.Box.L[0]/float64(cfg.GridN), sys.N())
 
-	eRef, fRef := referenceForces(cfg, sys, w)
-	_ = eRef
+	_, fRef := referenceForces(cfg, sys, w)
 
 	var rows []Table1Row
 	logf(w, "method,rc,gc,M,relative_force_error\n")
@@ -88,36 +89,49 @@ func RunTable1(cfg Table1Config, w io.Writer) []Table1Row {
 			logf(w, "# skipping rc=%.2f (exceeds half box)\n", rc)
 			continue
 		}
-		alpha := spme.Alpha(rc)
-		// The short-range forces are identical for SPME and every TME
-		// configuration at this cutoff: compute once.
-		fSR := make([]vec.V, sys.N())
-		ewald.RealSpace(sys.Box, sys.Pos, sys.Q, alpha, rc, nil, fSR)
-
-		// SPME row.
-		sp := spme.New(spme.Params{Alpha: alpha, Rc: rc, Order: 6, N: n}, sys.Box)
-		f := cloneForces(fSR)
-		sp.Recip(sys.Pos, sys.Q, f)
-		row := Table1Row{Method: "SPME", Rc: rc, Err: relForceError(f, fRef)}
-		rows = append(rows, row)
-		logf(w, "SPME,%.2f,,,%.3e\n", rc, row.Err)
-
-		// TME sweep.
+		// SPME, then the TME g_c × M sweep, all at tune.Order and L = 1.
+		plans := []tune.Plan{{Method: "spme", Rc: rc, Grid: n, Order: tune.Order}}
 		for _, gc := range cfg.Gcs {
 			for _, m := range cfg.Ms {
-				tme := core.New(core.Params{
-					Alpha: alpha, Rc: rc, Order: 6, N: n,
-					Levels: 1, M: m, Gc: gc,
-				}, sys.Box)
-				f := cloneForces(fSR)
-				tme.LongRange(sys.Pos, sys.Q, f)
-				row := Table1Row{Method: "TME", Rc: rc, Gc: gc, M: m, Err: relForceError(f, fRef)}
-				rows = append(rows, row)
-				logf(w, "TME,%.2f,%d,%d,%.3e\n", rc, gc, m, row.Err)
+				plans = append(plans, tune.Plan{Method: "tme", Rc: rc, Grid: n, Gc: gc, M: m, Levels: 1, Order: tune.Order})
+			}
+		}
+		errs, err := planErrors(sys, fRef, plans)
+		if err != nil {
+			panic(fmt.Sprintf("table1: %v", err))
+		}
+		for i, p := range plans {
+			rows = append(rows, Table1Row{Method: strings.ToUpper(p.Method), Rc: rc, Gc: p.Gc, M: p.M, Err: errs[i]})
+			if p.Method == "spme" {
+				logf(w, "SPME,%.2f,,,%.3e\n", rc, errs[i])
+			} else {
+				logf(w, "TME,%.2f,%d,%d,%.3e\n", rc, p.Gc, p.M, errs[i])
 			}
 		}
 	}
 	return rows
+}
+
+// planErrors measures each plan's relative force error against the
+// reference fRef: the erfc short range at the plan's cutoff, computed once
+// per distinct cutoff, plus the plan's mesh solve through LongRange.
+func planErrors(sys *md.System, fRef []vec.V, plans []tune.Plan) ([]float64, error) {
+	fSR := map[float64][]vec.V{}
+	errs := make([]float64, len(plans))
+	for i, p := range plans {
+		if fSR[p.Rc] == nil {
+			fSR[p.Rc] = make([]vec.V, sys.N())
+			ewald.RealSpace(sys.Box, sys.Pos, sys.Q, p.Alpha(), p.Rc, nil, fSR[p.Rc])
+		}
+		mesh, err := p.NewSolver(sys.Box)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p.String(), err)
+		}
+		f := slices.Clone(fSR[p.Rc])
+		mesh.LongRange(sys.Pos, sys.Q, f)
+		errs[i] = relForceError(f, fRef)
+	}
+	return errs, nil
 }
 
 // buildWater constructs and lightly equilibrates the water box.
@@ -156,12 +170,6 @@ func referenceForces(cfg Table1Config, sys *md.System, w io.Writer) (float64, []
 		logf(w, "# cache write failed: %v\n", err)
 	}
 	return e, f
-}
-
-func cloneForces(f []vec.V) []vec.V {
-	out := make([]vec.V, len(f))
-	copy(out, f)
-	return out
 }
 
 func relForceError(f, ref []vec.V) float64 {

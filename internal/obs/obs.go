@@ -23,10 +23,12 @@
 //     uninstrumented runs pay one nil check per span — the ForceField,
 //     Integrator, meshers and plans all hold a nil recorder by default.
 //
-// Stages may nest (fft inside the top-level SPME solve, the neighbor-list
+// Stages nest (fft inside the top-level SPME solve, the neighbor-list
 // rebuild inside short-range, everything inside the step total); the
-// report presents raw per-stage sums and leaves the hierarchy to the
-// reader, exactly like the paper's machine-time chart.
+// stage table in obs.go is the one statement of that nesting, which
+// Stage.Within answers and the tuner's cost rows are keyed by. The report
+// presents raw per-stage sums and leaves the hierarchy to the reader,
+// exactly like the paper's machine-time chart.
 package obs
 
 import "sync/atomic"
@@ -56,46 +58,31 @@ const (
 	NumStages                    // number of preregistered stages
 )
 
-// stageNames are the human-readable chart labels, indexed by Stage.
-var stageNames = [NumStages]string{
-	"charge assign",
-	"restrict",
-	"grid conv",
-	"top SPME",
-	"fft",
-	"prolong",
-	"back interp",
-	"mesh total",
-	"short-range",
-	"neighbor build",
-	"bonded",
-	"constraint",
-	"force merge",
-	"overlap window",
-	"integrate",
-	"step total",
-	"ckpt write",
-}
-
-// stageJSONNames are the machine-readable identifiers, indexed by Stage.
-var stageJSONNames = [NumStages]string{
-	"charge_assign",
-	"restrict",
-	"grid_conv",
-	"top_spme",
-	"fft",
-	"prolong",
-	"back_interp",
-	"mesh_total",
-	"short_range",
-	"neighbor_build",
-	"bonded",
-	"constraint",
-	"force_merge",
-	"overlap_window",
-	"integrate",
-	"step_total",
-	"ckpt_write",
+// stageTable holds each stage's chart label, JSON name and the innermost
+// stage whose spans enclose its own (NumStages for none). A plain SPME
+// solve records no top span and the rank engine no overlap window; there
+// the fft and the force terms sit one level up.
+var stageTable = [NumStages]struct {
+	label, json string
+	in          Stage
+}{
+	StageAssign:     {"charge assign", "charge_assign", StageMesh},
+	StageRestrict:   {"restrict", "restrict", StageMesh},
+	StageConv:       {"grid conv", "grid_conv", StageMesh},
+	StageTopSPME:    {"top SPME", "top_spme", StageMesh},
+	StageFFT:        {"fft", "fft", StageTopSPME},
+	StageProlong:    {"prolong", "prolong", StageMesh},
+	StageInterp:     {"back interp", "back_interp", StageMesh},
+	StageMesh:       {"mesh total", "mesh_total", StageOverlap},
+	StageShortRange: {"short-range", "short_range", StageOverlap},
+	StageNeighbor:   {"neighbor build", "neighbor_build", StageShortRange},
+	StageBonded:     {"bonded", "bonded", StageOverlap},
+	StageConstraint: {"constraint", "constraint", StageStep},
+	StageMerge:      {"force merge", "force_merge", StageStep},
+	StageOverlap:    {"overlap window", "overlap_window", StageStep},
+	StageIntegrate:  {"integrate", "integrate", StageStep},
+	StageStep:       {"step total", "step_total", NumStages},
+	StageCheckpoint: {"ckpt write", "ckpt_write", NumStages},
 }
 
 // String returns the chart label of the stage.
@@ -103,7 +90,7 @@ func (s Stage) String() string {
 	if s >= NumStages {
 		return "unknown"
 	}
-	return stageNames[s]
+	return stageTable[s].label
 }
 
 // JSONName returns the machine-readable identifier of the stage.
@@ -111,7 +98,17 @@ func (s Stage) JSONName() string {
 	if s >= NumStages {
 		return "unknown"
 	}
-	return stageJSONNames[s]
+	return stageTable[s].json
+}
+
+// Within reports whether stage s is t or nested, at any depth, inside t.
+func (s Stage) Within(t Stage) bool {
+	for ; s < NumStages; s = stageTable[s].in {
+		if s == t {
+			return true
+		}
+	}
+	return false
 }
 
 // Counter identifies one preregistered event counter.

@@ -172,3 +172,52 @@ func TestStageAndCounterNames(t *testing.T) {
 		t.Error("out-of-range names must render as unknown")
 	}
 }
+
+// TestStageTable pins every stage's chart label and JSON name in stage
+// order (bench/, the frontier's columns and serve's /metrics read them)
+// and the nesting the tuner's cost rows and drift monitor rely on.
+func TestStageTable(t *testing.T) {
+	want := [NumStages][2]string{
+		{"charge assign", "charge_assign"}, {"restrict", "restrict"},
+		{"grid conv", "grid_conv"}, {"top SPME", "top_spme"}, {"fft", "fft"},
+		{"prolong", "prolong"}, {"back interp", "back_interp"},
+		{"mesh total", "mesh_total"}, {"short-range", "short_range"},
+		{"neighbor build", "neighbor_build"}, {"bonded", "bonded"},
+		{"constraint", "constraint"}, {"force merge", "force_merge"},
+		{"overlap window", "overlap_window"}, {"integrate", "integrate"},
+		{"step total", "step_total"}, {"ckpt write", "ckpt_write"},
+	}
+	for s := Stage(0); s < NumStages; s++ {
+		if got := [2]string{s.String(), s.JSONName()}; got != want[s] {
+			t.Errorf("stage %d named %q, want %q", s, got, want[s])
+		}
+		if !s.Within(s) {
+			t.Errorf("%s not within itself", s)
+		}
+		if s != StageCheckpoint && !s.Within(StageStep) {
+			t.Errorf("%s not within the step total", s)
+		}
+	}
+	for _, s := range []Stage{StageAssign, StageRestrict, StageConv, StageTopSPME, StageFFT, StageProlong, StageInterp} {
+		if !s.Within(StageMesh) || s.Within(StageShortRange) {
+			t.Errorf("%s: want within the mesh total only", s)
+		}
+	}
+	for _, c := range []struct {
+		s, t Stage
+		want bool
+	}{
+		{StageFFT, StageTopSPME, true},
+		{StageNeighbor, StageShortRange, true},
+		{StageNeighbor, StageMesh, false},
+		{StageShortRange, StageNeighbor, false},
+		{StageMesh, StageOverlap, true},
+		{StageMerge, StageOverlap, false},
+		{StageCheckpoint, StageStep, false},
+		{Stage(200), StageStep, false},
+	} {
+		if got := c.s.Within(c.t); got != c.want {
+			t.Errorf("%s within %s = %v, want %v", c.s, c.t, got, c.want)
+		}
+	}
+}

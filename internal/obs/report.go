@@ -84,15 +84,6 @@ func (r *Recorder) Report(label string, atoms, gomaxprocs int) Report {
 	return rep
 }
 
-// chartLabels maps JSON stage names back to chart labels.
-var chartLabels = func() map[string]string {
-	m := make(map[string]string, NumStages)
-	for s := Stage(0); s < NumStages; s++ {
-		m[s.JSONName()] = s.String()
-	}
-	return m
-}()
-
 // Render writes the Fig 9-style text chart: one bar per recorded stage,
 // scaled to the stage's share of the step total, with the mean per-step
 // time alongside. width is the bar width in characters (≤ 0 uses 50).
@@ -151,9 +142,13 @@ func (rep Report) counter(c Counter) int64 {
 	return 0
 }
 
+// chartLabel returns the chart label of the stage with the given JSON
+// name, or the name itself for a stage this build does not know.
 func chartLabel(jsonName string) string {
-	if l, ok := chartLabels[jsonName]; ok {
-		return l
+	for s := Stage(0); s < NumStages; s++ {
+		if s.JSONName() == jsonName {
+			return s.String()
+		}
 	}
 	return jsonName
 }

@@ -79,45 +79,6 @@ func CostTable(gc, m int) []CostRow {
 	return rows
 }
 
-// StageCost is one row of a per-stage cost estimate: the model's raw unit
-// count for the stage (MACs, grid points moved, or weighted messages) and
-// its weighted time contribution. The auto-tuner (internal/tune) scores
-// candidate plans from these rows rather than from aggregate totals, so a
-// scoring change is attributable to a single pipeline stage.
-type StageCost struct {
-	Stage string  // stage identifier, e.g. "fft", "conv", "halo", "top"
-	Units float64 // raw model units (MACs / grid points / messages)
-	Time  float64 // weighted time contribution (model time units)
-}
-
-// Breakdown is a method's per-stage cost estimate. Stage order is fixed
-// per method (compute stages first, then communication), so summation
-// order — and hence the float64 total — is deterministic.
-type Breakdown struct {
-	Method string
-	Stages []StageCost
-}
-
-// Total sums the stage contributions in row order.
-func (b Breakdown) Total() float64 {
-	var t float64
-	for _, s := range b.Stages {
-		t += s.Time
-	}
-	return t
-}
-
-// StageTime returns the named stage's weighted contribution (0 when the
-// method has no such stage).
-func (b Breakdown) StageTime(stage string) float64 {
-	for _, s := range b.Stages {
-		if s.Stage == stage {
-			return s.Time
-		}
-	}
-	return 0
-}
-
 // ScalingParams configures the strong-scaling model. Times are arbitrary
 // units; defaults are tuned so the PME/MSM crossover lands near 512 cores
 // for a 92k-atom (64³ grid) system, matching Hardy et al. Fig. 10 as cited
@@ -143,67 +104,42 @@ func DefaultScaling() ScalingParams {
 	}
 }
 
-// PMEBreakdown models the long-range cost of SPME on p processors as
-// per-stage rows: local FFT work plus two all-to-all transpose phases
-// whose message count grows with p (the strong-scaling killer the paper
-// targets).
-func (s ScalingParams) PMEBreakdown(p int) Breakdown {
+// PMETime models the long-range cost of SPME on p processors: local FFT
+// work plus two all-to-all transpose phases whose message count grows
+// with p (the strong-scaling killer the paper targets).
+func (s ScalingParams) PMETime(p int) float64 {
 	n3 := float64(s.GridN * s.GridN * s.GridN)
 	log2n := 0.0
 	for n := s.GridN; n > 1; n >>= 1 {
 		log2n++
 	}
-	fftUnits := 5 * 3 * n3 * log2n / float64(p)
+	fft := 5 * 3 * n3 * log2n / float64(p) * s.FlopTime
 	// Two transposes: each rank sends p−1 messages of n³/p² points.
-	transposeUnits := 2 * (float64(p-1)*0.08 + 2*n3/float64(p))
-	return Breakdown{Method: "spme", Stages: []StageCost{
-		{Stage: "fft", Units: fftUnits, Time: fftUnits * s.FlopTime},
-		{Stage: "transpose", Units: transposeUnits,
-			Time: 2 * (s.Latency*float64(p-1)*0.08 + s.Bandwidth*2*n3/float64(p))},
-	}}
+	transpose := 2 * (s.Latency*float64(p-1)*0.08 + s.Bandwidth*2*n3/float64(p))
+	return fft + transpose
 }
 
-// PMETime is the total of PMEBreakdown.
-func (s ScalingParams) PMETime(p int) float64 { return s.PMEBreakdown(p).Total() }
-
-// MSMBreakdown models B-spline MSM on p processors: direct 3D convolution
-// over the local grid plus a fixed 26-neighbour halo exchange.
-func (s ScalingParams) MSMBreakdown(p int) Breakdown {
+// MSMTime models B-spline MSM on p processors: direct 3D convolution over
+// the local grid plus a fixed 26-neighbour halo exchange.
+func (s ScalingParams) MSMTime(p int) float64 {
 	n3 := float64(s.GridN * s.GridN * s.GridN)
-	local := n3 / float64(p)
 	taps := float64(2*s.Gc + 1)
-	convUnits := taps * taps * taps * local
-	nxpx := float64(s.GridN) / math.Cbrt(float64(p))
-	gamma := nxpx / float64(s.Gc)
-	haloUnits := CommCostMSM(s.Gc, gamma)
-	return Breakdown{Method: "msm", Stages: []StageCost{
-		{Stage: "conv", Units: convUnits, Time: convUnits * s.FlopTime},
-		{Stage: "halo", Units: haloUnits, Time: s.Latency*26*0.08 + s.Bandwidth*haloUnits},
-	}}
+	conv := taps * taps * taps * (n3 / float64(p)) * s.FlopTime
+	gamma := float64(s.GridN) / math.Cbrt(float64(p)) / float64(s.Gc)
+	halo := s.Latency*26*0.08 + s.Bandwidth*CommCostMSM(s.Gc, gamma)
+	return conv + halo
 }
 
-// MSMTime is the total of MSMBreakdown.
-func (s ScalingParams) MSMTime(p int) float64 { return s.MSMBreakdown(p).Total() }
-
-// TMEBreakdown models the TME on p processors: separable convolutions
-// plus the axis-wise neighbour exchange and a small constant top-level
-// roundtrip (octree + 16³ FFT).
-func (s ScalingParams) TMEBreakdown(p int) Breakdown {
+// TMETime models the TME on p processors: separable convolutions plus the
+// axis-wise neighbour exchange and a small constant top-level roundtrip
+// (octree + 16³ FFT).
+func (s ScalingParams) TMETime(p int) float64 {
 	n3 := float64(s.GridN * s.GridN * s.GridN)
-	local := n3 / float64(p)
-	convUnits := 3 * float64(2*s.Gc+1) * float64(s.M) * local
-	nxpx := float64(s.GridN) / math.Cbrt(float64(p))
-	gamma := nxpx / float64(s.Gc)
-	haloUnits := CommCostTME(s.Gc, s.M, gamma)
-	return Breakdown{Method: "tme", Stages: []StageCost{
-		{Stage: "conv", Units: convUnits, Time: convUnits * s.FlopTime},
-		{Stage: "halo", Units: haloUnits, Time: s.Latency*6*0.08 + s.Bandwidth*haloUnits},
-		{Stage: "top", Units: 1, Time: 2000},
-	}}
+	conv := 3 * float64(2*s.Gc+1) * float64(s.M) * (n3 / float64(p)) * s.FlopTime
+	gamma := float64(s.GridN) / math.Cbrt(float64(p)) / float64(s.Gc)
+	halo := s.Latency*6*0.08 + s.Bandwidth*CommCostTME(s.Gc, s.M, gamma)
+	return conv + halo + 2000
 }
-
-// TMETime is the total of TMEBreakdown.
-func (s ScalingParams) TMETime(p int) float64 { return s.TMEBreakdown(p).Total() }
 
 // Table2Row is one line of the paper's Table 2.
 type Table2Row struct {

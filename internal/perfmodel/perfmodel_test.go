@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"math"
 	"testing"
 )
 
@@ -50,43 +51,23 @@ func TestCostTableMatchesSecIIIC(t *testing.T) {
 	}
 }
 
-// TestBreakdownRows checks that the per-stage rows the tuner scores with
-// sum to exactly the aggregate times (bit-identical association order)
-// and carry the expected stage structure per method.
-func TestBreakdownRows(t *testing.T) {
+// TestScalingTotalsPinned pins the bits of the three strong-scaling
+// totals, which results/costmodel.csv prints, at five processor counts.
+func TestScalingTotalsPinned(t *testing.T) {
 	s := DefaultScaling()
-	for _, p := range []int{8, 64, 512, 4096} {
-		for _, tc := range []struct {
-			b      Breakdown
-			total  float64
-			stages []string
-		}{
-			{s.PMEBreakdown(p), s.PMETime(p), []string{"fft", "transpose"}},
-			{s.MSMBreakdown(p), s.MSMTime(p), []string{"conv", "halo"}},
-			{s.TMEBreakdown(p), s.TMETime(p), []string{"conv", "halo", "top"}},
-		} {
-			if got := tc.b.Total(); got != tc.total {
-				t.Errorf("p=%d %s: Breakdown.Total %g != aggregate %g", p, tc.b.Method, got, tc.total)
-			}
-			if len(tc.b.Stages) != len(tc.stages) {
-				t.Fatalf("p=%d %s: %d stages, want %d", p, tc.b.Method, len(tc.b.Stages), len(tc.stages))
-			}
-			var sum float64
-			for i, st := range tc.b.Stages {
-				if st.Stage != tc.stages[i] {
-					t.Errorf("p=%d %s: stage %d is %q, want %q", p, tc.b.Method, i, st.Stage, tc.stages[i])
-				}
-				if st.Units <= 0 || st.Time <= 0 {
-					t.Errorf("p=%d %s/%s: non-positive row %+v", p, tc.b.Method, st.Stage, st)
-				}
-				sum += st.Time
-				if got := tc.b.StageTime(st.Stage); got != st.Time {
-					t.Errorf("p=%d %s: StageTime(%q) = %g, want %g", p, tc.b.Method, st.Stage, got, st.Time)
-				}
-			}
-			if tc.b.StageTime("no-such-stage") != 0 {
-				t.Errorf("p=%d %s: StageTime of unknown stage not 0", p, tc.b.Method)
-			}
+	for _, c := range []struct {
+		p             int
+		pme, msm, tme uint64
+	}{
+		{1, 0x4178800000000000, 0x41d332ee18000000, 0x418a106b80000000},
+		{8, 0x4148869000000000, 0x41a335f0c0000000, 0x415aa35c00000000},
+		{64, 0x411a588000000000, 0x4173408600000000, 0x412bdae000000000},
+		{512, 0x4112088000000000, 0x4143713000000000, 0x40fed70000000000},
+		{4096, 0x413e16a000000000, 0x41148a8000000000, 0x40d49c0000000000},
+	} {
+		got := [3]uint64{math.Float64bits(s.PMETime(c.p)), math.Float64bits(s.MSMTime(c.p)), math.Float64bits(s.TMETime(c.p))}
+		if want := [3]uint64{c.pme, c.msm, c.tme}; got != want {
+			t.Errorf("p=%d: PME/MSM/TME bits %#x, want %#x", c.p, got, want)
 		}
 	}
 }

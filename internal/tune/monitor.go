@@ -72,34 +72,37 @@ func (m *Monitor) Observe(p obs.Profile, stepsDone int64) (Plan, bool) {
 	}
 	m.base, m.baseSteps = p, stepsDone
 
+	// Each predicted group, the rows within a stage, is compared with that
+	// stage's measured time alone: the short range (pair loop, exclusion
+	// corrections and the list rebuild, whose span nests in it) and the
+	// mesh.
+	monitored := [...]obs.Stage{obs.StageShortRange, obs.StageMesh}
 	pred := m.weights.StepCost(m.req, m.plan)
-	predShort := shortGroup(pred)
-	predMesh := meshGroup(pred)
-	gotShort := float64(window.StageNs(obs.StageShortRange)+window.StageNs(obs.StageNeighbor)) / float64(steps)
-	gotMesh := float64(window.StageNs(obs.StageMesh)) / float64(steps)
-	if gotShort <= 0 || gotMesh <= 0 || predShort <= 0 || predMesh <= 0 {
-		return m.plan, false // window too small or untimed; nothing to learn
+	var r [len(monitored)]float64
+	t, drift := 1+DefaultDriftThreshold, false
+	for i, g := range monitored {
+		got := float64(window.StageNs(g)) / float64(steps)
+		want := pred.Within(g)
+		if got <= 0 || want <= 0 {
+			return m.plan, false // window too small or untimed; nothing to learn
+		}
+		r[i] = got / want
+		drift = drift || r[i] >= t || 1/r[i] >= t
 	}
-	rShort := gotShort / predShort
-	rMesh := gotMesh / predMesh
-	t := 1 + DefaultDriftThreshold
-	if rShort < t && 1/rShort < t && rMesh < t && 1/rMesh < t {
+	if !drift {
 		return m.plan, false
 	}
 
-	// Recalibrate: scale each group's weights by its measured ratio, then
+	// Recalibrate: scale each group's prices by its measured ratio, then
 	// re-plan under the corrected model.
 	w := m.weights
-	w.PairNs *= rShort
-	w.SkinPairNs *= rShort
-	w.RebuildPairNs *= rShort
-	w.RebuildAtomNs *= rShort
-	w.ExclNs *= rShort
-	w.AssignNs *= rMesh
-	w.ConvNs *= rMesh
-	w.ConvDirectNs *= rMesh
-	w.FFTNs *= rMesh
-	w.GridNs *= rMesh
+	for _, f := range w.prices() {
+		for i, g := range monitored {
+			if f.stage.Within(g) {
+				*f.v *= r[i]
+			}
+		}
+	}
 	if w.validate() != nil {
 		return m.plan, false // a degenerate ratio (Inf/NaN) must not poison the model
 	}

@@ -14,8 +14,8 @@ import (
 func advance(m *Monitor, prev obs.Profile, steps int64, rShort, rMesh float64) obs.Profile {
 	b := m.Weights().StepCost(m.req, m.Plan())
 	p := prev
-	p.Ns[obs.StageShortRange] += int64(shortGroup(b) * rShort * float64(steps))
-	p.Ns[obs.StageMesh] += int64(meshGroup(b) * rMesh * float64(steps))
+	p.Ns[obs.StageShortRange] += int64(b.Within(obs.StageShortRange) * rShort * float64(steps))
+	p.Ns[obs.StageMesh] += int64(b.Within(obs.StageMesh) * rMesh * float64(steps))
 	p.Count[obs.StageShortRange] += steps
 	p.Count[obs.StageMesh] += steps
 	return p
@@ -117,7 +117,7 @@ func TestMonitorMeshDriftRetunes(t *testing.T) {
 	// Under the recalibrated weights, the new plan must spend less in the
 	// mesh than the old one would — that is what the retune bought.
 	w := m.Weights()
-	if newMesh, oldMesh := meshGroup(w.StepCost(m.req, p)), meshGroup(w.StepCost(m.req, orig)); newMesh >= oldMesh {
+	if newMesh, oldMesh := w.StepCost(m.req, p).Within(obs.StageMesh), w.StepCost(m.req, orig).Within(obs.StageMesh); newMesh >= oldMesh {
 		t.Errorf("retuned plan %s mesh cost %.1f not below original %s's %.1f",
 			p.String(), newMesh, orig.String(), oldMesh)
 	}
@@ -164,5 +164,43 @@ func TestMonitorInfeasibleRecalibrationKeepsPlan(t *testing.T) {
 	p, changed := m.Observe(cum, 200)
 	if changed || !samePlanID(p, orig) {
 		t.Errorf("extreme uniform drift changed plan to %s", p.String())
+	}
+}
+
+// TestMonitorNestedRebuildOnModel: the pair-list rebuild's span nests
+// inside the short-range span, so a window whose short-range stage equals
+// the predicted short group, rebuild included, is on the model however
+// large the rebuild, and changes neither the weights nor the plan.
+func TestMonitorNestedRebuildOnModel(t *testing.T) {
+	w := DefaultWeights()
+	w.DriftPerStep = 1 // every skin is crossed in one step: rebuild every step
+	w.RebuildPairNs *= 3
+	req := Request{Box: water.CubicBoxFor(4096), Atoms: 12288, ErrBudget: 1e-3, Weights: &w}
+	plan, err := PlanFor(req)
+	if err != nil {
+		t.Fatalf("PlanFor: %v", err)
+	}
+	m := NewMonitor(req, plan)
+	b := w.StepCost(req, plan)
+	short, rebuild, mesh := b.Within(obs.StageShortRange), b.Within(obs.StageNeighbor), b.Within(obs.StageMesh)
+	if rebuild/short <= DefaultDriftThreshold {
+		t.Fatalf("%s: rebuild is %.0f%% of the short group, want over the %.0f%% threshold",
+			plan.String(), 100*rebuild/short, 100*DefaultDriftThreshold)
+	}
+	var cum obs.Profile
+	for i := int64(1); i <= 3; i++ {
+		const steps = 100
+		cum.Ns[obs.StageShortRange] += int64(short * steps)
+		cum.Ns[obs.StageNeighbor] += int64(rebuild * steps)
+		cum.Ns[obs.StageMesh] += int64(mesh * steps)
+		cum.Count[obs.StageShortRange] += steps
+		cum.Count[obs.StageNeighbor] += steps
+		cum.Count[obs.StageMesh] += steps
+		if _, changed := m.Observe(cum, steps*i); changed {
+			t.Fatalf("window %d: on-model profile changed the plan", i)
+		}
+	}
+	if m.Weights() != w || m.Plan() != plan {
+		t.Errorf("on-model profile moved the monitor: weights %+v, plan %s", m.Weights(), m.Plan().String())
 	}
 }

@@ -1,6 +1,7 @@
 // Package tune closes the loop between the repository's calibrated cost
-// model (internal/perfmodel), the measured Table-1 accuracy surface
-// (results/table1.csv) and the live per-stage timings (internal/obs):
+// model (cost.go, over internal/perfmodel's Sec. III.C unit counts), the
+// measured Table-1 accuracy surface (results/table1.csv) and the live
+// per-stage timings (internal/obs, whose stages key the cost rows):
 // given a box, an atom count and a force-error budget, it enumerates
 // every candidate plan over the registered long-range solvers (SPME, TME
 // with the gauss and u-series kernel families, B-spline MSM), scores each
@@ -33,7 +34,7 @@ import (
 	"math"
 	"sort"
 
-	"tme4a/internal/perfmodel"
+	"tme4a/internal/obs"
 	"tme4a/internal/spme"
 	"tme4a/internal/vec"
 )
@@ -82,8 +83,6 @@ type Candidate struct {
 	Plan
 	// Feasible reports whether PredErr meets the request's budget.
 	Feasible bool
-	// Cost is the per-stage breakdown behind PredMs.
-	Cost perfmodel.Breakdown
 }
 
 // RequestError reports an invalid tuning request field.
@@ -224,13 +223,8 @@ func Enumerate(req Request) ([]Candidate, error) {
 	var out []Candidate
 	add := func(p Plan) {
 		p.Order = Order
-		cost := w.StepCost(req, p)
-		p.PredMs = cost.Total() * 1e-6
-		out = append(out, Candidate{
-			Plan:     p,
-			Feasible: p.PredErr <= req.ErrBudget,
-			Cost:     cost,
-		})
+		p.PredMs = w.StepCost(req, p).Within(obs.StageStep) * 1e-6
+		out = append(out, Candidate{Plan: p, Feasible: p.PredErr <= req.ErrBudget})
 	}
 
 	for _, rc := range rcCandidates(lmin) {

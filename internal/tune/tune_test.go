@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"tme4a/internal/obs"
 	"tme4a/internal/vec"
 	"tme4a/internal/water"
 )
@@ -71,7 +72,7 @@ func TestPlansValidateClean(t *testing.T) {
 		if err := c.Plan.Validate(); err != nil {
 			t.Errorf("candidate %s invalid: %v", c.Plan.String(), err)
 		}
-		if c.Cost.Total() <= 0 || c.PredMs <= 0 {
+		if c.PredMs <= 0 {
 			t.Errorf("candidate %s has non-positive cost", c.Plan.String())
 		}
 	}
@@ -190,10 +191,13 @@ func TestStepCostSkinZeroRebuildsEveryStep(t *testing.T) {
 		seen++
 		inRc := 0.5 * atoms * rho * (4 * math.Pi / 3) * c.Rc * c.Rc * c.Rc
 		b := w.StepCost(req, c.Plan)
-		if got, want := b.StageTime("short-range"), inRc*w.PairNs; got != want {
+		if b[0].Stage != obs.StageShortRange {
+			t.Fatalf("%s: first row keyed %s, want the short range", c.Plan.String(), b[0].Stage)
+		}
+		if got, want := b[0].Ns, inRc*w.PairNs; got != want {
 			t.Fatalf("%s: short-range %g ns, want inRc·PairNs = %g", c.Plan.String(), got, want)
 		}
-		if got, want := b.StageTime("neighbor"), inRc*w.RebuildPairNs+atoms*w.RebuildAtomNs; got != want {
+		if got, want := b.Within(obs.StageNeighbor), inRc*w.RebuildPairNs+atoms*w.RebuildAtomNs; got != want {
 			t.Fatalf("%s: neighbor %g ns, want inRc·RebuildPairNs + atoms·RebuildAtomNs = %g", c.Plan.String(), got, want)
 		}
 	}
@@ -202,8 +206,8 @@ func TestStepCostSkinZeroRebuildsEveryStep(t *testing.T) {
 	}
 }
 
-// TestStepCostBreakdownShape: the scoring rows are positive, ordered,
-// and partition into the short-range and mesh groups the monitor diffs
+// TestStepCostBreakdownShape: the scoring rows are positive, sum to
+// PredMs, and fill the short-range and mesh stages the monitor diffs
 // against obs stage timings.
 func TestStepCostBreakdownShape(t *testing.T) {
 	req := table1Request()
@@ -214,18 +218,14 @@ func TestStepCostBreakdownShape(t *testing.T) {
 	w := DefaultWeights()
 	for _, c := range cands[:10] {
 		b := w.StepCost(req, c.Plan)
-		if b.Method != c.Method {
-			t.Errorf("breakdown method %q != plan method %q", b.Method, c.Method)
-		}
-		if got := b.Total() * 1e-6; math.Abs(got-c.PredMs) > 1e-9 {
+		if got := b.Within(obs.StageStep) * 1e-6; math.Abs(got-c.PredMs) > 1e-9 {
 			t.Errorf("%s: breakdown total %.4f ms != PredMs %.4f", c.Plan.String(), got, c.PredMs)
 		}
-		if shortGroup(b) <= 0 || meshGroup(b) <= 0 {
-			t.Errorf("%s: empty stage group (short %.1f, mesh %.1f)",
-				c.Plan.String(), shortGroup(b), meshGroup(b))
+		if short, mesh := b.Within(obs.StageShortRange), b.Within(obs.StageMesh); short <= 0 || mesh <= 0 {
+			t.Errorf("%s: empty stage group (short %.1f, mesh %.1f)", c.Plan.String(), short, mesh)
 		}
-		for _, s := range b.Stages {
-			if s.Units <= 0 || s.Time < 0 {
+		for _, s := range b {
+			if s.Units <= 0 || s.Ns < 0 {
 				t.Errorf("%s: bad stage row %+v", c.Plan.String(), s)
 			}
 		}

@@ -79,6 +79,9 @@ for tune in '' '-tune -errbudget 1e-3'; do
 	test -s "$smoke/straight"
 	cmp "$smoke/straight" "$smoke/resumed"
 done
+# The retune path end to end: the drift monitor reads the recorder's real,
+# nested stage profile at every checkpoint boundary.
+"$smoke/mdrun" -tune -errbudget 1e-3 -retune -side 5 -steps 40 -checkpoint-dir "$smoke/rt" -checkpoint-every 10 > /dev/null
 rm -rf "$smoke"
 go test -run '^$' -bench . -benchtime 1x . ./internal/nonbond/ ./internal/grid/ \
 	./internal/pmesh/ ./internal/msm/ ./internal/core/ ./internal/bspline/ \
