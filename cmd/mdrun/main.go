@@ -6,7 +6,8 @@
 // Methods: cutoff (erfc-screened short range only) plus every method in
 // the solver registry (spme, tme, msm). TME additionally selects its
 // middle-range kernel family with -kernel (gauss|useries). With -in, a
-// snapshot written by watergen is used instead of building a fresh box.
+// checkpoint image written by watergen (watergen -o water.tme) is used
+// instead of building a fresh box.
 //
 // Crash-consistent checkpointing (see DESIGN.md §7.5):
 //
@@ -66,7 +67,7 @@ import (
 
 var (
 	side    = flag.Int("side", 10, "waters per box edge when building fresh")
-	in      = flag.String("in", "", "snapshot file from watergen (optional)")
+	in      = flag.String("in", "", "checkpoint image from watergen, e.g. water.tme (optional)")
 	steps   = flag.Int("steps", 200, "total MD steps (1 fs); a resumed run does the remainder")
 	method  = flag.String("method", "tme", "long-range method: cutoff|"+strings.Join(solver.Names(), "|"))
 	kernel  = flag.String("kernel", "", "TME middle-range kernel family: gauss|useries (default gauss)")
@@ -148,10 +149,15 @@ func main() {
 		meta = c.Snap.Meta
 		fmt.Printf("resuming from %s/%s at step %d\n", *ckDir, ckpt.FileName(c.Step()), startStep)
 	case *in != "":
-		snap, err := md.LoadSnapshot(*in)
+		data, err := os.ReadFile(*in)
+		var c *ckpt.Checkpoint
+		if err == nil {
+			c, err = ckpt.Decode(data)
+		}
 		if err != nil {
 			fatalf("loading %s: %v", *in, err)
 		}
+		snap := c.Snap
 		if sys, err = water.Rebuild(snap); err != nil {
 			fatalf("%v", err)
 		}
@@ -173,29 +179,33 @@ func main() {
 	if err := plan.Check(); err != nil {
 		fatalf("%v", err)
 	}
-	ff, err := plan.NewForceField(sys.Box)
-	if err != nil {
+	var rec *obs.Recorder
+	if *obsOn || *retune {
+		// The retune monitor feeds on live stage timings, so -retune
+		// records them even without -obs.
+		rec = obs.New()
+	}
+	var integ *md.Integrator
+	if resumed != nil {
+		if integ, err = tune.Resume(sys, resumed.Snap, plan, 0.001, rec); err != nil {
+			fatalf("resume: %v", err)
+		}
+		resumed.RestoreObs(rec)
+	} else if integ, err = plan.NewIntegrator(sys.Box, 0.001); err != nil {
 		fatalf("%v", err)
 	}
+	ff := integ.FF
 	if s, ok := ff.Mesh.(solver.Solver); ok {
 		fmt.Println(s.Describe())
 	}
 
 	if *ranks > 0 {
-		if *nvt {
-			fatalf("-ranks is NVE only; drop -nvt")
-		}
-		if *resume || *ckDir != "" || *ckEvery > 0 {
-			fatalf("-ranks does not support checkpointing or -resume")
-		}
 		eng, err := rank.New(rank.Config{Ranks: *ranks}, sys, ff, 0.001)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		defer eng.Close()
-		var rec *obs.Recorder
-		if *obsOn {
-			rec = obs.New()
+		if rec != nil {
 			eng.SetObs(rec)
 		}
 		fmt.Printf("%d atoms over %d ranks, method %s, rc %.2f nm, α %.3f nm⁻¹\n",
@@ -208,25 +218,10 @@ func main() {
 		return
 	}
 
-	integ := &md.Integrator{FF: ff, Dt: 0.001}
 	if *nvt {
 		integ.Thermostat = &md.Thermostat{T: *temp, Tau: 0.1}
 	}
-	var rec *obs.Recorder
-	if *obsOn || *retune {
-		// The retune monitor feeds on live stage timings, so -retune
-		// records them even without -obs.
-		rec = obs.New()
-		integ.SetObs(rec)
-	}
-	if resumed != nil {
-		if err := integ.RestoreResume(sys, resumed.Snap); err != nil {
-			fatalf("resume: %v", err)
-		}
-		if rec != nil {
-			resumed.RestoreObs(rec)
-		}
-	}
+	integ.SetObs(rec) // a resumed integrator has it already
 	if *ckEvery > 0 && *ckDir != "" {
 		openStore()
 	}
@@ -383,6 +378,10 @@ func checkFlags() error {
 		return fmt.Errorf("-retune re-plans at checkpoint boundaries; set -checkpoint-dir and -checkpoint-every")
 	case *retune && *nvt:
 		return fmt.Errorf("-retune is NVE only; drop -nvt")
+	case *ranks > 0 && *nvt:
+		return fmt.Errorf("-ranks is NVE only; drop -nvt")
+	case *ranks > 0 && (*resume || *ckDir != "" || *ckEvery > 0):
+		return fmt.Errorf("-ranks does not support checkpointing or -resume")
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 // Command watergen builds and equilibrates TIP3P water boxes and writes
-// them as gob files for reuse by mdrun and the experiment harness.
+// each as a checkpoint image (the CRC-guarded ckpt file format, step 0,
+// no configuration hash), which mdrun -in reads:
 //
-//	watergen -side 16 -steps 500 -o water16.gob
+//	watergen -side 16 -steps 500 -o water16.tme
+//	mdrun -in water16.tme -steps 1000
 package main
 
 import (
@@ -9,7 +11,7 @@ import (
 	"fmt"
 	"os"
 
-	"tme4a/internal/md"
+	"tme4a/internal/ckpt"
 	"tme4a/internal/water"
 )
 
@@ -17,7 +19,7 @@ func main() {
 	side := flag.Int("side", 16, "waters per box edge (side³ molecules)")
 	steps := flag.Int("steps", 300, "equilibration steps (1 fs, 300 K)")
 	seed := flag.Int64("seed", 7, "random seed")
-	out := flag.String("o", "water.gob", "output file")
+	out := flag.String("o", "water.tme", "output checkpoint image")
 	flag.Parse()
 
 	nmol := (*side) * (*side) * (*side)
@@ -30,7 +32,11 @@ func main() {
 		fmt.Printf("final temperature: %.1f K\n", sys.Temperature())
 	}
 	snap := sys.TakeSnapshot(water.Meta(*side, *seed))
-	if err := md.SaveSnapshot(*out, snap); err != nil {
+	data, err := (&ckpt.Checkpoint{Snap: snap}).Encode()
+	if err == nil {
+		err = os.WriteFile(*out, data, 0o644)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "watergen: %v\n", err)
 		os.Exit(1)
 	}

@@ -176,15 +176,12 @@ type Entry struct {
 	Name string // base name, ckpt-<step>.tme
 	Step int64
 	Size int64
-	CRC  uint32 // the file's trailing CRC-32C
 }
 
 const (
-	filePrefix   = "ckpt-"
-	fileSuffix   = ".tme"
-	tmpSuffix    = ".tmp"
-	manifestName = "MANIFEST"
-	manifestHdr  = "tme-ckpt-manifest v1"
+	filePrefix = "ckpt-"
+	fileSuffix = ".tme"
+	tmpSuffix  = ".tmp"
 )
 
 func FileName(step int64) string {
@@ -263,10 +260,10 @@ func (s *Store) Entries() []Entry { return append([]Entry(nil), s.entries...) }
 
 // Save persists snap as the checkpoint for snap.Step using the atomic
 // protocol: write ckpt-<step>.tme.tmp, fsync it, close, rename over the
-// final name, fsync the directory; then rewrite the manifest the same way
-// and prune beyond the retention limit. A failure at any point leaves
-// every previously durable checkpoint untouched; a snapshot Encode
-// refuses (a NaN or Inf position or velocity) writes nothing at all.
+// final name, fsync the directory; then prune beyond the retention limit.
+// A failure at any point leaves every previously durable checkpoint
+// untouched; a snapshot Encode refuses (a NaN or Inf position or
+// velocity) writes nothing at all.
 func (s *Store) Save(snap *md.Snapshot) error {
 	sp := s.rec.Start(obs.StageCheckpoint)
 	defer sp.Stop()
@@ -299,29 +296,21 @@ func (s *Store) save(snap *md.Snapshot) error {
 	s.rec.Add(obs.CounterCkptBytes, int64(len(data)))
 
 	// Update the in-memory ledger (replacing any same-step entry), trim
-	// it to the retention limit, persist the manifest, then remove the
-	// pruned files. Ordering matters: the manifest stops naming a file
-	// before the file disappears, so a crash anywhere in between leaves
-	// either an unlisted-but-valid file (recovered by the directory scan)
-	// or a listed-but-missing one (skipped with a precise reason).
+	// it to the retention limit, then remove the pruned files. The new
+	// checkpoint is already durable, so a crash anywhere in the pruning
+	// leaves only extra old files, which the next Open finds and prunes.
 	kept := s.entries[:0]
 	for _, e := range s.entries {
 		if e.Name != name {
 			kept = append(kept, e)
 		}
 	}
-	s.entries = append(kept, Entry{
-		Name: name, Step: snap.Step, Size: int64(len(data)),
-		CRC: binary.LittleEndian.Uint32(data[len(data)-crcSize:]),
-	})
+	s.entries = append(kept, Entry{Name: name, Step: snap.Step, Size: int64(len(data))})
 	sort.Slice(s.entries, func(i, j int) bool { return s.entries[i].Step < s.entries[j].Step })
 	var pruned []Entry
 	if excess := len(s.entries) - s.keep; excess > 0 {
 		pruned = append(pruned, s.entries[:excess]...)
 		s.entries = append([]Entry(nil), s.entries[excess:]...)
-	}
-	if err := s.writeManifest(); err != nil {
-		return fmt.Errorf("ckpt: manifest: %w", err)
 	}
 	for _, e := range pruned {
 		if err := s.fs.Remove(filepath.Join(s.dir, e.Name)); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -362,79 +351,25 @@ func WriteFileAtomic(fsys FS, dir, name string, data []byte) error {
 	return fsys.SyncDir(dir)
 }
 
-// writeManifest persists the entry ledger with the same atomic protocol
-// as the checkpoints themselves. The manifest is a discovery aid: loaders
-// cross-check it against the directory and survive it being stale,
-// missing or torn.
-func (s *Store) writeManifest() error {
-	var b strings.Builder
-	b.WriteString(manifestHdr) //tmevet:ignore errdrop -- strings.Builder never errors
-	b.WriteByte('\n')          //tmevet:ignore errdrop -- strings.Builder never errors
-	for _, e := range s.entries {
-		fmt.Fprintf(&b, "%s step=%d size=%d crc=%08x\n", e.Name, e.Step, e.Size, e.CRC) //tmevet:ignore errdrop -- strings.Builder never errors
-	}
-	return WriteFileAtomic(s.fs, s.dir, manifestName, []byte(b.String()))
-}
-
-// parseManifest returns the entries of a manifest image, skipping
-// malformed lines (a torn manifest must not take recovery down with it).
-func parseManifest(data []byte) []Entry {
-	lines := strings.Split(string(data), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) != manifestHdr {
-		return nil
-	}
-	var entries []Entry
-	for _, line := range lines[1:] {
-		fields := strings.Fields(line)
-		if len(fields) != 4 {
-			continue
-		}
-		step, ok := stepFromName(fields[0])
-		if !ok {
-			continue
-		}
-		e := Entry{Name: fields[0], Step: step}
-		if v, ok := strings.CutPrefix(fields[2], "size="); ok {
-			e.Size, _ = strconv.ParseInt(v, 10, 64) //tmevet:ignore errdrop -- zero on malformed; the directory scan is authoritative
-		}
-		if v, ok := strings.CutPrefix(fields[3], "crc="); ok {
-			crc, _ := strconv.ParseUint(v, 16, 32) //tmevet:ignore errdrop -- zero on malformed; a bad CRC just fails verification
-			e.CRC = uint32(crc)
-		}
-		entries = append(entries, e)
-	}
-	return entries
-}
-
-// LoadLatest recovers the newest valid checkpoint: it merges the manifest
-// with a directory scan (either alone survives loss of the other),
-// validates candidates newest-first — CRC, structure, snapshot sanity,
+// LoadLatest recovers the newest valid checkpoint: it scans the
+// directory, validates candidates newest-first — CRC, structure, snapshot sanity,
 // configuration hash — and returns the first that passes. Invalid
 // candidates are skipped with their reasons collected; if nothing
 // survives, the error says precisely why each candidate was rejected, or
 // ErrNoCheckpoint when the directory holds none at all.
 func (s *Store) LoadLatest() (*Checkpoint, error) {
-	candidates := make(map[string]bool)
-	if names, err := s.fs.ReadDir(s.dir); err == nil {
-		for _, name := range names {
-			if _, ok := stepFromName(name); ok {
-				candidates[name] = true
-			}
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
+	all, err := s.fs.ReadDir(s.dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("ckpt: scan %s: %w", s.dir, err)
 	}
-	if data, err := s.fs.ReadFile(filepath.Join(s.dir, manifestName)); err == nil {
-		for _, e := range parseManifest(data) {
-			candidates[e.Name] = true
+	var names []string
+	for _, name := range all {
+		if _, ok := stepFromName(name); ok {
+			names = append(names, name)
 		}
 	}
-	if len(candidates) == 0 {
+	if len(names) == 0 {
 		return nil, fmt.Errorf("%w in %s", ErrNoCheckpoint, s.dir)
-	}
-	names := make([]string, 0, len(candidates))
-	for name := range candidates {
-		names = append(names, name)
 	}
 	// Newest first: steps are zero-padded in names, so reverse
 	// lexicographic order is descending step order.

@@ -386,27 +386,6 @@ func TestLoadLatestEmptyDir(t *testing.T) {
 	}
 }
 
-func TestManifestParsingTolerance(t *testing.T) {
-	cases := []struct {
-		name string
-		data string
-		want int
-	}{
-		{"valid", manifestHdr + "\nckpt-000000000100.tme step=100 size=10 crc=0000abcd\n", 1},
-		{"wrong header", "something else\nckpt-000000000100.tme step=100 size=10 crc=0000abcd\n", 0},
-		{"torn line", manifestHdr + "\nckpt-000000000100.tme step=100 size=10 crc=0000abcd\nckpt-0000002", 1},
-		{"junk lines skipped", manifestHdr + "\n\ngarbage here\nckpt-000000000200.tme step=200 size=5 crc=00000001\n", 1},
-		{"empty", "", 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := parseManifest([]byte(tc.data)); len(got) != tc.want {
-				t.Fatalf("parsed %d entries, want %d: %+v", len(got), tc.want, got)
-			}
-		})
-	}
-}
-
 func TestStepFromName(t *testing.T) {
 	cases := []struct {
 		name string
@@ -415,7 +394,7 @@ func TestStepFromName(t *testing.T) {
 	}{
 		{"ckpt-000000000500.tme", 500, true},
 		{"ckpt-000000000500.tme.tmp", 0, false},
-		{"MANIFEST", 0, false},
+		{"ckpt-000000000500.gob", 0, false},
 		{"ckpt-.tme", 0, false},
 		{"ckpt-xx.tme", 0, false},
 		{"ckpt-1.tme", 1, true},

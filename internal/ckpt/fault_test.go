@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tme4a/internal/obs"
 )
 
 // seedStore writes valid checkpoints at the given steps into fs/dir;
@@ -62,6 +64,8 @@ func TestFaultMatrix(t *testing.T) {
 		name string
 		// rules applied while saving step 300 on top of durable 100, 200
 		rules []Rule
+		// keep is the saving store's retention (0 means 10: no pruning)
+		keep int
 		// direct corruption applied after the (possibly failed) save
 		corrupt bool
 		// wantStep is the step recovery must land on
@@ -106,16 +110,18 @@ func TestFaultMatrix(t *testing.T) {
 			wantSaveErr: true,
 		},
 		{
-			name:        "crash after checkpoint durable, before manifest update",
-			rules:       []Rule{{Op: OpCreate, Match: manifestName, Mode: ModeCrash}},
-			wantStep:    300, // unlisted-but-valid file found by the dir scan
+			name:        "crash after checkpoint durable, during prune",
+			rules:       []Rule{{Op: OpRemove, Match: FileName(100), Mode: ModeCrash}},
+			keep:        2,
+			wantStep:    300, // durable before the prune began
 			wantSaveErr: true,
 		},
 		{
-			name:        "manifest fsync failure",
-			rules:       []Rule{{Op: OpSync, Match: manifestName, Mode: ModeErr}},
-			wantStep:    300,
-			wantSaveErr: true,
+			// One save is one atomic write: its only file fsync is the
+			// checkpoint's, so a fault armed on a second one never fires.
+			name:     "second file fsync of a save fails",
+			rules:    []Rule{{Op: OpSync, Nth: 2, Mode: ModeErr}},
+			wantStep: 300,
 		},
 		{
 			name:     "corrupt CRC on the newest checkpoint",
@@ -129,16 +135,29 @@ func TestFaultMatrix(t *testing.T) {
 			seedStore(t, mem, dir, 100, 200)
 
 			ffs := NewFaultFS(mem, tc.rules...)
-			st, err := Open(dir, 10, 42, ffs)
+			keep := tc.keep
+			if keep == 0 {
+				keep = 10
+			}
+			st, err := Open(dir, keep, 42, ffs)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rec := obs.New()
+			st.SetObs(rec)
 			saveErr := st.Save(testSnap(300, 5, 300))
 			if tc.wantSaveErr && saveErr == nil {
 				t.Fatal("fault injected but Save succeeded")
 			}
 			if !tc.wantSaveErr && saveErr != nil {
 				t.Fatalf("save: %v", saveErr)
+			}
+			var wantFailures int64
+			if tc.wantSaveErr {
+				wantFailures = 1
+			}
+			if got := rec.CounterValue(obs.CounterCkptFailures); got != wantFailures {
+				t.Fatalf("ckpt_failures = %d, want %d", got, wantFailures)
 			}
 			if ffs.Crashed() {
 				mem.Crash() // already done by FaultFS, but idempotent and explicit
@@ -165,9 +184,8 @@ func TestFaultMatrix(t *testing.T) {
 }
 
 // TestRecoveryErrorsArePrecise covers the no-valid-checkpoint endgames:
-// an empty directory is ErrNoCheckpoint, a directory with only corrupt
-// files names every rejected candidate and its reason, and a manifest
-// pointing at a missing file reports exactly that.
+// a directory with only corrupt files names every rejected candidate and
+// its reason, and a stale temp file is never a candidate.
 func TestRecoveryErrorsArePrecise(t *testing.T) {
 	const dir = "ck"
 	t.Run("only corrupt checkpoints", func(t *testing.T) {
@@ -187,31 +205,6 @@ func TestRecoveryErrorsArePrecise(t *testing.T) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("error %q does not mention %q", err, want)
 			}
-		}
-	})
-	t.Run("manifest lists a missing file", func(t *testing.T) {
-		mem := NewMemFS()
-		if err := mem.MkdirAll(dir); err != nil {
-			t.Fatal(err)
-		}
-		man := manifestHdr + "\n" + FileName(900) + " step=900 size=1 crc=00000000\n"
-		f, err := mem.Create(filepath.Join(dir, manifestName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write([]byte(man)); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		st, err := Open(dir, 10, 0, mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = st.LoadLatest()
-		if err == nil || !strings.Contains(err.Error(), FileName(900)) {
-			t.Fatalf("want missing-file reason naming %s, got %v", FileName(900), err)
 		}
 	})
 	t.Run("temp files are never candidates", func(t *testing.T) {

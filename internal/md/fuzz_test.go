@@ -28,15 +28,10 @@ func fuzzSeedSnapshot() *md.Snapshot {
 	return snap
 }
 
-func fuzzSeedBytes(tb testing.TB) []byte {
-	var buf bytes.Buffer
-	if err := fuzzSeedSnapshot().Encode(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
+func fuzzSeedBytes(tb testing.TB) []byte { return encodeSnap(tb, fuzzSeedSnapshot()) }
 
-// FuzzSnapshotDecode asserts snapshot decoding is total: arbitrary bytes
+// FuzzSnapshotDecode asserts the gob decode of a Snapshot, which
+// ckpt.Decode runs on every checkpoint payload, is total: arbitrary bytes
 // either decode (and then validate and re-encode without panicking) or
 // return a clean error. A decoder panic or unbounded allocation here
 // would turn one corrupt checkpoint file into a crashed resume.
@@ -56,15 +51,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if len(data) > 1<<20 {
 			return // decode cost and allocation scale with input; cap the fuzz domain
 		}
-		snap, err := md.ReadSnapshot(bytes.NewReader(data))
+		snap, err := decodeSnap(data)
 		if err != nil {
 			return // a clean error is the correct outcome for garbage
 		}
 		// Whatever the decoder accepted must be safe to validate and to
 		// re-encode; neither may panic even if validation rejects it.
 		_ = snap.Validate()
-		var buf bytes.Buffer
-		if err := snap.Encode(&buf); err != nil {
+		if _, err := snap.GobEncode(); err != nil {
 			t.Fatalf("re-encode of decoded snapshot failed: %v", err)
 		}
 	})
@@ -84,7 +78,7 @@ func TestCommittedSeedStillRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := md.ReadSnapshot(strings.NewReader(data))
+	snap, err := decodeSnap([]byte(data))
 	if err != nil {
 		t.Fatalf("old snapshot no longer decodes: %v", err)
 	}

@@ -47,11 +47,8 @@ func TestSnapshotPropertyRoundTrip(t *testing.T) {
 				snap.VerletRef = randVecs(rng, sys.N())
 			}
 
-			var first bytes.Buffer
-			if err := snap.Encode(&first); err != nil {
-				t.Fatal(err)
-			}
-			got, err := md.ReadSnapshot(bytes.NewReader(first.Bytes()))
+			first := encodeSnap(t, snap)
+			got, err := decodeSnap(first)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,12 +73,8 @@ func TestSnapshotPropertyRoundTrip(t *testing.T) {
 			}
 
 			// Re-encoding the decoded snapshot is byte-identical.
-			var second bytes.Buffer
-			if err := got.Encode(&second); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(first.Bytes(), second.Bytes()) {
-				t.Fatalf("re-encode differs: %d vs %d bytes", first.Len(), second.Len())
+			if second := encodeSnap(t, got); !bytes.Equal(first, second) {
+				t.Fatalf("re-encode differs: %d vs %d bytes", len(first), len(second))
 			}
 		})
 	}
@@ -127,11 +120,7 @@ func TestRestoreRejectsInvalidState(t *testing.T) {
 			}
 			// And the same state must be refused when it arrives via the
 			// serialized path.
-			var buf bytes.Buffer
-			if err := snap.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
-			got, err := md.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+			got, err := decodeSnap(encodeSnap(t, snap))
 			if err != nil {
 				return // decoder itself refused: also acceptable
 			}
@@ -243,11 +232,7 @@ func TestResumeIsBitwise(t *testing.T) {
 					}
 
 					// …serialize through the wire format, as a real restart would…
-					var buf bytes.Buffer
-					if err := snap.Encode(&buf); err != nil {
-						t.Fatal(err)
-					}
-					wire, err := md.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+					wire, err := decodeSnap(encodeSnap(t, snap))
 					if err != nil {
 						t.Fatal(err)
 					}

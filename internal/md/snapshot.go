@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
 
 	"tme4a/internal/vec"
@@ -110,12 +108,12 @@ func (s *System) Restore(snap *Snapshot) error {
 	return nil
 }
 
-// snapshotWire is the on-disk form. Meta travels as parallel key/value
-// slices in sorted key order: gob serializes maps in Go's randomized
-// iteration order, so encoding the map directly makes two snapshots of
-// the same state differ byte-wise between runs — a determinism leak
-// tmevet's detmap check guards against in code and this wire form closes
-// at the serialization boundary.
+// snapshotWire is the gob form a checkpoint payload carries. Meta travels
+// as parallel key/value slices in sorted key order: gob serializes maps in
+// Go's randomized iteration order, so encoding the map directly makes two
+// snapshots of the same state differ byte-wise between runs — a
+// determinism leak tmevet's detmap check guards against in code and this
+// wire form closes at the serialization boundary.
 type snapshotWire struct {
 	Box      vec.Box
 	Pos      []vec.V
@@ -168,39 +166,4 @@ func (snap *Snapshot) GobDecode(data []byte) error {
 		}
 	}
 	return nil
-}
-
-// Encode serializes the snapshot with encoding/gob. The byte stream is a
-// pure function of the snapshot contents (see snapshotWire).
-func (snap *Snapshot) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-// ReadSnapshot deserializes a snapshot.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	var snap Snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
-}
-
-// SaveSnapshot writes the snapshot to a file.
-func SaveSnapshot(path string, snap *Snapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return snap.Encode(f)
-}
-
-// LoadSnapshot reads a snapshot from a file.
-func LoadSnapshot(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
 }

@@ -2,6 +2,7 @@ package md_test
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"testing"
 
@@ -10,17 +11,32 @@ import (
 	"tme4a/internal/water"
 )
 
+// encodeSnap renders a snapshot as the gob stream a checkpoint payload
+// carries; decodeSnap is the decode ckpt.Decode runs on every payload.
+func encodeSnap(tb testing.TB, snap *md.Snapshot) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func decodeSnap(data []byte) (*md.Snapshot, error) {
+	var snap md.Snapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		return nil, err
+	}
+	return &snap, nil
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	box := water.CubicBoxFor(27)
 	sys := water.Build(3, 3, 3, box, 5)
 	sys.InitVelocities(300, rand.New(rand.NewSource(1)))
 	snap := sys.TakeSnapshot(map[string]int64{"side": 3, "seed": 5})
 
-	var buf bytes.Buffer
-	if err := snap.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := md.ReadSnapshot(&buf)
+	got, err := decodeSnap(encodeSnap(t, snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +69,7 @@ func TestSnapshotEncodingIsByteDeterministic(t *testing.T) {
 	meta := map[string]int64{
 		"side": 2, "seed": 11, "a": 1, "b": 2, "c": 3, "d": 4, "e": 5, "f": 6,
 	}
-	var first bytes.Buffer
-	if err := sys.TakeSnapshot(meta).Encode(&first); err != nil {
-		t.Fatal(err)
-	}
+	first := encodeSnap(t, sys.TakeSnapshot(meta))
 	for trial := 0; trial < 8; trial++ {
 		// Rebuild the map so its internal layout (and hence gob's
 		// would-be iteration order) varies between trials.
@@ -64,16 +77,12 @@ func TestSnapshotEncodingIsByteDeterministic(t *testing.T) {
 		for k, v := range meta {
 			m[k] = v
 		}
-		var buf bytes.Buffer
-		if err := sys.TakeSnapshot(m).Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(first.Bytes(), buf.Bytes()) {
-			t.Fatalf("trial %d: identical state encoded to different bytes (%d vs %d)", trial, first.Len(), buf.Len())
+		if buf := encodeSnap(t, sys.TakeSnapshot(m)); !bytes.Equal(first, buf) {
+			t.Fatalf("trial %d: identical state encoded to different bytes (%d vs %d)", trial, len(first), len(buf))
 		}
 	}
 	// And the wire form must still round-trip the meta map.
-	got, err := md.ReadSnapshot(&first)
+	got, err := decodeSnap(first)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"tme4a/internal/ckpt"
 	"tme4a/internal/md"
 	"tme4a/internal/obs"
+	"tme4a/internal/tune"
 	"tme4a/internal/water"
 )
 
@@ -620,13 +621,9 @@ func (s *Scheduler) startJob(j *job) error {
 			if ierr != nil {
 				return ierr
 			}
-			integ, ierr := j.spec.plan().NewIntegrator(sys.Box, j.spec.Dt)
+			integ, ierr := tune.Resume(sys, c.Snap, j.spec.plan(), j.spec.Dt, j.rec)
 			if ierr != nil {
 				return ierr
-			}
-			integ.SetObs(j.rec)
-			if rerr := integ.RestoreResume(sys, c.Snap); rerr != nil {
-				return rerr
 			}
 			c.RestoreObs(j.rec)
 			j.sys, j.integ = sys, integ

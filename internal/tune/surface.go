@@ -2,6 +2,7 @@ package tune
 
 import (
 	"math"
+	"sync"
 
 	"tme4a/internal/spme"
 	"tme4a/internal/water"
@@ -78,7 +79,8 @@ func useriesRatio() [4]float64 {
 // ≤ 16 (TestAutotuneOracle holds that slice conservative). Far below the
 // surface the factor does not cover the gap: at grid 32 on that box
 // (x = 0.21) the measured frontier (results/frontier.csv) finds up to
-// 25× the estimate (ROADMAP item 11).
+// 25× the estimate (ROADMAP, "The tuner's predicted error is a checked
+// upper bound").
 const clampLowSafety = 1.5
 
 // msmSafety inflates the TME gauss M=4 estimate for B-spline MSM: the
@@ -94,8 +96,10 @@ func surfaceH() float64 { return water.CubicBoxFor(4096).L[0] / 16 }
 
 // surfaceXs returns the measured x = α·h keys, descending in rc order
 // (larger rc ⇒ smaller α ⇒ smaller x), i.e. ascending in x when read
-// back-to-front. Index order matches surfaceRc.
-func surfaceXs() [3]float64 {
+// back-to-front. Index order matches surfaceRc. The keys are constants,
+// computed once: each spme.Alpha is an erfc bisection, and the estimators
+// read the keys for every candidate PlanFor weighs.
+var surfaceXs = sync.OnceValue(func() [3]float64 {
 	h := surfaceH()
 	rcs := surfaceRc()
 	var xs [3]float64
@@ -103,7 +107,7 @@ func surfaceXs() [3]float64 {
 		xs[i] = spme.Alpha(rcs[i]) * h
 	}
 	return xs
-}
+})
 
 // surfaceXMax returns the largest x the surface covers.
 func surfaceXMax() float64 {

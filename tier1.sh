@@ -82,6 +82,17 @@ done
 # The retune path end to end: the drift monitor reads the recorder's real,
 # nested stage profile at every checkpoint boundary.
 "$smoke/mdrun" -tune -errbudget 1e-3 -retune -side 5 -steps 40 -checkpoint-dir "$smoke/rt" -checkpoint-every 10 > /dev/null
+# A watergen box is a checkpoint image: mdrun -in runs from it, and with
+# one payload byte overwritten refuses it (exit 1), naming the CRC.
+go build -o "$smoke/watergen" ./cmd/watergen
+"$smoke/watergen" -side 3 -steps 10 -o "$smoke/w.tme" > /dev/null
+"$smoke/mdrun" -in "$smoke/w.tme" -steps 5 > /dev/null
+cp "$smoke/w.tme" "$smoke/bad.tme"
+printf '\377' | dd of="$smoke/bad.tme" bs=1 seek=100 conv=notrunc 2> /dev/null
+code=0
+"$smoke/mdrun" -in "$smoke/bad.tme" -steps 5 > /dev/null 2> "$smoke/err" || code=$?
+test "$code" -eq 1
+grep -q 'CRC mismatch' "$smoke/err"
 rm -rf "$smoke"
 go test -run '^$' -bench . -benchtime 1x . ./internal/nonbond/ ./internal/grid/ \
 	./internal/pmesh/ ./internal/msm/ ./internal/core/ ./internal/bspline/ \
