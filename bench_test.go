@@ -1,8 +1,10 @@
 package tme4a_test
 
-// One benchmark per table/figure of the paper's evaluation, measuring the
-// computational kernels that regenerate each result (cmd/tmebench produces
-// the actual rows/series). Run with:
+// Benchmarks of the computational kernels behind the paper's accuracy
+// tables and MD figures (cmd/tmebench produces the actual rows/series).
+// The hardware-model results (Figs. 9–10, Table 2, the cost model) are
+// deterministic, so TestModelResultsReproduce byte-checks them instead of
+// timing them. Run with:
 //
 //	go test -bench=. -benchmem .
 
@@ -11,12 +13,12 @@ import (
 	"math/rand"
 	"testing"
 
-	"tme4a/internal/core"
 	"tme4a/internal/expt"
 	"tme4a/internal/grid"
 	"tme4a/internal/md"
-	"tme4a/internal/msm"
-	"tme4a/internal/spme"
+	"tme4a/internal/solver"
+	"tme4a/internal/topol"
+	"tme4a/internal/tune"
 	"tme4a/internal/vec"
 	"tme4a/internal/water"
 )
@@ -33,11 +35,27 @@ func waterSystem(b *testing.B) *md.System {
 	return benchWater
 }
 
-func benchParams(m, gc int) core.Params {
-	return core.Params{
-		Alpha: spme.AlphaFromRTol(1.0, 1e-4), Rc: 1.0, Order: 6,
-		N: [3]int{16, 16, 16}, Levels: 1, M: m, Gc: gc,
+// benchPlan is a Table-1 operating point on the benchmark box: rc =
+// 1.0 nm, a 16³ grid, order 6 and, for TME and MSM, one middle level at
+// grid-kernel cutoff gc with m Gaussians per shell (TME).
+func benchPlan(method string, m, gc int) tune.Plan {
+	return tune.Plan{Method: method, Rc: 1.0, Grid: [3]int{16, 16, 16}, Order: 6, Levels: 1, M: m, Gc: gc}
+}
+
+func newSolver(b *testing.B, p tune.Plan, box vec.Box) solver.Solver {
+	s, err := p.NewSolver(box)
+	if err != nil {
+		b.Fatal(err)
 	}
+	return s
+}
+
+func newIntegrator(b *testing.B, p tune.Plan, box vec.Box) *md.Integrator {
+	integ, err := p.NewIntegrator(box, 0.001)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return integ
 }
 
 // BenchmarkFig3GaussianApprox measures the Fig. 3 series evaluation
@@ -53,23 +71,17 @@ func BenchmarkFig3GaussianApprox(b *testing.B) {
 // Table 1: the SPME baseline and the TME at its g_c/M corners.
 func BenchmarkTable1(b *testing.B) {
 	sys := waterSystem(b)
-	b.Run("SPME", func(b *testing.B) {
-		s := spme.New(spme.Params{Alpha: spme.AlphaFromRTol(1.0, 1e-4),
-			Rc: 1.0, Order: 6, N: [3]int{16, 16, 16}}, sys.Box)
-		f := make([]vec.V, sys.N())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Coulomb(sys.Pos, sys.Q, sys.Excl, f)
-		}
-	})
 	for _, cfg := range []struct {
-		name  string
-		m, gc int
-	}{{"TME_M1_gc8", 1, 8}, {"TME_M4_gc8", 4, 8}, {"TME_M4_gc12", 4, 12}} {
-		cfg := cfg
+		name   string
+		method string
+		m, gc  int
+	}{{"SPME", "spme", 0, 0}, {"TME_M1_gc8", "tme", 1, 8}, {"TME_M4_gc8", "tme", 4, 8}, {"TME_M4_gc12", "tme", 4, 12}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			s := core.New(benchParams(cfg.m, cfg.gc), sys.Box)
+			// Every method embeds spme.Cycle, whose Coulomb adds the
+			// real-space sum and the exclusion correction to LongRange.
+			s := newSolver(b, benchPlan(cfg.method, cfg.m, cfg.gc), sys.Box).(interface {
+				Coulomb(pos []vec.V, q []float64, excl *topol.Exclusions, f []vec.V) float64
+			})
 			f := make([]vec.V, sys.N())
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -83,26 +95,16 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkFig4NVEStep measures one NVE MD step (velocity Verlet + SETTLE)
 // with SPME and with TME — the inner loop of the Fig. 4 trajectories.
 func BenchmarkFig4NVEStep(b *testing.B) {
-	run := func(b *testing.B, mesh md.MeshSolver) {
+	run := func(b *testing.B, p tune.Plan) {
 		sys := waterSystem(b)
-		alpha := spme.AlphaFromRTol(1.0, 1e-4)
-		integ := &md.Integrator{
-			FF: &md.ForceField{Alpha: alpha, Rc: 1.0, Mesh: mesh}, Dt: 0.001,
-		}
+		integ := newIntegrator(b, p, sys.Box)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			integ.Step(sys)
 		}
 	}
-	b.Run("SPME", func(b *testing.B) {
-		sys := waterSystem(b)
-		run(b, spme.New(spme.Params{Alpha: spme.AlphaFromRTol(1.0, 1e-4),
-			Rc: 1.0, Order: 6, N: [3]int{16, 16, 16}}, sys.Box))
-	})
-	b.Run("TME_M3", func(b *testing.B) {
-		sys := waterSystem(b)
-		run(b, core.New(benchParams(3, 8), sys.Box))
-	})
+	b.Run("SPME", func(b *testing.B) { run(b, benchPlan("spme", 0, 0)) })
+	b.Run("TME_M3", func(b *testing.B) { run(b, benchPlan("tme", 3, 8)) })
 }
 
 // BenchmarkMDStepVerletSPME measures one MD step in the production
@@ -111,69 +113,14 @@ func BenchmarkFig4NVEStep(b *testing.B) {
 // zero-steady-state-allocation contract at the whole-step level.
 func BenchmarkMDStepVerletSPME(b *testing.B) {
 	sys := waterSystem(b)
-	alpha := spme.AlphaFromRTol(1.0, 1e-4)
-	mesh := spme.New(spme.Params{Alpha: alpha, Rc: 1.0, Order: 6,
-		N: [3]int{16, 16, 16}}, sys.Box)
-	integ := &md.Integrator{
-		FF: &md.ForceField{Alpha: alpha, Rc: 1.0, Skin: 0.1, Mesh: mesh},
-		Dt: 0.001,
-	}
+	p := benchPlan("spme", 0, 0)
+	p.Skin = 0.1
+	integ := newIntegrator(b, p, sys.Box)
 	integ.Step(sys) // warm the pair list and scratch pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		integ.Step(sys)
-	}
-}
-
-// BenchmarkFig9MachineStep measures the full machine-model simulation of
-// one MD step on the 80,540-atom workload (Fig. 9).
-func BenchmarkFig9MachineStep(b *testing.B) {
-	hw := expt.NewHWContext()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hw.Cfg.SimulateStep(hw.Workload, hw.Prm, true)
-	}
-}
-
-// BenchmarkFig10LongRangePhases measures the long-range chain model in
-// isolation (Fig. 10 breakdown).
-func BenchmarkFig10LongRangePhases(b *testing.B) {
-	hw := expt.NewHWContext()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hw.RunFig10(io.Discard)
-	}
-}
-
-// BenchmarkTable2 measures the cross-system table assembly (simulated
-// MDGRAPE-4A row + literature rows).
-func BenchmarkTable2(b *testing.B) {
-	hw := expt.NewHWContext()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hw.RunTable2(io.Discard)
-	}
-}
-
-// BenchmarkGrid64Projection measures the Sec. VI.A 64³ (L = 2) projection.
-func BenchmarkGrid64Projection(b *testing.B) {
-	hw := expt.NewHWContext()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hw.RunGrid64(io.Discard)
-	}
-}
-
-// BenchmarkCostModel measures the Sec. III.C analytic sweep.
-func BenchmarkCostModel(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		expt.RunCostModel(io.Discard)
 	}
 }
 
@@ -237,29 +184,16 @@ func BenchmarkConvSeparableVsDirect(b *testing.B) {
 // the same system (ablation 2 of DESIGN.md).
 func BenchmarkLongRangeSolvers(b *testing.B) {
 	sys := waterSystem(b)
-	alpha := spme.AlphaFromRTol(1.0, 1e-4)
-	n := [3]int{16, 16, 16}
 	f := make([]vec.V, sys.N())
-	b.Run("SPME", func(b *testing.B) {
-		s := spme.New(spme.Params{Alpha: alpha, Rc: 1.0, Order: 6, N: n}, sys.Box)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.LongRange(sys.Pos, sys.Q, f)
-		}
-	})
-	b.Run("TME", func(b *testing.B) {
-		s := core.New(benchParams(4, 8), sys.Box)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.LongRange(sys.Pos, sys.Q, f)
-		}
-	})
-	b.Run("MSM", func(b *testing.B) {
-		s := msm.New(msm.Params{Alpha: alpha, Rc: 1.0, Order: 6, N: n,
-			Levels: 1, Gc: 8}, sys.Box)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.LongRange(sys.Pos, sys.Q, f)
-		}
-	})
+	for _, cfg := range []struct {
+		name, method string
+	}{{"SPME", "spme"}, {"TME", "tme"}, {"MSM", "msm"}} {
+		b.Run(cfg.name, func(b *testing.B) {
+			s := newSolver(b, benchPlan(cfg.method, 4, 8), sys.Box)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.LongRange(sys.Pos, sys.Q, f)
+			}
+		})
+	}
 }

@@ -4,7 +4,7 @@
 //	mdrun -side 10 -steps 500 -method tme -rc 1.0 -grid 16 -M 3 -gc 8
 //
 // Methods: cutoff (erfc-screened short range only) plus every method in
-// the solver registry (spme, tme, msm). TME additionally selects its
+// solver's table (msm, spme, tme). TME additionally selects its
 // middle-range kernel family with -kernel (gauss|useries). With -in, a
 // checkpoint image written by watergen (watergen -o water.tme) is used
 // instead of building a fresh box.
@@ -48,6 +48,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -59,10 +60,6 @@ import (
 	"tme4a/internal/solver"
 	"tme4a/internal/tune"
 	"tme4a/internal/water"
-
-	// Populate the solver registry.
-	_ "tme4a/internal/core"
-	_ "tme4a/internal/msm"
 )
 
 var (
@@ -368,6 +365,12 @@ func checkFlags() error {
 		return fmt.Errorf("-side %d: want at least 1 water per box edge", *side)
 	case *every < 1:
 		return fmt.Errorf("-report %d: want a report interval of at least 1 step", *every)
+	case math.IsNaN(*temp) || math.IsInf(*temp, 0) || *temp <= 0:
+		return fmt.Errorf("-T %g: want a finite, positive temperature (K)", *temp)
+	case *ckEvery < 0:
+		return fmt.Errorf("-checkpoint-every %d: want a cadence of at least 1 step, or 0 for none", *ckEvery)
+	case *ckKeep < 1:
+		return fmt.Errorf("-checkpoint-keep %d: want at least 1 checkpoint retained", *ckKeep)
 	case *tuneOn && *in != "":
 		return fmt.Errorf("-tune plans from -side; it does not combine with -in")
 	case *tuneOn && *ranks > 0:

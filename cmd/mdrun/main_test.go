@@ -45,7 +45,9 @@ func parseFlags(t *testing.T, args []string) {
 
 // TestCheckFlags: values mdrun cannot run with are refused with a one-line
 // error before anything is built; -report 0 used to panic dividing by
-// zero and -side -1 sizing a slice.
+// zero, -side -1 sizing a slice, and -T -5 ran to the end on NaN
+// velocities, while a negative -checkpoint-every and -checkpoint-keep 0
+// were quietly read as "off" and 3.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -58,6 +60,13 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"-side", "-1"}, "-side -1"},
 		{[]string{"-side", "0"}, "-side 0"},
 		{[]string{"-retune"}, "-retune requires -tune"},
+		{[]string{"-T", "-5"}, "-T -5"},
+		{[]string{"-T", "0"}, "-T 0"},
+		{[]string{"-T", "NaN"}, "-T NaN"},
+		{[]string{"-T", "+Inf"}, "-T +Inf"},
+		{[]string{"-checkpoint-every", "-1"}, "-checkpoint-every -1"},
+		{[]string{"-checkpoint-keep", "0"}, "-checkpoint-keep 0"},
+		{[]string{"-checkpoint-every", "10", "-checkpoint-keep", "1"}, ""},
 	} {
 		parseFlags(t, tc.args)
 		err := checkFlags()

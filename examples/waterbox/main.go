@@ -9,12 +9,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
+	"log"
 	"runtime"
 
-	"tme4a/internal/core"
 	"tme4a/internal/md"
-	"tme4a/internal/spme"
+	"tme4a/internal/tune"
 	"tme4a/internal/water"
 )
 
@@ -25,27 +24,25 @@ func main() {
 
 	nmol := (*side) * (*side) * (*side)
 	box := water.CubicBoxFor(nmol)
-	sys := water.Build(*side, *side, *side, box, 2021)
+	rc := min(1.2, box.L[0]/2.2)
 	fmt.Printf("NVE water: %d molecules (%d atoms), box %.3f nm\n",
-		nmol, sys.N(), box.L[0])
+		nmol, 3*nmol, box.L[0])
 	fmt.Printf("parallel short-range engine on %d worker(s); "+
 		"trajectories are bitwise identical at any GOMAXPROCS\n",
 		runtime.GOMAXPROCS(0))
 
-	water.Equilibrate(sys, 200, 0.001, 300, min(0.9, box.L[0]/2.2), 7)
-	sys.InitVelocities(300, rand.New(rand.NewSource(11)))
+	const seed = 2021
+	sys := water.Fresh(*side, seed, 200, 0.001, 300, rc)
+	water.Draw(sys, 300, seed)
 
-	rc := min(1.2, box.L[0]/2.2)
-	alpha := spme.Alpha(rc)
-	mesh := core.New(core.Params{
-		Alpha: alpha, Rc: rc, Order: 6,
-		N: [3]int{16, 16, 16}, Levels: 1, M: 3, Gc: 8,
-	}, box)
 	// Skin > 0 turns on the buffered Verlet pair list; after the first
 	// step the engine reuses all scratch, so stepping allocates nothing.
-	integ := &md.Integrator{
-		FF: &md.ForceField{Alpha: alpha, Rc: rc, Skin: 0.1, Mesh: mesh},
-		Dt: 0.001,
+	integ, err := tune.Plan{
+		Method: "tme", Rc: rc, Skin: 0.1, Grid: [3]int{16, 16, 16},
+		Order: 6, Levels: 1, M: 3, Gc: 8,
+	}.NewIntegrator(box, 0.001)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("%8s %14s %14s %14s %10s\n", "step", "potential", "kinetic", "total", "T (K)")

@@ -9,12 +9,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"math/rand"
 
 	"tme4a/internal/analysis"
-	"tme4a/internal/core"
 	"tme4a/internal/md"
-	"tme4a/internal/spme"
+	"tme4a/internal/tune"
 	"tme4a/internal/water"
 )
 
@@ -22,23 +22,20 @@ func main() {
 	steps := flag.Int("steps", 400, "production MD steps (1 fs)")
 	flag.Parse()
 
-	const side = 8 // 512 waters
-	box := water.CubicBoxFor(side * side * side)
-	sys := water.Build(side, side, side, box, 17)
+	const side, seed = 8, 17 // 512 waters
+	sys := water.Fresh(side, seed, 0, 0.001, 300, 0)
+	water.Draw(sys, 300, seed)
+	box := sys.Box
 	fmt.Printf("TIP3P water: %d molecules, %.3f nm box\n", side*side*side, box.L[0])
 
-	rc := 0.9
-	alpha := spme.Alpha(rc)
-	mesh := core.New(core.Params{
-		Alpha: alpha, Rc: rc, Order: 6,
-		N: [3]int{16, 16, 16}, Levels: 1, M: 3, Gc: 8,
-	}, box)
-	sys.InitVelocities(300, rand.New(rand.NewSource(5)))
-	integ := &md.Integrator{
-		FF:         &md.ForceField{Alpha: alpha, Rc: rc, Skin: 0.15, Mesh: mesh},
-		Dt:         0.001,
-		Thermostat: &md.CSVR{T: 300, Tau: 0.05, Rng: rand.New(rand.NewSource(6))},
+	integ, err := tune.Plan{
+		Method: "tme", Rc: 0.9, Skin: 0.15, Grid: [3]int{16, 16, 16},
+		Order: 6, Levels: 1, M: 3, Gc: 8,
+	}.NewIntegrator(box, 0.001)
+	if err != nil {
+		log.Fatal(err)
 	}
+	integ.Thermostat = &md.CSVR{T: 300, Tau: 0.05, Rng: rand.New(rand.NewSource(seed + 3))}
 
 	// Equilibrate, then sample g(r) and the diffusion coefficient.
 	fmt.Println("equilibrating 200 steps at 300 K (CSVR)...")

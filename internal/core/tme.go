@@ -67,9 +67,9 @@ type Params struct {
 }
 
 // Validate reports the first invalid parameter as an error. New panics on
-// the same conditions; the solver registry surfaces them as errors so a
-// CLI can reject a bad -method/-kernel/-grid combination with a usage
-// message instead of a stack trace.
+// the same conditions; solver.Validate and solver.New surface them as
+// errors so a CLI can reject a bad -method/-kernel/-grid combination with
+// a usage message instead of a stack trace.
 func (p Params) Validate() error {
 	if p.Levels < 1 {
 		return fmt.Errorf("core: TME needs at least one middle level, got %d", p.Levels)
@@ -131,7 +131,7 @@ func shellQuad(family KernelFamily, m int) (tau, c []float64) {
 }
 
 // New validates parameters and precomputes all kernels. It panics on
-// invalid parameters; use Params.Validate (or the solver registry) to get
+// invalid parameters; use Params.Validate (or solver.Validate) to get
 // the same conditions as errors.
 func New(prm Params, box vec.Box) *Solver {
 	if err := prm.Validate(); err != nil {

@@ -199,16 +199,6 @@ func TestWorkloadDecomposition(t *testing.T) {
 	}
 }
 
-func BenchmarkSimulateStep(b *testing.B) {
-	w, cfg := paperWorkload(b)
-	prm := paperTME()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.SimulateStep(w, prm, true)
-	}
-}
-
 // TestEventLevelLongRange cross-validates the barrier model: the
 // event-level simulation (per-node LRU times, contention-aware sleeve and
 // block messages, per-axis convolution dependencies) must land in the same

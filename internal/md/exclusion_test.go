@@ -18,9 +18,6 @@ import (
 	"tme4a/internal/spme"
 	"tme4a/internal/vec"
 	"tme4a/internal/water"
-
-	_ "tme4a/internal/core"
-	_ "tme4a/internal/msm"
 )
 
 // equilibratedWater is a side³-molecule water box after a short

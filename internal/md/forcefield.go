@@ -10,11 +10,10 @@ import (
 
 // MeshSolver is the long-range electrostatics interface satisfied by
 // spme.Solver, core.Solver (TME) and msm.Solver: it returns the mesh +
-// self energy and accumulates mesh forces. The solver registry
-// (internal/solver) extends this contract with self-description and
-// constructs any registered implementation from a method name, so callers
-// that select the method at runtime (cmd/mdrun, tune.Plan.NewSolver)
-// need not import the concrete packages.
+// self energy and accumulates mesh forces. Package solver extends this
+// contract with self-description and constructs any of the three from a
+// method name, so callers that select the method at runtime (cmd/mdrun,
+// tune.Plan.NewSolver) need not import the concrete packages.
 type MeshSolver interface {
 	LongRange(pos []vec.V, q []float64, f []vec.V) float64
 }
@@ -98,7 +97,7 @@ type ForceField struct {
 }
 
 // obsWirer is satisfied by the instrumentable mesh solvers — every
-// registered implementation (solver.Solver requires the method) wires the
+// method in package solver (solver.Solver requires SetObs) wires the
 // recorder through to its mesher, pool and sub-solvers. A MeshSolver
 // without a SetObs method, such as a test fake, simply goes untimed below
 // the mesh-total stage.

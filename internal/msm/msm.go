@@ -46,7 +46,8 @@ type Params struct {
 }
 
 // Validate reports the first invalid parameter as an error. New panics on
-// the same conditions; the solver registry surfaces them as errors.
+// the same conditions; solver.Validate and solver.New surface them as
+// errors.
 func (p Params) Validate() error {
 	if p.Levels < 1 {
 		return fmt.Errorf("msm: MSM needs at least one middle level, got %d", p.Levels)
@@ -73,7 +74,7 @@ type Solver struct {
 }
 
 // New precomputes the MSM solver for the box. It panics on invalid
-// parameters; use Params.Validate (or the solver registry) to get the same
+// parameters; use Params.Validate (or solver.Validate) to get the same
 // conditions as errors.
 func New(prm Params, box vec.Box) *Solver {
 	if err := prm.Validate(); err != nil {

@@ -23,7 +23,7 @@ import (
 //	GET    /jobs/{id}/energies ledger rows ?from=&max= → 200 {rows, next}
 //	GET    /jobs/{id}/stream   live CSV energy stream  → 200 text/csv (chunked)
 //	GET    /stats              scheduler counters      → 200 Stats
-//	GET    /methods            registered solvers      → 200 []solver.Method
+//	GET    /methods            solver methods          → 200 []solver.Method
 //	GET    /healthz            liveness                → 200 {"ok":true}
 //
 // Errors are JSON: {"error": "..."}.

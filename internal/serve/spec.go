@@ -5,8 +5,8 @@
 //
 // The package splits into three layers:
 //
-//   - Spec (this file): the validated JSON job description — a solver
-//     registry Config plus box and step budget. Every trajectory served is
+//   - Spec (this file): the validated JSON job description — a
+//     solver.Config plus box and step budget. Every trajectory served is
 //     a pure function of its Spec, so per-job results are bitwise
 //     reproducible regardless of what else the daemon is running.
 //   - Scheduler (sched.go, job.go): fair round-robin multiplexing in
@@ -29,11 +29,6 @@ import (
 	"tme4a/internal/tune"
 	"tme4a/internal/vec"
 	"tme4a/internal/water"
-
-	// The service validates and runs any registered method, so it links
-	// the whole registry rather than leaving that to each binary.
-	_ "tme4a/internal/core"
-	_ "tme4a/internal/msm"
 )
 
 // Spec is one job description: which long-range method to run, on how
@@ -46,8 +41,8 @@ type Spec struct {
 	// Name is a free-form label echoed in listings.
 	Name string `json:"name,omitempty"`
 	// Method is "cutoff" (erfc-screened short range only), any solver
-	// registry method (spme, tme, msm), or "auto": admission plans the
-	// cheapest registered configuration predicted to meet ErrBudget
+	// method (msm, spme, tme), or "auto": admission plans the
+	// cheapest tuner configuration predicted to meet ErrBudget
 	// (internal/tune) and rewrites this spec to the concrete result, so
 	// the config hash and the stored job carry the resolved plan, never
 	// the word "auto". Default "tme".
@@ -217,7 +212,7 @@ func (sp Spec) Box() vec.Box {
 	return water.CubicBoxFor(sp.Side * sp.Side * sp.Side)
 }
 
-// Validate checks every field and, for mesh methods, asks the registry —
+// Validate checks every field and, for mesh methods, asks solver.Validate —
 // which builds nothing — so the per-package Params.Validate errors (odd
 // order, non-power-of-two grid, out-of-range u-series M, unknown kernel)
 // surface verbatim in the API response. The spec must be normalized.

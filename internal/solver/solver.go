@@ -1,43 +1,37 @@
-// Package solver is the registry of long-range electrostatics solvers.
+// Package solver is the table of long-range electrostatics methods.
 //
 // Every mesh method in this repository — SPME, the paper's TME, and the
 // B-spline MSM comparator — computes the same thing: the mesh + self part
 // of the periodic Coulomb energy with forces accumulated into a caller
 // buffer. This package names that contract (the Molly.jl/AtomsCalculators
 // "calculator" idiom: one energy_forces entry point per interchangeable
-// method) and lets the implementations register constructors under their
-// method names, so callers select a solver per run from a string without
-// importing — or even knowing — the concrete packages.
+// method) and constructs any of the three from its method name, so callers
+// select a solver per run from a string without importing the concrete
+// packages:
 //
-// The implementations register themselves from init functions
-// (internal/spme, internal/core, internal/msm); a caller that wants the
-// full registry imports them for effect:
-//
-//	import (
-//	    _ "tme4a/internal/core"
-//	    _ "tme4a/internal/msm"
-//	    _ "tme4a/internal/spme"
-//	)
 //	mesh, err := solver.New("tme", solver.Config{...}, box)
 //
-// Each implementation registers its Config → Params mapping beside its
+// The set is closed: the paper compares exactly these methods, and the
+// tuner and the frontier sweep name them one by one. One static table,
+// sorted by name, holds each method's doc line, Config → Params mapping and
 // constructor; Params.Validate is its check, so Validate and New return
 // errors, never panic, and a CLI can turn a bad flag into a usage message.
 package solver
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
+	"tme4a/internal/core"
 	"tme4a/internal/md"
+	"tme4a/internal/msm"
 	"tme4a/internal/obs"
+	"tme4a/internal/spme"
 	"tme4a/internal/vec"
 )
 
-// Config is the superset of the registered solvers' parameters; each
-// constructor maps the subset it understands onto its package Params and
+// Config is the superset of the methods' parameters; each row of the table
+// maps the subset its method understands onto the package Params and
 // validates it there. Field semantics follow core.Params.
 type Config struct {
 	Alpha  float64 // Ewald splitting parameter (nm⁻¹)
@@ -53,9 +47,9 @@ type Config struct {
 // Solver extends the md.MeshSolver calculator contract with
 // self-description, so a run header or results table can state exactly
 // which method and parameters produced it, and with the per-stage timing
-// hook every registered solver inherits from spme.Cycle. Resume hooks live
-// at the md.ForceField layer — solvers are stateless between steps by
-// design, so checkpoint/restart needs nothing from them (DESIGN.md §7.5).
+// hook every method inherits from spme.Cycle. Resume hooks live at the
+// md.ForceField layer — solvers are stateless between steps by design, so
+// checkpoint/restart needs nothing from them (DESIGN.md §7.5).
 type Solver interface {
 	md.MeshSolver
 	// Describe returns a one-line human-readable description of the
@@ -66,51 +60,52 @@ type Solver interface {
 	SetObs(*obs.Recorder)
 }
 
-// entry is one registered method: its parameter check and constructor
-// plus the one-line doc the listing endpoints render.
-type entry struct {
-	doc      string
-	validate func(Config) error
-	build    func(Config, vec.Box) Solver
+// method is one row of the table: the name, the one-line doc the listing
+// endpoints render, the method's check and its constructor, which is only
+// called with a Config that passed the check.
+type method struct {
+	name, doc string
+	validate  func(Config) error
+	build     func(Config, vec.Box) Solver
 }
 
-var (
-	regMu    sync.Mutex
-	registry = map[string]entry{}
-)
-
-// Register adds a named method to the registry: a one-line description,
-// the mapping of Config onto the method's own parameters — whose Validate
-// is the method's check — and the constructor over those parameters, which
-// the registry only calls with parameters that passed. It is intended for
-// package init functions; registering an empty name, a nil function or a
-// duplicate name is a programming error and panics.
-func Register[P interface{ Validate() error }, S Solver](name, doc string, params func(Config) P, build func(P, vec.Box) S) {
-	if name == "" || params == nil || build == nil {
-		panic("solver: Register needs a non-empty name, a parameter mapping and a constructor")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("solver: method %q registered twice", name))
-	}
-	registry[name] = entry{
+// row types a method's Config → Params mapping and constructor into a
+// table row; the Params' Validate is the row's check.
+func row[P interface{ Validate() error }, S Solver](name, doc string, params func(Config) P, build func(P, vec.Box) S) method {
+	return method{
+		name:     name,
 		doc:      doc,
 		validate: func(cfg Config) error { return params(cfg).Validate() },
 		build:    func(cfg Config, box vec.Box) Solver { return build(params(cfg), box) },
 	}
 }
 
-// lookup returns the named method's entry and what its check says of cfg;
-// an unknown name is an error that lists the registered ones.
-func lookup(name string, cfg Config) (entry, error) {
-	regMu.Lock()
-	e, ok := registry[name]
-	regMu.Unlock()
-	if !ok {
-		return e, fmt.Errorf("solver: unknown method %q (registered: %s)", name, strings.Join(Names(), ", "))
+// methods is the table, sorted by name.
+var methods = []method{
+	row("msm", "B-spline multilevel summation: real-space level hierarchy comparator, SPME top solve",
+		func(c Config) msm.Params {
+			return msm.Params{Alpha: c.Alpha, Rc: c.Rc, Order: c.Order, N: c.N, Levels: c.Levels, Gc: c.Gc}
+		}, msm.New),
+	row("spme", "smooth particle-mesh Ewald: B-spline charge assignment, single FFT grid solve",
+		func(c Config) spme.Params {
+			return spme.Params{Alpha: c.Alpha, Rc: c.Rc, Order: c.Order, N: c.N}
+		}, spme.New),
+	row("tme", "tensor-structured multilevel Ewald (the paper's method): separable Gaussian-sum or u-series middle-range kernels over a level hierarchy, SPME top solve",
+		func(c Config) core.Params {
+			return core.Params{Alpha: c.Alpha, Rc: c.Rc, Order: c.Order, N: c.N,
+				Levels: c.Levels, M: c.M, Gc: c.Gc, Kernel: core.KernelFamily(c.Kernel)}
+		}, core.New),
+}
+
+// lookup returns the named method's row and what its check says of cfg;
+// an unknown name is an error that lists the known ones.
+func lookup(name string, cfg Config) (method, error) {
+	for _, m := range methods {
+		if m.name == name {
+			return m, m.validate(cfg)
+		}
 	}
-	return e, e.validate(cfg)
+	return method{}, fmt.Errorf("solver: unknown method %q (registered: %s)", name, strings.Join(Names(), ", "))
 }
 
 // Validate reports what New would reject, without constructing anything.
@@ -121,47 +116,40 @@ func Validate(name string, cfg Config) error {
 
 // New constructs the named solver.
 func New(name string, cfg Config, box vec.Box) (Solver, error) {
-	e, err := lookup(name, cfg)
+	m, err := lookup(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return e.build(cfg, box), nil
+	return m.build(cfg, box), nil
 }
 
-// Names returns the registered method names, sorted.
+// Names returns the method names, sorted.
 func Names() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry { //tmevet:ignore detmap -- key collection, sorted below
-		names = append(names, name)
+	names := make([]string, len(methods))
+	for i, m := range methods {
+		names[i] = m.name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// Method is one row of the registry listing.
+// Method is one row of the method listing.
 type Method struct {
 	Name string `json:"name"`
 	Doc  string `json:"doc"`
 }
 
-// Methods returns every registered method with its description, sorted by
-// name — the order is deterministic, never the map's iteration order, so
+// Methods returns every method with its description, sorted by name, so
 // API listings and usage strings built on it are byte-stable across runs.
 func Methods() []Method {
-	names := Names()
-	regMu.Lock()
-	defer regMu.Unlock()
-	ms := make([]Method, len(names))
-	for i, name := range names {
-		ms[i] = Method{Name: name, Doc: registry[name].doc}
+	ms := make([]Method, len(methods))
+	for i, m := range methods {
+		ms[i] = Method{Name: m.name, Doc: m.doc}
 	}
 	return ms
 }
 
-// Describe renders the registry listing, one "name: doc" line per method
-// in sorted name order. Repeated calls return identical strings.
+// Describe renders the method listing, one "name: doc" line per method in
+// sorted name order. Repeated calls return identical strings.
 func Describe() string {
 	var b strings.Builder
 	for _, m := range Methods() {

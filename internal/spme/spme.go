@@ -32,7 +32,8 @@ type Params struct {
 }
 
 // Validate reports the first invalid parameter as an error. New panics on
-// the same conditions; the solver registry surfaces them as errors.
+// the same conditions; solver.Validate and solver.New surface them as
+// errors.
 func (p Params) Validate() error {
 	return CheckParams("spme", p.Alpha, p.Rc, p.Order, p.N, 0)
 }
@@ -80,7 +81,7 @@ type Solver struct {
 }
 
 // New precomputes an SPME solver for the box. It panics on invalid
-// parameters; use Params.Validate (or the solver registry) to get the same
+// parameters; use Params.Validate (or solver.Validate) to get the same
 // conditions as errors.
 func New(prm Params, box vec.Box) *Solver {
 	if err := prm.Validate(); err != nil {

@@ -8,20 +8,14 @@ import (
 	"tme4a/internal/solver"
 	"tme4a/internal/spme"
 	"tme4a/internal/vec"
-
-	// Plans validate and materialize through the solver registry; linking
-	// the implementation packages here (core registers "tme"; spme is
-	// imported by name) keeps every plan the tuner can emit constructible
-	// by every caller of this package.
-	_ "tme4a/internal/core"
-	_ "tme4a/internal/msm"
 )
 
 // Alpha returns the plan's Ewald splitting parameter — derived, not
 // stored: every run shares the spme.RTol convention.
 func (p Plan) Alpha() float64 { return spme.Alpha(p.Rc) }
 
-// SolverConfig maps the plan onto the solver registry's superset config.
+// SolverConfig maps the plan onto solver.Config, the superset of the
+// methods' parameters that solver.Validate and solver.New take.
 func (p Plan) SolverConfig() solver.Config {
 	return solver.Config{
 		Alpha:  p.Alpha(),
@@ -36,8 +30,8 @@ func (p Plan) SolverConfig() solver.Config {
 }
 
 // Validate checks the plan without allocating a solver: the plan-level
-// fields first, then the registry's check of the method and its
-// parameters — what the registry constructor would reject. A plan returned
+// fields first, then solver.Validate's check of the method and its
+// parameters — what solver.New would reject. A plan returned
 // by PlanFor always passes (FuzzPlanRequest leans on this).
 func (p Plan) Validate() error {
 	if !isFinite(p.Rc) || p.Rc <= 0 {

@@ -3,7 +3,7 @@
 // measured Table-1 accuracy surface (results/table1.csv) and the live
 // per-stage timings (internal/obs, whose stages key the cost rows):
 // given a box, an atom count and a force-error budget, it enumerates
-// every candidate plan over the registered long-range solvers (SPME, TME
+// every candidate plan over the long-range solvers (SPME, TME
 // with the gauss and u-series kernel families, B-spline MSM), scores each
 // with per-stage cost rows plus a surface-fit error estimate, and emits a
 // deterministic Plan — method, kernel, cutoff, grid, g_c, M and Verlet

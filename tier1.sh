@@ -93,6 +93,12 @@ code=0
 "$smoke/mdrun" -in "$smoke/bad.tme" -steps 5 > /dev/null 2> "$smoke/err" || code=$?
 test "$code" -eq 1
 grep -q 'CRC mismatch' "$smoke/err"
+# A temperature mdrun cannot draw velocities at is a usage error (exit 1)
+# naming the flag, not a run on NaN energies.
+code=0
+"$smoke/mdrun" -T -5 -steps 1 > /dev/null 2> "$smoke/err" || code=$?
+test "$code" -eq 1
+grep -q -e '-T' "$smoke/err"
 rm -rf "$smoke"
 go test -run '^$' -bench . -benchtime 1x . ./internal/nonbond/ ./internal/grid/ \
 	./internal/pmesh/ ./internal/msm/ ./internal/core/ ./internal/bspline/ \
