@@ -402,37 +402,44 @@ func sphere(x, y, z, out float64, gj *geometry) (float64, bool) {
 // img against cluster j of slab t, centres d2 apart squared, if any of
 // their pairs is within cutoff+skin and not excluded (only a < b within one
 // cluster) or, with EwaldExcl, excluded and in its minimum image. Clusters
-// of different groups closer than their in sum list all.
+// of different groups closer than their in sum list all; otherwise a
+// conditional move, not a branch, sets each pair's bit from its distance.
 func (v *VerletList) pair(sl *slabList, row []int32, excl *topol.Exclusions, i, j int, img [3]int8, t int, d2 float64) uint16 {
 	gi, gj, l := &v.geo[i], &v.geo[j], v.Box.L
 	sx, sy, sz := float64(float64(img[0])*l[0]), float64(float64(img[1])*l[1]), float64(float64(img[2])*l[2])
-	in := gi.in + gj.in
-	i0, i1, j0, j1 := int(v.cstart[i]), int(v.cstart[i+1]), int(v.cstart[j]), int(v.cstart[j+1])
-	var mask, ex uint16
-	if gi.grp != gj.grp && in > 0 && d2 <= in*in {
-		for a := range i1 - i0 {
-			mask |= (1<<(j1-j0) - 1) << (clusterMax * a)
-		}
-	} else {
-		rcs2 := (v.Cutoff + v.Skin) * (v.Cutoff + v.Skin)
-		check := excl != nil && gi.grp == gj.grp
-		for a := i0; a < i1; a++ {
-			pa, b0 := &v.at[a], j0
-			if i == j {
-				b0 = a + 1
-			}
+	in, i0, j0 := gi.in+gj.in, int(v.cstart[i]), int(v.cstart[j])
+	ni, nj := int(v.cstart[i+1])-i0, int(v.cstart[j+1])-j0
+	slots := uint16(1<<nj-1) * uint16((1<<(clusterMax*ni)-1)/(1<<clusterMax-1)) // ni rows of nj pairs
+	if i == j {
+		slots &= 0b1000_1100_1110 // a < b: three pairs in row 0, two in 1, one in 2 (clusterMax 4)
+	}
+	mask, ex := slots, uint16(0)
+	if gi.grp == gj.grp || !(in > 0 && d2 <= in*in) {
+		rcs2, near := (v.Cutoff+v.Skin)*(v.Cutoff+v.Skin), uint16(0)
+		si, sj := (*[clusterMax]site)(v.at[i0:i0+clusterMax]), (*[clusterMax]site)(v.at[j0:j0+clusterMax])
+		for a := range ni {
+			pa := &si[a&(clusterMax-1)]
 			xa, ya, za := pa.x+sx, pa.y+sy, pa.z+sz
-			for b := b0; b < j1; b++ {
-				pb := &v.at[b]
+			for b := range nj {
+				b &= clusterMax - 1 // a no-op that bounds the index
+				pb := &sj[b]
 				dx, dy, dz := xa-pb.x, ya-pb.y, za-pb.z
-				bit := uint16(1) << (clusterMax*(a-i0) + b - j0)
-				switch {
-				case check && excl.Excluded(int(v.atom[a]), int(v.atom[b])):
-					if v.EwaldExcl && math.Abs(dx) <= l[0]/2 && math.Abs(dy) <= l[1]/2 && math.Abs(dz) <= l[2]/2 {
-						ex |= bit
-					}
-				case float64(dx*dx)+float64(dy*dy)+float64(dz*dz) <= rcs2:
-					mask |= bit
+				bit := uint16(1) << (clusterMax*a + b)
+				if float64(dx*dx)+float64(dy*dy)+float64(dz*dz) > rcs2 {
+					bit = 0
+				}
+				near |= bit
+			}
+		}
+		mask &= near
+		for m := slots; excl != nil && gi.grp == gj.grp && m != 0; m &= m - 1 {
+			ab := bits.TrailingZeros16(m)
+			pa, pb := &si[ab/clusterMax&(clusterMax-1)], &sj[ab&(clusterMax-1)]
+			if excl.Excluded(int(v.atom[i0+ab/clusterMax]), int(v.atom[j0+ab%clusterMax])) {
+				mask &^= 1 << ab
+				dx, dy, dz := pa.x+sx-pb.x, pa.y+sy-pb.y, pa.z+sz-pb.z
+				if v.EwaldExcl && math.Abs(dx) <= l[0]/2 && math.Abs(dy) <= l[1]/2 && math.Abs(dz) <= l[2]/2 {
+					ex |= 1 << ab
 				}
 			}
 		}
@@ -543,13 +550,13 @@ type near struct {
 	ab             uint
 }
 
-// eval is the pair loop. Per entry a geometry pass moves the run's
-// i-cluster to the entry's image and keeps, branch-free, the masked pairs
-// within the cutoff; a kernel pass composes each from kernel.go's pieces,
-// then the entry's excluded pairs get their correction; the j-cluster's
-// reactions are written once. Summed products are rounded (float64(x*y))
-// against fusion; tier1.sh holds the loop to that and to no call on the
-// in-table path.
+// eval is the pair loop. Per entry a geometry pass walks the mask's set
+// bits in ascending order, moves each pair's i-atom to the entry's image
+// and keeps, branch-free, those within the cutoff; a kernel pass composes
+// each from kernel.go's pieces, then the entry's excluded pairs get their
+// correction; the j-cluster's reactions are written once. Summed products
+// are rounded (float64(x*y)) against fusion; tier1.sh holds the loop to
+// that and to no call on the in-table path.
 //
 //tme:noalloc
 func (j listJob) eval(k int) {
@@ -571,22 +578,15 @@ func (j listJob) eval(k int) {
 			j0, nj := int(cs[e.j]), int(cs[e.j+1]-cs[e.j])
 			sj := (*[clusterMax]site)(at[j0 : j0+clusterMax])
 			n := 0
-			for a := range ni {
-				pa := &si[a&(clusterMax-1)]
-				xa, ya, za := pa.x+sx, pa.y+sy, pa.z+sz
-				m := int(e.mask >> (clusterMax * a))
-				for b := range nj {
-					b &= clusterMax - 1 // a no-op that bounds the shift below
-					pb := &sj[b]
-					dx, dy, dz := pb.x-xa, pb.y-ya, pb.z-za
-					r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
-					p := &in[n&(len(in)-1)]
-					p.dx, p.dy, p.dz, p.r2, p.ab = dx, dy, dz, r2, uint(clusterMax*a+b)
-					keep := m >> b & 1
-					if r2 > rc2 {
-						keep = 0
-					}
-					n += keep
+			for m := e.mask; m != 0; m &= m - 1 {
+				ab := bits.TrailingZeros16(m)
+				pa, pb := &si[ab/clusterMax&(clusterMax-1)], &sj[ab&(clusterMax-1)]
+				dx, dy, dz := pb.x-(pa.x+sx), pb.y-(pa.y+sy), pb.z-(pa.z+sz)
+				r2 := float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
+				p := &in[n&(len(in)-1)]
+				p.dx, p.dy, p.dz, p.r2, p.ab = dx, dy, dz, r2, uint(ab)
+				if !(r2 > rc2) { // a NaN is kept, to reach the energies
+					n++
 				}
 			}
 			pairs += n

@@ -1,7 +1,9 @@
 package nonbond_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -355,6 +357,7 @@ func TestShortRangeBoxShiftInvariance(t *testing.T) {
 // BenchmarkVerletComputeWater1536 is the pair pass of the sr-verlet
 // workload: 1536 TIP3P atoms, rc = 1.0, skin 0.1 — a box too small for
 // three cells, so the list is built in direct mode — lattice and diffused.
+// EXPERIMENTS.md cites it ("Pair pass over listed pairs").
 func BenchmarkVerletComputeWater1536(b *testing.B) {
 	for _, fx := range waterFixtures {
 		sys := fx.box(8)
@@ -372,15 +375,22 @@ func BenchmarkVerletComputeWater1536(b *testing.B) {
 	}
 }
 
-// BenchmarkRebuildWater1536 is the list rebuild of the same workload.
+// BenchmarkRebuildWater1536 is the list rebuild of the same workload, on
+// the lattice and the diffused box: on the lattice alone every distance
+// test predicts the same way. EXPERIMENTS.md cites it ("Pair pass over
+// listed pairs").
 func BenchmarkRebuildWater1536(b *testing.B) {
-	sys := waterBox(8)
-	v := nonbond.NewVerletList(sys.Box, 1.0, 0.1)
-	v.Rebuild(sys.Pos, sys.Excl)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.Rebuild(sys.Pos, sys.Excl)
+	for _, fx := range waterFixtures {
+		sys := fx.box(8)
+		b.Run(fx.name, func(b *testing.B) {
+			v := nonbond.NewVerletList(sys.Box, 1.0, 0.1)
+			v.Rebuild(sys.Pos, sys.Excl)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.Rebuild(sys.Pos, sys.Excl)
+			}
+		})
 	}
 }
 
@@ -414,4 +424,58 @@ func benchSkin0(b *testing.B, fixture string, sys *md.System, rc float64) {
 			v.Compute(sys.Pos, sys.Q, sys.LJ, alpha, f)
 		}
 	})
+}
+
+// TestShortRangePinned holds the list build and the pair pass to fixed
+// bits on the 648-, 1536- and 3000-atom boxes, lattice and diffused, at
+// skin 0 and 0.1 with EwaldExcl on, in direct mode (sides 6 and 8) and cell
+// mode (side 10): an FNV-64a hash of every slab's entries and runs after
+// Rebuild, and one of Compute's forces and Result. A change that moves a
+// bit of either fails here, however small; one that means to must say why
+// and record the new hashes.
+func TestShortRangePinned(t *testing.T) {
+	for _, tc := range []struct {
+		fixture     int // index into waterFixtures
+		side        int
+		rc, skin    float64
+		list, force uint64
+	}{
+		{0, 6, 0.84, 0, 0x8dbea4f00aa5ca1f, 0x0a6f3bd9caa42d59},
+		{0, 6, 0.84, 0.1, 0xac89d17e796c18b8, 0x0a6f3bd9caa42d59},
+		{0, 8, 1.0, 0, 0x5e74cc735a468b26, 0x1bce873549bde7e5},
+		{0, 8, 1.0, 0.1, 0x160cb6ff2a3db05f, 0x1bce873549bde7e5},
+		{0, 10, 0.5, 0, 0x8ae9c20cb454a430, 0x6afc1fa9435c257f},
+		{0, 10, 0.5, 0.1, 0x5a6cc046d247718a, 0x5217286654af04e2},
+		{1, 6, 0.84, 0, 0x4d355b87f3bf31c1, 0xa0c872fa4e748d72},
+		{1, 6, 0.84, 0.1, 0x8e3b119cc30dd893, 0xa0c872fa4e748d72},
+		{1, 8, 1.0, 0, 0x473b94412446a7c5, 0x2c69306e34df676b},
+		{1, 8, 1.0, 0.1, 0x79b7b467c1a2628c, 0x2c69306e34df676b},
+		{1, 10, 0.5, 0, 0x20e405907ccbeb14, 0x2e307e6451d05b4d},
+		{1, 10, 0.5, 0.1, 0x94a11a9a9ee7dfe5, 0x62de5cd0a860481b},
+	} {
+		fx := waterFixtures[tc.fixture]
+		sys := fx.box(tc.side)
+		name := fmt.Sprintf("%s %d atoms rc %g skin %g", fx.name, sys.N(), tc.rc, tc.skin)
+		v := nonbond.NewVerletList(sys.Box, tc.rc, tc.skin)
+		v.EwaldExcl = true
+		v.Rebuild(sys.Pos, sys.Excl)
+		f := make([]vec.V, sys.N())
+		r := v.Compute(sys.Pos, sys.Q, sys.LJ, spme.AlphaFromRTol(tc.rc, 1e-4), f)
+		h := fnv.New64a()
+		var b []byte
+		for _, fi := range f {
+			for _, x := range fi {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+			}
+		}
+		for _, x := range []float64{r.ECoul, r.ELJ, r.EExcl} {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Pairs))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Excluded))
+		h.Write(b)
+		if list, force := v.ListHash(), h.Sum64(); list != tc.list || force != tc.force {
+			t.Errorf("%s: list hash %#016x, force hash %#016x; pinned %#016x, %#016x", name, list, force, tc.list, tc.force)
+		}
+	}
 }

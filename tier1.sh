@@ -9,8 +9,10 @@ go build ./...
 # a call per pair: the kernel pieces (internal/nonbond/kernel.go) stay
 # inlinable and are inlined within the loop's own lines, and its amd64 code
 # calls nothing but the out-of-table fallback, the once-per-slab buffer
-# clears and the runtime's panics. The minimum image stays inlined in the
-# cell list's direct-mode traversal.
+# clears and the runtime's panics. Nor may the list build's per-pair test,
+# (*VerletList).pair, whose amd64 code calls only the entry append's
+# growslice and write barrier, the stack check and the runtime's panics.
+# The minimum image stays inlined in the cell list's direct-mode traversal.
 loop=$(awk '/^func \(j listJob\) eval\(/ { s = NR } s && !e && /^}/ { e = NR } END { print s ":" e }' internal/nonbond/verlet.go)
 inl=$(go build -gcflags=-m ./internal/vec/ ./internal/r2tab/ ./internal/nonbond/ ./internal/celllist/ 2>&1)
 for want in \
@@ -28,10 +30,15 @@ for call in 'r2tab.(\*Table).Segment' 'coulomb' 'r2tab.(\*Segment).Cubic' 'ljEva
 		awk -F: -v r="$loop" 'BEGIN { split(r, b, ":") } $2 >= b[1] && $2 <= b[2] { f = 1 } END { exit !f }' ||
 		{ echo "tier1: $call is no longer inlined into the pair loop" >&2; exit 1; }
 done
-calls=$(go build -gcflags=-S ./internal/nonbond/ 2>&1 |
+asm=$(go build -gcflags=-S ./internal/nonbond/ 2>&1)
+calls=$(echo "$asm" |
 	awk '/STEXT/ { p = ($1 == "tme4a/internal/nonbond.listJob.eval") } p && /\tCALL\t/' |
 	grep -vE 'CALL	(tme4a/internal/nonbond\.\(\*kernel\)\.coulombOut\(SB\)|runtime\.(panic[A-Za-z]*\(SB\)|memclrNoHeapPointers\(SB\)|morestack_noctxt\(SB\)|duffzero\+[0-9]+))$' || true)
 [ -z "$calls" ] || { echo "tier1: the pair loop calls $calls" >&2; exit 1; }
+calls=$(echo "$asm" |
+	awk '/STEXT/ { p = ($1 == "tme4a/internal/nonbond.(*VerletList).pair") } p && /\tCALL\t/' |
+	grep -vE 'CALL	runtime\.(growslice|gcWriteBarrier[0-9]*|morestack_noctxt|panic[A-Za-z]*)\(SB\)$' || true)
+[ -z "$calls" ] || { echo "tier1: the list build's pair test calls $calls" >&2; exit 1; }
 # No fused multiply-add anywhere in internal/nonbond — the list build,
 # whose distance tests decide which pairs the loop ever sees, the pair loop
 # and the pieces inlined into it — nor in r2tab's lookup, the mesh's
