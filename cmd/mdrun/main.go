@@ -21,6 +21,10 @@
 // but draws fresh noise). -steps is the total trajectory length, so the
 // resumed run performs only the remaining steps.
 //
+// A serial run starts, steps, checkpoints and re-plans through tune.Run,
+// the one sequence mdserve's jobs share; a step that panics exits 1 with
+// "mdrun: step N: ...".
+//
 // Auto-tuning (see DESIGN.md §7.10):
 //
 //	mdrun -side 10 -steps 500 -tune -errbudget 1e-3
@@ -78,7 +82,7 @@ var (
 	every   = flag.Int("report", 20, "report interval (steps)")
 	seed    = flag.Int64("seed", 1, "random seed")
 	obsOn   = flag.Bool("obs", false, "record per-stage timings and print the breakdown at the end")
-	ckDir   = flag.String("checkpoint-dir", "", "directory for crash-consistent checkpoints")
+	ckDir   = flag.String("checkpoint-dir", "", "directory for crash-consistent checkpoints (with -checkpoint-every or -resume)")
 	ckEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence in steps (0 = off)")
 	ckKeep  = flag.Int("checkpoint-keep", 3, "checkpoints retained (keep-last-K)")
 	resume  = flag.Bool("resume", false, "restore from the newest valid checkpoint in -checkpoint-dir")
@@ -102,96 +106,28 @@ func main() {
 	if err != nil {
 		fatalf("tune: %v", err)
 	}
-	tuned := plan // the retune monitor's starting plan
 	if *tuneOn {
 		fmt.Printf("tuned plan: %s\n", plan.String())
 	}
-	cfgHash := ckpt.ConfigHash(configString(plan))
-
-	var store *ckpt.Store
-	openStore := func() *ckpt.Store {
-		if store == nil {
-			st, err := ckpt.Open(*ckDir, *ckKeep, cfgHash, nil)
-			if err != nil {
-				fatalf("opening checkpoint store: %v", err)
-			}
-			store = st
-		}
-		return store
+	run := &tune.Run{
+		Plan: plan, Dt: 0.001, Dir: *ckDir, Keep: *ckKeep, Hash: ckpt.ConfigHash(configString(plan)),
+		Every: *ckEvery, Resume: *resume, Fresh: freshState, Log: os.Stdout,
 	}
-
-	var (
-		sys       *md.System
-		meta      map[string]int64
-		resumed   *ckpt.Checkpoint
-		startStep int
-	)
-	switch {
-	case *resume:
-		if *ckDir == "" {
-			fatalf("-resume requires -checkpoint-dir")
-		}
-		c, err := openStore().LoadLatest()
-		if err != nil {
-			fatalf("resume: %v", err)
-		}
-		resumed = c
-		startStep = int(c.Step())
-		// Rebuild the topology the checkpoint was taken from; positions
-		// and velocities come from the snapshot, so no equilibration and
-		// no fresh velocity draw.
-		if sys, err = water.Rebuild(c.Snap); err != nil {
-			fatalf("resume: %v", err)
-		}
-		meta = c.Snap.Meta
-		fmt.Printf("resuming from %s/%s at step %d\n", *ckDir, ckpt.FileName(c.Step()), startStep)
-	case *in != "":
-		data, err := os.ReadFile(*in)
-		var c *ckpt.Checkpoint
-		if err == nil {
-			c, err = ckpt.Decode(data)
-		}
-		if err != nil {
-			fatalf("loading %s: %v", *in, err)
-		}
-		snap := c.Snap
-		if sys, err = water.Rebuild(snap); err != nil {
-			fatalf("%v", err)
-		}
-		if err := sys.Restore(snap); err != nil {
-			fatalf("%v", err)
-		}
-		meta = snap.Meta
-		water.Draw(sys, *temp, *seed)
-	default:
-		// The box is thermalised at 300 K whatever -T says; -T sets the
-		// velocity draw.
-		sys, meta = water.Fresh(*side, *seed, 200, 0.001, 300, 0), water.Meta(*side, *seed)
-		water.Draw(sys, *temp, *seed)
+	if *resume {
+		run.Fresh = nil // -resume never starts fresh: an empty directory is an error
 	}
-	if plan.Rc >= sys.Box.L[0]/2 {
-		plan.Rc = sys.Box.L[0] / 2 * 0.95
-		fmt.Printf("cutoff reduced to %.3f nm (half box)\n", plan.Rc)
-	}
-	if err := plan.Check(); err != nil {
-		fatalf("%v", err)
-	}
-	var rec *obs.Recorder
 	if *obsOn || *retune {
 		// The retune monitor feeds on live stage timings, so -retune
 		// records them even without -obs.
-		rec = obs.New()
+		run.Rec = obs.New()
 	}
-	var integ *md.Integrator
-	if resumed != nil {
-		if integ, err = tune.Resume(sys, resumed.Snap, plan, 0.001, rec); err != nil {
-			fatalf("resume: %v", err)
-		}
-		resumed.RestoreObs(rec)
-	} else if integ, err = plan.NewIntegrator(sys.Box, 0.001); err != nil {
+	if *retune {
+		run.Monitor = tune.NewMonitor(tuneReq, plan)
+	}
+	if err := run.Start(); err != nil {
 		fatalf("%v", err)
 	}
-	ff := integ.FF
+	plan, sys, ff, rec := run.Plan, run.Sys, run.Integ.FF, run.Rec
 	if s, ok := ff.Mesh.(solver.Solver); ok {
 		fmt.Println(s.Describe())
 	}
@@ -207,7 +143,15 @@ func main() {
 		}
 		fmt.Printf("%d atoms over %d ranks, method %s, rc %.2f nm, α %.3f nm⁻¹\n",
 			sys.N(), *ranks, plan.Method, plan.Rc, ff.Alpha)
-		runTable(sys, eng.Step, 0, *steps, *every, nil)
+		n := 0
+		runTable(sys, func() (md.Energies, error) {
+			n++
+			e, err := eng.Step()
+			if err != nil {
+				err = fmt.Errorf("step %d: %w", n, err)
+			}
+			return e, err
+		}, 0, *steps, *every, func() {})
 		if b := eng.CommBytes(); *steps > 0 {
 			fmt.Printf("protocol traffic: %d bytes total, %d bytes/step\n", b, b/int64(*steps))
 		}
@@ -216,78 +160,55 @@ func main() {
 	}
 
 	if *nvt {
-		integ.Thermostat = &md.Thermostat{T: *temp, Tau: 0.1}
+		run.Integ.Thermostat = &md.Thermostat{T: *temp, Tau: 0.1}
 	}
-	integ.SetObs(rec) // a resumed integrator has it already
-	if *ckEvery > 0 && *ckDir != "" {
-		openStore()
-	}
-	if store != nil && rec != nil {
-		store.SetObs(rec)
-	}
-
-	remaining := *steps - startStep
-	if remaining <= 0 {
-		fmt.Printf("trajectory already at step %d of %d; nothing to do\n", startStep, *steps)
+	if run.Done >= *steps {
+		fmt.Printf("trajectory already at step %d of %d; nothing to do\n", run.Done, *steps)
 		return
 	}
-
 	fmt.Printf("%d atoms, method %s, rc %.2f nm, α %.3f nm⁻¹, grid %d³\n",
 		sys.N(), plan.Method, plan.Rc, ff.Alpha, plan.Grid[0])
-	step := func() (md.Energies, error) { return integ.Step(sys), nil }
-	save := func(abs int) *md.Snapshot {
-		snap := integ.CaptureResume(sys, meta)
-		if err := store.Save(snap); err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: checkpoint at step %d failed: %v\n", abs, err)
-			return nil
+	// Each step ends at the run's checkpoint boundary: a save at the
+	// cadence and, with -retune, the drift monitor behind it.
+	runTable(sys, run.Step, run.Done, *steps-run.Done, *every, func() {
+		replanned, err := run.Checkpoint()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
 		}
-		return snap
-	}
-	// after is the per-step hook of the serial engine: checkpoints, and with
-	// -retune the drift monitor behind them.
-	var after func(abs int)
-	switch {
-	case *retune:
-		// Each checkpoint boundary saves a snapshot, hands the live obs
-		// profile to the drift monitor, and — when the monitor re-plans —
-		// switches the integrator through tune.Switch. The switch consumes
-		// exactly the state a fresh restore of that checkpoint would, so the
-		// trajectory after a retune is bitwise identical to restarting under
-		// the new plan (TestRetuneBitwise pins this).
-		mon := tune.NewMonitor(tuneReq, tuned)
-		after = func(abs int) {
-			if abs%*ckEvery != 0 {
-				return
-			}
-			snap := save(abs)
-			if snap == nil {
-				return
-			}
-			next, changed := mon.Observe(rec.Profile(), int64(abs-startStep))
-			if !changed {
-				return
-			}
-			ni, err := tune.Switch(sys, snap, next, integ.Dt)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mdrun: retune switch failed, keeping current plan: %v\n", err)
-				return
-			}
-			integ = ni
-			integ.SetObs(rec)
-			fmt.Printf("%8d retune: %s\n", abs, next.String())
+		if replanned {
+			fmt.Printf("%8d retune: %s\n", run.Done, run.Plan.String())
 		}
-	case store != nil && *ckEvery > 0:
-		after = func(abs int) {
-			if abs%*ckEvery == 0 {
-				save(abs)
-			}
-		}
-	}
-	runTable(sys, step, startStep, remaining, *every, after)
-	if !*obsOn {
-		rec = nil // recorded for the retune monitor only
-	}
+	})
 	renderObs(rec, plan.Method, sys.N())
+}
+
+// freshState builds the starting system of a run that does not resume:
+// the -in image under a -T velocity draw, or a fresh -side box.
+func freshState() (*md.System, map[string]int64, error) {
+	if *in == "" {
+		// The box is thermalised at 300 K whatever -T says; -T sets the
+		// velocity draw.
+		sys := water.Fresh(*side, *seed, 200, 0.001, 300, 0)
+		water.Draw(sys, *temp, *seed)
+		return sys, water.Meta(*side, *seed), nil
+	}
+	data, err := os.ReadFile(*in)
+	var c *ckpt.Checkpoint
+	if err == nil {
+		c, err = ckpt.Decode(data)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("loading %s: %w", *in, err)
+	}
+	sys, err := water.Rebuild(c.Snap)
+	if err == nil {
+		err = sys.Restore(c.Snap)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	water.Draw(sys, *temp, *seed)
+	return sys, c.Snap.Meta, nil
 }
 
 // flagPlan resolves the solver flags into the run's plan: under -tune the
@@ -328,30 +249,26 @@ func configString(p tune.Plan) string {
 }
 
 // runTable advances the trajectory n steps from absolute step start through
-// step — either engine's stepping function — printing the energy table at
-// the report cadence (and after the first step). after, if non-nil, runs
-// after every step with its absolute index: the checkpoint and retune hooks.
-func runTable(sys *md.System, step func() (md.Energies, error), start, n, every int, after func(abs int)) {
+// step, either engine's, whose error names its step; it prints the energy
+// table at the report cadence (and after the first step) and calls after.
+func runTable(sys *md.System, step func() (md.Energies, error), start, n, every int, after func()) {
 	fmt.Printf("%8s %14s %14s %14s %8s\n", "step", "potential", "kinetic", "total", "T(K)")
 	for s := 1; s <= n; s++ {
 		e, err := step()
-		abs := start + s
 		if err != nil {
-			fatalf("step %d: %v", abs, err)
+			fatalf("%v", err)
 		}
-		if abs%every == 0 || s == 1 {
+		if abs := start + s; abs%every == 0 || s == 1 {
 			fmt.Printf("%8d %14.3f %14.3f %14.3f %8.1f\n",
 				abs, e.Potential(), e.Kinetic, e.Total(), sys.Temperature())
 		}
-		if after != nil {
-			after(abs)
-		}
+		after()
 	}
 }
 
-// renderObs prints the per-stage timing chart of a recorded run.
+// renderObs prints the per-stage timing chart of an -obs run.
 func renderObs(rec *obs.Recorder, label string, atoms int) {
-	if rec == nil {
+	if !*obsOn {
 		return
 	}
 	fmt.Println()
@@ -385,6 +302,8 @@ func checkFlags() error {
 		return fmt.Errorf("-ranks is NVE only; drop -nvt")
 	case *ranks > 0 && (*resume || *ckDir != "" || *ckEvery > 0):
 		return fmt.Errorf("-ranks does not support checkpointing or -resume")
+	case (*ckEvery > 0 || *resume) != (*ckDir != ""):
+		return fmt.Errorf("-checkpoint-dir %q: a checkpoint directory goes with -checkpoint-every (to write it) or -resume (to read it)", *ckDir)
 	}
 	return nil
 }

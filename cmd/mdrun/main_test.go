@@ -47,7 +47,9 @@ func parseFlags(t *testing.T, args []string) {
 // error before anything is built; -report 0 used to panic dividing by
 // zero, -side -1 sizing a slice, and -T -5 ran to the end on NaN
 // velocities, while a negative -checkpoint-every and -checkpoint-keep 0
-// were quietly read as "off" and 3.
+// were quietly read as "off" and 3, a cadence without -checkpoint-dir
+// wrote nothing, and a directory without a cadence or -resume was never
+// used.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -66,7 +68,12 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"-T", "+Inf"}, "-T +Inf"},
 		{[]string{"-checkpoint-every", "-1"}, "-checkpoint-every -1"},
 		{[]string{"-checkpoint-keep", "0"}, "-checkpoint-keep 0"},
-		{[]string{"-checkpoint-every", "10", "-checkpoint-keep", "1"}, ""},
+		{[]string{"-checkpoint-every", "10", "-checkpoint-keep", "1", "-checkpoint-dir", "ck"}, ""},
+		{[]string{"-checkpoint-dir", "ck", "-resume"}, ""},
+		{[]string{"-checkpoint-every", "10"}, "-checkpoint-dir"},
+		{[]string{"-checkpoint-dir", "ck"}, `-checkpoint-dir "ck"`},
+		{[]string{"-resume"}, "-checkpoint-dir"},
+		{[]string{"-ranks", "2", "-checkpoint-every", "10"}, "-ranks does not support checkpointing"},
 	} {
 		parseFlags(t, tc.args)
 		err := checkFlags()

@@ -38,12 +38,12 @@ func main() {
 	maxActive := flag.Int("max-active", 8, "concurrent jobs in the round-robin ring")
 	queueCap := flag.Int("queue", 64, "pending-queue capacity (beyond it, submissions get 429)")
 	quantum := flag.Int("quantum", 25, "steps per scheduling quantum")
-	ckptEvery := flag.Int("ckpt-every", 200, "checkpoint cadence in steps (0 disables)")
+	ckptEvery := flag.Int("ckpt-every", 200, "checkpoint cadence in steps (-dir \"\" turns persistence off)")
 	ckptKeep := flag.Int("ckpt-keep", 3, "checkpoints retained per job")
 	energyEvery := flag.Int("energy-every", 10, "energy-ledger cadence in steps")
 	flag.Parse()
 
-	sched, err := serve.New(serve.Config{
+	cfg := serve.Config{
 		Dir:         *dir,
 		MaxActive:   *maxActive,
 		QueueCap:    *queueCap,
@@ -51,7 +51,12 @@ func main() {
 		CkptEvery:   *ckptEvery,
 		CkptKeep:    *ckptKeep,
 		EnergyEvery: *energyEvery,
-	})
+	}
+	err := checkFlags(cfg)
+	var sched *serve.Scheduler
+	if err == nil {
+		sched, err = serve.New(cfg)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mdserve: %v\n", err)
 		os.Exit(1)
@@ -86,4 +91,24 @@ func main() {
 	defer cancel()
 	srv.Shutdown(shutCtx) //nolint:errcheck // best-effort drain before Close
 	sched.Close()         // checkpoints stay durable; restart resumes
+}
+
+// checkFlags refuses the counts serve.Config would otherwise quietly
+// replace with its defaults: each must be at least 1.
+func checkFlags(c serve.Config) error {
+	if c.CkptEvery < 1 {
+		return fmt.Errorf("-ckpt-every %d: want a cadence of at least 1 step; -dir \"\" turns persistence off", c.CkptEvery)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"-max-active", c.MaxActive}, {"-queue", c.QueueCap}, {"-quantum", c.Quantum},
+		{"-ckpt-keep", c.CkptKeep}, {"-energy-every", c.EnergyEvery},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("%s %d: want at least 1", f.name, f.v)
+		}
+	}
+	return nil
 }

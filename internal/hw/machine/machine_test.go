@@ -198,36 +198,3 @@ func TestWorkloadDecomposition(t *testing.T) {
 		t.Errorf("implausible imbalance: worst %d vs mean %.0f", int(worst), mean)
 	}
 }
-
-// TestEventLevelLongRange cross-validates the barrier model: the
-// event-level simulation (per-node LRU times, contention-aware sleeve and
-// block messages, per-axis convolution dependencies) must land in the same
-// regime as the calibrated barrier model's CA→conv segment, and must show
-// real straggler waiting (the effect the calibrated GCU slack stands for).
-func TestEventLevelLongRange(t *testing.T) {
-	w, cfg := paperWorkload(t)
-	prm := paperTME()
-	ev := cfg.EventLongRange(w, prm)
-
-	if ev.ConvMax <= ev.ConvMean || ev.StragglerNs <= 0 {
-		t.Fatalf("no straggler spread: mean %.0f max %.0f", ev.ConvMean, ev.ConvMax)
-	}
-	// The barrier model's CA + sleeve + restriction + convolution segment.
-	rep := cfg.SimulateStep(w, prm, true)
-	barrier := rep.LR.CA + rep.LR.SleeveNW + rep.LR.Restrict + rep.LR.Conv
-	ratio := ev.ConvMax / barrier
-	t.Logf("event-level conv end: mean %.1f µs, p50 %.1f µs, max %.1f µs; straggler %.1f µs; barrier segment %.1f µs (ratio %.2f)",
-		ev.ConvMean/1e3, ev.ConvP50/1e3, ev.ConvMax/1e3, ev.StragglerNs/1e3, barrier/1e3, ratio)
-	if ratio < 0.3 || ratio > 2.5 {
-		t.Errorf("event-level max %.1f µs inconsistent with barrier segment %.1f µs", ev.ConvMax/1e3, barrier/1e3)
-	}
-	// Per-node vectors populated and ordered sensibly.
-	if len(ev.ConvEndNs) != w.NNodes {
-		t.Fatalf("per-node results missing")
-	}
-	for i := range ev.ConvEndNs {
-		if ev.ConvEndNs[i] < ev.RestrictEndNs[i] || ev.RestrictEndNs[i] < ev.CAEndNs[i] {
-			t.Fatalf("node %d: phase ordering violated", i)
-		}
-	}
-}

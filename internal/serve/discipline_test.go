@@ -46,8 +46,8 @@ func TestStreamStopsOnWriteError(t *testing.T) {
 	}
 }
 
-// TestEngineReleasedOnDone pins the releaseEngine split: a finished job's
-// engine memory (sys, integ, store) is freed on the scheduler goroutine
+// TestEngineReleasedOnDone pins the retire split: a finished job's
+// engine memory (its run) is freed on the scheduler goroutine
 // once the job reaches a terminal state. Read after Close, which joins
 // the loop goroutine, so the check races with nothing.
 func TestEngineReleasedOnDone(t *testing.T) {
@@ -62,8 +62,8 @@ func TestEngineReleasedOnDone(t *testing.T) {
 	}
 	s.Close()
 	j := s.jobs[st.ID]
-	if j.sys != nil || j.integ != nil || j.store != nil {
-		t.Errorf("terminal job retains engine state: sys=%v integ=%v store=%v", j.sys != nil, j.integ != nil, j.store != nil)
+	if j.run != nil {
+		t.Error("terminal job retains engine state")
 	}
 }
 
@@ -87,7 +87,7 @@ func TestCancelQueuedStaysOffEngineFields(t *testing.T) {
 		t.Fatalf("canceled queued job is %s, want canceled", got.State)
 	}
 	j := s.jobs[st.ID]
-	if j.sys != nil || j.integ != nil || j.store != nil || j.started {
+	if j.run != nil {
 		t.Error("queued job acquired engine state through Cancel")
 	}
 }

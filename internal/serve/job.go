@@ -6,9 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tme4a/internal/ckpt"
-	"tme4a/internal/md"
 	"tme4a/internal/obs"
+	"tme4a/internal/tune"
 )
 
 // State is a job's lifecycle phase.
@@ -18,7 +17,7 @@ const (
 	StateQueued   State = "queued"   // admitted, waiting for an active slot
 	StateRunning  State = "running"  // holds an active slot, stepped in quanta
 	StateDone     State = "done"     // completed its full step budget
-	StateFailed   State = "failed"   // build, resume or durability error
+	StateFailed   State = "failed"   // build, resume, durability or step error
 	StateCanceled State = "canceled" // canceled by the client
 )
 
@@ -49,10 +48,10 @@ type Status struct {
 	Spec        Spec         `json:"spec"`
 }
 
-// job is one admitted simulation. The engine fields (sys, integ, store)
-// are owned exclusively by the scheduler goroutine; everything the API
-// reads concurrently lives under mu or in atomics. The obs recorder is
-// lock-free by construction, so /metrics never contends with stepping.
+// job is one admitted simulation. Its run is owned exclusively by the
+// scheduler goroutine; everything the API reads concurrently lives under
+// mu or in atomics. The obs recorder is lock-free by construction, so
+// /metrics never contends with stepping.
 type job struct {
 	id   string
 	spec Spec
@@ -69,13 +68,9 @@ type job struct {
 	atoms       int
 	energies    []EnergyPoint // preallocated to full capacity at start
 
-	// Engine state, scheduler-goroutine only (enforced by tmevet's
-	// schedown check: only functions reachable from Scheduler.loop may
-	// write these).
-	sys     *md.System     //tme:owner Scheduler.loop
-	integ   *md.Integrator //tme:owner Scheduler.loop
-	store   *ckpt.Store    //tme:owner Scheduler.loop
-	started bool           //tme:owner Scheduler.loop
+	// The engine, set while the job runs; only functions reachable from
+	// Scheduler.loop may write it (tmevet's schedown check).
+	run *tune.Run //tme:owner Scheduler.loop
 }
 
 // status snapshots the job under its lock.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -15,7 +16,6 @@ import (
 	"tme4a/internal/md"
 	"tme4a/internal/obs"
 	"tme4a/internal/tune"
-	"tme4a/internal/water"
 )
 
 // Sentinel errors the API layer maps to HTTP statuses.
@@ -55,8 +55,9 @@ type Config struct {
 	// Quantum is the number of steps one job runs per scheduling turn.
 	// Default 25.
 	Quantum int
-	// CkptEvery is the per-job checkpoint cadence in steps (0 disables;
-	// meaningful only with Dir set). Default 200 when Dir is set.
+	// CkptEvery is the per-job checkpoint cadence in steps, meaningful
+	// only with Dir set. Default 200; an empty Dir is what turns
+	// persistence, checkpoints included, off.
 	CkptEvery int
 	// CkptKeep is the per-job checkpoint retention. Default 3.
 	CkptKeep int
@@ -524,65 +525,58 @@ func (s *Scheduler) pick() *job {
 
 // runQuantum advances j by up to Quantum steps, then settles its state.
 func (s *Scheduler) runQuantum(j *job) {
-	if !j.started {
-		if err := s.startJob(j); err != nil {
-			s.removeActive(j)
-			s.finalize(j, StateFailed, err.Error())
-			s.releaseEngine(j)
-			return
-		}
+	var err error
+	if j.run == nil {
+		err = s.startJob(j)
 	}
-	from := j.step
-	ran := 0
-	for ran < s.cfg.Quantum && j.step < j.spec.Steps && !j.cancel.Load() && !s.closing.Load() {
-		s.stepOnce(j)
-		ran++
-		step := j.step
-		if j.store != nil && s.cfg.CkptEvery > 0 && step%s.cfg.CkptEvery == 0 && step < j.spec.Steps {
-			// A failed checkpoint must not kill the simulation: the store
-			// counts the failure (obs ckpt_failures) and the previous
-			// durable checkpoint remains the resume point.
-			j.store.Save(j.integ.CaptureResume(j.sys, water.Meta(j.spec.Side, j.spec.Seed))) //tmevet:ignore errdrop -- deliberate: the store counts the failure (obs ckpt_failures) and the previous durable checkpoint stays the resume point
+	from, ran := j.step, 0
+	for err == nil && ran < s.cfg.Quantum && j.step < j.spec.Steps && !j.cancel.Load() && !s.closing.Load() {
+		if err = s.stepOnce(j); err == nil && j.step < j.spec.Steps {
+			j.run.Checkpoint() //tmevet:ignore errdrop -- deliberate: a failed checkpoint must not kill the simulation; the store counts the failure (obs ckpt_failures) and the previous durable checkpoint stays the resume point
 		}
+		ran++
 	}
 	s.quanta.Add(1)
-	if s.cfg.Trace && ran > 0 {
+	if s.cfg.Trace && j.step > from {
 		s.mu.Lock()
 		s.trace = append(s.trace, Quantum{Job: j.id, From: from, To: j.step})
 		s.mu.Unlock()
 	}
 	switch {
+	case err != nil:
+		// A failed start or step fails the job alone, for good: its marker
+		// outlives restarts, and its neighbours run on.
+		s.retire(j, StateFailed, err.Error())
 	case j.cancel.Load() && j.step < j.spec.Steps:
-		s.removeActive(j)
-		s.finalize(j, StateCanceled, "")
-		s.releaseEngine(j)
+		s.retire(j, StateCanceled, "")
 	case j.step >= j.spec.Steps:
 		j.mu.Lock()
-		j.finalHash = md.StateHash(j.sys)
+		j.finalHash = md.StateHash(j.run.Sys)
 		j.mu.Unlock()
-		s.removeActive(j)
-		s.finalize(j, StateDone, "")
-		s.releaseEngine(j)
+		s.retire(j, StateDone, "")
 	}
 }
 
-// releaseEngine frees a terminal job's engine memory. It runs only on the
-// scheduler goroutine (tmevet schedown enforces this): finalize used to do
-// the release itself, but finalize is also called from Cancel on the HTTP
-// goroutine for still-queued jobs, which put a cross-goroutine write on
-// //tme:owner fields. A queued job has no engine state, so the release
-// belongs to the quantum paths alone.
-func (s *Scheduler) releaseEngine(j *job) {
-	j.sys, j.integ, j.store = nil, nil, nil
+// retire ends a job the loop holds: it leaves the ring, is finalized and
+// its run is freed, on the scheduler goroutine (tmevet schedown enforces
+// this; Cancel finalizes a queued job, which has no run, directly).
+func (s *Scheduler) retire(j *job, state State, errMsg string) {
+	s.removeActive(j)
+	s.finalize(j, state, errMsg)
+	j.run = nil
 }
 
-// stepOnce advances j by exactly one step: integrate, record the step's
-// wall latency into the ring, bump the step counter and the energy
-// ledger. Allocation-free at steady state (gated by TestStepOnceAllocs).
-func (s *Scheduler) stepOnce(j *job) {
+// stepOnce advances j by exactly one step: step the run, record the
+// step's wall latency into the ring, bump the step counter and the energy
+// ledger. A failed step is returned unrecorded. Allocation-free at steady
+// state (gated by TestStepOnceAllocs).
+func (s *Scheduler) stepOnce(j *job) error {
 	t0 := obs.Now()
-	e := j.integ.Step(j.sys)
+	e, err := j.run.Step()
 	lat := obs.Now() - t0
+	if err != nil {
+		return err
+	}
 	s.latMu.Lock()
 	s.latBuf[s.latIdx] = lat
 	s.latIdx++
@@ -602,66 +596,25 @@ func (s *Scheduler) stepOnce(j *job) {
 		})
 	}
 	j.mu.Unlock()
-}
-
-// startJob builds the engine state: from the newest valid checkpoint when
-// the job has one (bitwise resume), from the spec otherwise.
-func (s *Scheduler) startJob(j *job) error {
-	if s.dir != "" {
-		store, err := ckpt.Open(filepath.Join(jobDir(s.dir, j.id), "ckpt"), s.cfg.CkptKeep, j.spec.ConfigHash(), s.fs)
-		if err != nil {
-			return err
-		}
-		j.store = store
-		store.SetObs(j.rec)
-		c, err := store.LoadLatest()
-		switch {
-		case err == nil:
-			sys, ierr := water.Rebuild(c.Snap)
-			if ierr != nil {
-				return ierr
-			}
-			integ, ierr := tune.Resume(sys, c.Snap, j.spec.plan(), j.spec.Dt, j.rec)
-			if ierr != nil {
-				return ierr
-			}
-			c.RestoreObs(j.rec)
-			j.sys, j.integ = sys, integ
-			j.mu.Lock()
-			j.step = int(c.Step())
-			j.resumedFrom = c.Step()
-			j.atoms = sys.N()
-			j.mu.Unlock()
-		case errors.Is(err, ckpt.ErrNoCheckpoint):
-			if err := s.startFresh(j); err != nil {
-				return err
-			}
-		default:
-			return err
-		}
-	} else if err := s.startFresh(j); err != nil {
-		return err
-	}
-	// Preallocate the full energy ledger so steady-state stepping never
-	// grows it.
-	capRows := j.spec.Steps/s.cfg.EnergyEvery + 2
-	j.mu.Lock()
-	j.energies = make([]EnergyPoint, 0, capRows)
-	j.mu.Unlock()
-	j.started = true
 	return nil
 }
 
-func (s *Scheduler) startFresh(j *job) error {
-	sys := j.spec.buildFresh()
-	integ, err := j.spec.plan().NewIntegrator(sys.Box, j.spec.Dt)
-	if err != nil {
+// startJob starts j's run: from its newest valid checkpoint when it has
+// one (bitwise resume), from the spec otherwise.
+func (s *Scheduler) startJob(j *job) error {
+	run := &tune.Run{Plan: j.spec.plan(), Dt: j.spec.Dt, Every: s.cfg.CkptEvery, Resume: true,
+		Fresh: j.spec.fresh, Rec: j.rec, Log: io.Discard}
+	if s.dir != "" {
+		run.Dir, run.FS, run.Keep, run.Hash = filepath.Join(jobDir(s.dir, j.id), "ckpt"), s.fs, s.cfg.CkptKeep, j.spec.ConfigHash()
+	}
+	if err := run.Start(); err != nil {
 		return err
 	}
-	integ.SetObs(j.rec)
-	j.sys, j.integ = sys, integ
+	j.run = run
+	// The ledger is preallocated: steady-state stepping never grows it.
 	j.mu.Lock()
-	j.atoms = sys.N()
+	j.step, j.resumedFrom, j.atoms = run.Done, int64(run.Done), run.Sys.N()
+	j.energies = make([]EnergyPoint, 0, j.spec.Steps/s.cfg.EnergyEvery+2)
 	j.mu.Unlock()
 	return nil
 }
@@ -682,8 +635,8 @@ func (s *Scheduler) removeActive(j *job) {
 	s.mu.Unlock()
 }
 
-// finalize moves j to a terminal state, persists the durable marker and
-// releases the engine memory (the obs recorder stays queryable).
+// finalize moves j to a terminal state and persists the durable marker
+// (the obs recorder stays queryable).
 func (s *Scheduler) finalize(j *job, state State, errMsg string) {
 	j.mu.Lock()
 	if j.state.Terminal() {

@@ -497,3 +497,48 @@ func TestMetricsReport(t *testing.T) {
 		t.Errorf("unknown metrics: %v", err)
 	}
 }
+
+// TestFailingStepFailsOnlyItsJob: a spec that passes Validate but whose
+// step panics — at dt 0.01 this side-3 TME box breaks the pair list's
+// exclusion check at step 110 — fails that job, not the daemon. Its
+// neighbour finishes with the bits of a solo run, and a new scheduler over
+// the same directory lists the bad job failed instead of resuming it from
+// its step-100 checkpoint into the same panic.
+func TestFailingStepFailsOnlyItsJob(t *testing.T) {
+	bad := Spec{Method: "tme", Side: 3, Steps: 1000, Dt: 0.01, Equil: 10}
+	good := fastSpec(101, 60)
+	want, err := good.RunDirect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mfs := ckpt.NewMemFS()
+	cfg := Config{Dir: "svc", FS: mfs, MaxActive: 2, Quantum: 10, CkptEvery: 100}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badID := mustSubmit(t, s1, bad).ID
+	goodID := mustSubmit(t, s1, good).ID
+	s1.Start()
+	st := waitState(t, s1, badID)
+	if st.State != StateFailed || st.Step != 109 || !strings.Contains(st.Error, "step 110") {
+		t.Errorf("bad job: state %s at step %d, error %q; want failed at step 109 naming step 110", st.State, st.Step, st.Error)
+	}
+	if st := waitState(t, s1, goodID); st.State != StateDone || st.FinalHash != fmt.Sprintf("%016x", want) {
+		t.Errorf("neighbour: state %s hash %s err %q, want done %016x", st.State, st.FinalHash, st.Error, want)
+	}
+	s1.Close()
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st, err := s2.Get(badID); err != nil || st.State != StateFailed || !strings.Contains(st.Error, "step 110") {
+		t.Errorf("after restart the bad job is %s (error %q, %v), want failed naming step 110", st.State, st.Error, err)
+	}
+	s2.Start()
+	if stats := s2.Stats(); stats.Queued != 0 || stats.Active != 0 || stats.StepsDone != 0 {
+		t.Errorf("restarted scheduler has work: %+v", stats)
+	}
+}

@@ -295,13 +295,12 @@ func (sp Spec) plan() tune.Plan {
 	}
 }
 
-// buildFresh constructs the job's initial state: lattice build, cheap
-// thermalization at the spec's temperature, Maxwell–Boltzmann velocity
-// draw. Pure in the spec.
-func (sp Spec) buildFresh() *md.System {
+// fresh builds the job's initial state (lattice, cheap thermalization,
+// velocity draw at the spec's temperature) and builder record; pure.
+func (sp Spec) fresh() (*md.System, map[string]int64, error) {
 	sys := water.Fresh(sp.Side, sp.Seed, sp.Equil, sp.Dt, sp.Temp, sp.Rc)
 	water.Draw(sys, sp.Temp, sp.Seed)
-	return sys
+	return sys, water.Meta(sp.Side, sp.Seed), nil
 }
 
 // RunDirect executes the spec's full trajectory in-process, outside any
@@ -313,7 +312,10 @@ func (sp Spec) RunDirect() (uint64, error) {
 	if err := sp.Validate(); err != nil {
 		return 0, err
 	}
-	sys := sp.buildFresh()
+	sys, _, err := sp.fresh()
+	if err != nil {
+		return 0, err
+	}
 	integ, err := sp.plan().NewIntegrator(sys.Box, sp.Dt)
 	if err != nil {
 		return 0, err

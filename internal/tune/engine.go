@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tme4a/internal/md"
-	"tme4a/internal/obs"
 	"tme4a/internal/solver"
 	"tme4a/internal/spme"
 	"tme4a/internal/vec"
@@ -116,28 +115,15 @@ func PlainState(snap *md.Snapshot) *md.Snapshot {
 	}
 }
 
-// Resume builds the plan's integrator of time step dt, attaches rec (nil
-// records nothing) and restores snap into sys through RestoreResume: the
-// one sequence by which a checkpoint resume, a served job's recovery and
-// a retune Switch put a system onto a plan. Counters a checkpoint carries
-// are the caller's to restore (Checkpoint.RestoreObs) afterwards.
-func Resume(sys *md.System, snap *md.Snapshot, plan Plan, dt float64, rec *obs.Recorder) (*md.Integrator, error) {
-	integ, err := plan.NewIntegrator(snap.Box, dt)
-	if err != nil {
-		return nil, err
-	}
-	integ.SetObs(rec)
-	if err := integ.RestoreResume(sys, snap); err != nil {
-		return nil, err
-	}
-	return integ, nil
-}
-
 // Switch moves a running system onto plan at a checkpoint boundary. The
 // snapshot should come from Integrator.CaptureResume (or a checkpoint
 // load) at that boundary; its plan-specific caches are dropped via
 // PlainState, so the hand-off is exactly a fresh resume under the new
 // plan. The integrator records nothing until the caller's SetObs.
 func Switch(sys *md.System, snap *md.Snapshot, plan Plan, dt float64) (*md.Integrator, error) {
-	return Resume(sys, PlainState(snap), plan, dt, nil)
+	integ, err := plan.NewIntegrator(snap.Box, dt)
+	if err != nil {
+		return nil, err
+	}
+	return integ, integ.RestoreResume(sys, PlainState(snap))
 }

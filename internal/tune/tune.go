@@ -18,7 +18,7 @@
 //   - Online, a Monitor watches the live obs stage profile; when measured
 //     per-stage costs drift from the model's prediction past a threshold,
 //     it recalibrates the cost weights from the measurement and re-plans.
-//     The switch itself (Switch) goes through the plain checkpoint state,
+//     Run.Checkpoint's switch (Switch) goes through the plain checkpoint state,
 //     so a mid-run retune inherits internal/ckpt's bitwise-resume
 //     guarantees: the retuned trajectory is bit-identical to a fresh run
 //     started from that plan's state (TestRetuneBitwise).

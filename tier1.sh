@@ -106,6 +106,18 @@ code=0
 "$smoke/mdrun" -T -5 -steps 1 > /dev/null 2> "$smoke/err" || code=$?
 test "$code" -eq 1
 grep -q -e '-T' "$smoke/err"
+# A checkpoint cadence with nowhere to write is refused, not run without
+# checkpoints; so is mdserve's -ckpt-every 0 (persistence is off only
+# with -dir "").
+code=0
+"$smoke/mdrun" -checkpoint-every 10 -steps 1 > /dev/null 2> "$smoke/err" || code=$?
+test "$code" -eq 1
+grep -q -e '-checkpoint-dir' "$smoke/err"
+go build -o "$smoke/mdserve" ./cmd/mdserve
+code=0
+timeout 60 "$smoke/mdserve" -addr 127.0.0.1:0 -dir "$smoke/serve" -ckpt-every 0 > /dev/null 2> "$smoke/err" || code=$?
+test "$code" -eq 1
+grep -q -e '-ckpt-every' "$smoke/err"
 rm -rf "$smoke"
 go test -run '^$' -bench . -benchtime 1x . ./internal/nonbond/ ./internal/grid/ \
 	./internal/pmesh/ ./internal/msm/ ./internal/core/ ./internal/bspline/ \
