@@ -1,13 +1,15 @@
 // Command tmevet is the project's static analyzer. It enforces the
 // determinism, hot-path and concurrency/durability invariants of the
-// simulation code with six checks: no wall-clock read outside
+// simulation code with seven checks: no wall-clock read outside
 // internal/obs's //tme:clock-seam functions and no global-random-source
 // draw in internal packages (clock), no map-order iteration in numeric
 // packages (detmap), no discarded errors on durability/wire paths
 // (errdrop), no unjoinable goroutines in the service tier (goleak), no
 // allocation in a //tme:noalloc function or in an unannotated callee it
-// reaches (noalloc), and no mutation of //tme:owner fields outside the
-// owner goroutine's call tree (schedown).
+// reaches (noalloc), no mutation of //tme:owner fields outside the owner
+// goroutine's call tree (schedown), and, on a whole-module run, no
+// function in internal/ that only tests reference and no non-test import
+// of a *test test-support package (deadexport).
 //
 // Usage:
 //

@@ -16,7 +16,7 @@ func TestRDFIdealGasIsFlat(t *testing.T) {
 	pos := make([]vec.V, n)
 	sites := make([]int, n)
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*6, rng.Float64()*6, rng.Float64()*6)
+		pos[i] = vec.V{rng.Float64() * 6, rng.Float64() * 6, rng.Float64() * 6}
 		sites[i] = i
 	}
 	r := NewRDF(2.0, 40)
@@ -44,7 +44,7 @@ func TestRDFLatticePeaks(t *testing.T) {
 		for y := 0; y < side; y++ {
 			for x := 0; x < side; x++ {
 				sites = append(sites, len(pos))
-				pos = append(pos, vec.New((float64(x)+0.5)*a, (float64(y)+0.5)*a, (float64(z)+0.5)*a))
+				pos = append(pos, vec.V{(float64(x) + 0.5) * a, (float64(y) + 0.5) * a, (float64(z) + 0.5) * a})
 			}
 		}
 	}
@@ -71,9 +71,9 @@ func TestRDFCrossSets(t *testing.T) {
 		for y := 0; y < side; y++ {
 			for x := 0; x < side; x++ {
 				sa = append(sa, len(pos))
-				pos = append(pos, vec.New(float64(x)*a, float64(y)*a, float64(z)*a))
+				pos = append(pos, vec.V{float64(x) * a, float64(y) * a, float64(z) * a})
 				sb = append(sb, len(pos))
-				pos = append(pos, vec.New((float64(x)+0.5)*a, (float64(y)+0.5)*a, (float64(z)+0.5)*a))
+				pos = append(pos, vec.V{(float64(x) + 0.5) * a, (float64(y) + 0.5) * a, (float64(z) + 0.5) * a})
 			}
 		}
 	}
@@ -95,8 +95,8 @@ func TestMSDBallistic(t *testing.T) {
 	pos := make([]vec.V, n)
 	vel := make([]vec.V, n)
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*2, rng.Float64()*2, rng.Float64()*2)
-		vel[i] = vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+		pos[i] = vec.V{rng.Float64() * 2, rng.Float64() * 2, rng.Float64() * 2}
+		vel[i] = vec.V{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 	}
 	m := NewMSD(box, pos)
 	const dt = 0.05
@@ -127,15 +127,15 @@ func TestMSDDiffusionSlope(t *testing.T) {
 	n := 400
 	pos := make([]vec.V, n)
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*5, rng.Float64()*5, rng.Float64()*5)
+		pos[i] = vec.V{rng.Float64() * 5, rng.Float64() * 5, rng.Float64() * 5}
 	}
 	m := NewMSD(box, pos)
 	const sigma = 0.02
 	const dt = 1.0
 	for s := 0; s < 200; s++ {
 		for i := range pos {
-			pos[i] = box.Wrap(pos[i].Add(vec.New(
-				rng.NormFloat64()*sigma, rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)))
+			pos[i] = box.Wrap(pos[i].Add(vec.V{
+				rng.NormFloat64() * sigma, rng.NormFloat64() * sigma, rng.NormFloat64() * sigma}))
 		}
 		m.AddFrame(pos)
 	}

@@ -41,14 +41,6 @@ type FF struct {
 	Dihedrals []Dihedral
 }
 
-// NTerms returns the total number of bonded terms.
-func (ff *FF) NTerms() int {
-	if ff == nil {
-		return 0
-	}
-	return len(ff.Bonds) + len(ff.Angles) + len(ff.Dihedrals)
-}
-
 // Compute evaluates all bonded terms with minimum-image displacements,
 // accumulating forces into f (may be nil) and returning the total energy.
 func (ff *FF) Compute(box vec.Box, pos []vec.V, f []vec.V) float64 {

@@ -23,12 +23,6 @@ func Eval(p int, x float64) float64 {
 	return cardinal(p, x+float64(p)/2)
 }
 
-// Deriv returns dM_p/dx.
-func Deriv(p int, x float64) float64 {
-	t := x + float64(p)/2
-	return cardinal(p-1, t) - cardinal(p-1, t-1)
-}
-
 // cardinal evaluates the cardinal B-spline B_p with support [0, p] by the
 // Cox–de Boor recurrence. It is exact but O(p²); hot paths use Weights.
 // The recursion bottoms out at the continuous triangle B_2 rather than the
@@ -196,14 +190,6 @@ func IntegerSamples(p int) []float64 {
 // (ratio ≈ 0.43 for p = 6), so a 512-ring leaves wrap-around error far below
 // double-precision round-off.
 const omegaRing = 512
-
-// Omega returns the fundamental-spline interpolation filter ω of order p,
-// defined by Σ_m ω_m M_p(n−m) = δ_{n0}, truncated to |m| ≤ maxM and indexed
-// ω[m+maxM]. It is computed by spectral inversion of the Euler–Frobenius
-// trigonometric polynomial E_p(θ) = Σ_k M_p(k) e^{−ikθ}.
-func Omega(p, maxM int) []float64 {
-	return invertSpectrum(p, maxM, 1)
-}
 
 // OmegaSq returns ω′ = ω∗ω truncated to |m| ≤ maxM, indexed ω′[m+maxM].
 // ω′ converts samples of a kernel into the coefficients of its

@@ -13,7 +13,7 @@ import (
 func randomPositions(rng *rand.Rand, n int, box vec.Box) []vec.V {
 	pos := make([]vec.V, n)
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*box.L[0], rng.Float64()*box.L[1], rng.Float64()*box.L[2])
+		pos[i] = vec.V{rng.Float64() * box.L[0], rng.Float64() * box.L[1], rng.Float64() * box.L[2]}
 	}
 	return pos
 }
@@ -110,7 +110,7 @@ func TestEmptyAndSingle(t *testing.T) {
 func TestWrappedPositionsOutsideBox(t *testing.T) {
 	// Positions far outside the primary box must still be binned correctly.
 	box := vec.Cubic(4)
-	pos := []vec.V{vec.New(-3.9, 8.1, 0.5), vec.New(0.2, 0.2, 0.4)}
+	pos := []vec.V{{-3.9, 8.1, 0.5}, {0.2, 0.2, 0.4}}
 	cl := Build(box, 1.0, pos)
 	found := 0
 	cl.ForEachPair(pos, func(i, j int, d vec.V, r2 float64) { found++ })

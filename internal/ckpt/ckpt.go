@@ -5,8 +5,10 @@
 // temp-file + fsync + rename + dir-fsync protocol, keeps the last K under
 // a retention policy, and recovers the newest valid checkpoint after any
 // interruption — including torn or short writes, failed fsyncs and
-// crashes at arbitrary syscalls, which the FaultFS/MemFS seams make
-// directly testable. See DESIGN.md §7.5 for the contracts.
+// crashes at arbitrary syscalls, which the FS seam makes directly
+// testable: MemFS models power loss, and ckpttest.FaultFS, in the
+// test-support package internal/ckpt/ckpttest, fails any single
+// operation. See DESIGN.md §7.5 for the contracts.
 package ckpt
 
 import (
@@ -250,9 +252,6 @@ func Open(dir string, keep int, configHash uint64, fsys FS) (*Store, error) {
 // span, counts durable writes/bytes/failures, and embeds the cumulative
 // counter values into each checkpoint.
 func (s *Store) SetObs(r *obs.Recorder) { s.rec = r }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Entries returns the checkpoints the store believes exist, ascending by
 // step.

@@ -1,4 +1,4 @@
-package ckpt
+package ckpt_test
 
 import (
 	"errors"
@@ -6,20 +6,22 @@ import (
 	"strings"
 	"testing"
 
+	"tme4a/internal/ckpt"
+	"tme4a/internal/ckpt/ckpttest"
 	"tme4a/internal/obs"
 )
 
 // seedStore writes valid checkpoints at the given steps into fs/dir;
 // the saves must succeed. Save ends with SyncDir, so on a MemFS the
 // seeded state is already durable when this returns.
-func seedStore(t *testing.T, fs FS, dir string, steps ...int64) {
+func seedStore(t *testing.T, fs ckpt.FS, dir string, steps ...int64) {
 	t.Helper()
-	st, err := Open(dir, 10, 42, fs)
+	st, err := ckpt.Open(dir, 10, 42, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, step := range steps {
-		if err := st.Save(testSnap(step, 5, step)); err != nil {
+		if err := st.Save(ckpt.TestSnap(step, 5, step)); err != nil {
 			t.Fatalf("seed save %d: %v", step, err)
 		}
 	}
@@ -27,7 +29,7 @@ func seedStore(t *testing.T, fs FS, dir string, steps ...int64) {
 
 // corruptFile flips one payload byte of a durable file in place,
 // bypassing the store (a bit-rot / partial-overwrite simulation).
-func corruptFile(t *testing.T, fs FS, path string) {
+func corruptFile(t *testing.T, fs ckpt.FS, path string) {
 	t.Helper()
 	data, err := fs.ReadFile(path)
 	if err != nil {
@@ -59,11 +61,11 @@ func corruptFile(t *testing.T, fs FS, path string) {
 // precise error for that situation.
 func TestFaultMatrix(t *testing.T) {
 	const dir = "ck"
-	newest := FileName(300) // the save the fault interrupts
+	newest := ckpt.FileName(300) // the save the fault interrupts
 	cases := []struct {
 		name string
 		// rules applied while saving step 300 on top of durable 100, 200
-		rules []Rule
+		rules []ckpttest.Rule
 		// keep is the saving store's retention (0 means 10: no pruning)
 		keep int
 		// direct corruption applied after the (possibly failed) save
@@ -75,43 +77,43 @@ func TestFaultMatrix(t *testing.T) {
 	}{
 		{
 			name:        "torn write on checkpoint temp",
-			rules:       []Rule{{Op: OpWrite, Match: newest, Mode: ModeTorn}},
+			rules:       []ckpttest.Rule{{Op: ckpttest.OpWrite, Match: newest, Mode: ckpttest.ModeTorn}},
 			wantStep:    200,
 			wantSaveErr: true,
 		},
 		{
 			name:        "short write on checkpoint temp",
-			rules:       []Rule{{Op: OpWrite, Match: newest, Mode: ModeShort}},
+			rules:       []ckpttest.Rule{{Op: ckpttest.OpWrite, Match: newest, Mode: ckpttest.ModeShort}},
 			wantStep:    200,
 			wantSaveErr: true,
 		},
 		{
 			name:        "fsync failure on checkpoint temp",
-			rules:       []Rule{{Op: OpSync, Match: newest, Mode: ModeErr}},
+			rules:       []ckpttest.Rule{{Op: ckpttest.OpSync, Match: newest, Mode: ckpttest.ModeErr}},
 			wantStep:    200,
 			wantSaveErr: true,
 		},
 		{
 			name:        "create failure on checkpoint temp",
-			rules:       []Rule{{Op: OpCreate, Match: newest, Mode: ModeErr}},
+			rules:       []ckpttest.Rule{{Op: ckpttest.OpCreate, Match: newest, Mode: ckpttest.ModeErr}},
 			wantStep:    200,
 			wantSaveErr: true,
 		},
 		{
 			name:        "crash after temp fully written, before rename",
-			rules:       []Rule{{Op: OpRename, Match: newest, Mode: ModeCrash}},
+			rules:       []ckpttest.Rule{{Op: ckpttest.OpRename, Match: newest, Mode: ckpttest.ModeCrash}},
 			wantStep:    200,
 			wantSaveErr: true,
 		},
 		{
 			name:        "crash after rename, before dir fsync",
-			rules:       []Rule{{Op: OpSyncDir, Match: dir, Mode: ModeCrash}},
+			rules:       []ckpttest.Rule{{Op: ckpttest.OpSyncDir, Match: dir, Mode: ckpttest.ModeCrash}},
 			wantStep:    200,
 			wantSaveErr: true,
 		},
 		{
 			name:        "crash after checkpoint durable, during prune",
-			rules:       []Rule{{Op: OpRemove, Match: FileName(100), Mode: ModeCrash}},
+			rules:       []ckpttest.Rule{{Op: ckpttest.OpRemove, Match: ckpt.FileName(100), Mode: ckpttest.ModeCrash}},
 			keep:        2,
 			wantStep:    300, // durable before the prune began
 			wantSaveErr: true,
@@ -120,7 +122,7 @@ func TestFaultMatrix(t *testing.T) {
 			// One save is one atomic write: its only file fsync is the
 			// checkpoint's, so a fault armed on a second one never fires.
 			name:     "second file fsync of a save fails",
-			rules:    []Rule{{Op: OpSync, Nth: 2, Mode: ModeErr}},
+			rules:    []ckpttest.Rule{{Op: ckpttest.OpSync, Nth: 2, Mode: ckpttest.ModeErr}},
 			wantStep: 300,
 		},
 		{
@@ -131,21 +133,21 @@ func TestFaultMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mem := NewMemFS()
+			mem := ckpt.NewMemFS()
 			seedStore(t, mem, dir, 100, 200)
 
-			ffs := NewFaultFS(mem, tc.rules...)
+			ffs := ckpttest.NewFaultFS(mem, tc.rules...)
 			keep := tc.keep
 			if keep == 0 {
 				keep = 10
 			}
-			st, err := Open(dir, keep, 42, ffs)
+			st, err := ckpt.Open(dir, keep, 42, ffs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec := obs.New()
 			st.SetObs(rec)
-			saveErr := st.Save(testSnap(300, 5, 300))
+			saveErr := st.Save(ckpt.TestSnap(300, 5, 300))
 			if tc.wantSaveErr && saveErr == nil {
 				t.Fatal("fault injected but Save succeeded")
 			}
@@ -163,12 +165,12 @@ func TestFaultMatrix(t *testing.T) {
 				mem.Crash() // already done by FaultFS, but idempotent and explicit
 			}
 			if tc.corrupt {
-				corruptFile(t, mem, filepath.Join(dir, FileName(300)))
+				corruptFile(t, mem, filepath.Join(dir, ckpt.FileName(300)))
 			}
 
 			// Recovery runs on the durable state with a clean filesystem,
 			// exactly like a restarted process.
-			rst, err := Open(dir, 10, 42, mem)
+			rst, err := ckpt.Open(dir, 10, 42, mem)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,29 +191,29 @@ func TestFaultMatrix(t *testing.T) {
 func TestRecoveryErrorsArePrecise(t *testing.T) {
 	const dir = "ck"
 	t.Run("only corrupt checkpoints", func(t *testing.T) {
-		mem := NewMemFS()
+		mem := ckpt.NewMemFS()
 		seedStore(t, mem, dir, 100, 200)
-		corruptFile(t, mem, filepath.Join(dir, FileName(100)))
-		corruptFile(t, mem, filepath.Join(dir, FileName(200)))
-		st, err := Open(dir, 10, 42, mem)
+		corruptFile(t, mem, filepath.Join(dir, ckpt.FileName(100)))
+		corruptFile(t, mem, filepath.Join(dir, ckpt.FileName(200)))
+		st, err := ckpt.Open(dir, 10, 42, mem)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = st.LoadLatest()
-		if err == nil || errors.Is(err, ErrNoCheckpoint) {
+		if err == nil || errors.Is(err, ckpt.ErrNoCheckpoint) {
 			t.Fatalf("want corruption error, got %v", err)
 		}
-		for _, want := range []string{FileName(100), FileName(200), "CRC mismatch"} {
+		for _, want := range []string{ckpt.FileName(100), ckpt.FileName(200), "CRC mismatch"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("error %q does not mention %q", err, want)
 			}
 		}
 	})
 	t.Run("temp files are never candidates", func(t *testing.T) {
-		mem := NewMemFS()
+		mem := ckpt.NewMemFS()
 		seedStore(t, mem, dir, 100)
 		// A stale temp from a dead writer must be invisible to recovery.
-		f, err := mem.Create(filepath.Join(dir, FileName(500)+tmpSuffix))
+		f, err := mem.Create(filepath.Join(dir, ckpt.FileName(500)+ckpt.TmpSuffix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +223,7 @@ func TestRecoveryErrorsArePrecise(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		st, err := Open(dir, 10, 42, mem)
+		st, err := ckpt.Open(dir, 10, 42, mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,23 +245,23 @@ func TestRecoveryErrorsArePrecise(t *testing.T) {
 func TestCrashAtEverySyscall(t *testing.T) {
 	const dir = "ck"
 	for k := 1; ; k++ {
-		mem := NewMemFS()
+		mem := ckpt.NewMemFS()
 		seedStore(t, mem, dir, 100)
 
-		ffs := NewFaultFS(mem, Rule{Op: OpAny, Nth: k, Mode: ModeCrash})
-		st, err := Open(dir, 10, 42, ffs)
+		ffs := ckpttest.NewFaultFS(mem, ckpttest.Rule{Op: ckpttest.OpAny, Nth: k, Mode: ckpttest.ModeCrash})
+		st, err := ckpt.Open(dir, 10, 42, ffs)
 		if err != nil {
 			// Crash during Open's own scan: recovery below must still work.
-			if !errors.Is(err, ErrCrashed) {
+			if !errors.Is(err, ckpttest.ErrCrashed) {
 				t.Fatalf("k=%d: open: %v", k, err)
 			}
-		} else if err := st.Save(testSnap(200, 5, 200)); err != nil {
-			if !errors.Is(err, ErrCrashed) && !ffs.Crashed() {
+		} else if err := st.Save(ckpt.TestSnap(200, 5, 200)); err != nil {
+			if !errors.Is(err, ckpttest.ErrCrashed) && !ffs.Crashed() {
 				t.Fatalf("k=%d: save failed without the injected crash: %v", k, err)
 			}
 		}
 
-		rst, err := Open(dir, 10, 42, mem)
+		rst, err := ckpt.Open(dir, 10, 42, mem)
 		if err != nil {
 			t.Fatalf("k=%d: recovery open: %v", k, err)
 		}
@@ -290,20 +292,20 @@ func TestCrashAtEverySyscall(t *testing.T) {
 // error path, and even if the cleanup crashed, the .tmp name is filtered).
 func TestShortWriteLeavesNoCandidate(t *testing.T) {
 	const dir = "ck"
-	mem := NewMemFS()
-	ffs := NewFaultFS(mem, Rule{Op: OpWrite, Match: FileName(100), Mode: ModeShort})
-	st, err := Open(dir, 10, 42, ffs)
+	mem := ckpt.NewMemFS()
+	ffs := ckpttest.NewFaultFS(mem, ckpttest.Rule{Op: ckpttest.OpWrite, Match: ckpt.FileName(100), Mode: ckpttest.ModeShort})
+	st, err := ckpt.Open(dir, 10, 42, ffs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Save(testSnap(100, 5, 100)); err == nil {
+	if err := st.Save(ckpt.TestSnap(100, 5, 100)); err == nil {
 		t.Fatal("short write but Save succeeded")
 	}
-	rst, err := Open(dir, 10, 42, mem)
+	rst, err := ckpt.Open(dir, 10, 42, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rst.LoadLatest(); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("want ErrNoCheckpoint, got %v", err)
+	if _, err := rst.LoadLatest(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
+		t.Fatalf("want ckpt.ErrNoCheckpoint, got %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -155,23 +154,6 @@ func (m *MemFS) SyncDir(dir string) error {
 		m.durable[name] = id
 	}
 	return nil
-}
-
-// DumpDurable returns a deterministic description of the crash-surviving
-// state, for test assertions.
-func (m *MemFS) DumpDurable() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.durable))
-	for name := range m.durable {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s %d\n", name, len(m.inodes[m.durable[name]].durable)) //tmevet:ignore errdrop -- strings.Builder never errors
-	}
-	return b.String()
 }
 
 type memFile struct {

@@ -22,7 +22,7 @@ func TestAnisotropicBoxAndGrid(t *testing.T) {
 	q := make([]float64, n)
 	var qt float64
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*box.L[0], rng.Float64()*box.L[1], rng.Float64()*box.L[2])
+		pos[i] = vec.V{rng.Float64() * box.L[0], rng.Float64() * box.L[1], rng.Float64() * box.L[2]}
 		q[i] = rng.NormFloat64()
 		qt += q[i]
 	}

@@ -22,7 +22,7 @@ func exclusionTestSystem(seed int64, n int, box vec.Box, spread float64) (pos []
 	pos = make([]vec.V, n)
 	q = make([]float64, n)
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*box.L[0], rng.Float64()*box.L[1], rng.Float64()*box.L[2])
+		pos[i] = vec.V{rng.Float64() * box.L[0], rng.Float64() * box.L[1], rng.Float64() * box.L[2]}
 		q[i] = rng.NormFloat64()
 		if i%11 == 0 {
 			q[i] = 0
@@ -36,7 +36,7 @@ func exclusionTestSystem(seed int64, n int, box vec.Box, spread float64) (pos []
 		for a := range grp {
 			grp[a] = g + a
 			for near := a > 0; near; {
-				pos[g+a] = pos[g].Add(vec.New(rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5).Scale(2 * spread))
+				pos[g+a] = pos[g].Add(vec.V{rng.Float64() - 0.5, rng.Float64() - 0.5, rng.Float64() - 0.5}.Scale(2 * spread))
 				near = false
 				for b := range a {
 					near = near || pos[g+a].Sub(pos[g+b]).Norm() < 0.09

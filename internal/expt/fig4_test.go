@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tme4a/internal/ckpt"
+	"tme4a/internal/ckpt/ckpttest"
 	"tme4a/internal/md"
 )
 
@@ -97,7 +98,7 @@ func TestFig4Resume(t *testing.T) {
 			}
 
 			torn := ckpt.NewMemFS()
-			ffs := ckpt.NewFaultFS(torn, ckpt.Rule{Op: ckpt.OpWrite, Match: ckpt.FileName(killAt), Mode: ckpt.ModeTorn})
+			ffs := ckpttest.NewFaultFS(torn, ckpttest.Rule{Op: ckpttest.OpWrite, Match: ckpt.FileName(killAt), Mode: ckpttest.ModeTorn})
 			if err := interrupted(ffs); err == nil {
 				t.Fatalf("torn write at step %d went unreported", killAt)
 			}

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"tme4a/internal/obs"
 )
 
 // fig9liveShort is a seconds-scale configuration for tests.
@@ -34,13 +36,13 @@ func TestFig9LiveReport(t *testing.T) {
 		t.Errorf("report resolves only %d stages, want >= 8:\n%s", len(rep.Stages), buf.String())
 	}
 	for _, name := range []string{"charge_assign", "restrict", "grid_conv", "top_spme", "prolong", "back_interp", "short_range", "step_total"} {
-		if _, ok := rep.StageStatByName(name); !ok {
+		if _, ok := stageStat(rep, name); !ok {
 			t.Errorf("stage %s missing from the live report", name)
 		}
 	}
-	step, _ := rep.StageStatByName("step_total")
-	mesh, _ := rep.StageStatByName("mesh_total")
-	sr, _ := rep.StageStatByName("short_range")
+	step, _ := stageStat(rep, "step_total")
+	mesh, _ := stageStat(rep, "mesh_total")
+	sr, _ := stageStat(rep, "short_range")
 	if step.TotalNs <= 0 {
 		t.Fatal("no step time measured")
 	}
@@ -64,14 +66,14 @@ func TestFig9LivePerfModelDeviation(t *testing.T) {
 		t.Skipf("hardware-model chart unavailable: %v", err)
 	}
 	rep := RunFig9Live(fig9liveShort(), nil)
-	step, ok := rep.StageStatByName("step_total")
+	step, ok := stageStat(rep, "step_total")
 	if !ok || step.TotalNs <= 0 {
 		t.Fatal("live run measured no step time")
 	}
 	live := func(names ...string) float64 {
 		var ns int64
 		for _, n := range names {
-			if s, ok := rep.StageStatByName(n); ok {
+			if s, ok := stageStat(rep, n); ok {
 				ns += s.TotalNs
 			}
 		}
@@ -138,4 +140,15 @@ func loadFig9Model(path string) (map[string]float64, float64, error) {
 		shares[label] = float64(filled) / float64(len(bar))
 	}
 	return shares, stepUs, sc.Err()
+}
+
+// stageStat returns the report's row of the stage with the given JSON
+// name, if present.
+func stageStat(rep obs.Report, name string) (obs.StageStat, bool) {
+	for _, st := range rep.Stages {
+		if st.Stage == name {
+			return st, true
+		}
+	}
+	return obs.StageStat{}, false
 }

@@ -204,17 +204,3 @@ func benchFFT1D(b *testing.B, n int) {
 		p.Forward(x)
 	}
 }
-
-func BenchmarkFFT3D16(b *testing.B) { benchFFT3D(b, 16) }
-func BenchmarkFFT3D32(b *testing.B) { benchFFT3D(b, 32) }
-func BenchmarkFFT3D64(b *testing.B) { benchFFT3D(b, 64) }
-
-func benchFFT3D(b *testing.B, n int) {
-	p := NewPlan3(n, n, n)
-	x := randComplex(rand.New(rand.NewSource(1)), p.Size())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Forward(x)
-	}
-}

@@ -59,9 +59,6 @@ func NewRealPlan(n int) *RealPlan {
 	return p
 }
 
-// Len returns the real transform length.
-func (p *RealPlan) Len() int { return p.n }
-
 // Forward computes the half spectrum of the n real samples into dst
 // (length n/2+1). scratch must have length ≥ n/2.
 //

@@ -39,12 +39,6 @@ func (f Format) Quantize(v float64) int32 {
 // Value converts a fixed-point value back to float64.
 func (f Format) Value(x int32) float64 { return float64(x) / f.Scale() }
 
-// Resolution returns the quantization step 2^−Frac.
-func (f Format) Resolution() float64 { return 1 / f.Scale() }
-
-// MaxValue returns the largest representable magnitude.
-func (f Format) MaxValue() float64 { return float64(math.MaxInt32) / f.Scale() }
-
 func (f Format) String() string { return fmt.Sprintf("Q%d.%d", 31-f.Frac, f.Frac) }
 
 // SatAdd32 adds two 32-bit fixed-point values with saturation — the
@@ -85,28 +79,18 @@ func MulShift(a, b int32, shift uint) int32 {
 }
 
 // Acc64 is a 64-bit fixed-point accumulator (used for total potential
-// accumulation in the LRU).
+// accumulation in the LRU). A sum of 32-bit terms cannot wrap it before
+// 2^32 adds.
 type Acc64 struct {
-	Sum  int64
-	Fmt  Format
-	over bool
+	Sum int64
+	Fmt Format
 }
 
 // Add accumulates a 32-bit fixed-point value.
-func (a *Acc64) Add(x int32) {
-	s := a.Sum + int64(x)
-	// Detect (unlikely) 64-bit overflow.
-	if (a.Sum > 0 && x > 0 && s < 0) || (a.Sum < 0 && x < 0 && s > 0) {
-		a.over = true
-	}
-	a.Sum = s
-}
+func (a *Acc64) Add(x int32) { a.Sum += int64(x) }
 
 // Value returns the accumulated value as float64.
 func (a *Acc64) Value() float64 { return float64(a.Sum) / a.Fmt.Scale() }
-
-// Overflowed reports whether the accumulator wrapped.
-func (a *Acc64) Overflowed() bool { return a.over }
 
 // Grid32 is a 3D grid of 32-bit fixed-point values — the GCU grid memory
 // and LRU grid memory representation.

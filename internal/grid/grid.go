@@ -4,7 +4,7 @@
 // prolongation operators.
 //
 // Data is stored in a flat slice, x-fastest: index = ix + Nx·(iy + Ny·iz),
-// matching the layout of internal/fft.Plan3.
+// matching the layout of internal/fft.RealPlan3.
 //
 // Every grid-to-grid operator is a tap sum — an output point is
 // Σ_e coef[e]·src[…] in a fixed order — run by a row kernel that walks
@@ -45,61 +45,11 @@ func New(nx, ny, nz int) *G {
 // Len returns the total number of grid points.
 func (g *G) Len() int { return g.N[0] * g.N[1] * g.N[2] }
 
-// Idx returns the flat index of (ix, iy, iz), which must be in range.
-func (g *G) Idx(ix, iy, iz int) int { return ix + g.N[0]*(iy+g.N[1]*iz) }
-
-// WrapIdx returns the flat index of (ix, iy, iz) with periodic wrapping.
-func (g *G) WrapIdx(ix, iy, iz int) int {
-	return wrap(ix, g.N[0]) + g.N[0]*(wrap(iy, g.N[1])+g.N[1]*wrap(iz, g.N[2]))
-}
-
-// At returns the value at (ix, iy, iz) with periodic wrapping.
-func (g *G) At(ix, iy, iz int) float64 { return g.Data[g.WrapIdx(ix, iy, iz)] }
-
-// Set stores v at (ix, iy, iz) with periodic wrapping.
-func (g *G) Set(ix, iy, iz int, v float64) { g.Data[g.WrapIdx(ix, iy, iz)] = v }
-
-// Add accumulates v at (ix, iy, iz) with periodic wrapping.
-func (g *G) Add(ix, iy, iz int, v float64) { g.Data[g.WrapIdx(ix, iy, iz)] += v }
-
 // Zero clears the grid.
 func (g *G) Zero() {
 	for i := range g.Data {
 		g.Data[i] = 0
 	}
-}
-
-// Clone returns a deep copy.
-func (g *G) Clone() *G {
-	c := New(g.N[0], g.N[1], g.N[2])
-	copy(c.Data, g.Data)
-	return c
-}
-
-// AddGrid accumulates src into g; shapes must match.
-func (g *G) AddGrid(src *G) {
-	if g.N != src.N {
-		panic("grid: AddGrid shape mismatch")
-	}
-	for i, v := range src.Data {
-		g.Data[i] += v
-	}
-}
-
-// Scale multiplies every point by s.
-func (g *G) Scale(s float64) {
-	for i := range g.Data {
-		g.Data[i] *= s
-	}
-}
-
-// Sum returns the sum over all grid points.
-func (g *G) Sum() float64 {
-	var s float64
-	for _, v := range g.Data {
-		s += v
-	}
-	return s
 }
 
 func wrap(i, n int) int {
@@ -720,21 +670,6 @@ func (a directJob) rows(lo, hi int) {
 	}
 }
 
-// Restrict applies the two-scale restriction along all three axes:
-// dst[n] = Σ_m J[m]·src[2n+m] per axis, halving each dimension (all must be
-// even). J is indexed J[m+p/2] for m = −p/2..p/2 (see bspline.TwoScale).
-func Restrict(src *G, J []float64) *G {
-	cur := src
-	for axis := 0; axis < 3; axis++ {
-		dn := cur.N
-		dn[axis] /= 2
-		dst := New(dn[0], dn[1], dn[2])
-		RestrictAxisInto(dst, cur, axis, J)
-		cur = dst
-	}
-	return cur
-}
-
 // RestrictInto computes the three-axis restriction into dst (shape src.N/2),
 // drawing the two intermediate grids from pool.
 func RestrictInto(dst, src *G, J []float64, pool *Pool) {
@@ -767,21 +702,6 @@ func RestrictAxisInto(dst, src *G, axis int, J []float64) {
 		panic("grid: Restrict destination shape mismatch")
 	}
 	axisPass(dst, src, axis, opRestrict, J, false)
-}
-
-// Prolong applies the two-scale prolongation along all three axes:
-// dst[k] = Σ_n J[k−2n]·src[n] per axis, doubling each dimension. Prolong is
-// the adjoint of Restrict.
-func Prolong(src *G, J []float64) *G {
-	cur := src
-	for axis := 0; axis < 3; axis++ {
-		dn := cur.N
-		dn[axis] *= 2
-		dst := New(dn[0], dn[1], dn[2])
-		ProlongAxisInto(dst, cur, axis, J)
-		cur = dst
-	}
-	return cur
 }
 
 // ProlongInto computes the three-axis prolongation into dst (shape 2·src.N),

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tme4a/internal/bspline"
@@ -121,13 +122,13 @@ const convTol = 1e-13
 func assertConvWithin(t *testing.T, name string, prev, src *G, axis int, kernel []float64, accum bool, got *G) {
 	t.Helper()
 	abs := func(g *G) *G {
-		a := g.Clone()
+		a := &G{N: g.N, Data: slices.Clone(g.Data)}
 		for i, v := range a.Data {
 			a.Data[i] = math.Abs(v)
 		}
 		return a
 	}
-	want, scale := prev.Clone(), abs(prev)
+	want, scale := &G{N: prev.N, Data: slices.Clone(prev.Data)}, abs(prev)
 	oracleConvAxis(want, src, axis, kernel, accum)
 	absK := make([]float64, len(kernel))
 	for i, c := range kernel {
@@ -156,11 +157,11 @@ func oracleConvDirectAccum(dst, src *G, kernel []float64, gc int) {
 				for mz := -gc; mz <= gc; mz++ {
 					for my := -gc; my <= gc; my++ {
 						for mx := -gc; mx <= gc; mx++ {
-							s += kernel[(mx+gc)+k*((my+gc)+k*(mz+gc))] * src.At(ix-mx, iy-my, iz-mz)
+							s += kernel[(mx+gc)+k*((my+gc)+k*(mz+gc))] * wrapAt(src, ix-mx, iy-my, iz-mz)
 						}
 					}
 				}
-				dst.Data[dst.Idx(ix, iy, iz)] += s
+				dst.Data[ix+dst.N[0]*(iy+dst.N[1]*iz)] += s
 			}
 		}
 	}
@@ -184,14 +185,14 @@ func oracleFoldedConvDirectAccum(dst, src *G, kernel []float64, gc int) {
 				for ez := 0; ez <= gc; ez++ {
 					for ey := 0; ey <= gc; ey++ {
 						S := func(jx int) float64 {
-							v := src.At(jx, iy-ey, iz-ez)
+							v := wrapAt(src, jx, iy-ey, iz-ez)
 							if ey > 0 {
-								v += src.At(jx, iy+ey, iz-ez)
+								v += wrapAt(src, jx, iy+ey, iz-ez)
 							}
 							if ez > 0 {
-								v += src.At(jx, iy-ey, iz+ez)
+								v += wrapAt(src, jx, iy-ey, iz+ez)
 								if ey > 0 {
-									v += src.At(jx, iy+ey, iz+ez)
+									v += wrapAt(src, jx, iy+ey, iz+ez)
 								}
 							}
 							return v
@@ -204,7 +205,7 @@ func oracleFoldedConvDirectAccum(dst, src *G, kernel []float64, gc int) {
 						run += t
 					}
 				}
-				dst.Data[dst.Idx(ix, iy, iz)] += run
+				dst.Data[ix+dst.N[0]*(iy+dst.N[1]*iz)] += run
 			}
 		}
 	}
@@ -218,7 +219,7 @@ func assertDirectWithin(t *testing.T, name string, src *G, kernel []float64, gc 
 	n := src.N
 	want, scale := New(n[0], n[1], n[2]), New(n[0], n[1], n[2])
 	oracleConvDirectAccum(want, src, kernel, gc)
-	absSrc, absK := src.Clone(), make([]float64, len(kernel))
+	absSrc, absK := &G{N: src.N, Data: slices.Clone(src.Data)}, make([]float64, len(kernel))
 	for i, v := range absSrc.Data {
 		absSrc.Data[i] = math.Abs(v)
 	}

@@ -80,8 +80,8 @@ func TestGridOpsBitwiseAcrossGOMAXPROCS(t *testing.T) {
 		return out{
 			sep: ConvSeparable(src, kx, ky, kz),
 			dir: ConvDirect3D(src, k3, gc),
-			res: Restrict(src, J),
-			pro: Prolong(src, J),
+			res: restrict(src, J),
+			pro: prolong(src, J),
 		}
 	}
 	var serial, parallel out
@@ -116,7 +116,9 @@ func TestConvSeparableAccumSumsGaussians(t *testing.T) {
 	// Reference: allocate-and-add, the pre-refactor levelConv structure.
 	want := ConvSeparable(src, kx[0], ky[0], kz[0])
 	for v := 1; v < m; v++ {
-		want.AddGrid(ConvSeparable(src, kx[v], ky[v], kz[v]))
+		for i, x := range ConvSeparable(src, kx[v], ky[v], kz[v]).Data {
+			want.Data[i] += x
+		}
 	}
 
 	dst := New(8, 8, 8)
@@ -134,13 +136,28 @@ func TestRestrictProlongIntoMatchAllocating(t *testing.T) {
 	pool := NewPool()
 
 	src := randGrid(rng, 16, 8, 12)
-	want := Restrict(src, J)
+	// Reference: one axis at a time onto fresh grids.
+	want := src
+	for axis := 0; axis < 3; axis++ {
+		n := want.N
+		n[axis] /= 2
+		next := New(n[0], n[1], n[2])
+		RestrictAxisInto(next, want, axis, J)
+		want = next
+	}
 	dst := pool.Get([3]int{8, 4, 6})
 	RestrictInto(dst, src, J, pool)
 	assertBitwise(t, "RestrictInto", want, dst)
 
 	up := randGrid(rng, 8, 4, 6)
-	wantP := Prolong(up, J)
+	wantP := up
+	for axis := 0; axis < 3; axis++ {
+		n := wantP.N
+		n[axis] *= 2
+		next := New(n[0], n[1], n[2])
+		ProlongAxisInto(next, wantP, axis, J)
+		wantP = next
+	}
 	// Deliberately dirty destination: ProlongInto must fully overwrite.
 	dstP := pool.Get([3]int{16, 8, 12})
 	for i := range dstP.Data {

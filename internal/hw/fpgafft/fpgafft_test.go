@@ -72,7 +72,8 @@ func TestSolveMatchesDoublePrecisionSPME(t *testing.T) {
 	for i := range q.Data {
 		q.Data[i] = rng.NormFloat64() * 0.5
 	}
-	want := s.PotentialGrid(q)
+	want := grid.New(16, 16, 16)
+	s.PotentialGridInto(want, q)
 	got := u.Solve(q.Data)
 	var maxAbs float64
 	for _, v := range want.Data {
@@ -101,7 +102,7 @@ func TestSolveFixedQuantizes(t *testing.T) {
 	phi := u.SolveFixed(q, outFmt)
 	want := u.Solve(q.Float())
 	for i := range want {
-		if math.Abs(outFmt.Value(phi.Data[i])-want[i]) > outFmt.Resolution() {
+		if math.Abs(outFmt.Value(phi.Data[i])-want[i]) > 1/outFmt.Scale() {
 			t.Fatalf("idx %d: %g vs %g", i, outFmt.Value(phi.Data[i]), want[i])
 		}
 	}

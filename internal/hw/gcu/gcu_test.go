@@ -39,19 +39,26 @@ func floatConvAxis(src *grid.G, axis int, kernel []float64) *grid.G {
 					var v float64
 					switch axis {
 					case 0:
-						v = src.At(ix-m, iy, iz)
+						v = at(src, ix-m, iy, iz)
 					case 1:
-						v = src.At(ix, iy-m, iz)
+						v = at(src, ix, iy-m, iz)
 					default:
-						v = src.At(ix, iy, iz-m)
+						v = at(src, ix, iy, iz-m)
 					}
 					s += kernel[m+gc] * v
 				}
-				dst.Data[dst.Idx(ix, iy, iz)] = s
+				dst.Data[ix+dst.N[0]*(iy+dst.N[1]*iz)] = s
 			}
 		}
 	}
 	return dst
+}
+
+// at returns g's value at (ix, iy, iz) with periodic wrapping.
+func at(g *grid.G, ix, iy, iz int) float64 {
+	wrap := func(i, n int) int { return ((i % n) + n) % n }
+	n := g.N
+	return g.Data[wrap(ix, n[0])+n[0]*(wrap(iy, n[1])+n[1]*wrap(iz, n[2]))]
 }
 
 func TestConvAxisMatchesFloat(t *testing.T) {
@@ -73,7 +80,7 @@ func TestConvAxisMatchesFloat(t *testing.T) {
 		want := floatConvAxis(gg, axis, kf)
 		for i := range want.Data {
 			got := gridFmt.Value(dst.Data[i])
-			if math.Abs(got-want.Data[i]) > 2*gridFmt.Resolution() {
+			if math.Abs(got-want.Data[i]) > 2/gridFmt.Scale() {
 				t.Fatalf("axis %d idx %d: %g vs %g", axis, i, got, want.Data[i])
 			}
 		}
@@ -105,8 +112,8 @@ func TestConvSeparableMatchesFloat(t *testing.T) {
 		}
 	}
 	// Three requantizations accumulate a few ULPs of the grid format.
-	if maxErr > 20*gridFmt.Resolution() {
-		t.Errorf("max error %g vs resolution %g", maxErr, gridFmt.Resolution())
+	if maxErr > 20/gridFmt.Scale() {
+		t.Errorf("max error %g vs resolution %g", maxErr, 1/gridFmt.Scale())
 	}
 	if maxAbs == 0 {
 		t.Fatal("degenerate test data")
@@ -137,7 +144,8 @@ func TestRestrictExactForExactJ(t *testing.T) {
 		fg.Data[i] = gridFmt.Quantize(v)
 	}
 	got := Restrict(fg, j)
-	want := grid.Restrict(gg, J)
+	want := grid.New(4, 4, 4)
+	grid.RestrictInto(want, gg, J, grid.NewPool())
 	for i := range want.Data {
 		if g := gridFmt.Value(got.Data[i]); math.Abs(g-want.Data[i]) > 1e-12 {
 			t.Fatalf("idx %d: %g vs %g", i, g, want.Data[i])
@@ -155,12 +163,13 @@ func TestProlongMatchesFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	fg, gg := randomFixedGrid(rng, 4, gridFmt)
 	got := Prolong(fg, j)
-	want := grid.Prolong(gg, J)
+	want := grid.New(8, 8, 8)
+	grid.ProlongInto(want, gg, J, grid.NewPool())
 	if got.N != [3]int{8, 8, 8} {
 		t.Fatalf("prolonged shape %v", got.N)
 	}
 	for i := range want.Data {
-		if g := gridFmt.Value(got.Data[i]); math.Abs(g-want.Data[i]) > 10*gridFmt.Resolution() {
+		if g := gridFmt.Value(got.Data[i]); math.Abs(g-want.Data[i]) > 10/gridFmt.Scale() {
 			t.Fatalf("idx %d: %g vs %g", i, g, want.Data[i])
 		}
 	}

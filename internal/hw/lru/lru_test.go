@@ -15,7 +15,7 @@ func randomSystem(rng *rand.Rand, n int, box vec.Box) ([]vec.V, []float64) {
 	pos := make([]vec.V, n)
 	q := make([]float64, n)
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*box.L[0], rng.Float64()*box.L[1], rng.Float64()*box.L[2])
+		pos[i] = vec.V{rng.Float64() * box.L[0], rng.Float64() * box.L[1], rng.Float64() * box.L[2]}
 		q[i] = rng.NormFloat64() * 0.8
 	}
 	return pos, q
@@ -33,7 +33,8 @@ func TestChargeAssignMatchesFloat(t *testing.T) {
 
 	fg := ChargeAssign(dp, n, invH, pos, q)
 	m := pmesh.NewMesher(Order, n, box)
-	want := m.Assign(pos, q)
+	want := grid.New(m.N[0], m.N[1], m.N[2])
+	m.AssignTo(want, pos, q)
 
 	var maxErr float64
 	for i := range want.Data {
@@ -43,8 +44,8 @@ func TestChargeAssignMatchesFloat(t *testing.T) {
 	}
 	// Each grid point accumulates ≲100 quantized contributions; the error
 	// stays within a few hundred ULPs of Q24.
-	if maxErr > 500*dp.Grid.Resolution() {
-		t.Errorf("max CA error %g vs Q24 resolution %g", maxErr, dp.Grid.Resolution())
+	if maxErr > 500/dp.Grid.Scale() {
+		t.Errorf("max CA error %g vs Q24 resolution %g", maxErr, 1/dp.Grid.Scale())
 	}
 	if maxErr == 0 {
 		t.Error("suspiciously exact — fixed-point path probably not exercised")
@@ -109,7 +110,7 @@ func TestChargeConservationFixedPoint(t *testing.T) {
 		want += qi
 	}
 	// Quantized weights per atom sum to 1 within 216 ULPs.
-	if math.Abs(total-want) > float64(len(pos))*300*dp.Grid.Resolution() {
+	if math.Abs(total-want) > float64(len(pos))*300/dp.Grid.Scale() {
 		t.Errorf("total grid charge %g, want %g", total, want)
 	}
 }

@@ -141,7 +141,7 @@ func TestFunctionalPipelineMatchesFloatTME(t *testing.T) {
 	q := make([]float64, n)
 	var qt float64
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*box.L[0], rng.Float64()*box.L[1], rng.Float64()*box.L[2])
+		pos[i] = vec.V{rng.Float64() * box.L[0], rng.Float64() * box.L[1], rng.Float64() * box.L[2]}
 		q[i] = rng.NormFloat64() * 0.5
 		qt += q[i]
 	}

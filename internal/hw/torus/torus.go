@@ -40,14 +40,6 @@ func (c Config) NodeID(co Coord) int {
 	return co.X + c.Size[0]*(co.Y+c.Size[1]*co.Z)
 }
 
-// CoordOf unflattens a node id.
-func (c Config) CoordOf(id int) Coord {
-	x := id % c.Size[0]
-	y := (id / c.Size[0]) % c.Size[1]
-	z := id / (c.Size[0] * c.Size[1])
-	return Coord{x, y, z}
-}
-
 // NNodes returns the total node count.
 func (c Config) NNodes() int { return c.Size[0] * c.Size[1] * c.Size[2] }
 
@@ -119,13 +111,6 @@ func (n *Network) Send(a, b Coord, bytes float64, at float64) float64 {
 		}
 	}
 	return t
-}
-
-// Reset clears all link reservations.
-func (n *Network) Reset() {
-	for i := range n.nextFree {
-		n.nextFree[i] = 0
-	}
 }
 
 func wrap(i, n int) int {

@@ -5,12 +5,23 @@ import (
 	"testing"
 )
 
+// TestNodeIDRoundTrip: NodeID numbers the nodes 0, 1, … x-fastest, so
+// every id has exactly one coordinate.
 func TestNodeIDRoundTrip(t *testing.T) {
 	cfg := MDGRAPE4A()
-	for id := 0; id < cfg.NNodes(); id++ {
-		if got := cfg.NodeID(cfg.CoordOf(id)); got != id {
-			t.Fatalf("id %d -> %v -> %d", id, cfg.CoordOf(id), got)
+	id := 0
+	for z := 0; z < cfg.Size[2]; z++ {
+		for y := 0; y < cfg.Size[1]; y++ {
+			for x := 0; x < cfg.Size[0]; x++ {
+				if got := cfg.NodeID(Coord{x, y, z}); got != id {
+					t.Fatalf("(%d,%d,%d) -> %d, want %d", x, y, z, got, id)
+				}
+				id++
+			}
 		}
+	}
+	if id != cfg.NNodes() {
+		t.Fatalf("%d coordinates for %d nodes", id, cfg.NNodes())
 	}
 }
 
@@ -60,15 +71,5 @@ func TestSendToSelf(t *testing.T) {
 	nw := NewNetwork(MDGRAPE4A())
 	if got := nw.Send(Coord{3, 3, 3}, Coord{3, 3, 3}, 1000, 42); got != 42 {
 		t.Errorf("self send arrival %g", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	nw := NewNetwork(MDGRAPE4A())
-	nw.Send(Coord{0, 0, 0}, Coord{1, 0, 0}, 1e6, 0)
-	nw.Reset()
-	got := nw.Send(Coord{0, 0, 0}, Coord{1, 0, 0}, 72, 0)
-	if math.Abs(got-210) > 1e-9 {
-		t.Errorf("after reset arrival %g, want 210", got)
 	}
 }

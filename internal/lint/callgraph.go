@@ -30,9 +30,15 @@ import (
 //   - Calls inside ordinary closures (deferred, called inline, or passed
 //     to par.ForRange) are attributed to the enclosing declaration.
 type Program struct {
+	pkgs  []*Package // every loaded package, by directory
 	nodes map[*types.Func]*FuncNode
 	reach map[*types.Func]map[*types.Func]bool // memoized sync-reachability
 	owned map[*types.Var]*ownerInfo            // //tme:owner index, all packages
+
+	// used and ifaces are deadexport's reference index, built on
+	// first use.
+	used   map[*types.Func]bool
+	ifaces map[string][]*types.Interface
 }
 
 // FuncNode is one declared function or method in the module.
@@ -66,10 +72,11 @@ type ownerInfo struct {
 // NewProgram indexes every package the loader has materialized.
 func NewProgram(l *Loader) *Program {
 	prog := &Program{
+		pkgs:  l.Packages(),
 		nodes: map[*types.Func]*FuncNode{},
 		reach: map[*types.Func]map[*types.Func]bool{},
 	}
-	for _, p := range l.Packages() {
+	for _, p := range prog.pkgs {
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)

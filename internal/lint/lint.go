@@ -2,8 +2,9 @@
 // enforces, at review time, invariants the runtime tests only see on the
 // paths they execute: results that depend on no wall clock and no map
 // order, allocation-free steady-state hot paths, joinable goroutines,
-// checked errors on durability and wire paths, and single-goroutine
-// ownership of the serve tier's engine state.
+// checked errors on durability and wire paths, single-goroutine
+// ownership of the serve tier's engine state, and shipped code that a
+// binary, not only a test, references.
 //
 // The analyzer is stdlib-only (go/parser + go/types with the from-source
 // importer) so it runs on a bare checkout. Each check lives in its own
@@ -22,6 +23,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -47,6 +49,7 @@ type Check struct {
 // checks is the registry, ordered for stable output.
 var checks = []*Check{
 	clockCheck,
+	deadexportCheck,
 	detmapCheck,
 	errdropCheck,
 	goleakCheck,
@@ -141,7 +144,9 @@ const fixturePrefix = "internal/lint/testdata/src/"
 // checksFor maps a module-relative package directory to the checks that
 // apply to it. Golden fixture packages select the single check named by
 // their directory, so each fixture exercises exactly its own check.
-func checksFor(rel string) []*Check {
+// deadexport applies only on a whole-module run: a partial one does not
+// load every reference.
+func checksFor(rel string, whole bool) []*Check {
 	if rest, ok := strings.CutPrefix(rel, fixturePrefix); ok {
 		name, _, _ := strings.Cut(rest, "/")
 		if c := ByName(name); c != nil {
@@ -164,6 +169,9 @@ func checksFor(rel string) []*Check {
 	}
 	if strings.HasPrefix(rel, "internal/") && !clockExempt[rel] {
 		cs = append(cs, clockCheck)
+	}
+	if whole {
+		cs = append(cs, deadexportCheck)
 	}
 	// Annotation-driven checks run everywhere: they only fire on
 	// //tme:noalloc and //tme:owner declarations.
@@ -205,6 +213,7 @@ func Run(root string, patterns []string) ([]Diagnostic, error) {
 		p.Prog = prog
 	}
 	// Phase 3: run the checks per pattern package.
+	whole := slices.Contains(patterns, "./...")
 	var diags []Diagnostic
 	for _, p := range pkgs {
 		for _, terr := range p.TypeErrors {
@@ -215,7 +224,7 @@ func Run(root string, patterns []string) ([]Diagnostic, error) {
 			diags = append(diags, Diagnostic{Pos: pos, Check: "typecheck", Message: terr.Error()})
 		}
 		diags = append(diags, p.unknownIgnores...)
-		for _, c := range checksFor(p.Rel) {
+		for _, c := range checksFor(p.Rel, whole) {
 			for _, d := range c.Run(p) {
 				if !p.suppressed(d.Check, d.Pos) {
 					diags = append(diags, d)

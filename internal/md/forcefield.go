@@ -36,9 +36,6 @@ func (e Energies) Potential() float64 {
 // Total returns kinetic + potential energy.
 func (e Energies) Total() float64 { return e.Potential() + e.Kinetic }
 
-// Coulomb returns the full electrostatic energy.
-func (e Energies) Coulomb() float64 { return e.CoulShort + e.CoulLong + e.CoulExcl }
-
 // MinMeshReach is the least pair-list reach Rc + Skin, in nm, that a mesh
 // run accepts from outside input (cmd/mdrun's flags, a served spec): about
 // twice TIP3P's H–H distance, so the list holds every excluded pair of a

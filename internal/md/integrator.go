@@ -219,10 +219,6 @@ func (in *Integrator) RestoreResume(sys *System, snap *Snapshot) error {
 	return nil
 }
 
-// StepCount returns the number of completed steps (restored across a
-// resume).
-func (in *Integrator) StepCount() int { return in.stepCount }
-
 // Run advances n steps, invoking report (if non-nil) after every step with
 // the 1-based step index and its energies.
 func (in *Integrator) Run(sys *System, n int, report func(step int, e Energies)) Energies {

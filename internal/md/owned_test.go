@@ -30,8 +30,8 @@ func TestIntegrationPhasesComposeOverOwners(t *testing.T) {
 				rng := rand.New(rand.NewSource(7))
 				mesh = make([]vec.V, sys.N())
 				for i := range sys.Frc {
-					sys.Frc[i] = vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(300)
-					mesh[i] = vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+					sys.Frc[i] = vec.V{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}.Scale(300)
+					mesh[i] = vec.V{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 				}
 				owners = [2]md.Owned{}
 				for wi, w := range sys.RigidWaters {

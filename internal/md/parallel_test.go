@@ -107,7 +107,7 @@ func TestSettleBitwiseAcrossGOMAXPROCS(t *testing.T) {
 		sys.InitVelocities(300, rand.New(rand.NewSource(6)))
 		rng := rand.New(rand.NewSource(7))
 		for i := range sys.Frc {
-			sys.Frc[i] = vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Scale(500)
+			sys.Frc[i] = vec.V{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}.Scale(500)
 		}
 		old := make([]vec.V, 3*len(sys.RigidWaters))
 		for step := 0; step < 3; step++ {

@@ -48,7 +48,7 @@ func TestLevelKernelIsEven(t *testing.T) {
 		gc := tc.prm.Gc
 		k := 2*gc + 1
 		at := func(mx, my, mz int) int { return (mx + gc) + k*((my+gc)+k*(mz+gc)) }
-		for l, kern := range append([][]float64{s.Kernel3D()}, s.kernL...) {
+		for l, kern := range append([][]float64{levelKernel3D(tc.prm, s.Mesher.H())}, s.Kernels...) {
 			for mz := -gc; mz <= gc; mz++ {
 				for my := -gc; my <= gc; my++ {
 					for mx := -gc; mx <= gc; mx++ {
@@ -60,6 +60,26 @@ func TestLevelKernelIsEven(t *testing.T) {
 							}
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestLevelKernelsScaled: each level's kernel is the level-invariant one
+// times the level-l prefactor Coulomb/2^{l-1}, bit for bit.
+func TestLevelKernelsScaled(t *testing.T) {
+	for _, tc := range kernelCases() {
+		s := New(tc.prm, tc.box)
+		kernel := levelKernel3D(tc.prm, s.Mesher.H())
+		if len(s.Kernels) != tc.prm.Levels {
+			t.Fatalf("%s: %d level kernels, want %d", tc.name, len(s.Kernels), tc.prm.Levels)
+		}
+		for l, kl := range s.Kernels {
+			scale := units.Coulomb / math.Pow(2, float64(l))
+			for i, k := range kernel {
+				if math.Float64bits(kl[i]) != math.Float64bits(k*scale) {
+					t.Fatalf("%s level %d [%d] = %.17g, want %.17g", tc.name, l+1, i, kl[i], k*scale)
 				}
 			}
 		}

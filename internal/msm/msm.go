@@ -65,12 +65,10 @@ type Solver struct {
 	spme.Cycle
 	Prm Params
 
-	kernel []float64 // 3D grid kernel of g_{α,1}, side 2·Gc+1 (level-invariant)
-
-	// kernL[l-1] is kernel with the level-l prefactor Coulomb/2^{l-1}
-	// folded in, so the per-level direct convolutions run without scaling
-	// passes.
-	kernL [][]float64
+	// Kernels[l-1] (read-only) is the 3D grid kernel of g_{α,1}, side
+	// 2·Gc+1, with the level-l prefactor Coulomb/2^{l-1} folded in, so the
+	// per-level direct convolutions run without scaling passes.
+	Kernels [][]float64
 }
 
 // New precomputes the MSM solver for the box. It panics on invalid
@@ -83,15 +81,15 @@ func New(prm Params, box vec.Box) *Solver {
 	s := &Solver{Prm: prm}
 	s.Cycle = spme.NewCycle(spme.Params{Alpha: prm.Alpha, Rc: prm.Rc, Order: prm.Order, N: prm.N},
 		prm.Levels, box, s.levelConvAccum)
-	s.kernel = levelKernel3D(prm, s.Mesher.H())
-	s.kernL = make([][]float64, prm.Levels)
+	kernel := levelKernel3D(prm, s.Mesher.H())
+	s.Kernels = make([][]float64, prm.Levels)
 	for l := 1; l <= prm.Levels; l++ {
 		scale := units.Coulomb / math.Pow(2, float64(l-1))
-		kl := make([]float64, len(s.kernel))
-		for i, k := range s.kernel {
+		kl := make([]float64, len(kernel))
+		for i, k := range kernel {
 			kl[i] = k * scale
 		}
-		s.kernL[l-1] = kl
+		s.Kernels[l-1] = kl
 	}
 	return s
 }
@@ -184,15 +182,11 @@ func levelKernel3D(prm Params, h vec.V) []float64 {
 	return out
 }
 
-// Kernel3D returns the precomputed level-1 grid kernel (read-only), side
-// 2·Gc+1 per axis.
-func (s *Solver) Kernel3D() []float64 { return s.kernel }
-
 // levelConvAccum accumulates the direct 3D convolution of the level-l
 // (1-based) charge grid q with the pre-scaled level kernel into dst, in
 // kJ mol⁻¹ e⁻¹. It needs no scratch, so pool goes unused.
 //
 //tme:noalloc
 func (s *Solver) levelConvAccum(dst, q *grid.G, l int, _ *grid.Pool) {
-	grid.ConvDirect3DAccum(dst, q, s.kernL[l-1], s.Prm.Gc)
+	grid.ConvDirect3DAccum(dst, q, s.Kernels[l-1], s.Prm.Gc)
 }

@@ -16,7 +16,7 @@ func neutralRandomSystem(rng *rand.Rand, n int, box vec.Box) ([]vec.V, []float64
 	q := make([]float64, n)
 	var qt float64
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*box.L[0], rng.Float64()*box.L[1], rng.Float64()*box.L[2])
+		pos[i] = vec.V{rng.Float64() * box.L[0], rng.Float64() * box.L[1], rng.Float64() * box.L[2]}
 		q[i] = rng.NormFloat64()
 		qt += q[i]
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tme4a/internal/celllist"
+	"tme4a/internal/r2tab"
 	"tme4a/internal/vec"
 )
 
@@ -34,7 +35,7 @@ func TestKernelTableAccuracy(t *testing.T) {
 				maxE = math.Max(maxE, math.Abs(e-we)/math.Abs(we))
 				maxF = math.Max(maxF, math.Abs(f-wf)/math.Abs(wf))
 			}
-			t.Logf("rc=%.1f alpha=%.2f: %d entries, max rel err E %.2e, F %.2e", rc, alpha, k.tab.Entries(), maxE, maxF)
+			t.Logf("rc=%.1f alpha=%.2f: max rel err E %.2e, F %.2e", rc, alpha, maxE, maxF)
 			if maxE > 1e-8 || maxF > 1e-8 {
 				t.Errorf("rc=%.1f alpha=%.2f: table error E %.2e, F %.2e above 1e-8", rc, alpha, maxE, maxF)
 			}
@@ -117,13 +118,20 @@ func TestKernelFallbackBelowTable(t *testing.T) {
 			}
 		}
 	}
-	if n := newKernel(2.5, 0.02).tab.Entries(); n != 0 {
-		t.Errorf("rc below the table floor built %d entries", n)
+	// An rc below the table floor builds an empty table.
+	if tab := newKernel(2.5, 0.02).tab; segmentAt(tab, tableRMin2) || segmentAt(tab, 0.02*0.02) {
+		t.Error("rc below the table floor built a table")
 	}
-	// A cutoff too large to tabulate is capped, not refused.
-	if n := newKernel(2.5, math.Inf(1)).tab.Entries(); n == 0 || n > 2400 {
-		t.Errorf("unbounded cutoff built %d entries, want the 16 nm cap", n)
+	// A cutoff too large to tabulate is capped at 16 nm, not refused.
+	if tab := newKernel(2.5, math.Inf(1)).tab; !segmentAt(tab, tableRMin2) || !segmentAt(tab, tableRMax2) || segmentAt(tab, 2*tableRMax2) {
+		t.Error("unbounded cutoff did not build the table up to the 16 nm cap")
 	}
+}
+
+// segmentAt reports whether tab tabulates s.
+func segmentAt(tab *r2tab.Table, s float64) bool {
+	c, _ := tab.Segment(s)
+	return c != nil
 }
 
 // TestKernelSharedPerAlphaRc: engines asking for the same (α, rc) get the

@@ -15,7 +15,7 @@ func randomSystem(rng *rand.Rand, n int, box vec.Box) ([]vec.V, []float64, *LJ) 
 	q := make([]float64, n)
 	lj := &LJ{Sigma: make([]float64, n), Eps: make([]float64, n)}
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*box.L[0], rng.Float64()*box.L[1], rng.Float64()*box.L[2])
+		pos[i] = vec.V{rng.Float64() * box.L[0], rng.Float64() * box.L[1], rng.Float64() * box.L[2]}
 		q[i] = rng.NormFloat64() * 0.5
 		lj.Sigma[i] = 0.3
 		if i%3 == 0 {

@@ -237,19 +237,6 @@ func (sp Span) Stop() {
 	sl.count.Add(1)
 }
 
-// Record adds a ready-made duration to stage s without reading the clock
-// (used when the caller already has both endpoints).
-//
-//tme:noalloc
-func (r *Recorder) Record(s Stage, ns int64) {
-	if r == nil {
-		return
-	}
-	sl := &r.stages[s]
-	sl.ns.Add(ns)
-	sl.count.Add(1)
-}
-
 // Add increments counter c by v.
 //
 //tme:noalloc

@@ -167,13 +167,3 @@ func fmtNs(ns int64) string {
 		return fmt.Sprintf("%d ns", ns)
 	}
 }
-
-// StageStatByName returns the named stage row, if present.
-func (rep Report) StageStatByName(jsonName string) (StageStat, bool) {
-	for _, st := range rep.Stages {
-		if st.Stage == jsonName {
-			return st, true
-		}
-	}
-	return StageStat{}, false
-}

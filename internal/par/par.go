@@ -140,20 +140,6 @@ func grow(want int) {
 	team.mu.Unlock()
 }
 
-// stopTeam makes every worker exit and waits for them; the next
-// multi-worker call grows the team again.
-func stopTeam() {
-	team.mu.Lock()
-	team.stop = true
-	team.wake.Broadcast()
-	team.mu.Unlock()
-	team.wg.Wait()
-	team.mu.Lock()
-	team.stop, team.idle = false, 0
-	team.size.Store(0)
-	team.mu.Unlock()
-}
-
 // worker runs chunks of the oldest open phase while there are any, then
 // watches the epoch for spinYields yields and parks until a publish
 // signals it. A worker beyond GOMAXPROCS−1, left from a larger setting,

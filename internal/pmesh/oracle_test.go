@@ -309,7 +309,7 @@ func assertForceBits(t *testing.T, name string, want, got []vec.V) {
 // the production p = 6 on 32³ and on an uneven grid, a support as wide as
 // the shortest ring (every x position wraps), and the widest order.
 func oracleMeshers() []*Mesher {
-	box := vec.Box{L: vec.New(3.1, 2.7, 3.4)}
+	box := vec.Box{L: vec.V{3.1, 2.7, 3.4}}
 	return []*Mesher{
 		NewMesher(6, [3]int{32, 32, 32}, vec.Cubic(3)),
 		NewMesher(6, [3]int{16, 12, 20}, box),
@@ -386,7 +386,7 @@ func TestInterpolateMatchesOracle(t *testing.T) {
 		name := fmt.Sprintf("p=%d %v", m.P, n)
 		wantF := make([]vec.V, len(pos))
 		for i := range wantF {
-			wantF[i] = vec.New(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64())
+			wantF[i] = vec.V{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
 		}
 		f0 := append([]vec.V(nil), wantF...)
 		wantE := m.interpolateOracle((*Mesher).interpolateRangeOracleXYZ, phi, pos, q, wantF)
@@ -439,7 +439,7 @@ func TestInterpolateMatchesOracle(t *testing.T) {
 func TestInterpolatePlanesRejectsAtomOutsideWindow(t *testing.T) {
 	m := NewMesher(6, [3]int{16, 16, 16}, vec.Cubic(2))
 	ext := grid.New(16, 16, 8+m.P-1) // planes [0, 8) plus halo
-	pos := []vec.V{vec.New(1, 1, 1.9)}
+	pos := []vec.V{{1, 1, 1.9}}
 	if b := m.BasePlane(pos[0]); b < 8 {
 		t.Fatalf("test atom's base plane %d is inside the block", b)
 	}

@@ -19,7 +19,7 @@ func testSystem(rng *rand.Rand, n int, box vec.Box) ([]vec.V, []float64) {
 	pos := make([]vec.V, n)
 	q := make([]float64, n)
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*box.L[0], rng.Float64()*box.L[1], rng.Float64()*box.L[2])
+		pos[i] = vec.V{rng.Float64() * box.L[0], rng.Float64() * box.L[1], rng.Float64() * box.L[2]}
 		q[i] = rng.NormFloat64()
 	}
 	return pos, q
@@ -117,7 +117,7 @@ func TestAssignToMatchesSerialReference(t *testing.T) {
 	for _, v := range q {
 		qs += v
 	}
-	gs = got.Sum()
+	gs = gridSum(got)
 	if d := qs - gs; d > 1e-10 || d < -1e-10 {
 		t.Fatalf("total charge %g vs grid sum %g", qs, gs)
 	}

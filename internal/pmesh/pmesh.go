@@ -71,15 +71,6 @@ func (m *Mesher) H() vec.V {
 	return vec.V{1 / m.invH[0], 1 / m.invH[1], 1 / m.invH[2]}
 }
 
-// Assign spreads the charges q at positions pos onto a fresh grid
-// (charge assignment, Eq. (12)). Positions may lie outside the primary box;
-// they are wrapped periodically.
-func (m *Mesher) Assign(pos []vec.V, q []float64) *grid.G {
-	g := grid.New(m.N[0], m.N[1], m.N[2])
-	m.AssignTo(g, pos, q)
-	return g
-}
-
 // AssignTo accumulates the charge assignment onto an existing grid.
 //
 // The scatter is parallelized by z-plane ownership: each worker walks all
@@ -349,25 +340,6 @@ func (m *Mesher) gather(data []float64, zlo, enz int, r vec.V, qi float64, f []v
 		f[i][2] -= float64(qi * gz * m.invH[2])
 	}
 	return 0.5 * qi * pot
-}
-
-// PotentialAt interpolates the grid potential at a single position
-// (used by tests and diagnostics).
-func (m *Mesher) PotentialAt(phi *grid.G, r vec.V) float64 {
-	p := m.P
-	var wx, wy, wz, d [MaxOrder]float64
-	mx := bspline.Weights(p, r[0]*m.invH[0], wx[:p], d[:p])
-	my := bspline.Weights(p, r[1]*m.invH[1], wy[:p], d[:p])
-	mz := bspline.Weights(p, r[2]*m.invH[2], wz[:p], d[:p])
-	var pot float64
-	for c := 0; c < p; c++ {
-		for b := 0; b < p; b++ {
-			for a := 0; a < p; a++ {
-				pot += phi.At(mx+a, my+b, mz+c) * wx[a] * wy[b] * wz[c]
-			}
-		}
-	}
-	return pot
 }
 
 func wrap(i, n int) int {

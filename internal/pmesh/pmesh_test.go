@@ -14,7 +14,7 @@ func randomSystem(rng *rand.Rand, n int, box vec.Box) ([]vec.V, []float64) {
 	pos := make([]vec.V, n)
 	q := make([]float64, n)
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*box.L[0], rng.Float64()*box.L[1], rng.Float64()*box.L[2])
+		pos[i] = vec.V{rng.Float64() * box.L[0], rng.Float64() * box.L[1], rng.Float64() * box.L[2]}
 		q[i] = rng.NormFloat64()
 	}
 	return pos, q
@@ -29,12 +29,13 @@ func TestChargeConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		pos, q := randomSystem(r, 20, box)
-		g := m.Assign(pos, q)
+		g := grid.New(m.N[0], m.N[1], m.N[2])
+		m.AssignTo(g, pos, q)
 		var qt float64
 		for _, qi := range q {
 			qt += qi
 		}
-		return math.Abs(g.Sum()-qt) < 1e-10
+		return math.Abs(gridSum(g)-qt) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rng}); err != nil {
 		t.Error(err)
@@ -47,10 +48,11 @@ func TestAssignSingleChargeMoments(t *testing.T) {
 	// B-splines are symmetric.
 	box := vec.Cubic(8)
 	m := NewMesher(6, [3]int{16, 16, 16}, box)
-	pos := []vec.V{vec.New(3.21, 4.75, 1.03)}
-	g := m.Assign(pos, []float64{1})
-	if math.Abs(g.Sum()-1) > 1e-12 {
-		t.Fatalf("sum %g", g.Sum())
+	pos := []vec.V{{3.21, 4.75, 1.03}}
+	g := grid.New(m.N[0], m.N[1], m.N[2])
+	m.AssignTo(g, pos, []float64{1})
+	if math.Abs(gridSum(g)-1) > 1e-12 {
+		t.Fatalf("sum %g", gridSum(g))
 	}
 	h := box.L[0] / 16
 	for axis := 0; axis < 3; axis++ {
@@ -58,7 +60,7 @@ func TestAssignSingleChargeMoments(t *testing.T) {
 		for iz := 0; iz < 16; iz++ {
 			for iy := 0; iy < 16; iy++ {
 				for ix := 0; ix < 16; ix++ {
-					v := g.Data[g.Idx(ix, iy, iz)]
+					v := g.Data[ix+16*(iy+16*iz)]
 					if v == 0 {
 						continue
 					}
@@ -114,7 +116,7 @@ func TestForceIsNegativeGradientOfPotential(t *testing.T) {
 		phi.Data[i] = rng.NormFloat64()
 	}
 	for trial := 0; trial < 20; trial++ {
-		r := vec.New(rng.Float64()*5, rng.Float64()*5, rng.Float64()*5)
+		r := vec.V{rng.Float64() * 5, rng.Float64() * 5, rng.Float64() * 5}
 		qp := 1.7
 		f := make([]vec.V, 1)
 		m.Interpolate(phi, []vec.V{r}, []float64{qp}, f)
@@ -140,7 +142,8 @@ func TestAssignInterpolateRoundTripPair(t *testing.T) {
 	m := NewMesher(4, n, box)
 	rng := rand.New(rand.NewSource(4))
 	pos, q := randomSystem(rng, 5, box)
-	g := m.Assign(pos, q)
+	g := grid.New(m.N[0], m.N[1], m.N[2])
+	m.AssignTo(g, pos, q)
 	e := m.Interpolate(g, pos, q, nil)
 	// Naive: E = ½ Σ_m Q_m² since Φ = Q here.
 	var want float64
@@ -179,7 +182,8 @@ func BenchmarkInterpolateP6(b *testing.B) {
 	m := NewMesher(6, [3]int{32, 32, 32}, box)
 	rng := rand.New(rand.NewSource(1))
 	pos, q := randomSystem(rng, 1000, box)
-	phi := m.Assign(pos, q)
+	phi := grid.New(m.N[0], m.N[1], m.N[2])
+	m.AssignTo(phi, pos, q)
 	f := make([]vec.V, len(pos))
 	b.ReportAllocs()
 	b.ResetTimer()

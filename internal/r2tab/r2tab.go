@@ -149,7 +149,3 @@ func (c *Segment) Cubic(d float64) (e, f float64) {
 	f = c.f[0] + float64(d*(c.f[1]+float64(d*(c.f[2]+float64(d*c.f[3])))))
 	return e, f
 }
-
-// Entries returns the number of table entries (the hardware memory
-// footprint: entries × 8 coefficients).
-func (t *Table) Entries() int { return len(t.ent) }

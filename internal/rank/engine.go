@@ -306,9 +306,6 @@ func (e *Engine) SetObs(rec *obs.Recorder) {
 	e.workers[0].vl.SetObs(rec)
 }
 
-// Ranks returns the configured rank count.
-func (e *Engine) Ranks() int { return e.sh.r }
-
 // CommBytes returns the total modeled protocol traffic (bytes) since the
 // engine was built, summed over all ordered rank pairs.
 func (e *Engine) CommBytes() int64 {

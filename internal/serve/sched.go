@@ -43,7 +43,7 @@ type Config struct {
 	// empty disables persistence entirely.
 	Dir string
 	// FS is the filesystem seam durability flows through; nil means the
-	// real filesystem. Tests inject ckpt.MemFS / ckpt.FaultFS here to
+	// real filesystem. Tests inject ckpt.MemFS / ckpttest.FaultFS here to
 	// kill and resurrect the daemon deterministically.
 	FS ckpt.FS
 	// MaxActive bounds the jobs resident in the round-robin ring
@@ -63,8 +63,6 @@ type Config struct {
 	CkptKeep int
 	// EnergyEvery is the energy-ledger cadence in steps. Default 10.
 	EnergyEvery int
-	// Trace records the quantum interleaving for the fairness tests.
-	Trace bool
 	// LatWindow is the step-latency ring capacity. Default 16384.
 	LatWindow int
 }
@@ -97,13 +95,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Quantum is one entry of the scheduling trace: job ran steps (From, To].
-type Quantum struct {
-	Job  string `json:"job"`
-	From int    `json:"from"`
-	To   int    `json:"to"`
-}
-
 // Scheduler multiplexes admitted jobs over the shared worker pool: one
 // scheduling loop steps the active jobs round-robin in bounded quanta, so
 // every step still uses the full pool (par fans each force evaluation out
@@ -129,7 +120,6 @@ type Scheduler struct {
 	nextID  int
 	started bool
 	closed  bool
-	trace   []Quantum //tme:owner Scheduler.loop
 
 	submitted, completed, failed, canceled int64
 
@@ -400,13 +390,6 @@ func (s *Scheduler) Energies(id string, from, max int) ([]EnergyPoint, int, erro
 	return rows, next, nil
 }
 
-// TraceLog returns the recorded quantum interleaving (Config.Trace).
-func (s *Scheduler) TraceLog() []Quantum {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Quantum(nil), s.trace...)
-}
-
 // Latency summarizes the step-latency ring.
 type Latency struct {
 	Samples int   `json:"samples"`
@@ -529,7 +512,7 @@ func (s *Scheduler) runQuantum(j *job) {
 	if j.run == nil {
 		err = s.startJob(j)
 	}
-	from, ran := j.step, 0
+	ran := 0
 	for err == nil && ran < s.cfg.Quantum && j.step < j.spec.Steps && !j.cancel.Load() && !s.closing.Load() {
 		if err = s.stepOnce(j); err == nil && j.step < j.spec.Steps {
 			j.run.Checkpoint() //tmevet:ignore errdrop -- deliberate: a failed checkpoint must not kill the simulation; the store counts the failure (obs ckpt_failures) and the previous durable checkpoint stays the resume point
@@ -537,11 +520,6 @@ func (s *Scheduler) runQuantum(j *job) {
 		ran++
 	}
 	s.quanta.Add(1)
-	if s.cfg.Trace && j.step > from {
-		s.mu.Lock()
-		s.trace = append(s.trace, Quantum{Job: j.id, From: from, To: j.step})
-		s.mu.Unlock()
-	}
 	switch {
 	case err != nil:
 		// A failed start or step fails the job alone, for good: its marker

@@ -4,12 +4,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"tme4a/internal/ckpt"
+	"tme4a/internal/ckpt/ckpttest"
 	"tme4a/internal/solver"
 )
 
@@ -52,11 +56,36 @@ func mustSubmit(t *testing.T, s *Scheduler, sp Spec) Status {
 	return st
 }
 
+// commitFS records, in order, the name of every file an atomic write
+// commits: the rename that makes it visible.
+type commitFS struct {
+	ckpt.FS
+	mu      sync.Mutex
+	commits []string
+}
+
+func (c *commitFS) Rename(oldname, newname string) error {
+	c.mu.Lock()
+	c.commits = append(c.commits, newname)
+	c.mu.Unlock()
+	return c.FS.Rename(oldname, newname)
+}
+
+// quantum is one scheduling turn: job ran steps (From, To].
+type quantum struct {
+	Job      string
+	From, To int
+}
+
 // TestTraceDeterministic pins the fair-share schedule: two equal jobs
 // submitted before Start interleave in strict round-robin quanta, and the
-// trace is identical run over run.
+// schedule is identical run over run. With the checkpoint cadence equal
+// to the quantum, every turn ends in exactly one durable write — a
+// checkpoint at the turn's last step, or the terminal marker of a job it
+// finished — so the order those files are committed in is the order the
+// turns ran in.
 func TestTraceDeterministic(t *testing.T) {
-	want := []Quantum{
+	want := []quantum{
 		{Job: "j000000", From: 0, To: 25},
 		{Job: "j000001", From: 0, To: 25},
 		{Job: "j000000", From: 25, To: 50},
@@ -65,19 +94,39 @@ func TestTraceDeterministic(t *testing.T) {
 		{Job: "j000001", From: 50, To: 60},
 	}
 	for run := 0; run < 2; run++ {
-		s, err := New(Config{MaxActive: 2, Quantum: 25, Trace: true})
+		fs := &commitFS{FS: ckpt.NewMemFS()}
+		s, err := New(Config{Dir: "d", FS: fs, MaxActive: 2, Quantum: 25, CkptEvery: 25})
 		if err != nil {
 			t.Fatal(err)
 		}
 		a := mustSubmit(t, s, fastSpec(1, 60))
 		b := mustSubmit(t, s, fastSpec(2, 60))
 		s.Start()
-		waitState(t, s, a.ID)
-		waitState(t, s, b.ID)
+		final := map[string]int{a.ID: waitState(t, s, a.ID).Step, b.ID: waitState(t, s, b.ID).Step}
 		s.Close()
-		got := s.TraceLog()
+		var got []quantum
+		last := map[string]int{}
+		for _, name := range fs.commits {
+			rel, err := filepath.Rel(filepath.Join("d", jobsDirName), name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, file, _ := strings.Cut(rel, string(filepath.Separator))
+			to := final[id]
+			switch {
+			case file == stateFileName:
+			case strings.HasPrefix(file, "ckpt"+string(filepath.Separator)):
+				if to, err = strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(file), "ckpt-"), ".tme")); err != nil {
+					t.Fatalf("checkpoint name %s: %v", name, err)
+				}
+			default:
+				continue // the job's spec, written at submission
+			}
+			got = append(got, quantum{Job: id, From: last[id], To: to})
+			last[id] = to
+		}
 		if len(got) != len(want) {
-			t.Fatalf("run %d: trace has %d quanta, want %d: %v", run, len(got), len(want), got)
+			t.Fatalf("run %d: %d quanta, want %d: %v", run, len(got), len(want), got)
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -163,7 +212,7 @@ func TestKillAndResume(t *testing.T) {
 	// The third checkpoint write anywhere tears mid-buffer and the machine
 	// dies: each job has durable checkpoints before the tear, and the torn
 	// file itself must be rejected by CRC on recovery.
-	ffs := ckpt.NewFaultFS(mfs, ckpt.Rule{Op: ckpt.OpWrite, Match: "ckpt-", Nth: 3, Mode: ckpt.ModeTorn})
+	ffs := ckpttest.NewFaultFS(mfs, ckpttest.Rule{Op: ckpttest.OpWrite, Match: "ckpt-", Nth: 3, Mode: ckpttest.ModeTorn})
 
 	s1, err := New(Config{Dir: "svc", FS: ffs, MaxActive: 2, Quantum: 10, CkptEvery: 10})
 	if err != nil {

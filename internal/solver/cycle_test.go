@@ -24,7 +24,6 @@ import (
 	"tme4a/internal/pmesh"
 	"tme4a/internal/solver"
 	"tme4a/internal/spme"
-	"tme4a/internal/units"
 	"tme4a/internal/vec"
 )
 
@@ -45,14 +44,7 @@ func levelOracle(t *testing.T, s solver.Solver, cfg solver.Config) (level func(d
 		}, cfg.Levels
 	case *msm.Solver:
 		return func(dst, q *grid.G, l int) {
-			// The level-l kernel is the level-invariant one with the
-			// Coulomb/2^{l-1} prefactor folded in.
-			scale := units.Coulomb / math.Pow(2, float64(l-1))
-			kl := make([]float64, len(s.Kernel3D()))
-			for i, k := range s.Kernel3D() {
-				kl[i] = k * scale
-			}
-			grid.ConvDirect3DAccum(dst, q, kl, cfg.Gc)
+			grid.ConvDirect3DAccum(dst, q, s.Kernels[l-1], cfg.Gc)
 		}, cfg.Levels
 	default:
 		t.Fatalf("no level oracle for %T — update this test alongside the registry", s)
@@ -74,13 +66,15 @@ func oracleLongRange(cfg solver.Config, levels int, level func(dst, q *grid.G, l
 	top := spme.New(spme.Params{Alpha: cfg.Alpha / math.Pow(2, float64(levels)), Rc: cfg.Rc, Order: cfg.Order, N: topN}, box)
 
 	charges := make([]*grid.G, levels+2)
-	charges[1] = mesher.Assign(pos, q)
+	charges[1] = grid.New(mesher.N[0], mesher.N[1], mesher.N[2])
+	mesher.AssignTo(charges[1], pos, q)
 	for l := 1; l <= levels; l++ {
 		n := charges[l].N
 		charges[l+1] = grid.New(n[0]/2, n[1]/2, n[2]/2)
 		grid.RestrictInto(charges[l+1], charges[l], j, pool)
 	}
-	phi := top.PotentialGrid(charges[levels+1])
+	phi := grid.New(topN[0], topN[1], topN[2])
+	top.PotentialGridInto(phi, charges[levels+1])
 	for l := levels; l >= 1; l-- {
 		n := charges[l].N
 		up := grid.New(n[0], n[1], n[2])

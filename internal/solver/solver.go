@@ -147,13 +147,3 @@ func Methods() []Method {
 	}
 	return ms
 }
-
-// Describe renders the method listing, one "name: doc" line per method in
-// sorted name order. Repeated calls return identical strings.
-func Describe() string {
-	var b strings.Builder
-	for _, m := range Methods() {
-		fmt.Fprintf(&b, "%s: %s\n", m.Name, m.Doc)
-	}
-	return b.String()
-}

@@ -156,20 +156,13 @@ func (s *Solver) Describe() string {
 // memory).
 func (s *Solver) Green() []float64 { return s.green }
 
-// PotentialGrid applies the reciprocal-space solve to a charge grid:
-// Φ = IFFT(G̃ · FFT(Q)). Both the charges and the Green function are real,
-// so only the non-redundant half spectrum is transformed. The input grid
-// is not modified. Steady-state callers should prefer PotentialGridInto.
-func (s *Solver) PotentialGrid(q *grid.G) *grid.G {
-	phi := grid.New(s.Prm.N[0], s.Prm.N[1], s.Prm.N[2])
-	s.PotentialGridInto(phi, q)
-	return phi
-}
-
-// PotentialGridInto is PotentialGrid writing into an existing grid,
-// taking its half-spectrum scratch from the solver's free list so repeated
-// solves allocate nothing and concurrent ones share nothing. phi must not
-// alias q. It is the coarsest-grid solve of every method's Cycle.
+// PotentialGridInto applies the reciprocal-space solve to a charge grid,
+// Φ = IFFT(G̃ · FFT(Q)), writing into phi. Both the charges and the Green
+// function are real, so only the non-redundant half spectrum is
+// transformed. It takes its half-spectrum scratch from the solver's free
+// list, so repeated solves allocate nothing and concurrent ones share
+// nothing. phi must not alias q; q is not modified. It is the
+// coarsest-grid solve of every method's Cycle.
 //
 //tme:noalloc
 func (s *Solver) PotentialGridInto(phi, q *grid.G) {
@@ -193,10 +186,4 @@ func (s *Solver) PotentialGridInto(phi, q *grid.G) {
 	}
 	s.plan.Inverse(spec, phi.Data)
 	s.specs.Put(sp)
-}
-
-// Recip computes the reciprocal (mesh) part of the SPME energy in kJ/mol,
-// accumulating forces into f (may be nil): the cycle's mesh energy.
-func (s *Solver) Recip(pos []vec.V, q []float64, f []vec.V) float64 {
-	return s.MeshEnergy(pos, q, f)
 }

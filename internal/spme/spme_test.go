@@ -19,7 +19,7 @@ func neutralRandomSystem(rng *rand.Rand, n int, box vec.Box) ([]vec.V, []float64
 	q := make([]float64, n)
 	var qt float64
 	for i := range pos {
-		pos[i] = vec.New(rng.Float64()*box.L[0], rng.Float64()*box.L[1], rng.Float64()*box.L[2])
+		pos[i] = vec.V{rng.Float64() * box.L[0], rng.Float64() * box.L[1], rng.Float64() * box.L[2]}
 		q[i] = rng.NormFloat64()
 		qt += q[i]
 	}
@@ -121,15 +121,15 @@ func TestRecipForceGradient(t *testing.T) {
 	pos, q := neutralRandomSystem(rng, 10, box)
 	s := New(Params{Alpha: 2.2, Rc: 1.2, Order: 6, N: [3]int{16, 16, 16}}, box)
 	f := make([]vec.V, len(pos))
-	s.Recip(pos, q, f)
+	s.MeshEnergy(pos, q, f)
 	const h = 2e-6
 	for _, i := range []int{0, 4, 9} {
 		for axis := 0; axis < 3; axis++ {
 			p0 := pos[i]
 			pos[i][axis] = p0[axis] + h
-			ep := s.Recip(pos, q, nil)
+			ep := s.MeshEnergy(pos, q, nil)
 			pos[i][axis] = p0[axis] - h
-			em := s.Recip(pos, q, nil)
+			em := s.MeshEnergy(pos, q, nil)
 			pos[i] = p0
 			fd := -(ep - em) / (2 * h)
 			if math.Abs(f[i][axis]-fd) > 1e-4*math.Max(1, math.Abs(fd)) {
@@ -144,10 +144,14 @@ func TestPotentialGridLinearity(t *testing.T) {
 	box := vec.Cubic(3)
 	s := New(Params{Alpha: 2.0, Rc: 1.0, Order: 4, N: [3]int{8, 8, 8}}, box)
 	rng := rand.New(rand.NewSource(5))
-	a := s.Mesher.Assign([]vec.V{{1, 1, 1}}, []float64{1})
-	b := s.Mesher.Assign([]vec.V{{2, 0.5, 1.7}}, []float64{-1})
-	sum := a.Clone()
-	sum.AddGrid(b)
+	a := grid.New(s.Mesher.N[0], s.Mesher.N[1], s.Mesher.N[2])
+	s.Mesher.AssignTo(a, []vec.V{{1, 1, 1}}, []float64{1})
+	b := grid.New(s.Mesher.N[0], s.Mesher.N[1], s.Mesher.N[2])
+	s.Mesher.AssignTo(b, []vec.V{{2, 0.5, 1.7}}, []float64{-1})
+	sum := grid.New(a.N[0], a.N[1], a.N[2])
+	for i := range sum.Data {
+		sum.Data[i] = a.Data[i] + b.Data[i]
+	}
 	pa := s.PotentialGrid(a)
 	pb := s.PotentialGrid(b)
 	ps := s.PotentialGrid(sum)
@@ -164,10 +168,15 @@ func TestPotentialGridLinearity(t *testing.T) {
 func TestDCModeRemoved(t *testing.T) {
 	box := vec.Cubic(3)
 	s := New(Params{Alpha: 2.0, Rc: 1.0, Order: 6, N: [3]int{16, 16, 16}}, box)
-	qg := s.Mesher.Assign([]vec.V{{1.5, 1.5, 1.5}}, []float64{1})
+	qg := grid.New(s.Mesher.N[0], s.Mesher.N[1], s.Mesher.N[2])
+	s.Mesher.AssignTo(qg, []vec.V{{1.5, 1.5, 1.5}}, []float64{1})
 	phi := s.PotentialGrid(qg)
-	if math.Abs(phi.Sum()) > 1e-8 {
-		t.Errorf("grid potential mean %g, want 0", phi.Sum()/float64(phi.Len()))
+	var sum float64
+	for _, v := range phi.Data {
+		sum += v
+	}
+	if math.Abs(sum) > 1e-8 {
+		t.Errorf("grid potential mean %g, want 0", sum/float64(phi.Len()))
 	}
 }
 
@@ -180,7 +189,7 @@ func BenchmarkSPMERecip32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Recip(pos, q, f)
+		s.MeshEnergy(pos, q, f)
 	}
 }
 

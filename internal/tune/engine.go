@@ -28,26 +28,6 @@ func (p Plan) SolverConfig() solver.Config {
 	}
 }
 
-// Validate checks the plan without allocating a solver: the plan-level
-// fields first, then solver.Validate's check of the method and its
-// parameters — what solver.New would reject. A plan returned
-// by PlanFor always passes (FuzzPlanRequest leans on this).
-func (p Plan) Validate() error {
-	if !isFinite(p.Rc) || p.Rc <= 0 {
-		return fmt.Errorf("tune: plan Rc %g, want positive", p.Rc)
-	}
-	if !isFinite(p.Skin) || p.Skin < 0 || p.Skin > maxSkin {
-		return fmt.Errorf("tune: plan Skin %g outside [0, %g]", p.Skin, float64(maxSkin))
-	}
-	if !isFinite(p.PredErr) || p.PredErr <= 0 {
-		return fmt.Errorf("tune: plan PredErr %g, want positive", p.PredErr)
-	}
-	if !isFinite(p.PredMs) || p.PredMs <= 0 {
-		return fmt.Errorf("tune: plan PredMs %g, want positive", p.PredMs)
-	}
-	return solver.Validate(p.Method, p.SolverConfig())
-}
-
 // Check reports the two run conventions every entry point refuses a plan
 // for before it builds anything: a kernel family on a method other than
 // tme, and a mesh run whose pair list reach Rc + Skin falls below

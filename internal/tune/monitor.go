@@ -43,12 +43,6 @@ func NewMonitor(req Request, plan Plan) *Monitor {
 	return &Monitor{req: req, plan: plan, weights: w}
 }
 
-// Plan returns the plan the monitor currently considers live.
-func (m *Monitor) Plan() Plan { return m.plan }
-
-// Weights returns the monitor's current (possibly recalibrated) weights.
-func (m *Monitor) Weights() Weights { return m.weights }
-
 // Observe ingests the cumulative profile at a checkpoint boundary after
 // stepsDone completed steps. The first call establishes the baseline
 // window. Later calls diff against the previous boundary, compare the

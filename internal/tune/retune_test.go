@@ -91,7 +91,7 @@ func TestRetuneBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Switch: %v", err)
 			}
-			if got := integB.StepCount(); got != preSteps {
+			if got := integB.CaptureResume(sys, nil).Step; got != preSteps {
 				t.Fatalf("switched integrator starts at step %d, want %d", got, preSteps)
 			}
 			midRun := trace(integB, sys, steps)

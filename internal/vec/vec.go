@@ -7,9 +7,6 @@ import "math"
 // V is a 3-vector with components in x, y, z order.
 type V [3]float64
 
-// New returns the vector (x, y, z).
-func New(x, y, z float64) V { return V{x, y, z} }
-
 // Add returns a + b.
 func (a V) Add(b V) V { return V{a[0] + b[0], a[1] + b[1], a[2] + b[2]} }
 
@@ -18,9 +15,6 @@ func (a V) Sub(b V) V { return V{a[0] - b[0], a[1] - b[1], a[2] - b[2]} }
 
 // Scale returns s·a.
 func (a V) Scale(s float64) V { return V{s * a[0], s * a[1], s * a[2]} }
-
-// Div returns the component-wise quotient a/b.
-func (a V) Div(b V) V { return V{a[0] / b[0], a[1] / b[1], a[2] / b[2]} }
 
 // Dot returns the inner product a·b.
 func (a V) Dot(b V) float64 { return a[0]*b[0] + a[1]*b[1] + a[2]*b[2] }
@@ -103,6 +97,3 @@ func (b Box) Wrap(r V) V {
 	}
 	return r
 }
-
-// Frac returns r expressed in fractional (box-relative) coordinates.
-func (b Box) Frac(r V) V { return r.Div(b.L) }

@@ -8,21 +8,21 @@ import (
 )
 
 func TestBasicAlgebra(t *testing.T) {
-	a := New(1, 2, 3)
-	b := New(4, -5, 6)
-	if got := a.Add(b); got != New(5, -3, 9) {
+	a := V{1, 2, 3}
+	b := V{4, -5, 6}
+	if got := a.Add(b); got != (V{5, -3, 9}) {
 		t.Errorf("Add: %v", got)
 	}
-	if got := a.Sub(b); got != New(-3, 7, -3) {
+	if got := a.Sub(b); got != (V{-3, 7, -3}) {
 		t.Errorf("Sub: %v", got)
 	}
 	if got := a.Dot(b); got != 1*4-2*5+3*6 {
 		t.Errorf("Dot: %v", got)
 	}
-	if got := a.Cross(b); got != New(2*6+3*5, 3*4-1*6, -1*5-2*4) {
+	if got := a.Cross(b); got != (V{2*6 + 3*5, 3*4 - 1*6, -1*5 - 2*4}) {
 		t.Errorf("Cross: %v", got)
 	}
-	if got := a.Scale(2); got != New(2, 4, 6) {
+	if got := a.Scale(2); got != (V{2, 4, 6}) {
 		t.Errorf("Scale: %v", got)
 	}
 }
@@ -30,8 +30,8 @@ func TestBasicAlgebra(t *testing.T) {
 func TestCrossOrthogonality(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func(ax, ay, az, bx, by, bz float64) bool {
-		a := New(math.Mod(ax, 100), math.Mod(ay, 100), math.Mod(az, 100))
-		b := New(math.Mod(bx, 100), math.Mod(by, 100), math.Mod(bz, 100))
+		a := V{math.Mod(ax, 100), math.Mod(ay, 100), math.Mod(az, 100)}
+		b := V{math.Mod(bx, 100), math.Mod(by, 100), math.Mod(bz, 100)}
 		c := a.Cross(b)
 		scale := a.Norm() * b.Norm()
 		if scale == 0 {
@@ -48,7 +48,7 @@ func TestMinImageRange(t *testing.T) {
 	box := NewBox(3, 5, 7)
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 500; trial++ {
-		d := New(rng.NormFloat64()*20, rng.NormFloat64()*20, rng.NormFloat64()*20)
+		d := V{rng.NormFloat64() * 20, rng.NormFloat64() * 20, rng.NormFloat64() * 20}
 		m := box.MinImage(d)
 		for k := 0; k < 3; k++ {
 			if m[k] < -box.L[k]/2-1e-12 || m[k] > box.L[k]/2+1e-12 {
@@ -67,7 +67,7 @@ func TestWrapIntoBox(t *testing.T) {
 	box := NewBox(2.5, 4, 1)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 500; trial++ {
-		r := New(rng.NormFloat64()*10, rng.NormFloat64()*10, rng.NormFloat64()*10)
+		r := V{rng.NormFloat64() * 10, rng.NormFloat64() * 10, rng.NormFloat64() * 10}
 		w := box.Wrap(r)
 		for k := 0; k < 3; k++ {
 			if w[k] < 0 || w[k] >= box.L[k] {
@@ -77,13 +77,10 @@ func TestWrapIntoBox(t *testing.T) {
 	}
 }
 
-func TestVolumeAndFrac(t *testing.T) {
+func TestVolume(t *testing.T) {
 	box := NewBox(2, 3, 4)
 	if box.Volume() != 24 {
 		t.Errorf("Volume = %g", box.Volume())
-	}
-	if got := box.Frac(New(1, 1.5, 2)); got != New(0.5, 0.5, 0.5) {
-		t.Errorf("Frac = %v", got)
 	}
 }
 
