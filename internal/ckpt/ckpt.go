@@ -6,9 +6,9 @@
 // a retention policy, and recovers the newest valid checkpoint after any
 // interruption — including torn or short writes, failed fsyncs and
 // crashes at arbitrary syscalls, which the FS seam makes directly
-// testable: MemFS models power loss, and ckpttest.FaultFS, in the
-// test-support package internal/ckpt/ckpttest, fails any single
-// operation. See DESIGN.md §7.5 for the contracts.
+// testable: in the test-support package internal/ckpt/ckpttest, DiskFS
+// models power loss over a plain in-memory MemFS and FaultFS fails any
+// single operation. See DESIGN.md §7.5 for the contracts.
 package ckpt
 
 import (

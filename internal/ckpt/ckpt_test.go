@@ -432,3 +432,44 @@ func TestOSFSRoundTrip(t *testing.T) {
 		t.Fatalf("retention kept %d, want 2", len(st.Entries()))
 	}
 }
+
+// TestMemFSHoldsLiveFilesOnly: MemFS keeps one copy of each live file and
+// releases a removed or renamed-over one, so after save/prune cycles at
+// keep 3 and repeated atomic rewrites of one name it holds exactly the
+// bytes of the files its namespace lists.
+func TestMemFSHoldsLiveFilesOnly(t *testing.T) {
+	fs := NewMemFS()
+	st, err := Open("ck", 3, 42, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := int64(1); step <= 12; step++ {
+		if err := st.Save(testSnap(step, 5, step)); err != nil {
+			t.Fatal(err)
+		}
+		spec := bytes.Repeat([]byte{'s'}, int(step))
+		if err := WriteFileAtomic(fs, "ck", "spec.json", spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names, err := fs.ReadDir("ck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for _, name := range names {
+		data, err := fs.ReadFile(filepath.Join("ck", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live += len(data)
+	}
+	held := 0
+	for _, data := range fs.files {
+		held += len(*data)
+	}
+	if len(names) != 4 || len(fs.files) != len(names) || held != live {
+		t.Fatalf("MemFS holds %d files of %d bytes; its namespace lists %d (%v) of %d bytes",
+			len(fs.files), held, len(names), names, live)
+	}
+}

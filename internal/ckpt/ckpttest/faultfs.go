@@ -1,7 +1,7 @@
-// Package ckpttest holds FaultFS, a ckpt.FS that fails scripted
-// operations — torn writes, short writes, fsync errors and a crash at any
-// syscall — for the crash tests of ckpt and of the packages that
-// checkpoint through it.
+// Package ckpttest holds the filesystems the crash tests of ckpt and of
+// the packages that checkpoint through it run on: DiskFS, which models
+// power loss, and FaultFS, which fails scripted operations — torn writes,
+// short writes, fsync errors and a crash at any syscall.
 package ckpttest
 
 import (
@@ -45,7 +45,7 @@ const (
 	ModeErr Mode = iota
 	// ModeCrash aborts before the operation takes effect and kills the
 	// "process": every subsequent op returns ErrCrashed. If the inner ckpt.FS
-	// models durability (MemFS), its volatile state is discarded.
+	// models durability (DiskFS), its volatile state is discarded.
 	ModeCrash
 	// ModeTorn applies to writes: half the buffer reaches the file (and
 	// is forced durable, modeling a page that hit the platter), then the
@@ -64,9 +64,6 @@ type Rule struct {
 	Nth   int
 	Mode  Mode
 }
-
-// crasher is implemented by inner filesystems that can model power loss.
-type crasher interface{ Crash() }
 
 // FaultFS wraps an FS and fails scripted operations: torn writes, short
 // writes, fsync errors and crash-at-any-syscall. Each rule fires at most
@@ -98,73 +95,56 @@ func (f *FaultFS) Crashed() bool {
 	return f.crashed
 }
 
-// check advances the fault script for one (op, name) event and returns
-// the firing mode, if any. A returned error means the op must not reach
-// the inner ckpt.FS at all.
-func (f *FaultFS) check(op Op, name string) (Mode, bool, error) {
+// fault advances the fault script for one (op, name) event. Once the
+// process has crashed, or when a ModeCrash rule fires, it returns
+// ErrCrashed; when another rule fires, its mode and ErrInjected; and nil
+// when the op must reach the inner ckpt.FS.
+func (f *FaultFS) fault(op Op, name string) (Mode, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.crashed {
-		return 0, false, ErrCrashed
+		return 0, ErrCrashed
 	}
 	for i := range f.rules {
 		r := &f.rules[i]
-		if f.fired[i] {
+		if f.fired[i] || r.Op != OpAny && r.Op != op || !strings.Contains(name, r.Match) {
 			continue
 		}
-		if r.Op != OpAny && r.Op != op {
-			continue
-		}
-		if r.Match != "" && !strings.Contains(name, r.Match) {
-			continue
-		}
-		f.hits[i]++
-		nth := r.Nth
-		if nth <= 0 {
-			nth = 1
-		}
-		if f.hits[i] != nth {
+		if f.hits[i]++; f.hits[i] != max(r.Nth, 1) {
 			continue
 		}
 		f.fired[i] = true
 		if r.Mode == ModeCrash {
 			f.crashLocked()
-			return ModeCrash, true, ErrCrashed
+			return ModeCrash, ErrCrashed
 		}
-		return r.Mode, true, nil
+		return r.Mode, ErrInjected
 	}
-	return 0, false, nil
+	return 0, nil
+}
+
+// then runs do unless the fault script fails the (op, name) event.
+func (f *FaultFS) then(op Op, name string, do func() error) error {
+	if _, err := f.fault(op, name); err != nil {
+		return err
+	}
+	return do()
 }
 
 func (f *FaultFS) crashLocked() {
 	f.crashed = true
-	if c, ok := f.inner.(crasher); ok {
-		c.Crash()
+	if d, ok := f.inner.(*DiskFS); ok {
+		d.Crash()
 	}
-}
-
-// crash is called by faultFile after a torn write completed its partial
-// durable flush.
-func (f *FaultFS) crash() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.crashLocked()
 }
 
 func (f *FaultFS) MkdirAll(dir string) error {
-	if _, fired, err := f.check(OpMkdir, dir); err != nil {
-		return err
-	} else if fired {
-		return ErrInjected
-	}
-	return f.inner.MkdirAll(dir)
+	return f.then(OpMkdir, dir, func() error { return f.inner.MkdirAll(dir) })
 }
 
 func (f *FaultFS) Create(name string) (ckpt.File, error) {
-	if _, fired, err := f.check(OpCreate, name); err != nil {
+	if _, err := f.fault(OpCreate, name); err != nil {
 		return nil, err
-	} else if fired {
-		return nil, ErrInjected
 	}
 	inner, err := f.inner.Create(name)
 	if err != nil {
@@ -174,48 +154,29 @@ func (f *FaultFS) Create(name string) (ckpt.File, error) {
 }
 
 func (f *FaultFS) Rename(oldname, newname string) error {
-	if _, fired, err := f.check(OpRename, oldname); err != nil {
-		return err
-	} else if fired {
-		return ErrInjected
-	}
-	return f.inner.Rename(oldname, newname)
+	return f.then(OpRename, oldname, func() error { return f.inner.Rename(oldname, newname) })
 }
 
 func (f *FaultFS) Remove(name string) error {
-	if _, fired, err := f.check(OpRemove, name); err != nil {
-		return err
-	} else if fired {
-		return ErrInjected
-	}
-	return f.inner.Remove(name)
+	return f.then(OpRemove, name, func() error { return f.inner.Remove(name) })
 }
 
 func (f *FaultFS) ReadFile(name string) ([]byte, error) {
-	if _, fired, err := f.check(OpReadFile, name); err != nil {
+	if _, err := f.fault(OpReadFile, name); err != nil {
 		return nil, err
-	} else if fired {
-		return nil, ErrInjected
 	}
 	return f.inner.ReadFile(name)
 }
 
 func (f *FaultFS) ReadDir(dir string) ([]string, error) {
-	if _, fired, err := f.check(OpReadDir, dir); err != nil {
+	if _, err := f.fault(OpReadDir, dir); err != nil {
 		return nil, err
-	} else if fired {
-		return nil, ErrInjected
 	}
 	return f.inner.ReadDir(dir)
 }
 
 func (f *FaultFS) SyncDir(dir string) error {
-	if _, fired, err := f.check(OpSyncDir, dir); err != nil {
-		return err
-	} else if fired {
-		return ErrInjected
-	}
-	return f.inner.SyncDir(dir)
+	return f.then(OpSyncDir, dir, func() error { return f.inner.SyncDir(dir) })
 }
 
 type faultFile struct {
@@ -225,43 +186,30 @@ type faultFile struct {
 }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
-	mode, fired, err := ff.fs.check(OpWrite, ff.name)
-	if err != nil {
-		return 0, err
-	}
-	if !fired {
+	mode, err := ff.fs.fault(OpWrite, ff.name)
+	switch {
+	case err == nil:
 		return ff.inner.Write(p)
-	}
-	switch mode {
-	case ModeTorn:
+	case mode == ModeTorn:
 		// Half the buffer reaches the file and is forced durable — the
 		// page that made it to the platter — then the machine dies.
 		n, _ := ff.inner.Write(p[:len(p)/2]) //tmevet:ignore errdrop -- deliberate torn-write simulation; the injected ErrCrashed is the result
 		ff.inner.Sync()                      //tmevet:ignore errdrop -- best effort mid-crash; the machine dies next
-		ff.fs.crash()
+		ff.fs.mu.Lock()
+		defer ff.fs.mu.Unlock()
+		ff.fs.crashLocked()
 		return n, ErrCrashed
-	case ModeShort:
+	case mode == ModeShort:
 		n, _ := ff.inner.Write(p[:len(p)/2]) //tmevet:ignore errdrop -- deliberate short-write simulation; ErrInjected is the result
 		return n, ErrInjected
-	default: // ModeErr
-		return 0, ErrInjected
 	}
+	return 0, err // ModeErr, ModeCrash or an earlier crash
 }
 
 func (ff *faultFile) Sync() error {
-	if _, fired, err := ff.fs.check(OpSync, ff.name); err != nil {
-		return err
-	} else if fired {
-		return ErrInjected
-	}
-	return ff.inner.Sync()
+	return ff.fs.then(OpSync, ff.name, func() error { return ff.inner.Sync() })
 }
 
 func (ff *faultFile) Close() error {
-	if _, fired, err := ff.fs.check(OpClose, ff.name); err != nil {
-		return err
-	} else if fired {
-		return ErrInjected
-	}
-	return ff.inner.Close()
+	return ff.fs.then(OpClose, ff.name, func() error { return ff.inner.Close() })
 }

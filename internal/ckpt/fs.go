@@ -17,8 +17,8 @@ type File interface {
 // FS is the seam over every file operation the checkpoint store performs.
 // The store never touches the os package directly, so a fault-injecting
 // implementation (ckpttest.FaultFS) can fail, shorten or tear any
-// individual syscall and a durability-modeling one (MemFS) can simulate
-// power loss — making crash recovery testable instead of hoped-for.
+// individual syscall and a durability-modeling one (ckpttest.DiskFS) can
+// simulate power loss — making crash recovery testable instead of hoped-for.
 type FS interface {
 	// MkdirAll creates dir and any missing parents.
 	MkdirAll(dir string) error

@@ -8,49 +8,22 @@ import (
 	"sync"
 )
 
-// MemFS is an in-memory FS that models POSIX durability semantics so
-// tests can simulate power loss at any point: a file's content becomes
-// durable only at Sync, and a name→file binding (create, rename, remove)
-// becomes durable only at SyncDir. Crash discards everything volatile,
-// leaving exactly the state a real disk would present after the machine
-// dies — which is the state the recovery path must handle.
+// MemFS is a plain in-memory FS: one byte slice per live file, visible
+// to readers as soon as it is written. Sync and SyncDir check their
+// target and persist nothing, so a removed or renamed-over file is
+// released at once. The power-loss model the crash tests need is
+// ckpttest.DiskFS, which wraps a MemFS.
 type MemFS struct {
-	mu      sync.Mutex
-	nextID  int
-	inodes  map[int]*memInode
-	live    map[string]int // current namespace (what readers see)
-	durable map[string]int // crash-surviving namespace (as of last SyncDir)
-	dirs    map[string]bool
-}
-
-type memInode struct {
-	live    []byte // current content, visible to readers immediately
-	durable []byte // content as of the last Sync; what a crash preserves
+	mu    sync.Mutex
+	files map[string]*[]byte // name → content
+	dirs  map[string]bool
 }
 
 // NewMemFS returns an empty in-memory filesystem.
 func NewMemFS() *MemFS {
 	return &MemFS{
-		inodes:  make(map[int]*memInode),
-		live:    make(map[string]int),
-		durable: make(map[string]int),
-		dirs:    make(map[string]bool),
-	}
-}
-
-// Crash simulates power loss: every file reverts to its last-synced
-// content and the namespace reverts to its last SyncDir state. The
-// filesystem stays usable afterwards, now presenting the post-reboot
-// view.
-func (m *MemFS) Crash() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.live = make(map[string]int, len(m.durable))
-	for name, id := range m.durable {
-		m.live[name] = id
-	}
-	for _, ino := range m.inodes {
-		ino.live = append([]byte(nil), ino.durable...)
+		files: make(map[string]*[]byte),
+		dirs:  make(map[string]bool),
 	}
 }
 
@@ -64,25 +37,21 @@ func (m *MemFS) MkdirAll(dir string) error {
 func (m *MemFS) Create(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	name = filepath.Clean(name)
-	ino := &memInode{}
-	m.nextID++
-	id := m.nextID
-	m.inodes[id] = ino
-	m.live[name] = id
-	return &memFile{fs: m, ino: ino}, nil
+	data := new([]byte)
+	m.files[filepath.Clean(name)] = data
+	return &memFile{fs: m, data: data}, nil
 }
 
 func (m *MemFS) Rename(oldname, newname string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	oldname, newname = filepath.Clean(oldname), filepath.Clean(newname)
-	id, ok := m.live[oldname]
+	data, ok := m.files[oldname]
 	if !ok {
 		return &os.PathError{Op: "rename", Path: oldname, Err: os.ErrNotExist}
 	}
-	m.live[newname] = id
-	delete(m.live, oldname)
+	m.files[newname] = data
+	delete(m.files, oldname)
 	return nil
 }
 
@@ -90,10 +59,10 @@ func (m *MemFS) Remove(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	name = filepath.Clean(name)
-	if _, ok := m.live[name]; !ok {
+	if _, ok := m.files[name]; !ok {
 		return &os.PathError{Op: "remove", Path: name, Err: os.ErrNotExist}
 	}
-	delete(m.live, name)
+	delete(m.files, name)
 	return nil
 }
 
@@ -101,11 +70,11 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	name = filepath.Clean(name)
-	id, ok := m.live[name]
+	data, ok := m.files[name]
 	if !ok {
 		return nil, &os.PathError{Op: "open", Path: name, Err: os.ErrNotExist}
 	}
-	return append([]byte(nil), m.inodes[id].live...), nil
+	return append([]byte(nil), *data...), nil
 }
 
 func (m *MemFS) ReadDir(dir string) ([]string, error) {
@@ -117,10 +86,10 @@ func (m *MemFS) ReadDir(dir string) ([]string, error) {
 	}
 	// Like os.ReadDir, list both child files and child directories. A
 	// directory is a child if it was registered via MkdirAll or is implied
-	// by a deeper live path.
+	// by a deeper file path.
 	seen := make(map[string]bool)
 	prefix := dir + string(filepath.Separator)
-	for name := range m.live {
+	for name := range m.files {
 		if rest, ok := strings.CutPrefix(name, prefix); ok {
 			child, _, _ := strings.Cut(rest, string(filepath.Separator))
 			seen[child] = true
@@ -140,25 +109,20 @@ func (m *MemFS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
-// SyncDir makes the current namespace durable (the directory-entry half
-// of the crash-consistency protocol). Like a real dir fsync it persists
-// name bindings, not file contents.
+// SyncDir fails for a directory MkdirAll never made, like a real dir
+// fsync on a missing path, and otherwise does nothing.
 func (m *MemFS) SyncDir(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.dirs[filepath.Clean(dir)] {
 		return &os.PathError{Op: "sync", Path: dir, Err: os.ErrNotExist}
 	}
-	m.durable = make(map[string]int, len(m.live))
-	for name, id := range m.live {
-		m.durable[name] = id
-	}
 	return nil
 }
 
 type memFile struct {
 	fs     *MemFS
-	ino    *memInode
+	data   *[]byte
 	closed bool
 }
 
@@ -168,17 +132,17 @@ func (f *memFile) Write(p []byte) (int, error) {
 	if f.closed {
 		return 0, os.ErrClosed
 	}
-	f.ino.live = append(f.ino.live, p...)
+	*f.data = append(*f.data, p...)
 	return len(p), nil
 }
 
+// Sync fails on a closed file and otherwise does nothing.
 func (f *memFile) Sync() error {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
 	if f.closed {
 		return os.ErrClosed
 	}
-	f.ino.durable = append([]byte(nil), f.ino.live...)
 	return nil
 }
 

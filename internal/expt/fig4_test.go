@@ -97,7 +97,7 @@ func TestFig4Resume(t *testing.T) {
 				t.Errorf("clean resume from %d, want %d", from, killAt)
 			}
 
-			torn := ckpt.NewMemFS()
+			torn := ckpttest.NewDiskFS()
 			ffs := ckpttest.NewFaultFS(torn, ckpttest.Rule{Op: ckpttest.OpWrite, Match: ckpt.FileName(killAt), Mode: ckpttest.ModeTorn})
 			if err := interrupted(ffs); err == nil {
 				t.Fatalf("torn write at step %d went unreported", killAt)

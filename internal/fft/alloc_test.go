@@ -7,35 +7,11 @@ import (
 	"tme4a/internal/par/partest"
 )
 
-// TestPlan3SteadyStateAllocs gates the //tme:noalloc annotations on the
-// complex 3D path: after the plan cache and the row-scratch pool are
-// warm, repeated transforms of a fixed-size grid allocate nothing at one,
-// two or four workers (the strided-line buffer is pooled, not remade per
-// call).
-func TestPlan3SteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
-	}
-	rng := rand.New(rand.NewSource(7))
-	p := NewPlan3(16, 16, 16)
-	data := make([]complex128, p.Size())
-	for i := range data {
-		data[i] = complex(rng.Float64(), rng.Float64())
-	}
-
-	for _, procs := range []int{1, 2, 4} {
-		allocs := partest.AllocsPerRun(procs, 50, func() {
-			p.Forward(data)
-			p.Inverse(data)
-		})
-		if allocs != 0 {
-			t.Errorf("GOMAXPROCS=%d: Plan3 Forward+Inverse allocates %.1f objects per step in steady state, want 0", procs, allocs)
-		}
-	}
-}
-
-// TestRealPlan3SteadyStateAllocs gates the real-to-half-spectrum path
-// that the SPME reciprocal solve runs every step.
+// TestRealPlan3SteadyStateAllocs gates the //tme:noalloc annotations on
+// the real-to-half-spectrum path that the SPME reciprocal solve runs every
+// step: after the plan cache and the row-scratch pool are warm, repeated
+// transforms of a fixed-size grid allocate nothing at one, two or four
+// workers.
 func TestRealPlan3SteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")

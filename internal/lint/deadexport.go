@@ -19,9 +19,10 @@ import (
 // imports declares, or one errors.Is/As/Unwrap assert — since it may be
 // reached by dynamic dispatch (error, fmt.Stringer, gob.GobEncoder,
 // ckpt.FS, ...), and the exported functions of a test-support package,
-// one named *test, which in turn no non-test file may import. The check
-// sees references, not reachability: a cycle of dead functions that call
-// each other is not reported.
+// one named *test, which in turn no non-test file may import. Only tests
+// reach a test-support package, so an interface it declares or uses
+// exempts nothing. The check sees references, not reachability: a cycle
+// of dead functions that call each other is not reported.
 var deadexportCheck = &Check{
 	Name: "deadexport",
 	Doc:  "function in internal/ referenced by no non-test code, or a non-test import of a *test package",
@@ -90,7 +91,7 @@ func (prog *Program) satisfiesIface(fn *types.Func) bool {
 // references returns, memoized, the functions that loaded non-test code
 // references outside their own bodies, and by method name the interfaces
 // that code declares or uses or that a package it imports, directly or
-// not, declares at package scope.
+// not, declares at package scope — test-support packages aside.
 func (prog *Program) references() (used map[*types.Func]bool, ifaces map[string][]*types.Interface) {
 	if prog.used != nil {
 		return prog.used, prog.ifaces
@@ -119,7 +120,7 @@ func (prog *Program) references() (used map[*types.Func]bool, ifaces map[string]
 	seen := map[*types.Package]bool{}
 	var scopeIfaces func(pkg *types.Package)
 	scopeIfaces = func(pkg *types.Package) {
-		if pkg == nil || seen[pkg] {
+		if pkg == nil || seen[pkg] || isTestSupport(pkg) {
 			return
 		}
 		seen[pkg] = true
@@ -134,6 +135,7 @@ func (prog *Program) references() (used map[*types.Func]bool, ifaces map[string]
 		}
 	}
 	for _, p := range prog.pkgs {
+		support := isTestSupport(p.Pkg)
 		scopeIfaces(p.Pkg)
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
@@ -147,11 +149,11 @@ func (prog *Program) references() (used map[*types.Func]bool, ifaces map[string]
 						if fn, ok := p.Info.Uses[n].(*types.Func); ok && origin(fn) != self {
 							used[origin(fn)] = true
 						}
-						if obj := p.useOf(n); obj != nil {
+						if obj := p.useOf(n); obj != nil && !support {
 							addIface(obj.Type())
 						}
 					case ast.Expr:
-						if tv, ok := p.Info.Types[n]; ok {
+						if tv, ok := p.Info.Types[n]; ok && !support {
 							addIface(tv.Type)
 						}
 					}

@@ -1,9 +1,10 @@
 // Package deadexport exercises the deadexport check: every function and
 // method of a non-test file must be referenced by non-test code outside
 // its own body. A function only a _test.go file calls, a method no code
-// calls, one that only calls itself and an import of a test-support
-// package are flagged; a method an interface may dispatch to, a function
-// referenced as a value and init are not.
+// calls, one only a test-support package's interface declares, one that
+// only calls itself and an import of a test-support package are flagged;
+// a method an interface may dispatch to, a function referenced as a value
+// and init are not.
 package deadexport
 
 import (
@@ -46,6 +47,13 @@ type resetter interface {
 	Reset()
 	Len() int
 }
+
+// Disk has a Crash method that only faketest's crasher interface
+// declares. Only tests reach a test-support package, so its interfaces
+// exempt nothing: Crash is reported.
+type Disk struct{ synced bool }
+
+func (d *Disk) Crash() { d.synced = false } // want "Disk.Crash is referenced by no non-test code"
 
 // code is an error type; error's Error is exempt.
 type code int

@@ -11,4 +11,14 @@ func Unused() {}
 
 func helper() {}
 
+// crasher is an interface only this test-support package declares.
+type crasher interface{ Crash() }
+
+// Crash crashes fs when it models power loss: exported, so exempt.
+func Crash(fs any) {
+	if c, ok := fs.(crasher); ok {
+		c.Crash()
+	}
+}
+
 func orphan() {} // want "orphan is referenced by no non-test code"

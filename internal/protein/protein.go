@@ -16,7 +16,6 @@ import (
 
 	"tme4a/internal/bonded"
 	"tme4a/internal/md"
-	"tme4a/internal/units"
 	"tme4a/internal/vec"
 	"tme4a/internal/water"
 )
@@ -195,7 +194,7 @@ func Build(p Params) *System {
 				if occ.occupied(c) {
 					continue
 				}
-				placeWater(sys, idx, c, rng)
+				water.Place(sys, idx, water.Molecule(c, rng))
 				occ.mark(c)
 				idx += 3
 				placed++
@@ -206,7 +205,7 @@ func Build(p Params) *System {
 		// Fallback: allow placement in occupied cells (dense systems).
 		for placed < nWater {
 			c := vec.V{rng.Float64() * p.Box.L[0], rng.Float64() * p.Box.L[1], rng.Float64() * p.Box.L[2]}
-			placeWater(sys, idx, c, rng)
+			water.Place(sys, idx, water.Molecule(c, rng))
 			idx += 3
 			placed++
 		}
@@ -219,28 +218,6 @@ func Build(p Params) *System {
 		Ions:         nIons,
 		Waters:       nWater,
 	}
-}
-
-func placeWater(sys *md.System, base int, center vec.V, rng *rand.Rand) {
-	h := units.TIP3PROH * math.Cos(units.TIP3PAngleHOH/2)
-	x := units.TIP3PROH * math.Sin(units.TIP3PAngleHOH/2)
-	mTot := units.MassO + 2*units.MassH
-	yO := 2 * units.MassH * h / mTot
-	canon := [3]vec.V{{0, yO, 0}, {-x, yO - h, 0}, {x, yO - h, 0}}
-	rot := randomRotation(rng)
-	for k := 0; k < 3; k++ {
-		sys.Pos[base+k] = rot(canon[k]).Add(center)
-	}
-	sys.Mass[base] = units.MassO
-	sys.Mass[base+1] = units.MassH
-	sys.Mass[base+2] = units.MassH
-	sys.Q[base] = units.TIP3PQO
-	sys.Q[base+1] = units.TIP3PQH
-	sys.Q[base+2] = units.TIP3PQH
-	sys.LJ.Sigma[base] = units.TIP3PSigma
-	sys.LJ.Eps[base] = units.TIP3PEpsilon
-	sys.Excl.AddGroup([]int{base, base + 1, base + 2})
-	sys.RigidWaters = append(sys.RigidWaters, [3]int{base, base + 1, base + 2})
 }
 
 type occupancy struct {
@@ -281,27 +258,6 @@ func freeSite(rng *rand.Rand, box vec.Box, occ *occupancy) vec.V {
 		r := vec.V{rng.Float64() * box.L[0], rng.Float64() * box.L[1], rng.Float64() * box.L[2]}
 		if !occ.occupied(r) {
 			return r
-		}
-	}
-}
-
-func randomRotation(rng *rand.Rand) func(vec.V) vec.V {
-	var q [4]float64
-	var n float64
-	for i := range q {
-		q[i] = rng.NormFloat64()
-		n += q[i] * q[i]
-	}
-	n = math.Sqrt(n)
-	for i := range q {
-		q[i] /= n
-	}
-	w, x, y, z := q[0], q[1], q[2], q[3]
-	return func(v vec.V) vec.V {
-		return vec.V{
-			(1-2*(y*y+z*z))*v[0] + 2*(x*y-w*z)*v[1] + 2*(x*z+w*y)*v[2],
-			2*(x*y+w*z)*v[0] + (1-2*(x*x+z*z))*v[1] + 2*(y*z-w*x)*v[2],
-			2*(x*z-w*y)*v[0] + 2*(y*z+w*x)*v[1] + (1-2*(x*x+y*y))*v[2],
 		}
 	}
 }

@@ -43,8 +43,9 @@ type Config struct {
 	// empty disables persistence entirely.
 	Dir string
 	// FS is the filesystem seam durability flows through; nil means the
-	// real filesystem. Tests inject ckpt.MemFS / ckpttest.FaultFS here to
-	// kill and resurrect the daemon deterministically.
+	// real filesystem. ckpt.MemFS keeps files in memory only; tests inject
+	// ckpttest.DiskFS / FaultFS here to kill and resurrect the daemon
+	// deterministically.
 	FS ckpt.FS
 	// MaxActive bounds the jobs resident in the round-robin ring
 	// (admission control). Default 8.

@@ -194,7 +194,7 @@ func TestServedMatchesDirect(t *testing.T) {
 }
 
 // TestKillAndResume kills the daemon mid-run — a torn checkpoint write
-// followed by power loss, injected through FaultFS over MemFS — then
+// followed by power loss, injected through FaultFS over DiskFS — then
 // boots a fresh scheduler on the surviving bytes. Every job must recover
 // and finish with exactly the bits of an uninterrupted run.
 func TestKillAndResume(t *testing.T) {
@@ -208,7 +208,7 @@ func TestKillAndResume(t *testing.T) {
 		direct[i] = h
 	}
 
-	mfs := ckpt.NewMemFS()
+	mfs := ckpttest.NewDiskFS()
 	// The third checkpoint write anywhere tears mid-buffer and the machine
 	// dies: each job has durable checkpoints before the tear, and the torn
 	// file itself must be rejected by CRC on recovery.

@@ -32,17 +32,6 @@ func Build(nx, ny, nz int, box vec.Box, seed int64) *md.System {
 	sys.WaterModel = Model()
 	rng := rand.New(rand.NewSource(seed))
 
-	// Canonical molecule about its COM (matching constraint geometry).
-	h := units.TIP3PROH * math.Cos(units.TIP3PAngleHOH/2)
-	x := units.TIP3PROH * math.Sin(units.TIP3PAngleHOH/2)
-	mTot := units.MassO + 2*units.MassH
-	yO := 2 * units.MassH * h / mTot
-	canon := [3]vec.V{
-		{0, yO, 0},      // O
-		{-x, yO - h, 0}, // H1
-		{x, yO - h, 0},  // H2
-	}
-
 	spacing := vec.V{box.L[0] / float64(nx), box.L[1] / float64(ny), box.L[2] / float64(nz)}
 	minContact2 := 0.13 * 0.13
 
@@ -58,34 +47,62 @@ func Build(nx, ny, nz int, box vec.Box, seed int64) *md.System {
 				}
 				var atoms [3]vec.V
 				for try := 0; ; try++ {
-					rot := randomRotation(rng)
-					for k := 0; k < 3; k++ {
-						atoms[k] = rot(canon[k]).Add(center)
-					}
+					atoms = Molecule(center, rng)
 					if try >= 20 || !tooClose(box, placed, atoms[:], minContact2, ix, iy, nx) {
 						break
 					}
 				}
-				base := 3 * mol
-				for k := 0; k < 3; k++ {
-					sys.Pos[base+k] = atoms[k]
-					placed = append(placed, atoms[k])
-				}
-				sys.Mass[base] = units.MassO
-				sys.Mass[base+1] = units.MassH
-				sys.Mass[base+2] = units.MassH
-				sys.Q[base] = units.TIP3PQO
-				sys.Q[base+1] = units.TIP3PQH
-				sys.Q[base+2] = units.TIP3PQH
-				sys.LJ.Sigma[base] = units.TIP3PSigma
-				sys.LJ.Eps[base] = units.TIP3PEpsilon
-				sys.Excl.AddGroup([]int{base, base + 1, base + 2})
-				sys.RigidWaters = append(sys.RigidWaters, [3]int{base, base + 1, base + 2})
+				Place(sys, 3*mol, atoms)
+				placed = append(placed, atoms[:]...)
 				mol++
 			}
 		}
 	}
 	return sys
+}
+
+// canon is the TIP3P molecule about its centre of mass, matching the
+// constraint geometry: O, H1, H2.
+var canon = func() [3]vec.V {
+	h := units.TIP3PROH * math.Cos(units.TIP3PAngleHOH/2)
+	x := units.TIP3PROH * math.Sin(units.TIP3PAngleHOH/2)
+	mTot := units.MassO + 2*units.MassH
+	yO := 2 * units.MassH * h / mTot
+	return [3]vec.V{
+		{0, yO, 0},      // O
+		{-x, yO - h, 0}, // H1
+		{x, yO - h, 0},  // H2
+	}
+}()
+
+// Molecule returns the atoms (O, H1, H2) of a TIP3P molecule centred on
+// center in a random orientation, drawn from rng as four normal variates.
+func Molecule(center vec.V, rng *rand.Rand) [3]vec.V {
+	rot := randomRotation(rng)
+	var atoms [3]vec.V
+	for k := range atoms {
+		atoms[k] = rot(canon[k]).Add(center)
+	}
+	return atoms
+}
+
+// Place puts the TIP3P molecule atoms at indices base, base+1, base+2 of
+// sys: positions, masses, charges, LJ parameters, its exclusion group and
+// its SETTLE topology.
+func Place(sys *md.System, base int, atoms [3]vec.V) {
+	for k := range atoms {
+		sys.Pos[base+k] = atoms[k]
+	}
+	sys.Mass[base] = units.MassO
+	sys.Mass[base+1] = units.MassH
+	sys.Mass[base+2] = units.MassH
+	sys.Q[base] = units.TIP3PQO
+	sys.Q[base+1] = units.TIP3PQH
+	sys.Q[base+2] = units.TIP3PQH
+	sys.LJ.Sigma[base] = units.TIP3PSigma
+	sys.LJ.Eps[base] = units.TIP3PEpsilon
+	sys.Excl.AddGroup([]int{base, base + 1, base + 2})
+	sys.RigidWaters = append(sys.RigidWaters, [3]int{base, base + 1, base + 2})
 }
 
 // tooClose checks the trial molecule's atoms against recently placed atoms
