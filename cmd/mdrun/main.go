@@ -21,8 +21,8 @@
 // but draws fresh noise). -steps is the total trajectory length, so the
 // resumed run performs only the remaining steps.
 //
-// A serial run starts, steps, checkpoints and re-plans through tune.Run,
-// the one sequence mdserve's jobs share; a step that panics exits 1 with
+// A run starts, steps, checkpoints and re-plans through tune.Run, the one
+// sequence mdserve's jobs share; a step that panics exits 1 with
 // "mdrun: step N: ...".
 //
 // Auto-tuning (see DESIGN.md §7.10):
@@ -38,15 +38,6 @@
 // model at a checkpoint boundary, switches to a re-planned
 // configuration — bitwise identically to restarting from that
 // checkpoint under the new plan.
-//
-// Rank-decomposed execution (see DESIGN.md §7.9):
-//
-//	mdrun -ranks 4 -side 6 -rc 0.3 -grid 32 -M 2 -gc 4 -steps 100
-//
-// -ranks N steps the same NVE trajectory through internal/rank — N
-// domain-owning workers exchanging halos over typed channels — bitwise
-// identical to -ranks 1 and to the serial integrator. Rank mode is NVE
-// only (cutoff or tme) and excludes -nvt, -resume and checkpointing.
 package main
 
 import (
@@ -60,7 +51,6 @@ import (
 	"tme4a/internal/ckpt"
 	"tme4a/internal/md"
 	"tme4a/internal/obs"
-	"tme4a/internal/rank"
 	"tme4a/internal/solver"
 	"tme4a/internal/tune"
 	"tme4a/internal/water"
@@ -86,7 +76,6 @@ var (
 	ckEvery = flag.Int("checkpoint-every", 0, "checkpoint cadence in steps (0 = off)")
 	ckKeep  = flag.Int("checkpoint-keep", 3, "checkpoints retained (keep-last-K)")
 	resume  = flag.Bool("resume", false, "restore from the newest valid checkpoint in -checkpoint-dir")
-	ranks   = flag.Int("ranks", 0, "rank-decomposed run with N domain workers (0 = serial; NVE, cutoff|tme only)")
 	tuneOn  = flag.Bool("tune", false, "auto-tune: pick method/kernel/rc/grid/gc/M for -errbudget, ignoring the manual solver flags")
 	budget  = flag.Float64("errbudget", 1e-3, "relative force-error budget for -tune")
 	retune  = flag.Bool("retune", false, "with -tune and checkpointing: re-plan at checkpoint boundaries when stage timings drift off the cost model")
@@ -132,33 +121,6 @@ func main() {
 		fmt.Println(s.Describe())
 	}
 
-	if *ranks > 0 {
-		eng, err := rank.New(rank.Config{Ranks: *ranks}, sys, ff, 0.001)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer eng.Close()
-		if rec != nil {
-			eng.SetObs(rec)
-		}
-		fmt.Printf("%d atoms over %d ranks, method %s, rc %.2f nm, α %.3f nm⁻¹\n",
-			sys.N(), *ranks, plan.Method, plan.Rc, ff.Alpha)
-		n := 0
-		runTable(sys, func() (md.Energies, error) {
-			n++
-			e, err := eng.Step()
-			if err != nil {
-				err = fmt.Errorf("step %d: %w", n, err)
-			}
-			return e, err
-		}, 0, *steps, *every, func() {})
-		if b := eng.CommBytes(); *steps > 0 {
-			fmt.Printf("protocol traffic: %d bytes total, %d bytes/step\n", b, b/int64(*steps))
-		}
-		renderObs(rec, fmt.Sprintf("%s-ranks%d", plan.Method, *ranks), sys.N())
-		return
-	}
-
 	if *nvt {
 		run.Integ.Thermostat = &md.Thermostat{T: *temp, Tau: 0.1}
 	}
@@ -168,17 +130,7 @@ func main() {
 	}
 	fmt.Printf("%d atoms, method %s, rc %.2f nm, α %.3f nm⁻¹, grid %d³\n",
 		sys.N(), plan.Method, plan.Rc, ff.Alpha, plan.Grid[0])
-	// Each step ends at the run's checkpoint boundary: a save at the
-	// cadence and, with -retune, the drift monitor behind it.
-	runTable(sys, run.Step, run.Done, *steps-run.Done, *every, func() {
-		replanned, err := run.Checkpoint()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
-		}
-		if replanned {
-			fmt.Printf("%8d retune: %s\n", run.Done, run.Plan.String())
-		}
-	})
+	runTable(run)
 	renderObs(rec, plan.Method, sys.N())
 }
 
@@ -248,21 +200,28 @@ func configString(p tune.Plan) string {
 	return s
 }
 
-// runTable advances the trajectory n steps from absolute step start through
-// step, either engine's, whose error names its step; it prints the energy
-// table at the report cadence (and after the first step) and calls after.
-func runTable(sys *md.System, step func() (md.Energies, error), start, n, every int, after func()) {
+// runTable advances the run to -steps, printing the energy table at the
+// report cadence (and after the first step). Each step ends at the run's
+// checkpoint boundary: a save at the cadence and, with -retune, the drift
+// monitor behind it.
+func runTable(run *tune.Run) {
 	fmt.Printf("%8s %14s %14s %14s %8s\n", "step", "potential", "kinetic", "total", "T(K)")
-	for s := 1; s <= n; s++ {
-		e, err := step()
+	for first := true; run.Done < *steps; first = false {
+		e, err := run.Step()
 		if err != nil {
 			fatalf("%v", err)
 		}
-		if abs := start + s; abs%every == 0 || s == 1 {
+		if run.Done%*every == 0 || first {
 			fmt.Printf("%8d %14.3f %14.3f %14.3f %8.1f\n",
-				abs, e.Potential(), e.Kinetic, e.Total(), sys.Temperature())
+				run.Done, e.Potential(), e.Kinetic, e.Total(), run.Sys.Temperature())
 		}
-		after()
+		replanned, err := run.Checkpoint()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mdrun: %v\n", err)
+		}
+		if replanned {
+			fmt.Printf("%8d retune: %s\n", run.Done, run.Plan.String())
+		}
 	}
 }
 
@@ -290,18 +249,12 @@ func checkFlags() error {
 		return fmt.Errorf("-checkpoint-keep %d: want at least 1 checkpoint retained", *ckKeep)
 	case *tuneOn && *in != "":
 		return fmt.Errorf("-tune plans from -side; it does not combine with -in")
-	case *tuneOn && *ranks > 0:
-		return fmt.Errorf("-tune does not combine with -ranks")
 	case *retune && !*tuneOn:
 		return fmt.Errorf("-retune requires -tune")
 	case *retune && (*ckDir == "" || *ckEvery <= 0):
 		return fmt.Errorf("-retune re-plans at checkpoint boundaries; set -checkpoint-dir and -checkpoint-every")
 	case *retune && *nvt:
 		return fmt.Errorf("-retune is NVE only; drop -nvt")
-	case *ranks > 0 && *nvt:
-		return fmt.Errorf("-ranks is NVE only; drop -nvt")
-	case *ranks > 0 && (*resume || *ckDir != "" || *ckEvery > 0):
-		return fmt.Errorf("-ranks does not support checkpointing or -resume")
 	case (*ckEvery > 0 || *resume) != (*ckDir != ""):
 		return fmt.Errorf("-checkpoint-dir %q: a checkpoint directory goes with -checkpoint-every (to write it) or -resume (to read it)", *ckDir)
 	}

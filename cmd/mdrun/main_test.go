@@ -73,7 +73,6 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"-checkpoint-every", "10"}, "-checkpoint-dir"},
 		{[]string{"-checkpoint-dir", "ck"}, `-checkpoint-dir "ck"`},
 		{[]string{"-resume"}, "-checkpoint-dir"},
-		{[]string{"-ranks", "2", "-checkpoint-every", "10"}, "-ranks does not support checkpointing"},
 	} {
 		parseFlags(t, tc.args)
 		err := checkFlags()

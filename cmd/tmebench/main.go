@@ -8,7 +8,6 @@
 //	tmebench -exp fig9       single-step machine time chart (Fig 9)
 //	tmebench -exp fig9live   measured per-stage step breakdown (live Fig 9)
 //	tmebench -exp fig10      long-range phase breakdown (Fig 10, Sec V.B)
-//	tmebench -exp fig10scale rank strong-scaling sweep with torus comm model
 //	tmebench -exp overlap    step time with/without long-range (Sec V.C)
 //	tmebench -exp table2     cross-system comparison (Table 2)
 //	tmebench -exp costmodel  Sec III.C cost model + strong-scaling curves
@@ -34,7 +33,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig3a,fig3b,table1,fig4,fig9,fig9live,fig10,fig10scale,overlap,table2,costmodel,grid64,whatif,frontier,all")
+	exp := flag.String("exp", "all", "experiment: fig3a,fig3b,table1,fig4,fig9,fig9live,fig10,overlap,table2,costmodel,grid64,whatif,frontier,all")
 	full := flag.Bool("full", false, "run paper-scale workloads (slow)")
 	outDir := flag.String("out", "results", "output directory ('' = stdout only)")
 	flag.Parse()
@@ -42,7 +41,7 @@ func main() {
 	runner := &runner{full: *full, outDir: *outDir}
 	exps := []string{*exp}
 	if *exp == "all" {
-		exps = []string{"fig3a", "fig3b", "table1", "fig4", "fig9", "fig9live", "fig10", "fig10scale", "overlap", "table2", "costmodel", "grid64", "whatif", "frontier"}
+		exps = []string{"fig3a", "fig3b", "table1", "fig4", "fig9", "fig9live", "fig10", "overlap", "table2", "costmodel", "grid64", "whatif", "frontier"}
 	}
 	for _, e := range exps {
 		if err := runner.run(e); err != nil {
@@ -130,16 +129,6 @@ func (r *runner) run(exp string) error {
 		w, done := r.out("fig10.csv")
 		defer done()
 		r.hwContext().RunFig10(w)
-	case "fig10scale":
-		cfg := expt.QuickFigScale()
-		if r.full {
-			cfg = expt.FullFigScale()
-		}
-		w, done := r.out("fig10scale.csv")
-		defer done()
-		if _, err := expt.RunFigScale(cfg, w); err != nil {
-			return err
-		}
 	case "overlap":
 		w, done := r.out("overlap.csv")
 		defer done()

@@ -1,4 +1,4 @@
-// Subset rebuild for the rank-decomposed run mode (internal/rank): a rank
+// Subset rebuild for the rank engine (internal/rank): a rank
 // receives exactly the atoms whose layer falls inside its window and bins
 // them, in ascending index, through the body Rebuild bins every atom with,
 // so every cell of the window holds the full list's chain.

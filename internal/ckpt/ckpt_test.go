@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"path/filepath"
@@ -430,6 +431,33 @@ func TestOSFSRoundTrip(t *testing.T) {
 	}
 	if len(st.Entries()) != 2 {
 		t.Fatalf("retention kept %d, want 2", len(st.Entries()))
+	}
+}
+
+// TestMkdirAllMakesParents: MkdirAll makes every missing parent, so a
+// parent lists its new child and syncs, on MemFS as on the OS.
+func TestMkdirAllMakesParents(t *testing.T) {
+	for _, fs := range []FS{NewMemFS(), OS()} {
+		name, root := fmt.Sprintf("%T", fs), t.TempDir()
+		d := filepath.Join(root, "d")
+		if err := fs.MkdirAll(filepath.Join(d, "sub")); err != nil {
+			t.Fatalf("%s: MkdirAll: %v", name, err)
+		}
+		if err := WriteFileAtomic(fs, filepath.Join(d, "sub"), "f", []byte("x")); err != nil {
+			t.Fatalf("%s: WriteFileAtomic: %v", name, err)
+		}
+		for _, c := range []struct {
+			dir  string
+			want []string
+		}{{root, []string{"d"}}, {d, []string{"sub"}}, {filepath.Join(d, "sub"), []string{"f"}}} {
+			got, err := fs.ReadDir(c.dir)
+			if err != nil || !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s: ReadDir(%s) = %v, %v; want %v", name, c.dir, got, err, c.want)
+			}
+			if err := fs.SyncDir(c.dir); err != nil {
+				t.Errorf("%s: SyncDir(%s): %v", name, c.dir, err)
+			}
+		}
 	}
 }
 

@@ -27,10 +27,13 @@ func NewMemFS() *MemFS {
 	}
 }
 
+// MkdirAll registers dir and every ancestor, as os.MkdirAll makes them.
 func (m *MemFS) MkdirAll(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.dirs[filepath.Clean(dir)] = true
+	for d := filepath.Clean(dir); !m.dirs[d]; d = filepath.Dir(d) {
+		m.dirs[d] = true
+	}
 	return nil
 }
 

@@ -15,13 +15,27 @@ package machine
 import (
 	"tme4a/internal/hw/fpgafft"
 	"tme4a/internal/hw/octree"
-	"tme4a/internal/hw/torus"
 )
+
+// Torus describes the MDGRAPE-4A 3D-torus interconnect (paper Sec. II)
+// as the timing model reads it: nodes per axis, hop latency, link
+// bandwidth.
+type Torus struct {
+	Size       [3]int  // nodes per axis (8×8×8 for MDGRAPE-4A)
+	HopLatency float64 // ns per hop (200 ns measured)
+	Bandwidth  float64 // bytes/ns (7.2 GB/s = 7.2 bytes/ns)
+}
+
+// NNodes returns the total node count.
+func (t Torus) NNodes() int { return t.Size[0] * t.Size[1] * t.Size[2] }
+
+// NodeID flattens a node coordinate, x fastest.
+func (t Torus) NodeID(c [3]int) int { return c[0] + t.Size[0]*(c[1]+t.Size[1]*c[2]) }
 
 // Config describes the machine. All hardware constants are from the paper;
 // Calibration holds the software-overhead parameters (see calibration.go).
 type Config struct {
-	Torus    torus.Config
+	Torus    Torus
 	Octree   octree.Config
 	ClockGHz float64 // SoC clock (0.6 GHz)
 	PPGHz    float64 // nonbond pipeline clock (0.8 GHz)
@@ -97,7 +111,7 @@ func DefaultCalibration() Calibration {
 func MDGRAPE4A() Config {
 	cal := DefaultCalibration()
 	return Config{
-		Torus:          torus.MDGRAPE4A(),
+		Torus:          Torus{Size: [3]int{8, 8, 8}, HopLatency: 200, Bandwidth: 7.2},
 		Octree:         octree.MDGRAPE4A(cal.OctreeStageOverheadNs),
 		ClockGHz:       0.6,
 		PPGHz:          0.8,

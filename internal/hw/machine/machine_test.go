@@ -175,6 +175,26 @@ func TestFunctionalPipelineMatchesFloatTME(t *testing.T) {
 	}
 }
 
+// TestNodeIDRoundTrip: NodeID numbers the torus nodes 0, 1, … x-fastest,
+// so every id has exactly one coordinate.
+func TestNodeIDRoundTrip(t *testing.T) {
+	tor := MDGRAPE4A().Torus
+	id := 0
+	for z := 0; z < tor.Size[2]; z++ {
+		for y := 0; y < tor.Size[1]; y++ {
+			for x := 0; x < tor.Size[0]; x++ {
+				if got := tor.NodeID([3]int{x, y, z}); got != id {
+					t.Fatalf("(%d,%d,%d) -> %d, want %d", x, y, z, got, id)
+				}
+				id++
+			}
+		}
+	}
+	if id != tor.NNodes() {
+		t.Fatalf("%d coordinates for %d nodes", id, tor.NNodes())
+	}
+}
+
 // TestWorkloadDecomposition sanity-checks the spatial decomposition.
 func TestWorkloadDecomposition(t *testing.T) {
 	w, cfg := paperWorkload(t)

@@ -44,7 +44,7 @@ func (cfg Config) Decompose(sys *md.System, ff *bonded.FF, rc float64) *Workload
 				c[ax] = cfg.Torus.Size[ax] - 1
 			}
 		}
-		return c[0] + cfg.Torus.Size[0]*(c[1]+cfg.Torus.Size[1]*c[2])
+		return cfg.Torus.NodeID(c)
 	}
 	for i := range sys.Pos {
 		w.Atoms[nodeOf(sys.Pos[i])]++

@@ -1,5 +1,5 @@
 // Plane-subset charge assignment and back interpolation for the
-// rank-decomposed run mode (internal/dist, internal/rank).
+// rank engine (internal/dist, internal/rank).
 //
 // A rank owns the contiguous, non-wrapping plane block [zlo, zlo+own) of
 // the finest mesh. AssignPlanes scatters a rank's atom window onto that

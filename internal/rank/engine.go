@@ -318,16 +318,6 @@ func (e *Engine) CommBytes() int64 {
 	return t
 }
 
-// CommMatrix returns a copy of the per-pair traffic matrix:
-// entry [a][b] is the bytes rank a has sent rank b.
-func (e *Engine) CommMatrix() [][]int64 {
-	m := make([][]int64, len(e.workers))
-	for a, w := range e.workers {
-		m[a] = append([]int64(nil), w.pairBytes...)
-	}
-	return m
-}
-
 // Close shuts the workers down and waits for them to exit. Safe after a
 // broken step (workers park between rounds regardless of errors);
 // idempotent.

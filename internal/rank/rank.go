@@ -7,7 +7,9 @@
 // sleeves, top-grid gather/scatter — laid out like the MDGRAPE-4A torus
 // traffic the paper describes. A full Engine.Step over R ranks is bitwise
 // identical to the single-process md.Integrator.Step at any rank count
-// and any GOMAXPROCS.
+// and any GOMAXPROCS. No command runs it: it is slower than the serial
+// engine, and stays only for the benchmark's rank.* probes until those
+// are retired (DESIGN.md §7.9).
 //
 // # Determinism
 //

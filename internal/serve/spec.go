@@ -306,22 +306,21 @@ func (sp Spec) fresh() (*md.System, map[string]int64, error) {
 // RunDirect executes the spec's full trajectory in-process, outside any
 // scheduler, and returns the bitwise state hash of the final step. It is
 // the reference the served trajectories must match exactly — the tests'
-// single-job twin of a multiplexed run.
+// single-job twin of a multiplexed run, stepping through the same
+// tune.Run sequence without a checkpoint store.
 func (sp Spec) RunDirect() (uint64, error) {
 	sp.Normalize()
 	if err := sp.Validate(); err != nil {
 		return 0, err
 	}
-	sys, _, err := sp.fresh()
-	if err != nil {
-		return 0, err
-	}
-	integ, err := sp.plan().NewIntegrator(sys.Box, sp.Dt)
-	if err != nil {
+	run := &tune.Run{Plan: sp.plan(), Dt: sp.Dt, Fresh: sp.fresh, Log: io.Discard}
+	if err := run.Start(); err != nil {
 		return 0, err
 	}
 	for s := 0; s < sp.Steps; s++ {
-		integ.Step(sys)
+		if _, err := run.Step(); err != nil {
+			return 0, err
+		}
 	}
-	return md.StateHash(sys), nil
+	return md.StateHash(run.Sys), nil
 }

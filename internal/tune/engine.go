@@ -52,24 +52,15 @@ func (p Plan) NewSolver(box vec.Box) (solver.Solver, error) {
 	return solver.New(p.Method, p.SolverConfig(), box)
 }
 
-// NewForceField constructs the plan's force field for a box: its solver
-// behind the plan's cutoff, splitting and skin. The rank engine takes this
-// directly; NewIntegrator wraps it.
-func (p Plan) NewForceField(box vec.Box) (*md.ForceField, error) {
+// NewIntegrator constructs a velocity-Verlet integrator of time step dt
+// running the plan's force field: its solver for the box behind the
+// plan's cutoff, splitting and skin.
+func (p Plan) NewIntegrator(box vec.Box, dt float64) (*md.Integrator, error) {
 	mesh, err := p.NewSolver(box)
 	if err != nil {
 		return nil, err
 	}
-	return &md.ForceField{Alpha: p.Alpha(), Rc: p.Rc, Skin: p.Skin, Mesh: mesh}, nil
-}
-
-// NewIntegrator constructs a velocity-Verlet integrator of time step dt
-// running the plan's force field.
-func (p Plan) NewIntegrator(box vec.Box, dt float64) (*md.Integrator, error) {
-	ff, err := p.NewForceField(box)
-	if err != nil {
-		return nil, err
-	}
+	ff := &md.ForceField{Alpha: p.Alpha(), Rc: p.Rc, Skin: p.Skin, Mesh: mesh}
 	return &md.Integrator{FF: ff, Dt: dt}, nil
 }
 

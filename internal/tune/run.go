@@ -13,8 +13,8 @@ import (
 
 // Run is one trajectory on a plan: the system, its integrator and the
 // completed step count, with a checkpoint store and a drift monitor at the
-// cadence. It is the one sequence mdrun (whose -ranks mode takes only its
-// start) and serve's jobs start, step, checkpoint, re-plan and fail by.
+// cadence. It is the one sequence mdrun and serve's jobs start, step,
+// checkpoint, re-plan and fail by.
 //
 // The caller sets the configuration and calls Start. Dir holds the run's
 // checkpoints ("" keeps none), opened over FS (nil: the real filesystem)
