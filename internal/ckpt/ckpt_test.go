@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -456,6 +457,36 @@ func TestMkdirAllMakesParents(t *testing.T) {
 			}
 			if err := fs.SyncDir(c.dir); err != nil {
 				t.Errorf("%s: SyncDir(%s): %v", name, c.dir, err)
+			}
+		}
+	}
+}
+
+// TestReadDirDot: "." lists the same names on MemFS as on the OS, whose
+// working directory is a fresh temporary one here.
+func TestReadDirDot(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	for _, fs := range []FS{NewMemFS(), OS()} {
+		name := fmt.Sprintf("%T", fs)
+		if err := fs.MkdirAll(filepath.Join("d", "sub")); err != nil {
+			t.Fatalf("%s: MkdirAll: %v", name, err)
+		}
+		if err := WriteFileAtomic(fs, "d", "f", []byte("x")); err != nil {
+			t.Fatalf("%s: WriteFileAtomic: %v", name, err)
+		}
+		for _, c := range []struct {
+			dir  string
+			want []string
+		}{{".", []string{"d"}}, {"d", []string{"f", "sub"}}} {
+			if got, err := fs.ReadDir(c.dir); err != nil || !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s: ReadDir(%s) = %v, %v; want %v", name, c.dir, got, err, c.want)
 			}
 		}
 	}

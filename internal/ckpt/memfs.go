@@ -89,20 +89,25 @@ func (m *MemFS) ReadDir(dir string) ([]string, error) {
 	}
 	// Like os.ReadDir, list both child files and child directories. A
 	// directory is a child if it was registered via MkdirAll or is implied
-	// by a deeper file path.
+	// by a deeper file path. Below ".", a cleaned name has no "./"
+	// prefix; "." itself, absolute names and "../" names are not children.
 	seen := make(map[string]bool)
-	prefix := dir + string(filepath.Separator)
-	for name := range m.files {
-		if rest, ok := strings.CutPrefix(name, prefix); ok {
-			child, _, _ := strings.Cut(rest, string(filepath.Separator))
+	sep := string(filepath.Separator)
+	prefix := dir + sep
+	if dir == "." {
+		prefix = ""
+	}
+	add := func(name string) {
+		if rest, ok := strings.CutPrefix(name, prefix); ok && rest != "." && filepath.IsLocal(rest) {
+			child, _, _ := strings.Cut(rest, sep)
 			seen[child] = true
 		}
 	}
+	for name := range m.files {
+		add(name)
+	}
 	for d := range m.dirs {
-		if rest, ok := strings.CutPrefix(d, prefix); ok {
-			child, _, _ := strings.Cut(rest, string(filepath.Separator))
-			seen[child] = true
-		}
+		add(d)
 	}
 	names := make([]string, 0, len(seen))
 	for name := range seen {

@@ -34,3 +34,30 @@ func gridSum(g *grid.G) float64 {
 	}
 	return s
 }
+
+// assignAny spreads the charges onto the planes [zlo, zhi), which data
+// holds with plane zlo first, through the order-generic body at any order:
+// at p = 6 it is the generic oracle of spread6, which AssignTo and
+// AssignPlanes run.
+func (m *Mesher) assignAny(data []float64, zlo, zhi int, pos []vec.V, q []float64) {
+	for i, r := range pos {
+		m.spreadAny(data, zlo, zhi, r, q[i])
+	}
+}
+
+// interpolateAny gathers the atoms listed in idx (all atoms when idx is
+// nil) from the enz planes from zlo that data holds, through the
+// order-generic body at any order, writing eterm[i] and accumulating f[i]
+// as InterpolatePlanes does: at p = 6 it is the generic oracle of gather6.
+func (m *Mesher) interpolateAny(data []float64, zlo, enz int, idx []int32, pos []vec.V, q, eterm []float64, f []vec.V) {
+	if idx == nil {
+		for i := range pos {
+			idx = append(idx, int32(i))
+		}
+	}
+	for _, i := range idx {
+		if q[i] != 0 {
+			eterm[i] = m.gatherAny(data, zlo, enz, pos[i], q[i], f, int(i))
+		}
+	}
+}

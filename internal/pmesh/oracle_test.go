@@ -9,12 +9,16 @@ package pmesh
 // interpolateRangeOracleXYZ is that x → y → z order written with the same
 // per-point wraps, and pins it bitwise; interpolateRangeOracle, which
 // multiplies out all three weights at every point, stays as a tolerance
-// oracle within gatherTol of the sum of the absolute terms.
+// oracle within gatherTol of the sum of the absolute terms. At p = 6 the
+// entry points run the order-6 bodies; the order-generic bodies, reached
+// through assignAny and interpolateAny, are held to the same oracles, so
+// the two bodies of each pass are bit-equal as well.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tme4a/internal/bspline"
@@ -247,7 +251,8 @@ func (m *Mesher) assertGatherWithin(t *testing.T, name string, phi *grid.G, pos 
 // and gather bodies: uniformly random atoms, atoms several box lengths
 // outside the box on both sides, atoms placed so the support wraps on x
 // alone, y alone, z alone, in pairs and on all three at once (at both ends of
-// the ring), and atoms of zero charge scattered through the list.
+// the ring), atoms on mesh points (where a weight is an exact zero), and
+// atoms of charge +0 and −0 scattered through the list.
 func oracleSystem(rng *rand.Rand, n int, m *Mesher) ([]vec.V, []float64) {
 	box := m.Box
 	pos, q := testSystem(rng, n, box)
@@ -274,10 +279,27 @@ func oracleSystem(rng *rand.Rand, n int, m *Mesher) ([]vec.V, []float64) {
 		pos = append(pos, r)
 		q = append(q, rng.NormFloat64())
 	}
+	for k := 0; k < 16; k++ {
+		var r vec.V
+		for j := 0; j < 3; j++ {
+			r[j] = float64(rng.Intn(m.N[j])) * h[j]
+		}
+		pos = append(pos, r)
+		q = append(q, rng.NormFloat64())
+	}
 	for i := 0; i < len(q); i += 7 {
-		q[i] = 0
+		q[i] = math.Copysign(0, float64(i%2)-0.5)
 	}
 	return pos, q
+}
+
+// signedZeros returns n values of +0 and −0 in a pseudo-random pattern.
+func signedZeros(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.Copysign(0, rng.Float64()-0.5)
+	}
+	return v
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -306,13 +328,19 @@ func assertForceBits(t *testing.T, name string, want, got []vec.V) {
 }
 
 // oracleMeshers covers the orders and ring lengths of the bodies' branches:
-// the production p = 6 on 32³ and on an uneven grid, a support as wide as
-// the shortest ring (every x position wraps), and the widest order.
+// the production p = 6 on 32³, on uneven and ragged grids and on a ring
+// as short as its support (every x position but one wraps), where spread
+// and gather run the order-6 bodies; p = 4 with a support as wide as the
+// shortest ring; and the widest order. The ragged p = 6 meshes have
+// power-of-two spacings, so oracleSystem's mesh-point atoms sit exactly on
+// mesh points.
 func oracleMeshers() []*Mesher {
 	box := vec.Box{L: vec.V{3.1, 2.7, 3.4}}
 	return []*Mesher{
 		NewMesher(6, [3]int{32, 32, 32}, vec.Cubic(3)),
 		NewMesher(6, [3]int{16, 12, 20}, box),
+		NewMesher(6, [3]int{18, 16, 17}, vec.Box{L: vec.V{2.25, 2, 2.125}}),
+		NewMesher(6, [3]int{6, 8, 12}, vec.Box{L: vec.V{1.5, 2, 3}}),
 		NewMesher(4, [3]int{4, 6, 8}, box),
 		NewMesher(16, [3]int{18, 16, 17}, box),
 	}
@@ -323,12 +351,23 @@ func TestAssignMatchesOracle(t *testing.T) {
 	for _, m := range oracleMeshers() {
 		n := m.N
 		pos, q := oracleSystem(rng, 300, m)
-		want := grid.New(n[0], n[1], n[2])
+		// Every grid starts from the same +0/−0 pattern, so a zero product
+		// added with the wrong sign shows.
+		z0 := signedZeros(rng, n[0]*n[1]*n[2])
+		fresh := func() *grid.G {
+			g := grid.New(n[0], n[1], n[2])
+			copy(g.Data, z0)
+			return g
+		}
+		want := fresh()
 		m.assignSlabOracle(want, pos, q, 0, n[2])
 		name := fmt.Sprintf("p=%d %v", m.P, n)
+		generic := fresh()
+		m.assignAny(generic.Data, 0, n[2], pos, q)
+		assertGridBits(t, "order-generic body "+name, want.Data, generic.Data)
 
 		for _, procs := range []int{1, 2, 7} {
-			got := grid.New(n[0], n[1], n[2])
+			got := fresh()
 			withGOMAXPROCS(procs, func() { m.AssignTo(got, pos, q) })
 			assertGridBits(t, fmt.Sprintf("AssignTo %s procs=%d", name, procs), want.Data, got.Data)
 		}
@@ -336,7 +375,7 @@ func TestAssignMatchesOracle(t *testing.T) {
 		// Uneven slabs, each against the oracle slab and together against
 		// the full grid.
 		cut := 13 * n[2] / 32
-		got, wantSlabs := grid.New(n[0], n[1], n[2]), grid.New(n[0], n[1], n[2])
+		got, wantSlabs := fresh(), fresh()
 		for _, s := range [][2]int{{0, cut}, {cut, n[2]}} {
 			job{m: m, g: got, pos: pos, q: q}.assignSlab(s[0], s[1])
 			m.assignSlabOracle(wantSlabs, pos, q, s[0], s[1])
@@ -353,8 +392,12 @@ func TestAssignMatchesOracle(t *testing.T) {
 		plane := n[0] * n[1]
 		for _, s := range [][2]int{{0, cut}, {cut, n[2]}, {0, n[2]}, {n[2] - 1, n[2]}} {
 			sub := grid.New(n[0], n[1], s[1]-s[0])
+			copy(sub.Data, z0[plane*s[0]:])
+			subAny := append([]float64(nil), sub.Data...)
 			m.AssignPlanes(sub, s[0], idx, pos, q)
 			assertGridBits(t, fmt.Sprintf("AssignPlanes %s planes %v", name, s), want.Data[plane*s[0]:plane*s[1]], sub.Data)
+			m.assignAny(subAny, s[0], s[1], pos, q)
+			assertGridBits(t, fmt.Sprintf("order-generic body %s planes %v", name, s), want.Data[plane*s[0]:plane*s[1]], subAny)
 			for i, r := range pos {
 				want := false
 				mz := bspline.Base(m.P, r[2]*m.invH[2])
@@ -379,18 +422,34 @@ func TestInterpolateMatchesOracle(t *testing.T) {
 	for _, m := range oracleMeshers() {
 		n := m.N
 		pos, q := oracleSystem(rng, 600, m) // three energy chunks, the last one partial
+		// The lowest third of the planes holds +0 and −0, so some supports
+		// read only zeros and their energy terms and forces are zeros whose
+		// sign the bodies must get right; every fifth force starts at ±0.
 		phi := grid.New(n[0], n[1], n[2])
-		for i := range phi.Data {
+		plane := n[0] * n[1]
+		copy(phi.Data, signedZeros(rng, plane*(n[2]/3)))
+		for i := plane * (n[2] / 3); i < len(phi.Data); i++ {
 			phi.Data[i] = rng.NormFloat64()
 		}
 		name := fmt.Sprintf("p=%d %v", m.P, n)
 		wantF := make([]vec.V, len(pos))
 		for i := range wantF {
 			wantF[i] = vec.V{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+			if i%5 == 0 {
+				copy(wantF[i][:], signedZeros(rng, 3))
+			}
 		}
 		f0 := append([]vec.V(nil), wantF...)
 		wantE := m.interpolateOracle((*Mesher).interpolateRangeOracleXYZ, phi, pos, q, wantF)
 		m.assertGatherWithin(t, "x→y→z oracle "+name, phi, pos, q, f0, wantE, wantF)
+
+		genericF := append([]vec.V(nil), f0...)
+		genericTerms := make([]float64, len(pos))
+		m.interpolateAny(phi.Data, 0, n[2], nil, pos, q, genericTerms, genericF)
+		if gotE := FoldEnergy(genericTerms, q); !sameBits(wantE, gotE) {
+			t.Fatalf("order-generic body %s: energy %.17g, oracle %.17g", name, gotE, wantE)
+		}
+		assertForceBits(t, "order-generic body "+name, wantF, genericF)
 
 		for _, procs := range []int{1, 2, 7} {
 			gotF := append([]vec.V(nil), f0...)
@@ -408,10 +467,9 @@ func TestInterpolateMatchesOracle(t *testing.T) {
 		// Rank mode: each block gathers the atoms whose base plane it owns
 		// from its planes plus the P−1 wrapped halo planes above them, and
 		// the energy is folded from the per-atom terms.
-		plane := n[0] * n[1]
 		cut := 13 * n[2] / 32
-		gotF := append([]vec.V(nil), f0...)
-		eterm := make([]float64, len(pos))
+		gotF, blockF := append([]vec.V(nil), f0...), append([]vec.V(nil), f0...)
+		eterm, blockTerms := make([]float64, len(pos)), make([]float64, len(pos))
 		for _, s := range [][2]int{{0, cut}, {cut, n[2]}} {
 			ext := grid.New(n[0], n[1], s[1]-s[0]+m.P-1)
 			for k := 0; k < ext.N[2]; k++ {
@@ -425,17 +483,22 @@ func TestInterpolateMatchesOracle(t *testing.T) {
 				}
 			}
 			m.InterpolatePlanes(ext, s[0], idx, pos, q, eterm, gotF)
+			m.interpolateAny(ext.Data, s[0], ext.N[2], idx, pos, q, blockTerms, blockF)
 		}
 		if gotE := FoldEnergy(eterm, q); !sameBits(wantE, gotE) {
 			t.Fatalf("InterpolatePlanes %s: folded energy %.17g, oracle %.17g", name, gotE, wantE)
 		}
 		assertForceBits(t, "InterpolatePlanes "+name, wantF, gotF)
+		assertGridBits(t, "InterpolatePlanes energy terms "+name, genericTerms, eterm)
+		assertGridBits(t, "order-generic body energy terms in blocks "+name, genericTerms, blockTerms)
+		assertForceBits(t, "order-generic body in blocks "+name, wantF, blockF)
 	}
 }
 
 // TestInterpolatePlanesRejectsAtomOutsideWindow keeps the plan-time
 // invariant loud: an atom whose support leaves the extended block is a
-// caller bug, not a wrapped read of some other plane.
+// caller bug, not a wrapped read of some other plane — in the order-6 body
+// InterpolatePlanes runs and in the order-generic one alike.
 func TestInterpolatePlanesRejectsAtomOutsideWindow(t *testing.T) {
 	m := NewMesher(6, [3]int{16, 16, 16}, vec.Cubic(2))
 	ext := grid.New(16, 16, 8+m.P-1) // planes [0, 8) plus halo
@@ -443,10 +506,21 @@ func TestInterpolatePlanesRejectsAtomOutsideWindow(t *testing.T) {
 	if b := m.BasePlane(pos[0]); b < 8 {
 		t.Fatalf("test atom's base plane %d is inside the block", b)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("InterpolatePlanes accepted an atom outside its window")
-		}
-	}()
-	m.InterpolatePlanes(ext, 0, []int32{0}, pos, []float64{1}, make([]float64, 1), nil)
+	for name, gather := range map[string]func(){
+		"InterpolatePlanes": func() {
+			m.InterpolatePlanes(ext, 0, []int32{0}, pos, []float64{1}, make([]float64, 1), nil)
+		},
+		"order-generic body": func() {
+			m.interpolateAny(ext.Data, 0, ext.N[2], []int32{0}, pos, []float64{1}, make([]float64, 1), nil)
+		},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "outside the interpolation window") {
+					t.Errorf("%s: panic %v, want the interpolation-window panic", name, r)
+				}
+			}()
+			gather()
+		}()
+	}
 }

@@ -5,6 +5,7 @@ package pmesh
 // of Interpolate promise results bitwise independent of GOMAXPROCS.
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -33,28 +34,26 @@ func withGOMAXPROCS(p int, fn func()) {
 	fn()
 }
 
+// TestAssignToBitwiseAcrossGOMAXPROCS: AssignTo's z-slabs, which run the
+// order-6 body here, equal a serial pass of the order-generic body bitwise
+// at every worker count.
 func TestAssignToBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	box := vec.Cubic(2.5)
 	m := NewMesher(6, [3]int{16, 12, 20}, box)
 	pos, q := testSystem(rng, 400, box)
-
-	results := map[int]*grid.G{}
-	for _, procs := range []int{1, 4} {
-		withGOMAXPROCS(procs, func() {
-			g := grid.New(16, 12, 20)
-			m.AssignTo(g, pos, q)
-			results[procs] = g
-		})
-	}
-	for i := range results[1].Data {
-		if results[1].Data[i] != results[4].Data[i] {
-			t.Fatalf("AssignTo differs at %d: GOMAXPROCS=1 %.17g vs GOMAXPROCS=4 %.17g",
-				i, results[1].Data[i], results[4].Data[i])
-		}
+	want := grid.New(16, 12, 20)
+	m.assignAny(want.Data, 0, 20, pos, q)
+	for _, procs := range []int{1, 2, 4, 7} {
+		g := grid.New(16, 12, 20)
+		withGOMAXPROCS(procs, func() { m.AssignTo(g, pos, q) })
+		assertGridBits(t, fmt.Sprintf("AssignTo GOMAXPROCS=%d vs the order-generic body", procs), want.Data, g.Data)
 	}
 }
 
+// TestInterpolateBitwiseAcrossGOMAXPROCS: Interpolate's atom ranges, which
+// run the order-6 body here, and its fixed-chunk energy fold equal a serial
+// pass of the order-generic body bitwise at every worker count.
 func TestInterpolateBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	box := vec.Cubic(2.5)
@@ -65,27 +64,18 @@ func TestInterpolateBitwiseAcrossGOMAXPROCS(t *testing.T) {
 	for i := range phi.Data {
 		phi.Data[i] = rng.NormFloat64()
 	}
-
-	type result struct {
-		e float64
-		f []vec.V
-	}
-	results := map[int]result{}
-	for _, procs := range []int{1, 4} {
-		withGOMAXPROCS(procs, func() {
-			f := make([]vec.V, len(pos))
-			e := m.Interpolate(phi, pos, q, f)
-			results[procs] = result{e, f}
-		})
-	}
-	if results[1].e != results[4].e {
-		t.Fatalf("energy differs: GOMAXPROCS=1 %.17g vs GOMAXPROCS=4 %.17g",
-			results[1].e, results[4].e)
-	}
-	for i := range results[1].f {
-		if results[1].f[i] != results[4].f[i] {
-			t.Fatalf("force %d differs: %v vs %v", i, results[1].f[i], results[4].f[i])
+	wantF := make([]vec.V, len(pos))
+	eterm := make([]float64, len(pos))
+	m.interpolateAny(phi.Data, 0, 16, nil, pos, q, eterm, wantF)
+	wantE := FoldEnergy(eterm, q)
+	for _, procs := range []int{1, 2, 4, 7} {
+		f := make([]vec.V, len(pos))
+		var e float64
+		withGOMAXPROCS(procs, func() { e = m.Interpolate(phi, pos, q, f) })
+		if !sameBits(wantE, e) {
+			t.Fatalf("energy at GOMAXPROCS=%d %.17g, order-generic body %.17g", procs, e, wantE)
 		}
+		assertForceBits(t, fmt.Sprintf("Interpolate GOMAXPROCS=%d vs the order-generic body", procs), wantF, f)
 	}
 }
 

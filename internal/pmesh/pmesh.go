@@ -144,17 +144,28 @@ func (m *Mesher) supportPlanes(oz []int, uz float64, zlo, zhi int) bool {
 	return hit
 }
 
-// spread is the one charge-assignment body: it adds charge qi at r to the
+// spread is the one charge-assignment entry: it adds charge qi at r to the
 // mesh planes [zlo, zhi), which data holds with plane zlo first (a slab of
-// the full grid or a rank's plane block alike). An atom whose p-plane
-// support misses the block is rejected before any weight is evaluated.
-// Each mesh point receives qi·wz[c]·wy[b]·wx[a], the support walked in
-// c, b, a order; the wrapped indices are found once per atom per axis, and
-// a support that does not wrap in x — all but p−1 of every nx base
-// positions — is a contiguous run of its row.
+// the full grid or a rank's plane block alike). Order 6 runs spread6, the
+// others spreadAny.
 //
 //tme:noalloc
 func (m *Mesher) spread(data []float64, zlo, zhi int, r vec.V, qi float64) {
+	if m.P == 6 {
+		m.spread6(data, zlo, zhi, r, qi)
+	} else {
+		m.spreadAny(data, zlo, zhi, r, qi)
+	}
+}
+
+// spreadAny is the order-generic charge-assignment body and spread6's
+// oracle. An atom whose p-plane support misses the block is rejected before
+// any weight is evaluated. Each mesh point receives qi·wz[c]·wy[b]·wx[a],
+// the support walked in c, b, a order; the wrapped indices are found once
+// per atom per axis.
+//
+//tme:noalloc
+func (m *Mesher) spreadAny(data []float64, zlo, zhi int, r vec.V, qi float64) {
 	if qi == 0 {
 		return
 	}
@@ -166,34 +177,76 @@ func (m *Mesher) spread(data []float64, zlo, zhi int, r vec.V, qi float64) {
 		return
 	}
 	var wx, wy, wz, d [MaxOrder]float64
-	ux := r[0] * m.invH[0]
-	uy := r[1] * m.invH[1]
-	wrapRun(ox[:p], bspline.Weights(p, ux, wx[:p], d[:p]), nx, 1)
-	wrapRun(oy[:p], bspline.Weights(p, uy, wy[:p], d[:p]), ny, nx)
+	wrapRun(ox[:p], bspline.Weights(p, r[0]*m.invH[0], wx[:p], d[:p]), nx, 1)
+	wrapRun(oy[:p], bspline.Weights(p, r[1]*m.invH[1], wy[:p], d[:p]), ny, nx)
 	bspline.Weights(p, uz, wz[:p], d[:p])
-	bx := ox[0]
-	contiguous := bx+p <= nx
-	for c := 0; c < p; c++ {
-		if oz[c] < 0 {
+	scatter(data, nx*ny, qi, ox[:p], oy[:p], oz[:p], wx[:p], wy[:p], wz[:p])
+}
+
+// scatter adds qi·wz[c]·wy[b]·wx[a] to the support point at row offset
+// ox[a] + oy[b] of plane oz[c] (planes of the given size; −1 skips one), in
+// c, b, a order.
+//
+//tme:noalloc
+func scatter(data []float64, plane int, qi float64, ox, oy, oz []int, wx, wy, wz []float64) {
+	for c, pz := range oz {
+		if pz < 0 {
 			continue
 		}
 		qz := qi * wz[c]
-		plane := data[nx*ny*oz[c] : nx*ny*(oz[c]+1)]
-		for b := 0; b < p; b++ {
+		for b, py := range oy {
 			qyz := qz * wy[b]
-			row := plane[oy[b] : oy[b]+nx]
-			if contiguous {
-				seg := row[bx : bx+p]
-				for a, w := range wx[:len(seg)] {
-					seg[a] += float64(qyz * w)
-				}
-				continue
-			}
-			for a, w := range wx[:p] {
+			row := data[plane*pz+py:]
+			for a, w := range wx {
 				row[ox[a]] += float64(qyz * w)
 			}
 		}
 	}
+}
+
+// spread6 is spreadAny unrolled for p = 6, with the same products and adds
+// in the same order: each x-run is six statements on one [6]float64 of its
+// row, at an offset found once per (c, b). A support that wraps in x — 5 of
+// every nx base positions — runs spreadAny's nest, scatter, instead; which
+// one runs is decided once per atom.
+//
+//tme:noalloc
+func (m *Mesher) spread6(data []float64, zlo, zhi int, r vec.V, qi float64) {
+	if qi == 0 {
+		return
+	}
+	nx, ny := m.N[0], m.N[1]
+	uz := r[2] * m.invH[2]
+	var ox, oy, oz [6]int
+	if !m.supportPlanes(oz[:], uz, zlo, zhi) {
+		return
+	}
+	var wx, wy, wz, d [6]float64
+	bx := wrap(bspline.Weights(6, r[0]*m.invH[0], wx[:], d[:]), nx)
+	wrapRun(oy[:], bspline.Weights(6, r[1]*m.invH[1], wy[:], d[:]), ny, nx)
+	bspline.Weights(6, uz, wz[:], d[:])
+	if bx+6 <= nx {
+		for c, pz := range oz {
+			if pz < 0 {
+				continue
+			}
+			qz := qi * wz[c]
+			pl := nx*ny*pz + bx
+			for b, py := range oy {
+				qyz := qz * wy[b]
+				s := (*[6]float64)(data[pl+py : pl+py+6])
+				s[0] += float64(qyz * wx[0])
+				s[1] += float64(qyz * wx[1])
+				s[2] += float64(qyz * wx[2])
+				s[3] += float64(qyz * wx[3])
+				s[4] += float64(qyz * wx[4])
+				s[5] += float64(qyz * wx[5])
+			}
+		}
+		return
+	}
+	wrapRun(ox[:], bx, nx, 1)
+	scatter(data, nx*ny, qi, ox[:], oy[:], oz[:], wx[:], wy[:], wz[:])
 }
 
 // energyChunk is the fixed particle-chunk size of the interpolation energy
@@ -268,61 +321,64 @@ func FoldEnergy(eterm, q []float64) float64 {
 	return energy
 }
 
-// gather is the one back-interpolation body: it interpolates the potential
+// gather is the one back-interpolation entry: it interpolates the potential
 // and its gradient at r from data, which holds the enz mesh planes starting
 // at global plane zlo — the whole periodic grid (zlo = 0, enz = N[2]), or a
 // rank's block with its upper halo planes appended, where the support must
 // lie inside the window. It returns the atom's energy term ½·qi·φ and, when
-// f is non-nil, subtracts qi·∇φ from f[i]. The tensor-product weights are
-// contracted one axis at a time, innermost first, each sum folded in
-// ascending index: every x-run of p values folds into Σv·wx and Σv·dx
-// (starting at the first product); the p runs of a plane fold those,
-// weighted by wy[b] and dy[b], from +0 into its three sums (value, ∂x, ∂y);
-// the p planes fold them from +0 into pot, gx, gy (weight wz[c]) and gz (the
-// value sum, weight dz[c]). The wrapped indices are found once per atom per
-// axis, and a support that does not wrap in x is read as a contiguous run of
-// its row.
+// f is non-nil, subtracts qi·∇φ from f[i]. Order 6 runs gather6, the others
+// gatherAny.
 //
 //tme:noalloc
 func (m *Mesher) gather(data []float64, zlo, enz int, r vec.V, qi float64, f []vec.V, i int) float64 {
+	if m.P == 6 {
+		return m.gather6(data, zlo, enz, r, qi, f, i)
+	}
+	return m.gatherAny(data, zlo, enz, r, qi, f, i)
+}
+
+// gatherAny is the order-generic back-interpolation body and gather6's
+// oracle. The tensor-product weights are contracted one axis at a time,
+// innermost first, each sum folded in ascending index: every x-run of p
+// values folds into Σv·wx and Σv·dx (starting at the first product); the p
+// runs of a plane fold those, weighted by wy[b] and dy[b], from +0 into its
+// three sums (value, ∂x, ∂y); the p planes fold them from +0 into pot, gx,
+// gy (weight wz[c]) and gz (the value sum, weight dz[c]). The wrapped
+// indices are found once per atom per axis.
+//
+//tme:noalloc
+func (m *Mesher) gatherAny(data []float64, zlo, enz int, r vec.V, qi float64, f []vec.V, i int) float64 {
 	p := m.P
-	nx, ny, nz := m.N[0], m.N[1], m.N[2]
-	var wx, wy, wz, dx, dy, dz, vals [MaxOrder]float64
+	nx, ny := m.N[0], m.N[1]
+	var wx, wy, wz, dx, dy, dz [MaxOrder]float64
 	var ox, oy, oz [MaxOrder]int
 	wrapRun(ox[:p], bspline.Weights(p, r[0]*m.invH[0], wx[:p], dx[:p]), nx, 1)
 	wrapRun(oy[:p], bspline.Weights(p, r[1]*m.invH[1], wy[:p], dy[:p]), ny, nx)
-	lz := wrap(bspline.Weights(p, r[2]*m.invH[2], wz[:p], dz[:p]), nz) - zlo
-	for c := range oz[:p] {
-		// Only the full ring wraps; a block window holds its halo planes
-		// past its own, so a plane outside it is a caller error.
-		if lz >= enz {
-			lz -= nz
-		}
-		if lz < 0 {
-			panic("pmesh: atom support outside the interpolation window")
-		}
-		oz[c] = nx * ny * lz
-		lz++
+	m.windowPlanes(oz[:p], bspline.Weights(p, r[2]*m.invH[2], wz[:p], dz[:p]), zlo, enz)
+	pot, gx, gy, gz := contract(data, ox[:p], oy[:p], oz[:p], wx[:p], wy[:p], wz[:p], dx[:p], dy[:p], dz[:p])
+	if f != nil {
+		// ∇φ picks up 1/h per axis from d/dr = (1/h) d/du.
+		f[i][0] -= float64(qi * gx * m.invH[0])
+		f[i][1] -= float64(qi * gy * m.invH[1])
+		f[i][2] -= float64(qi * gz * m.invH[2])
 	}
-	bx := ox[0]
-	contiguous := bx+p <= nx
-	var pot, gx, gy, gz float64
-	for c := 0; c < p; c++ {
+	return 0.5 * qi * pot
+}
+
+// contract is gatherAny's loop nest: it folds the support values at row
+// offset ox[a] + oy[b] of data offset oz[c] against the weights w and
+// derivatives d into the potential and its three grid-unit gradients.
+//
+//tme:noalloc
+func contract(data []float64, ox, oy, oz []int, wx, wy, wz, dx, dy, dz []float64) (pot, gx, gy, gz float64) {
+	for c, pz := range oz {
 		var pw, pdx, pdy float64
-		for b := 0; b < p; b++ {
-			row := data[oz[c]+oy[b] : oz[c]+oy[b]+nx]
-			seg := vals[:p]
-			if contiguous {
-				seg = row[bx : bx+p]
-			} else {
-				for a := range seg {
-					seg[a] = row[ox[a]]
-				}
-			}
-			sw, sd := float64(seg[0]*wx[0]), float64(seg[0]*dx[0])
-			for a := 1; a < len(seg); a++ {
-				sw += float64(seg[a] * wx[a])
-				sd += float64(seg[a] * dx[a])
+		for b, py := range oy {
+			row := data[pz+py:]
+			sw, sd := float64(row[ox[0]]*wx[0]), float64(row[ox[0]]*dx[0])
+			for a := 1; a < len(ox); a++ {
+				sw += float64(row[ox[a]] * wx[a])
+				sd += float64(row[ox[a]] * dx[a])
 			}
 			pw += float64(sw * wy[b])
 			pdx += float64(sd * wy[b])
@@ -332,6 +388,69 @@ func (m *Mesher) gather(data []float64, zlo, enz int, r vec.V, qi float64, f []v
 		gx += float64(pdx * wz[c])
 		gy += float64(pdy * wz[c])
 		gz += float64(pw * dz[c])
+	}
+	return pot, gx, gy, gz
+}
+
+// windowPlanes sets oz[c] to the data offset of the c-th z-plane of a
+// support based at global plane base, in a window of enz planes from zlo.
+//
+//tme:noalloc
+func (m *Mesher) windowPlanes(oz []int, base, zlo, enz int) {
+	lz := wrap(base, m.N[2]) - zlo
+	for c := range oz {
+		// Only the full ring wraps; a block window holds its halo planes
+		// past its own, so a plane outside it is a caller error.
+		if lz >= enz {
+			lz -= m.N[2]
+		}
+		if lz < 0 {
+			panic("pmesh: atom support outside the interpolation window")
+		}
+		oz[c] = m.N[0] * m.N[1] * lz
+		lz++
+	}
+}
+
+// gather6 is gatherAny unrolled for p = 6, with the same products and sums
+// in the same order: each x-run is six products of one [6]float64 of its
+// row, at an offset found once per (c, b). A support that wraps in x — 5 of
+// every nx base positions — runs gatherAny's nest, contract, instead; which
+// one runs is decided once per atom.
+//
+//tme:noalloc
+func (m *Mesher) gather6(data []float64, zlo, enz int, r vec.V, qi float64, f []vec.V, i int) float64 {
+	nx, ny := m.N[0], m.N[1]
+	var wx, wy, wz, dx, dy, dz [6]float64
+	var ox, oy, oz [6]int
+	bx := wrap(bspline.Weights(6, r[0]*m.invH[0], wx[:], dx[:]), nx)
+	wrapRun(oy[:], bspline.Weights(6, r[1]*m.invH[1], wy[:], dy[:]), ny, nx)
+	m.windowPlanes(oz[:], bspline.Weights(6, r[2]*m.invH[2], wz[:], dz[:]), zlo, enz)
+	var pot, gx, gy, gz float64
+	if bx+6 > nx {
+		wrapRun(ox[:], bx, nx, 1)
+		pot, gx, gy, gz = contract(data, ox[:], oy[:], oz[:], wx[:], wy[:], wz[:], dx[:], dy[:], dz[:])
+	} else {
+		for c, pz := range oz {
+			var pw, pdx, pdy float64
+			pl := pz + bx
+			for b, py := range oy {
+				v := (*[6]float64)(data[pl+py : pl+py+6])
+				sw, sd := float64(v[0]*wx[0]), float64(v[0]*dx[0])
+				sw, sd = sw+float64(v[1]*wx[1]), sd+float64(v[1]*dx[1])
+				sw, sd = sw+float64(v[2]*wx[2]), sd+float64(v[2]*dx[2])
+				sw, sd = sw+float64(v[3]*wx[3]), sd+float64(v[3]*dx[3])
+				sw, sd = sw+float64(v[4]*wx[4]), sd+float64(v[4]*dx[4])
+				sw, sd = sw+float64(v[5]*wx[5]), sd+float64(v[5]*dx[5])
+				pw += float64(sw * wy[b])
+				pdx += float64(sd * wy[b])
+				pdy += float64(sw * dy[b])
+			}
+			pot += float64(pw * wz[c])
+			gx += float64(pdx * wz[c])
+			gy += float64(pdy * wz[c])
+			gz += float64(pw * dz[c])
+		}
 	}
 	if f != nil {
 		// ∇φ picks up 1/h per axis from d/dr = (1/h) d/du.

@@ -307,13 +307,11 @@ func (e *Engine) SetObs(rec *obs.Recorder) {
 }
 
 // CommBytes returns the total modeled protocol traffic (bytes) since the
-// engine was built, summed over all ordered rank pairs.
+// engine was built, summed over all ranks' sends.
 func (e *Engine) CommBytes() int64 {
 	var t int64
 	for _, w := range e.workers {
-		for _, b := range w.pairBytes {
-			t += b
-		}
+		t += w.commBytes
 	}
 	return t
 }

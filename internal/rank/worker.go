@@ -120,7 +120,7 @@ type worker struct {
 	cellIdx   []int32   //tme:owner worker.run
 	assignIdx []int32   //tme:owner worker.run
 	interpIdx []int32   //tme:owner worker.run
-	pairBytes []int64   //tme:owner worker.run
+	commBytes int64     //tme:owner worker.run
 
 	res *result
 }
@@ -201,7 +201,6 @@ func newWorker(sh *shared, r int, cmds chan uint8, resCh chan *result, top *md.S
 		cellIdx:   make([]int32, 0, n),
 		assignIdx: assignIdx,
 		interpIdx: interpIdx,
-		pairBytes: make([]int64, sh.r),
 		res: &result{
 			rank:  r,
 			pos:   sys.Pos,
@@ -549,7 +548,7 @@ func (w *worker) send(dst int, p *packet) {
 	if w.testDrop != nil && w.testDrop(dst, p.kind) {
 		return
 	}
-	w.pairBytes[dst] += packetBytes(p)
+	w.commBytes += packetBytes(p)
 	w.out[dst].ch <- p
 }
 

@@ -43,12 +43,13 @@ calls=$(echo "$asm" |
 # whose distance tests decide which pairs the loop ever sees, the pair loop
 # and the pieces inlined into it — nor in r2tab's lookup, the mesh's
 # mirrored-tap convolution row, the direct convolution's row body, the MSM
-# level-kernel construction and charge spreading and back interpolation,
-# on an architecture that fuses (gc fuses x*y + z on arm64 unless the
+# level-kernel construction and charge spreading and back interpolation
+# (the order-6 bodies, the order-generic ones and their loop nests), on an
+# architecture that fuses (gc fuses x*y + z on arm64 unless the
 # product is rounded with float64(x*y)), so they sum the same bits
 # everywhere.
 fma=$(GOARCH=arm64 go build -gcflags=-S ./internal/nonbond/ ./internal/r2tab/ ./internal/grid/ ./internal/pmesh/ ./internal/msm/ 2>&1 |
-	awk '/STEXT/ { p = ($1 ~ /^tme4a\/internal\/(nonbond\..*|r2tab\.\(\*(Segment\)\.Cubic|Table\)\.Segment)|grid\.(ConvRow|directJob\.rows)|msm\.levelKernel3D(\.func[0-9]+)?|pmesh\.\(\*Mesher\)\.(gather|spread))$/) } p && /\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\t/')
+	awk '/STEXT/ { p = ($1 ~ /^tme4a\/internal\/(nonbond\..*|r2tab\.\(\*(Segment\)\.Cubic|Table\)\.Segment)|grid\.(ConvRow|directJob\.rows)|msm\.levelKernel3D(\.func[0-9]+)?|pmesh\.(\(\*Mesher\)\.(gather|spread)(6|Any)?|scatter|contract))$/) } p && /\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\t/')
 [ -z "$fma" ] || { echo "tier1: fused multiply-add in a fixed-order kernel on arm64:" >&2; echo "$fma" >&2; exit 1; }
 go test ./...
 # Parallel writes are the race detector's to catch, at several worker
